@@ -227,7 +227,7 @@ def kernel_build_info() -> dict:
     Called before any workload timing so the one-time C compile lands
     here — ``build_seconds`` with ``compiled_this_process`` true — and
     never inside a measured wall.  On hosts without a compiler the dict
-    says so and the kernel column degrades to the pure-Python mirror.
+    says so and the kernel column measures the flat closures instead.
     """
     from repro.dram.kernel import backend_info
 

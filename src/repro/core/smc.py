@@ -479,16 +479,16 @@ class SoftwareMemoryController(ProgramExecutor):
 
         These conditions are fixed for the controller's lifetime (modulo
         scheduler swaps, which re-resolve): the kernel reproduces the
-        conventional open-page path only, so anything that adds
-        per-command observable behavior it does not model forces the
-        fastpath closures.
+        conventional open-page path under the registry schedulers only,
+        so anything that adds per-command observable behavior it does
+        not model forces the fastpath closures.
         """
-        from repro.core.schedulers import FCFS, FRFCFS
+        from repro.core.schedulers import SCHEDULERS
         if not self._fastpath:
             return "fastpath disabled (REPRO_FASTPATH=0)"
-        if type(self._scheduler) not in (FCFS, FRFCFS):
-            return ("stateful scheduler "
-                    f"({type(self._scheduler).__name__})")
+        scheduler = type(self._scheduler)
+        if SCHEDULERS.get(scheduler.name) is not scheduler:
+            return f"custom scheduler ({scheduler.__name__})"
         device = self._device
         if device.checker.strict:
             return "strict timing mode"
@@ -496,10 +496,11 @@ class SoftwareMemoryController(ProgramExecutor):
             return "retention modeling enabled"
         if device.row_activations is not None:
             return "row-activation tracking enabled"
-        if not device._inline_earliest:
+        t = self.config.timing
+        if not (t.tRRD_S <= t.tRRD_L <= t.tRC and t.tCCD_S <= t.tCCD_L):
+            # The single-rank earliest-time formulas are two-term
+            # aggregate reductions, exact only under these relations.
             return "non-uniform bank-group timing"
-        if self._mapper.geometry.ranks != 1:
-            return "multi-rank channel"
         if device._refresh_rank is not None:
             return "per-rank refresh"
         cells = device.cells.config
@@ -533,9 +534,10 @@ class SoftwareMemoryController(ProgramExecutor):
 
         The fourth serve path: bit-identical to :meth:`service_pending`
         (and therefore to both fast paths), but the entire episode —
-        arrival transfer, FR-FCFS arbitration, plan issue, timing-
-        legality resolution, refresh interleave, and stat attribution —
-        runs as one compiled call over the struct-of-arrays tables in
+        arrival transfer, scheduler arbitration (stateful ranking state
+        included), plan issue, timing-legality resolution, refresh
+        interleave, and stat attribution — runs as one compiled call
+        over the struct-of-arrays tables in
         :mod:`repro.dram.kernel.state`.  Returns ``False`` with all
         state untouched when the kernel is disengaged or a technique
         hook / staged tile state needs the object path; the caller then
@@ -562,22 +564,21 @@ class SoftwareMemoryController(ProgramExecutor):
         ks.ensure_requests(n)
         ks.ensure_viol(3 * n + 64)
         ks.ensure_wrhit(n + 16)
-        tag = ks.req_tag
-        addr = ks.req_addr
-        flags = ks.req_flags
-        core = ks.req_core
-        for i, request in enumerate(requests):
-            tag[i] = request.tag
-            addr[i] = request.addr
-            flags[i] = ((FLAG_WRITEBACK if request.is_writeback else 0)
-                        | (FLAG_PREFETCH if request.is_prefetch else 0))
-            core[i] = request.core
+        # Whole-slice assignments: one list -> int64 conversion per array.
+        ks.req_tag[:n] = [request.tag for request in requests]
+        ks.req_addr[:n] = [request.addr for request in requests]
+        ks.req_flags[:n] = [
+            (FLAG_WRITEBACK if request.is_writeback else 0)
+            | (FLAG_PREFETCH if request.is_prefetch else 0)
+            for request in requests]
+        cores = [request.core for request in requests]
+        ks.req_core[:n] = cores
         if len(self._device._rows) != int(ks.st[St.NMAT]):
             ks.refresh_materialized()
-        ks.load()
+        ks.load(max(cores) if ks.scheduler is not None else 0)
         ks.st[St.N_REQ] = n
         before_refresh = self._next_refresh_ps
-        err = self._kernel_run_batch(ks)
+        err = int(self._kernel_backend.serve_batch(ks.pointer_table()))
         if err != KERN_OK and err != KERR_DECODE_RANGE:
             raise RuntimeError(f"batch kernel failed with error {err}")
         ks.store()
@@ -589,19 +590,12 @@ class SoftwareMemoryController(ProgramExecutor):
             # partial state (stats, charges) already written back.
             self._mapper._check_range(int(ks.st[St.ERR_ADDR]))
             raise AssertionError("decode error did not reproduce")
-        release = ks.req_release
-        service = ks.req_service
-        for i, request in enumerate(requests):
-            request.release = int(release[i])
-            request.service_ps = int(service[i])
+        for request, release, service in zip(
+                requests, ks.req_release[:n].tolist(),
+                ks.req_service[:n].tolist()):
+            request.release = release
+            request.service_ps = service
         return True
-
-    def _kernel_run_batch(self, ks) -> int:
-        backend = self._kernel_backend
-        run_state = getattr(backend, "serve_batch_state", None)
-        if run_state is not None:  # pure-Python mirror (REPRO_KERNEL=py)
-            return run_state(ks)
-        return int(backend.serve_batch(ks.pointer_table()))
 
     def _make_service_fast(self):
         """Build the batched flat-path service loop (constants closed over).

@@ -474,10 +474,16 @@ class DramDevice:
                 # rank.record_act, in place: timestamps are monotonic,
                 # so the window filter is a drop-from-front (same list
                 # contents as the reference's rebuild).
-                rank_acts = self.ranks[self._rank_of[bank_index]].recent_acts
+                rank = self._rank_of[bank_index]
+                rank_acts = self.ranks[rank].recent_acts
                 rank_acts.append(t)
                 while rank_acts[0] <= cutoff:
                     rank_acts.pop(0)
+                if flat.multi_rank:
+                    rank_acts = flat.rank_recent_acts[rank]
+                    rank_acts.append(t)
+                    while rank_acts[0] <= cutoff:
+                        rank_acts.popleft()
                 flat.last_act[bank_index] = t           # flat.act(...)
                 if t > flat.group_max_act[group]:
                     flat.group_max_act[group] = t

@@ -133,8 +133,6 @@ def _eligible(proc, smc) -> str | None:
     ks = smc._kernel_state if smc._kernel_resolved else smc._kernel_resolve()
     if ks is None:
         return smc.kernel_fallback_reason
-    if getattr(smc._kernel_backend, "run_block", None) is None:
-        return "pure-Python backend (block replay needs the compiled kernel)"
     if smc.serve_hook is not None:
         return "technique episode (serve hook)"
     if smc.tile.has_requests or len(smc.api.program):

@@ -8,8 +8,8 @@ into a source-hash-keyed cache under ``_cache/`` (gitignored).  A warm
 cache makes load a single ``dlopen``.
 
 Everything degrades gracefully: no compiler, a failed compile, or a
-stale ABI all surface as ``(None, reason)`` so the caller can fall back
-to the pure-Python mirror or disengage the kernel entirely.
+stale ABI all surface as ``(None, reason)`` so the caller disengages
+the kernel and the flat closures serve every batch.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.dram.kernel import state
 #: Bumped when the entry-point contract changes; checked against the
 #: compiled object's ``repro_abi_version`` so a stale cached build from
 #: an older checkout can never be called with the wrong layout.
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 _HERE = Path(__file__).resolve().parent
 _SOURCE = _HERE / "kernel.c"

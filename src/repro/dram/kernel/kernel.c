@@ -9,7 +9,9 @@
  *   repro_serve_batch  -- one critical-mode episode over a sorted
  *                         request batch (mirrors _make_service_fast /
  *                         _make_service_single byte for byte on the
- *                         emulated timeline).
+ *                         emulated timeline), under any registry
+ *                         scheduler and on single- or multi-rank
+ *                         channels.
  *   repro_run_block    -- replay one AccessBlock through the gated
  *                         processor model, servicing every clock gate
  *                         in place (mirrors Processor._execute_burst_blocks
@@ -41,6 +43,7 @@
 #define CODE_TCCD_S 9
 #define CODE_TWTR 10
 #define CODE_BANKS_OPEN 11
+#define CODE_TCS 12
 
 /* Flat command-kind codes (flat_timing.py). */
 #define K_ACT 0
@@ -67,6 +70,7 @@ typedef struct {
     int64_t *open_row, *prev_open_row, *act_count;
     const int64_t *group_of;
     int64_t *gmax_act, *gmax_cas, *faw_ring;
+    int64_t *rank_faw, *rank_faw_hl, *sched_core;
     const int64_t *plan_n, *plan_kinds, *plan_offsets, *plan_cycles;
     const int64_t *plan_charge, *plan_measured, *plan_postflush;
     int64_t *viol;
@@ -101,6 +105,9 @@ static void bind(K *k, int64_t **p)
     k->gmax_act = p[P_GMAX_ACT];
     k->gmax_cas = p[P_GMAX_CAS];
     k->faw_ring = p[P_FAW_RING];
+    k->rank_faw = p[P_RANK_FAW];
+    k->rank_faw_hl = p[P_RANK_FAW_HL];
+    k->sched_core = p[P_SCHED_CORE];
     k->plan_n = p[P_PLAN_N];
     k->plan_kinds = p[P_PLAN_KINDS];
     k->plan_offsets = p[P_PLAN_OFFSETS];
@@ -236,6 +243,28 @@ static int64_t viol_push(K *k, int64_t kind, int64_t bank, int64_t row,
  * only replace the best on a strictly greater value.
  */
 
+/* The 4th-most-recent ACT of rank ``rk``'s tFAW window, if it holds
+ * four: the channel-wide ring on single-rank topologies, the rank's own
+ * ring otherwise. */
+static int faw_fourth(K *k, int64_t rk, int64_t *out)
+{
+    int64_t cap = C(FAW_CAP), head, len;
+    const int64_t *ring;
+    if (C(NRANKS) > 1) {
+        ring = k->rank_faw + rk * cap;
+        head = k->rank_faw_hl[2 * rk];
+        len = k->rank_faw_hl[2 * rk + 1];
+    } else {
+        ring = k->faw_ring;
+        head = S(FAW_HEAD);
+        len = S(FAW_LEN);
+    }
+    if (len < 4)
+        return 0;
+    *out = ring[(head + len - 4) % cap];
+    return 1;
+}
+
 #define CAND(v, c) do { int64_t _v = (v); \
         if (_v > best) { best = _v; code = (c); } } while (0)
 
@@ -244,8 +273,10 @@ static void enum_act(K *k, int64_t bank, int64_t *e_out, int64_t *code_out)
     int64_t best = 0, code = CODE_POWER_ON;
     CAND(k->last_act[bank] + C(TRC), CODE_TRC);
     CAND(k->last_pre[bank] + C(TRP), CODE_TRP);
-    int64_t grp = k->group_of[bank], nb = C(NBANKS);
-    for (int64_t ob = 0; ob < nb; ob++) {
+    /* tRRD couples the banks of one rank only. */
+    int64_t grp = k->group_of[bank], bpr = C(BANKS_PER_RANK);
+    int64_t rk = bank / bpr;
+    for (int64_t ob = rk * bpr; ob < (rk + 1) * bpr; ob++) {
         if (ob == bank)
             continue;
         if (k->group_of[ob] == grp)
@@ -253,14 +284,11 @@ static void enum_act(K *k, int64_t bank, int64_t *e_out, int64_t *code_out)
         else
             CAND(k->last_act[ob] + C(TRRD_S), CODE_TRRD_S);
     }
-    int64_t len = S(FAW_LEN);
-    if (len < 4) {
+    int64_t fourth;
+    if (faw_fourth(k, rk, &fourth))
+        CAND(fourth + C(TFAW), CODE_TFAW);
+    else
         CAND((int64_t)0, CODE_TFAW);
-    } else {
-        int64_t cap = C(FAW_CAP);
-        int64_t idx = (S(FAW_HEAD) + len - 4) % cap;
-        CAND(k->faw_ring[idx] + C(TFAW), CODE_TFAW);
-    }
     CAND(S(LAST_REF) + C(TRFC), CODE_TRFC);
     *e_out = best;
     *code_out = code;
@@ -271,21 +299,31 @@ static void enum_cas(K *k, int64_t bank, int is_write, int64_t *e_out,
 {
     int64_t best = 0, code = CODE_POWER_ON;
     CAND(k->last_act[bank] + C(TRCD), CODE_TRCD);
-    int64_t grp = k->group_of[bank], nb = C(NBANKS);
+    /* Same-rank banks see tCCD_L/S and tWTR, other ranks tCS. */
+    int64_t grp = k->group_of[bank], nb = C(NBANKS), bpr = C(BANKS_PER_RANK);
+    int64_t rk = bank / bpr;
+    int64_t we = NEVER_PS, other_we = NEVER_PS;
     for (int64_t ob = 0; ob < nb; ob++) {
         int64_t cas = k->last_read[ob] > k->last_write[ob]
             ? k->last_read[ob] : k->last_write[ob];
+        int64_t wend = k->last_write_end[ob];
+        if (ob / bpr != rk) {
+            CAND(cas + C(TCS), CODE_TCS);
+            if (wend > other_we)
+                other_we = wend;
+            continue;
+        }
         if (k->group_of[ob] == grp)
             CAND(cas + C(TCCD_L), CODE_TCCD_L);
         else
             CAND(cas + C(TCCD_S), CODE_TCCD_S);
+        if (wend > we)
+            we = wend;
     }
     if (!is_write) {
-        int64_t we = NEVER_PS;
-        for (int64_t ob = 0; ob < nb; ob++)
-            if (k->last_write_end[ob] > we)
-                we = k->last_write_end[ob];
         CAND(we + C(TWTR), CODE_TWTR);
+        if (C(NRANKS) > 1)
+            CAND(other_we + C(TCS), CODE_TCS);
     }
     *e_out = best;
     *code_out = code;
@@ -338,6 +376,25 @@ static int64_t note_wr_hit(K *k, int64_t bank, int64_t row, int64_t col)
     return KERN_OK;
 }
 
+/* tFAW sliding window: append, then expire entries <= t - tFAW. */
+static int64_t faw_push(K *k, int64_t *ring, int64_t *head_p,
+                        int64_t *len_p, int64_t t)
+{
+    int64_t cap = C(FAW_CAP), len = *len_p, head = *head_p;
+    if (len >= cap)
+        return KERR_FAW_OVERFLOW;
+    ring[(head + len) % cap] = t;
+    len += 1;
+    int64_t cutoff = t - C(TFAW);
+    while (len && ring[head] <= cutoff) {
+        head = (head + 1) % cap;
+        len -= 1;
+    }
+    *head_p = head;
+    *len_p = len;
+    return KERN_OK;
+}
+
 static int64_t apply_act(K *k, int64_t bank, int64_t row, int64_t t)
 {
     int64_t grp = k->group_of[bank];
@@ -350,21 +407,16 @@ static int64_t apply_act(K *k, int64_t bank, int64_t row, int64_t t)
         k->gmax_act[grp] = t;
     if (t > S(MAX_ACT_ALL))
         S(MAX_ACT_ALL) = t;
-    /* tFAW sliding window: append, then expire entries <= t - tFAW. */
-    int64_t cap = C(FAW_CAP), len = S(FAW_LEN), head = S(FAW_HEAD);
-    if (len >= cap)
-        return KERR_FAW_OVERFLOW;
-    k->faw_ring[(head + len) % cap] = t;
-    len += 1;
-    int64_t cutoff = t - C(TFAW);
-    while (len && k->faw_ring[head] <= cutoff) {
-        head = (head + 1) % cap;
-        len -= 1;
+    /* tFAW windows: the channel-wide one always, the rank's own too on
+     * multi-rank topologies. */
+    int64_t err = faw_push(k, k->faw_ring, &S(FAW_HEAD), &S(FAW_LEN), t);
+    if (!err && C(NRANKS) > 1) {
+        int64_t rk = bank / C(BANKS_PER_RANK);
+        int64_t *hl = k->rank_faw_hl + 2 * rk;
+        err = faw_push(k, k->rank_faw + rk * C(FAW_CAP), hl, hl + 1, t);
     }
-    S(FAW_HEAD) = head;
-    S(FAW_LEN) = len;
     S(CMD_ACT) += 1;
-    return KERN_OK;
+    return err;
 }
 
 static void apply_pre(K *k, int64_t bank, int64_t t)
@@ -410,10 +462,65 @@ static int64_t apply_wr(K *k, int64_t bank, int64_t col, int64_t t)
     return KERN_OK;
 }
 
-/* Two-term earliest for an in-plan (non-leading) command; exact because
- * the kernel only engages when device._inline_earliest holds. */
+/* FlatTimingState._earliest_multi_rank: tRRD/tFAW and tCCD/tWTR couple
+ * the banks of one rank; other ranks' column commands and write bursts
+ * only impose tCS.  tRFC reads the channel-wide last REF. */
+static int64_t earliest_multi_rank(K *k, int64_t kind, int64_t bank)
+{
+    int64_t e, v;
+    int64_t grp = k->group_of[bank], bpr = C(BANKS_PER_RANK);
+    int64_t lo = (bank / bpr) * bpr, hi = lo + bpr;
+    if (kind == K_ACT) {
+        e = k->last_act[bank] + C(TRC);
+        v = k->last_pre[bank] + C(TRP);
+        if (v > e)
+            e = v;
+        for (int64_t ob = lo; ob < hi; ob++) {
+            if (ob == bank)
+                continue;
+            v = k->last_act[ob]
+                + (k->group_of[ob] == grp ? C(TRRD_L) : C(TRRD_S));
+            if (v > e)
+                e = v;
+        }
+        if (faw_fourth(k, bank / bpr, &v)) {
+            v += C(TFAW);
+            if (v > e)
+                e = v;
+        }
+        v = S(LAST_REF) + C(TRFC);
+        if (v > e)
+            e = v;
+        return e;
+    }
+    e = k->last_act[bank] + C(TRCD);
+    int is_read = kind == K_RD;
+    int64_t nb = C(NBANKS);
+    for (int64_t ob = 0; ob < nb; ob++) {
+        int64_t cas = k->last_read[ob] > k->last_write[ob]
+            ? k->last_read[ob] : k->last_write[ob];
+        int64_t same = ob >= lo && ob < hi;
+        v = cas + (!same ? C(TCS)
+                   : k->group_of[ob] == grp ? C(TCCD_L) : C(TCCD_S));
+        if (v > e)
+            e = v;
+        if (is_read) {
+            v = k->last_write_end[ob] + (same ? C(TWTR) : C(TCS));
+            if (v > e)
+                e = v;
+        }
+    }
+    return e;
+}
+
+/* Earliest legal time of an in-plan (non-leading) command: the two-term
+ * aggregate form on single-rank channels (exact because the kernel only
+ * engages when the bank-group timing relations hold), the rank-aware
+ * scans otherwise. */
 static int64_t flat_earliest(K *k, int64_t kind, int64_t bank)
 {
+    if (C(NRANKS) > 1)
+        return earliest_multi_rank(k, kind, bank);
     int64_t e, v;
     int64_t grp = k->group_of[bank];
     if (kind == K_ACT) {
@@ -427,10 +534,8 @@ static int64_t flat_earliest(K *k, int64_t kind, int64_t bank)
         v = k->gmax_act[grp] + C(TRRD_L);
         if (v > e)
             e = v;
-        int64_t len = S(FAW_LEN);
-        if (len >= 4) {
-            int64_t cap = C(FAW_CAP);
-            v = k->faw_ring[(S(FAW_HEAD) + len - 4) % cap] + C(TFAW);
+        if (faw_fourth(k, 0, &v)) {
+            v += C(TFAW);
             if (v > e)
                 e = v;
         }
@@ -702,10 +807,13 @@ static int64_t serve_one(K *k, int64_t bank, int64_t row, int64_t col,
     S(EXEC_ANCHOR) = start;
     if (S(DRAM_CURSOR) > start)
         start = S(DRAM_CURSOR);
-    /* Earliest legal time of the leading command (inline two-term). */
+    /* Earliest legal time of the leading command (inline two-term on
+     * single-rank channels). */
     int64_t e, v;
     int64_t grp = k->group_of[bank];
-    if (cse == 0) {            /* RD/WR on the open row */
+    if (cse == 0 && C(NRANKS) > 1) {
+        e = earliest_multi_rank(k, is_wb ? K_WR : K_RD, bank);
+    } else if (cse == 0) {     /* RD/WR on the open row */
         e = k->last_act[bank] + C(TRCD);
         v = S(MAX_CAS_ALL) + C(TCCD_S);
         if (v > e)
@@ -772,6 +880,99 @@ static int64_t serve_one(K *k, int64_t bank, int64_t row, int64_t col,
     return KERN_OK;
 }
 
+/* -- stateful scheduler select (schedulers.py _RankedScheduler) ----------- */
+
+#define CORE_OF(ent) (core ? core[(ent)[1]] : 0)
+
+/* _RankedScheduler.select_flat over the live table (arrival order):
+ * _before_select, the age-cap override, the (group, write, row-miss,
+ * arrival) minimum, then _note_serve -- on every serve, singletons
+ * included.  Per-core state lives in sched_core (ATLAS attained service
+ * with -1 = no entry, BLISS blacklist flags, batch mark counts). */
+static int64_t select_ranked(K *k, int64_t *tbl, int64_t tcount,
+                             const int64_t *core)
+{
+    int64_t kind = C(SCHED_KIND);
+    int64_t *sc = k->sched_core;
+    int64_t ncores = S(SCHED_NCORES);
+    if (kind == SCHED_BATCH) {
+        /* BatchScheduler._before_select: with no live entry marked, mark
+         * the oldest BATCH_CAP entries of every core. */
+        int marked = 0;
+        for (int64_t j = 0; j < tcount && !marked; j++)
+            marked = tbl[TBL_STRIDE * j + 6] != 0;
+        if (!marked) {
+            memset(sc, 0, (size_t)ncores * sizeof(int64_t));
+            for (int64_t j = 0; j < tcount; j++) {
+                int64_t *ent = tbl + TBL_STRIDE * j;
+                int64_t c = CORE_OF(ent);
+                if (sc[c] < C(BATCH_CAP)) {
+                    sc[c] += 1;
+                    ent[6] = 1;
+                }
+            }
+        }
+    }
+    int64_t pick = 0;
+    int64_t cap = C(AGE_CAP);
+    if (cap < 0 || tbl[TBL_STRIDE * (tcount - 1)] - tbl[0] < cap) {
+        int64_t best_group = INT64_MAX, best_key = INT64_MAX;
+        for (int64_t j = 0; j < tcount; j++) {
+            int64_t *ent = tbl + TBL_STRIDE * j;
+            int64_t group;
+            if (kind == SCHED_ATLAS)
+                group = sc[CORE_OF(ent)] > 0 ? sc[CORE_OF(ent)] : 0;
+            else if (kind == SCHED_BLISS)
+                group = sc[CORE_OF(ent)];
+            else
+                group = ent[6] ? 0 : 1;
+            /* (write, row-miss, arrival) packed as in FR-FCFS. */
+            int64_t key = ent[0];
+            if (ent[5])
+                key += (int64_t)2 << 60;
+            if (k->open_row[ent[2]] != ent[3])
+                key += (int64_t)1 << 60;
+            if (group < best_group
+                    || (group == best_group && key < best_key)) {
+                best_group = group;
+                best_key = key;
+                pick = j;
+            }
+        }
+    }
+    int64_t *ent = tbl + TBL_STRIDE * pick;
+    int64_t c = CORE_OF(ent);
+    int hit = k->open_row[ent[2]] == ent[3];
+    if (kind == SCHED_ATLAS) {
+        sc[c] = (sc[c] > 0 ? sc[c] : 0) + (hit ? 1 : 2);
+        S(ATLAS_SERVES) += 1;
+        if (S(ATLAS_SERVES) >= C(QUANTUM)) {
+            S(ATLAS_SERVES) = 0;
+            for (int64_t j = 0; j < ncores; j++)
+                if (sc[j] > 0)
+                    sc[j] >>= 1;
+        }
+    } else if (kind == SCHED_BLISS) {
+        if (c == S(BL_LAST)) {
+            S(BL_STREAK) += 1;
+        } else {
+            S(BL_LAST) = c;
+            S(BL_STREAK) = 1;
+        }
+        if (S(BL_STREAK) >= C(BL_THRESHOLD))
+            sc[c] = 1;
+        S(BL_SERVES) += 1;
+        if (S(BL_SERVES) >= C(BL_CLEAR)) {
+            S(BL_SERVES) = 0;
+            memset(sc, 0, (size_t)ncores * sizeof(int64_t));
+        }
+    }
+    /* Batch: marked.discard() -- the mark leaves with the entry. */
+    return pick;
+}
+
+#undef CORE_OF
+
 /* -- one critical-mode episode (smc._make_service_fast) -------------------
  *
  * ``arrivals`` must be sorted by tag (stable).  Covers the n == 1 shape
@@ -801,7 +1002,7 @@ static int64_t episode(K *k, int64_t n, const int64_t *tag,
     S(SCHED_CURSOR) = now;
     int64_t pos = 0, tcount = 0;
     int64_t *tbl = k->tbl;
-    int frfcfs = (int)C(SCHED_FRFCFS);
+    int64_t sched = C(SCHED_KIND);
     while (pos < n || tcount) {
         int64_t cursor = S(SCHED_CURSOR);
         while (pos < n) {
@@ -821,6 +1022,7 @@ static int64_t episode(K *k, int64_t n, const int64_t *tag,
                 ent[3] = row;
                 ent[4] = col;
                 ent[5] = flags[pos] & RF_WRITEBACK;
+                ent[6] = 0;
                 tcount += 1;
                 if (arrival > cursor)
                     cursor = arrival;
@@ -843,9 +1045,11 @@ static int64_t episode(K *k, int64_t n, const int64_t *tag,
         }
         S(CHARGED) += C(DECISION_BASE) + C(DECISION_PER) * tcount;
         /* Scheduler select (schedulers.py select_flat; count == 1 pops
-         * directly on both policies -- same entry either way). */
+         * directly on the stateless policies -- same entry either way). */
         int64_t pick = 0;
-        if (tcount > 1 && frfcfs) {
+        if (sched >= SCHED_ATLAS) {
+            pick = select_ranked(k, tbl, tcount, core);
+        } else if (tcount > 1 && sched == SCHED_FRFCFS) {
             int64_t *first = tbl;
             int64_t *last = tbl + TBL_STRIDE * (tcount - 1);
             int64_t age_cap = C(AGE_CAP);
@@ -1156,7 +1360,7 @@ static void filter_block(K *k)
 
 int64_t repro_abi_version(void)
 {
-    return 2;
+    return 3;
 }
 
 int64_t repro_serve_batch(int64_t **p)

@@ -6,22 +6,25 @@ flat ``int64`` storage.  This module is the single source of truth for
 that layout:
 
 * :data:`CFG_FIELDS` — run-constant scalars (timing parameters, cost
-  model charges, decode geometry, scheduler policy).  Compiled into the
-  C backend as ``#define`` constants and into :class:`Cfg` /
-  :class:`St` / :class:`Ptr` index namespaces for the pure-Python
-  mirror, so the two backends can never disagree about the layout.
-* :data:`ST_FIELDS` — mutable scalars (cursors, counters, statistics).
-  Loaded from the live objects before a kernel call and stored back
-  after; the object state remains authoritative between calls.
+  model charges, decode geometry, rank topology, scheduler kind and
+  parameters).  Compiled into the C backend as ``#define`` constants
+  and into the :class:`Cfg` / :class:`St` / :class:`Ptr` index
+  namespaces the Python marshalling uses, so the two sides can never
+  disagree about the layout.
+* :data:`ST_FIELDS` — mutable scalars (cursors, counters, statistics,
+  scheduler counters).  Loaded from the live objects before a kernel
+  call and stored back after; the object state remains authoritative
+  between calls.
 * :data:`PTR_FIELDS` — the array slot table.  A kernel entry point
   receives one ``int64*[]`` indexed by these names, covering the
-  per-bank timing arrays, the memoized plans, the request batch, the
+  per-bank timing arrays, the per-rank tFAW windows, the per-core
+  scheduler table, the memoized plans, the request batch, the
   violation/latency logs and (block mode) the replay inputs, the
   pending-request buffers and the event heap.
 
 :class:`KernelState` owns the arrays and the load/store marshalling; it
-is deliberately dumb — every formula lives in the kernel itself (C or
-:mod:`repro.dram.kernel.pykernel`), this file only moves values.
+is deliberately dumb — every formula lives in ``kernel.c``, this file
+only moves values.
 """
 
 from __future__ import annotations
@@ -41,13 +44,16 @@ CFG_FIELDS = (
     "OCCUPANCY", "PIPELINED",
     # cost model (controller cycles)
     "TRANSFER_CHARGE", "TOGGLE", "DECISION_BASE", "DECISION_PER",
-    # scheduler: 0 = FCFS, 1 = FR-FCFS; AGE_CAP < 0 = uncapped
-    "SCHED_FRFCFS", "AGE_CAP",
+    # scheduler: SCHED_KIND is a SCHED_CODES value; AGE_CAP < 0 =
+    # uncapped; QUANTUM (ATLAS), BL_THRESHOLD/BL_CLEAR (BLISS) and
+    # BATCH_CAP (batch) are the stateful policies' parameters
+    "SCHED_KIND", "AGE_CAP", "QUANTUM", "BL_THRESHOLD", "BL_CLEAR",
+    "BATCH_CAP",
     # refresh cadence
     "REFRESH_ENABLED", "REFRESH_INTERVAL", "STORM_FACTOR",
     "REF_CYCLES", "REF_OFFSET", "REF_MEASURED",
-    # topology
-    "NBANKS", "NGROUPS", "FAW_CAP",
+    # topology (banks are rank-major: rank r owns BANKS_PER_RANK banks)
+    "NBANKS", "NGROUPS", "FAW_CAP", "NRANKS", "BANKS_PER_RANK", "TCS",
     # per-core attribution
     "HAS_TRACKER", "NCORES",
     # address decode (mirrors AddressMapper)
@@ -78,6 +84,9 @@ ST_FIELDS = (
     # flat timing aggregates (FlatTimingState)
     "MAX_ACT_ALL", "MAX_CAS_ALL", "MAX_WRITE_END", "MAX_PRE",
     "LAST_REF", "OPEN_COUNT", "LAST_ISSUE",
+    # scheduler state: live per-core table width, ATLAS quantum counter,
+    # BLISS last core (-1 = none) / streak / serve counter
+    "SCHED_NCORES", "ATLAS_SERVES", "BL_LAST", "BL_STREAK", "BL_SERVES",
     # time-scaling counters
     "CNT_PROC", "CNT_MC", "CNT_CRIT_ENTRIES", "CNT_CATCHUP",
     "CNT_LOCKED_AT", "CNT_CRITICAL",
@@ -111,6 +120,11 @@ PTR_FIELDS = (
     "LAST_ACT", "LAST_PRE", "LAST_READ", "LAST_WRITE", "LAST_WRITE_END",
     "OPEN_ROW", "PREV_OPEN_ROW", "ACT_COUNT",
     "GROUP_OF", "GMAX_ACT", "GMAX_CAS", "FAW_RING",
+    # multi-rank tFAW windows: ring r at [r * FAW_CAP], (head, len) pairs
+    "RANK_FAW", "RANK_FAW_HL",
+    # per-core scheduler table: ATLAS attained service (-1 = no entry),
+    # BLISS blacklist flag, batch per-core mark count (scratch)
+    "SCHED_CORE",
     # memoized conventional plans, indexed [2 * case + is_write]
     "PLAN_N", "PLAN_KINDS", "PLAN_OFFSETS", "PLAN_CYCLES",
     "PLAN_CHARGE", "PLAN_MEASURED", "PLAN_POSTFLUSH",
@@ -140,8 +154,9 @@ PTR_FIELDS = (
 #: Violation log record: kind, bank, row, col, time_ps, earliest_ps, code.
 VIOL_STRIDE = 7
 
-#: Request-table scratch record: order, req_index, bank, row, col, is_wb.
-TBL_STRIDE = 6
+#: Request-table scratch record: order, req_index, bank, row, col, is_wb,
+#: batch mark.
+TBL_STRIDE = 7
 
 #: WR-hit log record: bank, row, col.
 WRHIT_STRIDE = 3
@@ -149,14 +164,20 @@ WRHIT_STRIDE = 3
 #: Constraint-code -> constraint-name table (TimingChecker vocabulary).
 CONSTRAINT_NAMES = (
     "power-on", "tRC", "tRP", "tRRD_L", "tRRD_S", "tFAW", "tRFC",
-    "tRCD", "tCCD_L", "tCCD_S", "tWTR", "banks-open",
+    "tRCD", "tCCD_L", "tCCD_S", "tWTR", "banks-open", "tCS",
 )
+
+#: Registry scheduler name -> ``CFG.SCHED_KIND`` code.  Only the exact
+#: registry classes engage the kernel; the three stateful policies carry
+#: their ranking state in ``SCHED_CORE`` and the ``ST`` scheduler slots.
+SCHED_CODES = {"fcfs": 0, "fr-fcfs": 1, "atlas": 2, "bliss": 3, "batch": 4}
+SCHED_ATLAS, SCHED_BLISS, SCHED_BATCH = 2, 3, 4
 
 #: Request flag bits in REQ_FLAGS / PEND_FLAGS.
 FLAG_WRITEBACK = 1
 FLAG_PREFETCH = 2
 
-#: Kernel return codes (shared by the C and pure-Python backends).
+#: Kernel return codes.
 KERN_OK = 0
 KERR_FAW_OVERFLOW = -1      # tFAW ring exceeded FAW_CAP (unreachable)
 KERR_VIOL_OVERFLOW = -2     # violation log full
@@ -200,6 +221,10 @@ def render_defines() -> str:
         f"#define KERR_DECODE_RANGE {KERR_DECODE_RANGE}",
         f"#define KERR_DEADLOCK {KERR_DEADLOCK}",
         f"#define KERR_BAD_KIND {KERR_BAD_KIND}",
+        f"#define SCHED_FRFCFS {SCHED_CODES['fr-fcfs']}",
+        f"#define SCHED_ATLAS {SCHED_ATLAS}",
+        f"#define SCHED_BLISS {SCHED_BLISS}",
+        f"#define SCHED_BATCH {SCHED_BATCH}",
         f"#define NEVER_PS ({NEVER}LL)",
         "#define FAR_FUTURE (1LL << 62)",
         "",
@@ -209,6 +234,13 @@ def render_defines() -> str:
 
 def _arr(n: int) -> np.ndarray:
     return np.zeros(n, dtype=np.int64)
+
+
+def _ring_list(ring: np.ndarray, base: int, head: int,
+               length: int) -> list[int]:
+    """The ``length`` live entries of the tFAW ring at ``ring[base:]``."""
+    cap = FAW_RING_CAP
+    return [int(ring[base + (head + i) % cap]) for i in range(length)]
 
 
 class KernelState:
@@ -226,8 +258,6 @@ class KernelState:
         config = smc.config
         t = config.timing
         cc = config.controller
-        costs = smc.api.costs
-        device = smc._device
         flat = smc._flat
         mapper = smc._mapper
         geo = mapper.geometry
@@ -261,14 +291,24 @@ class KernelState:
         cfg[Cfg.PIPELINED] = int(smc._pipelined)
         cfg[Cfg.TRANSFER_CHARGE] = smc._transfer_charge
         cfg[Cfg.TOGGLE] = smc._critical_toggle
-        # decision_cost: FCFS = 3 + n, FR-FCFS = 4 + 2n (base + per * n).
-        from repro.core.schedulers import FRFCFS
-        frfcfs = type(scheduler) is FRFCFS
-        cfg[Cfg.SCHED_FRFCFS] = int(frfcfs)
-        cfg[Cfg.DECISION_BASE] = 4 if frfcfs else 3
-        cfg[Cfg.DECISION_PER] = 2 if frfcfs else 1
-        age_cap = getattr(scheduler, "age_cap", None)
+        # Every registry policy's decision cost is base + per * n.
+        kind = SCHED_CODES[scheduler.name]
+        cfg[Cfg.SCHED_KIND] = kind
+        base = scheduler.decision_cost(0)
+        cfg[Cfg.DECISION_BASE] = base
+        cfg[Cfg.DECISION_PER] = scheduler.decision_cost(1) - base
+        age_cap = scheduler.age_cap
         cfg[Cfg.AGE_CAP] = -1 if age_cap is None else age_cap
+        if kind == SCHED_ATLAS:
+            cfg[Cfg.QUANTUM] = scheduler.quantum
+        elif kind == SCHED_BLISS:
+            cfg[Cfg.BL_THRESHOLD] = scheduler.threshold
+            cfg[Cfg.BL_CLEAR] = scheduler.clear_interval
+        elif kind == SCHED_BATCH:
+            cfg[Cfg.BATCH_CAP] = scheduler.batch_cap
+        #: The stateful scheduler whose state round-trips through
+        #: ``SCHED_CORE`` on every call (``None`` for FCFS / FR-FCFS).
+        self.scheduler = scheduler if kind >= SCHED_ATLAS else None
         cfg[Cfg.REFRESH_ENABLED] = int(cc.refresh_enabled)
         cfg[Cfg.REFRESH_INTERVAL] = smc._refresh_interval
         cfg[Cfg.STORM_FACTOR] = smc._storm_factor
@@ -278,6 +318,10 @@ class KernelState:
         cfg[Cfg.NBANKS] = n
         cfg[Cfg.NGROUPS] = flat.num_groups
         cfg[Cfg.FAW_CAP] = FAW_RING_CAP
+        nranks = flat.num_ranks
+        cfg[Cfg.NRANKS] = nranks
+        cfg[Cfg.BANKS_PER_RANK] = n // nranks
+        cfg[Cfg.TCS] = t.tCS
         tracker = smc._core_tracker
         cfg[Cfg.HAS_TRACKER] = int(tracker is not None)
         cfg[Cfg.NCORES] = len(tracker.reads) if tracker is not None else 0
@@ -314,6 +358,10 @@ class KernelState:
         self.gmax_act = _arr(flat.num_groups)
         self.gmax_cas = _arr(flat.num_groups)
         self.faw_ring = _arr(FAW_RING_CAP)
+        self.multi_rank = nranks > 1
+        self.rank_faw = _arr(FAW_RING_CAP * nranks if self.multi_rank else 0)
+        self.rank_faw_hl = _arr(2 * nranks if self.multi_rank else 0)
+        self.sched_core = _arr(0)
         # Plans: flattened [2 * case + is_write] tables.
         plan_n = _arr(6)
         plan_kinds = _arr(6 * 3)
@@ -435,8 +483,79 @@ class KernelState:
 
     # -- marshalling --------------------------------------------------------
 
-    def load(self) -> None:
-        """Refresh the mutable controller-side state from the objects."""
+    def _sched_table(self, ncores: int) -> np.ndarray:
+        if self.sched_core.shape[0] < ncores:
+            self.sched_core = _arr(max(8, 2 * ncores))
+            self._ptr_table = None
+        return self.sched_core
+
+    def _load_scheduler(self, max_core: int) -> None:
+        """Flatten the stateful scheduler's ranking state into the tables.
+
+        ``max_core`` is the largest core id the call can serve; the
+        per-core table covers it and every core the state already names.
+        """
+        sched = self.scheduler
+        kind = int(self.cfg[Cfg.SCHED_KIND])
+        st = self.st
+        if kind == SCHED_ATLAS:
+            attained = sched.attained
+            ncores = max(max_core, max(attained, default=-1)) + 1
+            table = self._sched_table(ncores)
+            table[:ncores] = -1
+            for core, value in attained.items():
+                table[core] = value
+            st[St.ATLAS_SERVES] = sched._serves_in_quantum
+        elif kind == SCHED_BLISS:
+            blacklisted = sched.blacklisted
+            ncores = max(max_core, max(blacklisted, default=-1)) + 1
+            table = self._sched_table(ncores)
+            table[:ncores] = 0
+            for core in blacklisted:
+                table[core] = 1
+            last = sched._last_core
+            st[St.BL_LAST] = -1 if last is None else last
+            st[St.BL_STREAK] = sched._streak
+            st[St.BL_SERVES] = sched._serves
+        else:
+            # Batch marks ride on the request-table entries: every marked
+            # request is served (and unmarked) before its episode ends,
+            # so the marked set is empty between calls and only the
+            # per-core mark-count scratch needs sizing.
+            ncores = max_core + 1
+            self._sched_table(ncores)
+        st[St.SCHED_NCORES] = ncores
+
+    def _store_scheduler(self) -> None:
+        sched = self.scheduler
+        kind = int(self.cfg[Cfg.SCHED_KIND])
+        st = self.st
+        table = self.sched_core[:int(st[St.SCHED_NCORES])].tolist()
+        if kind == SCHED_ATLAS:
+            # Keys survive halving, so existing entries keep their order
+            # and first-served cores follow.
+            attained = {core: table[core] for core in sched.attained}
+            for core, value in enumerate(table):
+                if value >= 0 and core not in attained:
+                    attained[core] = value
+            sched.attained = attained
+            sched._serves_in_quantum = int(st[St.ATLAS_SERVES])
+        elif kind == SCHED_BLISS:
+            blacklisted = sched.blacklisted
+            blacklisted.clear()
+            blacklisted.update(core for core, flag in enumerate(table)
+                               if flag)
+            last = int(st[St.BL_LAST])
+            sched._last_core = None if last < 0 else last
+            sched._streak = int(st[St.BL_STREAK])
+            sched._serves = int(st[St.BL_SERVES])
+
+    def load(self, max_core: int = 0) -> None:
+        """Refresh the mutable controller-side state from the objects.
+
+        ``max_core`` is the largest core id among the requests the call
+        serves (stateful schedulers size their per-core table by it).
+        """
         smc = self.smc
         st = self.st
         flat = smc._flat
@@ -448,14 +567,22 @@ class KernelState:
         self.last_write_end[:n] = flat.last_write_end
         self.open_row[:n] = flat.open_row
         self.prev_open_row[:n] = flat.prev_open_row
-        for i, bank in enumerate(smc._device.banks):
-            self.act_count[i] = bank.act_count
+        self.act_count[:n] = [bank.act_count for bank in smc._device.banks]
         self.gmax_act[:] = flat.group_max_act
         self.gmax_cas[:] = flat.group_max_cas
         acts = list(flat.recent_acts)
         self.faw_ring[:len(acts)] = acts
         st[St.FAW_HEAD] = 0
         st[St.FAW_LEN] = len(acts)
+        if self.multi_rank:
+            hl = self.rank_faw_hl
+            for r, rank_acts in enumerate(flat.rank_recent_acts):
+                base = r * FAW_RING_CAP
+                self.rank_faw[base:base + len(rank_acts)] = list(rank_acts)
+                hl[2 * r] = 0
+                hl[2 * r + 1] = len(rank_acts)
+        if self.scheduler is not None:
+            self._load_scheduler(max_core)
         st[St.SCHED_CURSOR] = smc.sched_cursor
         st[St.DRAM_CURSOR] = smc.dram_cursor
         st[St.EXEC_ANCHOR] = smc._exec_anchor_ps
@@ -519,7 +646,6 @@ class KernelState:
         st = self.st
         flat = smc._flat
         device = smc._device
-        n = self.nbanks
         last_act = self.last_act.tolist()
         last_pre = self.last_pre.tolist()
         last_read = self.last_read.tolist()
@@ -548,17 +674,24 @@ class KernelState:
             bank.act_count = act_count[i]
         flat.group_max_act[:] = self.gmax_act.tolist()
         flat.group_max_cas[:] = self.gmax_cas.tolist()
-        head = int(st[St.FAW_HEAD])
-        length = int(st[St.FAW_LEN])
-        cap = FAW_RING_CAP
-        ring = self.faw_ring
-        acts = [int(ring[(head + i) % cap]) for i in range(length)]
+        acts = _ring_list(self.faw_ring, 0, int(st[St.FAW_HEAD]),
+                          int(st[St.FAW_LEN]))
         flat.recent_acts.clear()
         flat.recent_acts.extend(acts)
-        # Single-rank topology: the device rank's tFAW list mirrors the
-        # channel-wide window (flat.rank_recent_acts stays unused).
-        rank = device.ranks[0]
-        rank.recent_acts = list(acts)
+        if self.multi_rank:
+            hl = self.rank_faw_hl.tolist()
+            for r, rank_acts in enumerate(flat.rank_recent_acts):
+                window = _ring_list(self.rank_faw, r * FAW_RING_CAP,
+                                    hl[2 * r], hl[2 * r + 1])
+                rank_acts.clear()
+                rank_acts.extend(window)
+                device.ranks[r].recent_acts = window
+        else:
+            # Single-rank topology: the device rank's tFAW list mirrors
+            # the channel-wide window (flat.rank_recent_acts stays unused).
+            device.ranks[0].recent_acts = list(acts)
+        if self.scheduler is not None:
+            self._store_scheduler()
         last_ref = int(st[St.LAST_REF])
         if last_ref != flat.last_ref:
             # REF issued during the call: _apply_ref semantics.
@@ -695,7 +828,7 @@ class KernelState:
             self.last_act, self.last_pre, self.last_read, self.last_write,
             self.last_write_end, self.open_row, self.prev_open_row,
             self.act_count, self.group_of, self.gmax_act, self.gmax_cas,
-            self.faw_ring,
+            self.faw_ring, self.rank_faw, self.rank_faw_hl, self.sched_core,
             self.plan_n, self.plan_kinds, self.plan_offsets,
             self.plan_cycles, self.plan_charge, self.plan_measured,
             self.plan_postflush,
@@ -724,31 +857,3 @@ class KernelState:
         self._keepalive = arrays
         self._ptr_table = table
         return table
-
-    def array_table(self):
-        """The same slot table as live numpy arrays (pure-Python backend)."""
-        return [
-            self.cfg, self.st,
-            self.last_act, self.last_pre, self.last_read, self.last_write,
-            self.last_write_end, self.open_row, self.prev_open_row,
-            self.act_count, self.group_of, self.gmax_act, self.gmax_cas,
-            self.faw_ring,
-            self.plan_n, self.plan_kinds, self.plan_offsets,
-            self.plan_cycles, self.plan_charge, self.plan_measured,
-            self.plan_postflush,
-            self.viol, self.mat_keys, self.wrhit,
-            self.req_tag, self.req_addr, self.req_flags, self.req_core,
-            self.req_release, self.req_service, self.tracker_out,
-            self.tbl,
-            self.blk_flags, self.blk_gap, self.blk_lat, self.blk_fill,
-            self.blk_wbidx, self.blk_wbaddr,
-            self.pend_tag, self.pend_addr, self.pend_flags, self.pend_rid,
-            self.pend_release,
-            self.out_tag, self.out_issue, self.out_release, self.out_rid,
-            self.heap, self.latencies,
-            self.blk_addr,
-            self.c1_tags, self.c1_dirty, self.c1_stamps, self.c1_count,
-            self.c1_mru,
-            self.c2_tags, self.c2_dirty, self.c2_stamps, self.c2_count,
-            self.c2_mru,
-        ]

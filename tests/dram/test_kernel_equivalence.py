@@ -7,15 +7,18 @@ hypothesis-generated access blocks across topologies, schedulers, and
 interference knobs — through three serve configurations:
 
 * **kernel** — fastpath on, ``REPRO_KERNEL`` forced to the compiled
-  backend (or the pure-Python mirror when no C compiler exists);
+  backend (skipped when no C compiler exists: the flat closures are
+  then the only fast path);
 * **flat**   — fastpath on, kernel disabled (the PR 3 closures);
 * **object** — fastpath off (the staged-program reference pipeline);
 
 and asserts the complete observable artifact — ``RunResult`` (including
 per-core slices), per-request latencies, ``SmcStats``, and device stats
 — is identical across all three.  Prefetch-tagged batches, refresh
-storms, and multi-core contention get dedicated cases on top of the
-randomized cross.
+storms, multi-rank channels, and multi-core contention under the
+stateful scheduler zoo get dedicated cases on top of the randomized
+cross, and engagement guards make sure the kernel leg really ran the
+kernel.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import smc as smc_module
 from repro.core.config import (ControllerConfig, InterferenceConfig,
                                jetson_nano_time_scaling)
 from repro.core.system import EasyDRAMSystem
@@ -38,15 +42,18 @@ from repro.dram.kernel import cbackend
 
 LINE = 64
 
-#: The kernel leg: the compiled backend when a C compiler exists, the
-#: pure-Python mirror otherwise (batch entry only, still differential).
-KERNEL_MODE = "c" if cbackend.load()[0] is not None else "py"
+#: Whether the compiled backend loads; without it the kernel leg is
+#: skipped and the flat closures are the fallback.
+HAVE_KERNEL = cbackend.load()[0] is not None
 
 MODES = (
-    ("kernel", "1", KERNEL_MODE),
+    *((("kernel", "1", "c"),) if HAVE_KERNEL else ()),
     ("flat", "1", "0"),
     ("object", "0", "0"),
 )
+
+needs_kernel = pytest.mark.skipif(not HAVE_KERNEL,
+                                  reason="no C compiler for the kernel")
 
 
 @contextmanager
@@ -89,7 +96,24 @@ def _run_artifact(config, stream: list, split: int,
                        for smc in system.smcs]
     artifact["device"] = [dataclasses.asdict(c.tile.device.stats)
                           for c in system.channels]
+    artifact["violations"] = _violations(system)
     return artifact
+
+
+def _violations(system) -> list:
+    """Every channel's timing-violation log, record by record.
+
+    Only the coordinates a command kind uses are compared (an ACT's row,
+    a RD/WR's column): the serve paths fill the unused field
+    differently, and the checker never reads it.
+    """
+    return [[(v.command.kind.value, v.command.bank,
+              v.command.row if v.command.kind.value == "ACT" else None,
+              v.command.col if v.command.kind.value in ("RD", "WR")
+              else None,
+              v.time_ps, v.earliest_ps, v.constraint)
+             for v in c.tile.device.checker.violations]
+            for c in system.channels]
 
 
 def assert_modes_identical(make_config, stream: list, split: int,
@@ -99,8 +123,13 @@ def assert_modes_identical(make_config, stream: list, split: int,
         with serve_mode(fastpath, kernel):
             artifacts[name] = _run_artifact(make_config(), stream, split,
                                             prefetch)
-    assert artifacts["kernel"] == artifacts["flat"], \
-        "kernel serve path changed the artifact"
+    assert_artifacts_identical(artifacts)
+
+
+def assert_artifacts_identical(artifacts: dict) -> None:
+    if "kernel" in artifacts:
+        assert artifacts["kernel"] == artifacts["flat"], \
+            "kernel serve path changed the artifact"
     assert artifacts["flat"] == artifacts["object"], \
         "flat serve path changed the artifact"
 
@@ -122,13 +151,17 @@ stream_st = st.lists(access, min_size=20, max_size=120)
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(stream=stream_st, split=st.integers(min_value=0, max_value=120),
-       topology=st.sampled_from(("ddr4-1ch", "ddr4-2ch")),
-       scheduler=st.sampled_from(("fr-fcfs", "fcfs", "bliss")),
+       topology=st.sampled_from(("ddr4-1ch", "ddr4-2ch", "ddr4-1ch-2rk")),
+       scheduler=st.sampled_from(("fr-fcfs", "fcfs", "atlas", "bliss",
+                                  "batch")),
+       age_cap=st.sampled_from((None, 8)),
        storm=st.sampled_from((1, 4)))
-def test_random_streams_identical(stream, split, topology, scheduler, storm):
+def test_random_streams_identical(stream, split, topology, scheduler,
+                                  age_cap, storm):
     assert_modes_identical(
         lambda: jetson_nano_time_scaling(
-            controller=ControllerConfig(scheduler=scheduler),
+            controller=ControllerConfig(scheduler=scheduler,
+                                        scheduler_age_cap=age_cap),
             interference=InterferenceConfig(refresh_storm_factor=storm),
         ).with_topology(topology),
         stream, split)
@@ -167,7 +200,7 @@ def test_refresh_storm_batches_identical():
 
 
 def test_multirank_topology_identical():
-    """Multi-rank forces the kernel's structural fallback; still equal."""
+    """Rank-aware tRRD/tFAW/tCS timing on a two-rank channel."""
     assert_modes_identical(
         lambda: jetson_nano_time_scaling().with_topology("ddr4-1ch-2rk"),
         _dense_mixed_stream(120), 60)
@@ -187,18 +220,113 @@ def test_multicore_coreresults_identical():
         artifact["core_cycles"] = run.core_cycles
         artifact["solo_cycles"] = run.solo_cycles
         artifacts[name] = artifact
-    assert artifacts["kernel"] == artifacts["flat"]
-    assert artifacts["flat"] == artifacts["object"]
+    assert_artifacts_identical(artifacts)
 
 
+# -- the stateful scheduler zoo on four contending cores ---------------------
+
+ZOO_MIX = "stream+init+pointer_chase+stream"
+
+
+def _scheduler_state(scheduler) -> dict:
+    """The ranking state a stateful policy carries between episodes."""
+    if scheduler.name == "atlas":
+        return {"attained": dict(scheduler.attained),
+                "serves": scheduler._serves_in_quantum}
+    if scheduler.name == "bliss":
+        return {"blacklisted": set(scheduler.blacklisted),
+                "last": scheduler._last_core, "streak": scheduler._streak,
+                "serves": scheduler._serves}
+    if scheduler.name == "batch":
+        return {"marked": set(scheduler.marked)}
+    return {}
+
+
+def _zoo_config(scheduler: str, topology: str):
+    base = jetson_nano_time_scaling()
+    return jetson_nano_time_scaling(
+        controller=ControllerConfig(scheduler=scheduler),
+        l1=dataclasses.replace(base.l1, size_bytes=4 * 1024),
+        l2=dataclasses.replace(base.l2, size_bytes=32 * 1024),
+    ).with_topology(topology)
+
+
+def _run_zoo(config) -> dict:
+    """The four-core mix on one shared system; every observable."""
+    from repro.core.workload_mix import WorkloadMix
+
+    mix = WorkloadMix.parse(ZOO_MIX)
+    system = EasyDRAMSystem(config)
+    session = system.session(mix.label())
+    for core in range(1, mix.cores):
+        session.add_core(mix.names[core])
+    session.run_cores([mix.build(core, 1) for core in range(mix.cores)])
+    artifact = dataclasses.asdict(session.finish())
+    artifact.pop("wall_seconds")
+    artifact["smc"] = [dataclasses.asdict(smc.stats) for smc in system.smcs]
+    artifact["device"] = [dataclasses.asdict(c.tile.device.stats)
+                          for c in system.channels]
+    artifact["violations"] = _violations(system)
+    artifact["scheduler"] = [_scheduler_state(smc.scheduler)
+                             for smc in system.smcs]
+    return artifact
+
+
+@pytest.mark.parametrize("scheduler, topology", [
+    # Two cases stay in tier-1; the rest of the matrix is on `slow`.
+    pytest.param(s, t, marks=() if (s, t) in (
+        ("atlas", "ddr4-1ch-2rk"), ("batch", "ddr4-1ch")) else
+        pytest.mark.slow)
+    for s in ("atlas", "bliss", "batch")
+    for t in ("ddr4-1ch", "ddr4-1ch-2rk")])
+def test_stateful_zoo_four_cores_identical(scheduler, topology):
+    """ATLAS/BLISS/batch on four cores: results, stats, violation logs
+    (tWTR, and tCS across ranks) and the scheduler's final state."""
+    artifacts = {}
+    for name, fastpath, kernel in MODES:
+        with serve_mode(fastpath, kernel):
+            artifacts[name] = _run_zoo(_zoo_config(scheduler, topology))
+    assert_artifacts_identical(artifacts)
+
+
+@needs_kernel
+@pytest.mark.parametrize("scheduler, topology", (
+    *((s, t) for s in ("atlas", "bliss", "batch")
+      for t in ("ddr4-1ch", "ddr4-1ch-2rk")),
+    ("fr-fcfs", "ddr4-1ch-2rk"),
+))
+def test_batch_kernel_engages(scheduler, topology, monkeypatch):
+    """Guard: every batch the kernel may take, it takes.
+
+    Without this, a silent structural fallback on the stateful zoo or
+    the two-rank channel would turn the cases above into flat-vs-flat.
+    """
+    original = smc_module.SoftwareMemoryController.service_pending_kernel
+    calls = []
+
+    def recording(self, requests, refresh_sink=None):
+        size = len(requests)
+        served = original(self, requests, refresh_sink)
+        calls.append((size, served, self.kernel_fallback_reason))
+        return served
+
+    monkeypatch.setattr(smc_module.SoftwareMemoryController,
+                        "service_pending_kernel", recording)
+    with serve_mode("1", "c"):
+        _run_zoo(_zoo_config(scheduler, topology))
+    big = [c for c in calls if c[0] >= smc_module._KERNEL_MIN_BATCH]
+    assert big, "no batch reached the kernel's minimum size"
+    assert all(served and reason is None for _, served, reason in big), \
+        f"kernel fell back: {sorted({c[2] for c in big if not c[1]})}"
+
+
+@needs_kernel
 def test_kernel_actually_engages():
     """Guard: on the eligible config the kernel serves, not the closures.
 
     Without this, a silent structural fallback would turn the whole
     suite into flat-vs-flat and prove nothing about the kernel.
     """
-    if KERNEL_MODE != "c":
-        pytest.skip("no C compiler; block replay needs the compiled backend")
     from repro.dram.kernel import blockrun
 
     engaged = []
@@ -211,7 +339,7 @@ def test_kernel_actually_engages():
 
     blockrun.run_gated_kernel = counting
     try:
-        with serve_mode("1", KERNEL_MODE):
+        with serve_mode("1", "c"):
             _run_artifact(jetson_nano_time_scaling(),
                           _dense_mixed_stream(), 120)
     finally:

@@ -67,9 +67,10 @@ ENV_DOCS: dict[str, tuple[str, str]] = {
     "REPRO_KERNEL": (
         "`auto`",
         "Batch serve kernel: `auto` compiles the C inner loop (whole"
-        " critical-mode batches in one call), `0` disables it, `py`"
-        " forces the pure-Python mirror, `c` requires the compiled"
-        " backend.  Artifacts are bit-identical in every mode."),
+        " critical-mode batches in one call) when a C compiler exists,"
+        " `0` disables it, `c` requires the compiled backend.  Without"
+        " the kernel the flat closures serve every batch; artifacts are"
+        " bit-identical in every mode."),
     "REPRO_PREFETCH": (
         "off",
         "Stream prefetcher at every core boundary: `1` enables the"
