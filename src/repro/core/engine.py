@@ -201,8 +201,9 @@ class EventEngine:
         self._proc_period = session._proc_period
         proc.feed(trace)
         if proc.in_block_mode:
-            # Whole-trace kernel replay (REPRO_KERNEL): the gated loop
-            # below, run resident in C with one load/store per trace.
+            # Whole-trace kernel replay (REPRO_KERNEL): the single-core
+            # case of the resident run_cores loop, one load/store per
+            # trace.
             from repro.dram.kernel import blockrun
             if blockrun.run_gated_kernel(self, session, proc, smc):
                 return
@@ -278,12 +279,12 @@ class EventEngine:
 
         The skip-ahead loop generalized to N request streams: cores
         burst to their gates round-robin (block traces replay on the
-        array-native block path inside ``execute_burst``; the
-        per-core inverted ``execute_gated`` control flow cannot
-        interleave cores, so mixes use the burst protocol), the merged
+        array-native block path inside ``execute_burst``), the merged
         batch is serviced bank-parallel, and the event queue drains to
         the slowest core's cycle — an event is only "passed" once every
-        core's jump is beyond it.
+        core's jump is beyond it.  Eligible block mixes run this very
+        loop resident in the compiled kernel (REPRO_KERNEL), with one
+        load/store per call; the burst loop below is the fallback.
         """
         counters = session.system.counters
         smc = session.system.smc
@@ -292,6 +293,10 @@ class EventEngine:
         stats = self.stats
         self._proc_period = session._proc_period
         active = [proc for proc in procs if not proc.done]
+        if active and all(proc.in_block_mode for proc in active):
+            from repro.dram.kernel import blockrun
+            if blockrun.run_cores_kernel(self, session, active, smc):
+                return
         sweep = 0
         while active:
             produced, finished = _sweep_cores(active, counters, pending, sweep)

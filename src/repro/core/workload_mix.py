@@ -16,9 +16,9 @@ fairness metrics are defined against:
 Workloads are block-native (:class:`~repro.cpu.blocks.BlockTrace`), and
 because a mix run needs every trace at least twice (solo + shared), the
 runner materializes each workload's blocks once and replays them
-(:class:`~repro.cpu.blocks.MaterializedBlocks`; disable with
-``REPRO_MC_MATERIALIZE=0``).  PolyBench kernels participate by name —
-their access streams are rebased into the issuing core's region.
+(:class:`~repro.cpu.blocks.MaterializedBlocks`).  PolyBench kernels
+participate by name — their access streams are rebased into the issuing
+core's region.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.core.stats import RunResult, fairness_of
 from repro.core.system import EasyDRAMSystem
 from repro.cpu.blocks import BlockTrace, MaterializedBlocks, blockify
 from repro.cpu.memtrace import Access
-from repro.fastpath import mix_materialize_enabled
 from repro.workloads import lmbench, microbench, polybench
 
 __all__ = ["CORE_REGION_BYTES", "MixRun", "WorkloadMix", "mix_names",
@@ -258,16 +257,9 @@ def run_mix(config: SystemConfig, mix: WorkloadMix, engine: str | None = None,
     drives them through the engine's round-robin arbitration
     (:meth:`Session.run_cores`).
     """
-    traces: list[Callable[[], BlockTrace]] = []
-    if mix_materialize_enabled():
-        for core in range(mix.cores):
-            blocks = MaterializedBlocks(mix.build(core, scale))
-            traces.append(blocks.trace)
-    else:
-        traces = [
-            (lambda core=core: mix.build(core, scale))
-            for core in range(mix.cores)
-        ]
+    traces: list[Callable[[], BlockTrace]] = [
+        MaterializedBlocks(mix.build(core, scale)).trace
+        for core in range(mix.cores)]
 
     solo_cycles: list[int] = []
     if solo:

@@ -8,8 +8,9 @@ resolution (rank-aware on multi-rank channels), scheduler selection for
 every registry policy (FCFS, FR-FCFS, ATLAS, BLISS, PAR-BS batch),
 issue, row-state transitions, refresh interleave, and per-core/prefetch
 stat attribution — in one compiled call
-(:mod:`~repro.dram.kernel.cbackend`), or a whole block-replay burst when
-the event engine runs single-core block traces.
+(:mod:`~repro.dram.kernel.cbackend`), or replays whole block traces
+resident (:mod:`~repro.dram.kernel.blockrun`) when the event engine runs
+an eligible single-core trace or multi-core mix.
 
 ``REPRO_KERNEL``
     ``0``/``false``/``off`` disables the kernel entirely (the fastpath

@@ -1,21 +1,27 @@
-"""Whole-trace block replay inside the compiled kernel.
+"""Resident block replay inside the compiled kernel.
 
 The batch entry point (:meth:`~repro.core.smc.SMC.service_pending_kernel`)
 still marshals the controller state across the FFI boundary once per
 gate; on dependent-load streams the gates are singleton batches and the
-marshalling dominates.  This driver removes it: for an eligible
-single-core block trace the *entire* replay — the
-``Processor._execute_burst_blocks`` loop, the engine's gate closure, the
-critical-mode episodes, refresh interleave, and the event-queue
-bookkeeping — runs resident in C.  Python is re-entered once per
-:class:`~repro.cpu.blocks.AccessBlock` (thousands of accesses) only to
-run the cache model and to flush logs, and the controller objects are
-loaded/stored exactly once per trace.
+marshalling dominates.  This module removes it: for eligible block
+traces the *entire* replay — the cores' ``_execute_burst_blocks`` loops,
+the engine's round-robin sweeps and gates, the critical-mode episodes,
+refresh interleave, and the event-queue bookkeeping — runs resident in
+C (``repro_run_cores``).  Python is re-entered once per
+:class:`~repro.cpu.blocks.AccessBlock` per core, to hand that core its
+next block (running the Python cache filter only for a non-standard
+hierarchy) and to flush logs; the controller, scheduler and cache state
+is loaded and stored exactly once per run.
 
-Eligibility is the batch kernel's structural gate plus the block-replay
-extras (compiled backend, no prefetcher/channel hook, clean MLP window);
-any miss records ``smc.kernel_fallback_reason`` and the caller falls
-back to the Python gate closure — bit-identical either way.
+One loop serves both engine entry points: :func:`run_gated_kernel` is
+``EventEngine.run_trace``'s single-core replay (the N = 1 case) and
+:func:`run_cores_kernel` is ``EventEngine.run_cores``' multi-core one.
+
+Eligibility is the batch kernel's structural gate plus the replay
+extras (compiled backend, one channel, no prefetcher, no serve hook or
+staged tile state, clean MLP windows); any miss records
+``smc.kernel_fallback_reason`` and the caller falls back to its Python
+loop — bit-identical either way.
 """
 
 from __future__ import annotations
@@ -26,17 +32,26 @@ import numpy as np
 
 from repro.core.events import EventKind
 from repro.dram.kernel.state import (
-    KERN_OK, KERR_DEADLOCK, KERR_DECODE_RANGE, Cfg, St,
-    TBL_STRIDE, VIOL_STRIDE, WRHIT_STRIDE,
+    HEAP_SLACK, KERN_NEED_BLOCK, KERN_NEED_ROOM, KERN_OK, KERR_DEADLOCK,
+    KERR_DECODE_RANGE, Cfg, Core, CorePtr, St, TBL_STRIDE, VIOL_STRIDE,
+    WRHIT_STRIDE,
 )
 
-#: Event-heap headroom (entries) per block on top of the worst-case
-#: release pushes: covers every refresh deadline a block could span.
-_HEAP_SLACK = 4096
+#: Free pend-buffer entries kept ahead of the open sweep's requests.
+_PEND_ROOM = 512
+
+#: The shared pending-request buffers (grown preserving: they carry the
+#: open sweep's requests across a block hand-over).
+_PEND_LIVE = ("pend_tag", "pend_addr", "pend_flags", "pend_rid",
+              "pend_release", "pend_core", "pend_pos")
 
 
 def _arr(n: int):
     return np.zeros(n, dtype=np.int64)
+
+
+def _ints(values):
+    return np.asarray(values, dtype=np.int64)
 
 
 def _grow_keep(arr, need: int):
@@ -48,86 +63,242 @@ def _grow_keep(arr, need: int):
     return new
 
 
-def _load_cache(ks, hier) -> None:
-    """Flatten the two cache levels into the kernel's way arrays.
+def _cache_geometry(hier) -> tuple:
+    l1, l2 = hier.l1, hier.l2
+    return (l1.num_sets, l1.assoc, l1.hit_latency, l2.num_sets, l2.assoc,
+            l2.hit_latency, hier.memory_fill_latency, hier.line_bytes)
+
+
+#: Per cache level: its hierarchy attribute, the way-array prefix
+#: (``CoreSlots`` attributes / ``CORE_PTR_FIELDS``), its tick slot and
+#: its first stats slot (hits, misses, writebacks are consecutive).
+_LEVELS = (("l1", "c1", Core.C1_TICK, Core.C1_HITS),
+           ("l2", "c2", Core.C2_TICK, Core.C2_HITS))
+
+#: A level's way arrays: ``[set * assoc]`` tags/dirty/stamps, then
+#: ``[set]`` live-way count and MRU slot.
+_WAY_ARRAYS = ("tags", "dirty", "stamps", "count", "mru")
+
+
+def _load_cache(ks, index: int, hier) -> None:
+    """Flatten one core's two cache levels into its way arrays.
 
     Padded ``[set * assoc]`` layout with a live-way count per set; slots
     past the count are never read by the kernel, so they stay stale.
     """
-    cfg = ks.cfg
-    st = ks.st
-    l1, l2 = hier.l1, hier.l2
-    cfg[Cfg.C1_SETS] = l1.num_sets
-    cfg[Cfg.C1_ASSOC] = l1.assoc
-    cfg[Cfg.C1_HIT] = l1.hit_latency
-    cfg[Cfg.C2_SETS] = l2.num_sets
-    cfg[Cfg.C2_ASSOC] = l2.assoc
-    cfg[Cfg.C2_HIT12] = l1.hit_latency + l2.hit_latency
-    cfg[Cfg.C_MISS_LAT] = l1.hit_latency + hier.memory_fill_latency
-    cfg[Cfg.C_LINE_BYTES] = hier.line_bytes
-    for prefix, level, tick_slot in (("c1", l1, St.C1_TICK),
-                                     ("c2", l2, St.C2_TICK)):
+    slots = ks.cores[index]
+    rec = slots.st
+    for attr, prefix, tick, stat in _LEVELS:
+        level = getattr(hier, attr)
         sets, assoc = level.num_sets, level.assoc
-        if getattr(ks, prefix + "_tags").shape[0] != sets * assoc:
-            setattr(ks, prefix + "_tags", _arr(sets * assoc))
-            setattr(ks, prefix + "_dirty", _arr(sets * assoc))
-            setattr(ks, prefix + "_stamps", _arr(sets * assoc))
-            setattr(ks, prefix + "_count", _arr(sets))
-            setattr(ks, prefix + "_mru", _arr(sets))
-        tags = getattr(ks, prefix + "_tags")
-        dirty = getattr(ks, prefix + "_dirty")
-        stamps = getattr(ks, prefix + "_stamps")
-        count = getattr(ks, prefix + "_count")
-        mru = getattr(ks, prefix + "_mru")
-        for s, ways in enumerate(level._tags):
-            c = len(ways)
-            if c:
-                base = s * assoc
-                tags[base:base + c] = ways
-                dirty[base:base + c] = level._dirty[s]
-                stamps[base:base + c] = level._stamps[s]
-            count[s] = c
+        if getattr(slots, prefix + "_tags").shape[0] != sets * assoc:
+            for i, name in enumerate(_WAY_ARRAYS):
+                field = getattr(CorePtr, f"{prefix}_{name}".upper())
+                ks.set_core_array(index, field,
+                                  _arr(sets * assoc if i < 3 else sets))
+        tags, dirty, stamps, count, mru = (
+            getattr(slots, f"{prefix}_{name}") for name in _WAY_ARRAYS)
+        counts = np.fromiter(map(len, level._tags), np.int64, sets)
+        live = int(counts.sum())
+        if live:
+            # Slot of each live way, in set order: way k of set s sits at
+            # s * assoc + k, i.e. its live index shifted per set.
+            shift = np.arange(0, sets * assoc, assoc) - np.cumsum(counts) \
+                + counts
+            where = np.arange(live) + np.repeat(shift, counts)
+            chain = itertools.chain.from_iterable
+            tags[where] = np.fromiter(chain(level._tags), np.int64, live)
+            dirty[where] = np.fromiter(chain(level._dirty), np.int64, live)
+            stamps[where] = np.fromiter(chain(level._stamps), np.int64, live)
+        count[:] = counts
         mru[:] = level._mru
-        st[tick_slot] = level._tick
-    st[St.C1_HITS] = l1.stats.hits
-    st[St.C1_MISSES] = l1.stats.misses
-    st[St.C1_WB] = l1.stats.writebacks
-    st[St.C2_HITS] = l2.stats.hits
-    st[St.C2_MISSES] = l2.stats.misses
-    st[St.C2_WB] = l2.stats.writebacks
-    ks._ptr_table = None
+        rec[tick] = level._tick
+        stats = level.stats
+        rec[stat:stat + 3] = (stats.hits, stats.misses, stats.writebacks)
 
 
-def _store_cache(ks, hier) -> None:
-    """Write the kernel's way arrays back into the cache-level lists."""
-    st = ks.st
-    l1, l2 = hier.l1, hier.l2
-    for prefix, level, tick_slot in (("c1", l1, St.C1_TICK),
-                                     ("c2", l2, St.C2_TICK)):
-        assoc = level.assoc
-        tags = getattr(ks, prefix + "_tags").tolist()
-        dirty = getattr(ks, prefix + "_dirty").tolist()
-        stamps = getattr(ks, prefix + "_stamps").tolist()
-        count = getattr(ks, prefix + "_count").tolist()
-        mru = getattr(ks, prefix + "_mru").tolist()
-        for s in range(level.num_sets):
-            c = count[s]
-            base = s * assoc
-            level._tags[s] = tags[base:base + c]
-            level._dirty[s] = [bool(d) for d in dirty[base:base + c]]
-            level._stamps[s] = stamps[base:base + c]
-        level._mru[:] = mru
-        level._tick = int(st[tick_slot])
-    l1.stats.hits = int(st[St.C1_HITS])
-    l1.stats.misses = int(st[St.C1_MISSES])
-    l1.stats.writebacks = int(st[St.C1_WB])
-    l2.stats.hits = int(st[St.C2_HITS])
-    l2.stats.misses = int(st[St.C2_MISSES])
-    l2.stats.writebacks = int(st[St.C2_WB])
+def _store_cache(slots, hier) -> None:
+    """Write one core's way arrays back into its cache-level lists.
+
+    Only the sets the run touched are rebuilt: the kernel stamps every
+    way it probes or fills with the level's running tick, so a set whose
+    live stamps all predate the tick at load is unchanged.
+    """
+    rec = slots.st
+    for attr, prefix, tick, stat in _LEVELS:
+        level = getattr(hier, attr)
+        sets, assoc = level.num_sets, level.assoc
+        tags, dirty, stamps, count, mru = (
+            getattr(slots, f"{prefix}_{name}") for name in _WAY_ARRAYS)
+        size = sets * assoc
+        stamps = stamps[:size].reshape(sets, assoc)
+        live = np.arange(assoc) < count[:, None]
+        touched = np.flatnonzero(
+            ((stamps >= level._tick) & live).any(axis=1))
+        rows = (tags[:size].reshape(sets, assoc)[touched].tolist(),
+                (dirty[:size].reshape(sets, assoc)[touched] != 0).tolist(),
+                stamps[touched].tolist())
+        for s, c, row_tags, row_dirty, row_stamps in zip(
+                touched.tolist(), count[touched].tolist(), *rows):
+            level._tags[s] = row_tags[:c]
+            level._dirty[s] = row_dirty[:c]
+            level._stamps[s] = row_stamps[:c]
+        level._mru[:] = mru.tolist()
+        level._tick = int(rec[tick])
+        stats = level.stats
+        stats.hits, stats.misses, stats.writebacks = (
+            int(v) for v in rec[stat:stat + 3])
 
 
-def _eligible(proc, smc) -> str | None:
-    """Why this trace cannot replay in the kernel, or ``None``."""
+class _Feed:
+    """One core of the run: its processor, block stream and slot record."""
+
+    def __init__(self, ks, index: int, proc, mapper,
+                 cache_geometry: tuple | None) -> None:
+        self.ks = ks
+        self.index = index
+        self.proc = proc
+        slots = self.slots = ks.cores[index]
+        rec = self.rec = slots.st
+        stats = proc.stats
+        self.latencies = stats.request_latencies
+        rec[Core.CORE_ID] = proc.core_id
+        # The consumed id becomes the first kernel-issued rid; the counter
+        # is re-anchored from NEXT_RID after the run, so numbering is
+        # seamless.
+        rec[Core.NEXT_RID] = next(proc._rid)
+        rec[Core.CYCLES] = proc.cycles
+        rec[Core.ACCESSES] = stats.accesses
+        rec[Core.LOADS] = stats.loads
+        rec[Core.STORES] = stats.stores
+        rec[Core.COMPUTE] = stats.compute_cycles
+        rec[Core.STALLS] = stats.stall_cycles
+        rec[Core.LLC_MISS] = stats.llc_miss_requests
+        rec[Core.WB_REQ] = stats.writeback_requests
+        mlp = int(ks.cfg[Cfg.MLP])
+        self.mlp = mlp
+        if slots.out_tag.shape[0] < mlp + 2:
+            for field in (CorePtr.OUT_TAG, CorePtr.OUT_ISSUE,
+                          CorePtr.OUT_RELEASE, CorePtr.OUT_RID):
+                ks.set_core_array(index, field, _arr(mlp + 2))
+        self._lat_room(mlp)
+
+        # Resident cache filter: the standard two-level hierarchy runs
+        # inside the kernel itself (no Python cache scan, no decode-memo
+        # prime — the kernel decodes directly).  A subclassed or
+        # differently shaped hierarchy keeps the Python filter per block,
+        # as does a strict address map whose trace actually goes out of
+        # range: the Python path names the prime batch's worst offender,
+        # not the first, so the error case must replay through it.
+        # In-range traces cannot differ — a strict cache never holds an
+        # out-of-range line (its fill would have raised at install time)
+        # — so one max/min scan settles it.
+        from repro.cpu.cache import CacheHierarchy
+        hier = proc.hierarchy
+        has_cache = (type(hier) is CacheHierarchy
+                     and _cache_geometry(hier) == cache_geometry)
+        blocks = proc._blocks
+        if has_cache and mapper.strict:
+            blocks = list(blocks)   # the feed may hand over a generator
+            total = mapper._total_bytes
+            for block in blocks:
+                if block.addr and not 0 <= min(block.addr) <= max(
+                        block.addr) < total:
+                    has_cache = False
+                    break
+        self.blocks = iter(blocks)
+        self.has_cache = has_cache
+        if has_cache:
+            _load_cache(ks, index, hier)
+
+    def _lat_room(self, accesses: int) -> None:
+        need = accesses + self.mlp + 8
+        if self.slots.latencies.shape[0] < need:
+            self.ks.set_core_array(self.index, CorePtr.LATENCIES,
+                                   _arr(max(64, 2 * need)))
+        self.rec[Core.LAT_CAP] = self.slots.latencies.shape[0]
+
+    def _load_block(self, block, traffic) -> None:
+        """Install ``block`` (with its Python-filtered ``traffic``, or
+        ``None`` for the resident filter) as the core's current block,
+        cursor at its start."""
+        ks, index, rec, slots = self.ks, self.index, self.rec, self.slots
+        set_array = ks.set_core_array
+        flags = _ints(block.flags)
+        n = flags.shape[0]
+        set_array(index, CorePtr.BLK_FLAGS, flags)
+        set_array(index, CorePtr.BLK_GAP, _ints(block.gap))
+        if traffic is None:
+            set_array(index, CorePtr.BLK_ADDR, _ints(block.addr))
+            if slots.blk_lat.shape[0] < n:
+                set_array(index, CorePtr.BLK_LAT, _arr(n))
+                set_array(index, CorePtr.BLK_FILL, _arr(n))
+            # Worst case two writebacks per access (demand L2 eviction
+            # plus the dirty-L1-victim fold's own eviction).
+            if slots.blk_wbidx.shape[0] < 2 * n + 2:
+                set_array(index, CorePtr.BLK_WBIDX, _arr(2 * n + 2))
+                set_array(index, CorePtr.BLK_WBADDR, _arr(2 * n + 2))
+            rec[Core.FRESH] = 1
+        else:
+            set_array(index, CorePtr.BLK_LAT, _ints(traffic.latency))
+            set_array(index, CorePtr.BLK_FILL, _ints(traffic.fill_addr))
+            set_array(index, CorePtr.BLK_WBIDX, _ints(traffic.wb_index))
+            set_array(index, CorePtr.BLK_WBADDR, _ints(traffic.wb_addr))
+            rec[Core.BLK_NWB] = len(traffic.wb_index)
+            rec[Core.FRESH] = 0
+        rec[Core.BLK_N] = n
+        rec[Core.POS] = 0
+        rec[Core.WB_PTR] = 0
+        rec[Core.HAS_BLOCK] = 1
+        self._lat_room(n)
+
+    def hand_over(self) -> None:
+        """Give the core its next block (the burst loop's block fetch)."""
+        block = next(self.blocks, None)
+        if block is None:
+            self.rec[Core.EXHAUSTED] = 1
+            return
+        if self.has_cache:
+            self._load_block(block, None)
+            return
+        proc = self.proc
+        traffic = proc.hierarchy.access_block(block.addr, block.flags)
+        hook = proc.prime_hook
+        if hook is not None and (traffic.n_fills or traffic.wb_addr):
+            hook(traffic.fill_addr, traffic.wb_addr)
+        self._load_block(block, traffic)
+
+    def flush_latencies(self) -> None:
+        count = int(self.rec[Core.LAT_COUNT])
+        if count:
+            self.latencies.extend(self.slots.latencies[:count].tolist())
+            self.rec[Core.LAT_COUNT] = 0
+
+    def store(self) -> None:
+        """Write the core's processor and cache state back."""
+        proc, rec = self.proc, self.rec
+        stats = proc.stats
+        proc.cycles = int(rec[Core.CYCLES])
+        stats.accesses = int(rec[Core.ACCESSES])
+        stats.loads = int(rec[Core.LOADS])
+        stats.stores = int(rec[Core.STORES])
+        stats.compute_cycles = int(rec[Core.COMPUTE])
+        stats.stall_cycles = int(rec[Core.STALLS])
+        stats.llc_miss_requests = int(rec[Core.LLC_MISS])
+        stats.writeback_requests = int(rec[Core.WB_REQ])
+        proc._rid = itertools.count(int(rec[Core.NEXT_RID]))
+        proc._cur = None
+        proc._pos = int(rec[Core.POS])
+        proc._wb_ptr = int(rec[Core.WB_PTR])
+        proc._blocks = self.blocks
+        proc.outstanding.clear()
+        proc._done = bool(rec[Core.DONE])
+        if self.has_cache:
+            _store_cache(self.slots, proc.hierarchy)
+
+
+def _eligible(procs, smc) -> str | None:
+    """Why these cores cannot replay in the kernel, or ``None``."""
     if not hasattr(smc, "_kernel_resolve"):
         return "multi-channel topology"
     ks = smc._kernel_state if smc._kernel_resolved else smc._kernel_resolve()
@@ -137,228 +308,167 @@ def _eligible(proc, smc) -> str | None:
         return "technique episode (serve hook)"
     if smc.tile.has_requests or len(smc.api.program):
         return "staged tile state pending"
-    if proc.prefetcher is not None:
-        return "stream prefetcher installed"
-    if proc.channel_hook is not None:
-        return "multi-channel request routing"
-    if proc.outstanding:
-        return "MLP window not drained at trace start"
+    for proc in procs:
+        if proc.prefetcher is not None:
+            return "stream prefetcher installed"
+        if proc.channel_hook is not None:
+            return "multi-channel request routing"
+        if proc.outstanding:
+            return "MLP window not drained at trace start"
+        if proc._cur is not None:
+            return "block replay already in progress"
     return None
 
 
 def run_gated_kernel(engine, session, proc, smc) -> bool:
     """Replay ``proc``'s fed block trace to completion in the kernel.
 
-    Returns ``False`` (nothing touched, reason recorded) when
-    ineligible; the caller then runs the Python gate closure.  On
-    ``True`` the processor is done and every side effect of the Python
-    path — controller state, stats, event queue, request latencies —
-    has been applied.
+    ``EventEngine.run_trace``'s entry: the single-core (N = 1) case of
+    the resident replay.  Returns ``False`` (nothing touched, reason
+    recorded) when ineligible; the caller then runs its Python gate
+    closure.  On ``True`` the processor is done and every side effect of
+    the Python path — controller state, stats, event queue, request
+    latencies — has been applied.
     """
-    reason = _eligible(proc, smc)
+    return _replay(engine, [proc], smc,
+                   "processor blocked with no pending memory requests")
+
+
+def run_cores_kernel(engine, session, procs, smc) -> bool:
+    """Drive the fed, runnable ``procs`` to completion in the kernel.
+
+    ``EventEngine.run_cores``' entry, with the same contract as
+    :func:`run_gated_kernel`: ``False`` leaves everything untouched for
+    the Python burst loop; ``True`` means every core is done and every
+    side effect of that loop has been applied.
+    """
+    return _replay(engine, procs, smc,
+                   "all cores blocked with no pending memory requests")
+
+
+def _replay(engine, procs, smc, deadlock_message: str) -> bool:
+    reason = _eligible(procs, smc)
     if reason is not None:
         if hasattr(smc, "kernel_fallback_reason"):
             smc.kernel_fallback_reason = reason
         return False
     ks = smc._kernel_state
-    backend = smc._kernel_backend
     st = ks.st
-    cfg = ks.cfg
-    mlp = int(cfg[Cfg.MLP])
-
+    n = len(procs)
     if len(smc._device._rows) != int(st[St.NMAT]):
         ks.refresh_materialized()
-    ks.load()
+    ks.load(max(proc.core_id for proc in procs))
 
-    # -- trace-level slots the marshaller does not own -----------------------
-    if ks.out_tag.shape[0] < mlp + 2:
-        for name in ("out_tag", "out_issue", "out_release", "out_rid"):
-            setattr(ks, name, _arr(mlp + 2))
-        ks._ptr_table = None
     queue = engine.queue
     heap_len = len(queue._heap)
-    if ks.heap.shape[0] < 4 * (heap_len + _HEAP_SLACK):
-        ks.heap = _arr(4 * (heap_len + 2 * _HEAP_SLACK))
+    if ks.heap.shape[0] < 4 * heap_len:
+        ks.heap = _arr(4 * heap_len)
         ks._ptr_table = None
-    heap = ks.heap
-    for i, (time, seq, kind, payload) in enumerate(queue._heap):
-        base = 4 * i
-        heap[base] = time
-        heap[base + 1] = seq
-        heap[base + 2] = int(kind)
-        heap[base + 3] = payload
+    if heap_len:
+        ks.heap[:4 * heap_len] = [
+            int(value) for entry in queue._heap for value in entry]
     st[St.HEAP_LEN] = heap_len
     st[St.QSEQ] = queue._seq
-    st[St.PEND_COUNT] = 0
-    st[St.OUT_COUNT] = 0
-    st[St.LAT_COUNT] = 0
-    st[St.DONE] = 0
-    st[St.POS] = 0
-    st[St.WB_PTR] = 0
-    for slot in (St.E_GATES, St.E_RELEASES, St.E_REFRESHES, St.E_BATCHED,
-                 St.E_SKIPPED):
+    for slot in (St.PEND_COUNT, St.SWEEP, St.SWEEP_N, St.SWEEP_POS,
+                 St.SWEEP_FINISHED, St.E_GATES, St.E_RELEASES,
+                 St.E_REFRESHES, St.E_BATCHED, St.E_SKIPPED):
         st[slot] = 0
-    # The consumed id becomes the first kernel-issued rid; the counter is
-    # re-anchored from NEXT_RID after the run, so numbering is seamless.
-    st[St.NEXT_RID] = next(proc._rid)
-    stats = proc.stats
-    st[St.P_CYCLES] = proc.cycles
-    st[St.P_ACCESSES] = stats.accesses
-    st[St.P_LOADS] = stats.loads
-    st[St.P_STORES] = stats.stores
-    st[St.P_COMPUTE] = stats.compute_cycles
-    st[St.P_STALLS] = stats.stall_cycles
-    st[St.P_LLC_MISS] = stats.llc_miss_requests
-    st[St.P_WB_REQ] = stats.writeback_requests
+    st[St.ACTIVE_N] = n
 
-    # Resident cache filter: the standard two-level hierarchy runs
-    # inside run_block itself (no Python cache scan, no decode-memo
-    # prime — the kernel decodes directly).  A subclassed hierarchy
-    # keeps the Python filter per block, as does a strict address map
-    # whose trace actually goes out of range: the Python path names
-    # the prime batch's worst offender, not the first, so the error
-    # case must replay through it.  In-range traces cannot differ —
-    # a strict cache never holds an out-of-range line (its fill would
-    # have raised at install time) — so one max/min scan settles it.
+    ks.bind_cores(n)
+    ks.active[:n] = np.arange(n)
+    mapper = smc._mapper
     from repro.cpu.cache import CacheHierarchy
-    has_cache = type(proc.hierarchy) is CacheHierarchy
-    blocks = proc._blocks
-    if has_cache and smc._mapper.strict:
-        if not isinstance(blocks, (list, tuple)):
-            blocks = list(blocks)   # the feed hands over a generator
-            proc._blocks = blocks
-        total = smc._mapper._total_bytes
-        for block in blocks:
-            if block.addr and not 0 <= min(block.addr) <= max(
-                    block.addr) < total:
-                has_cache = False
-                break
-    st[St.HAS_CACHE] = 1 if has_cache else 0
-    if has_cache:
-        _load_cache(ks, proc.hierarchy)
+    geometry = next((_cache_geometry(proc.hierarchy) for proc in procs
+                     if type(proc.hierarchy) is CacheHierarchy), None)
+    if geometry is not None:
+        cfg = ks.cfg
+        (cfg[Cfg.C1_SETS], cfg[Cfg.C1_ASSOC], cfg[Cfg.C1_HIT],
+         cfg[Cfg.C2_SETS], cfg[Cfg.C2_ASSOC], l2_hit, fill,
+         cfg[Cfg.C_LINE_BYTES]) = geometry
+        cfg[Cfg.C2_HIT12] = geometry[2] + l2_hit
+        cfg[Cfg.C_MISS_LAT] = geometry[2] + fill
+    feeds = [_Feed(ks, i, proc, mapper, geometry)
+             for i, proc in enumerate(procs)]
 
-    run_block = backend.run_block
-    finish_trace = backend.finish_trace
-    access_block = proc.hierarchy.access_block
-    latencies = stats.request_latencies
-
-    def flush_logs() -> None:
-        count = int(st[St.LAT_COUNT])
-        if count:
-            latencies.extend(ks.latencies[:count].tolist())
-            st[St.LAT_COUNT] = 0
-        if int(st[St.VIOL_COUNT]):
-            ks.scatter_violations()
-        if int(st[St.WRHIT_COUNT]):
-            ks.apply_wr_hits()
-
+    run_cores = smc._kernel_backend.run_cores
     err = KERN_OK
-    for block in blocks:
-        ks.blk_flags = np.asarray(block.flags, dtype=np.int64)
-        ks.blk_gap = np.asarray(block.gap, dtype=np.int64)
-        n = ks.blk_flags.shape[0]
-        if has_cache:
-            ks.blk_addr = np.asarray(block.addr, dtype=np.int64)
-            if ks.blk_lat.shape[0] < n:
-                ks.blk_lat = _arr(n)
-                ks.blk_fill = _arr(n)
-            # Worst case two writebacks per access (demand L2 eviction
-            # plus the dirty-L1-victim fold's own eviction).
-            if ks.blk_wbidx.shape[0] < 2 * n + 2:
-                ks.blk_wbidx = _arr(2 * n + 2)
-                ks.blk_wbaddr = _arr(2 * n + 2)
-            nwb = 2 * n + 2
-        else:
-            traffic = access_block(block.addr, block.flags)
-            hook = proc.prime_hook
-            if hook is not None and (traffic.n_fills or traffic.wb_addr):
-                hook(traffic.fill_addr, traffic.wb_addr)
-            ks.blk_lat = np.asarray(traffic.latency, dtype=np.int64)
-            ks.blk_fill = np.asarray(traffic.fill_addr, dtype=np.int64)
-            ks.blk_wbidx = np.asarray(traffic.wb_index, dtype=np.int64)
-            ks.blk_wbaddr = np.asarray(traffic.wb_addr, dtype=np.int64)
-            nwb = ks.blk_wbidx.shape[0]
-        ks._ptr_table = None
-        # Worst-case capacity for this block (overflow inside the kernel
-        # is a hard error, never a silent drop).  Logs were flushed after
-        # the previous call, so the ensure_* replacements are safe; the
-        # pend buffer and heap carry live state and grow preservingly.
-        carried = int(st[St.PEND_COUNT])
-        created = carried + n + nwb
-        if ks.pend_tag.shape[0] < created + 8:
-            for name in ("pend_tag", "pend_addr", "pend_flags", "pend_rid",
-                         "pend_release"):
-                setattr(ks, name, _grow_keep(getattr(ks, name), created + 8))
-            ks._ptr_table = None
-        pend_cap = ks.pend_tag.shape[0]
-        ks.ensure_table(pend_cap)
-        ks.ensure_viol(3 * (created + mlp) + 256)
-        ks.ensure_wrhit(created + mlp + 64)
-        if ks.latencies.shape[0] < n + mlp + 8:
-            ks.latencies = _arr(2 * (n + mlp + 8))
-            ks._ptr_table = None
-        heap_need = 4 * (int(st[St.HEAP_LEN]) + created + _HEAP_SLACK)
-        if ks.heap.shape[0] < heap_need:
-            ks.heap = _grow_keep(ks.heap, heap_need)
-            ks._ptr_table = None
-        st[St.PEND_CAP] = pend_cap
-        st[St.TBL_CAP] = ks.tbl.shape[0] // TBL_STRIDE
-        st[St.VIOL_CAP] = ks.viol.shape[0] // VIOL_STRIDE
-        st[St.WRHIT_CAP] = ks.wrhit.shape[0] // WRHIT_STRIDE
-        st[St.LAT_CAP] = ks.latencies.shape[0]
-        st[St.HEAP_CAP] = ks.heap.shape[0] // 4
-        st[St.BLK_N] = n
-        st[St.BLK_NWB] = nwb
-        st[St.POS] = 0
-        st[St.WB_PTR] = 0
-        err = int(run_block(ks.pointer_table()))
-        flush_logs()
-        if err != KERN_OK:
-            break
-    if err == KERN_OK:
-        err = int(finish_trace(ks.pointer_table()))
-        flush_logs()
-
-    # -- write everything back (best effort even on error) -------------------
-    ks.store()
-    if has_cache:
-        _store_cache(ks, proc.hierarchy)
-    estats = engine.stats
-    estats.gates += int(st[St.E_GATES])
-    estats.releases += int(st[St.E_RELEASES])
-    estats.refreshes += int(st[St.E_REFRESHES])
-    estats.batched_episodes += int(st[St.E_BATCHED])
-    estats.events_skipped += int(st[St.E_SKIPPED])
-    heap_len = int(st[St.HEAP_LEN])
-    heap = ks.heap
-    queue._heap = [
-        (int(heap[4 * i]), int(heap[4 * i + 1]),
-         EventKind(int(heap[4 * i + 2])), int(heap[4 * i + 3]))
-        for i in range(heap_len)
-    ]
-    queue._seq = int(st[St.QSEQ])
-    proc.cycles = int(st[St.P_CYCLES])
-    stats.accesses = int(st[St.P_ACCESSES])
-    stats.loads = int(st[St.P_LOADS])
-    stats.stores = int(st[St.P_STORES])
-    stats.compute_cycles = int(st[St.P_COMPUTE])
-    stats.stall_cycles = int(st[St.P_STALLS])
-    stats.llc_miss_requests = int(st[St.P_LLC_MISS])
-    stats.writeback_requests = int(st[St.P_WB_REQ])
-    proc._rid = itertools.count(int(st[St.NEXT_RID]))
-    proc._cur = None
-    proc._pos = int(st[St.POS])
-    proc._wb_ptr = int(st[St.WB_PTR])
-    proc.outstanding.clear()
+    try:
+        _make_room(ks)
+        while True:
+            err = int(run_cores(ks.pointer_table(),
+                                ks.core_pointer_table()))
+            for feed in feeds:
+                feed.flush_latencies()
+            if int(st[St.VIOL_COUNT]):
+                ks.scatter_violations()
+            if int(st[St.WRHIT_COUNT]):
+                ks.apply_wr_hits()
+            if err == KERN_NEED_BLOCK:
+                feeds[int(st[St.NEED_CORE])].hand_over()
+            elif err == KERN_NEED_ROOM:
+                _make_room(ks)
+            else:
+                break
+    finally:
+        # Write everything back (best effort on an error, too).
+        ks.store()
+        for feed in feeds:
+            feed.store()
+        estats = engine.stats
+        estats.gates += int(st[St.E_GATES])
+        estats.releases += int(st[St.E_RELEASES])
+        estats.refreshes += int(st[St.E_REFRESHES])
+        estats.batched_episodes += int(st[St.E_BATCHED])
+        estats.events_skipped += int(st[St.E_SKIPPED])
+        heap_len = int(st[St.HEAP_LEN])
+        flat = ks.heap[:4 * heap_len].tolist()
+        queue._heap = [
+            (flat[i], flat[i + 1], EventKind(flat[i + 2]), flat[i + 3])
+            for i in range(0, 4 * heap_len, 4)]
+        queue._seq = int(st[St.QSEQ])
 
     if err == KERR_DEADLOCK:
         from repro.core.engine import EmulationDeadlock
-        raise EmulationDeadlock(
-            "processor blocked with no pending memory requests")
+        raise EmulationDeadlock(deadlock_message)
     if err == KERR_DECODE_RANGE:
-        smc._mapper._check_range(int(st[St.ERR_ADDR]))
+        mapper._check_range(int(st[St.ERR_ADDR]))
         raise AssertionError("decode error did not reproduce")
     if err != KERN_OK:
-        raise RuntimeError(f"block kernel failed with error {err}")
-    proc._done = True
+        raise RuntimeError(f"resident replay kernel failed with error {err}")
     return True
+
+
+def _make_room(ks) -> None:
+    """Size the shared buffers (before the first call, and whenever the
+    kernel returns ``KERN_NEED_ROOM``).
+
+    The pend buffer stays ``_PEND_ROOM`` entries ahead of the open
+    sweep's requests; it and the event heap carry live state, so they
+    grow preservingly.  The logs were flushed after the call, so they
+    are sized for a gate over a full pend buffer — overflow inside the
+    kernel stays a hard error, never a silent drop.
+    """
+    st = ks.st
+    need = int(st[St.PEND_COUNT]) + _PEND_ROOM
+    if ks.pend_tag.shape[0] < need:
+        for name in _PEND_LIVE:
+            setattr(ks, name, _grow_keep(getattr(ks, name), need))
+        cap = ks.pend_tag.shape[0]
+        ks.pend_order = _arr(cap)
+        ks.pend_scratch = _arr(cap)
+        ks._ptr_table = None
+    cap = ks.pend_tag.shape[0]
+    ks.ensure_requests(cap)
+    ks.ensure_table(cap)
+    ks.ensure_viol(3 * cap + 256)
+    ks.ensure_wrhit(cap + 64)
+    heap_need = 4 * (int(st[St.HEAP_LEN]) + cap + HEAP_SLACK)
+    if ks.heap.shape[0] < heap_need:
+        ks.heap = _grow_keep(ks.heap, heap_need)
+        ks._ptr_table = None
+    st[St.PEND_CAP] = cap
+    st[St.TBL_CAP] = ks.tbl.shape[0] // TBL_STRIDE
+    st[St.VIOL_CAP] = ks.viol.shape[0] // VIOL_STRIDE
+    st[St.WRHIT_CAP] = ks.wrhit.shape[0] // WRHIT_STRIDE
+    st[St.HEAP_CAP] = ks.heap.shape[0] // 4

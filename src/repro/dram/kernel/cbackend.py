@@ -26,7 +26,7 @@ from repro.dram.kernel import state
 #: Bumped when the entry-point contract changes; checked against the
 #: compiled object's ``repro_abi_version`` so a stale cached build from
 #: an older checkout can never be called with the wrong layout.
-ABI_VERSION = 3
+ABI_VERSION = 4
 
 _HERE = Path(__file__).resolve().parent
 _SOURCE = _HERE / "kernel.c"
@@ -45,14 +45,12 @@ class CKernel:
         self.info = info
         p64 = ctypes.POINTER(ctypes.c_int64)
         table_t = ctypes.POINTER(p64)
-        for name in ("repro_serve_batch", "repro_run_block",
-                     "repro_finish_trace"):
-            fn = getattr(lib, name)
-            fn.argtypes = [table_t]
+        lib.repro_serve_batch.argtypes = [table_t]
+        lib.repro_run_cores.argtypes = [table_t, table_t]
+        for fn in (lib.repro_serve_batch, lib.repro_run_cores):
             fn.restype = ctypes.c_int64
         self.serve_batch = lib.repro_serve_batch
-        self.run_block = lib.repro_run_block
-        self.finish_trace = lib.repro_finish_trace
+        self.run_cores = lib.repro_run_cores
 
 
 def compiler() -> list[str] | None:

@@ -4,7 +4,7 @@
  * generated from repro.dram.kernel.state prepended, so the field
  * indices can never drift from the Python marshalling code.
  *
- * Three entry points, each taking the int64_t*[] slot table:
+ * Two entry points, each taking the int64_t*[] slot table:
  *
  *   repro_serve_batch  -- one critical-mode episode over a sorted
  *                         request batch (mirrors _make_service_fast /
@@ -12,11 +12,14 @@
  *                         emulated timeline), under any registry
  *                         scheduler and on single- or multi-rank
  *                         channels.
- *   repro_run_block    -- replay one AccessBlock through the gated
- *                         processor model, servicing every clock gate
- *                         in place (mirrors Processor._execute_burst_blocks
- *                         plus the EventEngine block-mode gate closure).
- *   repro_finish_trace -- the end-of-trace drain + final done-gate.
+ *   repro_run_cores    -- the resident replay: N fed block traces driven
+ *                         to completion under round-robin arbitration
+ *                         (mirrors EventEngine.run_cores around
+ *                         Processor._execute_burst_blocks), with each
+ *                         core's cache filter, MLP window and counters in
+ *                         a second, per-core slot table.  Returns to
+ *                         Python (blockrun.py) only to take a core's next
+ *                         block.
  *
  * Every formula below is a transcription of the Python fast path; the
  * comments name the source (smc.py / device.py / flat_timing.py /
@@ -76,17 +79,13 @@ typedef struct {
     int64_t *viol;
     const int64_t *mat_keys;
     int64_t *wrhit;
-    const int64_t *req_tag, *req_addr, *req_flags, *req_core;
+    int64_t *req_tag, *req_addr, *req_flags, *req_core;
     int64_t *req_release, *req_service, *tracker;
     int64_t *tbl;
-    const int64_t *blk_flags, *blk_gap, *blk_addr;
-    int64_t *blk_lat, *blk_fill;
-    int64_t *blk_wbidx, *blk_wbaddr;
+    int64_t *core_st, *active, *sweep_order;
     int64_t *pend_tag, *pend_addr, *pend_flags, *pend_rid, *pend_release;
-    int64_t *out_tag, *out_issue, *out_release, *out_rid;
-    int64_t *heap, *latencies;
-    int64_t *c1_tags, *c1_dirty, *c1_stamps, *c1_count, *c1_mru;
-    int64_t *c2_tags, *c2_dirty, *c2_stamps, *c2_count, *c2_mru;
+    int64_t *pend_core, *pend_pos, *pend_order, *pend_scratch;
+    int64_t *heap;
 } K;
 
 static void bind(K *k, int64_t **p)
@@ -126,34 +125,61 @@ static void bind(K *k, int64_t **p)
     k->req_service = p[P_REQ_SERVICE];
     k->tracker = p[P_TRACKER];
     k->tbl = p[P_TBL];
-    k->blk_flags = p[P_BLK_FLAGS];
-    k->blk_gap = p[P_BLK_GAP];
-    k->blk_lat = p[P_BLK_LAT];
-    k->blk_fill = p[P_BLK_FILL];
-    k->blk_wbidx = p[P_BLK_WBIDX];
-    k->blk_wbaddr = p[P_BLK_WBADDR];
+    k->core_st = p[P_CORE_ST];
+    k->active = p[P_ACTIVE];
+    k->sweep_order = p[P_SWEEP_ORDER];
     k->pend_tag = p[P_PEND_TAG];
     k->pend_addr = p[P_PEND_ADDR];
     k->pend_flags = p[P_PEND_FLAGS];
     k->pend_rid = p[P_PEND_RID];
     k->pend_release = p[P_PEND_RELEASE];
-    k->out_tag = p[P_OUT_TAG];
-    k->out_issue = p[P_OUT_ISSUE];
-    k->out_release = p[P_OUT_RELEASE];
-    k->out_rid = p[P_OUT_RID];
+    k->pend_core = p[P_PEND_CORE];
+    k->pend_pos = p[P_PEND_POS];
+    k->pend_order = p[P_PEND_ORDER];
+    k->pend_scratch = p[P_PEND_SCRATCH];
     k->heap = p[P_HEAP];
-    k->latencies = p[P_LATENCIES];
-    k->blk_addr = p[P_BLK_ADDR];
-    k->c1_tags = p[P_C1_TAGS];
-    k->c1_dirty = p[P_C1_DIRTY];
-    k->c1_stamps = p[P_C1_STAMPS];
-    k->c1_count = p[P_C1_COUNT];
-    k->c1_mru = p[P_C1_MRU];
-    k->c2_tags = p[P_C2_TAGS];
-    k->c2_dirty = p[P_C2_DIRTY];
-    k->c2_stamps = p[P_C2_STAMPS];
-    k->c2_count = p[P_C2_COUNT];
-    k->c2_mru = p[P_C2_MRU];
+}
+
+/* One core's resident-replay view: its CORE_STRIDE scalar record and its
+ * CP_COUNT arrays from the per-core slot table. */
+typedef struct {
+    int64_t *s;
+    const int64_t *blk_flags, *blk_gap, *blk_addr;
+    int64_t *blk_lat, *blk_fill, *blk_wbidx, *blk_wbaddr;
+    int64_t *out_tag, *out_issue, *out_release, *out_rid;
+    int64_t *latencies;
+    int64_t *c1_tags, *c1_dirty, *c1_stamps, *c1_count, *c1_mru;
+    int64_t *c2_tags, *c2_dirty, *c2_stamps, *c2_count, *c2_mru;
+} Core;
+
+#define CS(f) q->s[CS_##f]
+
+static void bind_core(K *k, int64_t **cp, int64_t pos, Core *q)
+{
+    int64_t **t = cp + pos * CP_COUNT;
+    q->s = k->core_st + pos * CORE_STRIDE;
+    q->blk_flags = t[CP_BLK_FLAGS];
+    q->blk_gap = t[CP_BLK_GAP];
+    q->blk_addr = t[CP_BLK_ADDR];
+    q->blk_lat = t[CP_BLK_LAT];
+    q->blk_fill = t[CP_BLK_FILL];
+    q->blk_wbidx = t[CP_BLK_WBIDX];
+    q->blk_wbaddr = t[CP_BLK_WBADDR];
+    q->out_tag = t[CP_OUT_TAG];
+    q->out_issue = t[CP_OUT_ISSUE];
+    q->out_release = t[CP_OUT_RELEASE];
+    q->out_rid = t[CP_OUT_RID];
+    q->latencies = t[CP_LATENCIES];
+    q->c1_tags = t[CP_C1_TAGS];
+    q->c1_dirty = t[CP_C1_DIRTY];
+    q->c1_stamps = t[CP_C1_STAMPS];
+    q->c1_count = t[CP_C1_COUNT];
+    q->c1_mru = t[CP_C1_MRU];
+    q->c2_tags = t[CP_C2_TAGS];
+    q->c2_dirty = t[CP_C2_DIRTY];
+    q->c2_stamps = t[CP_C2_STAMPS];
+    q->c2_count = t[CP_C2_COUNT];
+    q->c2_mru = t[CP_C2_MRU];
 }
 
 /* -- address decode (AddressMapper.to_dram, address.py) ------------------- */
@@ -681,7 +707,7 @@ static void heap_pop_discard(K *k)
 
 /* -- refresh episode (smc._maybe_refresh_flat) ---------------------------- */
 
-static int64_t refresh_episode(K *k, int block_mode)
+static int64_t refresh_episode(K *k, int resident)
 {
     while (S(NEXT_REFRESH) <= S(SCHED_CURSOR)) {
         S(CHARGED) = 0;        /* staging + accumulated charges discarded */
@@ -749,7 +775,7 @@ static int64_t refresh_episode(K *k, int block_mode)
             if (S(REFRESH_INDEX) % C(STORM_FACTOR))
                 S(S_STORM) += 1;
         }
-        if (block_mode) {
+        if (resident) {
             /* EventEngine._note_refresh, inlined. */
             S(E_REFRESHES) += 1;
             if (C(PROC_PERIOD)) {
@@ -985,7 +1011,7 @@ static int64_t select_ranked(K *k, int64_t *tbl, int64_t tcount,
 static int64_t episode(K *k, int64_t n, const int64_t *tag,
                        const int64_t *addr, const int64_t *flags,
                        const int64_t *core, int64_t *release,
-                       int64_t *service, int block_mode)
+                       int64_t *service, int resident)
 {
     /* counters.enter_critical() */
     if (!S(CNT_CRITICAL)) {
@@ -1039,7 +1065,7 @@ static int64_t episode(K *k, int64_t n, const int64_t *tag,
             continue;
         }
         if (C(REFRESH_ENABLED) && S(NEXT_REFRESH) <= S(SCHED_CURSOR)) {
-            int64_t err = refresh_episode(k, block_mode);
+            int64_t err = refresh_episode(k, resident);
             if (err)
                 return err;
         }
@@ -1110,64 +1136,14 @@ static int64_t episode(K *k, int64_t n, const int64_t *tag,
 
 #undef CAND
 
-/* -- block-mode gate (EventEngine run_trace block-mode closure) ----------- */
+/* -- resident replay: per-core request and latency logs ------------------ */
 
-static int64_t gate(K *k, int64_t cycles, int done)
-{
-    /* counters.advance_processor(cycles) */
-    if (cycles > S(CNT_PROC))
-        S(CNT_PROC) = cycles;
-    int64_t np = S(PEND_COUNT);
-    if (!np) {
-        if (done)
-            return KERN_OK;
-        return KERR_DEADLOCK;
-    }
-    if (!done)
-        S(E_GATES) += 1;
-    /* pend requests are created in non-decreasing tag order, so the
-     * buffer already matches Python's stable sort-by-tag. */
-    int64_t err = episode(k, np, k->pend_tag, k->pend_addr, k->pend_flags,
-                          (const int64_t *)0, k->pend_release,
-                          (int64_t *)0, 1);
-    if (err)
-        return err;
-    S(E_BATCHED) += 1;
-    S(E_RELEASES) += np;
-    /* In Python the MLP window and the pending batch share request
-     * objects, so the episode's release assignments are visible to the
-     * replay loop; here the windows are separate arrays -- propagate by
-     * rid.  Unreleased window entries can only be fills from this very
-     * batch (every earlier gate released everything it held). */
-    int64_t oc = S(OUT_COUNT);
-    for (int64_t m = 0; m < oc; m++) {
-        if (k->out_release[m] >= 0)
-            continue;
-        int64_t rid = k->out_rid[m];
-        for (int64_t j = 0; j < np; j++) {
-            if (k->pend_rid[j] == rid) {
-                k->out_release[m] = k->pend_release[j];
-                break;
-            }
-        }
-    }
-    for (int64_t j = 0; j < np; j++) {
-        err = heap_push(k, k->pend_release[j], EV_RELEASE, k->pend_rid[j]);
-        if (err)
-            return err;
-    }
-    S(PEND_COUNT) = 0;
-    if (done)
-        return KERN_OK;
-    /* Drain events the processor's jump already passed. */
-    while (S(HEAP_LEN) && k->heap[0] <= cycles) {
-        heap_pop_discard(k);
-        S(E_SKIPPED) += 1;
-    }
-    return KERN_OK;
-}
+/* Burst outcomes, next to KERN_NEED_BLOCK / KERN_NEED_ROOM. */
+#define R_BLOCKED 3
+#define R_DONE 4
 
-static int64_t pend_append(K *k, int64_t tag, int64_t addr, int64_t flags)
+static int64_t pend_append(K *k, Core *q, int64_t pos, int64_t tag,
+                           int64_t addr, int64_t flags)
 {
     int64_t count = S(PEND_COUNT);
     if (count >= S(PEND_CAP))
@@ -1175,32 +1151,34 @@ static int64_t pend_append(K *k, int64_t tag, int64_t addr, int64_t flags)
     k->pend_tag[count] = tag;
     k->pend_addr[count] = addr;
     k->pend_flags[count] = flags;
-    k->pend_rid[count] = S(NEXT_RID);
-    S(NEXT_RID) += 1;
+    k->pend_rid[count] = CS(NEXT_RID);
+    CS(NEXT_RID) += 1;
     k->pend_release[count] = -1;
+    k->pend_core[count] = CS(CORE_ID);
+    k->pend_pos[count] = pos;
     S(PEND_COUNT) = count + 1;
     return KERN_OK;
 }
 
-static int64_t lat_append(K *k, int64_t delta)
+static int64_t lat_append(Core *q, int64_t delta)
 {
-    int64_t count = S(LAT_COUNT);
-    if (count >= S(LAT_CAP))
+    int64_t count = CS(LAT_COUNT);
+    if (count >= CS(LAT_CAP))
         return KERR_PEND_OVERFLOW;
-    k->latencies[count] = delta > 0 ? delta : 0;
-    S(LAT_COUNT) = count + 1;
+    q->latencies[count] = delta > 0 ? delta : 0;
+    CS(LAT_COUNT) = count + 1;
     return KERN_OK;
 }
 
 /* -- resident cache filter (CacheHierarchy.access_block, cpu/cache.py) ---- */
 
 /* L2 probe with LRU/dirty touch; returns the hit slot or -1. */
-static int64_t l2_touch(K *k, int64_t s2, int64_t t2, int set_dirty)
+static int64_t l2_touch(K *k, Core *q, int64_t s2, int64_t t2, int set_dirty)
 {
     int64_t a2 = C(C2_ASSOC);
-    int64_t *ts2 = k->c2_tags + s2 * a2;
-    int64_t c2 = k->c2_count[s2];
-    int64_t slot = k->c2_mru[s2];
+    int64_t *ts2 = q->c2_tags + s2 * a2;
+    int64_t c2 = q->c2_count[s2];
+    int64_t slot = q->c2_mru[s2];
     if (slot >= 0 && slot < c2 && ts2[slot] == t2) {
         ;
     } else {
@@ -1208,35 +1186,35 @@ static int64_t l2_touch(K *k, int64_t s2, int64_t t2, int set_dirty)
         for (int64_t w = 0; w < c2; w++) {
             if (ts2[w] == t2) {
                 slot = w;
-                k->c2_mru[s2] = w;
+                q->c2_mru[s2] = w;
                 break;
             }
         }
     }
     if (slot < 0)
         return -1;
-    k->c2_stamps[s2 * a2 + slot] = S(C2_TICK);
-    S(C2_TICK) += 1;
+    q->c2_stamps[s2 * a2 + slot] = CS(C2_TICK);
+    CS(C2_TICK) += 1;
     if (set_dirty)
-        k->c2_dirty[s2 * a2 + slot] = 1;
-    S(C2_HITS) += 1;
+        q->c2_dirty[s2 * a2 + slot] = 1;
+    CS(C2_HITS) += 1;
     return slot;
 }
 
 /* L2 fill of a known-absent line; logs an access-i writeback on dirty
  * eviction.  The wbidx/wbaddr buffers are driver-sized for the worst
  * case (two writebacks per access), so no bounds check is needed. */
-static void l2_fill(K *k, int64_t s2, int64_t t2, int dirty, int64_t i,
-                    int64_t *nwb)
+static void l2_fill(K *k, Core *q, int64_t s2, int64_t t2, int dirty,
+                    int64_t i, int64_t *nwb)
 {
     int64_t a2 = C(C2_ASSOC);
     int64_t base = s2 * a2;
-    int64_t *ts2 = k->c2_tags + base;
-    int64_t c2 = k->c2_count[s2];
+    int64_t *ts2 = q->c2_tags + base;
+    int64_t c2 = q->c2_count[s2];
     int64_t vslot;
-    S(C2_MISSES) += 1;
+    CS(C2_MISSES) += 1;
     if (c2 >= a2) {
-        int64_t *st2 = k->c2_stamps + base;
+        int64_t *st2 = q->c2_stamps + base;
         int64_t best = st2[0];
         vslot = 0;
         for (int64_t w = 1; w < a2; w++) {
@@ -1245,33 +1223,34 @@ static void l2_fill(K *k, int64_t s2, int64_t t2, int dirty, int64_t i,
                 vslot = w;
             }
         }
-        if (k->c2_dirty[base + vslot]) {
-            S(C2_WB) += 1;
-            k->blk_wbidx[*nwb] = i;
-            k->blk_wbaddr[*nwb] = (ts2[vslot] * C(C2_SETS) + s2)
+        if (q->c2_dirty[base + vslot]) {
+            CS(C2_WB) += 1;
+            q->blk_wbidx[*nwb] = i;
+            q->blk_wbaddr[*nwb] = (ts2[vslot] * C(C2_SETS) + s2)
                 * C(C_LINE_BYTES);
             *nwb += 1;
         }
         ts2[vslot] = t2;
-        k->c2_dirty[base + vslot] = dirty;
-        st2[vslot] = S(C2_TICK);
+        q->c2_dirty[base + vslot] = dirty;
+        st2[vslot] = CS(C2_TICK);
     } else {
         vslot = c2;
         ts2[vslot] = t2;
-        k->c2_dirty[base + vslot] = dirty;
-        k->c2_stamps[base + vslot] = S(C2_TICK);
-        k->c2_count[s2] = c2 + 1;
+        q->c2_dirty[base + vslot] = dirty;
+        q->c2_stamps[base + vslot] = CS(C2_TICK);
+        q->c2_count[s2] = c2 + 1;
     }
-    S(C2_TICK) += 1;
-    k->c2_mru[s2] = vslot;
+    CS(C2_TICK) += 1;
+    q->c2_mru[s2] = vslot;
 }
 
-/* The fused two-level block filter: fills blk_lat/blk_fill per access
- * and the blk_wbidx/blk_wbaddr pairs, bit-identical to the Python
- * access_block scan (same probe order, same first-min LRU eviction). */
-static void filter_block(K *k)
+/* The fused two-level block filter over one core's private caches: fills
+ * blk_lat/blk_fill per access and the blk_wbidx/blk_wbaddr pairs,
+ * bit-identical to the Python access_block scan (same probe order, same
+ * first-min LRU eviction). */
+static void filter_block(K *k, Core *q)
 {
-    int64_t n = S(BLK_N);
+    int64_t n = CS(BLK_N);
     int64_t lb = C(C_LINE_BYTES);
     int64_t n1 = C(C1_SETS), a1 = C(C1_ASSOC);
     int64_t n2 = C(C2_SETS);
@@ -1279,14 +1258,14 @@ static void filter_block(K *k)
     int64_t miss_lat = C(C_MISS_LAT);
     int64_t nwb = 0;
     for (int64_t i = 0; i < n; i++) {
-        int64_t line = k->blk_addr[i] / lb;
-        int is_write = (int)(k->blk_flags[i] & AF_WRITE);
+        int64_t line = q->blk_addr[i] / lb;
+        int is_write = (int)(q->blk_flags[i] & AF_WRITE);
         int64_t s1 = line % n1, t1 = line / n1;
         int64_t base1 = s1 * a1;
-        int64_t *ts1 = k->c1_tags + base1;
-        int64_t c1 = k->c1_count[s1];
+        int64_t *ts1 = q->c1_tags + base1;
+        int64_t c1 = q->c1_count[s1];
         /* -- L1 probe (MRU slot first) ---------------------------------- */
-        int64_t slot = k->c1_mru[s1];
+        int64_t slot = q->c1_mru[s1];
         if (slot >= 0 && slot < c1 && ts1[slot] == t1) {
             ;
         } else {
@@ -1294,36 +1273,36 @@ static void filter_block(K *k)
             for (int64_t w = 0; w < c1; w++) {
                 if (ts1[w] == t1) {
                     slot = w;
-                    k->c1_mru[s1] = w;
+                    q->c1_mru[s1] = w;
                     break;
                 }
             }
         }
         if (slot >= 0) {
-            k->c1_stamps[base1 + slot] = S(C1_TICK);
-            S(C1_TICK) += 1;
+            q->c1_stamps[base1 + slot] = CS(C1_TICK);
+            CS(C1_TICK) += 1;
             if (is_write)
-                k->c1_dirty[base1 + slot] = 1;
-            S(C1_HITS) += 1;
-            k->blk_lat[i] = hit1;
-            k->blk_fill[i] = -1;
+                q->c1_dirty[base1 + slot] = 1;
+            CS(C1_HITS) += 1;
+            q->blk_lat[i] = hit1;
+            q->blk_fill[i] = -1;
             continue;
         }
-        S(C1_MISSES) += 1;
+        CS(C1_MISSES) += 1;
         /* -- L2 probe --------------------------------------------------- */
         int64_t s2 = line % n2, t2 = line / n2;
-        if (l2_touch(k, s2, t2, 0) >= 0) {
-            k->blk_lat[i] = hit12;
-            k->blk_fill[i] = -1;
+        if (l2_touch(k, q, s2, t2, 0) >= 0) {
+            q->blk_lat[i] = hit12;
+            q->blk_fill[i] = -1;
         } else {
-            l2_fill(k, s2, t2, 0, i, &nwb);
-            k->blk_lat[i] = miss_lat;
-            k->blk_fill[i] = line * lb;
+            l2_fill(k, q, s2, t2, 0, i, &nwb);
+            q->blk_lat[i] = miss_lat;
+            q->blk_fill[i] = line * lb;
         }
         /* -- install into L1 (line known absent) ------------------------ */
         int64_t vslot;
         if (c1 >= a1) {
-            int64_t *st1 = k->c1_stamps + base1;
+            int64_t *st1 = q->c1_stamps + base1;
             int64_t best = st1[0];
             vslot = 0;
             for (int64_t w = 1; w < a1; w++) {
@@ -1332,35 +1311,323 @@ static void filter_block(K *k)
                     vslot = w;
                 }
             }
-            if (k->c1_dirty[base1 + vslot]) {
-                S(C1_WB) += 1;
+            if (q->c1_dirty[base1 + vslot]) {
+                CS(C1_WB) += 1;
                 int64_t victim = ts1[vslot] * n1 + s1;
                 /* Dirty L1 victim folds into L2. */
                 int64_t sv = victim % n2, tv = victim / n2;
-                if (l2_touch(k, sv, tv, 1) < 0)
-                    l2_fill(k, sv, tv, 1, i, &nwb);
+                if (l2_touch(k, q, sv, tv, 1) < 0)
+                    l2_fill(k, q, sv, tv, 1, i, &nwb);
             }
             ts1[vslot] = t1;
-            k->c1_dirty[base1 + vslot] = is_write;
-            k->c1_stamps[base1 + vslot] = S(C1_TICK);
+            q->c1_dirty[base1 + vslot] = is_write;
+            q->c1_stamps[base1 + vslot] = CS(C1_TICK);
         } else {
             vslot = c1;
             ts1[vslot] = t1;
-            k->c1_dirty[base1 + vslot] = is_write;
-            k->c1_stamps[base1 + vslot] = S(C1_TICK);
-            k->c1_count[s1] = c1 + 1;
+            q->c1_dirty[base1 + vslot] = is_write;
+            q->c1_stamps[base1 + vslot] = CS(C1_TICK);
+            q->c1_count[s1] = c1 + 1;
         }
-        S(C1_TICK) += 1;
-        k->c1_mru[s1] = vslot;
+        CS(C1_TICK) += 1;
+        q->c1_mru[s1] = vslot;
     }
-    S(BLK_NWB) = nwb;
+    CS(BLK_NWB) = nwb;
+}
+
+/* -- one core's burst (Processor._execute_burst_blocks, no gate callback) - */
+
+/* Replay the core's current block from its cursor until the block ends
+ * (KERN_OK) or the core clock-gates on an unreleased fill (R_BLOCKED);
+ * the cursor and counters are saved either way. */
+static int64_t replay_block(K *k, Core *q, int64_t pos)
+{
+    int64_t n = CS(BLK_N), nwb = CS(BLK_NWB);
+    int64_t i = CS(POS), wb_ptr = CS(WB_PTR);
+    int64_t cycles = CS(CYCLES);
+    int64_t accesses = CS(ACCESSES), loads = CS(LOADS);
+    int64_t stores = CS(STORES), compute = CS(COMPUTE);
+    int64_t stalls = CS(STALLS);
+    int64_t mlp = C(MLP), window = C(WINDOW);
+    int64_t err = KERN_OK;
+    while (i < n) {
+        int64_t flag = q->blk_flags[i];
+        int64_t oc = CS(OUT_COUNT);
+        if (oc && ((flag & AF_DEPENDENT) || oc >= mlp
+                   || accesses - q->out_issue[0] >= window)) {
+            if (flag & AF_DEPENDENT) {
+                /* A dependent access consumes *every* outstanding fill. */
+                for (int64_t j = 0; j < oc && !err; j++)
+                    if (q->out_release[j] < 0)
+                        err = R_BLOCKED;
+                if (err)
+                    break;
+                for (int64_t j = 0; j < oc; j++) {
+                    int64_t rel = q->out_release[j];
+                    if (rel > cycles) {
+                        stalls += rel - cycles;
+                        cycles = rel;
+                    }
+                    err = lat_append(q, rel - q->out_tag[j]);
+                    if (err)
+                        break;
+                }
+                if (err)
+                    break;
+                CS(OUT_COUNT) = 0;
+            } else {
+                int64_t rel = q->out_release[0];
+                if (rel < 0) {
+                    err = R_BLOCKED;
+                    break;
+                }
+                if (rel > cycles) {
+                    stalls += rel - cycles;
+                    cycles = rel;
+                }
+                err = lat_append(q, rel - q->out_tag[0]);
+                if (err)
+                    break;
+                memmove(q->out_tag, q->out_tag + 1,
+                        (size_t)(oc - 1) * sizeof(int64_t));
+                memmove(q->out_issue, q->out_issue + 1,
+                        (size_t)(oc - 1) * sizeof(int64_t));
+                memmove(q->out_release, q->out_release + 1,
+                        (size_t)(oc - 1) * sizeof(int64_t));
+                memmove(q->out_rid, q->out_rid + 1,
+                        (size_t)(oc - 1) * sizeof(int64_t));
+                CS(OUT_COUNT) = oc - 1;
+            }
+            continue;          /* re-check the same access */
+        }
+        /* Execute the access: up to two writebacks and a fill. */
+        if (S(PEND_CAP) - S(PEND_COUNT) < 3) {
+            err = KERN_NEED_ROOM;
+            break;
+        }
+        accesses += 1;
+        if (flag & AF_WRITE)
+            stores += 1;
+        else
+            loads += 1;
+        int64_t gap = q->blk_gap[i];
+        if (gap) {
+            cycles += gap;
+            compute += gap;
+        }
+        cycles += q->blk_lat[i];
+        while (wb_ptr < nwb && q->blk_wbidx[wb_ptr] == i) {
+            CS(WB_REQ) += 1;
+            err = pend_append(k, q, pos, cycles, q->blk_wbaddr[wb_ptr],
+                              RF_WRITEBACK);
+            if (err)
+                break;
+            wb_ptr += 1;
+        }
+        if (err)
+            break;
+        int64_t fill = q->blk_fill[i];
+        if (fill >= 0) {
+            CS(LLC_MISS) += 1;
+            int64_t rid = CS(NEXT_RID);   /* pend_append advances it */
+            err = pend_append(k, q, pos, cycles, fill, 0);
+            if (err)
+                break;
+            int64_t c = CS(OUT_COUNT);    /* < mlp here, cap >= mlp + 1 */
+            q->out_tag[c] = cycles;
+            q->out_issue[c] = accesses;
+            q->out_release[c] = -1;
+            q->out_rid[c] = rid;
+            CS(OUT_COUNT) = c + 1;
+        }
+        i += 1;
+    }
+    CS(POS) = i;
+    CS(WB_PTR) = wb_ptr;
+    CS(CYCLES) = cycles;
+    CS(ACCESSES) = accesses;
+    CS(LOADS) = loads;
+    CS(STORES) = stores;
+    CS(COMPUTE) = compute;
+    CS(STALLS) = stalls;
+    return err;
+}
+
+/* Run core ``pos`` until it clock-gates (R_BLOCKED), drains its last
+ * block and its MLP window (R_DONE), or needs its next block from
+ * blockrun.py (KERN_NEED_BLOCK).  Its requests join the shared pend
+ * buffer. */
+static int64_t burst(K *k, Core *q, int64_t pos)
+{
+    for (;;) {
+        if (!CS(HAS_BLOCK)) {
+            if (!CS(EXHAUSTED))
+                return KERN_NEED_BLOCK;
+            /* End of trace: _drain consumes the whole window once every
+             * fill in it has a release. */
+            int64_t oc = CS(OUT_COUNT);
+            for (int64_t j = 0; j < oc; j++)
+                if (q->out_release[j] < 0)
+                    return R_BLOCKED;
+            int64_t cycles = CS(CYCLES), stalls = CS(STALLS);
+            for (int64_t j = 0; j < oc; j++) {
+                int64_t rel = q->out_release[j];
+                if (rel > cycles) {
+                    stalls += rel - cycles;
+                    cycles = rel;
+                }
+                int64_t err = lat_append(q, rel - q->out_tag[j]);
+                if (err)
+                    return err;
+            }
+            CS(OUT_COUNT) = 0;
+            CS(CYCLES) = cycles;
+            CS(STALLS) = stalls;
+            CS(DONE) = 1;
+            return R_DONE;
+        }
+        if (CS(FRESH)) {
+            filter_block(k, q);   /* POS/WB_PTR are 0 on a fresh block */
+            CS(FRESH) = 0;
+        }
+        int64_t err = replay_block(k, q, pos);
+        if (err)
+            return err;
+        CS(HAS_BLOCK) = 0;
+    }
+}
+
+/* -- the gate after a sweep (EventEngine.run_cores / _service) ------------ */
+
+/* Stable argsort of the pend buffer by tag: bottom-up merge sort over the
+ * per-core non-decreasing runs, ties kept in sweep order. */
+static const int64_t *sort_pending(K *k, int64_t n)
+{
+    int64_t *a = k->pend_order, *b = k->pend_scratch;
+    const int64_t *tag = k->pend_tag;
+    for (int64_t i = 0; i < n; i++)
+        a[i] = i;
+    for (int64_t width = 1; width < n; width *= 2) {
+        for (int64_t lo = 0; lo < n; lo += 2 * width) {
+            int64_t mid = lo + width < n ? lo + width : n;
+            int64_t hi = lo + 2 * width < n ? lo + 2 * width : n;
+            int64_t x = lo, y = mid, o = lo;
+            while (x < mid && y < hi)
+                b[o++] = tag[a[y]] < tag[a[x]] ? a[y++] : a[x++];
+            while (x < mid)
+                b[o++] = a[x++];
+            while (y < hi)
+                b[o++] = a[y++];
+        }
+        int64_t *t = a;
+        a = b;
+        b = t;
+    }
+    return a;
+}
+
+/* One critical-mode episode over the sweep's pending batch plus its
+ * event bookkeeping. */
+static int64_t serve_pending(K *k, int64_t **cp, int64_t np)
+{
+    int64_t err;
+    int sorted = 1;
+    for (int64_t j = 1; j < np && sorted; j++)
+        sorted = k->pend_tag[j] >= k->pend_tag[j - 1];
+    if (sorted) {
+        /* One core's run (always, single-core): already in tag order. */
+        err = episode(k, np, k->pend_tag, k->pend_addr, k->pend_flags,
+                      k->pend_core, k->pend_release, (int64_t *)0, 1);
+    } else {
+        const int64_t *order = sort_pending(k, np);
+        for (int64_t i = 0; i < np; i++) {
+            int64_t j = order[i];
+            k->req_tag[i] = k->pend_tag[j];
+            k->req_addr[i] = k->pend_addr[j];
+            k->req_flags[i] = k->pend_flags[j];
+            k->req_core[i] = k->pend_core[j];
+        }
+        err = episode(k, np, k->req_tag, k->req_addr, k->req_flags,
+                      k->req_core, k->req_release, (int64_t *)0, 1);
+        for (int64_t i = 0; i < np; i++)
+            k->pend_release[order[i]] = k->req_release[i];
+    }
+    if (err)
+        return err;
+    S(E_BATCHED) += 1;
+    S(E_RELEASES) += np;
+    /* In Python the MLP windows and the pending batch share request
+     * objects, so the episode's releases are visible to the replay
+     * loops; here the windows are separate arrays -- propagate by
+     * (core, rid), since rids are per-core counters.  Unreleased window
+     * entries can only be fills from this very batch (every earlier
+     * gate released everything it held). */
+    for (int64_t j = 0; j < np; j++) {
+        if (k->pend_flags[j] & RF_WRITEBACK)
+            continue;
+        int64_t pos = k->pend_pos[j];
+        int64_t **t = cp + pos * CP_COUNT;
+        const int64_t *out_rid = t[CP_OUT_RID];
+        int64_t *out_release = t[CP_OUT_RELEASE];
+        int64_t oc = k->core_st[pos * CORE_STRIDE + CS_OUT_COUNT];
+        for (int64_t m = 0; m < oc; m++) {
+            if (out_release[m] < 0 && out_rid[m] == k->pend_rid[j]) {
+                out_release[m] = k->pend_release[j];
+                break;
+            }
+        }
+    }
+    /* RELEASE events in sweep order: heap sequence numbers must match. */
+    for (int64_t j = 0; j < np; j++) {
+        err = heap_push(k, k->pend_release[j], EV_RELEASE, k->pend_rid[j]);
+        if (err)
+            return err;
+    }
+    S(PEND_COUNT) = 0;
+    return KERN_OK;
+}
+
+static int64_t close_sweep(K *k, int64_t **cp)
+{
+    int64_t np = S(PEND_COUNT), na = S(ACTIVE_N);
+    /* Room for the episode's worst case in the logs and the event heap;
+     * otherwise return before touching anything, so blockrun.py can
+     * flush and grow and re-enter right here. */
+    if (S(VIOL_CAP) - S(VIOL_COUNT) < 3 * np + 256
+            || S(WRHIT_CAP) - S(WRHIT_COUNT) < np + 64
+            || S(HEAP_CAP) - S(HEAP_LEN) < np + HEAP_SLACK)
+        return KERN_NEED_ROOM;
+    S(SWEEP) += 1;
+    if (!np) {
+        if (na && !S(SWEEP_FINISHED))
+            return KERR_DEADLOCK;
+        return KERN_OK;
+    }
+    if (na)
+        S(E_GATES) += 1;
+    int64_t err = serve_pending(k, cp, np);
+    if (err || !na)
+        return err;
+    /* An event is only "passed" once every runnable core's jump is
+     * beyond it: drain to the slowest active core's cycle. */
+    int64_t low = INT64_MAX;
+    for (int64_t j = 0; j < na; j++) {
+        int64_t cycles = k->core_st[k->active[j] * CORE_STRIDE + CS_CYCLES];
+        if (cycles < low)
+            low = cycles;
+    }
+    while (S(HEAP_LEN) && k->heap[0] <= low) {
+        heap_pop_discard(k);
+        S(E_SKIPPED) += 1;
+    }
+    return KERN_OK;
 }
 
 /* -- entry points --------------------------------------------------------- */
 
 int64_t repro_abi_version(void)
 {
-    return 3;
+    return 4;
 }
 
 int64_t repro_serve_batch(int64_t **p)
@@ -1372,173 +1639,61 @@ int64_t repro_serve_batch(int64_t **p)
                    k->req_core, k->req_release, k->req_service, 0);
 }
 
-/* Replay one AccessBlock (Processor._execute_burst_blocks body) with the
- * engine's gate serviced in place. */
-int64_t repro_run_block(int64_t **p)
-{
-    K kk;
-    K *k = &kk;
-    bind(k, p);
-    if (S(HAS_CACHE))
-        filter_block(k);   /* one call per block, so POS/WB_PTR are 0 */
-    int64_t n = S(BLK_N), nwb = S(BLK_NWB);
-    int64_t i = S(POS), wb_ptr = S(WB_PTR);
-    int64_t cycles = S(P_CYCLES);
-    int64_t accesses = S(P_ACCESSES), loads = S(P_LOADS);
-    int64_t stores = S(P_STORES), compute = S(P_COMPUTE);
-    int64_t stalls = S(P_STALLS);
-    int64_t mlp = C(MLP), window = C(WINDOW);
-    int64_t err = KERN_OK;
-    while (i < n) {
-        int64_t flag = k->blk_flags[i];
-        int64_t oc = S(OUT_COUNT);
-        if (oc && ((flag & AF_DEPENDENT) || oc >= mlp
-                   || accesses - k->out_issue[0] >= window)) {
-            if (flag & AF_DEPENDENT) {
-                /* A dependent access consumes *every* outstanding fill. */
-                int blocked = 0;
-                for (int64_t j = 0; j < oc; j++) {
-                    if (k->out_release[j] < 0) {
-                        blocked = 1;
-                        break;
-                    }
-                }
-                if (blocked) {
-                    S(P_CYCLES) = cycles;
-                    S(P_STALLS) = stalls;
-                    err = gate(k, cycles, 0);
-                    if (err)
-                        break;
-                    continue;
-                }
-                for (int64_t j = 0; j < oc; j++) {
-                    int64_t rel = k->out_release[j];
-                    if (rel > cycles) {
-                        stalls += rel - cycles;
-                        cycles = rel;
-                    }
-                    err = lat_append(k, rel - k->out_tag[j]);
-                    if (err)
-                        break;
-                }
-                if (err)
-                    break;
-                S(OUT_COUNT) = 0;
-            } else {
-                int64_t rel = k->out_release[0];
-                if (rel < 0) {
-                    S(P_CYCLES) = cycles;
-                    S(P_STALLS) = stalls;
-                    err = gate(k, cycles, 0);
-                    if (err)
-                        break;
-                    continue;
-                }
-                if (rel > cycles) {
-                    stalls += rel - cycles;
-                    cycles = rel;
-                }
-                err = lat_append(k, rel - k->out_tag[0]);
-                if (err)
-                    break;
-                memmove(k->out_tag, k->out_tag + 1,
-                        (size_t)(oc - 1) * sizeof(int64_t));
-                memmove(k->out_issue, k->out_issue + 1,
-                        (size_t)(oc - 1) * sizeof(int64_t));
-                memmove(k->out_release, k->out_release + 1,
-                        (size_t)(oc - 1) * sizeof(int64_t));
-                memmove(k->out_rid, k->out_rid + 1,
-                        (size_t)(oc - 1) * sizeof(int64_t));
-                S(OUT_COUNT) = oc - 1;
-            }
-            continue;          /* re-check the same access */
-        }
-        /* Execute the access. */
-        accesses += 1;
-        if (flag & AF_WRITE)
-            stores += 1;
-        else
-            loads += 1;
-        int64_t gap = k->blk_gap[i];
-        if (gap) {
-            cycles += gap;
-            compute += gap;
-        }
-        cycles += k->blk_lat[i];
-        while (wb_ptr < nwb && k->blk_wbidx[wb_ptr] == i) {
-            S(P_WB_REQ) += 1;
-            err = pend_append(k, cycles, k->blk_wbaddr[wb_ptr],
-                              RF_WRITEBACK);
-            if (err)
-                break;
-            wb_ptr += 1;
-        }
-        if (err)
-            break;
-        int64_t fill = k->blk_fill[i];
-        if (fill >= 0) {
-            S(P_LLC_MISS) += 1;
-            int64_t rid = S(NEXT_RID);   /* pend_append advances it */
-            err = pend_append(k, cycles, fill, 0);
-            if (err)
-                break;
-            int64_t c = S(OUT_COUNT);    /* < mlp here, cap >= mlp + 1 */
-            k->out_tag[c] = cycles;
-            k->out_issue[c] = accesses;
-            k->out_release[c] = -1;
-            k->out_rid[c] = rid;
-            S(OUT_COUNT) = c + 1;
-        }
-        i += 1;
-    }
-    S(POS) = i;
-    S(WB_PTR) = wb_ptr;
-    S(P_CYCLES) = cycles;
-    S(P_ACCESSES) = accesses;
-    S(P_LOADS) = loads;
-    S(P_STORES) = stores;
-    S(P_COMPUTE) = compute;
-    S(P_STALLS) = stalls;
-    return err;
-}
-
-/* End of trace: drain the MLP window (gating until every outstanding
- * fill has a release), then run the final done-gate. */
-int64_t repro_finish_trace(int64_t **p)
+/* Drive NRUN fed cores to completion (EventEngine.run_cores): round-robin
+ * sweeps starting at active[SWEEP % ACTIVE_N], each core bursting to its
+ * gate, the merged batch served in one episode after every sweep.  The
+ * whole state lives in the slot tables, so the loop is resumable: it
+ * returns KERN_NEED_BLOCK (core NEED_CORE) whenever a core needs its
+ * next block and KERN_NEED_ROOM when a shared buffer runs short, and
+ * blockrun.py re-enters after handing the block over or growing the
+ * buffers.
+ * A single-core trace (EventEngine.run_trace) is the NRUN == 1 case. */
+int64_t repro_run_cores(int64_t **p, int64_t **cp)
 {
     K kk;
     K *k = &kk;
     bind(k, p);
     for (;;) {
-        int64_t oc = S(OUT_COUNT);
-        int blocked = 0;
-        for (int64_t j = 0; j < oc; j++) {
-            if (k->out_release[j] < 0) {
-                blocked = 1;
-                break;
+        if (S(SWEEP_POS) >= S(SWEEP_N)) {
+            if (S(SWEEP_N)) {
+                int64_t err = close_sweep(k, cp);
+                if (err)
+                    return err;
+                S(SWEEP_N) = 0;
             }
+            int64_t n = S(ACTIVE_N);
+            if (!n)
+                return KERN_OK;
+            int64_t start = S(SWEEP) % n;
+            for (int64_t j = 0; j < n; j++)
+                k->sweep_order[j] = k->active[(start + j) % n];
+            S(SWEEP_N) = n;
+            S(SWEEP_POS) = 0;
+            S(SWEEP_FINISHED) = 0;
         }
-        if (!blocked)
-            break;
-        int64_t err = gate(k, S(P_CYCLES), 0);
-        if (err)
-            return err;
-    }
-    int64_t oc = S(OUT_COUNT);
-    int64_t cycles = S(P_CYCLES), stalls = S(P_STALLS);
-    for (int64_t j = 0; j < oc; j++) {
-        int64_t rel = k->out_release[j];
-        if (rel > cycles) {
-            stalls += rel - cycles;
-            cycles = rel;
+        int64_t pos = k->sweep_order[S(SWEEP_POS)];
+        Core qq;
+        Core *q = &qq;
+        bind_core(k, cp, pos, q);
+        int64_t r = burst(k, q, pos);
+        if (r == KERN_NEED_BLOCK || r == KERN_NEED_ROOM) {
+            S(NEED_CORE) = pos;
+            return r;
         }
-        int64_t err = lat_append(k, rel - k->out_tag[j]);
-        if (err)
-            return err;
+        if (r < 0)
+            return r;
+        /* counters.advance_processor(proc.cycles) */
+        if (CS(CYCLES) > S(CNT_PROC))
+            S(CNT_PROC) = CS(CYCLES);
+        if (r == R_DONE) {
+            /* active.remove(proc): the open sweep's order is a copy. */
+            int64_t na = S(ACTIVE_N), w = 0;
+            for (int64_t j = 0; j < na; j++)
+                if (k->active[j] != pos)
+                    k->active[w++] = k->active[j];
+            S(ACTIVE_N) = w;
+            S(SWEEP_FINISHED) = 1;
+        }
+        S(SWEEP_POS) += 1;
     }
-    S(OUT_COUNT) = 0;
-    S(P_CYCLES) = cycles;
-    S(P_STALLS) = stalls;
-    S(DONE) = 1;
-    return gate(k, cycles, 1);
 }

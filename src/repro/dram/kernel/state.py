@@ -19,8 +19,13 @@ that layout:
   receives one ``int64*[]`` indexed by these names, covering the
   per-bank timing arrays, the per-rank tFAW windows, the per-core
   scheduler table, the memoized plans, the request batch, the
-  violation/latency logs and (block mode) the replay inputs, the
-  pending-request buffers and the event heap.
+  violation logs and the resident replay's per-core records, active
+  list, pending-request buffers and event heap.
+* :data:`CORE_FIELDS` / :data:`CORE_PTR_FIELDS` — the resident replay's
+  per-core slots: one scalar record per core (block cursor, processor
+  counters, cache-filter ticks and stats) and a second ``int64*[]``
+  table with each core's block buffers, MLP window, latency log and
+  L1/L2 way arrays.
 
 :class:`KernelState` owns the arrays and the load/store marshalling; it
 is deliberately dumb — every formula lives in ``kernel.c``, this file
@@ -28,6 +33,8 @@ only moves values.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
@@ -60,9 +67,9 @@ CFG_FIELDS = (
     "STRICT_DECODE", "LINE_BYTES", "TOTAL_BYTES", "COLUMNS", "ROWS",
     "DEC_BANKS", "ROW_MAJOR", "SKEWED",
     "CHANNELS", "CH_MODE", "LINES_PER_CHANNEL", "CH_POW2",
-    # processor replay (block mode)
+    # processor replay (resident replay)
     "MLP", "WINDOW",
-    # cache hierarchy (block mode, HAS_CACHE): geometry and latencies
+    # cache hierarchy (resident cache filter): geometry and latencies
     "C1_SETS", "C1_ASSOC", "C1_HIT", "C2_SETS", "C2_ASSOC", "C2_HIT12",
     "C_MISS_LAT", "C_LINE_BYTES",
 )
@@ -73,11 +80,14 @@ CH_SLAB, CH_LINE, CH_ROW, CH_XOR = 0, 1, 2, 3
 #: Mutable scalar slots (``st[]``), loaded/stored around every call.
 ST_FIELDS = (
     # call arguments and buffer cursors
-    "N_REQ", "BLK_N", "BLK_NWB", "POS", "WB_PTR", "DONE",
-    "PEND_COUNT", "PEND_CAP", "OUT_COUNT", "HEAP_LEN", "HEAP_CAP",
-    "VIOL_COUNT", "VIOL_CAP", "LAT_COUNT",
-    "WRHIT_COUNT", "WRHIT_CAP", "NMAT", "FAW_HEAD", "FAW_LEN", "NEXT_RID",
-    "TBL_CAP",
+    "N_REQ", "PEND_COUNT", "PEND_CAP", "HEAP_LEN", "HEAP_CAP",
+    "VIOL_COUNT", "VIOL_CAP", "WRHIT_COUNT", "WRHIT_CAP", "NMAT",
+    "FAW_HEAD", "FAW_LEN", "TBL_CAP",
+    # resident replay (run_cores): live length of the ACTIVE list, sweep
+    # counter, the open sweep's order length and cursor, whether a core
+    # finished during it, and the core blockrun.py must serve next
+    "ACTIVE_N", "SWEEP", "SWEEP_N", "SWEEP_POS", "SWEEP_FINISHED",
+    "NEED_CORE",
     # controller cursors (SoftwareMemoryController)
     "SCHED_CURSOR", "DRAM_CURSOR", "EXEC_ANCHOR", "NEXT_REFRESH",
     "REFRESH_INDEX", "ARRIVAL_COUNTER", "CHARGED", "CRITICAL",
@@ -100,17 +110,44 @@ ST_FIELDS = (
     "B_PROGRAMS", "B_CYCLES",
     # device command counts (indexed by flat kind code)
     "CMD_ACT", "CMD_PRE", "CMD_PREA", "CMD_RD", "CMD_WR", "CMD_REF",
-    # EngineStats + event-queue sequence (block mode)
+    # EngineStats + event-queue sequence (resident replay)
     "E_GATES", "E_RELEASES", "E_REFRESHES", "E_BATCHED", "E_SKIPPED",
     "QSEQ",
-    # processor replay counters (block mode)
-    "P_CYCLES", "P_ACCESSES", "P_LOADS", "P_STORES", "P_COMPUTE",
-    "P_STALLS", "P_LLC_MISS", "P_WB_REQ",
-    # error reporting / remaining capacities
-    "ERR_ADDR", "LAT_CAP",
-    # resident cache filter (block mode): ticks and CacheStats counters
-    "HAS_CACHE", "C1_TICK", "C2_TICK",
+    # error reporting
+    "ERR_ADDR",
+)
+
+#: Per-core scalar slots of the resident replay: one ``CORE_STRIDE``
+#: record per core in the ``CORE_ST`` array.  Block cursor (length,
+#: writeback count, replay position, writeback pointer), block-stream
+#: state (a current block is loaded / the stream is exhausted / the
+#: block still needs the resident cache filter), completion, MLP window
+#: fill, the next request id, processor counters, latency-log fill and
+#: capacity, and the resident cache filter's ticks and stats.
+CORE_FIELDS = (
+    "BLK_N", "BLK_NWB", "POS", "WB_PTR",
+    "HAS_BLOCK", "EXHAUSTED", "FRESH", "DONE", "CORE_ID",
+    "OUT_COUNT", "NEXT_RID",
+    "CYCLES", "ACCESSES", "LOADS", "STORES", "COMPUTE", "STALLS",
+    "LLC_MISS", "WB_REQ",
+    "LAT_COUNT", "LAT_CAP",
+    "C1_TICK", "C2_TICK",
     "C1_HITS", "C1_MISSES", "C1_WB", "C2_HITS", "C2_MISSES", "C2_WB",
+)
+
+#: Per-core array slots: the second ``int64*[]`` table the resident
+#: replay takes, ``CORE_PTR_FIELDS`` entries per core.  The current
+#: block (flags, gaps, byte addresses) and its cache traffic (latency,
+#: fill address, writeback index/address pairs), the MLP window of
+#: outstanding fills, the request-latency log, and the two cache levels'
+#: way state (tags/dirty/stamps ``[set * assoc]``, count/mru ``[set]``).
+CORE_PTR_FIELDS = (
+    "BLK_FLAGS", "BLK_GAP", "BLK_ADDR",
+    "BLK_LAT", "BLK_FILL", "BLK_WBIDX", "BLK_WBADDR",
+    "OUT_TAG", "OUT_ISSUE", "OUT_RELEASE", "OUT_RID",
+    "LATENCIES",
+    "C1_TAGS", "C1_DIRTY", "C1_STAMPS", "C1_COUNT", "C1_MRU",
+    "C2_TAGS", "C2_DIRTY", "C2_STAMPS", "C2_COUNT", "C2_MRU",
 )
 
 #: Array slots handed to the kernel as one ``int64*[]``.
@@ -130,25 +167,21 @@ PTR_FIELDS = (
     "PLAN_CHARGE", "PLAN_MEASURED", "PLAN_POSTFLUSH",
     # logs: violations (stride VIOL_STRIDE), materialized rows, WR hits
     "VIOL", "MAT_KEYS", "WRHIT",
-    # request batch (serve_batch entry; sorted by tag)
+    # request batch (serve_batch entry, and the resident replay's
+    # tag-sorted copy of a multi-core gate's pending requests)
     "REQ_TAG", "REQ_ADDR", "REQ_FLAGS", "REQ_CORE",
     "REQ_RELEASE", "REQ_SERVICE", "TRACKER",
     # request-table scratch (stride TBL_STRIDE)
     "TBL",
-    # block replay inputs (run_block entry)
-    "BLK_FLAGS", "BLK_GAP", "BLK_LAT", "BLK_FILL",
-    "BLK_WBIDX", "BLK_WBADDR",
-    # pending requests created since the last gate
+    # resident replay: per-core scalar records, the active core list and
+    # the open sweep's order
+    "CORE_ST", "ACTIVE", "SWEEP_ORDER",
+    # pending requests created since the last gate, in sweep order (core
+    # id, run position), plus the stable tag-sort's index scratch
     "PEND_TAG", "PEND_ADDR", "PEND_FLAGS", "PEND_RID", "PEND_RELEASE",
-    # MLP window of outstanding fills
-    "OUT_TAG", "OUT_ISSUE", "OUT_RELEASE", "OUT_RID",
-    # event heap (stride 4: time, seq, kind, payload) + latency log
-    "HEAP", "LATENCIES",
-    # resident cache filter (block mode): byte addresses per access and
-    # per-level way state (tags/dirty/stamps [set*assoc], count/mru [set])
-    "BLK_ADDR",
-    "C1_TAGS", "C1_DIRTY", "C1_STAMPS", "C1_COUNT", "C1_MRU",
-    "C2_TAGS", "C2_DIRTY", "C2_STAMPS", "C2_COUNT", "C2_MRU",
+    "PEND_CORE", "PEND_POS", "PEND_ORDER", "PEND_SCRATCH",
+    # event heap (stride 4: time, seq, kind, payload)
+    "HEAP",
 )
 
 #: Violation log record: kind, bank, row, col, time_ps, earliest_ps, code.
@@ -179,6 +212,8 @@ FLAG_PREFETCH = 2
 
 #: Kernel return codes.
 KERN_OK = 0
+KERN_NEED_BLOCK = 1         # run_cores: hand core NEED_CORE its next block
+KERN_NEED_ROOM = 2          # run_cores: flush the logs, grow the buffers
 KERR_FAW_OVERFLOW = -1      # tFAW ring exceeded FAW_CAP (unreachable)
 KERR_VIOL_OVERFLOW = -2     # violation log full
 KERR_HEAP_OVERFLOW = -3     # event heap full (pathological storm)
@@ -186,6 +221,11 @@ KERR_PEND_OVERFLOW = -4     # pending-request buffer full
 KERR_DECODE_RANGE = -5      # strict decode out of range (pre-scan)
 KERR_DEADLOCK = -6          # gate with no pending requests
 KERR_BAD_KIND = -7          # plan contained an unexpected command kind
+
+#: Event-heap headroom (entries) the resident replay keeps free on top
+#: of a gate's release pushes: covers every refresh deadline one
+#: episode could span.
+HEAP_SLACK = 4096
 
 #: tFAW ring capacity; far beyond the <= 4 live entries the window holds.
 FAW_RING_CAP = 512
@@ -198,6 +238,8 @@ def _index_namespace(name: str, fields: tuple[str, ...]):
 Cfg = _index_namespace("Cfg", CFG_FIELDS)
 St = _index_namespace("St", ST_FIELDS)
 Ptr = _index_namespace("Ptr", PTR_FIELDS)
+Core = _index_namespace("Core", CORE_FIELDS)
+CorePtr = _index_namespace("CorePtr", CORE_PTR_FIELDS)
 
 
 def render_defines() -> str:
@@ -209,11 +251,20 @@ def render_defines() -> str:
         lines.append(f"#define ST_{f} {i}")
     for i, f in enumerate(PTR_FIELDS):
         lines.append(f"#define P_{f} {i}")
+    for i, f in enumerate(CORE_FIELDS):
+        lines.append(f"#define CS_{f} {i}")
+    for i, f in enumerate(CORE_PTR_FIELDS):
+        lines.append(f"#define CP_{f} {i}")
     lines += [
         f"#define VIOL_STRIDE {VIOL_STRIDE}",
         f"#define TBL_STRIDE {TBL_STRIDE}",
         f"#define WRHIT_STRIDE {WRHIT_STRIDE}",
+        f"#define CORE_STRIDE {len(CORE_FIELDS)}",
+        f"#define CP_COUNT {len(CORE_PTR_FIELDS)}",
         f"#define KERN_OK {KERN_OK}",
+        f"#define KERN_NEED_BLOCK {KERN_NEED_BLOCK}",
+        f"#define KERN_NEED_ROOM {KERN_NEED_ROOM}",
+        f"#define HEAP_SLACK {HEAP_SLACK}",
         f"#define KERR_FAW_OVERFLOW {KERR_FAW_OVERFLOW}",
         f"#define KERR_VIOL_OVERFLOW {KERR_VIOL_OVERFLOW}",
         f"#define KERR_HEAP_OVERFLOW {KERR_HEAP_OVERFLOW}",
@@ -249,8 +300,9 @@ class KernelState:
     One instance is attached per :class:`SoftwareMemoryController` the
     first time its kernel path engages.  ``load``/``store`` cover the
     *controller-side* state (cursors, flat timing arrays, statistics);
-    the block-mode driver additionally syncs the processor/engine fields
-    it owns.
+    the resident replay (:mod:`~repro.dram.kernel.blockrun`)
+    additionally syncs the per-core processor/cache records and the
+    engine fields it owns.
     """
 
     def __init__(self, smc) -> None:
@@ -401,35 +453,24 @@ class KernelState:
         self.req_release = _arr(0)
         self.req_service = _arr(0)
         self.tbl = _arr(0)
-        # Block-mode buffers (allocated by the block driver).
-        self.blk_flags = _arr(0)
-        self.blk_gap = _arr(0)
-        self.blk_lat = _arr(0)
-        self.blk_fill = _arr(0)
-        self.blk_wbidx = _arr(0)
-        self.blk_wbaddr = _arr(0)
+        # Resident-replay buffers (sized by blockrun).
+        self.core_st = _arr(0)
+        self.active = _arr(0)
+        self.sweep_order = _arr(0)
         self.pend_tag = _arr(0)
         self.pend_addr = _arr(0)
         self.pend_flags = _arr(0)
         self.pend_rid = _arr(0)
         self.pend_release = _arr(0)
-        self.out_tag = _arr(0)
-        self.out_issue = _arr(0)
-        self.out_release = _arr(0)
-        self.out_rid = _arr(0)
+        self.pend_core = _arr(0)
+        self.pend_pos = _arr(0)
+        self.pend_order = _arr(0)
+        self.pend_scratch = _arr(0)
         self.heap = _arr(0)
-        self.latencies = _arr(0)
-        self.blk_addr = _arr(0)
-        self.c1_tags = _arr(0)
-        self.c1_dirty = _arr(0)
-        self.c1_stamps = _arr(0)
-        self.c1_count = _arr(0)
-        self.c1_mru = _arr(0)
-        self.c2_tags = _arr(0)
-        self.c2_dirty = _arr(0)
-        self.c2_stamps = _arr(0)
-        self.c2_count = _arr(0)
-        self.c2_mru = _arr(0)
+        #: Per-core slot sets of the resident replay (see bind_cores).
+        self.cores: list[CoreSlots] = []
+        self._ncores = 0
+        self._core_table = None
         #: Memoized ctypes slot table; any buffer swap clears it.
         self._ptr_table = None
 
@@ -822,7 +863,6 @@ class KernelState:
         """The ``int64*[]`` slot table, rebuilt when a buffer is swapped."""
         if self._ptr_table is not None:
             return self._ptr_table
-        import ctypes
         arrays = (
             self.cfg, self.st,
             self.last_act, self.last_pre, self.last_read, self.last_write,
@@ -836,24 +876,77 @@ class KernelState:
             self.req_tag, self.req_addr, self.req_flags, self.req_core,
             self.req_release, self.req_service, self.tracker_out,
             self.tbl,
-            self.blk_flags, self.blk_gap, self.blk_lat, self.blk_fill,
-            self.blk_wbidx, self.blk_wbaddr,
+            self.core_st, self.active, self.sweep_order,
             self.pend_tag, self.pend_addr, self.pend_flags, self.pend_rid,
-            self.pend_release,
-            self.out_tag, self.out_issue, self.out_release, self.out_rid,
-            self.heap, self.latencies,
-            self.blk_addr,
-            self.c1_tags, self.c1_dirty, self.c1_stamps, self.c1_count,
-            self.c1_mru,
-            self.c2_tags, self.c2_dirty, self.c2_stamps, self.c2_count,
-            self.c2_mru,
+            self.pend_release, self.pend_core, self.pend_pos,
+            self.pend_order, self.pend_scratch,
+            self.heap,
         )
         assert len(arrays) == len(PTR_FIELDS)
-        p64 = ctypes.POINTER(ctypes.c_int64)
-        table = (p64 * len(arrays))()
-        null = ctypes.cast(None, p64)
+        table = (_P64 * len(arrays))()
         for i, arr in enumerate(arrays):
-            table[i] = arr.ctypes.data_as(p64) if arr.size else null
+            table[i] = _pointer(arr)
         self._keepalive = arrays
         self._ptr_table = table
         return table
+
+    # -- resident replay: per-core slot tables -------------------------------
+
+    def bind_cores(self, n: int) -> list[CoreSlots]:
+        """Zeroed per-core records (and slot sets) for an ``n``-core run."""
+        width = len(CORE_FIELDS)
+        if self.core_st.shape[0] != n * width:
+            self.core_st = _arr(n * width)
+            self.active = _arr(n)
+            self.sweep_order = _arr(n)
+            self._ptr_table = None
+        else:
+            self.core_st[:] = 0
+        while len(self.cores) < n:
+            self.cores.append(CoreSlots())
+        cores = self.cores[:n]
+        for i, core in enumerate(cores):
+            core.st = self.core_st[i * width:(i + 1) * width]
+        self._ncores = n
+        self._core_table = None
+        return cores
+
+    def core_pointer_table(self):
+        """The per-core ``int64*[]`` table (``CORE_PTR_FIELDS`` per core)."""
+        if self._core_table is not None:
+            return self._core_table
+        count = len(CORE_PTR_FIELDS)
+        table = (_P64 * (self._ncores * count))()
+        for i, core in enumerate(self.cores[:self._ncores]):
+            for f, name in enumerate(_CORE_ATTRS):
+                table[i * count + f] = _pointer(getattr(core, name))
+        self._core_table = table
+        return table
+
+    def set_core_array(self, index: int, field: int, arr: np.ndarray) -> None:
+        """Swap one per-core buffer, patching the live table in place."""
+        setattr(self.cores[index], _CORE_ATTRS[field], arr)
+        if self._core_table is not None:
+            self._core_table[index * len(CORE_PTR_FIELDS) + field] = \
+                _pointer(arr)
+
+
+class CoreSlots:
+    """One core's resident-replay buffers: the ``CORE_PTR_FIELDS`` arrays
+    (lower-cased attribute names) plus ``st``, its ``CORE_FIELDS`` record
+    (a view into :attr:`KernelState.core_st`)."""
+
+    def __init__(self) -> None:
+        self.st = _arr(len(CORE_FIELDS))
+        for name in _CORE_ATTRS:
+            setattr(self, name, _arr(0))
+
+
+_CORE_ATTRS = tuple(name.lower() for name in CORE_PTR_FIELDS)
+
+_P64 = ctypes.POINTER(ctypes.c_int64)
+_NULL = ctypes.cast(None, _P64)
+
+
+def _pointer(arr: np.ndarray):
+    return arr.ctypes.data_as(_P64) if arr.size else _NULL

@@ -146,7 +146,7 @@ SWEEP = register(SweepSpec(
                  "unfairness", "row-hit rate", "emulated ms"),
     description="multi-core contention: slowdown, max/min fairness, and"
                 " row-hit rate for FCFS vs FR-FCFS on a shared channel",
-    runtime="~3 s"))
+    runtime="~1 s"))
 
 
 def report(result: dict) -> str:

@@ -184,7 +184,7 @@ SWEEP = register(SweepSpec(
                  "max slowdown", "unfairness", "frontier"),
     description="scheduler x mix x topology sweep: weighted-speedup vs"
                 " max-slowdown fairness/throughput frontier per group",
-    runtime="~30 s"))
+    runtime="~15 s"))
 
 
 def report(result: dict) -> str:

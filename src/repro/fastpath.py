@@ -17,17 +17,8 @@ control it:
     the same emulation; the default amortizes per-block overhead without
     hurting locality.
 
-``REPRO_MC_MATERIALIZE``
-    Multi-core workload mixes (:mod:`repro.core.workload_mix`) run each
-    workload at least twice — solo for the slowdown baseline and again
-    under contention.  By default the mix runner materializes each
-    workload's access blocks once (:class:`~repro.cpu.blocks.
-    MaterializedBlocks`) and replays them for every run; ``0`` falls
-    back to regenerating the trace per run.  Results are identical
-    either way.
-
 All knobs are read when a component is *constructed* (system, session,
-processor feed, mix run), never per access, so tests can flip them per
+processor feed), never per access, so tests can flip them per
 system via ``monkeypatch.setenv`` without reloading modules.
 """
 
@@ -44,12 +35,6 @@ _FALSE = ("0", "false", "no", "off")
 def fastpath_enabled() -> bool:
     """Whether the array-native fast paths are active (default: yes)."""
     return os.environ.get("REPRO_FASTPATH", "").strip().lower() not in _FALSE
-
-
-def mix_materialize_enabled() -> bool:
-    """Whether workload mixes pre-materialize block traces (default: yes)."""
-    return os.environ.get("REPRO_MC_MATERIALIZE", "").strip().lower() \
-        not in _FALSE
 
 
 def block_accesses() -> int:

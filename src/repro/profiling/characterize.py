@@ -163,7 +163,7 @@ class LayerTimes:
         self.cache = 0.0
         self.smc = 0.0       # inclusive (device time is subtracted on report)
         self.device = 0.0
-        self.kernel = 0.0    # compiled serve kernel (both entry points)
+        self.kernel = 0.0    # compiled serve kernel (every entry point)
         self.total = 0.0
         #: Why kernel serves fell back to the Python paths: reason -> count.
         self.kernel_fallbacks: dict = {}
@@ -284,8 +284,10 @@ def measure_layers():
                     SoftwareMemoryController.service_pending_kernel))
     SoftwareMemoryController.service_pending_kernel = timed_kernel(
         SoftwareMemoryController.service_pending_kernel, 0)
-    patches.append((blockrun, "run_gated_kernel", blockrun.run_gated_kernel))
-    blockrun.run_gated_kernel = timed_kernel(blockrun.run_gated_kernel, 3)
+    for name in ("run_gated_kernel", "run_cores_kernel"):
+        original = getattr(blockrun, name)
+        patches.append((blockrun, name, original))
+        setattr(blockrun, name, timed_kernel(original, 3))
 
     original_run_trace = Session.run_trace
     patches.append((Session, "run_trace", original_run_trace))

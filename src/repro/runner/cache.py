@@ -2,9 +2,9 @@
 
 A point's cache key hashes everything that determines its result: the
 function reference, its parameters, the artifact/point ids, and a
-fingerprint of the ``repro`` package's source code — so editing the
-simulator invalidates every cached result while re-runs of an unchanged
-tree hit the cache.  Values are the JSON-normalized point results, one
+fingerprint of the ``repro`` package's source code (the Python modules
+and the serve kernel's C) — so editing the simulator invalidates every
+cached result while re-runs of an unchanged tree hit the cache.  Values are the JSON-normalized point results, one
 file per point under ``<cache root>/<artifact>/<key>.json``.
 
 The cache root defaults to ``.repro-cache`` and can be moved with the
@@ -25,14 +25,32 @@ from repro.runner.spec import SweepPoint
 _MISS = object()
 
 
+#: Source suffixes whose content determines results: the Python package
+#: and the compiled serve kernel's C source.
+SOURCE_SUFFIXES = (".py", ".c")
+
+
 @lru_cache(maxsize=1)
 def code_fingerprint() -> str:
-    """Hash of every ``.py`` file in the installed ``repro`` package."""
+    """Hash of every source file in the installed ``repro`` package."""
     import repro
 
-    root = Path(repro.__file__).resolve().parent
+    return tree_fingerprint(Path(repro.__file__).resolve().parent)
+
+
+def tree_fingerprint(root: Path) -> str:
+    """Hash of every ``.py`` and ``.c`` source file under ``root``.
+
+    Build caches (``_cache`` directories, where the kernel backend
+    writes its rendered C and shared objects) are skipped: they follow
+    from the sources and appear as a side effect of running.
+    """
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
+    paths = sorted(
+        path for path in root.rglob("*")
+        if path.suffix in SOURCE_SUFFIXES and path.is_file()
+        and "_cache" not in path.relative_to(root).parts)
+    for path in paths:
         digest.update(str(path.relative_to(root)).encode())
         digest.update(b"\0")
         digest.update(path.read_bytes())

@@ -69,14 +69,6 @@ class TestEquivalence:
         fast = run_snapshot(config, "event", MIX2)
         assert slow == fast
 
-    def test_materialization_is_pure_host_optimization(self, monkeypatch):
-        config = small_config()
-        monkeypatch.setenv("REPRO_MC_MATERIALIZE", "0")
-        regen = run_snapshot(config, "event", MIX2)
-        monkeypatch.setenv("REPRO_MC_MATERIALIZE", "1")
-        mat = run_snapshot(config, "event", MIX2)
-        assert regen == mat
-
     def test_deterministic_repeat(self):
         config = small_config()
         assert run_snapshot(config, "event", MIX4) == \

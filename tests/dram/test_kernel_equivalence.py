@@ -300,7 +300,13 @@ def test_batch_kernel_engages(scheduler, topology, monkeypatch):
 
     Without this, a silent structural fallback on the stateful zoo or
     the two-rank channel would turn the cases above into flat-vs-flat.
+    The resident replay is declined here so the mix runs the per-gate
+    burst loop, whose batches the batch entry point serves.
     """
+    from repro.dram.kernel import blockrun
+
+    monkeypatch.setattr(blockrun, "run_cores_kernel",
+                        lambda engine, session, procs, smc: False)
     original = smc_module.SoftwareMemoryController.service_pending_kernel
     calls = []
 
@@ -346,3 +352,202 @@ def test_kernel_actually_engages():
         blockrun.run_gated_kernel = original
     assert engaged and all(engaged), \
         "block-replay kernel never engaged on the eligible config"
+
+
+# -- the resident multi-core replay ------------------------------------------
+#
+# ``EventEngine.run_cores`` replays eligible block mixes resident in the
+# kernel (``blockrun.run_cores_kernel``).  One shared system runs three
+# ways — resident, the Python burst loop (``REPRO_KERNEL=0``) and the
+# ``CycleEngine`` reference — and every observable must agree, down to
+# the state the event engine leaves behind (``EngineStats``, the final
+# event heap), per-core request latencies and request-id counters, both
+# cache levels' contents, and the scheduler's ranking state.
+
+RESIDENT_MODES = (
+    *((("resident", "event", "c"),) if HAVE_KERNEL else ()),
+    ("burst", "event", "0"),
+    ("cycle", "cycle", "0"),
+)
+
+#: Accesses per block: small, so every core crosses several block
+#: hand-overs mid-sweep.
+_BLOCK = 256
+
+KiB = 1024
+
+
+def _core_blocks(core: int, uneven: bool) -> list[AccessBlock]:
+    """Core ``core``'s trace (its own 1 MiB region), as a block list.
+
+    Copy, chase, init and touch stand in for the zoo's stream/victim
+    mix at a fraction of the length; ``uneven`` shrinks the odd cores'
+    traces so they finish many sweeps early.
+    """
+    from repro.workloads import lmbench, microbench
+
+    base = core * 1024 * KiB
+    size = 4 * KiB if uneven and core % 2 else 24 * KiB
+    build = (
+        lambda: microbench.cpu_copy_blocks(base, base + size, size,
+                                           block=_BLOCK),
+        lambda: lmbench.pointer_chase_blocks(size, size // 16,
+                                             base_addr=base, block=_BLOCK),
+        lambda: microbench.cpu_init_blocks(base, size, block=_BLOCK),
+        lambda: microbench.touch_blocks(base, size, block=_BLOCK),
+    )[core % 4]
+    return list(build())
+
+
+def _cache_state(hierarchy) -> list:
+    return [(level._tags, level._dirty, level._stamps, level._mru,
+             level._tick, dataclasses.asdict(level.stats))
+            for level in (hierarchy.l1, hierarchy.l2)]
+
+
+def _run_resident(config, traces: list[list[AccessBlock]],
+                  engine: str) -> dict:
+    """One shared run of ``traces`` (one block list per core)."""
+    system = EasyDRAMSystem(config, engine=engine)
+    session = system.session("resident", engine=engine)
+    for _ in traces[1:]:
+        session.add_core()
+    session.run_cores([BlockTrace(iter(blocks)) for blocks in traces])
+    artifact = dataclasses.asdict(session.finish())
+    artifact.pop("wall_seconds")
+    artifact["smc"] = [dataclasses.asdict(smc.stats) for smc in system.smcs]
+    artifact["device"] = [dataclasses.asdict(c.tile.device.stats)
+                          for c in system.channels]
+    artifact["violations"] = _violations(system)
+    artifact["scheduler"] = [_scheduler_state(smc.scheduler)
+                             for smc in system.smcs]
+    artifact["counters"] = (system.counters.processor,
+                            system.counters.memory_controller)
+    artifact["cores"] = [
+        (list(c.processor.stats.request_latencies), next(c.processor._rid),
+         c.processor.done, _cache_state(c.hierarchy))
+        for c in session.cores]
+    if engine == "event":
+        artifact["engine"] = session.engine.stats.as_dict()
+        artifact["heap"] = list(session.engine.queue._heap)
+        artifact["seq"] = session.engine.queue._seq
+    return artifact
+
+
+def assert_resident_identical(config, traces) -> None:
+    artifacts = {}
+    for name, engine, kernel in RESIDENT_MODES:
+        with serve_mode("1", kernel):
+            artifacts[name] = _run_resident(config, traces, engine)
+    cycle = artifacts.pop("cycle")
+    burst = artifacts["burst"]
+    if "resident" in artifacts:
+        diff = [key for key in burst if artifacts["resident"][key] != burst[key]]
+        assert not diff, f"resident replay != burst loop in {diff}"
+    event_only = ("engine", "heap", "seq")
+    diff = [key for key in cycle if key not in event_only
+            and cycle[key] != burst[key]]
+    assert not diff, f"burst loop != CycleEngine in {diff}"
+
+
+def _resident_config(scheduler: str, topology: str, **controller):
+    base = jetson_nano_time_scaling()
+    return jetson_nano_time_scaling(
+        controller=ControllerConfig(scheduler=scheduler, **controller),
+        l1=dataclasses.replace(base.l1, size_bytes=2 * KiB),
+        l2=dataclasses.replace(base.l2, size_bytes=16 * KiB),
+    ).with_topology(topology)
+
+
+#: The two matrix cells that stay in tier-1.
+_TIER1 = {("batch", "ddr4-1ch-2rk", 4), ("fr-fcfs", "ddr4-1ch", 2)}
+
+
+@pytest.mark.parametrize("scheduler, topology, cores", [
+    pytest.param(s, t, n, marks=() if (s, t, n) in _TIER1 else
+                 pytest.mark.slow)
+    for s in ("fcfs", "fr-fcfs", "atlas", "bliss", "batch")
+    for t in ("ddr4-1ch", "ddr4-1ch-2rk")
+    for n in (2, 4)])
+def test_resident_mix_identical(scheduler, topology, cores):
+    """Every registry scheduler on one- and two-rank channels, 2/4 cores."""
+    assert_resident_identical(
+        _resident_config(scheduler, topology),
+        [_core_blocks(core, uneven=False) for core in range(cores)])
+
+
+@pytest.mark.slow
+def test_resident_uneven_traces_identical():
+    """Short traces finish early: the active list shrinks mid-sweep and
+    the sweep rotation runs over the survivors."""
+    assert_resident_identical(
+        _resident_config("atlas", "ddr4-1ch"),
+        [_core_blocks(core, uneven=True) for core in range(4)])
+
+
+@pytest.mark.slow
+def test_resident_empty_core_identical():
+    """A core with an empty trace finishes in its first burst."""
+    traces = [_core_blocks(core, uneven=False) for core in range(3)]
+    traces.insert(1, [])
+    assert_resident_identical(_resident_config("bliss", "ddr4-1ch-2rk"),
+                              traces)
+
+
+@pytest.mark.slow
+def test_resident_refresh_storm_identical():
+    """An 8x refresh storm: REFRESH events interleave the release pushes."""
+    config = dataclasses.replace(
+        _resident_config("fr-fcfs", "ddr4-1ch"),
+        interference=InterferenceConfig(refresh_storm_factor=8))
+    assert_resident_identical(
+        config, [_core_blocks(core, uneven=False) for core in range(4)])
+
+
+@pytest.mark.slow
+def test_resident_age_cap_identical():
+    """FR-FCFS with its anti-starvation age cap at 8."""
+    assert_resident_identical(
+        _resident_config("fr-fcfs", "ddr4-1ch", scheduler_age_cap=8),
+        [_core_blocks(core, uneven=False) for core in range(4)])
+
+
+@pytest.mark.slow
+def test_resident_lockstep_cores_identical():
+    """Equal-length independent-load streams at different compute gaps:
+    the cores gate in lockstep, so every batch merges overlapping tag
+    runs, and the run ends on a shared gate whose release events (pushed
+    in sweep order, drained only to the slower core's cycle) stay in the
+    final heap."""
+    traces = [[AccessBlock([(core << 20) + LINE * i for i in range(j, j + 96)],
+                           [0] * 96, [1 + 2 * core] * 96)
+               for j in range(0, 480, 96)]
+              for core in range(3)]
+    assert_resident_identical(_resident_config("fr-fcfs", "ddr4-1ch"),
+                              traces)
+
+
+@needs_kernel
+@pytest.mark.parametrize("scheduler", ("fcfs", "fr-fcfs", "atlas", "bliss",
+                                       "batch"))
+@pytest.mark.parametrize("topology", ("ddr4-1ch", "ddr4-1ch-2rk"))
+def test_resident_replay_engages(scheduler, topology, monkeypatch):
+    """Guard: the zoo's mixes take the resident path, not the burst loop.
+
+    Without this, a silent fallback would turn the resident legs above
+    into burst-loop-vs-burst-loop and prove nothing about the kernel.
+    """
+    from repro.dram.kernel import blockrun
+
+    original = blockrun.run_cores_kernel
+    calls = []
+
+    def recording(engine, session, procs, smc):
+        engaged = original(engine, session, procs, smc)
+        calls.append((len(procs), engaged, smc.kernel_fallback_reason))
+        return engaged
+
+    monkeypatch.setattr(blockrun, "run_cores_kernel", recording)
+    with serve_mode("1", "c"):
+        _run_zoo(_zoo_config(scheduler, topology))
+    assert calls == [(4, True, None)]

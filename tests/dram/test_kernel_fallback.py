@@ -164,3 +164,153 @@ def test_engaged_batch_clears_the_reason(kernel_on):
     smc = _smc()
     assert smc.service_pending_kernel(_requests())
     assert smc.kernel_fallback_reason is None
+
+
+# -- the resident multi-core replay (blockrun.run_cores_kernel) --------------
+
+
+def _fed_mix(config=None, cores: int = 2):
+    """A system whose session has ``cores`` cores, each fed a short
+    block trace in its own region."""
+    from repro.workloads import microbench
+
+    system = EasyDRAMSystem(config or jetson_nano_time_scaling())
+    session = system.session("fallback")
+    for _ in range(cores - 1):
+        session.add_core()
+    for core in session.cores:
+        base = core.index << 20
+        core.processor.feed(microbench.touch_blocks(base, 8 * 1024))
+    return system, session
+
+
+def _declined(system, session) -> str | None:
+    """Offer the fed mix to the resident replay; it must decline without
+    touching anything.  Returns the recorded reason."""
+    from repro.dram.kernel import blockrun
+
+    procs = [core.processor for core in session.cores]
+    before = [proc.stats.accesses for proc in procs]
+    assert not blockrun.run_cores_kernel(session.engine, session, procs,
+                                         system.smc)
+    assert [proc.stats.accesses for proc in procs] == before
+    assert not any(proc.done for proc in procs)
+    return system.smc.kernel_fallback_reason
+
+
+def test_resident_multi_channel_topology():
+    from repro.dram.kernel import blockrun
+
+    system, session = _fed_mix(
+        jetson_nano_time_scaling().with_topology("ddr4-2ch"))
+    procs = [core.processor for core in session.cores]
+    assert not blockrun.run_cores_kernel(session.engine, session, procs,
+                                         system.smc)
+    # The channel façade has no single controller to record on.
+    assert blockrun._eligible(procs, system.smc) == "multi-channel topology"
+
+
+@needs_kernel
+def test_resident_prefetcher(kernel_on):
+    from repro.cpu.prefetch import PrefetchConfig
+
+    system, session = _fed_mix()
+    session.set_prefetcher(1, PrefetchConfig())
+    assert _declined(system, session) == "stream prefetcher installed"
+
+
+@needs_kernel
+def test_resident_channel_hook(kernel_on):
+    system, session = _fed_mix()
+    session.cores[0].processor.channel_hook = lambda addr: 0
+    assert _declined(system, session) == "multi-channel request routing"
+
+
+@needs_kernel
+def test_resident_serve_hook(kernel_on):
+    system, session = _fed_mix()
+    system.smc.serve_hook = lambda api, entry: None
+    assert _declined(system, session) == "technique episode (serve hook)"
+
+
+@needs_kernel
+def test_resident_staged_tile_state(kernel_on):
+    system, session = _fed_mix()
+    system.smc.api.stage_refresh()
+    assert _declined(system, session) == "staged tile state pending"
+
+
+@needs_kernel
+def test_resident_undrained_mlp_window(kernel_on):
+    system, session = _fed_mix()
+    session.cores[1].processor.outstanding.append(
+        MemoryRequest(rid=0, addr=0, is_write=False, tag=0))
+    assert _declined(system, session) == \
+        "MLP window not drained at trace start"
+
+
+def test_resident_kernel_disabled(monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL", "0")
+    system, session = _fed_mix()
+    assert _declined(system, session) == "disabled (REPRO_KERNEL=0)"
+
+
+def _outcome(kernel: str, monkeypatch, setup) -> tuple[type, str]:
+    """The exception a 2-core ``run_cores`` raises under ``kernel``."""
+    monkeypatch.setenv("REPRO_KERNEL", kernel)
+    system, session = _fed_mix()
+    traces = setup(session)
+    with pytest.raises(Exception) as info:
+        session.run_cores(traces)
+    return type(info.value), str(info.value)
+
+
+@needs_kernel
+def test_resident_deadlock_matches_burst_loop(monkeypatch):
+    """An unreleased fill nobody will serve: the same EmulationDeadlock."""
+    from repro.core.system import EmulationDeadlock
+    from repro.workloads import lmbench
+
+    def setup(session):
+        session.cores[1].processor.outstanding.append(
+            MemoryRequest(rid=0, addr=0, is_write=False, tag=0))
+        return [lmbench.pointer_chase_blocks(4096, 64, base_addr=core << 20)
+                for core in range(2)]
+
+    resident = _outcome("c", monkeypatch, setup)
+    burst = _outcome("0", monkeypatch, setup)
+    assert resident == burst
+    assert resident[0] is EmulationDeadlock
+
+
+@needs_kernel
+def test_resident_out_of_range_matches_burst_loop(monkeypatch):
+    """A strict address map names the same offender either way."""
+    from repro.cpu.blocks import AccessBlock, BlockTrace
+    from repro.workloads import microbench
+
+    def setup(session):
+        total = session.system.config.geometry.total_bytes
+        bad = BlockTrace(iter([AccessBlock(
+            [64 * i for i in range(8)] + [total + 4096, total + 64],
+            [0] * 10, [1] * 10)]))
+        return [microbench.touch_blocks(1 << 20, 8 * 1024), bad]
+
+    resident = _outcome("c", monkeypatch, setup)
+    burst = _outcome("0", monkeypatch, setup)
+    assert resident == burst
+    assert resident[0] is ValueError
+
+
+@needs_kernel
+def test_kernel_source_compiles_warning_free(tmp_path):
+    """The rendered kernel builds clean under -Wall -Wextra -Werror."""
+    import subprocess
+
+    source = tmp_path / "kernel.c"
+    source.write_text(cbackend._render_source())
+    proc = subprocess.run(
+        cbackend.compiler() + ["-Wall", "-Wextra", "-Werror",
+                               "-fsyntax-only", str(source)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -163,6 +163,28 @@ class TestCache:
         assert cache.key(a) == cache.key(a)
         assert len(code_fingerprint()) == 16
 
+    def test_fingerprint_sees_kernel_c_source(self, tmp_path):
+        """Editing the serve kernel's C moves the fingerprint (and with it
+        every cache key and serve-store row); build caches do not."""
+        import shutil
+        from pathlib import Path
+
+        import repro
+        from repro.runner.cache import tree_fingerprint
+
+        tree = tmp_path / "repro"
+        shutil.copytree(Path(repro.__file__).resolve().parent, tree,
+                        ignore=shutil.ignore_patterns("__pycache__",
+                                                      "_cache"))
+        before = tree_fingerprint(tree)
+        build = tree / "dram" / "kernel" / "_cache"
+        build.mkdir()
+        (build / "kernel-0123.c").write_text("/* rendered build copy */\n")
+        assert tree_fingerprint(tree) == before
+        source = tree / "dram" / "kernel" / "kernel.c"
+        source.write_text(source.read_text() + "/* edited */\n")
+        assert tree_fingerprint(tree) != before
+
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         point = SweepPoint(artifact="x", point_id="p", fn="m:f")

@@ -11,6 +11,8 @@ import importlib.util
 import json
 import os
 
+import pytest
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -229,6 +231,23 @@ class TestCliBench:
         assert rc == 0
         for layer in ("trace_gen", "cache", "smc", "device"):
             assert layer in out
+
+    def test_profile_attributes_resident_mix_to_kernel(self):
+        """A multi-core mix's resident replay is kernel time, not "other"
+        (and no Python cache filter runs at all)."""
+        from repro.core.config import jetson_nano_time_scaling
+        from repro.core.workload_mix import WorkloadMix, run_mix
+        from repro.dram.kernel import resolve_backend
+        from repro.profiling.characterize import layer_breakdown
+
+        if resolve_backend()[0] is None:
+            pytest.skip("no compiled kernel backend")
+        breakdown = layer_breakdown(
+            run_mix, jetson_nano_time_scaling(),
+            WorkloadMix.parse("stream+pointer_chase"), solo=False)
+        assert breakdown["kernel_s"] > 0
+        assert breakdown["cache_s"] == 0
+        assert breakdown["kernel_fallbacks"] == {}
 
     def test_profile_unknown_artifact(self, capsys):
         from repro.runner import cli

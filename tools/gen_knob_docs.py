@@ -66,21 +66,18 @@ ENV_DOCS: dict[str, tuple[str, str]] = {
         " `--jobs`)."),
     "REPRO_KERNEL": (
         "`auto`",
-        "Batch serve kernel: `auto` compiles the C inner loop (whole"
-        " critical-mode batches in one call) when a C compiler exists,"
-        " `0` disables it, `c` requires the compiled backend.  Without"
-        " the kernel the flat closures serve every batch; artifacts are"
+        "Serve kernel: `auto` compiles the C inner loop (whole"
+        " critical-mode batches in one call; eligible single-core block"
+        " traces and multi-core mixes replay resident) when a C compiler"
+        " exists, `0` disables it, `c` requires the compiled backend."
+        "  Without the kernel the Python engine loops and the flat"
+        " closures serve every batch; artifacts are"
         " bit-identical in every mode."),
     "REPRO_PREFETCH": (
         "off",
         "Stream prefetcher at every core boundary: `1` enables the"
         " defaults, `degree:distance` (e.g. `4:8`) tunes the window;"
         " prefetches are tagged and excluded from demand attribution."),
-    "REPRO_MC_MATERIALIZE": (
-        "on",
-        "`0` stops multi-core workload mixes from materializing each"
-        " workload's blocks once for reuse across the solo-baseline and"
-        " contended runs; results are identical either way."),
     "REPRO_RESULTS_DIR": (
         "`results/`",
         "Default `--out` directory for `repro run --format json|csv`."),
