@@ -1,9 +1,10 @@
 """Persistent emulation-speed benchmark harness.
 
 Runs the tagged performance workloads (the Figure 8 trace and the
-Figure 10 CPU-copy stream) under the event engine in three serve
-configurations — the object pipeline (baseline), the array-native fast
-path with the batch kernel off, and the batch serve kernel — and writes
+Figure 10 CPU-copy stream) in three serve configurations — the object
+reference oracle (baseline: the cycle engine on per-access traces with
+the kernel off), the event engine's array-native fast path with the
+batch kernel off, and the batch serve kernel — and writes
 ``BENCH_emulation.json``: per-workload wall time, accesses per second,
 the measured speedups, plus engine/revision/compiler metadata.  The
 kernel backend is warmed before any timing so its one-time compile cost
@@ -105,37 +106,36 @@ WORKLOADS: dict[str, Callable] = {
 }
 
 
-#: mode -> (REPRO_FASTPATH, REPRO_KERNEL); None leaves the knob at its
-#: default, so the "kernel" column measures what users actually get.
+#: mode -> (engine, REPRO_KERNEL, block traces); None leaves the knob
+#: at its default, so the "kernel" column measures what users actually
+#: get.  The baseline is the object reference oracle.
 MODES = {
-    "baseline": ("0", "0"),
-    "fastpath": ("1", "0"),
-    "kernel": ("1", None),
+    "baseline": ("cycle", "0", False),
+    "fastpath": ("event", "0", True),
+    "kernel": ("event", None, True),
 }
 
 
 def _run_once(driver: Callable, mode: str) -> tuple[float, dict]:
     """One emulation run; returns (wall seconds, observable artifact)."""
-    fastpath, kernel = MODES[mode]
-    saved = {k: os.environ.get(k) for k in ("REPRO_FASTPATH", "REPRO_KERNEL")}
-    os.environ["REPRO_FASTPATH"] = fastpath
+    engine, kernel, blocks = MODES[mode]
+    saved = os.environ.get("REPRO_KERNEL")
     if kernel is None:
         os.environ.pop("REPRO_KERNEL", None)
     else:
         os.environ["REPRO_KERNEL"] = kernel
     try:
-        system = EasyDRAMSystem(jetson_nano_time_scaling(), engine="event")
+        system = EasyDRAMSystem(jetson_nano_time_scaling(), engine=engine)
         session = system.session("bench")
         start = time.perf_counter()
-        driver(session, fastpath == "1")
+        driver(session, blocks)
         wall = time.perf_counter() - start
         result = session.finish()
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("REPRO_KERNEL", None)
+        else:
+            os.environ["REPRO_KERNEL"] = saved
     artifact = dataclasses.asdict(result)
     artifact.pop("wall_seconds")
     artifact["smc"] = dataclasses.asdict(system.smc.stats)
@@ -200,8 +200,8 @@ def check_spec_overhead(report: dict,
                         budget: float = SPEC_OVERHEAD_BUDGET) -> list[str]:
     """Spec-compilation overhead failures (empty = pass).
 
-    The denominator is the report's own fig08 emulation wall (fast path
-    off), so both sides of the ratio come from the same host and
+    The denominator is the report's own fig08 emulation wall (the
+    reference baseline), so both sides of the ratio come from the same host and
     process and the gate does not drift with machine speed.
     """
     overhead = report.get("spec_overhead")

@@ -58,13 +58,13 @@ def _run(engine: str) -> tuple[dict, float, object]:
 
 
 def test_fastpath_bit_identical_and_3x_faster(once):
-    """The array-native fast path: >= 3x over the PR 2 object pipeline.
+    """The array-native fast path: >= 3x over the object reference.
 
     Runs the harness's tagged workloads (the fig08 trace and the fig10
-    CPU-copy stream) with ``REPRO_FASTPATH`` on and off on the event
-    engine — the off side is exactly the PR 2 batched path — asserting
-    bit-identical artifacts (the harness itself raises otherwise) and
-    the tentpole's additional >= 3x host speedup on both.
+    CPU-copy stream) on the event engine's fast path (kernel off) and on
+    the reference oracle (cycle engine, per-access traces, kernel off),
+    asserting bit-identical artifacts (the harness itself raises
+    otherwise) and a >= 3x host speedup on both.
     """
     from benchmarks import harness
 
@@ -80,7 +80,7 @@ def test_fastpath_bit_identical_and_3x_faster(once):
     for row in report["results"]:
         assert row["speedup"] >= 3.0, (
             f"{row['workload']}: fast path only {row['speedup']:.2f}x over"
-            " the PR 2 baseline (need 3x)")
+            " the reference baseline (need 3x)")
 
 
 def test_event_engine_bit_identical_and_2x_faster(once):

@@ -58,6 +58,10 @@ class ChannelSet:
             raise ValueError("ChannelSet requires at least two channels")
         self.channels = channels
         self.smcs = [c.smc for c in channels]
+        #: Why the resident kernel replay last declined this topology
+        #: (``repro profile`` reports it); each channel's controller
+        #: keeps its own batch-kernel reason.
+        self.kernel_fallback_reason = None
 
     # -- request servicing --------------------------------------------------
 

@@ -22,7 +22,6 @@ from repro.core.tile import EasyTile
 from repro.cpu.processor import MemoryRequest
 from repro.dram.address import DramAddress
 from repro.dram.commands import Command, CommandKind
-from repro.fastpath import fastpath_enabled
 
 
 @dataclass(frozen=True)
@@ -77,11 +76,10 @@ class EasyAPI:
         self.executor: ProgramExecutor | None = None
         self.last_exec: ExecResult | None = None
         self.critical = False
-        # Conventional-sequence program pool (REPRO_FASTPATH): the
-        # open-page read/write/refresh programs have a fixed shape per
-        # row-buffer case, so the staged BenderProgram is built once and
-        # re-patched with bank/row/column instead of reallocated.
-        self._pool_enabled = fastpath_enabled()
+        # Conventional-sequence program pool: the open-page
+        # read/write/refresh programs have a fixed shape per row-buffer
+        # case, so the staged BenderProgram is built once and re-patched
+        # with bank/row/column instead of reallocated.
         self._conv_pool: dict[object, tuple[BenderProgram, list[Command], int]] = {}
         self._lent: BenderProgram | None = None
 
@@ -241,10 +239,10 @@ class EasyAPI:
         charges): on a pool hit the memoized program's commands are
         patched with this request's bank/row/column and the program is
         *lent* as the staged batch — :meth:`flush_commands` returns it to
-        the pool intact.  Falls back to the plain builders when pooling
-        is disabled or a partially staged program exists.
+        the pool intact.  Falls back to the plain builders when a
+        partially staged program exists.
         """
-        if not self._pool_enabled or self.program.instructions:
+        if self.program.instructions:
             if is_write:
                 self.write_sequence(dram)
             else:
@@ -284,7 +282,7 @@ class EasyAPI:
 
     def stage_refresh(self) -> None:
         """Stage the refresh burst via the program pool (see above)."""
-        if not self._pool_enabled or self.program.instructions:
+        if self.program.instructions:
             self.refresh_sequence()
             return
         entry = self._conv_pool.get("refresh")

@@ -19,10 +19,12 @@ emulated system does.
 :class:`EventEngine`
     The skip-ahead core.  The processor advances directly to its next
     scheduled event (the gate), the software memory controller services
-    the batch bank-parallel — planned command offsets plus the timing
-    checker's fused per-bank queries instead of staged programs — and
-    every response release and tREFI deadline crossed along the way is
-    tracked on an explicit :class:`~repro.core.events.EventQueue`.
+    the batch on its production serve ladder (compiled kernel, then the
+    flat closures: planned command offsets on flat timing state instead
+    of staged programs), and every response release and tREFI deadline
+    crossed along the way is tracked on an explicit
+    :class:`~repro.core.events.EventQueue`.  Block traces replay resident
+    in the compiled kernel when it is eligible.
     Technique episodes (RowClone, profiling, tRCD hooks) automatically
     fall back to the reference path, so DRAM techniques observe the
     exact machinery they manipulate.
@@ -43,8 +45,6 @@ skip-ahead schedule — so the engines themselves are topology-agnostic.
 from __future__ import annotations
 
 import os
-from heapq import heappop as _heappop
-from heapq import heappush as _heappush
 from typing import TYPE_CHECKING
 
 from repro.core.events import EngineStats, EventKind, EventQueue
@@ -57,6 +57,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle at runtime
 class EmulationDeadlock(Exception):
     """The processor is blocked but no requests are pending."""
 
+
+#: Raised by both engines (and the resident kernel replay) when no core
+#: can make progress.
+DEADLOCK_MESSAGE = "all cores blocked with no pending memory requests"
 
 #: Engine names accepted by :func:`make_engine` and ``REPRO_ENGINE``.
 ENGINE_NAMES = ("event", "cycle")
@@ -118,29 +122,13 @@ class CycleEngine:
         self.stats = EngineStats()
 
     def run_trace(self, session: "Session", trace: Trace) -> None:
-        """Execute one trace segment to completion (Fig 5/6 flow)."""
-        proc = session.processor
-        counters = session.system.counters
-        smc = session.system.smc
-        pending = session._pending
-        proc.feed(trace)
-        while True:
-            burst = proc.execute_burst()
-            counters.advance_processor(proc.cycles)
-            pending.extend(burst.new_requests)
-            if burst.done:
-                if pending:
-                    smc.service_pending(pending)
-                    self.stats.releases += len(pending)
-                    pending.clear()
-                break
-            if not pending:
-                raise EmulationDeadlock(
-                    "processor blocked with no pending memory requests")
-            self.stats.gates += 1
-            smc.service_pending(pending)
-            self.stats.releases += len(pending)
-            pending.clear()
+        """Execute one trace segment to completion (Fig 5/6 flow).
+
+        The one-core case of :meth:`run_cores`: feed, then the burst
+        loop over ``[processor]``.
+        """
+        session.processor.feed(trace)
+        self.run_cores(session, [session.processor])
 
     def run_cores(self, session: "Session", procs: list) -> None:
         """Drive N already-fed cores to completion (multi-core contention).
@@ -148,8 +136,7 @@ class CycleEngine:
         The single-core flow generalized: every runnable core bursts to
         its gate (round-robin, rotating the start core each sweep), the
         merged pending batch is serviced in one critical-mode episode,
-        and the sweep repeats until every core's trace drains.  With one
-        core this loop is exactly :meth:`run_trace` minus the feed.
+        and the sweep repeats until every core's trace drains.
         """
         counters = session.system.counters
         smc = session.system.smc
@@ -166,8 +153,7 @@ class CycleEngine:
                 self.stats.releases += len(pending)
                 pending.clear()
             elif active and not (produced or finished):
-                raise EmulationDeadlock(
-                    "all cores blocked with no pending memory requests")
+                raise EmulationDeadlock(DEADLOCK_MESSAGE)
 
 
 class EventEngine:
@@ -178,125 +164,57 @@ class EventEngine:
     def __init__(self) -> None:
         self.queue = EventQueue()
         self.stats = EngineStats()
-        self._proc_period = 0  # set on first run_trace
+        self._proc_period = 0  # set on first run
 
     def run_trace(self, session: "Session", trace: Trace) -> None:
         """Execute one trace segment, hopping event to event.
 
-        The loop below *is* the skip-ahead schedule: ``execute_burst``
-        advances the processor straight to the next gate (consuming any
-        release events the jump reaches), the batched service episode
-        moves the controller cursors request to request, and
-        :meth:`EventQueue.drain_until` accounts for everything the jump
-        passed over — including refresh deadlines that landed inside the
-        skipped interval and were issued, at their exact emulated times,
-        during the episode.
+        The one-core case of :meth:`run_cores`: feed, then (for a block
+        trace) the resident kernel replay, falling back to the burst
+        loop over ``[processor]``.
         """
         proc = session.processor
-        counters = session.system.counters
-        smc = session.system.smc
-        pending = session._pending
-        queue = self.queue
-        stats = self.stats
         self._proc_period = session._proc_period
         proc.feed(trace)
         if proc.in_block_mode:
-            # Whole-trace kernel replay (REPRO_KERNEL): the single-core
-            # case of the resident run_cores loop, one load/store per
-            # trace.
             from repro.dram.kernel import blockrun
-            if blockrun.run_gated_kernel(self, session, proc, smc):
+            if blockrun.run_gated_kernel(self, session, proc,
+                                         session.system.smc):
                 return
-            # Inverted control: the block replay loop services gates in
-            # place (no per-gate burst return/re-entry).  The callback
-            # body is exactly one iteration of the loop below, with the
-            # event-queue push/drain inlined (entries and sequence
-            # numbers identical to EventQueue.push/drain_until).
-            advance = counters.advance_processor
-            service_batched = smc.service_pending_batched
-            note_refresh = self._note_refresh
-            heap = queue._heap
-            heappush = _heappush
-            heappop = _heappop
-            release_kind = EventKind.RELEASE
-
-            def gate(new_requests: list, done: bool) -> None:
-                cycles = proc.cycles
-                advance(cycles)
-                if not new_requests:
-                    if done:
-                        return
-                    raise EmulationDeadlock(
-                        "processor blocked with no pending memory requests")
-                if not done:
-                    stats.gates += 1
-                if service_batched(new_requests, refresh_sink=note_refresh):
-                    stats.batched_episodes += 1
-                else:
-                    stats.fallback_episodes += 1
-                stats.releases += len(new_requests)
-                seq = queue._seq
-                for request in new_requests:
-                    release = request.release
-                    if release is not None:
-                        heappush(heap, (release, seq, release_kind,
-                                        request.rid))
-                        seq += 1
-                queue._seq = seq
-                if done:
-                    return
-                skipped = 0
-                while heap and heap[0][0] <= cycles:
-                    heappop(heap)
-                    skipped += 1
-                stats.events_skipped += skipped
-
-            proc.execute_gated(gate)
-            return
-        while True:
-            burst = proc.execute_burst()
-            counters.advance_processor(proc.cycles)
-            pending.extend(burst.new_requests)
-            if burst.done:
-                if pending:
-                    self._service(smc, pending)
-                    pending.clear()
-                break
-            if not pending:
-                raise EmulationDeadlock(
-                    "processor blocked with no pending memory requests")
-            stats.gates += 1
-            self._service(smc, pending)
-            pending.clear()
-            # Events scheduled at or before the gate — releases the
-            # processor's jump already passed, refresh deadlines that
-            # landed inside the skipped interval — were absorbed without
-            # dedicated host work; drain them so the queue stays small.
-            stats.events_skipped += queue.drain_until(proc.cycles)
+        self._burst_loop(session, [proc])
 
     def run_cores(self, session: "Session", procs: list) -> None:
         """Drive N already-fed cores to completion (multi-core contention).
 
-        The skip-ahead loop generalized to N request streams: cores
-        burst to their gates round-robin (block traces replay on the
-        array-native block path inside ``execute_burst``), the merged
-        batch is serviced bank-parallel, and the event queue drains to
-        the slowest core's cycle — an event is only "passed" once every
-        core's jump is beyond it.  Eligible block mixes run this very
-        loop resident in the compiled kernel (REPRO_KERNEL), with one
-        load/store per call; the burst loop below is the fallback.
+        Eligible block mixes replay resident in the compiled kernel
+        (REPRO_KERNEL), with one load/store per call; the burst loop
+        (:meth:`_burst_loop`) is the fallback.
+        """
+        self._proc_period = session._proc_period
+        active = [proc for proc in procs if not proc.done]
+        if active and all(proc.in_block_mode for proc in active):
+            from repro.dram.kernel import blockrun
+            if blockrun.run_cores_kernel(self, session, active,
+                                         session.system.smc):
+                return
+        self._burst_loop(session, active)
+
+    def _burst_loop(self, session: "Session", active: list) -> None:
+        """The skip-ahead loop over N request streams.
+
+        Cores burst to their gates round-robin (block traces replay on
+        the array-native block path inside ``execute_burst``), the
+        merged batch is serviced in one critical-mode episode, and the
+        event queue drains to the slowest core's cycle — an event is
+        only "passed" once every core's jump is beyond it.  Releases the
+        jumps already passed and refresh deadlines that landed inside
+        the skipped interval are absorbed without dedicated host work.
         """
         counters = session.system.counters
         smc = session.system.smc
         pending = session._pending
         queue = self.queue
         stats = self.stats
-        self._proc_period = session._proc_period
-        active = [proc for proc in procs if not proc.done]
-        if active and all(proc.in_block_mode for proc in active):
-            from repro.dram.kernel import blockrun
-            if blockrun.run_cores_kernel(self, session, active, smc):
-                return
         sweep = 0
         while active:
             produced, finished = _sweep_cores(active, counters, pending, sweep)
@@ -310,8 +228,7 @@ class EventEngine:
                     low = min(proc.cycles for proc in active)
                     stats.events_skipped += queue.drain_until(low)
             elif active and not (produced or finished):
-                raise EmulationDeadlock(
-                    "all cores blocked with no pending memory requests")
+                raise EmulationDeadlock(DEADLOCK_MESSAGE)
 
     # -- internals ------------------------------------------------------------
 
@@ -319,16 +236,16 @@ class EventEngine:
         """One critical-mode episode plus its event bookkeeping."""
         batched = smc.service_pending_batched(
             pending, refresh_sink=self._note_refresh)
+        stats = self.stats
         if batched:
-            self.stats.batched_episodes += 1
+            stats.batched_episodes += 1
         else:
-            self.stats.fallback_episodes += 1
-        queue = self.queue
+            stats.fallback_episodes += 1
+        stats.releases += len(pending)
+        push = self.queue.push
         for request in pending:
-            self.stats.releases += 1
             if request.release is not None:
-                queue.push(request.release, EventKind.RELEASE,
-                           payload=request.rid)
+                push(request.release, EventKind.RELEASE, request.rid)
 
     def _note_refresh(self, deadline_ps: int) -> None:
         """Record a serviced tREFI deadline on the event queue."""

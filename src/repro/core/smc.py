@@ -45,10 +45,8 @@ from repro.core.schedulers import (
 from repro.core.tile import EasyTile
 from repro.core.timescale import TimeScalingCounters
 from repro.cpu.processor import MemoryRequest
-from repro.dram.commands import Command, CommandKind
 from repro.dram.flat_timing import K_ACT, K_PRE, K_PREA, K_RD, K_REF, K_WR
 from repro.dram.timing import period_ps
-from repro.fastpath import fastpath_enabled
 
 
 @dataclass
@@ -80,7 +78,7 @@ _ROW_CASE = {"hit": 0, "miss": 1, "conflict": 2}
 
 #: Smallest batch the per-gate kernel entry is worth engaging for: the
 #: FFI load/store pair is a fixed cost, and below this size the
-#: select-free fastpath closures win (singletons are ~2x faster there).
+#: select-free flat closures win (singletons are ~2x faster there).
 #: Block traces never see this — their whole trace replays resident in
 #: the kernel (:mod:`repro.dram.kernel.blockrun`) regardless of gate
 #: size.  Every serve path stays bit-identical, so the cutover is pure
@@ -140,12 +138,9 @@ class SoftwareMemoryController(ProgramExecutor):
         self._issue_col = tile.device.issue_col
         self._bender = tile.engine
         self._mapper = tile.mapper
-        # Array-native fast path (REPRO_FASTPATH): memoized conventional
-        # command plans + flat timing-state queries.  Off, the batched
-        # path runs the PR 2 object pipeline unchanged.
-        self._fastpath = fastpath_enabled()
-        if self._fastpath:
-            self._build_plans()
+        # Memoized conventional command plans and the flat serve
+        # closures built over them (see service_pending_batched).
+        self._build_plans()
         # Compiled batch kernel (REPRO_KERNEL): resolved lazily on the
         # first eligible batch; see :meth:`service_pending_kernel`.
         self._kernel_state = None
@@ -163,9 +158,9 @@ class SoftwareMemoryController(ProgramExecutor):
     @scheduler.setter
     def scheduler(self, value: Scheduler) -> None:
         self._scheduler = value
-        # The fast-path episode functions close over the scheduler (its
+        # The flat episode functions close over the scheduler (its
         # select and decision-cost hooks); swapping it rebuilds them.
-        if getattr(self, "_fastpath", False) and hasattr(self, "_plans"):
+        if hasattr(self, "_plans"):
             self._decision_cost_1 = value.decision_cost(1)
             self._service_single = self._make_service_single()
             self._service_fast = self._make_service_fast()
@@ -179,15 +174,14 @@ class SoftwareMemoryController(ProgramExecutor):
 
         The tracker attributes every serviced request's direction and
         row-buffer outcome to the issuing core
-        (:class:`~repro.core.stats.CoreServiceTracker`).  The fast-path
+        (:class:`~repro.core.stats.CoreServiceTracker`).  The flat
         serve closures bind it at build time, so installing one rebuilds
         them — exactly like swapping the scheduler does.
         """
         self._core_tracker = tracker
-        if self._fastpath:
-            self._serve_flat_core = self._make_serve_flat()
-            self._service_single = self._make_service_single()
-            self._service_fast = self._make_service_fast()
+        self._serve_flat_core = self._make_serve_flat()
+        self._service_single = self._make_service_single()
+        self._service_fast = self._make_service_fast()
         self._kernel_state = None
         self._kernel_resolved = False
 
@@ -199,7 +193,10 @@ class SoftwareMemoryController(ProgramExecutor):
         concrete bank/row/column — those are patched in at issue time.
         Each entry is ``(kinds, offsets, total_cycles, stage_charge,
         measured_ps, post_flush_ps)`` with offsets in interface cycles,
-        reproducing :meth:`_plan_conventional` exactly.
+        reproducing the Bender engine's walk of the program
+        :meth:`EasyAPI.read_sequence` / ``write_sequence`` stage exactly:
+        one interface cycle per DDR command plus each WAIT rounded up to
+        the interface clock, minus the command's own cycle.
         """
         t = self.config.timing
         tck = t.tCK
@@ -401,18 +398,18 @@ class SoftwareMemoryController(ProgramExecutor):
     def service_pending_batched(
             self, requests: list[MemoryRequest],
             refresh_sink: Callable[[int], None] | None = None) -> bool:
-        """Serve every pending request on the batched bank-parallel path.
+        """Serve every pending request on the production serve ladder.
 
         Semantically identical to :meth:`service_pending` — same emulated
-        timeline, same statistics, same violation records — but the host
-        work per request collapses to integer arithmetic: the
-        conventional open-page command sequences are *planned* (command
-        kinds plus interface-cycle offsets) instead of staged through
+        timeline, same statistics, same violation records.  Batches of
+        :data:`_KERNEL_MIN_BATCH` or more try the compiled kernel first;
+        everything else runs the flat closures, where the host work per
+        request collapses to integer arithmetic: the conventional
+        open-page command sequences are *planned* (command kinds plus
+        interface-cycle offsets) instead of staged through
         :class:`BenderProgram` objects and walked by the Bender engine,
-        and every timing-legality question is answered by the timing
-        checker's batched per-bank query (:meth:`TimingChecker.earliest_ps`)
-        so independent banks are resolved in one fused pass instead of
-        one candidate object per (bank, constraint) pair.
+        and every timing-legality question is answered on the device's
+        flat timing state.
 
         Falls back to the reference path — and returns ``False`` — when a
         technique hook is installed or the tile holds state the planner
@@ -430,46 +427,14 @@ class SoftwareMemoryController(ProgramExecutor):
                 or len(self.api.program)):
             self.service_pending(requests)
             return False
-        if self._fastpath:
-            # Stateful schedulers must run selection once per serve, so
-            # the select-free singleton episode is reserved for the
-            # stateless policies.
-            if (len(requests) == 1 and not self.table
-                    and not self._scheduler.stateful):
-                self._service_single(requests[0], refresh_sink)
-            else:
-                self._service_fast(requests, refresh_sink)
-            return True
-        api = self.api
-        costs = api.costs
-        self.counters.enter_critical()
-        api.charged_cycles += costs.critical_toggle  # set_scheduling_state(True)
-        api.critical = True
-        arrivals = sorted(requests, key=lambda r: r.tag)
-        now = arrivals[0].tag * self._proc_period + self._req_bus_ps
-        if self.sched_cursor > now:
-            now = self.sched_cursor
-        self.sched_cursor = now
-        table = self.table
-        scheduler = self.scheduler
-        banks = self.tile.device.banks
-        while arrivals or table:
-            arrivals = self._transfer_arrivals_batched(arrivals)
-            if not table:
-                next_arrival = (arrivals[0].tag * self._proc_period
-                                + self._req_bus_ps)
-                if next_arrival > self.sched_cursor:
-                    self.sched_cursor = next_arrival
-                continue
-            self._maybe_refresh_batched(refresh_sink)
-            api.charged_cycles += scheduler.decision_cost(len(table))
-            entry = scheduler.select(table, banks)
-            table.remove(entry)
-            self._serve_batched(entry)
-        api.charged_cycles += costs.critical_toggle  # set_scheduling_state(False)
-        api.critical = False
-        self._sync_mc_counter()
-        self.counters.exit_critical()
+        # Stateful schedulers must run selection once per serve, so the
+        # select-free singleton episode is reserved for the stateless
+        # policies.
+        if (len(requests) == 1 and not self.table
+                and not self._scheduler.stateful):
+            self._service_single(requests[0], refresh_sink)
+        else:
+            self._service_fast(requests, refresh_sink)
         return True
 
     # -- compiled batch kernel (REPRO_KERNEL) --------------------------------------
@@ -481,11 +446,9 @@ class SoftwareMemoryController(ProgramExecutor):
         scheduler swaps, which re-resolve): the kernel reproduces the
         conventional open-page path under the registry schedulers only,
         so anything that adds per-command observable behavior it does
-        not model forces the fastpath closures.
+        not model forces the flat closures.
         """
         from repro.core.schedulers import SCHEDULERS
-        if not self._fastpath:
-            return "fastpath disabled (REPRO_FASTPATH=0)"
         scheduler = type(self._scheduler)
         if SCHEDULERS.get(scheduler.name) is not scheduler:
             return f"custom scheduler ({scheduler.__name__})"
@@ -753,219 +716,13 @@ class SoftwareMemoryController(ProgramExecutor):
 
         return service_single
 
-    def _transfer_arrivals_batched(
-            self, arrivals: list[MemoryRequest]) -> list[MemoryRequest]:
-        """:meth:`_transfer_arrivals` with the API call costs pre-summed."""
-        api = self.api
-        costs = api.costs
-        transfer_charge = (costs.receive_request + costs.address_map
-                           + costs.table_insert)
-        mapper = self._mapper
-        decode_cache = mapper._decode_cache
-        to_dram = mapper.to_dram
-        table = self.table
-        tile_stats = self._tile_stats
-        pp = self._proc_period
-        bus = self._req_bus_ps
-        remaining: list[MemoryRequest] = []
-        for request in arrivals:
-            arrival_ps = request.tag * pp + bus
-            if arrival_ps <= self.sched_cursor or not table:
-                tile_stats.requests_received += 1
-                api.charged_cycles += transfer_charge
-                addr = request.addr
-                dram = decode_cache.get(addr)
-                if dram is None:
-                    dram = to_dram(addr)
-                table.append(TableEntry(
-                    request=request, dram=dram,
-                    arrival_order=self._arrival_counter))
-                self._arrival_counter += 1
-                if arrival_ps > self.sched_cursor:
-                    self.sched_cursor = arrival_ps
-            else:
-                remaining.append(request)
-        return remaining
-
-    def _plan_conventional(
-            self, dram, is_dram_write: bool) -> tuple[list, int, int, int]:
-        """Plan the open-page command sequence for one request.
-
-        Returns ``(commands, instruction_count, interface_cycles,
-        staging_charge)`` where ``commands`` is a list of
-        ``(Command, cycle_offset)`` pairs.  The offsets reproduce the
-        Bender engine's walk of the staged program exactly: one interface
-        cycle per DDR command plus the explicit WAITs that
-        ``read_sequence``/``write_sequence`` insert (``wait_after_command_ps``
-        rounds each gap up to the interface clock, minus the command's
-        own cycle).
-        """
-        t = self.config.timing
-        tck = t.tCK
-        ci = self.api.costs.command_insert
-        state = self.tile.device.banks[dram.bank]
-        cmds: list[tuple[Command, int]] = []
-        offset = 0
-        n_instr = 0
-        charge = 0
-        if state.open_row != dram.row:
-            if state.open_row is not None:
-                cmds.append((Command(CommandKind.PRE, bank=dram.bank), 0))
-                offset = 1
-                n_instr = 1
-                charge = ci
-                gap = t.tRP - tck
-                if gap > 0:
-                    offset += -(-gap // tck)
-                    n_instr += 1
-            cmds.append(
-                (Command(CommandKind.ACT, bank=dram.bank, row=dram.row), offset))
-            offset += 1
-            n_instr += 1
-            charge += ci
-            gap = t.tRCD - tck
-            if gap > 0:
-                offset += -(-gap // tck)
-                n_instr += 1
-        kind = CommandKind.WR if is_dram_write else CommandKind.RD
-        cmds.append((Command(kind, bank=dram.bank, col=dram.col), offset))
-        offset += 1
-        n_instr += 1
-        charge += ci
-        return cmds, n_instr, offset, charge
-
-    def _serve_batched(self, entry: TableEntry) -> None:
-        """:meth:`_serve` on the planned-command path (no staged program)."""
-        request = entry.request
-        api = self.api
-        costs = api.costs
-        dram = entry.dram
-        sched_start = self.sched_cursor
-        outcome = self.tile.classify_row_access(dram.bank, dram.row)
-        is_dram_write = request.is_writeback
-        if self._core_tracker is not None:
-            if request.is_prefetch:
-                self._core_tracker.note_prefetch(request.core)
-            else:
-                self._core_tracker.note(request.core, _ROW_CASE[outcome],
-                                        is_dram_write)
-        cmds, n_instr, total_cycles, stage_charge = self._plan_conventional(
-            dram, is_dram_write)
-        sched_cycles = api.charged_cycles + stage_charge
-        api.charged_cycles = 0
-        self.stats.total_sched_cycles += sched_cycles
-        sched_ps = sched_cycles * self._mc_period
-        self.tile.stats.scheduling_ps += sched_ps
-        self._exec_anchor_ps = sched_start + sched_ps
-        # flush_commands(), inlined: the staged batch executes at the
-        # anchor, pushed to the first command's earliest legal time.
-        device = self.tile.device
-        start = self._exec_anchor_ps
-        if self.dram_cursor > start:
-            start = self.dram_cursor
-        earliest = device.checker.earliest_ps(
-            cmds[0][0], device.banks, device.checker_rank)
-        if earliest > start:
-            start = earliest
-        tck = self.config.timing.tCK
-        issue = device.issue_discard
-        first = True
-        for cmd, off in cmds:
-            # The first command was already cleared against ``earliest``.
-            issue(cmd, start + off * tck, precleared=first)
-            first = False
-        bender = self.tile.engine
-        bender.programs_run += 1
-        bender.total_interface_cycles += total_cycles
-        measured = self.config.bender_domain.measure_ps(total_cycles * tck)
-        self.dram_cursor = start + measured
-        self.tile.stats.dram_busy_ps += measured
-        self.stats.batches_executed += 1
-        sched_ps += (costs.flush
-                     + costs.per_instruction_transfer * n_instr) * self._mc_period
-        dram_end = self.dram_cursor
-        release_ps = (dram_end + api.data_latency_ps(is_dram_write)
-                      + self._resp_bus_ps)
-        request.release = -(-release_ps // self._proc_period)
-        request.service_ps = dram_end - sched_start
-        if is_dram_write:
-            self.stats.serviced_writes += 1
-        elif request.is_prefetch:
-            self.stats.serviced_prefetches += 1
-        else:
-            self.stats.serviced_reads += 1
-        # The cycle engine pops the readback line(s) and charges
-        # rdback/enqueue_response cycles that the reference path then
-        # discards unconsumed; mirror the discard.
-        api.charged_cycles = 0
-        self.tile.stats.responses_sent += 1
-        if self._pipelined:
-            occupied = sched_start + self._occupancy_ps
-            if occupied > self.sched_cursor:
-                self.sched_cursor = occupied
-        else:
-            cursor = sched_start + sched_ps
-            if self.dram_cursor > cursor:
-                cursor = self.dram_cursor
-            self.sched_cursor = cursor
-
-    def _maybe_refresh_batched(
-            self, refresh_sink: Callable[[int], None] | None) -> None:
-        """:meth:`_maybe_refresh` on the planned-command path."""
-        if not self.config.controller.refresh_enabled:
-            return
-        if self._next_refresh_ps > self.sched_cursor:
-            return
-        api = self.api
-        t = self.config.timing
-        tck = t.tCK
-        device = self.tile.device
-        bender = self.tile.engine
-        # precharge_all + WAIT(tRP) + refresh + WAIT(tRFC), one interface
-        # cycle per command plus the rounded-up waits.
-        total_cycles = 2 + -(-t.tRP // tck) + -(-t.tRFC // tck)
-        ref_offset = 1 + -(-t.tRP // tck)
-        elapsed = total_cycles * tck
-        measured = self.config.bender_domain.measure_ps(elapsed)
-        while self._next_refresh_ps <= self.sched_cursor:
-            api.charged_cycles = 0  # staging + accumulated charges discarded
-            anchor = self.sched_cursor
-            self._exec_anchor_ps = anchor
-            start = anchor if anchor >= self.dram_cursor else self.dram_cursor
-            prea = Command(CommandKind.PREA)
-            earliest = device.checker.earliest_ps(prea, device.banks,
-                                                  device.checker_rank)
-            if earliest > start:
-                start = earliest
-            device.issue_discard(prea, start, precleared=True)
-            device.issue_discard(Command(CommandKind.REF), start + ref_offset * tck)
-            bender.programs_run += 1
-            bender.total_interface_cycles += total_cycles
-            self.dram_cursor = start + measured
-            self.tile.stats.dram_busy_ps += measured
-            self.stats.batches_executed += 1
-            api.charged_cycles = 0  # flush charges discarded
-            self.stats.refreshes += 1
-            self.tile.stats.refreshes_issued += 1
-            if self._storm_factor > 1:
-                self._refresh_index += 1
-                if self._refresh_index % self._storm_factor:
-                    self.stats.storm_refreshes += 1
-            if refresh_sink is not None:
-                refresh_sink(self._next_refresh_ps)
-            self._next_refresh_ps += self._refresh_interval
-            if not self._pipelined:
-                if self.dram_cursor > self.sched_cursor:
-                    self.sched_cursor = self.dram_cursor
-
-    # -- array-native critical-mode servicing (REPRO_FASTPATH) ---------------------
+    # -- flat critical-mode servicing ---------------------------------------------
 
     def _make_serve_flat(self):
         """Build the flat-path serve function with constants closed over.
 
-        Emulated-timeline arithmetic is identical to
-        :meth:`_serve_batched`; the host work per request drops to: one
-        row-buffer classification on the flat ``open_row`` array, one
+        Emulated-timeline arithmetic is identical to :meth:`_serve`;
+        the host work per request drops to: one row-buffer classification on the flat ``open_row`` array, one
         memoized plan fetch, one flat earliest-time query for the
         leading command, and one fused device call for the plan — no
         ``Command`` construction and no per-bank object scans.  Every
@@ -1130,7 +887,7 @@ class SoftwareMemoryController(ProgramExecutor):
 
     def _maybe_refresh_flat(
             self, refresh_sink: Callable[[int], None] | None) -> None:
-        """:meth:`_maybe_refresh_batched` on flat state (no Command objects)."""
+        """:meth:`_maybe_refresh` on flat state (no staged program)."""
         if not self.config.controller.refresh_enabled:
             return
         if self._next_refresh_ps > self.sched_cursor:

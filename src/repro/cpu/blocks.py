@@ -9,11 +9,10 @@ and allocation.
 
 A :class:`BlockTrace` is a single-use stream of blocks, exactly like an
 ``Iterator[Access]`` is a single-use stream of accesses.  It carries a
-compatibility shim (:meth:`BlockTrace.accesses`) that re-yields the
-identical per-access stream, which is what the processor consumes when
-``REPRO_FASTPATH`` is off and what the legacy workload generators now
-delegate to — block builders are the source of truth, the iterators are
-thin views.
+compatibility view (:meth:`BlockTrace.accesses`) that re-yields the
+identical per-access stream, which is what the legacy per-access
+workload generators delegate to — block builders are the source of
+truth, the iterators are thin views.
 
 Blocks store plain Python ``list``s of ``int``: the consuming loops are
 CPython ``for`` loops where list indexing beats NumPy scalar access by
@@ -27,7 +26,11 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator
 
 from repro.cpu.memtrace import Access
-from repro.fastpath import block_accesses
+
+#: Accesses per workload block.  Any positive size produces the same
+#: emulation; this one amortizes per-block overhead without hurting
+#: locality.  Builders take an explicit ``block=`` override.
+BLOCK_ACCESSES = 4096
 
 
 class AccessBlock:
@@ -60,8 +63,7 @@ class BlockTrace:
     """A single-use stream of :class:`AccessBlock` chunks.
 
     Iterating yields blocks; :meth:`accesses` yields the equivalent
-    per-access stream (the compatibility shim used whenever the fast
-    path is disabled).  Like generator traces, a ``BlockTrace`` can be
+    per-access stream.  Like generator traces, a ``BlockTrace`` can be
     consumed once.
     """
 
@@ -118,7 +120,7 @@ def blockify(trace: Iterable[Access], block: int | None = None) -> BlockTrace:
     (e.g. the PolyBench loop nests): the generator still runs, but the
     cache and processor layers downstream get the batched interface.
     """
-    size = block or block_accesses()
+    size = block or BLOCK_ACCESSES
 
     def chunks() -> Iterator[AccessBlock]:
         addr: list[int] = []
@@ -143,4 +145,4 @@ def blockify(trace: Iterable[Access], block: int | None = None) -> BlockTrace:
 def from_builder(builder: Callable[[int], Iterator[AccessBlock]],
                  block: int | None = None) -> BlockTrace:
     """Wrap a block-size-parameterized builder into a :class:`BlockTrace`."""
-    return BlockTrace(builder(block or block_accesses()))
+    return BlockTrace(builder(block or BLOCK_ACCESSES))

@@ -111,7 +111,7 @@ class StreamPrefetcher:
 
         Called by the processor for every demand fill it issues, in
         issue order, on both execution paths — determinism (and the
-        fastpath bit-identity contract) follows from that call
+        serve paths' bit-identity contract) follows from that call
         discipline.
         """
         stats = self.stats

@@ -28,7 +28,6 @@ from typing import Iterator
 from repro.cpu.blocks import AccessBlock, BlockTrace
 from repro.cpu.cache import BlockTraffic, CacheHierarchy
 from repro.cpu.memtrace import FLAG_DEPENDENT, FLAG_WRITE, Access, Trace
-from repro.fastpath import fastpath_enabled
 
 
 @dataclass(slots=True, eq=False)
@@ -135,7 +134,6 @@ class Processor:
         self._rid = itertools.count()
         self._pending: Access | None = None
         self._done = False
-        self._fastpath = fastpath_enabled()
         #: Optional bulk address-decode hook (wired by the session to
         #: the tile's :meth:`AddressMapper.prime`): called with each
         #: block's DRAM-bound addresses right after the cache filter.
@@ -168,9 +166,8 @@ class Processor:
         """Queue another trace segment (sessions mix traces and techniques).
 
         A :class:`~repro.cpu.blocks.BlockTrace` takes the array-native
-        replay path (cache traffic precomputed one block at a time);
-        with ``REPRO_FASTPATH`` off it is consumed through its
-        per-access compatibility shim instead.  Both paths produce the
+        replay path (cache traffic precomputed one block at a time); any
+        other trace replays access by access.  Both paths produce the
         same requests, cycles, and statistics.
         """
         self._pending = None
@@ -180,11 +177,8 @@ class Processor:
         self._pos = 0
         self._wb_ptr = 0
         if isinstance(trace, BlockTrace):
-            if self._fastpath:
-                self._trace = iter(())
-                self._blocks = iter(trace)
-            else:
-                self._trace = trace.accesses()
+            self._trace = iter(())
+            self._blocks = iter(trace)
         else:
             self._trace = iter(trace)
 
@@ -214,31 +208,14 @@ class Processor:
         """Whether the current trace segment replays as access blocks."""
         return self._blocks is not None
 
-    def execute_gated(self, gate) -> None:
-        """Run a block trace to completion, servicing gates in place.
-
-        The skip-ahead engine's inverted control flow: instead of
-        returning a blocked :class:`BurstResult` at every clock gate and
-        being re-entered after servicing, the replay loop calls
-        ``gate(new_requests, done)`` at exactly the points the burst
-        protocol would return — the callback runs the per-gate sequence
-        (counter advance, deadlock check, critical-mode episode, event
-        bookkeeping) and must leave every request released.  Equivalent
-        to the execute_burst loop with the per-gate re-entry cost
-        removed.  Only valid in block mode.
-        """
-        self._execute_burst_blocks(gate)
-
-    def _execute_burst_blocks(self, gate=None) -> BurstResult | None:
+    def _execute_burst_blocks(self) -> BurstResult:
         """:meth:`execute_burst` over precomputed access blocks.
 
         The cache outcomes of a whole block are computed up front
         (:meth:`CacheHierarchy.access_block` — legal because cache state
         depends only on the access stream, never on request servicing)
         and replayed here under the same MLP/window/dependence gating as
-        the per-access path, with the hot state in locals.  With a
-        ``gate`` callback the loop services in place instead of
-        returning (see :meth:`execute_gated`).
+        the per-access path, with the hot state in locals.
         """
         new_requests: list[MemoryRequest] = []
         out = self.outstanding
@@ -268,19 +245,10 @@ class Processor:
                         cycles, accesses, loads, stores, compute, stalls)
                     if self._drain():
                         self._done = True
-                        if gate is None:
-                            return BurstResult(new_requests, blocked=False,
-                                               done=True)
-                        gate(new_requests, True)
-                        return None
-                    if gate is None:
-                        return BurstResult(new_requests, blocked=True,
-                                           done=False)
-                    gate(new_requests, False)
-                    new_requests = []
-                    # _drain observed unserviced fills, so it mutated
-                    # nothing — the hoisted counters stay authoritative.
-                    continue
+                        return BurstResult(new_requests, blocked=False,
+                                           done=True)
+                    return BurstResult(new_requests, blocked=True,
+                                       done=False)
                 traffic = self.hierarchy.access_block(block.addr, block.flags)
                 hook = self.prime_hook
                 if hook is not None and (traffic.n_fills or traffic.wb_addr):
@@ -318,13 +286,8 @@ class Processor:
                                 self._sync_block_counters(
                                     cycles, accesses, loads, stores, compute,
                                     stalls)
-                                if gate is None:
-                                    return BurstResult(new_requests,
-                                                       blocked=True,
-                                                       done=False)
-                                gate(new_requests, False)
-                                new_requests = []
-                                continue
+                                return BurstResult(new_requests,
+                                                   blocked=True, done=False)
                             for request in out:
                                 release = request.release
                                 if release > cycles:
@@ -342,13 +305,8 @@ class Processor:
                                 self._sync_block_counters(
                                     cycles, accesses, loads, stores, compute,
                                     stalls)
-                                if gate is None:
-                                    return BurstResult(new_requests,
-                                                       blocked=True,
-                                                       done=False)
-                                gate(new_requests, False)
-                                new_requests = []
-                                continue
+                                return BurstResult(new_requests,
+                                                   blocked=True, done=False)
                             if release > cycles:
                                 stalls += release - cycles
                                 cycles = release

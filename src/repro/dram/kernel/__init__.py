@@ -13,8 +13,9 @@ resident (:mod:`~repro.dram.kernel.blockrun`) when the event engine runs
 an eligible single-core trace or multi-core mix.
 
 ``REPRO_KERNEL``
-    ``0``/``false``/``off`` disables the kernel entirely (the fastpath
-    closures serve every batch).  ``c`` requires the compiled backend
+    ``0``/``false``/``off`` disables the kernel entirely (the flat
+    closures serve every batch and the Python burst loop replays every
+    trace).  ``c`` requires the compiled backend
     and disengages with a recorded reason when it cannot load.  Default
     (``auto``): use the compiled backend when a C compiler is available,
     otherwise disengage — results are bit-identical either way, which
@@ -47,7 +48,7 @@ def resolve_backend() -> tuple[object | None, str]:
     """The active kernel backend and a reason string.
 
     Returns ``(backend, "ok")`` when engaged; ``(None, reason)`` when
-    the kernel should disengage and let the fastpath closures serve.
+    the kernel should disengage and let the flat closures serve.
     """
     if kernel_mode() == "off":
         return None, "disabled (REPRO_KERNEL=0)"

@@ -325,13 +325,12 @@ def run_gated_kernel(engine, session, proc, smc) -> bool:
 
     ``EventEngine.run_trace``'s entry: the single-core (N = 1) case of
     the resident replay.  Returns ``False`` (nothing touched, reason
-    recorded) when ineligible; the caller then runs its Python gate
-    closure.  On ``True`` the processor is done and every side effect of
-    the Python path — controller state, stats, event queue, request
+    recorded) when ineligible; the caller then runs its Python burst
+    loop.  On ``True`` the processor is done and every side effect of
+    that loop — controller state, stats, event queue, request
     latencies — has been applied.
     """
-    return _replay(engine, [proc], smc,
-                   "processor blocked with no pending memory requests")
+    return _replay(engine, [proc], smc)
 
 
 def run_cores_kernel(engine, session, procs, smc) -> bool:
@@ -342,15 +341,13 @@ def run_cores_kernel(engine, session, procs, smc) -> bool:
     the Python burst loop; ``True`` means every core is done and every
     side effect of that loop has been applied.
     """
-    return _replay(engine, procs, smc,
-                   "all cores blocked with no pending memory requests")
+    return _replay(engine, procs, smc)
 
 
-def _replay(engine, procs, smc, deadlock_message: str) -> bool:
+def _replay(engine, procs, smc) -> bool:
     reason = _eligible(procs, smc)
     if reason is not None:
-        if hasattr(smc, "kernel_fallback_reason"):
-            smc.kernel_fallback_reason = reason
+        smc.kernel_fallback_reason = reason
         return False
     ks = smc._kernel_state
     st = ks.st
@@ -429,8 +426,8 @@ def _replay(engine, procs, smc, deadlock_message: str) -> bool:
         queue._seq = int(st[St.QSEQ])
 
     if err == KERR_DEADLOCK:
-        from repro.core.engine import EmulationDeadlock
-        raise EmulationDeadlock(deadlock_message)
+        from repro.core.engine import DEADLOCK_MESSAGE, EmulationDeadlock
+        raise EmulationDeadlock(DEADLOCK_MESSAGE)
     if err == KERR_DECODE_RANGE:
         mapper._check_range(int(st[St.ERR_ADDR]))
         raise AssertionError("decode error did not reproduce")

@@ -1335,7 +1335,7 @@ static void filter_block(K *k, Core *q)
     CS(BLK_NWB) = nwb;
 }
 
-/* -- one core's burst (Processor._execute_burst_blocks, no gate callback) - */
+/* -- one core's burst (Processor._execute_burst_blocks) ------------------ */
 
 /* Replay the core's current block from its cursor until the block ends
  * (KERN_OK) or the core clock-gates on an unreleased fill (R_BLOCKED);

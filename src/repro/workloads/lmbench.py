@@ -17,9 +17,8 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from repro.cpu.blocks import AccessBlock, BlockTrace
+from repro.cpu.blocks import BLOCK_ACCESSES, AccessBlock, BlockTrace
 from repro.cpu.memtrace import FLAG_DEPENDENT, Access
-from repro.fastpath import block_accesses
 
 #: Working-set sizes of Figure 8 (1 KiB .. 16 MiB).
 FIG8_SIZES_KIB = (
@@ -46,7 +45,7 @@ def pointer_chase_blocks(size_bytes: int, accesses: int, line_bytes: int = 64,
     rng = random.Random(seed)
     rng.shuffle(order)
     pass_addrs = [base_addr + index * line_bytes for index in order]
-    per_block = max(1, block or block_accesses())
+    per_block = max(1, block or BLOCK_ACCESSES)
 
     def chunks() -> Iterator[AccessBlock]:
         issued = 0

@@ -21,9 +21,8 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.cpu.blocks import AccessBlock, BlockTrace
+from repro.cpu.blocks import BLOCK_ACCESSES, AccessBlock, BlockTrace
 from repro.cpu.memtrace import Access
-from repro.fastpath import block_accesses
 
 #: Array sizes of Figures 10/11 (8 KiB .. 16 MiB).
 FIG10_SIZES = tuple(8 * 1024 * (1 << i) for i in range(12))
@@ -37,7 +36,7 @@ def cpu_copy_blocks(src_base: int, dst_base: int, size_bytes: int,
                     line_bytes: int = 64, block: int | None = None) -> BlockTrace:
     """CPU-copy: streaming loads from src, stores to dst (block-native)."""
     lines = size_bytes // line_bytes
-    pairs_per_block = max(1, (block or block_accesses()) // 2)
+    pairs_per_block = max(1, (block or BLOCK_ACCESSES) // 2)
 
     def chunks() -> Iterator[AccessBlock]:
         for start in range(0, lines, pairs_per_block):
@@ -64,7 +63,7 @@ def cpu_init_blocks(dst_base: int, size_bytes: int, line_bytes: int = 64,
                     block: int | None = None) -> BlockTrace:
     """CPU-init: streaming stores of a fill pattern (block-native)."""
     lines = size_bytes // line_bytes
-    per_block = max(1, block or block_accesses())
+    per_block = max(1, block or BLOCK_ACCESSES)
 
     def chunks() -> Iterator[AccessBlock]:
         for start in range(0, lines, per_block):
@@ -88,7 +87,7 @@ def touch_blocks(base: int, size_bytes: int, line_bytes: int = 64,
                  write: bool = False, block: int | None = None) -> BlockTrace:
     """Touch every line once (block-native warm-up / residency pass)."""
     lines = size_bytes // line_bytes
-    per_block = max(1, block or block_accesses())
+    per_block = max(1, block or BLOCK_ACCESSES)
     flag = 1 if write else 0
 
     def chunks() -> Iterator[AccessBlock]:
@@ -130,7 +129,7 @@ def channel_stream_blocks(mapper, lines_per_channel: int,
     rows = g.rows_per_bank
     banks_per_rank = g.num_banks
     flag = 1 if write else 0
-    per_block = max(1, block or block_accesses())
+    per_block = max(1, block or BLOCK_ACCESSES)
     total = lines_per_channel * channels
     to_physical = mapper.to_physical
 

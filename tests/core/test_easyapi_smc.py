@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import jetson_nano_time_scaling, pidram_no_time_scaling
+from repro.core.easyapi import EasyAPI
 from repro.core.system import EasyDRAMSystem
 from repro.cpu.memtrace import load, store
 from repro.cpu.processor import MemoryRequest
@@ -94,6 +95,63 @@ class TestSequences:
         t = system.config.timing
         assert api.data_latency_ps(False) == t.tCL + t.tBL
         assert api.data_latency_ps(True) == t.tCWL + t.tBL
+
+
+def _staged(api):
+    """The staged program as the fields each instruction uses, plus the
+    accumulated charge (drained)."""
+    out = []
+    for ins in api.program.instructions:
+        cmd = ins.command
+        if cmd is None:
+            out.append((ins.opcode, ins.operand))
+            continue
+        out.append((cmd.kind, cmd.bank if cmd.targets_bank else None,
+                    cmd.row if cmd.kind is CommandKind.ACT else None,
+                    cmd.col if cmd.kind in (CommandKind.RD, CommandKind.WR)
+                    else None, cmd.data))
+    return out, api.take_charges()
+
+
+class TestProgramPool:
+    """A pool hit stages what the plain builders stage, at the same cost."""
+
+    @pytest.mark.parametrize("open_row", (5, None, 9),
+                             ids=("hit", "miss", "conflict"))
+    @pytest.mark.parametrize("is_write", (False, True),
+                             ids=("read", "write"))
+    def test_conventional_pool_hit_matches_builders(self, system, api,
+                                                    open_row, is_write):
+        if open_row is not None:
+            for bank in (0, 1):
+                system.device.banks[bank].activate(open_row, 0)
+        # Bank 0 fills the pool entry for this row case and direction;
+        # bank 1, in the same row-buffer state, hits it at another
+        # column (and, unless the case is a row hit, another row).
+        api.stage_conventional(DramAddress(0, 5, 3), is_write)
+        pooled = api.program
+        api.flush_commands()
+        api.take_charges()
+        target = DramAddress(1, 5 if open_row == 5 else 7, 7)
+        api.stage_conventional(target, is_write)
+        assert api.program is pooled
+        fresh = EasyAPI(system.tile, api.costs)
+        if is_write:
+            fresh.write_sequence(target)
+        else:
+            fresh.read_sequence(target)
+        assert _staged(api) == _staged(fresh)
+
+    def test_refresh_pool_hit_matches_builder(self, system, api):
+        api.stage_refresh()
+        pooled = api.program
+        api.flush_commands()
+        api.take_charges()
+        api.stage_refresh()
+        assert api.program is pooled
+        fresh = EasyAPI(system.tile, api.costs)
+        fresh.refresh_sequence()
+        assert _staged(api) == _staged(fresh)
 
 
 class TestServicePending:

@@ -78,12 +78,11 @@ class TestEquivalence:
         assert run_config(config, "cycle") == run_config(config, "event")
 
     def test_fastpath_bit_identical_two_channels(self, monkeypatch):
+        """Production serve ladder == the object reference."""
         config = two_channel_config()
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
-        slow = run_config(config, "event")
-        monkeypatch.setenv("REPRO_FASTPATH", "1")
         fast = run_config(config, "event")
-        assert slow == fast
+        monkeypatch.setenv("REPRO_KERNEL", "0")
+        assert run_config(config, "cycle") == fast
 
     def test_multi_rank_engines_bit_identical(self):
         config = jetson_nano_time_scaling().with_topology("ddr4-2ch-2rk")

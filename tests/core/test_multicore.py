@@ -62,12 +62,11 @@ class TestEquivalence:
             run_snapshot(config, "event", MIX4)
 
     def test_fastpath_bit_identical(self, monkeypatch):
+        """Production serve ladder == the object reference."""
         config = small_config()
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
-        slow = run_snapshot(config, "event", MIX2)
-        monkeypatch.setenv("REPRO_FASTPATH", "1")
         fast = run_snapshot(config, "event", MIX2)
-        assert slow == fast
+        monkeypatch.setenv("REPRO_KERNEL", "0")
+        assert run_snapshot(config, "cycle", MIX2) == fast
 
     def test_deterministic_repeat(self):
         config = small_config()

@@ -81,20 +81,19 @@ class TestWorkloadBuilders:
         blocks = polybench.trace_blocks("gemm", "mini", block=64)
         assert [a for b in blocks for a in b.accesses()] == shim
 
-    def test_block_size_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCK_SIZE", "3")
-        blocks = list(microbench.touch_blocks(0, 10 * 64))
-        assert [len(b) for b in blocks] == [3, 3, 3, 1]
-        monkeypatch.setenv("REPRO_BLOCK_SIZE", "garbage")
-        assert len(next(iter(microbench.touch_blocks(0, 10 * 64)))) == 10
-
 
 class TestProcessorBlockMode:
-    """Block replay == per-access execution, fastpath on or off."""
+    """Block replay == per-access execution == the object reference."""
 
-    def _run(self, trace_factory, fastpath, monkeypatch):
-        monkeypatch.setenv("REPRO_FASTPATH", "1" if fastpath else "0")
-        system = EasyDRAMSystem(jetson_nano_time_scaling(), engine="event")
+    def _run(self, trace_factory, reference, monkeypatch):
+        """Event engine at the kernel default, or the object reference
+        (cycle engine, ``REPRO_KERNEL=0``)."""
+        if reference:
+            monkeypatch.setenv("REPRO_KERNEL", "0")
+        else:
+            monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        engine = "cycle" if reference else "event"
+        system = EasyDRAMSystem(jetson_nano_time_scaling(), engine=engine)
         session = system.session("blocks")
         session.run_trace(trace_factory())
         result = dataclasses.asdict(session.finish())
@@ -108,10 +107,10 @@ class TestProcessorBlockMode:
         def accesses():
             return microbench.cpu_copy_trace(0, 1 << 26, 96 * 1024)
 
-        fast_blocks = self._run(blocks, True, monkeypatch)
-        fast_access = self._run(accesses, True, monkeypatch)
-        slow_blocks = self._run(blocks, False, monkeypatch)
-        assert fast_blocks == fast_access == slow_blocks
+        fast_blocks = self._run(blocks, False, monkeypatch)
+        fast_access = self._run(accesses, False, monkeypatch)
+        ref_blocks = self._run(blocks, True, monkeypatch)
+        assert fast_blocks == fast_access == ref_blocks
 
     def test_dependent_stream_matches(self, monkeypatch):
         def blocks():
@@ -120,5 +119,5 @@ class TestProcessorBlockMode:
         def accesses():
             return lmbench.pointer_chase(32 * 1024, 2000)
 
-        assert (self._run(blocks, True, monkeypatch)
-                == self._run(accesses, False, monkeypatch))
+        assert (self._run(blocks, False, monkeypatch)
+                == self._run(accesses, True, monkeypatch))

@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import random
 
-from repro.cpu.cache import (
-    Cache,
-    CacheHierarchy,
-    ReferenceCache,
-    ReferenceCacheHierarchy,
-)
+from reference_cache import ReferenceCache, ReferenceCacheHierarchy
+
+from repro.cpu.cache import Cache, CacheHierarchy
 
 LINE = 64
 

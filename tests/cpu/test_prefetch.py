@@ -179,17 +179,18 @@ class TestSystemIntegration:
     @pytest.mark.parametrize("engine", ("cycle", "event"))
     def test_prefetch_bit_identical_across_fastpath(self, monkeypatch,
                                                     engine):
-        def snapshot():
+        def snapshot(engine):
             _, session, result = _copy_result(PrefetchConfig(),
                                               engine=engine)
             d = dataclasses.asdict(result)
             d.pop("wall_seconds")
             return d, dataclasses.asdict(session.prefetch_stats()[0])
 
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
-        slow = snapshot()
-        monkeypatch.setenv("REPRO_FASTPATH", "1")
-        assert snapshot() == slow
+        # ``engine`` at the kernel default vs the object reference
+        # (cycle engine, kernel off).
+        fast = snapshot(engine)
+        monkeypatch.setenv("REPRO_KERNEL", "0")
+        assert snapshot("cycle") == fast
 
     def test_prefetch_bit_identical_across_engines(self):
         def snapshot(engine):

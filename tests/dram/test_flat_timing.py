@@ -176,7 +176,6 @@ class TestNoConstraintAllocation:
                     "_Constraint allocated on the fast path")
 
         monkeypatch.setattr(timing_checker, "_Constraint", Boom)
-        monkeypatch.setenv("REPRO_FASTPATH", "1")
         system = EasyDRAMSystem(jetson_nano_time_scaling(), engine="event")
         session = system.session("no-alloc")
         session.run_trace(microbench.cpu_copy_blocks(0, 1 << 26, 128 * 1024))

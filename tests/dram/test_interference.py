@@ -196,10 +196,10 @@ class TestRefreshStorm:
             d.pop("wall_seconds")
             return d, run.core_cycles, run.solo_cycles
 
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
-        slow = snapshot("cycle")
-        monkeypatch.setenv("REPRO_FASTPATH", "1")
-        assert snapshot("event") == slow
+        fast = snapshot("event")
+        assert snapshot("cycle") == fast
+        monkeypatch.setenv("REPRO_KERNEL", "0")
+        assert snapshot("cycle") == fast  # the object reference
 
     def test_interference_config_validation(self):
         with pytest.raises(ValueError, match="refresh_storm_factor"):

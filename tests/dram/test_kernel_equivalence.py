@@ -1,16 +1,17 @@
 """Kernel differential suite: kernel == flat == object, bit for bit.
 
-``REPRO_KERNEL`` adds a fourth serve path (and a whole-trace block
-replay) that must be a pure host-time optimization, exactly like the
-fastpath before it.  This suite drives *random* request streams —
-hypothesis-generated access blocks across topologies, schedulers, and
-interference knobs — through three serve configurations:
+``REPRO_KERNEL`` adds a serve path (and a whole-trace block replay)
+that must be a pure host-time optimization.  This suite drives *random*
+request streams — hypothesis-generated access blocks across topologies,
+schedulers, and interference knobs — through three serve
+configurations:
 
-* **kernel** — fastpath on, ``REPRO_KERNEL`` forced to the compiled
+* **kernel** — event engine, ``REPRO_KERNEL`` forced to the compiled
   backend (skipped when no C compiler exists: the flat closures are
   then the only fast path);
-* **flat**   — fastpath on, kernel disabled (the PR 3 closures);
-* **object** — fastpath off (the staged-program reference pipeline);
+* **flat**   — event engine, kernel disabled (the flat closures);
+* **object** — cycle engine, kernel disabled (the staged-program
+  reference oracle);
 
 and asserts the complete observable artifact — ``RunResult`` (including
 per-core slices), per-request latencies, ``SmcStats``, and device stats
@@ -47,9 +48,9 @@ LINE = 64
 HAVE_KERNEL = cbackend.load()[0] is not None
 
 MODES = (
-    *((("kernel", "1", "c"),) if HAVE_KERNEL else ()),
-    ("flat", "1", "0"),
-    ("object", "0", "0"),
+    *((("kernel", "event", "c"),) if HAVE_KERNEL else ()),
+    ("flat", "event", "0"),
+    ("object", "cycle", "0"),
 )
 
 needs_kernel = pytest.mark.skipif(not HAVE_KERNEL,
@@ -57,9 +58,9 @@ needs_kernel = pytest.mark.skipif(not HAVE_KERNEL,
 
 
 @contextmanager
-def serve_mode(fastpath: str, kernel: str):
-    saved = {k: os.environ.get(k) for k in ("REPRO_FASTPATH", "REPRO_KERNEL")}
-    os.environ["REPRO_FASTPATH"] = fastpath
+def serve_mode(engine: str, kernel: str):
+    saved = {k: os.environ.get(k) for k in ("REPRO_ENGINE", "REPRO_KERNEL")}
+    os.environ["REPRO_ENGINE"] = engine
     os.environ["REPRO_KERNEL"] = kernel
     try:
         yield
@@ -119,8 +120,8 @@ def _violations(system) -> list:
 def assert_modes_identical(make_config, stream: list, split: int,
                            prefetch: PrefetchConfig | None = None) -> None:
     artifacts = {}
-    for name, fastpath, kernel in MODES:
-        with serve_mode(fastpath, kernel):
+    for name, engine, kernel in MODES:
+        with serve_mode(engine, kernel):
             artifacts[name] = _run_artifact(make_config(), stream, split,
                                             prefetch)
     assert_artifacts_identical(artifacts)
@@ -212,8 +213,8 @@ def test_multicore_coreresults_identical():
 
     mix = WorkloadMix(("stream", "pointer_chase"))
     artifacts = {}
-    for name, fastpath, kernel in MODES:
-        with serve_mode(fastpath, kernel):
+    for name, engine, kernel in MODES:
+        with serve_mode(engine, kernel):
             run = run_mix(jetson_nano_time_scaling(), mix, solo=True)
         artifact = dataclasses.asdict(run.result)
         artifact.pop("wall_seconds")
@@ -283,8 +284,8 @@ def test_stateful_zoo_four_cores_identical(scheduler, topology):
     """ATLAS/BLISS/batch on four cores: results, stats, violation logs
     (tWTR, and tCS across ranks) and the scheduler's final state."""
     artifacts = {}
-    for name, fastpath, kernel in MODES:
-        with serve_mode(fastpath, kernel):
+    for name, engine, kernel in MODES:
+        with serve_mode(engine, kernel):
             artifacts[name] = _run_zoo(_zoo_config(scheduler, topology))
     assert_artifacts_identical(artifacts)
 
@@ -318,7 +319,7 @@ def test_batch_kernel_engages(scheduler, topology, monkeypatch):
 
     monkeypatch.setattr(smc_module.SoftwareMemoryController,
                         "service_pending_kernel", recording)
-    with serve_mode("1", "c"):
+    with serve_mode("event", "c"):
         _run_zoo(_zoo_config(scheduler, topology))
     big = [c for c in calls if c[0] >= smc_module._KERNEL_MIN_BATCH]
     assert big, "no batch reached the kernel's minimum size"
@@ -345,7 +346,7 @@ def test_kernel_actually_engages():
 
     blockrun.run_gated_kernel = counting
     try:
-        with serve_mode("1", "c"):
+        with serve_mode("event", "c"):
             _run_artifact(jetson_nano_time_scaling(),
                           _dense_mixed_stream(), 120)
     finally:
@@ -437,7 +438,7 @@ def _run_resident(config, traces: list[list[AccessBlock]],
 def assert_resident_identical(config, traces) -> None:
     artifacts = {}
     for name, engine, kernel in RESIDENT_MODES:
-        with serve_mode("1", kernel):
+        with serve_mode(engine, kernel):
             artifacts[name] = _run_resident(config, traces, engine)
     cycle = artifacts.pop("cycle")
     burst = artifacts["burst"]
@@ -548,6 +549,6 @@ def test_resident_replay_engages(scheduler, topology, monkeypatch):
         return engaged
 
     monkeypatch.setattr(blockrun, "run_cores_kernel", recording)
-    with serve_mode("1", "c"):
+    with serve_mode("event", "c"):
         _run_zoo(_zoo_config(scheduler, topology))
     assert calls == [(4, True, None)]

@@ -48,11 +48,6 @@ def test_registry_schedulers_engage(scheduler, topology):
     assert _reason(_smc(config)) is None
 
 
-def test_fastpath_disabled(monkeypatch):
-    monkeypatch.setenv("REPRO_FASTPATH", "0")
-    assert _reason(_smc()) == "fastpath disabled (REPRO_FASTPATH=0)"
-
-
 class _Ranked(_RankedScheduler):
     name = "atlas"   # a registry name does not make a registry class
 
@@ -199,15 +194,24 @@ def _declined(system, session) -> str | None:
 
 
 def test_resident_multi_channel_topology():
-    from repro.dram.kernel import blockrun
-
     system, session = _fed_mix(
         jetson_nano_time_scaling().with_topology("ddr4-2ch"))
-    procs = [core.processor for core in session.cores]
-    assert not blockrun.run_cores_kernel(session.engine, session, procs,
-                                         system.smc)
-    # The channel façade has no single controller to record on.
-    assert blockrun._eligible(procs, system.smc) == "multi-channel topology"
+    assert _declined(system, session) == "multi-channel topology"
+
+
+def test_single_core_multi_channel_reason_reaches_profiler():
+    """``run_trace``'s declined resident replay is recorded on the
+    channel façade and counted by ``repro profile``."""
+    from repro.profiling.characterize import measure_layers
+    from repro.workloads import microbench
+
+    with measure_layers() as acc:
+        system = EasyDRAMSystem(
+            jetson_nano_time_scaling().with_topology("ddr4-2ch"))
+        session = system.session("fallback")
+        session.run_trace(microbench.touch_blocks(0, 8 * 1024))
+    assert system.smc.kernel_fallback_reason == "multi-channel topology"
+    assert acc.kernel_fallbacks["multi-channel topology"] == 1
 
 
 @needs_kernel

@@ -1,14 +1,14 @@
-"""Every experiment artifact is bit-identical with the fast path on/off.
+"""Every experiment artifact is bit-identical on every serve path.
 
-``REPRO_FASTPATH=0`` reproduces the PR 2 object pipeline (per-access
-processing, staged programs, object-based timing checks); ``1`` enables
-the array-native frontend, flat timing state, and program pooling.  The
-fast path is a pure host-time optimization, so each artifact's result
-dict must not change by a single bit.  Sweeps run at the smallest
+The reference oracle is ``REPRO_ENGINE=cycle REPRO_KERNEL=0``: the
+cycle engine serving every batch through staged programs and
+object-based timing checks.  The event engine's flat closures and the
+compiled kernel are pure host-time optimizations, so each artifact's
+result dict must not change by a single bit.  Sweeps run at the smallest
 meaningful scale — the shared machinery is identical at any size.
 
 fig14 is the exception by construction: it reports *host* simulation
-rates, which legitimately change with the fast path; its equivalence is
+rates, which legitimately change with the serve path; its equivalence is
 pinned on the underlying emulated run instead.
 """
 
@@ -62,15 +62,15 @@ def _strip_tab01_rates(result):
 def run_both(monkeypatch, fn, *args, **kwargs):
     """The artifact under all three serve paths.
 
-    Returns (slow, fast, kernel): the object pipeline, the flat
+    Returns (slow, fast, kernel): the object reference, the flat
     closures with the batch kernel disabled, and the batch kernel at
     its knob default.  Callers normalize all three the same way before
     asserting equality.
     """
-    monkeypatch.setenv("REPRO_FASTPATH", "0")
-    slow = fn(*args, **kwargs)
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
+    monkeypatch.setenv("REPRO_ENGINE", "cycle")
     monkeypatch.setenv("REPRO_KERNEL", "0")
+    slow = fn(*args, **kwargs)
+    monkeypatch.delenv("REPRO_ENGINE")
     fast = fn(*args, **kwargs)
     monkeypatch.delenv("REPRO_KERNEL", raising=False)
     kernel = fn(*args, **kwargs)
@@ -129,7 +129,7 @@ def test_fig17_bit_identical_across_fastpath_and_engines(monkeypatch):
     """fig17 (scheduler frontier) is a pure emulated artifact.
 
     A reduced grid — two schedulers (one stateful), one mix, one
-    topology — runs under fastpath off/on and both engines; the result
+    topology — runs on every serve path and both engines; the result
     dict must not change by a single bit, proving the stateful-scheduler
     select-once contract holds on every serve path.
     """

@@ -40,8 +40,7 @@ def test_knob_scanner_sees_the_known_knobs():
     finally:
         sys.path.pop(0)
     found = gen_knob_docs.scan_env_vars()
-    for knob in ("REPRO_FASTPATH", "REPRO_ENGINE", "REPRO_FULL",
-                 "REPRO_KERNEL"):
+    for knob in ("REPRO_ENGINE", "REPRO_FULL", "REPRO_KERNEL"):
         assert knob in found, f"scanner lost {knob}"
     assert not gen_knob_docs.check_coverage(found)
 

@@ -34,10 +34,6 @@ OUT = ROOT / "docs" / "KNOBS.md"
 #: Curated default + one-line effect per environment variable.  The
 #: scanner enforces that this dict and the source tree agree exactly.
 ENV_DOCS: dict[str, tuple[str, str]] = {
-    "REPRO_BLOCK_SIZE": (
-        "4096",
-        "Accesses per workload `AccessBlock` chunk on the fast path; any"
-        " positive value produces the same emulation."),
     "REPRO_CACHE_DIR": (
         "`.repro-cache/`",
         "Sweep-point result cache root used by `repro run` (keyed on"
@@ -50,12 +46,8 @@ ENV_DOCS: dict[str, tuple[str, str]] = {
     "REPRO_ENGINE": (
         "`event`",
         "Emulation engine: `event` (skip-ahead, >=2x faster) or `cycle`"
-        " (the reference); results are bit-identical either way."),
-    "REPRO_FASTPATH": (
-        "on",
-        "`0` disables the array-native fast path (block traces, blocked"
-        " cache, flat timing-state, plan memoization) and reproduces the"
-        " object pipeline — bit-identical artifacts, ~3x slower."),
+        " (the reference); results are bit-identical either way.  The"
+        " object reference oracle is `cycle` with `REPRO_KERNEL=0`."),
     "REPRO_FULL": (
         "off",
         "`1` switches every sweep to paper-scale problem sizes (slow);"
