@@ -123,7 +123,6 @@ class SoftwareMemoryController(ProgramExecutor):
         self._pipelined = cc.pipelined_occupancy_cycles > 0
         self._req_bus_ps = cc.request_bus_cycles * self._mc_period
         self._resp_bus_ps = cc.response_bus_cycles * self._mc_period
-        #: Technique hook: may replace the read/write staging for a request.
         self.serve_hook = None
         #: Per-core service tracker (multi-core sessions only; see
         #: :meth:`set_core_tracker`).  ``None`` on the paper's
@@ -169,6 +168,25 @@ class SoftwareMemoryController(ProgramExecutor):
         self._kernel_state = None
         self._kernel_resolved = False
 
+    @property
+    def serve_hook(self):
+        """Technique hook: may replace the read/write staging per request.
+
+        Called as ``hook(api, entry)`` on the object path.  The kernel
+        serves the registry tRCD technique's hook itself (see
+        :meth:`_kernel_technique`); any other hook forces the object
+        path.
+        """
+        return self._serve_hook
+
+    @serve_hook.setter
+    def serve_hook(self, hook) -> None:
+        self._serve_hook = hook
+        # The kernel bakes the hook's technique (or its absence) into its
+        # plan and config tables: force re-resolution on the next batch.
+        self._kernel_state = None
+        self._kernel_resolved = False
+
     def set_core_tracker(self, tracker) -> None:
         """Install (or clear) the shared per-core service tracker.
 
@@ -201,46 +219,9 @@ class SoftwareMemoryController(ProgramExecutor):
         t = self.config.timing
         tck = t.tCK
         costs = self.api.costs
-        ci = costs.command_insert
         bender_domain = self.config.bender_domain
-        plans: dict[tuple[int, bool], tuple] = {}
-        for case in (0, 1, 2):
-            for is_write in (False, True):
-                kinds: list[int] = []
-                offsets: list[int] = []
-                offset = 0
-                n_instr = 0
-                charge = 0
-                if case == 2:
-                    kinds.append(K_PRE)
-                    offsets.append(0)
-                    offset = 1
-                    n_instr = 1
-                    charge = ci
-                    gap = t.tRP - tck
-                    if gap > 0:
-                        offset += -(-gap // tck)
-                        n_instr += 1
-                if case >= 1:
-                    kinds.append(K_ACT)
-                    offsets.append(offset)
-                    offset += 1
-                    n_instr += 1
-                    charge += ci
-                    gap = t.tRCD - tck
-                    if gap > 0:
-                        offset += -(-gap // tck)
-                        n_instr += 1
-                kinds.append(K_WR if is_write else K_RD)
-                offsets.append(offset)
-                offset += 1
-                n_instr += 1
-                charge += ci
-                plans[(case, is_write)] = (
-                    tuple(kinds), tuple(offsets), offset, charge,
-                    bender_domain.measure_ps(offset * tck),
-                    (costs.flush + costs.per_instruction_transfer * n_instr)
-                    * self._mc_period)
+        plans = {(case, is_write): self._plan(case, is_write, t.tRCD)
+                 for case in (0, 1, 2) for is_write in (False, True)}
         self._plans = plans
         # Indexable view: plan of (case, is_write) at [2*case + is_write].
         self._plan_list = tuple(plans[(case, w)] for case in (0, 1, 2)
@@ -262,6 +243,56 @@ class SoftwareMemoryController(ProgramExecutor):
         self._serve_flat_core = self._make_serve_flat()
         self._service_single = self._make_service_single()
         self._service_fast = self._make_service_fast()
+
+    def _plan(self, case: int, is_write: bool, trcd_ps: int,
+              act_charge: int = 0) -> tuple:
+        """One open-page plan: the Bender walk of its staged program.
+
+        ``trcd_ps`` is the ACT-to-column wait the staging programs and
+        ``act_charge`` the extra controller cycles an activating request
+        pays on top of the command inserts: the stock sequences use
+        nominal tRCD and no extra charge; the tRCD technique's sequences
+        (:class:`~repro.core.techniques.trcd.TrcdReductionTechnique`)
+        use its per-row tRCD and its Bloom-filter lookup.
+        """
+        t = self.config.timing
+        tck = t.tCK
+        costs = self.api.costs
+        ci = costs.command_insert
+        kinds: list[int] = []
+        offsets: list[int] = []
+        offset = 0
+        n_instr = 0
+        charge = 0
+        if case == 2:
+            kinds.append(K_PRE)
+            offsets.append(0)
+            offset = 1
+            n_instr = 1
+            charge = ci
+            gap = t.tRP - tck
+            if gap > 0:
+                offset += -(-gap // tck)
+                n_instr += 1
+        if case >= 1:
+            kinds.append(K_ACT)
+            offsets.append(offset)
+            offset += 1
+            n_instr += 1
+            charge += ci + act_charge
+            gap = trcd_ps - tck
+            if gap > 0:
+                offset += -(-gap // tck)
+                n_instr += 1
+        kinds.append(K_WR if is_write else K_RD)
+        offsets.append(offset)
+        offset += 1
+        n_instr += 1
+        charge += ci
+        return (tuple(kinds), tuple(offsets), offset, charge,
+                self.config.bender_domain.measure_ps(offset * tck),
+                (costs.flush + costs.per_instruction_transfer * n_instr)
+                * self._mc_period)
 
     # -- ProgramExecutor --------------------------------------------------------
 
@@ -358,8 +389,8 @@ class SoftwareMemoryController(ProgramExecutor):
             else:
                 self._core_tracker.note(request.core, _ROW_CASE[outcome],
                                         is_dram_write)
-        if self.serve_hook is not None:
-            self.serve_hook(self.api, entry)
+        if self._serve_hook is not None:
+            self._serve_hook(self.api, entry)
         else:
             self.api.stage_conventional(entry.dram, is_dram_write)
         sched_cycles = self.api.take_charges()
@@ -423,7 +454,7 @@ class SoftwareMemoryController(ProgramExecutor):
         if (len(requests) >= _KERNEL_MIN_BATCH
                 and self.service_pending_kernel(requests, refresh_sink)):
             return True
-        if (self.serve_hook is not None or self.tile.has_requests
+        if (self._serve_hook is not None or self.tile.has_requests
                 or len(self.api.program)):
             self.service_pending(requests)
             return False
@@ -490,6 +521,28 @@ class SoftwareMemoryController(ProgramExecutor):
         self.kernel_fallback_reason = reason
         return None
 
+    def _kernel_technique(self):
+        """The installed serve hook's technique if the kernel serves it.
+
+        Only the exact registry tRCD technique, hooked onto a controller
+        of its own system, is kernel data (its plans, Bloom filter and
+        counters cross the boundary; see
+        :class:`~repro.dram.kernel.state.KernelState`); ``None`` for no
+        hook and for every other hook — a lambda, a subclass, a
+        re-bound ``_serve`` — which keeps the object path.
+        """
+        hook = self._serve_hook
+        if hook is None:
+            return None
+        from repro.core.techniques.trcd import TrcdReductionTechnique
+        technique = getattr(hook, "__self__", None)
+        if (type(technique) is TrcdReductionTechnique
+                and getattr(hook, "__func__", None)
+                is TrcdReductionTechnique._serve
+                and any(smc is self for smc in technique.system.smcs)):
+            return technique
+        return None
+
     def service_pending_kernel(
             self, requests: list[MemoryRequest],
             refresh_sink: Callable[[int], None] | None = None) -> bool:
@@ -501,10 +554,12 @@ class SoftwareMemoryController(ProgramExecutor):
         included), plan issue, timing-legality resolution, refresh
         interleave, and stat attribution — runs as one compiled call
         over the struct-of-arrays tables in
-        :mod:`repro.dram.kernel.state`.  Returns ``False`` with all
-        state untouched when the kernel is disengaged or a technique
-        hook / staged tile state needs the object path; the caller then
-        falls back to :meth:`service_pending_batched`.
+        :mod:`repro.dram.kernel.state`, with the registry tRCD
+        technique's per-activation plan choice included.  Returns
+        ``False`` with all state untouched when the kernel is disengaged
+        or another technique hook / staged tile state needs the object
+        path; the caller then falls back to
+        :meth:`service_pending_batched`.
         """
         if not requests:
             return True
@@ -512,7 +567,7 @@ class SoftwareMemoryController(ProgramExecutor):
             else self._kernel_resolve()
         if ks is None:
             return False
-        if self.serve_hook is not None:
+        if self._serve_hook is not None and ks.technique is None:
             self.kernel_fallback_reason = "technique episode (serve hook)"
             return False
         if self.tile.has_requests or len(self.api.program):
@@ -527,6 +582,7 @@ class SoftwareMemoryController(ProgramExecutor):
         ks.ensure_requests(n)
         ks.ensure_viol(3 * n + 64)
         ks.ensure_wrhit(n + 16)
+        ks.ensure_rlog(n + 16)
         # Whole-slice assignments: one list -> int64 conversion per array.
         ks.req_tag[:n] = [request.tag for request in requests]
         ks.req_addr[:n] = [request.addr for request in requests]
@@ -546,6 +602,7 @@ class SoftwareMemoryController(ProgramExecutor):
             raise RuntimeError(f"batch kernel failed with error {err}")
         ks.store()
         ks.scatter_violations()
+        ks.check_reduced_reads()
         ks.apply_wr_hits()
         ks.emit_refreshes(refresh_sink, before_refresh)
         if err == KERR_DECODE_RANGE:

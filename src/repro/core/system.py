@@ -307,26 +307,28 @@ class Session:
     def clflush_range(self, start_addr: int, size_bytes: int) -> int:
         """Flush a range through the CLFLUSH register (Section 7.1).
 
-        Dirty lines become writeback requests serviced by the controller.
+        One CLFLUSH per line, in address order: each costs the
+        processor ``flush_latency`` cycles, and a dirty line becomes a
+        writeback request tagged with the cycle its own flush
+        completed.  The writebacks are serviced by the controller.
         Returns the number of dirty lines written back.
         """
-        line = self.hierarchy.line_bytes
         proc = self.processor
+        line = proc.hierarchy.line_bytes
         channel_of = (self.system.mapper.channel_of
                       if self.system.num_channels > 1 else None)
-        writebacks: list[MemoryRequest] = []
         first = start_addr - (start_addr % line)
-        addr = first
+        lines = max(0, -(-(start_addr + size_bytes - first) // line))
+        latency = proc.config.flush_latency
+        issued = proc.cycles
+        flushed = proc.hierarchy.flush_range(first // line, lines)
+        proc.cycles = issued + lines * latency
         rid = 1 << 30
-        while addr < start_addr + size_bytes:
-            wb_addr, _cost = proc.clflush(addr)
-            if wb_addr is not None:
-                writebacks.append(MemoryRequest(
-                    rid=rid, addr=wb_addr, is_write=True,
-                    tag=proc.cycles, is_writeback=True,
-                    channel=0 if channel_of is None else channel_of(wb_addr)))
-                rid += 1
-            addr += line
+        writebacks = [MemoryRequest(
+            rid=rid + k, addr=wb_addr, is_write=True,
+            tag=issued + (i + 1) * latency, is_writeback=True,
+            channel=0 if channel_of is None else channel_of(wb_addr))
+            for k, (i, wb_addr) in enumerate(flushed)]
         if writebacks:
             self.system.smc.service_pending(writebacks)
             # The flush instruction is ordered: the processor waits for

@@ -11,12 +11,18 @@ Two stages, exactly as the paper implements them:
    tRCD for strong rows and the nominal tRCD otherwise.
 
 The technique installs itself as the controller's serve hook, replacing
-the stock read/write sequences with tRCD-aware ones.
+the stock read/write sequences with tRCD-aware ones.  :meth:`_serve` is
+the reference; the compiled kernel serves this exact hook as data (the
+filter, the per-row tRCD choice, :class:`TrcdStats`), bit-identically —
+see ``SoftwareMemoryController._kernel_technique``.  Subclasses and
+other hooks keep the object path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.easyapi import EasyAPI
 from repro.core.schedulers import TableEntry
@@ -67,9 +73,11 @@ class TrcdReductionTechnique:
         self.bloom = BloomFilter.sized_for(
             max(1, len(weak) * channels), fp_rate=bloom_fp_rate,
             seed=bloom_seed)
-        for channel in range(channels):
-            for bank, row in weak:
-                self.bloom.add(self._key(bank, row, channel))
+        # _key over every (channel, weak row), vectorized.
+        pairs = np.array(weak, dtype=np.uint64).reshape(-1, 2)
+        keys = (pairs[:, 0] << np.uint64(32)) | pairs[:, 1]
+        self.bloom.add_many([keys | np.uint64(channel << 48)
+                             for channel in range(channels)])
         self._installed = False
 
     @staticmethod

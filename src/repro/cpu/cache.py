@@ -20,13 +20,26 @@ stamps.  The two layouts are behaviorally identical (stamp order *is*
 recency order); the test suite keeps the original list-based
 implementation verbatim as the oracle its randomized differential tests
 compare against.
+
+Resident copies: the compiled kernel keeps a flat copy of a hierarchy's
+way arrays between replays (:mod:`repro.dram.kernel.blockrun`).  Each
+level tracks what Python changed since that copy was last synced in
+``_changed``: a set of set indices (only :meth:`Cache.evict` and
+:meth:`CacheHierarchy.flush_range` record there), or ``None`` when any
+other mutator ran and the copy must be rebuilt whole.  Mutators mark a
+level stale with one assignment per call, never per access.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+
+#: Owner tokens for hierarchies and their resident copies (unique per
+#: process, never reused -- unlike ``id()``).
+_TOKENS = itertools.count(1)
 
 
 @dataclass
@@ -72,6 +85,9 @@ class Cache:
         self._mru: list[int] = [-1] * self.num_sets
         self._tick = 0
         self.stats = CacheStats()
+        #: Sets changed since the resident copy was synced (``None``:
+        #: rebuild it whole; see the module docstring).
+        self._changed: set[int] | None = None
 
     # -- per-access API (set/tag split hoisted into the _st variants) -------
 
@@ -91,6 +107,7 @@ class Cache:
 
     def lookup_st(self, set_index: int, tag: int, is_write: bool) -> bool:
         """:meth:`lookup` with the set/tag split already computed."""
+        self._changed = None
         tags = self._tags[set_index]
         mru = self._mru[set_index]
         if mru >= 0 and mru < len(tags) and tags[mru] == tag:
@@ -111,6 +128,7 @@ class Cache:
     def fill(self, line_addr: int, dirty: bool) -> int | None:
         """Install a line; return the evicted dirty line address, if any."""
         set_index, tag = self.split(line_addr)
+        self._changed = None
         tags = self._tags[set_index]
         if tag in tags:  # already present (e.g. racing writeback)
             slot = tags.index(tag)
@@ -124,6 +142,7 @@ class Cache:
     def fill_absent_st(self, set_index: int, tag: int,
                        dirty: bool) -> int | None:
         """Install a line known to be absent (a probe just missed it)."""
+        self._changed = None
         tags = self._tags[set_index]
         victim_line = None
         if len(tags) >= self.assoc:
@@ -155,6 +174,8 @@ class Cache:
         was_dirty = self._dirty[set_index].pop(slot)
         self._stamps[set_index].pop(slot)
         self._mru[set_index] = -1
+        if self._changed is not None:
+            self._changed.add(set_index)
         return True, was_dirty
 
     def contains(self, line_addr: int) -> bool:
@@ -211,6 +232,10 @@ class CacheHierarchy:
         self.l1 = l1
         self.l2 = l2
         self.line_bytes = l1.line_bytes
+        #: This hierarchy's owner token, and the token of the resident
+        #: copy that last synced with it (0: none).
+        self.token = next(_TOKENS)
+        self.resident = 0
         #: Extra core cycles charged on an LLC miss for the fill path
         #: (bus/queue traversal); DRAM latency itself comes from the SMC.
         self.memory_fill_latency = memory_fill_latency
@@ -269,6 +294,7 @@ class CacheHierarchy:
         eviction decisions are bit-identical to the per-access path.
         """
         l1, l2 = self.l1, self.l2
+        l1._changed = l2._changed = None
         lb = self.line_bytes
         n1, n2 = l1.num_sets, l2.num_sets
         a1 = l1.assoc
@@ -440,6 +466,43 @@ class CacheHierarchy:
                 cache.stats.flushes += 1
             dirty = dirty or was_dirty
         return line * self.line_bytes if dirty else None
+
+    def flush_range(self, first_line: int, n: int) -> list[tuple[int, int]]:
+        """CLFLUSH of ``n`` consecutive lines from line ``first_line``.
+
+        Exactly ``n`` :meth:`flush_line` calls in address order (same
+        evictions, per-level ``flushes`` counts, MRU resets and recorded
+        sets), in one pass per level.  Returns ``(i, writeback address)``
+        for each line ``first_line + i`` that was dirty in either level,
+        in line order.
+        """
+        dirty_lines: set[int] = set()
+        for cache in (self.l1, self.l2):
+            num_sets = cache.num_sets
+            all_tags, all_dirty = cache._tags, cache._dirty
+            all_stamps, mru = cache._stamps, cache._mru
+            changed = cache._changed
+            flushed = 0
+            set_index, tag = first_line % num_sets, first_line // num_sets
+            for i in range(n):
+                tags = all_tags[set_index]
+                if tag in tags:
+                    slot = tags.index(tag)
+                    tags.pop(slot)
+                    if all_dirty[set_index].pop(slot):
+                        dirty_lines.add(i)
+                    all_stamps[set_index].pop(slot)
+                    mru[set_index] = -1
+                    if changed is not None:
+                        changed.add(set_index)
+                    flushed += 1
+                set_index += 1
+                if set_index == num_sets:
+                    set_index = 0
+                    tag += 1
+            cache.stats.flushes += flushed
+        lb = self.line_bytes
+        return [(i, (first_line + i) * lb) for i in sorted(dirty_lines)]
 
     def llc_misses(self) -> int:
         return self.l2.stats.misses

@@ -6,8 +6,9 @@ struct-of-arrays int64 tables (:mod:`~repro.dram.kernel.state`) and
 executes an entire drained request batch — plan offsets, earliest-time
 resolution (rank-aware on multi-rank channels), scheduler selection for
 every registry policy (FCFS, FR-FCFS, ATLAS, BLISS, PAR-BS batch),
-issue, row-state transitions, refresh interleave, and per-core/prefetch
-stat attribution — in one compiled call
+issue, row-state transitions, refresh interleave, per-core/prefetch
+stat attribution and the registry reduced-tRCD technique — in one
+compiled call
 (:mod:`~repro.dram.kernel.cbackend`), or replays whole block traces
 resident (:mod:`~repro.dram.kernel.blockrun`) when the event engine runs
 an eligible single-core trace or multi-core mix.

@@ -18,8 +18,9 @@ One loop serves both engine entry points: :func:`run_gated_kernel` is
 :func:`run_cores_kernel` is ``EventEngine.run_cores``' multi-core one.
 
 Eligibility is the batch kernel's structural gate plus the replay
-extras (compiled backend, one channel, no prefetcher, no serve hook or
-staged tile state, clean MLP windows); any miss records
+extras (compiled backend, one channel, no prefetcher, no serve hook
+other than the registry tRCD technique's, no staged tile state, clean
+MLP windows); any miss records
 ``smc.kernel_fallback_reason`` and the caller falls back to its Python
 loop — bit-identical either way.
 """
@@ -33,8 +34,8 @@ import numpy as np
 from repro.core.events import EventKind
 from repro.dram.kernel.state import (
     HEAP_SLACK, KERN_NEED_BLOCK, KERN_NEED_ROOM, KERN_OK, KERR_DEADLOCK,
-    KERR_DECODE_RANGE, Cfg, Core, CorePtr, St, TBL_STRIDE, VIOL_STRIDE,
-    WRHIT_STRIDE,
+    KERR_DECODE_RANGE, RLOG_STRIDE, Cfg, Core, CorePtr, St, TBL_STRIDE,
+    VIOL_STRIDE, WRHIT_STRIDE,
 )
 
 #: Free pend-buffer entries kept ahead of the open sweep's requests.
@@ -55,10 +56,15 @@ def _ints(values):
 
 
 def _grow_keep(arr, need: int):
-    """``arr`` grown to at least ``need`` slots, contents preserved."""
+    """``arr`` grown to at least ``need`` slots, contents preserved.
+
+    Regrowth doubles; a first allocation is exact: every system
+    allocates its own, and technique ops replay short traces on many
+    fresh systems, where doubled buffers would only raise peak memory.
+    """
     if arr.shape[0] >= need:
         return arr
-    new = _arr(max(64, 2 * need))
+    new = _arr(max(64, 2 * need if arr.shape[0] else need))
     new[:arr.shape[0]] = arr
     return new
 
@@ -80,49 +86,87 @@ _LEVELS = (("l1", "c1", Core.C1_TICK, Core.C1_HITS),
 _WAY_ARRAYS = ("tags", "dirty", "stamps", "count", "mru")
 
 
-def _load_cache(ks, index: int, hier) -> None:
-    """Flatten one core's two cache levels into its way arrays.
+def _load_sets(level, arrays, sets: list[int] | None) -> None:
+    """Copy ``sets`` (``None``: every set) of one level into its way arrays.
 
     Padded ``[set * assoc]`` layout with a live-way count per set; slots
     past the count are never read by the kernel, so they stay stale.
     """
+    tags, dirty, stamps, count, mru = arrays
+    if sets is None:
+        index = slice(None)
+        base = np.arange(0, level.num_sets * level.assoc, level.assoc)
+        set_tags, set_dirty = level._tags, level._dirty
+        set_stamps, set_mru = level._stamps, level._mru
+    else:
+        index = sets
+        base = np.asarray(sets, dtype=np.int64) * level.assoc
+        set_tags = [level._tags[s] for s in sets]
+        set_dirty = [level._dirty[s] for s in sets]
+        set_stamps = [level._stamps[s] for s in sets]
+        set_mru = [level._mru[s] for s in sets]
+    counts = np.fromiter(map(len, set_tags), np.int64, len(set_tags))
+    count[index] = counts
+    mru[index] = set_mru
+    live = int(counts.sum())
+    if live:
+        # Slot of each live way, in set order: way k of the j-th set sits
+        # at base[j] + k, i.e. its live index shifted per set.
+        where = np.arange(live) + np.repeat(base - np.cumsum(counts) + counts,
+                                            counts)
+        chain = itertools.chain.from_iterable
+        tags[where] = np.fromiter(chain(set_tags), np.int64, live)
+        dirty[where] = np.fromiter(chain(set_dirty), np.int64, live)
+        stamps[where] = np.fromiter(chain(set_stamps), np.int64, live)
+
+
+def _load_cache(ks, index: int, hier) -> None:
+    """Bring core ``index``'s resident copy of ``hier`` up to date.
+
+    The way arrays persist between replays as the hierarchy's resident
+    copy.  When this slot synced ``hier`` last, each level reloads only
+    the sets Python changed since (``Cache._changed``: CLFLUSH
+    evictions); otherwise, or after any other Python-side mutation, the
+    level is flattened whole.  Ticks and stats are scalars, read every
+    call.
+    """
     slots = ks.cores[index]
     rec = slots.st
+    current = (slots.cache_owner == hier.token
+               and hier.resident == slots.token)
     for attr, prefix, tick, stat in _LEVELS:
         level = getattr(hier, attr)
-        sets, assoc = level.num_sets, level.assoc
-        if getattr(slots, prefix + "_tags").shape[0] != sets * assoc:
-            for i, name in enumerate(_WAY_ARRAYS):
-                field = getattr(CorePtr, f"{prefix}_{name}".upper())
-                ks.set_core_array(index, field,
-                                  _arr(sets * assoc if i < 3 else sets))
-        tags, dirty, stamps, count, mru = (
-            getattr(slots, f"{prefix}_{name}") for name in _WAY_ARRAYS)
-        counts = np.fromiter(map(len, level._tags), np.int64, sets)
-        live = int(counts.sum())
-        if live:
-            # Slot of each live way, in set order: way k of set s sits at
-            # s * assoc + k, i.e. its live index shifted per set.
-            shift = np.arange(0, sets * assoc, assoc) - np.cumsum(counts) \
-                + counts
-            where = np.arange(live) + np.repeat(shift, counts)
-            chain = itertools.chain.from_iterable
-            tags[where] = np.fromiter(chain(level._tags), np.int64, live)
-            dirty[where] = np.fromiter(chain(level._dirty), np.int64, live)
-            stamps[where] = np.fromiter(chain(level._stamps), np.int64, live)
-        count[:] = counts
-        mru[:] = level._mru
+        arrays = [getattr(slots, f"{prefix}_{name}") for name in _WAY_ARRAYS]
+        changed = level._changed
+        if current and changed is not None:
+            if changed:
+                _load_sets(level, arrays, sorted(changed))
+        else:
+            sets, assoc = level.num_sets, level.assoc
+            if arrays[0].shape[0] != sets * assoc:
+                for i, name in enumerate(_WAY_ARRAYS):
+                    arrays[i] = _arr(sets * assoc if i < 3 else sets)
+                    field = getattr(CorePtr, f"{prefix}_{name}".upper())
+                    ks.set_core_array(index, field, arrays[i])
+            _load_sets(level, arrays, None)
+        level._changed = set()
         rec[tick] = level._tick
         stats = level.stats
         rec[stat:stat + 3] = (stats.hits, stats.misses, stats.writebacks)
+    slots.cache_owner = hier.token
+    hier.resident = slots.token
 
 
 def _store_cache(slots, hier) -> None:
     """Write one core's way arrays back into its cache-level lists.
 
     Only the sets the run touched are rebuilt: the kernel stamps every
-    way it probes or fills with the level's running tick, so a set whose
-    live stamps all predate the tick at load is unchanged.
+    way it probes or fills with the level's running tick (and only
+    moves a set's MRU slot when it stamps it), so a set whose stamps all
+    predate the tick at load is unchanged.  (Slots past a set's live
+    count only ever hold older stamps; a spurious match would merely
+    rebuild a set from arrays that equal its lists.)  The arrays stay
+    behind as the hierarchy's synced resident copy.
     """
     rec = slots.st
     for attr, prefix, tick, stat in _LEVELS:
@@ -132,19 +176,27 @@ def _store_cache(slots, hier) -> None:
             getattr(slots, f"{prefix}_{name}") for name in _WAY_ARRAYS)
         size = sets * assoc
         stamps = stamps[:size].reshape(sets, assoc)
-        live = np.arange(assoc) < count[:, None]
-        touched = np.flatnonzero(
-            ((stamps >= level._tick) & live).any(axis=1))
-        rows = (tags[:size].reshape(sets, assoc)[touched].tolist(),
-                (dirty[:size].reshape(sets, assoc)[touched] != 0).tolist(),
-                stamps[touched].tolist())
-        for s, c, row_tags, row_dirty, row_stamps in zip(
-                touched.tolist(), count[touched].tolist(), *rows):
-            level._tags[s] = row_tags[:c]
-            level._dirty[s] = row_dirty[:c]
-            level._stamps[s] = row_stamps[:c]
-        level._mru[:] = mru.tolist()
+        touched = np.flatnonzero(stamps.max(axis=1) >= level._tick)
+        if touched.size:
+            set_tags, set_dirty = level._tags, level._dirty
+            set_stamps, set_mru = level._stamps, level._mru
+            for s, c, m, row_tags, row_dirty, row_stamps in zip(
+                    touched.tolist(), count[touched].tolist(),
+                    mru[touched].tolist(),
+                    tags[:size].reshape(sets, assoc)[touched].tolist(),
+                    (dirty[:size].reshape(sets, assoc)[touched]
+                     != 0).tolist(),
+                    stamps[touched].tolist()):
+                if c < assoc:
+                    row_tags = row_tags[:c]
+                    row_dirty = row_dirty[:c]
+                    row_stamps = row_stamps[:c]
+                set_tags[s] = row_tags
+                set_dirty[s] = row_dirty
+                set_stamps[s] = row_stamps
+                set_mru[s] = m
         level._tick = int(rec[tick])
+        level._changed = set()
         stats = level.stats
         stats.hits, stats.misses, stats.writebacks = (
             int(v) for v in rec[stat:stat + 3])
@@ -186,29 +238,15 @@ class _Feed:
         # Resident cache filter: the standard two-level hierarchy runs
         # inside the kernel itself (no Python cache scan, no decode-memo
         # prime — the kernel decodes directly).  A subclassed or
-        # differently shaped hierarchy keeps the Python filter per block,
-        # as does a strict address map whose trace actually goes out of
-        # range: the Python path names the prime batch's worst offender,
-        # not the first, so the error case must replay through it.
-        # In-range traces cannot differ — a strict cache never holds an
-        # out-of-range line (its fill would have raised at install time)
-        # — so one max/min scan settles it.
+        # differently shaped hierarchy keeps the Python filter per block
+        # (see hand_over for strict maps).
         from repro.cpu.cache import CacheHierarchy
         hier = proc.hierarchy
-        has_cache = (type(hier) is CacheHierarchy
-                     and _cache_geometry(hier) == cache_geometry)
-        blocks = proc._blocks
-        if has_cache and mapper.strict:
-            blocks = list(blocks)   # the feed may hand over a generator
-            total = mapper._total_bytes
-            for block in blocks:
-                if block.addr and not 0 <= min(block.addr) <= max(
-                        block.addr) < total:
-                    has_cache = False
-                    break
-        self.blocks = iter(blocks)
-        self.has_cache = has_cache
-        if has_cache:
+        self.has_cache = (type(hier) is CacheHierarchy
+                          and _cache_geometry(hier) == cache_geometry)
+        self.strict_total = mapper._total_bytes if mapper.strict else None
+        self.blocks = iter(proc._blocks)
+        if self.has_cache:
             _load_cache(ks, index, hier)
 
     def _lat_room(self, accesses: int) -> None:
@@ -258,10 +296,21 @@ class _Feed:
         if block is None:
             self.rec[Core.EXHAUSTED] = 1
             return
+        proc = self.proc
+        total = self.strict_total
+        if (self.has_cache and total is not None and block.addr
+                and not 0 <= min(block.addr) <= max(block.addr) < total):
+            # A strict address map whose trace goes out of range: the
+            # Python path names the prime batch's worst offender, not
+            # the first, so this block and the rest filter in Python,
+            # from the synced cache state.  In-range blocks cannot
+            # differ — a strict cache never holds an out-of-range line
+            # (its fill would have raised at install time).
+            _store_cache(self.slots, proc.hierarchy)
+            self.has_cache = False
         if self.has_cache:
             self._load_block(block, None)
             return
-        proc = self.proc
         traffic = proc.hierarchy.access_block(block.addr, block.flags)
         hook = proc.prime_hook
         if hook is not None and (traffic.n_fills or traffic.wb_addr):
@@ -304,7 +353,7 @@ def _eligible(procs, smc) -> str | None:
     ks = smc._kernel_state if smc._kernel_resolved else smc._kernel_resolve()
     if ks is None:
         return smc.kernel_fallback_reason
-    if smc.serve_hook is not None:
+    if smc.serve_hook is not None and ks.technique is None:
         return "technique episode (serve hook)"
     if smc.tile.has_requests or len(smc.api.program):
         return "staged tile state pending"
@@ -399,6 +448,8 @@ def _replay(engine, procs, smc) -> bool:
                 feed.flush_latencies()
             if int(st[St.VIOL_COUNT]):
                 ks.scatter_violations()
+            if int(st[St.RLOG_COUNT]):
+                ks.check_reduced_reads()
             if int(st[St.WRHIT_COUNT]):
                 ks.apply_wr_hits()
             if err == KERN_NEED_BLOCK:
@@ -460,6 +511,7 @@ def _make_room(ks) -> None:
     ks.ensure_table(cap)
     ks.ensure_viol(3 * cap + 256)
     ks.ensure_wrhit(cap + 64)
+    ks.ensure_rlog(cap + 64)
     heap_need = 4 * (int(st[St.HEAP_LEN]) + cap + HEAP_SLACK)
     if ks.heap.shape[0] < heap_need:
         ks.heap = _grow_keep(ks.heap, heap_need)
@@ -468,4 +520,5 @@ def _make_room(ks) -> None:
     st[St.TBL_CAP] = ks.tbl.shape[0] // TBL_STRIDE
     st[St.VIOL_CAP] = ks.viol.shape[0] // VIOL_STRIDE
     st[St.WRHIT_CAP] = ks.wrhit.shape[0] // WRHIT_STRIDE
+    st[St.RLOG_CAP] = ks.rlog.shape[0] // RLOG_STRIDE
     st[St.HEAP_CAP] = ks.heap.shape[0] // 4

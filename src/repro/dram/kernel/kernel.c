@@ -11,7 +11,9 @@
  *                         _make_service_single byte for byte on the
  *                         emulated timeline), under any registry
  *                         scheduler and on single- or multi-rank
- *                         channels.
+ *                         channels, with the stock open-page plans or
+ *                         the reduced-tRCD technique's (trcd.py
+ *                         TrcdReductionTechnique._serve).
  *   repro_run_cores    -- the resident replay: N fed block traces driven
  *                         to completion under round-robin arbitration
  *                         (mirrors EventEngine.run_cores around
@@ -78,7 +80,8 @@ typedef struct {
     const int64_t *plan_charge, *plan_measured, *plan_postflush;
     int64_t *viol;
     const int64_t *mat_keys;
-    int64_t *wrhit;
+    int64_t *wrhit, *rlog;
+    const int64_t *bloom;
     int64_t *req_tag, *req_addr, *req_flags, *req_core;
     int64_t *req_release, *req_service, *tracker;
     int64_t *tbl;
@@ -117,6 +120,8 @@ static void bind(K *k, int64_t **p)
     k->viol = p[P_VIOL];
     k->mat_keys = p[P_MAT_KEYS];
     k->wrhit = p[P_WRHIT];
+    k->rlog = p[P_RLOG];
+    k->bloom = p[P_BLOOM];
     k->req_tag = p[P_REQ_TAG];
     k->req_addr = p[P_REQ_ADDR];
     k->req_flags = p[P_REQ_FLAGS];
@@ -421,6 +426,35 @@ static int64_t faw_push(K *k, int64_t *ring, int64_t *head_p,
     return KERN_OK;
 }
 
+/* -- reduced tRCD (core/techniques/trcd.py, profiling/bloom.py) ---------- */
+
+/* bloom._mix: splitmix64 with a seed, in wrapping uint64 arithmetic. */
+static uint64_t bloom_mix(uint64_t x, uint64_t seed)
+{
+    x = x + seed + 0x9E3779B97F4A7C15ULL;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+}
+
+/* TrcdReductionTechnique.trcd_for: a weak-row filter hit (or a false
+ * positive) keeps nominal tRCD; every other row gets the reduced one. */
+static int trcd_reduced(K *k, int64_t bank, int64_t row)
+{
+    uint64_t key = ((uint64_t)C(CHANNEL) << 48) | ((uint64_t)bank << 32)
+        | (uint64_t)row;
+    uint64_t h1 = bloom_mix(key, (uint64_t)C(BLOOM_SEED1));
+    uint64_t h2 = bloom_mix(key, (uint64_t)C(BLOOM_SEED2)) | 1;
+    uint64_t nbits = (uint64_t)C(BLOOM_NBITS);
+    const uint8_t *bits = (const uint8_t *)k->bloom;
+    for (int64_t i = 0; i < C(BLOOM_HASHES); i++) {
+        uint64_t pos = (h1 + (uint64_t)i * h2) % nbits;
+        if (!(bits[pos >> 3] & (1u << (pos & 7))))
+            return 1;
+    }
+    return 0;
+}
+
 static int64_t apply_act(K *k, int64_t bank, int64_t row, int64_t t)
 {
     int64_t grp = k->group_of[bank];
@@ -458,8 +492,21 @@ static void apply_pre(K *k, int64_t bank, int64_t t)
     S(CMD_PRE) += 1;
 }
 
-static void apply_rd(K *k, int64_t bank, int64_t t)
+static int64_t apply_rd(K *k, int64_t bank, int64_t t)
 {
+    /* A read under nominal tRCD (only the tRCD technique issues one):
+     * log it for the driver's cell-model reliability check. */
+    int64_t trcd_used = t - k->last_act[bank];
+    if (trcd_used < C(TRCD)) {
+        int64_t count = S(RLOG_COUNT);
+        if (count >= S(RLOG_CAP))
+            return KERR_VIOL_OVERFLOW;
+        int64_t *rec = k->rlog + RLOG_STRIDE * count;
+        rec[0] = bank;
+        rec[1] = k->open_row[bank];
+        rec[2] = trcd_used;
+        S(RLOG_COUNT) = count + 1;
+    }
     int64_t grp = k->group_of[bank];
     k->last_read[bank] = t;
     if (t > k->gmax_cas[grp])
@@ -467,6 +514,7 @@ static void apply_rd(K *k, int64_t bank, int64_t t)
     if (t > S(MAX_CAS_ALL))
         S(MAX_CAS_ALL) = t;
     S(CMD_RD) += 1;
+    return KERN_OK;
 }
 
 static int64_t apply_wr(K *k, int64_t bank, int64_t col, int64_t t)
@@ -593,8 +641,8 @@ static int64_t issue_plan_k(K *k, int64_t p, int64_t bank, int64_t row,
     int64_t tck = C(TCK);
     int64_t t = start;
     for (int64_t i = 0; i < n; i++) {
-        int64_t kind = k->plan_kinds[3 * p + i];
-        t = start + k->plan_offsets[3 * p + i] * tck;
+        int64_t kind = k->plan_kinds[PLAN_STRIDE * p + i];
+        t = start + k->plan_offsets[PLAN_STRIDE * p + i] * tck;
         if (i) {
             int64_t e = flat_earliest(k, kind, bank);
             if (t < e) {
@@ -614,7 +662,7 @@ static int64_t issue_plan_k(K *k, int64_t p, int64_t bank, int64_t row,
         else if (kind == K_PRE)
             apply_pre(k, bank, t);
         else if (kind == K_RD)
-            apply_rd(k, bank, t);
+            err = apply_rd(k, bank, t);
         else if (kind == K_WR)
             err = apply_wr(k, bank, col, t);
         else
@@ -632,7 +680,7 @@ static int64_t issue_col_k(K *k, int64_t kind, int64_t bank, int64_t col,
 {
     int64_t err = KERN_OK;
     if (kind == K_RD)
-        apply_rd(k, bank, t);
+        err = apply_rd(k, bank, t);
     else if (kind == K_WR)
         err = apply_wr(k, bank, col, t);
     else
@@ -824,6 +872,18 @@ static int64_t serve_one(K *k, int64_t bank, int64_t row, int64_t col,
         }
     }
     int64_t p = 2 * cse + is_wb;
+    if (C(TRCD_TECH)) {
+        /* TrcdReductionTechnique._serve: a row hit is the stock plan; an
+         * activation picks its tRCD per row from the Bloom filter. */
+        if (!cse) {
+            S(TR_HITS) += 1;
+        } else if (trcd_reduced(k, bank, row)) {
+            S(TR_REDUCED) += 1;
+            p += 4;
+        } else {
+            S(TR_NOMINAL) += 1;
+        }
+    }
     int64_t sched_cycles = S(CHARGED) + k->plan_charge[p];
     S(CHARGED) = 0;
     S(S_SCHED_CYCLES) += sched_cycles;
@@ -869,7 +929,8 @@ static int64_t serve_one(K *k, int64_t bank, int64_t row, int64_t col,
     if (cse)
         err = issue_plan_k(k, p, bank, row, col, start);
     else
-        err = issue_col_k(k, k->plan_kinds[3 * p], bank, col, start);
+        err = issue_col_k(k, k->plan_kinds[PLAN_STRIDE * p], bank, col,
+                          start);
     if (err)
         return err;
     S(B_PROGRAMS) += 1;
@@ -1595,6 +1656,7 @@ static int64_t close_sweep(K *k, int64_t **cp)
      * flush and grow and re-enter right here. */
     if (S(VIOL_CAP) - S(VIOL_COUNT) < 3 * np + 256
             || S(WRHIT_CAP) - S(WRHIT_COUNT) < np + 64
+            || S(RLOG_CAP) - S(RLOG_COUNT) < np + 64
             || S(HEAP_CAP) - S(HEAP_LEN) < np + HEAP_SLACK)
         return KERN_NEED_ROOM;
     S(SWEEP) += 1;
@@ -1627,7 +1689,7 @@ static int64_t close_sweep(K *k, int64_t **cp)
 
 int64_t repro_abi_version(void)
 {
-    return 4;
+    return 5;
 }
 
 int64_t repro_serve_batch(int64_t **p)

@@ -35,6 +35,7 @@ only moves values.
 from __future__ import annotations
 
 import ctypes
+import itertools
 
 import numpy as np
 
@@ -72,6 +73,12 @@ CFG_FIELDS = (
     # cache hierarchy (resident cache filter): geometry and latencies
     "C1_SETS", "C1_ASSOC", "C1_HIT", "C2_SETS", "C2_ASSOC", "C2_HIT12",
     "C_MISS_LAT", "C_LINE_BYTES",
+    # tRCD technique (TrcdReductionTechnique as kernel data): engaged
+    # flag, reduced tRCD (ps), the weak-row Bloom filter's geometry and
+    # two hash seeds (as uint64 bit patterns), and the controller's
+    # channel index (part of the filter key)
+    "TRCD_TECH", "TRCD_REDUCED", "BLOOM_NBITS", "BLOOM_HASHES",
+    "BLOOM_SEED1", "BLOOM_SEED2", "CHANNEL",
 )
 
 #: Channel-interleave codes for ``CFG.CH_MODE`` (see AddressMapper).
@@ -108,6 +115,8 @@ ST_FIELDS = (
     "T_DRAM_BUSY", "T_HITS", "T_MISSES", "T_CONFLICTS",
     # Bender engine accounting
     "B_PROGRAMS", "B_CYCLES",
+    # tRCD technique counters (TrcdStats) and the reduced-read log fill
+    "TR_REDUCED", "TR_NOMINAL", "TR_HITS", "RLOG_COUNT", "RLOG_CAP",
     # device command counts (indexed by flat kind code)
     "CMD_ACT", "CMD_PRE", "CMD_PREA", "CMD_RD", "CMD_WR", "CMD_REF",
     # EngineStats + event-queue sequence (resident replay)
@@ -162,11 +171,14 @@ PTR_FIELDS = (
     # per-core scheduler table: ATLAS attained service (-1 = no entry),
     # BLISS blacklist flag, batch per-core mark count (scratch)
     "SCHED_CORE",
-    # memoized conventional plans, indexed [2 * case + is_write]
+    # memoized plans (PLAN_COUNT entries, see KernelState)
     "PLAN_N", "PLAN_KINDS", "PLAN_OFFSETS", "PLAN_CYCLES",
     "PLAN_CHARGE", "PLAN_MEASURED", "PLAN_POSTFLUSH",
-    # logs: violations (stride VIOL_STRIDE), materialized rows, WR hits
-    "VIOL", "MAT_KEYS", "WRHIT",
+    # logs: violations (stride VIOL_STRIDE), materialized rows, WR hits,
+    # reads issued under nominal tRCD (stride RLOG_STRIDE)
+    "VIOL", "MAT_KEYS", "WRHIT", "RLOG",
+    # the tRCD technique's Bloom filter bits (bytes packed into int64s)
+    "BLOOM",
     # request batch (serve_batch entry, and the resident replay's
     # tag-sorted copy of a multi-core gate's pending requests)
     "REQ_TAG", "REQ_ADDR", "REQ_FLAGS", "REQ_CORE",
@@ -193,6 +205,20 @@ TBL_STRIDE = 7
 
 #: WR-hit log record: bank, row, col.
 WRHIT_STRIDE = 3
+
+#: Reduced-read log record: bank, row, tRCD used (ps) -- every RD issued
+#: less than nominal tRCD after its row's ACT.
+RLOG_STRIDE = 3
+
+#: Plan table size.  Entry ``2 * case + is_write`` (case 0 = row hit,
+#: 1 = closed bank, 2 = conflict) is the stock plan -- or, with the tRCD
+#: technique engaged, its nominal-tRCD plan for cases 1 and 2; entries
+#: ``4 + 2 * case + is_write`` are the technique's reduced-tRCD plans.
+PLAN_COUNT = 10
+
+#: ``PLAN_KINDS`` / ``PLAN_OFFSETS`` stride: the longest plan (PRE, ACT,
+#: RD/WR).
+PLAN_STRIDE = 3
 
 #: Constraint-code -> constraint-name table (TimingChecker vocabulary).
 CONSTRAINT_NAMES = (
@@ -259,6 +285,8 @@ def render_defines() -> str:
         f"#define VIOL_STRIDE {VIOL_STRIDE}",
         f"#define TBL_STRIDE {TBL_STRIDE}",
         f"#define WRHIT_STRIDE {WRHIT_STRIDE}",
+        f"#define RLOG_STRIDE {RLOG_STRIDE}",
+        f"#define PLAN_STRIDE {PLAN_STRIDE}",
         f"#define CORE_STRIDE {len(CORE_FIELDS)}",
         f"#define CP_COUNT {len(CORE_PTR_FIELDS)}",
         f"#define KERN_OK {KERN_OK}",
@@ -285,6 +313,13 @@ def render_defines() -> str:
 
 def _arr(n: int) -> np.ndarray:
     return np.zeros(n, dtype=np.int64)
+
+
+def _as_int64(value: int) -> int:
+    """``value``'s low 64 bits as a signed int64 (the C side reads them
+    back as ``uint64_t``)."""
+    value &= (1 << 64) - 1
+    return value - (1 << 64) if value >> 63 else value
 
 
 def _ring_list(ring: np.ndarray, base: int, head: int,
@@ -414,20 +449,44 @@ class KernelState:
         self.rank_faw = _arr(FAW_RING_CAP * nranks if self.multi_rank else 0)
         self.rank_faw_hl = _arr(2 * nranks if self.multi_rank else 0)
         self.sched_core = _arr(0)
-        # Plans: flattened [2 * case + is_write] tables.
-        plan_n = _arr(6)
-        plan_kinds = _arr(6 * 3)
-        plan_offsets = _arr(6 * 3)
-        plan_cycles = _arr(6)
-        plan_charge = _arr(6)
-        plan_measured = _arr(6)
-        plan_postflush = _arr(6)
-        for p, (kinds, offsets, total_cycles, charge, measured,
-                post_flush_ps) in enumerate(smc._plan_list):
+        #: The registry tRCD technique the kernel serves in place of the
+        #: controller's serve hook (``None``: stock plans only).
+        technique = self.technique = smc._kernel_technique()
+        plans = list(smc._plan_list) + [None] * (PLAN_COUNT - 6)
+        if technique is not None:
+            # The technique's own staging: nominal or reduced tRCD after
+            # the ACT, plus the Bloom lookup on every activation.
+            bloom_check = smc.api.costs.bloom_check
+            for case in (1, 2):
+                for is_write in (False, True):
+                    p = 2 * case + is_write
+                    plans[p] = smc._plan(case, is_write,
+                                         technique.nominal_trcd_ps,
+                                         bloom_check)
+                    plans[p + 4] = smc._plan(case, is_write,
+                                             technique.reduced_trcd_ps,
+                                             bloom_check)
+            cfg[Cfg.TRCD_TECH] = 1
+            cfg[Cfg.TRCD_REDUCED] = technique.reduced_trcd_ps
+            cfg[Cfg.CHANNEL] = smc.tile.channel
+        self.bloom = _arr(0)
+        # Plans: flattened [PLAN_COUNT] tables.
+        plan_n = _arr(PLAN_COUNT)
+        plan_kinds = _arr(PLAN_COUNT * PLAN_STRIDE)
+        plan_offsets = _arr(PLAN_COUNT * PLAN_STRIDE)
+        plan_cycles = _arr(PLAN_COUNT)
+        plan_charge = _arr(PLAN_COUNT)
+        plan_measured = _arr(PLAN_COUNT)
+        plan_postflush = _arr(PLAN_COUNT)
+        for p, plan in enumerate(plans):
+            if plan is None:
+                continue
+            (kinds, offsets, total_cycles, charge, measured,
+             post_flush_ps) = plan
             plan_n[p] = len(kinds)
             for j, kind in enumerate(kinds):
-                plan_kinds[3 * p + j] = kind
-                plan_offsets[3 * p + j] = offsets[j]
+                plan_kinds[PLAN_STRIDE * p + j] = kind
+                plan_offsets[PLAN_STRIDE * p + j] = offsets[j]
             plan_cycles[p] = total_cycles
             plan_charge[p] = charge
             plan_measured[p] = measured
@@ -442,6 +501,7 @@ class KernelState:
         # Logs (grown on demand between calls).
         self.viol = _arr(VIOL_STRIDE * 4096)
         self.wrhit = _arr(WRHIT_STRIDE * 256)
+        self.rlog = _arr(RLOG_STRIDE * 256)
         self.mat_keys = _arr(0)
         self.tracker_out = _arr(6 * max(1, int(cfg[Cfg.NCORES])))
         # Batch request arrays (grown on demand).
@@ -503,6 +563,11 @@ class KernelState:
             self.wrhit = _arr(WRHIT_STRIDE * max(256, 2 * entries))
             self._ptr_table = None
 
+    def ensure_rlog(self, entries: int) -> None:
+        if self.rlog.shape[0] < RLOG_STRIDE * entries:
+            self.rlog = _arr(RLOG_STRIDE * max(256, 2 * entries))
+            self._ptr_table = None
+
     def refresh_materialized(self) -> None:
         """Snapshot the device's materialized rows as sorted search keys.
 
@@ -520,9 +585,34 @@ class KernelState:
         else:
             self.mat_keys = _arr(0)
         self.st[St.NMAT] = self.mat_keys.shape[0]
-        self._ptr_table = None
+        # Techniques materialize rows between short replays: patch the
+        # one slot instead of rebuilding the table.
+        if self._ptr_table is not None:
+            self._ptr_table[Ptr.MAT_KEYS] = _pointer(self.mat_keys)
 
     # -- marshalling --------------------------------------------------------
+
+    def _load_technique(self) -> None:
+        """The tRCD technique's filter and counters, read live each call
+        (as its hook would)."""
+        technique = self.technique
+        bloom = technique.bloom
+        cfg = self.cfg
+        cfg[Cfg.BLOOM_NBITS] = bloom.num_bits
+        cfg[Cfg.BLOOM_HASHES] = bloom.num_hashes
+        cfg[Cfg.BLOOM_SEED1] = _as_int64(bloom.seed)
+        cfg[Cfg.BLOOM_SEED2] = _as_int64(bloom.seed ^ 0xDEADBEEF)
+        bits = np.frombuffer(bloom._bits, dtype=np.uint8)
+        words = -(-bits.shape[0] // 8)
+        if self.bloom.shape[0] != words:
+            self.bloom = _arr(words)
+            self._ptr_table = None
+        self.bloom.view(np.uint8)[:bits.shape[0]] = bits
+        st = self.st
+        stats = technique.stats
+        st[St.TR_REDUCED] = stats.reduced_acts
+        st[St.TR_NOMINAL] = stats.nominal_acts
+        st[St.TR_HITS] = stats.row_hits
 
     def _sched_table(self, ncores: int) -> np.ndarray:
         if self.sched_core.shape[0] < ncores:
@@ -624,6 +714,8 @@ class KernelState:
                 hl[2 * r + 1] = len(rank_acts)
         if self.scheduler is not None:
             self._load_scheduler(max_core)
+        if self.technique is not None:
+            self._load_technique()
         st[St.SCHED_CURSOR] = smc.sched_cursor
         st[St.DRAM_CURSOR] = smc.dram_cursor
         st[St.EXEC_ANCHOR] = smc._exec_anchor_ps
@@ -677,6 +769,8 @@ class KernelState:
         st[St.VIOL_CAP] = self.viol.shape[0] // VIOL_STRIDE
         st[St.WRHIT_COUNT] = 0
         st[St.WRHIT_CAP] = self.wrhit.shape[0] // WRHIT_STRIDE
+        st[St.RLOG_COUNT] = 0
+        st[St.RLOG_CAP] = self.rlog.shape[0] // RLOG_STRIDE
         st[St.TBL_CAP] = self.tbl.shape[0] // TBL_STRIDE
         if self.cfg[Cfg.HAS_TRACKER]:
             self.tracker_out[:] = 0
@@ -733,6 +827,11 @@ class KernelState:
             device.ranks[0].recent_acts = list(acts)
         if self.scheduler is not None:
             self._store_scheduler()
+        if self.technique is not None:
+            stats = self.technique.stats
+            stats.reduced_acts = int(st[St.TR_REDUCED])
+            stats.nominal_acts = int(st[St.TR_NOMINAL])
+            stats.row_hits = int(st[St.TR_HITS])
         last_ref = int(st[St.LAST_REF])
         if last_ref != flat.last_ref:
             # REF issued during the call: _apply_ref semantics.
@@ -824,6 +923,26 @@ class KernelState:
                 CONSTRAINT_NAMES[int(viol[base + 6])]))
         self.st[St.VIOL_COUNT] = 0
 
+    def check_reduced_reads(self) -> None:
+        """Run the RDs issued under nominal tRCD through the cell model.
+
+        The kernel skips the device's per-RD reliability probe (it is
+        only engaged when no read at nominal tRCD can fail); reads the
+        tRCD technique issued early are logged instead, and each one
+        that the row cannot sustain counts as unreliable, as
+        ``DramDevice`` counts it on the object path.
+        """
+        count = int(self.st[St.RLOG_COUNT])
+        if not count:
+            return
+        device = self.smc._device
+        reliable = device.cells.read_is_reliable
+        log = self.rlog[:RLOG_STRIDE * count].tolist()
+        for i in range(0, RLOG_STRIDE * count, RLOG_STRIDE):
+            if not reliable(log[i], log[i + 1], log[i + 2]):
+                device.stats.unreliable_reads += 1
+        self.st[St.RLOG_COUNT] = 0
+
     def apply_wr_hits(self) -> None:
         """Replay WRs that targeted materialized rows onto the row data."""
         count = int(self.st[St.WRHIT_COUNT])
@@ -872,7 +991,7 @@ class KernelState:
             self.plan_n, self.plan_kinds, self.plan_offsets,
             self.plan_cycles, self.plan_charge, self.plan_measured,
             self.plan_postflush,
-            self.viol, self.mat_keys, self.wrhit,
+            self.viol, self.mat_keys, self.wrhit, self.rlog, self.bloom,
             self.req_tag, self.req_addr, self.req_flags, self.req_core,
             self.req_release, self.req_service, self.tracker_out,
             self.tbl,
@@ -907,8 +1026,11 @@ class KernelState:
         cores = self.cores[:n]
         for i, core in enumerate(cores):
             core.st = self.core_st[i * width:(i + 1) * width]
-        self._ncores = n
-        self._core_table = None
+        if n != self._ncores:
+            # (Same n: the same slot objects, whose swapped arrays
+            # set_core_array already patched into the table.)
+            self._ncores = n
+            self._core_table = None
         return cores
 
     def core_pointer_table(self):
@@ -934,12 +1056,21 @@ class KernelState:
 class CoreSlots:
     """One core's resident-replay buffers: the ``CORE_PTR_FIELDS`` arrays
     (lower-cased attribute names) plus ``st``, its ``CORE_FIELDS`` record
-    (a view into :attr:`KernelState.core_st`)."""
+    (a view into :attr:`KernelState.core_st`).
+
+    The cache way arrays outlive a replay as a *resident copy* of the
+    hierarchy whose token is ``cache_owner`` (0: none); ``token`` names
+    this copy (see ``blockrun._load_cache``)."""
 
     def __init__(self) -> None:
         self.st = _arr(len(CORE_FIELDS))
         for name in _CORE_ATTRS:
             setattr(self, name, _arr(0))
+        self.token = next(_SLOT_TOKENS)
+        self.cache_owner = 0
+
+
+_SLOT_TOKENS = itertools.count(1)
 
 
 _CORE_ATTRS = tuple(name.lower() for name in CORE_PTR_FIELDS)

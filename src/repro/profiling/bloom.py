@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -25,6 +27,14 @@ def _mix(x: int, seed: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def _mix_many(x: np.ndarray, seed: int) -> np.ndarray:
+    """:func:`_mix` over a ``uint64`` array (wrapping arithmetic)."""
+    x = x + np.uint64((seed + 0x9E3779B97F4A7C15) & _MASK64)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
 @dataclass
@@ -67,6 +77,27 @@ class BloomFilter:
         for pos in self._positions(key):
             self._bits[pos >> 3] |= 1 << (pos & 7)
         self._count += 1
+
+    def add_many(self, keys) -> None:
+        """:meth:`add` every key of ``keys`` (non-negative, < 2**64).
+
+        The same positions as repeated :meth:`add`, computed one probe
+        index at a time over every key (vectorized), then OR-ed into the
+        bit array at once.
+        """
+        keys = np.asarray(keys, dtype=np.uint64).ravel()
+        if keys.size:
+            h1 = _mix_many(keys, self.seed)
+            h2 = _mix_many(keys, self.seed ^ 0xDEADBEEF) | np.uint64(1)
+            num_bits = np.uint64(self.num_bits)
+            hit = np.zeros(8 * len(self._bits), dtype=bool)
+            for _ in range(self.num_hashes):
+                hit[h1 % num_bits] = True
+                h1 += h2
+            packed = np.packbits(hit, bitorder="little")
+            bits = np.frombuffer(self._bits, dtype=np.uint8)
+            self._bits[:] = (bits | packed).tobytes()
+        self._count += int(keys.size)
 
     def __contains__(self, key: int) -> bool:
         return all(

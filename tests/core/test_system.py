@@ -96,6 +96,54 @@ class TestSessionFlows:
         assert flushed == 0
 
 
+    @pytest.mark.parametrize("start, size", [
+        (0, 32 * 64), (40, 700), (3 * 64, 1), (128, 0), (5000, 16 * 64)])
+    def test_clflush_range_matches_per_line_flush(self, start, size):
+        """One flush_range call == a CLFLUSH per line: flush latency per
+        line, each writeback tagged at its own line's cycle."""
+        import dataclasses
+
+        from repro.cpu.processor import MemoryRequest
+
+        def per_line(session):
+            proc = session.processor
+            writebacks = []
+            line = proc.hierarchy.line_bytes
+            addr = start - start % line
+            while addr < start + size:
+                wb_addr, _cost = proc.clflush(addr)
+                if wb_addr is not None:
+                    writebacks.append(MemoryRequest(
+                        rid=(1 << 30) + len(writebacks), addr=wb_addr,
+                        is_write=True, tag=proc.cycles, is_writeback=True))
+                addr += line
+            if writebacks:
+                session.system.smc.service_pending(writebacks)
+                last = max(r.release or 0 for r in writebacks)
+                if last > proc.cycles:
+                    proc.stats.stall_cycles += last - proc.cycles
+                    proc.cycles = last
+            session.system.counters.advance_processor(proc.cycles)
+            return len(writebacks)
+
+        outcomes = []
+        for flush in (per_line, lambda s: s.clflush_range(start, size)):
+            system = EasyDRAMSystem(jetson_nano_time_scaling())
+            session = system.session("flush")
+            session.run_trace([store(i * 64, gap=1 + i % 3)
+                               for i in range(0, 160, 2)]
+                              + [load(i * 64, gap=1) for i in range(160)])
+            flushed = flush(session)
+            session.run_trace(stream(16))
+            result = dataclasses.asdict(session.finish())
+            result.pop("wall_seconds")
+            outcomes.append((flushed, result,
+                             dataclasses.asdict(system.smc.stats),
+                             [level._tags for level in
+                              (session.hierarchy.l1, session.hierarchy.l2)]))
+        assert outcomes[0] == outcomes[1]
+
+
 class TestTimeScalingBehaviour:
     def test_memory_latency_matches_a57_ballpark(self):
         """The Jetson config's main-memory load latency must fall in the

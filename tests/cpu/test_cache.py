@@ -150,3 +150,44 @@ def test_hierarchy_never_double_counts_property(ops):
         h.flush_line(line * 64)
     assert h.l1.resident_lines() == 0
     assert h.l2.resident_lines() == 0
+
+
+def _cache_lists(hierarchy) -> list:
+    return [(level._tags, level._dirty, level._stamps, level._mru,
+             level._tick, level._changed, vars(level.stats))
+            for level in (hierarchy.l1, hierarchy.l2)]
+
+
+def _flush_lines(hierarchy, first_line: int, n: int) -> list:
+    """The per-line oracle: ``n`` flush_line calls in address order."""
+    lb = hierarchy.line_bytes
+    out = []
+    for i in range(n):
+        wb = hierarchy.flush_line((first_line + i) * lb)
+        if wb is not None:
+            out.append((i, wb))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_flush_range_matches_per_line_flush(seed):
+    """flush_range == the flush_line loop: same writebacks (line order),
+    evictions, MRU resets, per-level flush counts and recorded sets, on
+    power-of-two and odd set counts alike."""
+    import copy
+    import random
+
+    rng = random.Random(seed)
+    line = 64
+    sets1, sets2 = rng.choice((4, 5, 8, 12)), rng.choice((16, 24, 37, 64))
+    hierarchy = CacheHierarchy(Cache("L1", sets1 * 2 * line, 2, line, 2),
+                               Cache("L2", sets2 * 4 * line, 4, line, 12))
+    span = rng.choice((64, 300, 2000))
+    for _ in range(rng.randrange(50, 600)):
+        hierarchy.access(rng.randrange(span) * line, rng.random() < 0.5)
+    for level in (hierarchy.l1, hierarchy.l2):
+        level._changed = set() if rng.random() < 0.7 else None
+    oracle = copy.deepcopy(hierarchy)
+    first, n = rng.randrange(span), rng.randrange(0, 3 * sets2)
+    assert hierarchy.flush_range(first, n) == _flush_lines(oracle, first, n)
+    assert _cache_lists(hierarchy) == _cache_lists(oracle)

@@ -19,13 +19,16 @@ per-core slices), per-request latencies, ``SmcStats``, and device stats
 storms, multi-rank channels, and multi-core contention under the
 stateful scheduler zoo get dedicated cases on top of the randomized
 cross, and engagement guards make sure the kernel leg really ran the
-kernel.
+kernel.  Two later sections pin the resident cache copy across short
+replays and the registry tRCD technique served as kernel data against
+its serve hook.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import random
 from contextlib import contextmanager
 
 import pytest
@@ -35,11 +38,15 @@ from hypothesis import strategies as st
 from repro.core import smc as smc_module
 from repro.core.config import (ControllerConfig, InterferenceConfig,
                                jetson_nano_time_scaling)
+from repro.core.schedulers import scheduler_names
 from repro.core.system import EasyDRAMSystem
+from repro.core.techniques.trcd import TrcdReductionTechnique
 from repro.cpu.blocks import AccessBlock, BlockTrace
 from repro.cpu.memtrace import FLAG_DEPENDENT, FLAG_WRITE
 from repro.cpu.prefetch import PrefetchConfig
-from repro.dram.kernel import cbackend
+from repro.dram.kernel import blockrun, cbackend
+from repro.dram.timing import ns
+from repro.profiling.characterize import CharacterizationResult, RowProfile
 
 LINE = 64
 
@@ -552,3 +559,217 @@ def test_resident_replay_engages(scheduler, topology, monkeypatch):
     with serve_mode("event", "c"):
         _run_zoo(_zoo_config(scheduler, topology))
     assert calls == [(4, True, None)]
+
+
+# -- the resident cache copy across short replays ----------------------------
+#
+# The resident replay keeps each core's way arrays as a copy of its cache
+# hierarchy between calls, reloading only the sets Python changed since
+# (CLFLUSH evictions) and flattening a level whole after any other
+# Python-side mutation.  One session interleaves every kind of
+# Python-side cache traffic with short replays.
+
+
+def _interleaved_session() -> dict:
+    from repro.workloads import microbench
+
+    system = EasyDRAMSystem(_resident_config("fr-fcfs", "ddr4-1ch"))
+    session = system.session("residency")
+    hierarchy = session.hierarchy
+    session.run_trace(microbench.touch_blocks(0, 12 * KiB, write=True,
+                                              block=_BLOCK))
+    session.clflush_range(4 * KiB, 4 * KiB)
+    session.run_trace(microbench.cpu_copy_blocks(0, 64 * KiB, 8 * KiB))
+    session.technique_op(lambda api: api.rowclone(0, 1, 2))
+    session.clflush_range(60 * KiB, 12 * KiB)
+    session.run_trace(microbench.cpu_init_blocks(96 * KiB, 8 * KiB))
+    hierarchy.access(96 * KiB + 5 * LINE, True)   # direct Python access
+    session.run_trace(microbench.touch_blocks(0, 8 * KiB, block=_BLOCK))
+    hierarchy.reset_stats()
+    session.run_trace(microbench.cpu_copy_blocks(32 * KiB, 128 * KiB,
+                                                 4 * KiB))
+    session.clflush_range(128 * KiB, 4 * KiB)
+    session.run_trace(microbench.touch_blocks(0, 8 * KiB, write=True))
+    # The resident replay declines a prefetcher-equipped core: this trace
+    # filters through the Python access_block (same kernel state), so
+    # the next replay must flatten again.
+    session.set_prefetcher(0, PrefetchConfig())
+    session.run_trace(microbench.touch_blocks(16 * KiB, 8 * KiB, write=True))
+    session.set_prefetcher(0, None)
+    session.run_trace(microbench.touch_blocks(0, 24 * KiB, block=_BLOCK))
+    artifact = dataclasses.asdict(session.finish())
+    artifact.pop("wall_seconds")
+    artifact["cache"] = _cache_state(hierarchy)
+    artifact["smc"] = [dataclasses.asdict(smc.stats) for smc in system.smcs]
+    artifact["device"] = [dataclasses.asdict(c.tile.device.stats)
+                          for c in system.channels]
+    artifact["latencies"] = list(session.processor.stats.request_latencies)
+    return artifact
+
+
+@needs_kernel
+def test_resident_cache_copy_identical(monkeypatch):
+    loads = []
+    original = blockrun._load_sets
+
+    def recording(level, arrays, sets):
+        loads.append(sets is None)
+        original(level, arrays, sets)
+
+    with serve_mode("event", "0"):
+        expected = _interleaved_session()
+    monkeypatch.setattr(blockrun, "_load_sets", recording)
+    with serve_mode("event", "c"):
+        assert _interleaved_session() == expected
+    # Whole flattens: both levels at the first replay, after the direct
+    # access (an L1 and L2 miss) and after the prefetched trace.  The three
+    # replays after a CLFLUSH reload the flushed sets only (the first
+    # flush found no L1 line), and the one after reset_stats nothing.
+    assert loads.count(True) == 6 and loads.count(False) == 5
+
+
+# -- the registry tRCD technique as kernel data ------------------------------
+#
+# With ``TrcdReductionTechnique`` installed, the kernel serves the
+# technique itself: the Bloom lookup, the per-activation plan choice
+# (nominal or reduced tRCD, plus the lookup's charge), the technique's
+# counters, and the early reads' reliability check.  Random block streams
+# run on the kernel (resident replay on one channel, batch serve on
+# ``ddr4-2ch``) and through ``TrcdReductionTechnique._serve`` on the
+# reference oracle (cycle engine, kernel off), under random weak-row maps,
+# every registry scheduler and three topologies.  One deliberately wrong
+# map marks the truly weak rows strong, so reduced reads come back
+# unreliable and the checker records tRCD violations on both legs.
+
+TRCD_TOPOLOGIES = ("ddr4-1ch", "ddr4-1ch-2rk", "ddr4-2ch")
+
+
+@contextmanager
+def kernel_engagements():
+    """Count the calls the kernel actually served (both entries)."""
+    served = []
+    batch = smc_module.SoftwareMemoryController.service_pending_kernel
+    replay = blockrun._replay
+
+    def batch_spy(self, requests, refresh_sink=None):
+        ok = batch(self, requests, refresh_sink)
+        served.append(("batch", ok, self.kernel_fallback_reason))
+        return ok
+
+    def replay_spy(engine, procs, smc):
+        ok = replay(engine, procs, smc)
+        served.append(("resident", ok, smc.kernel_fallback_reason))
+        return ok
+
+    smc_module.SoftwareMemoryController.service_pending_kernel = batch_spy
+    blockrun._replay = replay_spy
+    try:
+        yield served
+    finally:
+        smc_module.SoftwareMemoryController.service_pending_kernel = batch
+        blockrun._replay = replay
+
+
+def _random_map(seed: int, config) -> CharacterizationResult:
+    """Random minimum tRCDs for a random half of the rows the streams use."""
+    rng = random.Random(seed)
+    geometry = config.geometry
+    result = CharacterizationResult()
+    for bank in range(geometry.total_banks):
+        for row in range(64):
+            if rng.random() < 0.5:
+                result.profiles[(bank, row)] = RowProfile(
+                    bank, row, rng.choice((ns(8.5), ns(9.0), ns(9.5),
+                                           ns(10.5))))
+    return result
+
+
+def _wrong_map(config) -> CharacterizationResult:
+    """Every truly weak row profiled strong and vice versa."""
+    cells = EasyDRAMSystem(config).tile.cells
+    result = CharacterizationResult()
+    for bank in range(config.geometry.total_banks):
+        for row in range(64):
+            weak = cells.row_min_trcd_ps(bank, row) > ns(9.0)
+            result.profiles[(bank, row)] = RowProfile(
+                bank, row, ns(8.5) if weak else ns(10.5))
+    return result
+
+
+def _trcd_stream(seed: int) -> list[AccessBlock]:
+    """Random lines over 4 MiB (many rows per bank) plus sequential runs
+    (row hits), mostly independent so batches reach the batch kernel."""
+    rng = random.Random(seed)
+    addrs, flags, gaps = [], [], []
+    while len(addrs) < 360:
+        line = rng.randrange(4 * 1024 * KiB // LINE)
+        for i in range(rng.choice((1, 1, 4, 12))):
+            addrs.append((line + i) * LINE)
+            flag = FLAG_WRITE if rng.random() < 0.3 else 0
+            if rng.random() < 0.1:
+                flag |= FLAG_DEPENDENT
+            flags.append(flag)
+            gaps.append(rng.randrange(0, 30))
+    half = len(addrs) // 2
+    return [AccessBlock(addrs[:half], flags[:half], gaps[:half]),
+            AccessBlock(addrs[half:], flags[half:], gaps[half:])]
+
+
+def _run_trcd(config, characterization, blocks, engine: str) -> dict:
+    system = EasyDRAMSystem(config, engine=engine)
+    technique = TrcdReductionTechnique(system, characterization)
+    technique.install()
+    session = system.session("trcd-kernel", engine=engine)
+    session.run_trace(BlockTrace(iter(blocks)))
+    artifact = dataclasses.asdict(session.finish())
+    artifact.pop("wall_seconds")
+    artifact["latencies"] = list(session.processor.stats.request_latencies)
+    artifact["smc"] = [dataclasses.asdict(smc.stats) for smc in system.smcs]
+    artifact["device"] = [dataclasses.asdict(c.tile.device.stats)
+                          for c in system.channels]
+    artifact["violations"] = _violations(system)
+    artifact["trcd"] = dataclasses.asdict(technique.stats)
+    return artifact
+
+
+def assert_kernel_matches_hook(config, characterization, seed: int) -> dict:
+    blocks = _trcd_stream(seed)
+    with serve_mode("cycle", "0"):
+        hook = _run_trcd(config, characterization, blocks, "cycle")
+    with serve_mode("event", "c"), kernel_engagements() as served:
+        kernel = _run_trcd(config, characterization, blocks, "event")
+    assert any(ok for _, ok, _ in served), "the kernel never served"
+    assert all(reason is None for _, ok, reason in served if ok)
+    diff = [key for key in hook if kernel[key] != hook[key]]
+    assert not diff, f"kernel != serve hook in {diff}"
+    trcd = hook["trcd"]
+    assert trcd["reduced_acts"] and trcd["row_hits"]
+    return hook
+
+
+TRCD_CELLS = [pytest.param(scheduler, topology,
+                      marks=() if (scheduler, topology)
+                      == ("fr-fcfs", "ddr4-1ch") else pytest.mark.slow)
+         for topology in TRCD_TOPOLOGIES for scheduler in scheduler_names()]
+
+
+@needs_kernel
+@pytest.mark.parametrize("scheduler, topology", TRCD_CELLS)
+def test_trcd_random_map_identical(scheduler, topology):
+    seed = 10 * TRCD_TOPOLOGIES.index(topology) \
+        + scheduler_names().index(scheduler)
+    config = _resident_config(scheduler, topology)
+    assert_kernel_matches_hook(config, _random_map(seed, config), seed)
+
+
+@needs_kernel
+@pytest.mark.parametrize("topology", [
+    pytest.param(t, marks=() if t == "ddr4-2ch" else pytest.mark.slow)
+    for t in TRCD_TOPOLOGIES])
+def test_trcd_wrong_map_identical(topology):
+    """Reduced reads of truly weak rows: unreliable on both legs, with the
+    same tRCD violations."""
+    config = _resident_config("fr-fcfs", topology)
+    hook = assert_kernel_matches_hook(config, _wrong_map(config), 7)
+    assert sum(d["unreliable_reads"] for d in hook["device"]) > 0
+    assert any(v[-1] == "tRCD" for log in hook["violations"] for v in log)

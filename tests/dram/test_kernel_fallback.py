@@ -307,6 +307,37 @@ def test_resident_out_of_range_matches_burst_loop(monkeypatch):
 
 
 @needs_kernel
+def test_resident_out_of_range_after_in_range_blocks(monkeypatch):
+    """An out-of-range block after in-range ones: the resident filter
+    hands the rest of the trace to the Python filter mid-run, with the
+    same error and the same cache contents as the burst loop.  (Where the
+    core's clock stopped is not compared: the burst loop fetches the
+    next block at a different point of the replay.)"""
+    import dataclasses
+
+    from repro.cpu.blocks import AccessBlock, BlockTrace
+    from repro.workloads import microbench
+
+    def run(kernel):
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
+        system, session = _fed_mix(cores=1)
+        total = system.config.geometry.total_bytes
+        good = list(microbench.touch_blocks(1 << 20, 32 * 1024, write=True,
+                                            block=128))
+        bad = AccessBlock([64 * i for i in range(8)] + [total + 64],
+                          [0] * 9, [1] * 9)
+        with pytest.raises(ValueError) as info:
+            session.run_trace(BlockTrace(iter(good + [bad])))
+        hierarchy = session.hierarchy
+        return (str(info.value),
+                [(level._tags, level._dirty, level._stamps, level._mru,
+                  level._tick, dataclasses.asdict(level.stats))
+                 for level in (hierarchy.l1, hierarchy.l2)])
+
+    assert run("c") == run("0")
+
+
+@needs_kernel
 def test_kernel_source_compiles_warning_free(tmp_path):
     """The rendered kernel builds clean under -Wall -Wextra -Werror."""
     import subprocess
@@ -318,3 +349,94 @@ def test_kernel_source_compiles_warning_free(tmp_path):
                                "-fsyntax-only", str(source)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+# -- the registry tRCD technique is kernel data -------------------------------
+
+
+def _trcd(system):
+    """The registry tRCD technique over an empty weak-row map (every row
+    strong, so every activation takes the reduced tRCD)."""
+    from repro.core.techniques.trcd import TrcdReductionTechnique
+    from repro.profiling.characterize import CharacterizationResult
+
+    return TrcdReductionTechnique(system, CharacterizationResult())
+
+
+def _tweaked_trcd(system):
+    from repro.core.techniques.trcd import TrcdReductionTechnique
+    from repro.profiling.characterize import CharacterizationResult
+
+    class _Tweaked(TrcdReductionTechnique):
+        def _serve(self, api, entry):
+            super()._serve(api, entry)
+
+    return _Tweaked(system, CharacterizationResult())
+
+
+@needs_kernel
+def test_trcd_technique_engages_batch(kernel_on):
+    system = EasyDRAMSystem(jetson_nano_time_scaling())
+    technique = _trcd(system)
+    technique.install()
+    assert system.smc.service_pending_kernel(_requests())
+    assert system.smc.kernel_fallback_reason is None
+    # One row: one (reduced) activation, then three row hits.
+    stats = technique.stats
+    assert (stats.reduced_acts, stats.nominal_acts, stats.row_hits) == \
+        (1, 0, 3)
+
+
+@needs_kernel
+def test_trcd_technique_engages_resident(kernel_on):
+    from repro.dram.kernel import blockrun
+
+    system, session = _fed_mix()
+    technique = _trcd(system)
+    technique.install()
+    procs = [core.processor for core in session.cores]
+    assert blockrun.run_cores_kernel(session.engine, session, procs,
+                                     system.smc)
+    assert system.smc.kernel_fallback_reason is None
+    assert technique.stats.reduced_acts > 0
+
+
+@needs_kernel
+def test_trcd_subclass_hook(kernel_on):
+    system = EasyDRAMSystem(jetson_nano_time_scaling())
+    _tweaked_trcd(system).install()
+    assert not system.smc.service_pending_kernel(_requests())
+    assert system.smc.kernel_fallback_reason == \
+        "technique episode (serve hook)"
+
+
+@needs_kernel
+def test_resident_trcd_subclass_hook(kernel_on):
+    system, session = _fed_mix()
+    _tweaked_trcd(system).install()
+    assert _declined(system, session) == "technique episode (serve hook)"
+
+
+@needs_kernel
+def test_hook_changes_after_resolve_take_effect(kernel_on):
+    """Installing, swapping and uninstalling the hook after the kernel
+    resolved re-resolves it on the next batch."""
+    system = EasyDRAMSystem(jetson_nano_time_scaling())
+    smc = system.smc
+    technique = _trcd(system)
+    assert smc.service_pending_kernel(_requests())
+    assert smc._kernel_state.technique is None
+    technique.install()
+    assert smc.service_pending_kernel(_requests())
+    assert smc._kernel_state.technique is technique
+    assert technique.stats.row_hits == 4
+    smc.serve_hook = lambda api, entry: None
+    assert not smc.service_pending_kernel(_requests())
+    assert smc.kernel_fallback_reason == "technique episode (serve hook)"
+    technique.install()
+    assert smc.service_pending_kernel(_requests())
+    assert smc.kernel_fallback_reason is None
+    technique.uninstall()
+    assert smc.service_pending_kernel(_requests())
+    assert smc._kernel_state.technique is None
+    assert technique.stats.row_hits == 8

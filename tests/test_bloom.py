@@ -71,3 +71,19 @@ def test_no_false_negatives_property(keys):
     for key in keys:
         bloom.add(key)
     assert all(key in bloom for key in keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys=st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1),
+                     max_size=200),
+       seed=st.integers(min_value=-(1 << 64), max_value=1 << 70),
+       num_bits=st.integers(min_value=8, max_value=20_000),
+       num_hashes=st.integers(min_value=1, max_value=10))
+def test_add_many_equals_repeated_add(keys, seed, num_bits, num_hashes):
+    one = BloomFilter(num_bits, num_hashes, seed=seed)
+    many = BloomFilter(num_bits, num_hashes, seed=seed)
+    for key in keys:
+        one.add(key)
+    many.add_many(keys)
+    assert many._bits == one._bits
+    assert len(many) == len(one) == len(keys)
