@@ -34,7 +34,8 @@ def main() -> None:
           f" {config.geometry.rows_per_bank} rows")
     print(f"running PolyBench {kernel!r} ({size} dataset)...\n")
 
-    result = system.run(polybench.trace(kernel, size), workload_name=kernel)
+    result = system.run(polybench.trace_blocks(kernel, size),
+                        workload_name=kernel)
 
     print(result.summary())
     print(f"  emulated time:     {result.emulated_seconds * 1e3:.3f} ms")

@@ -46,7 +46,8 @@ def main() -> None:
           f"   (nominal tRCD: 13.5 ns)")
 
     # --- stage 2 + 3: Bloom filter + reduced-tRCD scheduling ---------------------
-    base = EasyDRAMSystem(config).run(polybench.trace(kernel, "mini"), kernel)
+    base = EasyDRAMSystem(config).run(polybench.trace_blocks(kernel, "mini"),
+                                      kernel)
     fast_system = EasyDRAMSystem(config)
     technique = TrcdReductionTechnique(fast_system, full)
     technique.install()
@@ -54,7 +55,7 @@ def main() -> None:
           f" {technique.bloom.num_hashes} hashes,"
           f" est. false-positive rate"
           f" {technique.bloom.estimated_fp_rate() * 100:.2f}%")
-    fast = fast_system.run(polybench.trace(kernel, "mini"), kernel)
+    fast = fast_system.run(polybench.trace_blocks(kernel, "mini"), kernel)
 
     speedup = base.emulated_ps / fast.emulated_ps
     print(f"\n{kernel}: baseline {base.emulated_seconds * 1e3:.3f} ms"

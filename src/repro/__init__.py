@@ -15,7 +15,7 @@ Quickstart::
     from repro.workloads import polybench
 
     system = EasyDRAMSystem(jetson_nano_time_scaling())
-    result = system.run(polybench.trace("gemm"), workload_name="gemm")
+    result = system.run(polybench.trace_blocks("gemm"), workload_name="gemm")
     print(result.summary())
 """
 

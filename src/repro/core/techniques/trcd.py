@@ -62,7 +62,7 @@ class TrcdReductionTechnique:
                 "reduced tRCD must be below nominal"
                 f" ({reduced_trcd_ps} >= {self.nominal_trcd_ps})")
         self.stats = TrcdStats()
-        weak = characterization.weak_rows(threshold_ps=reduced_trcd_ps)
+        keys = characterization.weak_row_keys(threshold_ps=reduced_trcd_ps)
         # The filter is sized on the host and loaded into the controller
         # before emulation begins (Section 8.2).  Every channel's cell
         # model is built from the same configuration (and therefore the
@@ -71,11 +71,9 @@ class TrcdReductionTechnique:
         # the filter regardless.
         channels = system.config.geometry.channels
         self.bloom = BloomFilter.sized_for(
-            max(1, len(weak) * channels), fp_rate=bloom_fp_rate,
+            max(1, len(keys) * channels), fp_rate=bloom_fp_rate,
             seed=bloom_seed)
         # _key over every (channel, weak row), vectorized.
-        pairs = np.array(weak, dtype=np.uint64).reshape(-1, 2)
-        keys = (pairs[:, 0] << np.uint64(32)) | pairs[:, 1]
         self.bloom.add_many([keys | np.uint64(channel << 48)
                              for channel in range(channels)])
         self._installed = False

@@ -17,8 +17,8 @@ Workloads are block-native (:class:`~repro.cpu.blocks.BlockTrace`), and
 because a mix run needs every trace at least twice (solo + shared), the
 runner materializes each workload's blocks once and replays them
 (:class:`~repro.cpu.blocks.MaterializedBlocks`).  PolyBench kernels
-participate by name — their access streams are rebased into the issuing
-core's region.
+participate by name — their blocks are rebased into the issuing core's
+region.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from typing import Callable, Iterator
 from repro.core.config import SystemConfig
 from repro.core.stats import RunResult, fairness_of
 from repro.core.system import EasyDRAMSystem
-from repro.cpu.blocks import BlockTrace, MaterializedBlocks, blockify
-from repro.cpu.memtrace import Access
+from repro.cpu.blocks import AccessBlock, BlockTrace, MaterializedBlocks
 from repro.workloads import lmbench, microbench, polybench
 
 __all__ = ["CORE_REGION_BYTES", "MixRun", "WorkloadMix", "mix_names",
@@ -91,24 +90,21 @@ def _pointer_chase(base: int, scale: int) -> BlockTrace:
         _CHASE_WS_BYTES, _CHASE_ACCESSES * scale, base_addr=base)
 
 
-def _rebase(trace: Iterator[Access], delta: int) -> Iterator[Access]:
-    """Shift every access of a stream into a core's region."""
-    for access in trace:
-        yield Access(access[0] + delta, access[1], access[2])
-
-
 def _polybench_factory(kernel: str) -> Factory:
     """A PolyBench kernel as a mix workload (rebased per core).
 
-    The kernel generators lay arrays out from a fixed bump-allocator
-    base, so the stream is shifted by the core's region base; footprints
-    (tens of KiB at the mix's "small" dataset) sit far below the region
-    size.
+    The kernel builders lay arrays out from a fixed bump-allocator base,
+    so each block's addresses are shifted by the core's region base;
+    footprints (tens of KiB at the mix's "small" dataset) sit far below
+    the region size.
     """
 
     def make(base: int, scale: int) -> BlockTrace:
         size = "small" if scale > 1 else "mini"
-        return blockify(_rebase(polybench.trace(kernel, size), base))
+        return BlockTrace(
+            AccessBlock([addr + base for addr in block.addr], block.flags,
+                        block.gap)
+            for block in polybench.trace_blocks(kernel, size))
 
     return make
 

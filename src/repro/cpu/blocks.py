@@ -10,15 +10,15 @@ and allocation.
 A :class:`BlockTrace` is a single-use stream of blocks, exactly like an
 ``Iterator[Access]`` is a single-use stream of accesses.  It carries a
 compatibility view (:meth:`BlockTrace.accesses`) that re-yields the
-identical per-access stream, which is what the legacy per-access
-workload generators delegate to — block builders are the source of
-truth, the iterators are thin views.
+identical per-access stream, which is what every workload's per-access
+trace function returns — block builders are the source of truth, the
+iterators are thin views.
 
 Blocks store plain Python ``list``s of ``int``: the consuming loops are
 CPython ``for`` loops where list indexing beats NumPy scalar access by
 an order of magnitude.  Builders are free to *construct* those lists
 with NumPy (``ndarray.tolist()`` is a bulk operation) — the microbench
-and lmbench builders do.
+and PolyBench builders do.
 """
 
 from __future__ import annotations
@@ -116,9 +116,11 @@ class MaterializedBlocks:
 def blockify(trace: Iterable[Access], block: int | None = None) -> BlockTrace:
     """Chunk any per-access trace into an equivalent :class:`BlockTrace`.
 
-    This is the generic adapter for workloads that stay generator-based
-    (e.g. the PolyBench loop nests): the generator still runs, but the
-    cache and processor layers downstream get the batched interface.
+    Every block holds exactly ``block`` accesses except the last.  The
+    built-in workloads build their blocks directly (and cut them at
+    these same boundaries); this adapter serves hand-written traces,
+    e.g. a test's list of accesses, and is how the tests cut the
+    reference PolyBench generators.
     """
     size = block or BLOCK_ACCESSES
 

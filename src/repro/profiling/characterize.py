@@ -17,6 +17,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.system import Session
 from repro.dram.address import DramAddress
 from repro.dram.timing import ns
@@ -42,10 +44,22 @@ class RowProfile:
 
 @dataclass
 class CharacterizationResult:
-    """Minimum reliable tRCD for every profiled row."""
+    """Minimum reliable tRCD for every profiled row.
+
+    Write profiles through :meth:`record`: it drops the memoized
+    :meth:`weak_row_keys`, which every tRCD technique built from this
+    result reads.
+    """
 
     profiles: dict[tuple[int, int], RowProfile] = field(default_factory=dict)
     nominal_trcd_ps: int = ns(13.5)
+    _weak_keys: dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def record(self, profile: RowProfile) -> None:
+        """Store (or replace) one row's profile."""
+        self.profiles[(profile.bank, profile.row)] = profile
+        self._weak_keys.clear()
 
     def min_trcd(self, bank: int, row: int) -> int:
         profile = self.profiles.get((bank, row))
@@ -54,6 +68,21 @@ class CharacterizationResult:
     def weak_rows(self, threshold_ps: int = ns(9.0)) -> list[tuple[int, int]]:
         return [key for key, p in self.profiles.items()
                 if p.min_trcd_ps > threshold_ps]
+
+    def weak_row_keys(self, threshold_ps: int = ns(9.0)) -> np.ndarray:
+        """Weak rows as read-only ``uint64`` keys ``(bank << 32) | row``.
+
+        Built in one pass over the profiles and memoized per threshold
+        until the next :meth:`record`.
+        """
+        keys = self._weak_keys.get(threshold_ps)
+        if keys is None:
+            keys = np.fromiter(
+                ((bank << 32) | row for (bank, row), p in self.profiles.items()
+                 if p.min_trcd_ps > threshold_ps), dtype=np.uint64)
+            keys.flags.writeable = False
+            self._weak_keys[threshold_ps] = keys
+        return keys
 
     def strong_fraction(self, threshold_ps: int = ns(9.0)) -> float:
         if not self.profiles:
@@ -142,7 +171,7 @@ def characterize(session: Session, banks: range, rows: range,
         for row in rows:
             profile = profile_row(
                 session, bank, row, candidates_ps, cols_per_row_sampled)
-            result.profiles[(bank, row)] = profile
+            result.record(profile)
     return result
 
 
@@ -380,5 +409,5 @@ def oracle_characterize(system_cells, geometry, banks: range,
                 (c for c in candidates
                  if -(-c // tck_ps) * tck_ps >= true_min),
                 result.nominal_trcd_ps)
-            result.profiles[(bank, row)] = RowProfile(bank, row, chosen)
+            result.record(RowProfile(bank, row, chosen))
     return result

@@ -23,7 +23,9 @@ from repro.core.workload_mix import (
     mix_names,
     run_mix,
 )
-from repro.workloads import microbench
+from repro.cpu.blocks import blockify
+from repro.cpu.memtrace import Access
+from repro.workloads import microbench, polybench
 
 
 def small_config(**controller):
@@ -189,6 +191,18 @@ class TestWorkloadMix:
         trace = mix.build(1)
         total = sum(len(b) for b in trace)
         assert total > 0
+
+    def test_polybench_mix_rebases_each_core(self):
+        """Each core's blocks equal the kernel's per-access stream
+        shifted into its region, cut where blockify cuts it."""
+        mix = WorkloadMix.parse("gemm*4")
+        for core in range(mix.cores):
+            base = mix.region_base(core)
+            rebased = (Access(a.addr + base, a.flags, a.gap)
+                       for a in polybench.trace("gemm", "mini"))
+            expected = [(b.addr, b.flags, b.gap) for b in blockify(rebased)]
+            assert [(b.addr, b.flags, b.gap)
+                    for b in mix.build(core)] == expected
 
     def test_regions_are_disjoint(self):
         mix = WorkloadMix.parse("stream+init+pointer_chase+gemm")

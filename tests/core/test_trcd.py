@@ -1,5 +1,6 @@
 """Tests for the tRCD-reduction technique."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import jetson_nano_time_scaling
@@ -7,7 +8,11 @@ from repro.core.system import EasyDRAMSystem
 from repro.core.techniques.trcd import TrcdReductionTechnique
 from repro.cpu.memtrace import load
 from repro.dram.timing import ns
-from repro.profiling.characterize import oracle_characterize
+from repro.profiling.characterize import (
+    CharacterizationResult,
+    RowProfile,
+    oracle_characterize,
+)
 
 
 @pytest.fixture
@@ -36,6 +41,50 @@ def row_miss_trace(system, rows, accesses_per_row=1):
         for i in range(accesses_per_row):
             trace.append(load(base + i * 64, gap=1, dependent=True))
     return trace
+
+
+class TestWeakRowKeys:
+    """The weak-row keys are memoized on the characterization; a later
+    :meth:`CharacterizationResult.record` drops the memo."""
+
+    def test_keys_match_weak_rows_and_are_memoized(self, characterization):
+        keys = characterization.weak_row_keys(ns(9.0))
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [(bank << 32) | row for bank, row
+                                 in characterization.weak_rows(ns(9.0))]
+        assert characterization.weak_row_keys(ns(9.0)) is keys
+        assert len(characterization.weak_row_keys(ns(10.0))) < len(keys)
+
+    def test_record_invalidates_memo(self, characterization):
+        keys = characterization.weak_row_keys(ns(9.0))
+        bank, row = next(key for key, p in characterization.profiles.items()
+                         if p.min_trcd_ps <= ns(9.0))
+        characterization.record(RowProfile(bank, row, ns(10.5)))
+        after = characterization.weak_row_keys(ns(9.0))
+        assert after is not keys
+        assert len(after) == len(keys) + 1
+        assert (bank << 32) | row in after.tolist()
+
+    def test_bloom_equals_fresh_build(self, system, characterization):
+        """Repeated construction from one characterization, before and
+        after a later write, loads the filter a fresh build would."""
+        def bloom_bytes(char):
+            return bytes(TrcdReductionTechnique(system, char).bloom._bits)
+
+        def fresh(char):
+            return CharacterizationResult(dict(char.profiles),
+                                          char.nominal_trcd_ps)
+
+        first = bloom_bytes(characterization)
+        assert bloom_bytes(characterization) == first
+        assert bloom_bytes(fresh(characterization)) == first
+        bank, row = next(key for key, p in characterization.profiles.items()
+                         if p.min_trcd_ps <= ns(9.0))
+        characterization.record(RowProfile(bank, row, ns(10.5)))
+        rebuilt = TrcdReductionTechnique(system, characterization)
+        assert rebuilt.trcd_for(bank, row) == rebuilt.nominal_trcd_ps
+        assert bytes(rebuilt.bloom._bits) == bloom_bytes(
+            fresh(characterization))
 
 
 class TestConfiguration:

@@ -78,8 +78,12 @@ class TestWorkloadBuilders:
 
     def test_polybench_blocks(self):
         shim = as_list(polybench.trace("gemm", "mini"))
-        blocks = polybench.trace_blocks("gemm", "mini", block=64)
-        assert [a for b in blocks for a in b.accesses()] == shim
+        for block in (64, 37):
+            blocks = list(polybench.trace_blocks("gemm", "mini", block=block))
+            assert [a for b in blocks for a in b.accesses()] == shim
+            # The boundaries blockify gives the per-access stream.
+            assert [len(b) for b in blocks] == [
+                len(b) for b in blockify(iter(shim), block)]
 
 
 class TestProcessorBlockMode:

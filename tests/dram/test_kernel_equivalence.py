@@ -678,9 +678,9 @@ def _random_map(seed: int, config) -> CharacterizationResult:
     for bank in range(geometry.total_banks):
         for row in range(64):
             if rng.random() < 0.5:
-                result.profiles[(bank, row)] = RowProfile(
+                result.record(RowProfile(
                     bank, row, rng.choice((ns(8.5), ns(9.0), ns(9.5),
-                                           ns(10.5))))
+                                           ns(10.5)))))
     return result
 
 
@@ -691,8 +691,8 @@ def _wrong_map(config) -> CharacterizationResult:
     for bank in range(config.geometry.total_banks):
         for row in range(64):
             weak = cells.row_min_trcd_ps(bank, row) > ns(9.0)
-            result.profiles[(bank, row)] = RowProfile(
-                bank, row, ns(8.5) if weak else ns(10.5))
+            result.record(RowProfile(
+                bank, row, ns(8.5) if weak else ns(10.5)))
     return result
 
 
