@@ -52,6 +52,24 @@ class CostModel:
     profile_op: int = 40          # one profiling-request iteration
 
 
+@dataclass(frozen=True, slots=True)
+class RowCloneOp:
+    """One FPM RowClone as a technique-episode ``stage`` callable.
+
+    Calling it stages :meth:`EasyAPI.rowclone`, like any other stage.
+    :meth:`~repro.core.smc.SoftwareMemoryController.technique_episode`
+    recognizes it and issues the sequence as a memoized plan instead of
+    staging and walking a Bender program; the outcome is identical.
+    """
+
+    bank: int
+    src_row: int
+    dst_row: int
+
+    def __call__(self, api: "EasyAPI") -> None:
+        api.rowclone(self.bank, self.src_row, self.dst_row)
+
+
 class ProgramExecutor:
     """Interface the API uses to run a staged program.
 

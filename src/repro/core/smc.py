@@ -32,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.bender.engine import ExecResult
+from repro.bender.engine import BenderEngine, ExecResult
 from repro.bender.program import BenderProgram
 from repro.core.config import SystemConfig
-from repro.core.easyapi import EasyAPI, ProgramExecutor
+from repro.core.easyapi import EasyAPI, ProgramExecutor, RowCloneOp
 from repro.core.schedulers import (
     Scheduler,
     TableEntry,
@@ -240,6 +240,24 @@ class SoftwareMemoryController(ProgramExecutor):
         self._ref_cycles = 2 + -(-t.tRP // tck) + -(-t.tRFC // tck)
         self._ref_offset_ps = (1 + -(-t.tRP // tck)) * tck
         self._ref_measured = bender_domain.measure_ps(self._ref_cycles * tck)
+        # FPM RowClone episode constants: the Bender walk of
+        # EasyAPI.rowclone's program, ACT(src) | WAIT 2 | PRE | ACT(dst) |
+        # WAIT(tRAS) | PRE | WAIT(tRP), one interface cycle per command.
+        # Its four commands issue ``_fpm_offsets`` ps after the start.
+        ras = -(-t.tRAS // tck) if t.tRAS > 0 else 0
+        rp = -(-t.tRP // tck) if t.tRP > 0 else 0
+        self._fpm_offsets = (0, 3 * tck, 4 * tck, (5 + ras) * tck)
+        self._fpm_cycles = 6 + ras + rp
+        self._fpm_measured = bender_domain.measure_ps(self._fpm_cycles * tck)
+        self._fpm_flush_charge = (
+            costs.flush + costs.per_instruction_transfer
+            * (5 + (ras > 0) + (rp > 0)))
+        # The plan stands in for the stock API, executor and sequencer
+        # only; a controller, API or engine that overrides them stages.
+        self._fpm_plan = (
+            type(self).execute_staged is SoftwareMemoryController.execute_staged
+            and type(self.api) is EasyAPI
+            and type(self.tile.engine) is BenderEngine)
         self._serve_flat_core = self._make_serve_flat()
         self._service_single = self._make_service_single()
         self._service_fast = self._make_service_fast()
@@ -1017,6 +1035,11 @@ class SoftwareMemoryController(ProgramExecutor):
         ``issue_cycle`` is the processor cycle at which the processor
         issued the technique request (memory-mapped register write).
         Returns (release processor cycle, Bender result).
+
+        A :class:`~repro.core.easyapi.RowCloneOp` stage is issued as the
+        memoized FPM plan (:meth:`_execute_fpm`, one fused device pass)
+        instead of a staged Bender program; every other stage runs
+        staged through EasyAPI and the Bender engine.
         """
         self.counters.enter_critical()
         start = max(self.sched_cursor,
@@ -1024,14 +1047,22 @@ class SoftwareMemoryController(ProgramExecutor):
         self.sched_cursor = start
         self._maybe_refresh()
         start = self.sched_cursor
-        stage(self.api)
-        sched_cycles = self.api.take_charges()
+        api = self.api
+        plan = type(stage) is RowCloneOp and self._fpm_ready(stage)
+        if plan:
+            api.charge(api.costs.rowclone_setup)
+        else:
+            stage(api)
+        sched_cycles = api.take_charges()
         self.stats.total_sched_cycles += sched_cycles
         sched_ps = sched_cycles * self._mc_period
         self.tile.stats.scheduling_ps += sched_ps
         self._exec_anchor_ps = start + sched_ps
-        result = self.api.flush_commands(respect_timing=respect_timing)
-        self.api.take_charges()
+        if plan:
+            result = self._execute_fpm(stage, respect_timing)
+        else:
+            result = api.flush_commands(respect_timing=respect_timing)
+        api.take_charges()
         release_ps = self.dram_cursor + self._resp_bus_ps
         release = -(-release_ps // self._proc_period)
         self.stats.technique_ops += 1
@@ -1043,6 +1074,47 @@ class SoftwareMemoryController(ProgramExecutor):
         self._sync_mc_counter()
         self.counters.exit_critical()
         return release, result
+
+    def _fpm_ready(self, op: RowCloneOp) -> bool:
+        """Whether ``op`` can take the memoized FPM plan: the stock
+        controller path, nothing else staged, and coordinates the device
+        accepts (the staged path reports anything else)."""
+        geometry = self.config.geometry
+        rows = geometry.rows_per_bank
+        return (self._fpm_plan and not self.api.program.instructions
+                and self.api._lent is None
+                and 0 <= op.bank < geometry.total_banks
+                and 0 <= op.src_row < rows and 0 <= op.dst_row < rows)
+
+    def _execute_fpm(self, op: RowCloneOp,
+                     respect_timing: bool) -> ExecResult:
+        """``flush_commands`` of EasyAPI.rowclone's program, as a plan.
+
+        Same start time, device commands, violation records, flush
+        charge, Bender and controller accounting as staging the program
+        and walking it in :meth:`execute_staged`.
+        """
+        api = self.api
+        api.charge(self._fpm_flush_charge)
+        start = max(self._exec_anchor_ps, self.dram_cursor)
+        if respect_timing:
+            start = max(start, self._flat_earliest(K_ACT, op.bank))
+        offsets = self._fpm_offsets
+        self._device.issue_rowclone(
+            op.bank, op.src_row, op.dst_row,
+            (start, start + offsets[1], start + offsets[2],
+             start + offsets[3]))
+        cycles = self._fpm_cycles
+        bender = self._bender
+        bender.programs_run += 1
+        bender.total_interface_cycles += cycles
+        measured = self._fpm_measured
+        self.dram_cursor = start + measured
+        self.tile.stats.dram_busy_ps += measured
+        self.stats.batches_executed += 1
+        result = ExecResult(cycles * self._tck, cycles, 0, 4)
+        api.last_exec = result
+        return result
 
     # -- counters ---------------------------------------------------------------
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.easyapi import RowCloneOp
 from repro.core.system import Session
 from repro.workloads.microbench import cpu_copy_blocks, cpu_init_blocks
 
@@ -225,9 +226,8 @@ class RowCloneTechnique:
     def _rowclone_op(self, bank: int, src_row: int, dst_row: int,
                      channel: int = 0) -> None:
         """One in-DRAM copy through that channel's memory controller."""
-        self.session.technique_op(
-            lambda api: api.rowclone(bank, src_row, dst_row),
-            respect_timing=False, channel=channel)
+        self.session.technique_op(RowCloneOp(bank, src_row, dst_row),
+                                  respect_timing=False, channel=channel)
         self.stats.rowclone_ops += 1
 
     def execute_copy(self, plan: CopyPlan, clflush: bool = False) -> None:

@@ -28,6 +28,14 @@ level tracks what Python changed since that copy was last synced in
 :meth:`CacheHierarchy.flush_range` record there), or ``None`` when any
 other mutator ran and the copy must be rebuilt whole.  Mutators mark a
 level stale with one assignment per call, never per access.
+
+After a replay the copy is authoritative: the level's way lists
+(``_tags``/``_dirty``/``_stamps``/``_mru``) are *lent* to it
+(``Cache._loan``) and leave the instance.  The first Python read of any
+of them writes the copy's changed sets back (:meth:`Cache.__getattr__`),
+so every Python-side path sees synced lists, while replays, statistics
+and :meth:`CacheHierarchy.flush_range` (applied to the copy itself) never
+rebuild them.
 """
 
 from __future__ import annotations
@@ -40,6 +48,9 @@ import numpy as np
 #: Owner tokens for hierarchies and their resident copies (unique per
 #: process, never reused -- unlike ``id()``).
 _TOKENS = itertools.count(1)
+
+#: A level's way lists, which a resident copy may hold (see above).
+_WAY_LISTS = ("_tags", "_dirty", "_stamps", "_mru")
 
 
 @dataclass
@@ -88,6 +99,19 @@ class Cache:
         #: Sets changed since the resident copy was synced (``None``:
         #: rebuild it whole; see the module docstring).
         self._changed: set[int] | None = None
+        #: The resident copy holding this level's way lists, if lent.
+        self._loan = None
+
+    def __getattr__(self, name: str):
+        # Only reached when normal lookup fails: the way lists are lent
+        # to a resident copy, which writes its changes back on first use.
+        if name in _WAY_LISTS:
+            loan = self.__dict__.get("_loan")
+            if loan is not None:
+                loan.write_back(self)
+                return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
 
     # -- per-access API (set/tag split hoisted into the _st variants) -------
 
@@ -472,12 +496,19 @@ class CacheHierarchy:
 
         Exactly ``n`` :meth:`flush_line` calls in address order (same
         evictions, per-level ``flushes`` counts, MRU resets and recorded
-        sets), in one pass per level.  Returns ``(i, writeback address)``
-        for each line ``first_line + i`` that was dirty in either level,
-        in line order.
+        sets), in one pass per level.  A level lent to a resident copy is
+        flushed in the copy, its lists untouched.  Returns ``(i,
+        writeback address)`` for each line ``first_line + i`` that was
+        dirty in either level, in line order.
         """
         dirty_lines: set[int] = set()
         for cache in (self.l1, self.l2):
+            loan = cache._loan
+            if loan is not None and first_line >= 0:
+                flushed, dirty = loan.flush_range(first_line, n)
+                dirty_lines.update(dirty)
+                cache.stats.flushes += flushed
+                continue
             num_sets = cache.num_sets
             all_tags, all_dirty = cache._tags, cache._dirty
             all_stamps, mru = cache._stamps, cache._mru

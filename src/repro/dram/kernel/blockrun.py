@@ -27,11 +27,14 @@ loop — bit-identical either way.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import weakref
 
 import numpy as np
 
 from repro.core.events import EventKind
+from repro.cpu.cache import _WAY_LISTS
 from repro.dram.kernel.state import (
     HEAP_SLACK, KERN_NEED_BLOCK, KERN_NEED_ROOM, KERN_OK, KERR_DEADLOCK,
     KERR_DECODE_RANGE, RLOG_STRIDE, Cfg, Core, CorePtr, St, TBL_STRIDE,
@@ -126,14 +129,19 @@ def _load_cache(ks, index: int, hier) -> None:
     The way arrays persist between replays as the hierarchy's resident
     copy.  When this slot synced ``hier`` last, each level reloads only
     the sets Python changed since (``Cache._changed``: CLFLUSH
-    evictions); otherwise, or after any other Python-side mutation, the
-    level is flattened whole.  Ticks and stats are scalars, read every
-    call.
+    evictions; a level still lent to this copy changed nothing);
+    otherwise, or after any other Python-side mutation, the level is
+    flattened whole.  A hierarchy still lent to the slot is written back
+    before the slot is overwritten.  Ticks and stats are scalars, read
+    every call.
     """
     slots = ks.cores[index]
     rec = slots.st
     current = (slots.cache_owner == hier.token
                and hier.resident == slots.token)
+    lender = slots.lender() if slots.lender is not None else None
+    if lender is not None and not (lender is hier and current):
+        _reclaim(lender)
     for attr, prefix, tick, stat in _LEVELS:
         level = getattr(hier, attr)
         arrays = [getattr(slots, f"{prefix}_{name}") for name in _WAY_ARRAYS]
@@ -157,36 +165,59 @@ def _load_cache(ks, index: int, hier) -> None:
     hier.resident = slots.token
 
 
-def _store_cache(slots, hier) -> None:
-    """Write one core's way arrays back into its cache-level lists.
+class _Loan:
+    """One cache level's way lists, lent to a core slot's resident copy.
 
-    Only the sets the run touched are rebuilt: the kernel stamps every
-    way it probes or fills with the level's running tick (and only
-    moves a set's MRU slot when it stamps it), so a set whose stamps all
-    predate the tick at load is unchanged.  (Slots past a set's live
-    count only ever hold older stamps; a spurious match would merely
-    rebuild a set from arrays that equal its lists.)  The arrays stay
-    behind as the hierarchy's synced resident copy.
+    The copy's way arrays are authoritative while the level holds a loan
+    (``Cache._loan``); ``touched`` marks the sets whose arrays may differ
+    from the lent lists.  :meth:`write_back` rebuilds just those sets and
+    returns the lists to the level -- on the first Python read of them,
+    or before the slot is overwritten.  :meth:`flush_range` is
+    ``CacheHierarchy.flush_range`` applied to the arrays.
     """
-    rec = slots.st
-    for attr, prefix, tick, stat in _LEVELS:
-        level = getattr(hier, attr)
-        sets, assoc = level.num_sets, level.assoc
-        tags, dirty, stamps, count, mru = (
-            getattr(slots, f"{prefix}_{name}") for name in _WAY_ARRAYS)
-        size = sets * assoc
-        stamps = stamps[:size].reshape(sets, assoc)
-        touched = np.flatnonzero(stamps.max(axis=1) >= level._tick)
+
+    __slots__ = ("sets", "assoc", "arrays", "lists", "touched", "_flush",
+                 "_args", "_out")
+
+    def __init__(self, level, arrays: list, touched, flush_lines) -> None:
+        # No reference back to the level: a cycle would leave freeing the
+        # level and the arrays to the cyclic garbage collector.
+        self.sets, self.assoc = level.num_sets, level.assoc
+        self.arrays = arrays
+        state = level.__dict__
+        self.lists = tuple(state.pop(name) for name in _WAY_LISTS)
+        self.touched = touched.astype(np.int64)
+        self._flush = flush_lines
+        self._args = None
+        self._out = _arr(0)
+        level._loan = self
+
+    def __deepcopy__(self, memo) -> "_Loan":
+        # A copy owns copies of the arrays, so it takes their addresses
+        # afresh; the C entry itself is shared.
+        clone = _Loan.__new__(_Loan)
+        memo[id(self)] = clone
+        for name in ("sets", "assoc", "arrays", "lists", "touched", "_out"):
+            setattr(clone, name, copy.deepcopy(getattr(self, name), memo))
+        clone._flush = self._flush
+        clone._args = None
+        return clone
+
+    def write_back(self, level) -> None:
+        """Rebuild the touched sets' lists and return them to ``level``."""
+        sets, assoc = self.sets, self.assoc
+        tags, dirty, stamps, count, mru = self.arrays
+        set_tags, set_dirty, set_stamps, set_mru = self.lists
+        touched = np.flatnonzero(self.touched)
         if touched.size:
-            set_tags, set_dirty = level._tags, level._dirty
-            set_stamps, set_mru = level._stamps, level._mru
+            size = sets * assoc
             for s, c, m, row_tags, row_dirty, row_stamps in zip(
                     touched.tolist(), count[touched].tolist(),
                     mru[touched].tolist(),
                     tags[:size].reshape(sets, assoc)[touched].tolist(),
                     (dirty[:size].reshape(sets, assoc)[touched]
                      != 0).tolist(),
-                    stamps[touched].tolist()):
+                    stamps[:size].reshape(sets, assoc)[touched].tolist()):
                 if c < assoc:
                     row_tags = row_tags[:c]
                     row_dirty = row_dirty[:c]
@@ -195,11 +226,65 @@ def _store_cache(slots, hier) -> None:
                 set_dirty[s] = row_dirty
                 set_stamps[s] = row_stamps
                 set_mru[s] = m
+        level._loan = None
+        for name, value in zip(_WAY_LISTS, self.lists):
+            setattr(level, name, value)
+
+    def flush_range(self, first_line: int, n: int) -> tuple[int, list[int]]:
+        """CLFLUSH lines ``first_line ..+ n`` in the arrays: returns the
+        number of lines flushed and the dirty ones' offsets ``i``."""
+        out = self._out
+        if out.shape[0] < n:
+            out = self._out = _arr(max(n, 2 * out.shape[0]))
+            self._args = None
+        if self._args is None:
+            # The C entry takes raw addresses, taken once per buffer.
+            self._args = ([a.ctypes.data for a in self.arrays]
+                          + [self.touched.ctypes.data, self.sets,
+                             self.assoc, out.ctypes.data])
+        view = out[:n]
+        view[:] = 0
+        args = self._args
+        flushed = self._flush(*args[:8], first_line, n, args[8])
+        return flushed, np.flatnonzero(view).tolist()
+
+
+def _lend_cache(slots, hier, flush_lines) -> None:
+    """After a replay: the way arrays become ``hier``'s authoritative copy.
+
+    Each level's lists are lent to the slot (or stay lent, growing the
+    set of touched sets): the kernel stamps every way it probes or fills
+    with the level's running tick (and only moves a set's MRU slot when
+    it stamps it), so a set whose stamps all predate the tick at load is
+    unchanged.  (Slots past a set's live count only ever hold older
+    stamps; a spurious match would merely rebuild a set from arrays that
+    equal its lists.)  Ticks and stats are written back now.
+    """
+    rec = slots.st
+    for attr, prefix, tick, stat in _LEVELS:
+        level = getattr(hier, attr)
+        arrays = [getattr(slots, f"{prefix}_{name}") for name in _WAY_ARRAYS]
+        sets, assoc = level.num_sets, level.assoc
+        stamps = arrays[2][:sets * assoc].reshape(sets, assoc)
+        touched = stamps.max(axis=1) >= level._tick
+        loan = level._loan
+        if loan is None:
+            _Loan(level, arrays, touched, flush_lines)
+        else:
+            loan.touched |= touched
         level._tick = int(rec[tick])
         level._changed = set()
         stats = level.stats
         stats.hits, stats.misses, stats.writebacks = (
             int(v) for v in rec[stat:stat + 3])
+    slots.lender = weakref.ref(hier)
+
+
+def _reclaim(hier) -> None:
+    """Return every lent way list of ``hier`` (writing the copy back)."""
+    for level in (hier.l1, hier.l2):
+        if level._loan is not None:
+            level._loan.write_back(level)
 
 
 class _Feed:
@@ -306,7 +391,8 @@ class _Feed:
             # from the synced cache state.  In-range blocks cannot
             # differ — a strict cache never holds an out-of-range line
             # (its fill would have raised at install time).
-            _store_cache(self.slots, proc.hierarchy)
+            _lend_cache(self.slots, proc.hierarchy,
+                        self.ks.smc._kernel_backend.flush_lines)
             self.has_cache = False
         if self.has_cache:
             self._load_block(block, None)
@@ -343,7 +429,8 @@ class _Feed:
         proc.outstanding.clear()
         proc._done = bool(rec[Core.DONE])
         if self.has_cache:
-            _store_cache(self.slots, proc.hierarchy)
+            _lend_cache(self.slots, proc.hierarchy,
+                        self.ks.smc._kernel_backend.flush_lines)
 
 
 def _eligible(procs, smc) -> str | None:

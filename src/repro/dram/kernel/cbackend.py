@@ -26,7 +26,7 @@ from repro.dram.kernel import state
 #: Bumped when the entry-point contract changes; checked against the
 #: compiled object's ``repro_abi_version`` so a stale cached build from
 #: an older checkout can never be called with the wrong layout.
-ABI_VERSION = 5
+ABI_VERSION = 6
 
 _HERE = Path(__file__).resolve().parent
 _SOURCE = _HERE / "kernel.c"
@@ -51,6 +51,11 @@ class CKernel:
             fn.restype = ctypes.c_int64
         self.serve_batch = lib.repro_serve_batch
         self.run_cores = lib.repro_run_cores
+        # Pointers are passed as plain addresses (``ndarray.ctypes.data``).
+        lib.repro_flush_lines.argtypes = (
+            [ctypes.c_void_p] * 6 + [ctypes.c_int64] * 4 + [ctypes.c_void_p])
+        lib.repro_flush_lines.restype = ctypes.c_int64
+        self.flush_lines = lib.repro_flush_lines
 
 
 def compiler() -> list[str] | None:

@@ -1689,7 +1689,45 @@ static int64_t close_sweep(K *k, int64_t **cp)
 
 int64_t repro_abi_version(void)
 {
-    return 5;
+    return 6;
+}
+
+/* CLFLUSH of n consecutive lines from first_line on one cache level's
+ * resident way arrays (CacheHierarchy.flush_range, cpu/cache.py): a
+ * present line leaves its set (the later ways shift down, as list.pop
+ * does), the set's MRU slot resets and touched[set] is set; out[i] is
+ * set when line first_line + i was dirty.  Returns the lines flushed. */
+int64_t repro_flush_lines(int64_t *tags, int64_t *dirty, int64_t *stamps,
+                          int64_t *count, int64_t *mru, int64_t *touched,
+                          int64_t num_sets, int64_t assoc,
+                          int64_t first_line, int64_t n, int64_t *out)
+{
+    int64_t flushed = 0;
+    int64_t s = first_line % num_sets, tag = first_line / num_sets;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t base = s * assoc, c = count[s];
+        for (int64_t w = 0; w < c; w++) {
+            if (tags[base + w] != tag)
+                continue;
+            if (dirty[base + w])
+                out[i] = 1;
+            for (int64_t v = base + w; v + 1 < base + c; v++) {
+                tags[v] = tags[v + 1];
+                dirty[v] = dirty[v + 1];
+                stamps[v] = stamps[v + 1];
+            }
+            count[s] = c - 1;
+            mru[s] = -1;
+            touched[s] = 1;
+            flushed++;
+            break;
+        }
+        if (++s == num_sets) {
+            s = 0;
+            tag++;
+        }
+    }
+    return flushed;
 }
 
 int64_t repro_serve_batch(int64_t **p)

@@ -1060,7 +1060,8 @@ class CoreSlots:
 
     The cache way arrays outlive a replay as a *resident copy* of the
     hierarchy whose token is ``cache_owner`` (0: none); ``token`` names
-    this copy (see ``blockrun._load_cache``)."""
+    this copy, and ``lender`` weakly references the hierarchy whose way
+    lists it holds (see ``blockrun._load_cache``/``_lend_cache``)."""
 
     def __init__(self) -> None:
         self.st = _arr(len(CORE_FIELDS))
@@ -1068,6 +1069,7 @@ class CoreSlots:
             setattr(self, name, _arr(0))
         self.token = next(_SLOT_TOKENS)
         self.cache_owner = 0
+        self.lender = None
 
 
 _SLOT_TOKENS = itertools.count(1)

@@ -101,7 +101,7 @@ SWEEP = register(SweepSpec(
     build_points=_build_points, combine=_combine,
     description="RowClone speedup over CPU copy/init, No-Flush setting,"
                 " three methodologies",
-    runtime="~14 s"))
+    runtime="~12 s"))
 
 
 def report(result: dict, figure: str = "Figure 10",

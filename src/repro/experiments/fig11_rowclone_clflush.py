@@ -37,7 +37,7 @@ SWEEP = register(SweepSpec(
     artifact="fig11", title="Figure 11", module=__name__,
     build_points=_build_points, combine=_combine,
     description="RowClone speedup in the CLFLUSH (dirty-cache) setting",
-    runtime="~14 s"))
+    runtime="~12 s"))
 
 
 def main() -> None:  # pragma: no cover - CLI entry

@@ -27,6 +27,8 @@ from repro.analysis import bar_chart, format_table, geomean
 from repro.baselines.ramulator import RamulatorConfig, RamulatorSim
 from repro.core.config import jetson_nano_time_scaling
 from repro.core.system import EasyDRAMSystem
+from repro.cpu.blocks import BlockTrace
+from repro.cpu.memtrace import take
 from repro.experiments.common import polybench_size, scaled_cache_overrides
 from repro.runner import SweepPoint, SweepSpec, register
 from repro.workloads import polybench
@@ -68,6 +70,10 @@ def sweep_point(kernel: str, size: str) -> dict:
     contend for cores while a point is timing itself.
     """
     config = jetson_nano_time_scaling(**scaled_cache_overrides())
+    # Each platform times simulation only: the kernel's trace is built
+    # once, up front, and every timed run replays the same accesses.
+    blocks = list(polybench.trace_blocks(kernel, size))
+    accesses = list(take(BlockTrace(blocks).accesses(), RAMULATOR_CAP))
     # The serve kernel (REPRO_KERNEL) collapses memory-service host time
     # so far that it would swamp the engine-comparison axis this figure
     # isolates — the memory-bound kernels would suddenly "gain" the most,
@@ -78,19 +84,16 @@ def sweep_point(kernel: str, size: str) -> dict:
     os.environ["REPRO_KERNEL"] = "0"
     try:
         easy_hz, easy = _best_rate(lambda: EasyDRAMSystem(
-            config, engine="event").run(polybench.trace_blocks(kernel, size),
-                                        kernel))
+            config, engine="event").run(BlockTrace(blocks), kernel))
         cycle_hz, _ = _best_rate(lambda: EasyDRAMSystem(
-            config, engine="cycle").run(polybench.trace_blocks(kernel, size),
-                                        kernel))
+            config, engine="cycle").run(BlockTrace(blocks), kernel))
     finally:
         if prior is None:
             os.environ.pop("REPRO_KERNEL", None)
         else:
             os.environ["REPRO_KERNEL"] = prior
     ram_hz, _ = _best_rate(lambda: RamulatorSim(RamulatorConfig(
-        max_accesses=RAMULATOR_CAP)).run(polybench.trace(kernel, size),
-                                         kernel))
+        max_accesses=RAMULATOR_CAP)).run(iter(accesses), kernel))
     return {
         "easydram_mhz": easy_hz / 1e6,
         "easydram_cycle_mhz": cycle_hz / 1e6,

@@ -150,3 +150,86 @@ class TestSpeedupShape:
         technique.execute_copy(plan)
         rc = session.finish()
         assert cpu.emulated_ps / rc.emulated_ps > 5
+
+
+class TestEngagement:
+    """RowClone's hot paths stay engaged: no Bender program per RowClone,
+    and no cache-list round trip per CLFLUSH range or fallback row."""
+
+    def _walks(self, system):
+        """Record the command kinds of every program Bender walks."""
+        walks = []
+        engine = system.tile.engine
+        original = engine.execute
+
+        def execute(program, start_ps=0):
+            walks.append(tuple(ins.command.kind.value
+                               for ins in program.instructions
+                               if ins.command is not None))
+            return original(program, start_ps=start_ps)
+
+        engine.execute = execute
+        return walks
+
+    @pytest.mark.parametrize("op", ("copy", "init"))
+    def test_rowclone_ops_stage_no_bender_program(self, op):
+        system = EasyDRAMSystem(jetson_nano_time_scaling())
+        session = system.session("engagement")
+        tech = RowCloneTechnique(session)
+        walks = self._walks(system)
+        size = 96 * tech.geometry.row_bytes
+        if op == "copy":
+            tech.execute_copy(tech.plan_copy(size))
+        else:
+            tech.execute_init(tech.plan_init(size, base_addr=1 << 22),
+                              include_source_setup=False)
+        assert tech.stats.rowclone_ops > 0
+        # Only the refreshes falling due inside RowClone episodes walk a
+        # program; the RowClones themselves issue the memoized plan.
+        assert walks and set(walks) == {("PREA", "REF")}
+        assert len(walks) <= system.smc.stats.refreshes
+        assert system.smc.stats.technique_ops == tech.stats.rowclone_ops
+
+    @pytest.mark.parametrize("op", ("copy", "init"))
+    def test_clflush_ops_keep_the_resident_cache_copy(self, op, monkeypatch):
+        import dataclasses
+
+        from repro.dram.kernel import blockrun, cbackend
+        from repro.workloads import microbench
+
+        if cbackend.load()[0] is None:
+            pytest.skip("no C compiler for the kernel")
+        monkeypatch.setenv("REPRO_KERNEL", "c")
+        loads, write_backs = [], []
+        load_sets, write_back = blockrun._load_sets, blockrun._Loan.write_back
+        monkeypatch.setattr(
+            blockrun, "_load_sets",
+            lambda level, arrays, sets: (loads.append(sets is None),
+                                         load_sets(level, arrays, sets)))
+        monkeypatch.setattr(
+            blockrun._Loan, "write_back",
+            lambda loan, level: (write_backs.append(level.name),
+                                 write_back(loan, level)))
+        system = EasyDRAMSystem(jetson_nano_time_scaling())
+        session = system.session("engagement")
+        tech = RowCloneTechnique(session)
+        size = 24 * tech.geometry.row_bytes
+        if op == "copy":
+            plan = tech.plan_copy(size)
+            # Every third row falls back to a CPU copy.
+            plan.pairs = [dataclasses.replace(pair, reliable=i % 3 != 0)
+                          for i, pair in enumerate(plan.pairs)]
+            session.run_trace(microbench.touch_blocks(0, size, write=True))
+            tech.execute_copy(plan, clflush=True)
+        else:
+            plan = tech.plan_init(size, base_addr=1 << 22)
+            session.run_trace(microbench.touch_blocks(1 << 22, size,
+                                                      write=True))
+            tech.execute_init(plan, clflush=True)
+        session.finish()
+        assert tech.stats.fallback_rows > 0 and tech.stats.flushed_lines > 0
+        # The first replay flattens both levels; every later replay and
+        # CLFLUSH range works on the resident copy, and the lists never
+        # come back.
+        assert loads == [True, True]
+        assert write_backs == []

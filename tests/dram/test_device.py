@@ -214,3 +214,25 @@ class TestDataStore:
         device.reset()
         assert device.banks[0].open_row is None
         assert device.row_data(0, 3)[5 * 64:6 * 64] == payload
+
+    @pytest.mark.parametrize("columns", (None, 7, 200))
+    def test_row_filler_matches_per_line_default(self, timing, columns):
+        """A row's power-on filler is byte-identical to its per-column
+        default_line concatenation, on the default geometry and on
+        non-default row widths."""
+        import random
+
+        from repro.dram.address import Geometry
+
+        geometry = (Geometry() if columns is None
+                    else Geometry(columns_per_row=columns))
+        device = DramDevice(timing, geometry)
+        rng = random.Random(columns or 0)
+        probes = [(0, 0), (geometry.total_banks - 1,
+                           geometry.rows_per_bank - 1)]
+        probes += [(rng.randrange(geometry.total_banks),
+                    rng.randrange(geometry.rows_per_bank)) for _ in range(50)]
+        for bank, row in probes:
+            expected = b"".join(device.default_line(bank, row, col)
+                                for col in range(geometry.columns_per_row))
+            assert device.row_data(bank, row) == expected, (bank, row)

@@ -15,6 +15,8 @@ import pytest
 from repro.core.config import jetson_nano_time_scaling
 from repro.core.system import EasyDRAMSystem
 from repro.dram import timing_checker
+from repro.dram.address import Geometry
+from repro.dram.cells import CellArrayModel, CellModelConfig
 from repro.dram.commands import Command, CommandKind
 from repro.dram.flat_timing import (
     K_ACT,
@@ -25,6 +27,7 @@ from repro.dram.flat_timing import (
     K_WR,
     FlatTimingState,
 )
+from repro.dram.device import DramDevice
 from repro.workloads import lmbench, microbench
 
 KIND_PAIRS = (
@@ -89,6 +92,48 @@ class TestFlatMatchesOracle:
                     # The binding constraint and the batched query agree
                     # by PR 2's tests; the flat array path must too.
                     assert got == want, (kind, bank)
+
+    @pytest.mark.parametrize("ranks", (1, 2))
+    def test_binding_matches_checker_on_random_streams(self, timing, ranks):
+        """binding() names the same (earliest, constraint) pair as the
+        object checker's candidate walk, for ACT and PRE on every bank."""
+        geometry = Geometry(bank_groups=4, banks_per_group=4,
+                            rows_per_bank=256, columns_per_row=32,
+                            subarray_rows=64, ranks=ranks)
+        device = DramDevice(timing, geometry,
+                            cells=CellArrayModel(geometry,
+                                                 CellModelConfig(seed=1234)))
+        rng = random.Random(5 + ranks)
+        names = set()
+
+        def activation_burst(steps):
+            # Every bank in turn, each command at its earliest legal time:
+            # ACTs pile up against tRRD and tFAW.
+            for i in range(steps):
+                bank = device.banks[i % geometry.total_banks]
+                cmd = (Command(CommandKind.PRE, bank=bank.index)
+                       if bank.is_open else
+                       Command(CommandKind.ACT, bank=bank.index,
+                               row=rng.randrange(geometry.rows_per_bank)))
+                earliest, _ = device.checker.earliest_issue(
+                    cmd, device.banks, device.checker_rank)
+                device.issue(cmd, max(earliest, device._last_issue_ps))
+                yield
+
+        for stream in (random_legal_stream(device, rng, 400),
+                       activation_burst(200)):
+            for _ in stream:
+                for code, kind in ((K_ACT, CommandKind.ACT),
+                                   (K_PRE, CommandKind.PRE)):
+                    for bank in range(geometry.total_banks):
+                        want = device.checker.earliest_issue(
+                            Command(kind, bank=bank, row=1), device.banks,
+                            device.checker_rank)
+                        assert device.flat.binding(code, bank) == want, \
+                            (kind, bank)
+                        names.add(want[1])
+        assert {"tRC", "tRP", "tRRD_S", "tRRD_L", "tFAW", "tRFC", "tRAS",
+                "tRTP", "tWR"} <= names
 
     def test_flat_mirrors_bank_state(self, device):
         rng = random.Random(7)

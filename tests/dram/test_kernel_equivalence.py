@@ -564,8 +564,11 @@ def test_resident_replay_engages(scheduler, topology, monkeypatch):
 # -- the resident cache copy across short replays ----------------------------
 #
 # The resident replay keeps each core's way arrays as a copy of its cache
-# hierarchy between calls, reloading only the sets Python changed since
-# (CLFLUSH evictions) and flattening a level whole after any other
+# hierarchy between calls.  After a replay the copy holds the level's way
+# lists (a loan): CLFLUSH ranges apply to the copy itself, and the first
+# Python read of a level's lists writes the copy back.  A later replay
+# reloads only the sets Python changed since (CLFLUSH evictions on
+# written-back lists) and flattens a level whole after any other
 # Python-side mutation.  One session interleaves every kind of
 # Python-side cache traffic with short replays.
 
@@ -584,6 +587,11 @@ def _interleaved_session() -> dict:
     session.clflush_range(60 * KiB, 12 * KiB)
     session.run_trace(microbench.cpu_init_blocks(96 * KiB, 8 * KiB))
     hierarchy.access(96 * KiB + 5 * LINE, True)   # direct Python access
+    session.run_trace(microbench.touch_blocks(0, 8 * KiB, block=_BLOCK))
+    hierarchy.l1.contains(2 * LINE)    # writes L1 back, L2 stays lent
+    session.clflush_range(0, 4 * KiB)  # L1 on its lists, L2 on the copy
+    hierarchy.access(LINE, False)      # direct Python access
+    session.clflush_range(0, 2 * KiB)  # both levels on their lists
     session.run_trace(microbench.touch_blocks(0, 8 * KiB, block=_BLOCK))
     hierarchy.reset_stats()
     session.run_trace(microbench.cpu_copy_blocks(32 * KiB, 128 * KiB,
@@ -610,22 +618,113 @@ def _interleaved_session() -> dict:
 @needs_kernel
 def test_resident_cache_copy_identical(monkeypatch):
     loads = []
-    original = blockrun._load_sets
+    write_backs = []
+    original_load = blockrun._load_sets
+    original_write_back = blockrun._Loan.write_back
 
     def recording(level, arrays, sets):
         loads.append(sets is None)
-        original(level, arrays, sets)
+        original_load(level, arrays, sets)
+
+    def recording_write_back(loan, level):
+        write_backs.append(level.name)
+        original_write_back(loan, level)
 
     with serve_mode("event", "0"):
         expected = _interleaved_session()
     monkeypatch.setattr(blockrun, "_load_sets", recording)
+    monkeypatch.setattr(blockrun._Loan, "write_back", recording_write_back)
     with serve_mode("event", "c"):
         assert _interleaved_session() == expected
-    # Whole flattens: both levels at the first replay, after the direct
-    # access (an L1 and L2 miss) and after the prefetched trace.  The three
-    # replays after a CLFLUSH reload the flushed sets only (the first
-    # flush found no L1 line), and the one after reset_stats nothing.
-    assert loads.count(True) == 6 and loads.count(False) == 5
+    # Whole flattens: both levels at the first replay, after each direct
+    # access (an L1 and L2 miss) and after the prefetched trace.  The
+    # CLFLUSHes on the copy reload nothing; the one flush on L1's
+    # written-back lists before the second direct access is absorbed by
+    # that access's whole flatten.
+    assert loads.count(True) == 8 and loads.count(False) == 0
+    # Lists come back only for Python reads: the first direct access,
+    # contains() (L1 only), the second direct access (L2), the
+    # prefetched trace, and the final inspection.
+    assert write_backs == ["L1D", "L2", "L1D", "L2", "L1D", "L2",
+                           "L1D", "L2"]
+
+
+def _sparse_lent_session() -> list:
+    """Replays and CLFLUSHes that each touch a different part of a large
+    hierarchy while it stays lent; then one Python read."""
+    from repro.workloads import microbench
+
+    session = EasyDRAMSystem(jetson_nano_time_scaling()).session("sparse")
+    hierarchy = session.hierarchy
+    session.run_trace(microbench.touch_blocks(0, 96 * KiB, write=True))
+    # Written back (read only): the next loan starts with no changed set.
+    hierarchy.l1.resident_lines(), hierarchy.l2.resident_lines()
+    session.run_trace(microbench.touch_blocks(256 * KiB, 2 * KiB))
+    session.clflush_range(8 * KiB, 4 * KiB)
+    session.run_trace(microbench.touch_blocks(512 * KiB, 1 * KiB,
+                                              write=True))
+    session.clflush_range(64 * KiB, 2 * KiB)
+    return _cache_state(hierarchy)
+
+
+@needs_kernel
+def test_resident_copy_writes_back_every_changed_set():
+    """The written-back lists carry every set any replay or CLFLUSH on
+    the copy changed, not just the last replay's."""
+    with serve_mode("event", "0"):
+        expected = _sparse_lent_session()
+    with serve_mode("event", "c"):
+        assert _sparse_lent_session() == expected
+
+
+def _two_sessions_one_slot() -> list:
+    """Two sessions of one system replay in turn through the same core
+    slot; each hierarchy is still lent when the other one loads."""
+    from repro.workloads import microbench
+
+    system = EasyDRAMSystem(_resident_config("fr-fcfs", "ddr4-1ch"))
+    first, second = system.session("first"), system.session("second")
+    first.run_trace(microbench.touch_blocks(0, 12 * KiB, write=True))
+    second.run_trace(microbench.touch_blocks(64 * KiB, 6 * KiB, write=True))
+    first.clflush_range(4 * KiB, 2 * KiB)
+    first.run_trace(microbench.touch_blocks(2 * KiB, 4 * KiB))
+    second.clflush_range(64 * KiB, 1 * KiB)
+    return [_cache_state(first.hierarchy), _cache_state(second.hierarchy)]
+
+
+@needs_kernel
+def test_slot_reuse_writes_back_the_lender():
+    with serve_mode("event", "0"):
+        expected = _two_sessions_one_slot()
+    with serve_mode("event", "c"):
+        assert _two_sessions_one_slot() == expected
+
+
+@needs_kernel
+def test_lent_hierarchy_copies_independently():
+    """A deep copy of a hierarchy lent to its resident copy flushes its
+    own arrays: the original keeps every line, the copy matches a copy
+    whose lists were written back before the flush."""
+    import copy
+
+    from repro.workloads import microbench
+
+    with serve_mode("event", "c"):
+        session = EasyDRAMSystem(_resident_config("fr-fcfs", "ddr4-1ch")) \
+            .session("lent")
+        session.run_trace(microbench.touch_blocks(0, 64 * KiB, write=True))
+    hierarchy = session.hierarchy
+    assert hierarchy.l2._loan is not None
+    lent = copy.deepcopy(hierarchy)
+    synced = copy.deepcopy(hierarchy)
+    synced.l1.resident_lines(), synced.l2.resident_lines()  # write back
+    assert synced.l2._loan is None and lent.l2._loan is not None
+    first = 64 * KiB // LINE - 300
+    assert lent.flush_range(first, 256) == synced.flush_range(first, 256)
+    assert _cache_state(lent) == _cache_state(synced)
+    flushed = lent.l2.stats.flushes - hierarchy.l2.stats.flushes
+    assert flushed > 0
+    assert hierarchy.l2.resident_lines() - lent.l2.resident_lines() == flushed
 
 
 # -- the registry tRCD technique as kernel data ------------------------------
