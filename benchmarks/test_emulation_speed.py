@@ -1,16 +1,17 @@
-"""Benchmark: event-driven engine vs the cycle-stepped reference.
+"""Benchmark: the event engine vs the cycle engine's object reference.
 
-Guards the tentpole property of the event-driven core on the Figure 8
-trace workload (working-set touch + lmbench-style pointer chase):
+Guards the tentpole property of the event engine's serve ladder on the
+Figure 8 trace workload (working-set touch + lmbench-style pointer
+chase):
 
 * **equivalence** — the artifact dict and every emulated statistic are
-  bit-identical between engines (the event schedule reorders host work,
+  bit-identical between engines (the serve path changes host work,
   never simulated time);
 * **speed** — the event engine finishes the same emulation at least 2x
   faster in host wall time.
 
 Run with ``-s`` to see the measured speedup and the event-engine
-counters (gates, releases, refreshes, batched episodes).
+counters (gates, releases, batched and fallback episodes).
 """
 
 from __future__ import annotations
@@ -108,11 +109,11 @@ def test_event_engine_bit_identical_and_2x_faster(once):
     print(f"  event engine: {event_wall:.3f} s  ({speedup:.2f}x)")
     print(f"  event stats:  {stats.as_dict()}")
 
-    # Bit-identical artifacts: the event-driven schedule is a pure
-    # reordering of host work, not of simulated time.
+    # Bit-identical artifacts: the serve path changes host work, not
+    # simulated time.
     assert event_artifact == cycle_artifact
 
-    # The engine really took the skip-ahead path...
+    # The engine really took the batched serve ladder...
     assert stats.batched_episodes > 0
     assert stats.fallback_episodes == 0
     # ...and it pays off.

@@ -15,8 +15,7 @@ from repro.core.config import (
     validation_time_scaled,
 )
 from repro.core.easyapi import CostModel, EasyAPI
-from repro.core.engine import CycleEngine, EventEngine, make_engine
-from repro.core.events import EngineStats, Event, EventKind, EventQueue
+from repro.core.engine import CycleEngine, EngineStats, EventEngine, make_engine
 from repro.core.schedulers import FCFS, FRFCFS, Scheduler, TableEntry, make_scheduler
 from repro.core.smc import SmcStats, SoftwareMemoryController
 from repro.core.stats import Breakdown, RunResult
@@ -39,10 +38,7 @@ __all__ = [
     "EasyTile",
     "EmulationDeadlock",
     "EngineStats",
-    "Event",
     "EventEngine",
-    "EventKind",
-    "EventQueue",
     "FCFS",
     "FRFCFS",
     "RunResult",

@@ -25,7 +25,6 @@ an address.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.core.easyapi import EasyAPI
 from repro.core.smc import SmcStats, SoftwareMemoryController
@@ -80,9 +79,7 @@ class ChannelSet:
             if group:
                 smc.service_pending(group)
 
-    def service_pending_batched(
-            self, requests: list[MemoryRequest],
-            refresh_sink: Callable[[int], None] | None = None) -> bool:
+    def service_pending_batched(self, requests: list[MemoryRequest]) -> bool:
         """Batched bank-parallel servicing, channel by channel.
 
         Returns ``True`` only if *every* channel's slice took the
@@ -92,8 +89,7 @@ class ChannelSet:
             return True
         all_batched = True
         for group, smc in zip(self._route(requests), self.smcs):
-            if group and not smc.service_pending_batched(
-                    group, refresh_sink=refresh_sink):
+            if group and not smc.service_pending_batched(group):
                 all_batched = False
         return all_batched
 

@@ -192,8 +192,10 @@ class EasyAPI:
                 # finish() appended so the next lease sees the bare
                 # command sequence again.
                 program.instructions.pop()
+            # A fresh staging buffer even when execution raised (a strict
+            # TimingViolation): the next batch must not replay this one.
+            self.program = BenderProgram(self.tile.config.timing)
         self.last_exec = result
-        self.program = BenderProgram(self.tile.config.timing)
         return result
 
     def rdback_cacheline(self) -> bytes:

@@ -30,7 +30,6 @@ pathology of Figure 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.bender.engine import BenderEngine, ExecResult
 from repro.bender.program import BenderProgram
@@ -444,9 +443,7 @@ class SoftwareMemoryController(ProgramExecutor):
 
     # -- bank-parallel critical-mode servicing (event-engine fast path) ------------
 
-    def service_pending_batched(
-            self, requests: list[MemoryRequest],
-            refresh_sink: Callable[[int], None] | None = None) -> bool:
+    def service_pending_batched(self, requests: list[MemoryRequest]) -> bool:
         """Serve every pending request on the production serve ladder.
 
         Semantically identical to :meth:`service_pending` — same emulated
@@ -463,14 +460,12 @@ class SoftwareMemoryController(ProgramExecutor):
         Falls back to the reference path — and returns ``False`` — when a
         technique hook is installed or the tile holds state the planner
         cannot see (a non-empty request FIFO or a partially staged
-        program).  ``refresh_sink`` is called with each serviced tREFI
-        deadline so the event engine can log refreshes that landed inside
-        a skipped interval.
+        program).
         """
         if not requests:
             return True
         if (len(requests) >= _KERNEL_MIN_BATCH
-                and self.service_pending_kernel(requests, refresh_sink)):
+                and self.service_pending_kernel(requests)):
             return True
         if (self._serve_hook is not None or self.tile.has_requests
                 or len(self.api.program)):
@@ -481,9 +476,9 @@ class SoftwareMemoryController(ProgramExecutor):
         # policies.
         if (len(requests) == 1 and not self.table
                 and not self._scheduler.stateful):
-            self._service_single(requests[0], refresh_sink)
+            self._service_single(requests[0])
         else:
-            self._service_fast(requests, refresh_sink)
+            self._service_fast(requests)
         return True
 
     # -- compiled batch kernel (REPRO_KERNEL) --------------------------------------
@@ -561,9 +556,7 @@ class SoftwareMemoryController(ProgramExecutor):
             return technique
         return None
 
-    def service_pending_kernel(
-            self, requests: list[MemoryRequest],
-            refresh_sink: Callable[[int], None] | None = None) -> bool:
+    def service_pending_kernel(self, requests: list[MemoryRequest]) -> bool:
         """Serve a whole drained batch inside the compiled kernel.
 
         The fourth serve path: bit-identical to :meth:`service_pending`
@@ -614,7 +607,6 @@ class SoftwareMemoryController(ProgramExecutor):
             ks.refresh_materialized()
         ks.load(max(cores) if ks.scheduler is not None else 0)
         ks.st[St.N_REQ] = n
-        before_refresh = self._next_refresh_ps
         err = int(self._kernel_backend.serve_batch(ks.pointer_table()))
         if err != KERN_OK and err != KERR_DECODE_RANGE:
             raise RuntimeError(f"batch kernel failed with error {err}")
@@ -622,7 +614,6 @@ class SoftwareMemoryController(ProgramExecutor):
         ks.scatter_violations()
         ks.check_reduced_reads()
         ks.apply_wr_hits()
-        ks.emit_refreshes(refresh_sink, before_refresh)
         if err == KERR_DECODE_RANGE:
             # Raise the mapper's own out-of-range ValueError, with all
             # partial state (stats, charges) already written back.
@@ -670,8 +661,7 @@ class SoftwareMemoryController(ProgramExecutor):
         make_entry = (lambda request, dram, order: (order, request, dram)) \
             if select_flat is not None else TableEntry
 
-        def service_fast(requests: list[MemoryRequest],
-                         refresh_sink: Callable[[int], None] | None) -> None:
+        def service_fast(requests: list[MemoryRequest]) -> None:
             counters.enter_critical()
             api.charged_cycles += toggle  # set_scheduling_state(True)
             api.critical = True
@@ -712,7 +702,7 @@ class SoftwareMemoryController(ProgramExecutor):
                         self.sched_cursor = next_arrival
                     continue
                 if refresh_enabled and self._next_refresh_ps <= self.sched_cursor:
-                    refresh(refresh_sink)
+                    refresh()
                 count = len(table)
                 api.charged_cycles += decision_cost(count)
                 if select_flat is not None:
@@ -762,8 +752,7 @@ class SoftwareMemoryController(ProgramExecutor):
         serve = self._serve_flat_core
         refresh = self._maybe_refresh_flat
 
-        def service_single(request: MemoryRequest,
-                           refresh_sink: Callable[[int], None] | None) -> None:
+        def service_single(request: MemoryRequest) -> None:
             counters.enter_critical()
             api.critical = True
             now = request.tag * proc_period + bus
@@ -779,7 +768,7 @@ class SoftwareMemoryController(ProgramExecutor):
             self._arrival_counter += 1
             if refresh_enabled and self._next_refresh_ps <= now:
                 api.charged_cycles += toggle + transfer_charge
-                refresh(refresh_sink)
+                refresh()
                 api.charged_cycles += decision_1
             else:
                 api.charged_cycles += no_refresh_charge
@@ -960,8 +949,7 @@ class SoftwareMemoryController(ProgramExecutor):
 
         return serve
 
-    def _maybe_refresh_flat(
-            self, refresh_sink: Callable[[int], None] | None) -> None:
+    def _maybe_refresh_flat(self) -> None:
         """:meth:`_maybe_refresh` on flat state (no staged program)."""
         if not self.config.controller.refresh_enabled:
             return
@@ -996,8 +984,6 @@ class SoftwareMemoryController(ProgramExecutor):
                 self._refresh_index += 1
                 if self._refresh_index % self._storm_factor:
                     self.stats.storm_refreshes += 1
-            if refresh_sink is not None:
-                refresh_sink(self._next_refresh_ps)
             self._next_refresh_ps += self._refresh_interval
             if not self._pipelined:
                 if self.dram_cursor > self.sched_cursor:

@@ -17,8 +17,8 @@ the case studies need: running trace segments, flushing cache lines
 requests) as critical-mode episodes.
 
 How the host walks that flow is delegated to an emulation engine
-(:mod:`repro.core.engine`): the event-driven skip-ahead core by default,
-or the cycle-stepped reference via ``engine="cycle"`` /
+(:mod:`repro.core.engine`): the event engine's production serve path by
+default, or the object reference via ``engine="cycle"`` /
 ``REPRO_ENGINE=cycle``.  Engine choice never changes results — only how
 fast the host produces them.
 """
@@ -52,10 +52,10 @@ class EasyDRAMSystem:
     """One configured EasyDRAM instance (hardware + software controller).
 
     ``engine`` selects how the host executes the emulation — ``"event"``
-    (the skip-ahead event-driven core, default) or ``"cycle"`` (the
-    cycle-stepped reference) — and may also be set globally through the
-    ``REPRO_ENGINE`` environment variable.  Both engines produce
-    bit-identical results; see :mod:`repro.core.engine`.
+    (resident replay and the batched serve ladder, default) or
+    ``"cycle"`` (the object reference) — and may also be set globally
+    through the ``REPRO_ENGINE`` environment variable.  Both engines
+    produce bit-identical results; see :mod:`repro.core.engine`.
 
     Topology follows ``config.geometry``: one tile + software memory
     controller pair per channel, all sharing one topology-wide address

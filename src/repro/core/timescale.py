@@ -107,8 +107,8 @@ class TimeScalingCounters:
     #: Emulated cycles the processor counter jumped over when critical
     #: mode ended with the controller ahead (the catch-up rule below).
     #: Purely diagnostic — it measures how much emulated time passes
-    #: without any per-cycle host work, which is exactly what the
-    #: event-driven engine exploits.
+    #: without any per-cycle host work, which is exactly what the burst
+    #: loop exploits.
     catch_up_cycles: int = 0
     #: History of (processor, memory_controller) snapshots for invariants.
     _locked_processor_at: int = field(default=0, repr=False)

@@ -376,8 +376,8 @@ class Processor:
     def next_release_cycle(self) -> int | None:
         """Release cycle of the oldest serviced outstanding fill, if any.
 
-        This is the processor's next scheduled RELEASE event on the
-        event-driven timeline: after a critical-mode episode the core
+        This is the cycle the processor resumes at on the emulated
+        timeline: after a critical-mode episode the core
         resumes by jumping directly to this cycle (Fig 5, step 10) —
         no emulated cycle before it can make the core runnable.  Exposed
         for engine instrumentation and the scheduler edge-case tests.

@@ -174,7 +174,7 @@ class DramDevice:
                       precleared: bool = False) -> None:
         """Execute one command whose read data (if any) would be discarded.
 
-        The event-driven engine's conventional read/write service path
+        The event engine's conventional read/write service path
         never consumes the captured cache line — the cycle engine pops it
         from the readback buffer and throws it away — so this variant
         skips materializing row contents while keeping every observable

@@ -4,14 +4,14 @@ The batch entry point (:meth:`~repro.core.smc.SMC.service_pending_kernel`)
 still marshals the controller state across the FFI boundary once per
 gate; on dependent-load streams the gates are singleton batches and the
 marshalling dominates.  This module removes it: for eligible block
-traces the *entire* replay — the cores' ``_execute_burst_blocks`` loops,
-the engine's round-robin sweeps and gates, the critical-mode episodes,
-refresh interleave, and the event-queue bookkeeping — runs resident in
-C (``repro_run_cores``).  Python is re-entered once per
-:class:`~repro.cpu.blocks.AccessBlock` per core, to hand that core its
-next block (running the Python cache filter only for a non-standard
-hierarchy) and to flush logs; the controller, scheduler and cache state
-is loaded and stored exactly once per run.
+traces the *entire* burst loop — the cores' ``_execute_burst_blocks``
+replays, the round-robin sweeps and gates, the critical-mode episodes
+and refresh interleave — runs resident in C (``repro_run_cores``).
+Python is re-entered once per :class:`~repro.cpu.blocks.AccessBlock`
+per core, to hand that core its next block (running the Python cache
+filter only for a non-standard hierarchy) and to flush logs; the
+controller, scheduler and cache state is loaded and stored exactly once
+per run.
 
 One loop serves both engine entry points: :func:`run_gated_kernel` is
 ``EventEngine.run_trace``'s single-core replay (the N = 1 case) and
@@ -33,10 +33,9 @@ import weakref
 
 import numpy as np
 
-from repro.core.events import EventKind
 from repro.cpu.cache import _WAY_LISTS
 from repro.dram.kernel.state import (
-    HEAP_SLACK, KERN_NEED_BLOCK, KERN_NEED_ROOM, KERN_OK, KERR_DEADLOCK,
+    KERN_NEED_BLOCK, KERN_NEED_ROOM, KERN_OK, KERR_DEADLOCK,
     KERR_DECODE_RANGE, RLOG_STRIDE, Cfg, Core, CorePtr, St, TBL_STRIDE,
     VIOL_STRIDE, WRHIT_STRIDE,
 )
@@ -463,8 +462,8 @@ def run_gated_kernel(engine, session, proc, smc) -> bool:
     the resident replay.  Returns ``False`` (nothing touched, reason
     recorded) when ineligible; the caller then runs its Python burst
     loop.  On ``True`` the processor is done and every side effect of
-    that loop — controller state, stats, event queue, request
-    latencies — has been applied.
+    that loop — controller state, stats, request latencies — has been
+    applied.
     """
     return _replay(engine, [proc], smc)
 
@@ -492,19 +491,9 @@ def _replay(engine, procs, smc) -> bool:
         ks.refresh_materialized()
     ks.load(max(proc.core_id for proc in procs))
 
-    queue = engine.queue
-    heap_len = len(queue._heap)
-    if ks.heap.shape[0] < 4 * heap_len:
-        ks.heap = _arr(4 * heap_len)
-        ks._ptr_table = None
-    if heap_len:
-        ks.heap[:4 * heap_len] = [
-            int(value) for entry in queue._heap for value in entry]
-    st[St.HEAP_LEN] = heap_len
-    st[St.QSEQ] = queue._seq
     for slot in (St.PEND_COUNT, St.SWEEP, St.SWEEP_N, St.SWEEP_POS,
                  St.SWEEP_FINISHED, St.E_GATES, St.E_RELEASES,
-                 St.E_REFRESHES, St.E_BATCHED, St.E_SKIPPED):
+                 St.E_BATCHED):
         st[slot] = 0
     st[St.ACTIVE_N] = n
 
@@ -553,15 +542,7 @@ def _replay(engine, procs, smc) -> bool:
         estats = engine.stats
         estats.gates += int(st[St.E_GATES])
         estats.releases += int(st[St.E_RELEASES])
-        estats.refreshes += int(st[St.E_REFRESHES])
         estats.batched_episodes += int(st[St.E_BATCHED])
-        estats.events_skipped += int(st[St.E_SKIPPED])
-        heap_len = int(st[St.HEAP_LEN])
-        flat = ks.heap[:4 * heap_len].tolist()
-        queue._heap = [
-            (flat[i], flat[i + 1], EventKind(flat[i + 2]), flat[i + 3])
-            for i in range(0, 4 * heap_len, 4)]
-        queue._seq = int(st[St.QSEQ])
 
     if err == KERR_DEADLOCK:
         from repro.core.engine import DEADLOCK_MESSAGE, EmulationDeadlock
@@ -579,10 +560,10 @@ def _make_room(ks) -> None:
     kernel returns ``KERN_NEED_ROOM``).
 
     The pend buffer stays ``_PEND_ROOM`` entries ahead of the open
-    sweep's requests; it and the event heap carry live state, so they
-    grow preservingly.  The logs were flushed after the call, so they
-    are sized for a gate over a full pend buffer — overflow inside the
-    kernel stays a hard error, never a silent drop.
+    sweep's requests; it carries live state, so it grows preservingly.
+    The logs were flushed after the call, so they are sized for a gate
+    over a full pend buffer — overflow inside the kernel stays a hard
+    error, never a silent drop.
     """
     st = ks.st
     need = int(st[St.PEND_COUNT]) + _PEND_ROOM
@@ -599,13 +580,8 @@ def _make_room(ks) -> None:
     ks.ensure_viol(3 * cap + 256)
     ks.ensure_wrhit(cap + 64)
     ks.ensure_rlog(cap + 64)
-    heap_need = 4 * (int(st[St.HEAP_LEN]) + cap + HEAP_SLACK)
-    if ks.heap.shape[0] < heap_need:
-        ks.heap = _grow_keep(ks.heap, heap_need)
-        ks._ptr_table = None
     st[St.PEND_CAP] = cap
     st[St.TBL_CAP] = ks.tbl.shape[0] // TBL_STRIDE
     st[St.VIOL_CAP] = ks.viol.shape[0] // VIOL_STRIDE
     st[St.WRHIT_CAP] = ks.wrhit.shape[0] // WRHIT_STRIDE
     st[St.RLOG_CAP] = ks.rlog.shape[0] // RLOG_STRIDE
-    st[St.HEAP_CAP] = ks.heap.shape[0] // 4

@@ -26,7 +26,7 @@ from repro.dram.kernel import state
 #: Bumped when the entry-point contract changes; checked against the
 #: compiled object's ``repro_abi_version`` so a stale cached build from
 #: an older checkout can never be called with the wrong layout.
-ABI_VERSION = 6
+ABI_VERSION = 7
 
 _HERE = Path(__file__).resolve().parent
 _SOURCE = _HERE / "kernel.c"

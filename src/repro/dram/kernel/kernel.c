@@ -16,7 +16,7 @@
  *                         TrcdReductionTechnique._serve).
  *   repro_run_cores    -- the resident replay: N fed block traces driven
  *                         to completion under round-robin arbitration
- *                         (mirrors EventEngine.run_cores around
+ *                         (mirrors the engines' burst loop around
  *                         Processor._execute_burst_blocks), with each
  *                         core's cache filter, MLP window and counters in
  *                         a second, per-core slot table.  Returns to
@@ -58,10 +58,6 @@
 #define K_WR 4
 #define K_REF 5
 
-/* EventKind values (core/events.py). */
-#define EV_RELEASE 1
-#define EV_REFRESH 2
-
 /* memtrace access flags / request flags (state.py). */
 #define AF_WRITE 1
 #define AF_DEPENDENT 2
@@ -88,7 +84,6 @@ typedef struct {
     int64_t *core_st, *active, *sweep_order;
     int64_t *pend_tag, *pend_addr, *pend_flags, *pend_rid, *pend_release;
     int64_t *pend_core, *pend_pos, *pend_order, *pend_scratch;
-    int64_t *heap;
 } K;
 
 static void bind(K *k, int64_t **p)
@@ -142,7 +137,6 @@ static void bind(K *k, int64_t **p)
     k->pend_pos = p[P_PEND_POS];
     k->pend_order = p[P_PEND_ORDER];
     k->pend_scratch = p[P_PEND_SCRATCH];
-    k->heap = p[P_HEAP];
 }
 
 /* One core's resident-replay view: its CORE_STRIDE scalar record and its
@@ -691,71 +685,9 @@ static int64_t issue_col_k(K *k, int64_t kind, int64_t bank, int64_t col,
     return KERN_OK;
 }
 
-/* -- event heap (EventQueue entries (time, seq, kind, payload)) ----------- */
-
-static int64_t heap_push(K *k, int64_t time, int64_t kind, int64_t payload)
-{
-    int64_t len = S(HEAP_LEN);
-    if (len >= S(HEAP_CAP))
-        return KERR_HEAP_OVERFLOW;
-    int64_t *h = k->heap;
-    int64_t seq = S(QSEQ);
-    S(QSEQ) = seq + 1;
-    int64_t i = len;
-    while (i > 0) {
-        int64_t parent = (i - 1) / 2;
-        int64_t *pe = h + 4 * parent;
-        /* (time, seq) lexicographic; seq values are unique. */
-        if (pe[0] < time || (pe[0] == time && pe[1] < seq))
-            break;
-        memcpy(h + 4 * i, pe, 4 * sizeof(int64_t));
-        i = parent;
-    }
-    int64_t *e = h + 4 * i;
-    e[0] = time;
-    e[1] = seq;
-    e[2] = kind;
-    e[3] = payload;
-    S(HEAP_LEN) = len + 1;
-    return KERN_OK;
-}
-
-static void heap_pop_discard(K *k)
-{
-    int64_t len = S(HEAP_LEN) - 1;
-    int64_t *h = k->heap;
-    S(HEAP_LEN) = len;
-    if (!len)
-        return;
-    int64_t e0 = h[4 * len], e1 = h[4 * len + 1];
-    int64_t e2 = h[4 * len + 2], e3 = h[4 * len + 3];
-    int64_t i = 0;
-    for (;;) {
-        int64_t child = 2 * i + 1;
-        if (child >= len)
-            break;
-        int64_t right = child + 1;
-        if (right < len) {
-            int64_t *cl = h + 4 * child, *cr = h + 4 * right;
-            if (cr[0] < cl[0] || (cr[0] == cl[0] && cr[1] < cl[1]))
-                child = right;
-        }
-        int64_t *ce = h + 4 * child;
-        if (e0 < ce[0] || (e0 == ce[0] && e1 < ce[1]))
-            break;
-        memcpy(h + 4 * i, ce, 4 * sizeof(int64_t));
-        i = child;
-    }
-    int64_t *e = h + 4 * i;
-    e[0] = e0;
-    e[1] = e1;
-    e[2] = e2;
-    e[3] = e3;
-}
-
 /* -- refresh episode (smc._maybe_refresh_flat) ---------------------------- */
 
-static int64_t refresh_episode(K *k, int resident)
+static int64_t refresh_episode(K *k)
 {
     while (S(NEXT_REFRESH) <= S(SCHED_CURSOR)) {
         S(CHARGED) = 0;        /* staging + accumulated charges discarded */
@@ -822,16 +754,6 @@ static int64_t refresh_episode(K *k, int resident)
             S(REFRESH_INDEX) += 1;
             if (S(REFRESH_INDEX) % C(STORM_FACTOR))
                 S(S_STORM) += 1;
-        }
-        if (resident) {
-            /* EventEngine._note_refresh, inlined. */
-            S(E_REFRESHES) += 1;
-            if (C(PROC_PERIOD)) {
-                int64_t err = heap_push(k, S(NEXT_REFRESH) / C(PROC_PERIOD),
-                                        EV_REFRESH, 0);
-                if (err)
-                    return err;
-            }
         }
         S(NEXT_REFRESH) += C(REFRESH_INTERVAL);
         if (!C(PIPELINED) && S(DRAM_CURSOR) > S(SCHED_CURSOR))
@@ -1072,7 +994,7 @@ static int64_t select_ranked(K *k, int64_t *tbl, int64_t tcount,
 static int64_t episode(K *k, int64_t n, const int64_t *tag,
                        const int64_t *addr, const int64_t *flags,
                        const int64_t *core, int64_t *release,
-                       int64_t *service, int resident)
+                       int64_t *service)
 {
     /* counters.enter_critical() */
     if (!S(CNT_CRITICAL)) {
@@ -1126,7 +1048,7 @@ static int64_t episode(K *k, int64_t n, const int64_t *tag,
             continue;
         }
         if (C(REFRESH_ENABLED) && S(NEXT_REFRESH) <= S(SCHED_CURSOR)) {
-            int64_t err = refresh_episode(k, resident);
+            int64_t err = refresh_episode(k);
             if (err)
                 return err;
         }
@@ -1558,7 +1480,7 @@ static int64_t burst(K *k, Core *q, int64_t pos)
     }
 }
 
-/* -- the gate after a sweep (EventEngine.run_cores / _service) ------------ */
+/* -- the gate after a sweep (BurstEngine._burst_loop / EventEngine._serve) */
 
 /* Stable argsort of the pend buffer by tag: bottom-up merge sort over the
  * per-core non-decreasing runs, ties kept in sweep order. */
@@ -1587,8 +1509,7 @@ static const int64_t *sort_pending(K *k, int64_t n)
     return a;
 }
 
-/* One critical-mode episode over the sweep's pending batch plus its
- * event bookkeeping. */
+/* One critical-mode episode over the sweep's pending batch. */
 static int64_t serve_pending(K *k, int64_t **cp, int64_t np)
 {
     int64_t err;
@@ -1598,7 +1519,7 @@ static int64_t serve_pending(K *k, int64_t **cp, int64_t np)
     if (sorted) {
         /* One core's run (always, single-core): already in tag order. */
         err = episode(k, np, k->pend_tag, k->pend_addr, k->pend_flags,
-                      k->pend_core, k->pend_release, (int64_t *)0, 1);
+                      k->pend_core, k->pend_release, (int64_t *)0);
     } else {
         const int64_t *order = sort_pending(k, np);
         for (int64_t i = 0; i < np; i++) {
@@ -1609,7 +1530,7 @@ static int64_t serve_pending(K *k, int64_t **cp, int64_t np)
             k->req_core[i] = k->pend_core[j];
         }
         err = episode(k, np, k->req_tag, k->req_addr, k->req_flags,
-                      k->req_core, k->req_release, (int64_t *)0, 1);
+                      k->req_core, k->req_release, (int64_t *)0);
         for (int64_t i = 0; i < np; i++)
             k->pend_release[order[i]] = k->req_release[i];
     }
@@ -1638,12 +1559,6 @@ static int64_t serve_pending(K *k, int64_t **cp, int64_t np)
             }
         }
     }
-    /* RELEASE events in sweep order: heap sequence numbers must match. */
-    for (int64_t j = 0; j < np; j++) {
-        err = heap_push(k, k->pend_release[j], EV_RELEASE, k->pend_rid[j]);
-        if (err)
-            return err;
-    }
     S(PEND_COUNT) = 0;
     return KERN_OK;
 }
@@ -1651,13 +1566,12 @@ static int64_t serve_pending(K *k, int64_t **cp, int64_t np)
 static int64_t close_sweep(K *k, int64_t **cp)
 {
     int64_t np = S(PEND_COUNT), na = S(ACTIVE_N);
-    /* Room for the episode's worst case in the logs and the event heap;
-     * otherwise return before touching anything, so blockrun.py can
-     * flush and grow and re-enter right here. */
+    /* Room for the episode's worst case in the logs; otherwise return
+     * before touching anything, so blockrun.py can flush and grow and
+     * re-enter right here. */
     if (S(VIOL_CAP) - S(VIOL_COUNT) < 3 * np + 256
             || S(WRHIT_CAP) - S(WRHIT_COUNT) < np + 64
-            || S(RLOG_CAP) - S(RLOG_COUNT) < np + 64
-            || S(HEAP_CAP) - S(HEAP_LEN) < np + HEAP_SLACK)
+            || S(RLOG_CAP) - S(RLOG_COUNT) < np + 64)
         return KERN_NEED_ROOM;
     S(SWEEP) += 1;
     if (!np) {
@@ -1667,29 +1581,14 @@ static int64_t close_sweep(K *k, int64_t **cp)
     }
     if (na)
         S(E_GATES) += 1;
-    int64_t err = serve_pending(k, cp, np);
-    if (err || !na)
-        return err;
-    /* An event is only "passed" once every runnable core's jump is
-     * beyond it: drain to the slowest active core's cycle. */
-    int64_t low = INT64_MAX;
-    for (int64_t j = 0; j < na; j++) {
-        int64_t cycles = k->core_st[k->active[j] * CORE_STRIDE + CS_CYCLES];
-        if (cycles < low)
-            low = cycles;
-    }
-    while (S(HEAP_LEN) && k->heap[0] <= low) {
-        heap_pop_discard(k);
-        S(E_SKIPPED) += 1;
-    }
-    return KERN_OK;
+    return serve_pending(k, cp, np);
 }
 
 /* -- entry points --------------------------------------------------------- */
 
 int64_t repro_abi_version(void)
 {
-    return 6;
+    return 7;
 }
 
 /* CLFLUSH of n consecutive lines from first_line on one cache level's
@@ -1736,10 +1635,10 @@ int64_t repro_serve_batch(int64_t **p)
     K *k = &kk;
     bind(k, p);
     return episode(k, S(N_REQ), k->req_tag, k->req_addr, k->req_flags,
-                   k->req_core, k->req_release, k->req_service, 0);
+                   k->req_core, k->req_release, k->req_service);
 }
 
-/* Drive NRUN fed cores to completion (EventEngine.run_cores): round-robin
+/* Drive NRUN fed cores to completion (BurstEngine._burst_loop): round-robin
  * sweeps starting at active[SWEEP % ACTIVE_N], each core bursting to its
  * gate, the merged batch served in one episode after every sweep.  The
  * whole state lives in the slot tables, so the loop is resumable: it

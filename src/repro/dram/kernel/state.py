@@ -20,7 +20,7 @@ that layout:
   per-bank timing arrays, the per-rank tFAW windows, the per-core
   scheduler table, the memoized plans, the request batch, the
   violation logs and the resident replay's per-core records, active
-  list, pending-request buffers and event heap.
+  list and pending-request buffers.
 * :data:`CORE_FIELDS` / :data:`CORE_PTR_FIELDS` — the resident replay's
   per-core slots: one scalar record per core (block cursor, processor
   counters, cache-filter ticks and stats) and a second ``int64*[]``
@@ -87,7 +87,7 @@ CH_SLAB, CH_LINE, CH_ROW, CH_XOR = 0, 1, 2, 3
 #: Mutable scalar slots (``st[]``), loaded/stored around every call.
 ST_FIELDS = (
     # call arguments and buffer cursors
-    "N_REQ", "PEND_COUNT", "PEND_CAP", "HEAP_LEN", "HEAP_CAP",
+    "N_REQ", "PEND_COUNT", "PEND_CAP",
     "VIOL_COUNT", "VIOL_CAP", "WRHIT_COUNT", "WRHIT_CAP", "NMAT",
     "FAW_HEAD", "FAW_LEN", "TBL_CAP",
     # resident replay (run_cores): live length of the ACTIVE list, sweep
@@ -119,9 +119,8 @@ ST_FIELDS = (
     "TR_REDUCED", "TR_NOMINAL", "TR_HITS", "RLOG_COUNT", "RLOG_CAP",
     # device command counts (indexed by flat kind code)
     "CMD_ACT", "CMD_PRE", "CMD_PREA", "CMD_RD", "CMD_WR", "CMD_REF",
-    # EngineStats + event-queue sequence (resident replay)
-    "E_GATES", "E_RELEASES", "E_REFRESHES", "E_BATCHED", "E_SKIPPED",
-    "QSEQ",
+    # EngineStats (resident replay)
+    "E_GATES", "E_RELEASES", "E_BATCHED",
     # error reporting
     "ERR_ADDR",
 )
@@ -192,8 +191,6 @@ PTR_FIELDS = (
     # id, run position), plus the stable tag-sort's index scratch
     "PEND_TAG", "PEND_ADDR", "PEND_FLAGS", "PEND_RID", "PEND_RELEASE",
     "PEND_CORE", "PEND_POS", "PEND_ORDER", "PEND_SCRATCH",
-    # event heap (stride 4: time, seq, kind, payload)
-    "HEAP",
 )
 
 #: Violation log record: kind, bank, row, col, time_ps, earliest_ps, code.
@@ -242,16 +239,10 @@ KERN_NEED_BLOCK = 1         # run_cores: hand core NEED_CORE its next block
 KERN_NEED_ROOM = 2          # run_cores: flush the logs, grow the buffers
 KERR_FAW_OVERFLOW = -1      # tFAW ring exceeded FAW_CAP (unreachable)
 KERR_VIOL_OVERFLOW = -2     # violation log full
-KERR_HEAP_OVERFLOW = -3     # event heap full (pathological storm)
 KERR_PEND_OVERFLOW = -4     # pending-request buffer full
 KERR_DECODE_RANGE = -5      # strict decode out of range (pre-scan)
 KERR_DEADLOCK = -6          # gate with no pending requests
 KERR_BAD_KIND = -7          # plan contained an unexpected command kind
-
-#: Event-heap headroom (entries) the resident replay keeps free on top
-#: of a gate's release pushes: covers every refresh deadline one
-#: episode could span.
-HEAP_SLACK = 4096
 
 #: tFAW ring capacity; far beyond the <= 4 live entries the window holds.
 FAW_RING_CAP = 512
@@ -292,10 +283,8 @@ def render_defines() -> str:
         f"#define KERN_OK {KERN_OK}",
         f"#define KERN_NEED_BLOCK {KERN_NEED_BLOCK}",
         f"#define KERN_NEED_ROOM {KERN_NEED_ROOM}",
-        f"#define HEAP_SLACK {HEAP_SLACK}",
         f"#define KERR_FAW_OVERFLOW {KERR_FAW_OVERFLOW}",
         f"#define KERR_VIOL_OVERFLOW {KERR_VIOL_OVERFLOW}",
-        f"#define KERR_HEAP_OVERFLOW {KERR_HEAP_OVERFLOW}",
         f"#define KERR_PEND_OVERFLOW {KERR_PEND_OVERFLOW}",
         f"#define KERR_DECODE_RANGE {KERR_DECODE_RANGE}",
         f"#define KERR_DEADLOCK {KERR_DEADLOCK}",
@@ -526,7 +515,6 @@ class KernelState:
         self.pend_pos = _arr(0)
         self.pend_order = _arr(0)
         self.pend_scratch = _arr(0)
-        self.heap = _arr(0)
         #: Per-core slot sets of the resident replay (see bind_cores).
         self.cores: list[CoreSlots] = []
         self._ncores = 0
@@ -959,25 +947,6 @@ class KernelState:
                                device.default_line(bank, row, col))
         self.st[St.WRHIT_COUNT] = 0
 
-    def emit_refreshes(self, refresh_sink, next_refresh_before: int) -> None:
-        """Replay refresh-sink callbacks for deadlines the kernel serviced.
-
-        The serviced deadlines are exactly the arithmetic sequence from
-        the pre-call ``_next_refresh_ps`` (inclusive) to the post-call
-        value (exclusive), stepping by the refresh interval — the kernel
-        refresh loop is the same ``while`` the Python path runs.
-        """
-        if refresh_sink is None:
-            return
-        after = int(self.st[St.NEXT_REFRESH])
-        if after == next_refresh_before:
-            return
-        interval = int(self.cfg[Cfg.REFRESH_INTERVAL])
-        deadline = next_refresh_before
-        while deadline < after:
-            refresh_sink(deadline)
-            deadline += interval
-
     def pointer_table(self):
         """The ``int64*[]`` slot table, rebuilt when a buffer is swapped."""
         if self._ptr_table is not None:
@@ -999,7 +968,6 @@ class KernelState:
             self.pend_tag, self.pend_addr, self.pend_flags, self.pend_rid,
             self.pend_release, self.pend_core, self.pend_pos,
             self.pend_order, self.pend_scratch,
-            self.heap,
         )
         assert len(arrays) == len(PTR_FIELDS)
         table = (_P64 * len(arrays))()

@@ -9,6 +9,7 @@ from repro.cpu.memtrace import load, store
 from repro.cpu.processor import MemoryRequest
 from repro.dram.address import DramAddress
 from repro.dram.commands import CommandKind
+from repro.dram.timing_checker import TimingViolation
 
 
 @pytest.fixture
@@ -84,6 +85,29 @@ class TestSequences:
         result = api.flush_commands()
         assert result.commands_issued == 2
         assert len(api.program) == 0
+
+    def test_strict_violation_drops_the_staged_program(self, system):
+        """A strict TimingViolation escaping flush_commands must not
+        leave its program staged: the next episode issues its own rows."""
+        device = system.tile.device
+        smc = system.smc
+        device.checker.strict = True
+        with pytest.raises(TimingViolation):
+            smc.technique_episode(lambda api: api.rowclone(0, 1, 2),
+                                  issue_cycle=0)
+        device.checker.strict = False
+        issued = []
+        original = device.issue
+
+        def recording(cmd, time_ps):
+            issued.append((cmd.kind, cmd.row))
+            return original(cmd, time_ps)
+
+        device.issue = recording
+        smc.technique_episode(lambda api: api.rowclone(0, 5, 6),
+                              issue_cycle=1000)
+        assert [row for kind, row in issued if kind is CommandKind.ACT] \
+            == [5, 6]
 
     def test_flush_without_executor(self, system):
         system.api.executor = None

@@ -1,12 +1,12 @@
-"""Engine equivalence and event-scheduler edge cases.
+"""Engine equivalence and burst-loop edge cases.
 
-The event-driven engine's contract is that it is a pure host-time
+The event engine's contract is that it is a pure host-time
 optimization: every emulated quantity — run results, controller and
 device statistics, timing-violation records, counters — must be
-bit-identical to the cycle-stepped reference engine.  These tests pin
+bit-identical to the cycle engine's object reference.  These tests pin
 that contract across configurations, workloads (including writebacks,
-refresh storms, and technique interleavings), and the scheduler edge
-cases the skip-ahead logic must get right.
+refresh storms, and technique interleavings), and the gate and release
+edge cases the burst loop must get right.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.core.engine import (
     make_engine,
     resolve_engine_name,
 )
-from repro.core.events import EventKind, EventQueue
 from repro.core.system import EasyDRAMSystem, EmulationDeadlock
 from repro.cpu.memtrace import load
 from repro.cpu.processor import MemoryRequest
@@ -205,18 +204,18 @@ class TestEventSchedulerEdgeCases:
 
     def test_equal_release_cycles_observed_by_event_queue(self):
         """The coarse-clock batch really does produce same-cycle
-        releases, and the queue pops them FIFO."""
+        releases, and every gate hands each one back in order."""
         system = EasyDRAMSystem(self._coarse_clock_config(), engine="event")
         session = system.session("b2b-queue")
         seen = []
         smc = system.smc
         original = smc.service_pending_batched
 
-        def spy(requests, refresh_sink=None):
-            out = original(requests, refresh_sink=refresh_sink)
+        def spy(requests):
+            out = original(requests)
             seen.extend(r.release for r in requests)
             # Every serviced request got a release, and the processor's
-            # next RELEASE event is the oldest outstanding fill's.
+            # next release is the oldest outstanding fill's.
             assert all(r.release is not None for r in requests)
             outstanding = session.processor.outstanding
             if outstanding:
@@ -237,13 +236,11 @@ class TestEventSchedulerEdgeCases:
         assert cycle == event
         assert cycle["run"]["refreshes"] > 1
 
-        # The event engine logged those deadlines as REFRESH events.
         system = EasyDRAMSystem(jetson_nano_time_scaling(), engine="event")
-        session = system.session("refresh-events")
+        session = system.session("refresh-deadlines")
         gap_driver(session)
         session.finish()
-        assert session.engine.stats.refreshes == session.system.smc.stats.refreshes
-        assert session.engine.stats.refreshes > 1
+        assert session.system.smc.stats.refreshes > 1
 
     def test_refresh_disabled_never_calls_sink(self):
         config = jetson_nano_time_scaling(
@@ -252,52 +249,6 @@ class TestEventSchedulerEdgeCases:
         cycle, event = run_both(lambda: config, chase_driver)
         assert cycle == event
         assert cycle["run"]["refreshes"] == 0
-
-
-class TestEventQueue:
-    def test_orders_by_time_then_fifo(self):
-        queue = EventQueue()
-        queue.push(50, EventKind.RELEASE, payload=1)
-        queue.push(10, EventKind.GATE, payload=2)
-        queue.push(50, EventKind.REFRESH, payload=3)
-        queue.push(10, EventKind.RELEASE, payload=4)
-        order = [(e.time, e.kind, e.payload)
-                 for e in (queue.pop() for _ in range(len(queue)))]
-        assert order == [
-            (10, EventKind.GATE, 2),
-            (10, EventKind.RELEASE, 4),
-            (50, EventKind.RELEASE, 1),
-            (50, EventKind.REFRESH, 3),
-        ]
-
-    def test_pop_until_drains_inclusive(self):
-        queue = EventQueue()
-        for t in (5, 10, 15, 20):
-            queue.push(t, EventKind.RELEASE)
-        fired = queue.pop_until(15)
-        assert [e.time for e in fired] == [5, 10, 15]
-        assert len(queue) == 1
-        assert queue.peek().time == 20
-
-    def test_drain_until_counts(self):
-        queue = EventQueue()
-        for t in (1, 2, 3):
-            queue.push(t, EventKind.REFRESH)
-        assert queue.drain_until(2) == 2
-        assert len(queue) == 1
-
-    def test_pop_empty_raises(self):
-        queue = EventQueue()
-        assert queue.peek() is None
-        with pytest.raises(IndexError):
-            queue.pop()
-
-    def test_clear_keeps_sequence_monotonic(self):
-        queue = EventQueue()
-        queue.push(1, EventKind.GATE)
-        queue.clear()
-        queue.push(1, EventKind.GATE)
-        assert queue.pop().seq == 1
 
 
 class TestEngineSelection:

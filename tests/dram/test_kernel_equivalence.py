@@ -318,9 +318,9 @@ def test_batch_kernel_engages(scheduler, topology, monkeypatch):
     original = smc_module.SoftwareMemoryController.service_pending_kernel
     calls = []
 
-    def recording(self, requests, refresh_sink=None):
+    def recording(self, requests):
         size = len(requests)
-        served = original(self, requests, refresh_sink)
+        served = original(self, requests)
         calls.append((size, served, self.kernel_fallback_reason))
         return served
 
@@ -368,9 +368,10 @@ def test_kernel_actually_engages():
 # kernel (``blockrun.run_cores_kernel``).  One shared system runs three
 # ways — resident, the Python burst loop (``REPRO_KERNEL=0``) and the
 # ``CycleEngine`` reference — and every observable must agree, down to
-# the state the event engine leaves behind (``EngineStats``, the final
-# event heap), per-core request latencies and request-id counters, both
-# cache levels' contents, and the scheduler's ranking state.
+# the engines' gate and release counts (``EngineStats``, plus the event
+# engine's episode counts), per-core request latencies and request-id
+# counters, both cache levels' contents, and the scheduler's ranking
+# state.
 
 RESIDENT_MODES = (
     *((("resident", "event", "c"),) if HAVE_KERNEL else ()),
@@ -435,10 +436,11 @@ def _run_resident(config, traces: list[list[AccessBlock]],
         (list(c.processor.stats.request_latencies), next(c.processor._rid),
          c.processor.done, _cache_state(c.hierarchy))
         for c in session.cores]
+    stats = session.engine.stats
+    artifact["gates"] = (stats.gates, stats.releases)
     if engine == "event":
-        artifact["engine"] = session.engine.stats.as_dict()
-        artifact["heap"] = list(session.engine.queue._heap)
-        artifact["seq"] = session.engine.queue._seq
+        artifact["episodes"] = (stats.batched_episodes,
+                                stats.fallback_episodes)
     return artifact
 
 
@@ -452,9 +454,7 @@ def assert_resident_identical(config, traces) -> None:
     if "resident" in artifacts:
         diff = [key for key in burst if artifacts["resident"][key] != burst[key]]
         assert not diff, f"resident replay != burst loop in {diff}"
-    event_only = ("engine", "heap", "seq")
-    diff = [key for key in cycle if key not in event_only
-            and cycle[key] != burst[key]]
+    diff = [key for key in cycle if cycle[key] != burst[key]]
     assert not diff, f"burst loop != CycleEngine in {diff}"
 
 
@@ -484,6 +484,28 @@ def test_resident_mix_identical(scheduler, topology, cores):
         [_core_blocks(core, uneven=False) for core in range(cores)])
 
 
+def test_long_compute_gap_identical():
+    """A 10**8-cycle compute gap: the next episode issues thousands of
+    overdue refreshes, and the resident replay serves it exactly like the
+    burst loop and the reference (no per-episode refresh bound)."""
+    trace = [AccessBlock([0, 1 << 20, 2 << 20], [0, 0, 0], [0, 10**8, 0])]
+    outcomes = {}
+    for name, engine, kernel in RESIDENT_MODES:
+        with serve_mode(engine, kernel), kernel_engagements() as served:
+            system = EasyDRAMSystem(jetson_nano_time_scaling(), engine=engine)
+            session = system.session("gap", engine=engine)
+            session.run_trace(BlockTrace(iter(trace)))
+            run = dataclasses.asdict(session.finish())
+        run.pop("wall_seconds")
+        outcomes[name] = (run, dataclasses.asdict(system.smc.stats))
+        if name == "resident":
+            assert served == [("resident", True, None)]
+    reference = outcomes.pop("cycle")
+    assert reference[1]["refreshes"] > 4096
+    for name, outcome in outcomes.items():
+        assert outcome == reference, f"{name} != cycle"
+
+
 @pytest.mark.slow
 def test_resident_uneven_traces_identical():
     """Short traces finish early: the active list shrinks mid-sweep and
@@ -504,7 +526,7 @@ def test_resident_empty_core_identical():
 
 @pytest.mark.slow
 def test_resident_refresh_storm_identical():
-    """An 8x refresh storm: REFRESH events interleave the release pushes."""
+    """An 8x refresh storm: refresh episodes interleave every gate."""
     config = dataclasses.replace(
         _resident_config("fr-fcfs", "ddr4-1ch"),
         interference=InterferenceConfig(refresh_storm_factor=8))
@@ -750,8 +772,8 @@ def kernel_engagements():
     batch = smc_module.SoftwareMemoryController.service_pending_kernel
     replay = blockrun._replay
 
-    def batch_spy(self, requests, refresh_sink=None):
-        ok = batch(self, requests, refresh_sink)
+    def batch_spy(self, requests):
+        ok = batch(self, requests)
         served.append(("batch", ok, self.kernel_fallback_reason))
         return ok
 

@@ -45,9 +45,12 @@ ENV_DOCS: dict[str, tuple[str, str]] = {
         " disengages (bit-identical fallback)."),
     "REPRO_ENGINE": (
         "`event`",
-        "Emulation engine: `event` (skip-ahead, >=2x faster) or `cycle`"
-        " (the reference); results are bit-identical either way.  The"
-        " object reference oracle is `cycle` with `REPRO_KERNEL=0`."),
+        "Emulation engine: both run one burst loop and differ only in"
+        " how a gate's batch is served.  `event` replays block traces"
+        " resident in the kernel, else serves each batch on the batched"
+        " ladder (>=2x faster); `cycle` serves it on the object reference"
+        " (staged Bender programs).  Results are bit-identical either way."
+        "  The object reference oracle is `cycle` with `REPRO_KERNEL=0`."),
     "REPRO_FULL": (
         "off",
         "`1` switches every sweep to paper-scale problem sizes (slow);"
