@@ -1028,37 +1028,41 @@ class SoftwareMemoryController(ProgramExecutor):
         staged through EasyAPI and the Bender engine.
         """
         self.counters.enter_critical()
-        start = max(self.sched_cursor,
-                    issue_cycle * self._proc_period + self._req_bus_ps)
-        self.sched_cursor = start
-        self._maybe_refresh()
-        start = self.sched_cursor
-        api = self.api
-        plan = type(stage) is RowCloneOp and self._fpm_ready(stage)
-        if plan:
-            api.charge(api.costs.rowclone_setup)
-        else:
-            stage(api)
-        sched_cycles = api.take_charges()
-        self.stats.total_sched_cycles += sched_cycles
-        sched_ps = sched_cycles * self._mc_period
-        self.tile.stats.scheduling_ps += sched_ps
-        self._exec_anchor_ps = start + sched_ps
-        if plan:
-            result = self._execute_fpm(stage, respect_timing)
-        else:
-            result = api.flush_commands(respect_timing=respect_timing)
-        api.take_charges()
-        release_ps = self.dram_cursor + self._resp_bus_ps
-        release = -(-release_ps // self._proc_period)
-        self.stats.technique_ops += 1
-        self.tile.stats.technique_ops += 1
-        if self._pipelined:
-            self.sched_cursor = max(start + self._occupancy_ps, self.sched_cursor)
-        else:
-            self.sched_cursor = max(self.dram_cursor, start + sched_ps)
-        self._sync_mc_counter()
-        self.counters.exit_critical()
+        # A strict TimingViolation must not leave critical mode set.
+        try:
+            start = max(self.sched_cursor,
+                        issue_cycle * self._proc_period + self._req_bus_ps)
+            self.sched_cursor = start
+            self._maybe_refresh()
+            start = self.sched_cursor
+            api = self.api
+            plan = type(stage) is RowCloneOp and self._fpm_ready(stage)
+            if plan:
+                api.charge(api.costs.rowclone_setup)
+            else:
+                stage(api)
+            sched_cycles = api.take_charges()
+            self.stats.total_sched_cycles += sched_cycles
+            sched_ps = sched_cycles * self._mc_period
+            self.tile.stats.scheduling_ps += sched_ps
+            self._exec_anchor_ps = start + sched_ps
+            if plan:
+                result = self._execute_fpm(stage, respect_timing)
+            else:
+                result = api.flush_commands(respect_timing=respect_timing)
+            api.take_charges()
+            release_ps = self.dram_cursor + self._resp_bus_ps
+            release = -(-release_ps // self._proc_period)
+            self.stats.technique_ops += 1
+            self.tile.stats.technique_ops += 1
+            if self._pipelined:
+                self.sched_cursor = max(start + self._occupancy_ps,
+                                        self.sched_cursor)
+            else:
+                self.sched_cursor = max(self.dram_cursor, start + sched_ps)
+            self._sync_mc_counter()
+        finally:
+            self.counters.exit_critical()
         return release, result
 
     def _fpm_ready(self, op: RowCloneOp) -> bool:

@@ -102,8 +102,7 @@ def _polybench_factory(kernel: str) -> Factory:
     def make(base: int, scale: int) -> BlockTrace:
         size = "small" if scale > 1 else "mini"
         return BlockTrace(
-            AccessBlock([addr + base for addr in block.addr], block.flags,
-                        block.gap)
+            AccessBlock(block.addr + base, block.flags, block.gap)
             for block in polybench.trace_blocks(kernel, size))
 
     return make
@@ -192,7 +191,8 @@ class WorkloadMix:
             hi = base + CORE_REGION_BYTES
             for block in trace:
                 addr = block.addr
-                if addr and not (base <= min(addr) and max(addr) < hi):
+                if len(addr) and not (base <= int(addr.min())
+                                      and int(addr.max()) < hi):
                     raise ValueError(
                         f"workload {name!r} on core {core} escaped its"
                         f" region [{base:#x}, {hi:#x}) — reduce scale or"

@@ -14,16 +14,25 @@ identical per-access stream, which is what every workload's per-access
 trace function returns — block builders are the source of truth, the
 iterators are thin views.
 
-Blocks store plain Python ``list``s of ``int``: the consuming loops are
-CPython ``for`` loops where list indexing beats NumPy scalar access by
-an order of magnitude.  Builders are free to *construct* those lists
-with NumPy (``ndarray.tolist()`` is a bulk operation) — the microbench
-and PolyBench builders do.
+Blocks hold C-contiguous ``int64`` NumPy arrays, one representation
+from builder to consumer.  The production consumer is the resident
+replay (:mod:`repro.dram.kernel.blockrun`), which hands the arrays to
+the compiled kernel as they are; builders compute them with bulk NumPy
+and never round-trip through Python lists.  The Python consumers —
+the burst loop, the Python cache filter, the per-access view —
+convert a block to lists once, when they take it (``ndarray.tolist()``
+is a bulk operation, and CPython list indexing beats NumPy scalar
+access by an order of magnitude).  Blocks are never mutated after
+construction, so :class:`MaterializedBlocks` can share them between
+runs.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from repro.cpu.memtrace import Access
 
@@ -34,28 +43,35 @@ BLOCK_ACCESSES = 4096
 
 
 class AccessBlock:
-    """A chunk of accesses as parallel integer arrays.
+    """A chunk of accesses as parallel ``int64`` arrays.
 
     ``addr[i]``/``flags[i]``/``gap[i]`` describe the same access as
     ``Access(addr, flags, gap)``; flag bits are those of
-    :mod:`repro.cpu.memtrace` (bit 0 write, bit 1 dependent).
+    :mod:`repro.cpu.memtrace` (bit 0 write, bit 1 dependent).  Any
+    sequence of ints is accepted and coerced; a C-contiguous ``int64``
+    array is kept as is (no copy).
     """
 
     __slots__ = ("addr", "flags", "gap")
 
-    def __init__(self, addr: list[int], flags: list[int], gap: list[int]) -> None:
-        if not (len(addr) == len(flags) == len(gap)):
+    def __init__(self, addr, flags, gap) -> None:
+        addr = np.ascontiguousarray(addr, dtype=np.int64)
+        flags = np.ascontiguousarray(flags, dtype=np.int64)
+        gap = np.ascontiguousarray(gap, dtype=np.int64)
+        if not (addr.ndim == flags.ndim == gap.ndim == 1
+                and addr.shape == flags.shape == gap.shape):
             raise ValueError("addr/flags/gap arrays must have equal length")
         self.addr = addr
         self.flags = flags
         self.gap = gap
 
     def __len__(self) -> int:
-        return len(self.addr)
+        return self.addr.shape[0]
 
     def accesses(self) -> Iterator[Access]:
-        """The identical per-access view of this block."""
-        for item in zip(self.addr, self.flags, self.gap):
+        """The identical per-access view of this block (Python ints)."""
+        for item in zip(self.addr.tolist(), self.flags.tolist(),
+                        self.gap.tolist()):
             yield Access(*item)
 
 
@@ -125,21 +141,17 @@ def blockify(trace: Iterable[Access], block: int | None = None) -> BlockTrace:
     size = block or BLOCK_ACCESSES
 
     def chunks() -> Iterator[AccessBlock]:
-        addr: list[int] = []
-        flags: list[int] = []
-        gap: list[int] = []
-        append_a, append_f, append_g = addr.append, flags.append, gap.append
-        for access in trace:
-            append_a(access[0])
-            append_f(access[1])
-            append_g(access[2])
-            if len(addr) >= size:
-                yield AccessBlock(addr, flags, gap)
-                addr, flags, gap = [], [], []
-                append_a, append_f, append_g = (addr.append, flags.append,
-                                                gap.append)
-        if addr:
-            yield AccessBlock(addr, flags, gap)
+        accesses = iter(trace)
+        while True:
+            # One flat (addr, flags, gap, addr, ...) run per block.
+            flat = np.fromiter(
+                itertools.chain.from_iterable(
+                    itertools.islice(accesses, size)),
+                np.int64)
+            if not flat.shape[0]:
+                return
+            cols = flat.reshape(-1, 3).T
+            yield AccessBlock(cols[0], cols[1], cols[2])
 
     return BlockTrace(chunks())
 

@@ -308,8 +308,12 @@ class CacheHierarchy:
 
     # -- array-native block path (the fast-path frontend) -------------------
 
-    def access_block(self, addrs: list[int], flags: list[int]) -> BlockTraffic:
+    def access_block(self, addrs, flags: list[int]) -> BlockTraffic:
         """Filter a whole access block; behaviorally N x :meth:`access`.
+
+        ``addrs`` is an int sequence or ``int64`` array (an
+        :class:`~repro.cpu.blocks.AccessBlock`'s); ``flags`` is a list,
+        indexed once per access.
 
         One fused loop over both levels with the set/tag splits hoisted
         (computed once per access, shared by the probe and the fill) and

@@ -149,10 +149,11 @@ class Processor:
         #: prefetch requests join ``new_requests`` but never the MLP
         #: window, so the core is never gated on a prefetch.
         self.prefetcher = None
-        # Block-mode state: the block stream, the current block with its
-        # precomputed cache traffic, and replay cursors into it.
+        # Block-mode state: the block stream, the current block's flags
+        # and gaps (as lists) with its precomputed cache traffic, and
+        # replay cursors into it.
         self._blocks: Iterator[AccessBlock] | None = None
-        self._cur: tuple[AccessBlock, BlockTraffic] | None = None
+        self._cur: tuple[list[int], list[int], BlockTraffic] | None = None
         self._pos = 0
         self._wb_ptr = 0
 
@@ -249,16 +250,17 @@ class Processor:
                                            done=True)
                     return BurstResult(new_requests, blocked=True,
                                        done=False)
-                traffic = self.hierarchy.access_block(block.addr, block.flags)
+                # The loop below indexes Python lists: one bulk
+                # conversion per block.
+                flags = block.flags.tolist()
+                traffic = self.hierarchy.access_block(block.addr, flags)
                 hook = self.prime_hook
                 if hook is not None and (traffic.n_fills or traffic.wb_addr):
                     hook(traffic.fill_addr, traffic.wb_addr)
-                cur = self._cur = (block, traffic)
+                cur = self._cur = (flags, block.gap.tolist(), traffic)
                 self._pos = 0
                 self._wb_ptr = 0
-            block, traffic = cur
-            flags = block.flags
-            gaps = block.gap
+            flags, gaps, traffic = cur
             lat = traffic.latency
             fills = traffic.fill_addr
             wb_idx = traffic.wb_index

@@ -346,12 +346,13 @@ class _Feed:
         cursor at its start."""
         ks, index, rec, slots = self.ks, self.index, self.rec, self.slots
         set_array = ks.set_core_array
-        flags = _ints(block.flags)
-        n = flags.shape[0]
-        set_array(index, CorePtr.BLK_FLAGS, flags)
-        set_array(index, CorePtr.BLK_GAP, _ints(block.gap))
+        # The block's own int64 arrays, no copy: the kernel only reads
+        # them (``const int64_t *``), so shared blocks stay unchanged.
+        n = len(block)
+        set_array(index, CorePtr.BLK_FLAGS, block.flags)
+        set_array(index, CorePtr.BLK_GAP, block.gap)
         if traffic is None:
-            set_array(index, CorePtr.BLK_ADDR, _ints(block.addr))
+            set_array(index, CorePtr.BLK_ADDR, block.addr)
             if slots.blk_lat.shape[0] < n:
                 set_array(index, CorePtr.BLK_LAT, _arr(n))
                 set_array(index, CorePtr.BLK_FILL, _arr(n))
@@ -382,8 +383,9 @@ class _Feed:
             return
         proc = self.proc
         total = self.strict_total
-        if (self.has_cache and total is not None and block.addr
-                and not 0 <= min(block.addr) <= max(block.addr) < total):
+        addr = block.addr
+        if (self.has_cache and total is not None and len(addr)
+                and not 0 <= int(addr.min()) <= int(addr.max()) < total):
             # A strict address map whose trace goes out of range: the
             # Python path names the prime batch's worst offender, not
             # the first, so this block and the rest filter in Python,
@@ -396,7 +398,8 @@ class _Feed:
         if self.has_cache:
             self._load_block(block, None)
             return
-        traffic = proc.hierarchy.access_block(block.addr, block.flags)
+        traffic = proc.hierarchy.access_block(block.addr,
+                                              block.flags.tolist())
         hook = proc.prime_hook
         if hook is not None and (traffic.n_fills or traffic.wb_addr):
             hook(traffic.fill_addr, traffic.wb_addr)

@@ -17,16 +17,19 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import random
 import subprocess
 import time
 from pathlib import Path
+
+import numpy as np
 
 from repro.dram.kernel import state
 
 #: Bumped when the entry-point contract changes; checked against the
 #: compiled object's ``repro_abi_version`` so a stale cached build from
 #: an older checkout can never be called with the wrong layout.
-ABI_VERSION = 7
+ABI_VERSION = 8
 
 _HERE = Path(__file__).resolve().parent
 _SOURCE = _HERE / "kernel.c"
@@ -56,6 +59,21 @@ class CKernel:
             [ctypes.c_void_p] * 6 + [ctypes.c_int64] * 4 + [ctypes.c_void_p])
         lib.repro_flush_lines.restype = ctypes.c_int64
         self.flush_lines = lib.repro_flush_lines
+        lib.repro_shuffle.argtypes = [ctypes.c_void_p, ctypes.c_int64,
+                                      ctypes.c_void_p, ctypes.c_int64]
+        lib.repro_shuffle.restype = ctypes.c_int64
+        self._shuffle = lib.repro_shuffle
+
+    def shuffle(self, x, seed) -> None:
+        """``random.Random(seed).shuffle(x)`` on a C-contiguous int64
+        ndarray, in place and bit-exact, for ``len(x) < 2**32``."""
+        if (x.dtype != np.int64 or not x.flags.c_contiguous
+                or not x.flags.writeable or len(x) >= 1 << 32):
+            raise ValueError("shuffle needs a writable C-contiguous int64"
+                             " array of fewer than 2**32 items")
+        state = random.Random(seed).getstate()[1]
+        mt = np.array(state[:624], dtype=np.int64)
+        self._shuffle(mt.ctypes.data, state[624], x.ctypes.data, len(x))
 
 
 def compiler() -> list[str] | None:

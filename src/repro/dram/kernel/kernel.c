@@ -23,6 +23,10 @@
  *                         Python (blockrun.py) only to take a core's next
  *                         block.
  *
+ * Two more entries take plain arrays: repro_flush_lines (CLFLUSH on a
+ * resident cache copy) and repro_shuffle (random.Random.shuffle, the
+ * lmbench pointer-chase permutation).
+ *
  * Every formula below is a transcription of the Python fast path; the
  * comments name the source (smc.py / device.py / flat_timing.py /
  * timing_checker.py / processor.py / engine.py).  Divisions only ever
@@ -1588,7 +1592,7 @@ static int64_t close_sweep(K *k, int64_t **cp)
 
 int64_t repro_abi_version(void)
 {
-    return 7;
+    return 8;
 }
 
 /* CLFLUSH of n consecutive lines from first_line on one cache level's
@@ -1627,6 +1631,62 @@ int64_t repro_flush_lines(int64_t *tags, int64_t *dirty, int64_t *stamps,
         }
     }
     return flushed;
+}
+
+/* random.Random.shuffle (CPython Lib/random.py, Modules/_randommodule.c)
+ * of x[0..n) in place: Fisher-Yates from n - 1 down to 1, each index
+ * drawn by _randbelow(i + 1) = getrandbits(k) with k = (i + 1).bit_length()
+ * and rejection of draws >= i + 1, where getrandbits(k <= 32) is the next
+ * MT19937 word >> (32 - k).  mt holds the 624 state words and pos the
+ * position of random.Random(seed).getstate()[1]; both are left unchanged.
+ * n must stay below 2**32 (one word per draw).  Returns the position the
+ * generator ended at. */
+int64_t repro_shuffle(const int64_t *mt_state, int64_t pos, int64_t *x,
+                      int64_t n)
+{
+    enum { MT_N = 624, MT_M = 397 };
+    uint32_t mt[MT_N];
+    for (int i = 0; i < MT_N; i++)
+        mt[i] = (uint32_t)mt_state[i];
+    int64_t index = pos;
+    for (int64_t i = n - 1; i > 0; i--) {
+        uint64_t bound = (uint64_t)i + 1;
+        int k = 0;
+        while (bound >> k)
+            k++;
+        uint64_t r;
+        do {
+            if (index >= MT_N) {
+                /* genrand_uint32's block regeneration */
+                uint32_t y;
+                int kk;
+                for (kk = 0; kk < MT_N - MT_M; kk++) {
+                    y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+                    mt[kk] = mt[kk + MT_M] ^ (y >> 1)
+                             ^ ((y & 1U) ? 0x9908b0dfU : 0U);
+                }
+                for (; kk < MT_N - 1; kk++) {
+                    y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+                    mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1)
+                             ^ ((y & 1U) ? 0x9908b0dfU : 0U);
+                }
+                y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+                mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1)
+                               ^ ((y & 1U) ? 0x9908b0dfU : 0U);
+                index = 0;
+            }
+            uint32_t y = mt[index++];
+            y ^= y >> 11;
+            y ^= (y << 7) & 0x9d2c5680U;
+            y ^= (y << 15) & 0xefc60000U;
+            y ^= y >> 18;
+            r = (uint64_t)(y >> (32 - k));
+        } while (r >= bound);
+        int64_t t = x[i];
+        x[i] = x[r];
+        x[r] = t;
+    }
+    return index;
 }
 
 int64_t repro_serve_batch(int64_t **p)

@@ -106,7 +106,7 @@ SWEEP = register(SweepSpec(
                  "mem latency (ns)", "sched %", "DRAM %", "stalled %"),
     description="execution-time breakdown of a memory request on four"
                 " system models",
-    runtime="~1 s"))
+    runtime="~0.6 s"))
 
 
 def report(result: dict) -> str:

@@ -179,7 +179,11 @@ SWEEP = register(SweepSpec(
     description="simulation speed vs the cycle-level baseline, plus the"
                 " event-vs-cycle engine comparison",
     runtime="~3 s",
-    parallel_safe=False))
+    parallel_safe=False,
+    host_timed=("easydram_mhz", "easydram_cycle_mhz", "ramulator_mhz",
+                "speed_ratios", "engine_speedups", "mean_ratio", "max_ratio",
+                "mean_engine_speedup", "rows.*.1", "rows.*.2", "rows.*.3",
+                "rows.*.4", "rows.*.5")))
 
 
 def report(result: dict) -> str:

@@ -119,7 +119,8 @@ SWEEP = register(SweepSpec(
     description="beyond-paper channel scaling: stream throughput and host"
                 " sim speed on 1/2/4-channel topologies",
     runtime="~1 s",
-    parallel_safe=False))
+    parallel_safe=False,
+    host_timed=("host_mhz", "rows.*.4")))
 
 
 def report(result: dict) -> str:

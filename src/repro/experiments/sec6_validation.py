@@ -83,7 +83,7 @@ SWEEP = register(SweepSpec(
                  "exec err %", "mem-lat err %"),
     description="time-scaling validation: scaled 100 MHz system vs 1 GHz"
                 " reference, <0.1% average error",
-    runtime="~1.5 s"))
+    runtime="~1 s"))
 
 
 def report(result: dict) -> str:

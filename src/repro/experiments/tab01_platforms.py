@@ -67,7 +67,8 @@ SWEEP = register(SweepSpec(
                  "accurate perf", "configurable"),
     description="evaluation-platform comparison (measured cycles/second"
                 " column)",
-    runtime="~1 s"))
+    runtime="~1 s",
+    host_timed=("ramulator_rate_hz", "rows.1.3")))
 
 
 def _eng(value: float) -> str:

@@ -95,6 +95,13 @@ class SweepSpec:
     #: would let worker contention skew the measured numbers, so the
     #: scheduler keeps them serial regardless of ``--jobs``.
     parallel_safe: bool = True
+    #: Result fields that are host wall-time measurements and so differ
+    #: between two cold runs of identical code.  Each entry is a
+    #: dot-separated path into the result dict (``"host_mhz"``,
+    #: ``"rows.*.4"``: column 4 of every row; ``*`` matches every list
+    #: item, an integer one item).  ``tools/compare_results.py
+    #: --emulated`` masks exactly these.
+    host_timed: tuple[str, ...] = ()
 
     def report(self, result: dict) -> str:
         """Render the artifact's ASCII report via its experiment module."""

@@ -31,6 +31,9 @@ FIG10_SIZES = tuple(8 * 1024 * (1 << i) for i in range(12))
 #: 7 more load/store pairs at ~1 IPC.
 _LINE_GAP = 7
 
+#: A copy's per-line flags: load the source, store the destination.
+_COPY_FLAGS = np.array([0, 1], dtype=np.int64)
+
 
 def cpu_copy_blocks(src_base: int, dst_base: int, size_bytes: int,
                     line_bytes: int = 64, block: int | None = None) -> BlockTrace:
@@ -46,8 +49,8 @@ def cpu_copy_blocks(src_base: int, dst_base: int, size_bytes: int,
             addr = np.empty(2 * count, dtype=np.int64)
             addr[0::2] = src_base + offsets
             addr[1::2] = dst_base + offsets
-            yield AccessBlock(addr.tolist(), [0, 1] * count,
-                              [_LINE_GAP] * (2 * count))
+            yield AccessBlock(addr, np.tile(_COPY_FLAGS, count),
+                              np.full(2 * count, _LINE_GAP, np.int64))
 
     return BlockTrace(chunks())
 
@@ -71,8 +74,8 @@ def cpu_init_blocks(dst_base: int, size_bytes: int, line_bytes: int = 64,
             addr = np.arange(start, start + count, dtype=np.int64)
             addr *= line_bytes
             addr += dst_base
-            yield AccessBlock(addr.tolist(), [1] * count,
-                              [2 * _LINE_GAP] * count)
+            yield AccessBlock(addr, np.ones(count, np.int64),
+                              np.full(count, 2 * _LINE_GAP, np.int64))
 
     return BlockTrace(chunks())
 
@@ -96,7 +99,8 @@ def touch_blocks(base: int, size_bytes: int, line_bytes: int = 64,
             addr = np.arange(start, start + count, dtype=np.int64)
             addr *= line_bytes
             addr += base
-            yield AccessBlock(addr.tolist(), [flag] * count, [1] * count)
+            yield AccessBlock(addr, np.full(count, flag, np.int64),
+                              np.ones(count, np.int64))
 
     return BlockTrace(chunks())
 
@@ -147,7 +151,9 @@ def channel_stream_blocks(mapper, lines_per_channel: int,
     def chunks() -> Iterator[AccessBlock]:
         for start in range(0, total, per_block):
             count = min(per_block, total - start)
-            addr = [addr_of(start + i) for i in range(count)]
-            yield AccessBlock(addr, [flag] * count, [gap] * count)
+            addr = np.fromiter(map(addr_of, range(start, start + count)),
+                               np.int64, count)
+            yield AccessBlock(addr, np.full(count, flag, np.int64),
+                              np.full(count, gap, np.int64))
 
     return BlockTrace(chunks())

@@ -267,15 +267,14 @@ def _cut(chunks: Iterator[Chunk], size: int) -> Iterator[AccessBlock]:
                             else col[0] for col in zip(*pending))
         full = have - have % size
         for s in range(0, full, size):
-            yield AccessBlock(addr[s:s + size].tolist(),
-                              flags[s:s + size].tolist(),
-                              gap[s:s + size].tolist())
+            yield AccessBlock(addr[s:s + size], flags[s:s + size],
+                              gap[s:s + size])
         have -= full
         pending = ([(addr[full:].copy(), flags[full:].copy(),
                      gap[full:].copy())] if have else [])
     if have:
         addr, flags, gap = (np.concatenate(col) for col in zip(*pending))
-        yield AccessBlock(addr.tolist(), flags.tolist(), gap.tolist())
+        yield AccessBlock(addr, flags, gap)
 
 
 KERNELS: dict[str, Callable[[Dims], Iterator[Chunk]]] = {}

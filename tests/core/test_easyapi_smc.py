@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import jetson_nano_time_scaling, pidram_no_time_scaling
-from repro.core.easyapi import EasyAPI
+from repro.core.easyapi import EasyAPI, RowCloneOp
 from repro.core.system import EasyDRAMSystem
 from repro.cpu.memtrace import load, store
 from repro.cpu.processor import MemoryRequest
@@ -108,6 +108,22 @@ class TestSequences:
                               issue_cycle=1000)
         assert [row for kind, row in issued if kind is CommandKind.ACT] \
             == [5, 6]
+
+    def test_strict_violation_leaves_critical_mode(self, system):
+        """A strict TimingViolation escaping a technique episode (staged
+        or memoized-plan) still exits critical mode, so the next episode
+        enters it afresh."""
+        smc = system.smc
+        counters = smc.counters
+        system.tile.device.checker.strict = True
+        with pytest.raises(TimingViolation):
+            smc.technique_episode(lambda api: api.rowclone(0, 1, 2),
+                                  issue_cycle=0)
+        assert not counters.critical_mode
+        with pytest.raises(TimingViolation):
+            smc.technique_episode(RowCloneOp(0, 3, 4), issue_cycle=1000)
+        assert not counters.critical_mode
+        assert counters.critical_entries == 2
 
     def test_flush_without_executor(self, system):
         system.api.executor = None

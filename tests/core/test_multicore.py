@@ -200,9 +200,12 @@ class TestWorkloadMix:
             base = mix.region_base(core)
             rebased = (Access(a.addr + base, a.flags, a.gap)
                        for a in polybench.trace("gemm", "mini"))
-            expected = [(b.addr, b.flags, b.gap) for b in blockify(rebased)]
-            assert [(b.addr, b.flags, b.gap)
-                    for b in mix.build(core)] == expected
+            def columns(blocks):
+                return [(b.addr.tolist(), b.flags.tolist(), b.gap.tolist())
+                        for b in blocks]
+
+            expected = columns(blockify(rebased))
+            assert columns(mix.build(core)) == expected
 
     def test_regions_are_disjoint(self):
         mix = WorkloadMix.parse("stream+init+pointer_chase+gemm")

@@ -31,6 +31,7 @@ import os
 import random
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -41,7 +42,7 @@ from repro.core.config import (ControllerConfig, InterferenceConfig,
 from repro.core.schedulers import scheduler_names
 from repro.core.system import EasyDRAMSystem
 from repro.core.techniques.trcd import TrcdReductionTechnique
-from repro.cpu.blocks import AccessBlock, BlockTrace
+from repro.cpu.blocks import AccessBlock, BlockTrace, MaterializedBlocks
 from repro.cpu.memtrace import FLAG_DEPENDENT, FLAG_WRITE
 from repro.cpu.prefetch import PrefetchConfig
 from repro.dram.kernel import blockrun, cbackend
@@ -504,6 +505,78 @@ def test_long_compute_gap_identical():
     assert reference[1]["refreshes"] > 4096
     for name, outcome in outcomes.items():
         assert outcome == reference, f"{name} != cycle"
+
+
+def _numpy_scalars(value, path: str) -> list[str]:
+    """The paths of every NumPy scalar inside ``value``."""
+    if isinstance(value, np.generic):
+        return [path]
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    else:
+        return []
+    return [found for key, item in items
+            for found in _numpy_scalars(item, f"{path}[{key!r}]")]
+
+
+def test_results_hold_python_ints_only():
+    """Blocks hold int64 arrays, but no NumPy scalar may reach a
+    ``RunResult``, ``SmcStats``, device or processor stats, on any path."""
+    from repro.workloads import polybench
+
+    gemm = [AccessBlock(b.addr + (2 << 20), b.flags, b.gap)
+            for b in polybench.trace_blocks("gemm", "mini", block=_BLOCK)]
+    traces = [_core_blocks(0, uneven=False), _core_blocks(1, uneven=False),
+              gemm]
+    config = _resident_config("fr-fcfs", "ddr4-1ch")
+    for name, engine, kernel in RESIDENT_MODES:
+        with serve_mode(engine, kernel), kernel_engagements() as served:
+            artifact = _run_resident(config, traces, engine)
+            system = EasyDRAMSystem(jetson_nano_time_scaling(),
+                                    engine=engine)
+            single = dataclasses.asdict(
+                system.run(BlockTrace(iter(gemm)), "gemm"))
+            single["smc"] = dataclasses.asdict(system.smc.stats)
+            single["device"] = dataclasses.asdict(
+                system.tile.device.stats)
+        if name == "resident":
+            assert [ok for kind, ok, _ in served if kind == "resident"] \
+                == [True, True]
+        assert _numpy_scalars(artifact, name) == []
+        assert _numpy_scalars(single, name) == []
+
+
+@needs_kernel
+def test_materialized_blocks_replay_twice_identical():
+    """One MaterializedBlocks, replayed twice resident: identical runs,
+    and the shared block arrays come back unchanged."""
+    from repro.workloads import lmbench, polybench
+
+    blocks = MaterializedBlocks(polybench.trace_blocks("gemm", "mini"))
+    blocks.blocks += lmbench.pointer_chase_blocks(
+        64 * KiB, 4096, base_addr=4 << 20, block=_BLOCK)
+    before = [(b.addr.copy(), b.flags.copy(), b.gap.copy())
+              for b in blocks.blocks]
+    runs = []
+    with serve_mode("event", "c"), kernel_engagements() as served:
+        for _ in range(2):
+            system = EasyDRAMSystem(jetson_nano_time_scaling(),
+                                    engine="event")
+            session = system.session("twice", engine="event")
+            session.run_trace(blocks.trace())
+            run = dataclasses.asdict(session.finish())
+            run.pop("wall_seconds")
+            proc = session.cores[0].processor
+            runs.append((run, dataclasses.asdict(system.smc.stats),
+                         list(proc.stats.request_latencies)))
+    assert served == [("resident", True, None)] * 2
+    assert runs[0] == runs[1]
+    for block, (addr, flags, gap) in zip(blocks.blocks, before):
+        assert np.array_equal(block.addr, addr)
+        assert np.array_equal(block.flags, flags)
+        assert np.array_equal(block.gap, gap)
 
 
 @pytest.mark.slow

@@ -36,7 +36,8 @@ def assert_same_blocks(built, oracle) -> int:
         assert got is not None and want is not None, \
             f"block {index}: one stream ended early"
         for column in ("addr", "flags", "gap"):
-            a, b = getattr(got, column), getattr(want, column)
+            a = getattr(got, column).tolist()
+            b = getattr(want, column).tolist()
             if a != b:
                 at = _first_difference(a, b)
                 pytest.fail(f"block {index} ({len(a)} vs {len(b)} accesses):"

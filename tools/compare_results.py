@@ -12,7 +12,14 @@ cached and a cold run.
 Usage::
 
     python tools/compare_results.py DIR_A DIR_B
+    python tools/compare_results.py --emulated DIR_A DIR_B
     python tools/compare_results.py --assert-all-cached DIR
+
+``--emulated`` first masks each artifact's host-timed result fields (its
+``SweepSpec.host_timed``: the fig14 rates, fig15's ``host_mhz``, tab01's
+measured Ramulator rate), which differ between any two cold runs; every
+emulated value must still be bit-identical.  Without it the comparison
+is strict, as the CI merge check needs.
 
 ``--assert-all-cached`` instead checks a single run's ``manifest.json``:
 every artifact must have combined (not partial) with every point served
@@ -29,6 +36,8 @@ import sys
 from pathlib import Path
 
 _SKIP_PREFIXES = ("manifest", "shard-")
+
+_ROOT = Path(__file__).resolve().parent.parent
 
 
 def payloads_equal(a, b) -> bool:
@@ -58,17 +67,54 @@ def artifact_files(directory: Path) -> dict[str, Path]:
             if not path.name.startswith(_SKIP_PREFIXES)}
 
 
-def compare(dir_a: Path, dir_b: Path) -> list[str]:
+def host_timed_fields(artifact: str) -> tuple[str, ...]:
+    """The registered ``SweepSpec.host_timed`` paths of ``artifact``
+    (none for an artifact the registry does not know)."""
+    if str(_ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(_ROOT / "src"))
+    from repro.runner import registry
+
+    try:
+        return registry.get(artifact).host_timed
+    except KeyError:
+        return ()
+
+
+def mask(result, path: str) -> None:
+    """Replace the field(s) at dot-separated ``path`` in ``result`` with
+    ``None``, in place; ``*`` matches every list item.  Missing fields
+    are left alone."""
+    key, _, rest = path.partition(".")
+    if isinstance(result, dict):
+        targets = [key] if key in result else []
+    elif isinstance(result, list):
+        if key == "*":
+            targets = range(len(result))
+        else:
+            targets = [int(key)] if int(key) < len(result) else []
+    else:
+        return
+    for target in targets:
+        if rest:
+            mask(result[target], rest)
+        else:
+            result[target] = None
+
+
+def compare(dir_a: Path, dir_b: Path, emulated: bool = False) -> list[str]:
     files_a, files_b = artifact_files(dir_a), artifact_files(dir_b)
     problems = []
     for name in sorted(set(files_a) ^ set(files_b)):
         where = dir_a if name in files_a else dir_b
         problems.append(f"{name}: only present under {where}")
     for name in sorted(set(files_a) & set(files_b)):
-        payload_a = json.loads(files_a[name].read_text())
-        payload_b = json.loads(files_b[name].read_text())
-        if not payloads_equal(payload_a.get("result"),
-                              payload_b.get("result")):
+        result_a = json.loads(files_a[name].read_text()).get("result")
+        result_b = json.loads(files_b[name].read_text()).get("result")
+        if emulated:
+            for path in host_timed_fields(Path(name).stem):
+                mask(result_a, path)
+                mask(result_b, path)
+        if not payloads_equal(result_a, result_b):
             problems.append(f"{name}: result payloads differ")
     return problems
 
@@ -102,21 +148,29 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--assert-all-cached", action="store_true",
                         help="check DIR's manifest.json instead of"
                              " comparing two trees")
+    parser.add_argument("--emulated", action="store_true",
+                        help="ignore each artifact's host-timed fields"
+                             " (SweepSpec.host_timed)")
     args = parser.parse_args(argv)
     if args.assert_all_cached:
-        if len(args.dirs) != 1:
+        if len(args.dirs) != 1 or args.emulated:
             parser.error("--assert-all-cached takes exactly one DIR")
         problems = assert_all_cached(Path(args.dirs[0]))
     else:
         if len(args.dirs) != 2:
             parser.error("comparison takes exactly two DIRs")
-        problems = compare(Path(args.dirs[0]), Path(args.dirs[1]))
+        problems = compare(Path(args.dirs[0]), Path(args.dirs[1]),
+                           emulated=args.emulated)
     for problem in problems:
         print(f"error: {problem}", file=sys.stderr)
     if problems:
         return 1
-    print("all-cached manifest OK" if args.assert_all_cached
-          else "result payloads are bit-identical")
+    if args.assert_all_cached:
+        print("all-cached manifest OK")
+    elif args.emulated:
+        print("result payloads are bit-identical outside host-timed fields")
+    else:
+        print("result payloads are bit-identical")
     return 0
 
 
