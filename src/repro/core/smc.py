@@ -45,6 +45,10 @@ from repro.core.tile import EasyTile
 from repro.core.timescale import TimeScalingCounters
 from repro.cpu.processor import MemoryRequest
 from repro.dram.flat_timing import K_ACT, K_PRE, K_PREA, K_RD, K_REF, K_WR
+from repro.dram.kernel.state import (
+    FLAG_PREFETCH, FLAG_WRITEBACK, KERN_OK, KERR_DECODE_RANGE, KernelState,
+    St,
+)
 from repro.dram.timing import period_ps
 
 
@@ -526,7 +530,6 @@ class SoftwareMemoryController(ProgramExecutor):
         if reason is None:
             backend, reason = resolve_backend()
             if backend is not None:
-                from repro.dram.kernel.state import KernelState
                 self._kernel_backend = backend
                 self._kernel_state = KernelState(self)
                 self.kernel_fallback_reason = None
@@ -574,26 +577,13 @@ class SoftwareMemoryController(ProgramExecutor):
         """
         if not requests:
             return True
-        ks = self._kernel_state if self._kernel_resolved \
-            else self._kernel_resolve()
+        ks = self._kernel_ready()
         if ks is None:
             return False
-        if self._serve_hook is not None and ks.technique is None:
-            self.kernel_fallback_reason = "technique episode (serve hook)"
-            return False
-        if self.tile.has_requests or len(self.api.program):
-            self.kernel_fallback_reason = "staged tile state pending"
-            return False
-        from repro.dram.kernel.state import (
-            FLAG_PREFETCH, FLAG_WRITEBACK, KERN_OK, KERR_DECODE_RANGE, St,
-        )
         n = len(requests)
         if n > 1:
             requests = sorted(requests, key=lambda r: r.tag)
-        ks.ensure_requests(n)
-        ks.ensure_viol(3 * n + 64)
-        ks.ensure_wrhit(n + 16)
-        ks.ensure_rlog(n + 16)
+        ks.ensure_batch(n)
         # Whole-slice assignments: one list -> int64 conversion per array.
         ks.req_tag[:n] = [request.tag for request in requests]
         ks.req_addr[:n] = [request.addr for request in requests]
@@ -603,11 +593,61 @@ class SoftwareMemoryController(ProgramExecutor):
             for request in requests]
         cores = [request.core for request in requests]
         ks.req_core[:n] = cores
+        self._kernel_episode(ks, n, max(cores))
+        for request, release, service in zip(
+                requests, ks.req_release[:n].tolist(),
+                ks.req_service[:n].tolist()):
+            request.release = release
+            request.service_ps = service
+        return True
+
+    def service_writebacks_kernel(self, tags, addrs) -> int | None:
+        """Serve CLFLUSH writebacks, given as arrays, inside the kernel.
+
+        ``tags`` and ``addrs`` are ``int64`` arrays in tag order: each
+        dirty line's flush-completion cycle and byte address.  The
+        episode is the one :meth:`service_pending` runs on the writeback
+        requests built from them (core 0, no prefetch), without building
+        them.  Returns the last writeback's release cycle, or ``None``
+        with all state untouched when the kernel cannot serve (see
+        :meth:`service_pending_kernel`).
+        """
+        ks = self._kernel_ready()
+        if ks is None:
+            return None
+        n = len(tags)
+        ks.ensure_batch(n)
+        ks.req_tag[:n] = tags
+        ks.req_addr[:n] = addrs
+        ks.req_flags[:n] = FLAG_WRITEBACK
+        ks.req_core[:n] = 0
+        self._kernel_episode(ks, n, 0)
+        return int(ks.req_release[:n].max())
+
+    def _kernel_ready(self):
+        """The kernel state if the kernel may serve a batch now, else
+        ``None`` with the reason recorded."""
+        ks = self._kernel_state if self._kernel_resolved \
+            else self._kernel_resolve()
+        if ks is None:
+            return None
+        if self._serve_hook is not None and ks.technique is None:
+            self.kernel_fallback_reason = "technique episode (serve hook)"
+            return None
+        if self.tile.has_requests or len(self.api.program):
+            self.kernel_fallback_reason = "staged tile state pending"
+            return None
+        return ks
+
+    def _kernel_episode(self, ks, n: int, max_core: int) -> None:
+        """One ``serve_batch`` call over the ``n`` requests staged in the
+        ``req_*`` arrays; every side effect is written back, and a
+        strict-map decode error raises the mapper's own ValueError."""
         if len(self._device._rows) != int(ks.st[St.NMAT]):
             ks.refresh_materialized()
-        ks.load(max(cores) if ks.scheduler is not None else 0)
+        ks.load(max_core if ks.scheduler is not None else 0)
         ks.st[St.N_REQ] = n
-        err = int(self._kernel_backend.serve_batch(ks.pointer_table()))
+        err = self._kernel_backend.serve_batch(ks.pointer_table())
         if err != KERN_OK and err != KERR_DECODE_RANGE:
             raise RuntimeError(f"batch kernel failed with error {err}")
         ks.store()
@@ -619,12 +659,6 @@ class SoftwareMemoryController(ProgramExecutor):
             # partial state (stats, charges) already written back.
             self._mapper._check_range(int(ks.st[St.ERR_ADDR]))
             raise AssertionError("decode error did not reproduce")
-        for request, release, service in zip(
-                requests, ks.req_release[:n].tolist(),
-                ks.req_service[:n].tolist()):
-            request.release = release
-            request.service_ps = service
-        return True
 
     def _make_service_fast(self):
         """Build the batched flat-path service loop (constants closed over).

@@ -47,6 +47,9 @@ from repro.dram.timing import PS_PER_S, period_ps
 
 __all__ = ["EasyDRAMSystem", "EmulationDeadlock", "Session", "SessionCore"]
 
+#: Request id of a CLFLUSH range's first writeback (the rest count up).
+_WRITEBACK_RID = 1 << 30
+
 
 class EasyDRAMSystem:
     """One configured EasyDRAM instance (hardware + software controller).
@@ -310,35 +313,48 @@ class Session:
         One CLFLUSH per line, in address order: each costs the
         processor ``flush_latency`` cycles, and a dirty line becomes a
         writeback request tagged with the cycle its own flush
-        completed.  The writebacks are serviced by the controller.
-        Returns the number of dirty lines written back.
+        completed.  The writebacks are serviced by the controller: as
+        arrays in one kernel episode when it can serve them, else as
+        writeback requests on the object path.  Returns the number of
+        dirty lines written back.
         """
         proc = self.processor
         line = proc.hierarchy.line_bytes
-        channel_of = (self.system.mapper.channel_of
-                      if self.system.num_channels > 1 else None)
         first = start_addr - (start_addr % line)
         lines = max(0, -(-(start_addr + size_bytes - first) // line))
         latency = proc.config.flush_latency
         issued = proc.cycles
-        flushed = proc.hierarchy.flush_range(first // line, lines)
+        dirty = proc.hierarchy.flush_range(first // line, lines)
         proc.cycles = issued + lines * latency
-        rid = 1 << 30
-        writebacks = [MemoryRequest(
-            rid=rid + k, addr=wb_addr, is_write=True,
-            tag=issued + (i + 1) * latency, is_writeback=True,
-            channel=0 if channel_of is None else channel_of(wb_addr))
-            for k, (i, wb_addr) in enumerate(flushed)]
-        if writebacks:
-            self.system.smc.service_pending(writebacks)
+        if dirty.size:
+            last = self._serve_writebacks(issued + (dirty + 1) * latency,
+                                          first + dirty * line)
             # The flush instruction is ordered: the processor waits for
             # the last writeback to land in DRAM.
-            last = max(r.release or 0 for r in writebacks)
             if last > proc.cycles:
                 proc.stats.stall_cycles += last - proc.cycles
                 proc.cycles = last
         self.system.counters.advance_processor(proc.cycles)
-        return len(writebacks)
+        return int(dirty.size)
+
+    def _serve_writebacks(self, tags, addrs) -> int:
+        """Serve CLFLUSH writebacks (``int64`` tag and address arrays, in
+        tag order); returns the last one's release cycle."""
+        system = self.system
+        if system.num_channels == 1:
+            last = system.smc.service_writebacks_kernel(tags, addrs)
+            if last is not None:
+                return last
+        channel_of = (system.mapper.channel_of
+                      if system.num_channels > 1 else None)
+        writebacks = [MemoryRequest(
+            rid=_WRITEBACK_RID + k, addr=addr, is_write=True, tag=tag,
+            is_writeback=True,
+            channel=0 if channel_of is None else channel_of(addr))
+            for k, (tag, addr) in enumerate(zip(tags.tolist(),
+                                                addrs.tolist()))]
+        system.smc.service_pending(writebacks)
+        return max(r.release or 0 for r in writebacks)
 
     # -- results ---------------------------------------------------------------
 

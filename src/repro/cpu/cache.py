@@ -35,7 +35,9 @@ After a replay the copy is authoritative: the level's way lists
 of them writes the copy's changed sets back (:meth:`Cache.__getattr__`),
 so every Python-side path sees synced lists, while replays, statistics
 and :meth:`CacheHierarchy.flush_range` (applied to the copy itself) never
-rebuild them.
+rebuild them.  The loan works out the changed sets once, at that
+write-back: every set with a way stamped at or past the tick at which
+the loan began, plus every set a CLFLUSH on the copy changed.
 """
 
 from __future__ import annotations
@@ -495,23 +497,21 @@ class CacheHierarchy:
             dirty = dirty or was_dirty
         return line * self.line_bytes if dirty else None
 
-    def flush_range(self, first_line: int, n: int) -> list[tuple[int, int]]:
+    def flush_range(self, first_line: int, n: int) -> np.ndarray:
         """CLFLUSH of ``n`` consecutive lines from line ``first_line``.
 
         Exactly ``n`` :meth:`flush_line` calls in address order (same
         evictions, per-level ``flushes`` counts, MRU resets and recorded
         sets), in one pass per level.  A level lent to a resident copy is
-        flushed in the copy, its lists untouched.  Returns ``(i,
-        writeback address)`` for each line ``first_line + i`` that was
-        dirty in either level, in line order.
+        flushed in the copy, its lists untouched.  Returns the offsets
+        ``i`` of the lines ``first_line + i`` that were dirty in either
+        level, ascending, as an ``int64`` array.
         """
-        dirty_lines: set[int] = set()
+        dirty = np.zeros(n, dtype=np.int64)
         for cache in (self.l1, self.l2):
             loan = cache._loan
             if loan is not None and first_line >= 0:
-                flushed, dirty = loan.flush_range(first_line, n)
-                dirty_lines.update(dirty)
-                cache.stats.flushes += flushed
+                cache.stats.flushes += loan.flush_range(first_line, n, dirty)
                 continue
             num_sets = cache.num_sets
             all_tags, all_dirty = cache._tags, cache._dirty
@@ -525,7 +525,7 @@ class CacheHierarchy:
                     slot = tags.index(tag)
                     tags.pop(slot)
                     if all_dirty[set_index].pop(slot):
-                        dirty_lines.add(i)
+                        dirty[i] = 1
                     all_stamps[set_index].pop(slot)
                     mru[set_index] = -1
                     if changed is not None:
@@ -536,8 +536,7 @@ class CacheHierarchy:
                     set_index = 0
                     tag += 1
             cache.stats.flushes += flushed
-        lb = self.line_bytes
-        return [(i, (first_line + i) * lb) for i in sorted(dirty_lines)]
+        return np.flatnonzero(dirty)
 
     def llc_misses(self) -> int:
         return self.l2.stats.misses

@@ -13,6 +13,13 @@ filter only for a non-standard hierarchy) and to flush logs; the
 controller, scheduler and cache state is loaded and stored exactly once
 per run.
 
+Techniques replay many short traces (a RowClone fallback row is one
+block), so a run's fixed Python cost is kept small: the slot tables are
+``int64`` arrays of buffer addresses, patched in place when a block
+arrives; scalar records move as contiguous slices; core 0's first block
+is handed over before the first call; and a cache copy that stays lent
+to the slot costs O(1) per run (see :class:`_Loan`).
+
 One loop serves both engine entry points: :func:`run_gated_kernel` is
 ``EventEngine.run_trace``'s single-core replay (the N = 1 case) and
 :func:`run_cores_kernel` is ``EventEngine.run_cores``' multi-core one.
@@ -33,7 +40,7 @@ import weakref
 
 import numpy as np
 
-from repro.cpu.cache import _WAY_LISTS
+from repro.cpu.cache import _WAY_LISTS, CacheHierarchy
 from repro.dram.kernel.state import (
     KERN_NEED_BLOCK, KERN_NEED_ROOM, KERN_OK, KERR_DEADLOCK,
     KERR_DECODE_RANGE, RLOG_STRIDE, Cfg, Core, CorePtr, St, TBL_STRIDE,
@@ -77,11 +84,13 @@ def _cache_geometry(hier) -> tuple:
             l2.hit_latency, hier.memory_fill_latency, hier.line_bytes)
 
 
-#: Per cache level: its hierarchy attribute, the way-array prefix
-#: (``CoreSlots`` attributes / ``CORE_PTR_FIELDS``), its tick slot and
-#: its first stats slot (hits, misses, writebacks are consecutive).
-_LEVELS = (("l1", "c1", Core.C1_TICK, Core.C1_HITS),
-           ("l2", "c2", Core.C2_TICK, Core.C2_HITS))
+#: Per cache level: its hierarchy attribute and its way-array prefix
+#: (``CoreSlots`` attributes / ``CORE_PTR_FIELDS``).
+_LEVELS = (("l1", "c1"), ("l2", "c2"))
+
+#: The core record's cache scalars: both levels' ticks, then each level's
+#: hits, misses and writebacks.
+_CACHE_SCALARS = slice(Core.C1_TICK, Core.C2_WB + 1)
 
 #: A level's way arrays: ``[set * assoc]`` tags/dirty/stamps, then
 #: ``[set]`` live-way count and MRU slot.
@@ -135,20 +144,20 @@ def _load_cache(ks, index: int, hier) -> None:
     every call.
     """
     slots = ks.cores[index]
-    rec = slots.st
     current = (slots.cache_owner == hier.token
                and hier.resident == slots.token)
     lender = slots.lender() if slots.lender is not None else None
     if lender is not None and not (lender is hier and current):
         _reclaim(lender)
-    for attr, prefix, tick, stat in _LEVELS:
+    for attr, prefix in _LEVELS:
         level = getattr(hier, attr)
-        arrays = [getattr(slots, f"{prefix}_{name}") for name in _WAY_ARRAYS]
         changed = level._changed
         if current and changed is not None:
-            if changed:
-                _load_sets(level, arrays, sorted(changed))
+            if not changed:
+                continue
+            _load_sets(level, _way_arrays(slots, prefix), sorted(changed))
         else:
+            arrays = _way_arrays(slots, prefix)
             sets, assoc = level.num_sets, level.assoc
             if arrays[0].shape[0] != sets * assoc:
                 for i, name in enumerate(_WAY_ARRAYS):
@@ -157,38 +166,50 @@ def _load_cache(ks, index: int, hier) -> None:
                     ks.set_core_array(index, field, arrays[i])
             _load_sets(level, arrays, None)
         level._changed = set()
-        rec[tick] = level._tick
-        stats = level.stats
-        rec[stat:stat + 3] = (stats.hits, stats.misses, stats.writebacks)
+    l1, l2 = hier.l1, hier.l2
+    s1, s2 = l1.stats, l2.stats
+    slots.st[_CACHE_SCALARS] = (l1._tick, l2._tick, s1.hits, s1.misses,
+                                s1.writebacks, s2.hits, s2.misses,
+                                s2.writebacks)
     slots.cache_owner = hier.token
     hier.resident = slots.token
+
+
+def _way_arrays(slots, prefix: str) -> list:
+    """One level's way arrays in a core slot, in ``_WAY_ARRAYS`` order."""
+    return [getattr(slots, f"{prefix}_{name}") for name in _WAY_ARRAYS]
 
 
 class _Loan:
     """One cache level's way lists, lent to a core slot's resident copy.
 
     The copy's way arrays are authoritative while the level holds a loan
-    (``Cache._loan``); ``touched`` marks the sets whose arrays may differ
-    from the lent lists.  :meth:`write_back` rebuilds just those sets and
-    returns the lists to the level -- on the first Python read of them,
-    or before the slot is overwritten.  :meth:`flush_range` is
+    (``Cache._loan``).  ``since`` is the level's tick when the loan
+    began: the kernel stamps every way it probes or fills with the
+    level's running tick (and only moves a set's MRU slot when it stamps
+    it), so the sets any replay changed under the loan are those with a
+    stamp at or past ``since``; CLFLUSH on the copy marks the sets it
+    changes in ``flushed`` (a flush can remove a set's only recent way).
+    :meth:`write_back` works the touched sets out once, rebuilds just
+    those and returns the lists to the level -- on the first Python read
+    of them, or before the slot is overwritten.  :meth:`flush_range` is
     ``CacheHierarchy.flush_range`` applied to the arrays.
     """
 
-    __slots__ = ("sets", "assoc", "arrays", "lists", "touched", "_flush",
-                 "_args", "_out")
+    __slots__ = ("sets", "assoc", "arrays", "lists", "since", "flushed",
+                 "_flush", "_args")
 
-    def __init__(self, level, arrays: list, touched, flush_lines) -> None:
+    def __init__(self, level, arrays: list, flush_lines) -> None:
         # No reference back to the level: a cycle would leave freeing the
         # level and the arrays to the cyclic garbage collector.
         self.sets, self.assoc = level.num_sets, level.assoc
         self.arrays = arrays
         state = level.__dict__
         self.lists = tuple(state.pop(name) for name in _WAY_LISTS)
-        self.touched = touched.astype(np.int64)
+        self.since = level._tick
+        self.flushed = _arr(self.sets)
         self._flush = flush_lines
         self._args = None
-        self._out = _arr(0)
         level._loan = self
 
     def __deepcopy__(self, memo) -> "_Loan":
@@ -196,20 +217,28 @@ class _Loan:
         # afresh; the C entry itself is shared.
         clone = _Loan.__new__(_Loan)
         memo[id(self)] = clone
-        for name in ("sets", "assoc", "arrays", "lists", "touched", "_out"):
+        for name in ("sets", "assoc", "arrays", "lists", "since", "flushed"):
             setattr(clone, name, copy.deepcopy(getattr(self, name), memo))
         clone._flush = self._flush
         clone._args = None
         return clone
 
     def write_back(self, level) -> None:
-        """Rebuild the touched sets' lists and return them to ``level``."""
+        """Rebuild the touched sets' lists and return them to ``level``.
+
+        (Slots past a set's live count only ever hold stamps from before
+        the loan, or ways a flush on the copy removed from that very
+        set; a spurious match would merely rebuild a set from arrays
+        that equal its lists.)
+        """
         sets, assoc = self.sets, self.assoc
         tags, dirty, stamps, count, mru = self.arrays
         set_tags, set_dirty, set_stamps, set_mru = self.lists
-        touched = np.flatnonzero(self.touched)
+        size = sets * assoc
+        touched = np.flatnonzero(
+            (stamps[:size].reshape(sets, assoc).max(axis=1) >= self.since)
+            | (self.flushed != 0))
         if touched.size:
-            size = sets * assoc
             for s, c, m, row_tags, row_dirty, row_stamps in zip(
                     touched.tolist(), count[touched].tolist(),
                     mru[touched].tolist(),
@@ -229,53 +258,34 @@ class _Loan:
         for name, value in zip(_WAY_LISTS, self.lists):
             setattr(level, name, value)
 
-    def flush_range(self, first_line: int, n: int) -> tuple[int, list[int]]:
-        """CLFLUSH lines ``first_line ..+ n`` in the arrays: returns the
-        number of lines flushed and the dirty ones' offsets ``i``."""
-        out = self._out
-        if out.shape[0] < n:
-            out = self._out = _arr(max(n, 2 * out.shape[0]))
-            self._args = None
+    def flush_range(self, first_line: int, n: int, dirty) -> int:
+        """CLFLUSH lines ``first_line ..+ n`` in the arrays: sets
+        ``dirty[i]`` for each dirty line ``first_line + i`` and returns
+        the number of lines flushed."""
         if self._args is None:
-            # The C entry takes raw addresses, taken once per buffer.
+            # The C entry takes raw addresses, taken once per loan.
             self._args = ([a.ctypes.data for a in self.arrays]
-                          + [self.touched.ctypes.data, self.sets,
-                             self.assoc, out.ctypes.data])
-        view = out[:n]
-        view[:] = 0
-        args = self._args
-        flushed = self._flush(*args[:8], first_line, n, args[8])
-        return flushed, np.flatnonzero(view).tolist()
+                          + [self.flushed.ctypes.data, self.sets,
+                             self.assoc])
+        return self._flush(*self._args, first_line, n, dirty.ctypes.data)
 
 
 def _lend_cache(slots, hier, flush_lines) -> None:
     """After a replay: the way arrays become ``hier``'s authoritative copy.
 
-    Each level's lists are lent to the slot (or stay lent, growing the
-    set of touched sets): the kernel stamps every way it probes or fills
-    with the level's running tick (and only moves a set's MRU slot when
-    it stamps it), so a set whose stamps all predate the tick at load is
-    unchanged.  (Slots past a set's live count only ever hold older
-    stamps; a spurious match would merely rebuild a set from arrays that
-    equal its lists.)  Ticks and stats are written back now.
+    Each level's lists are lent to the slot, or stay lent: the loan
+    works out which sets changed only when it is written back, so this
+    is O(1) per replay.  Ticks and stats are written back now.
     """
-    rec = slots.st
-    for attr, prefix, tick, stat in _LEVELS:
+    l1, l2 = hier.l1, hier.l2
+    for attr, prefix in _LEVELS:
         level = getattr(hier, attr)
-        arrays = [getattr(slots, f"{prefix}_{name}") for name in _WAY_ARRAYS]
-        sets, assoc = level.num_sets, level.assoc
-        stamps = arrays[2][:sets * assoc].reshape(sets, assoc)
-        touched = stamps.max(axis=1) >= level._tick
-        loan = level._loan
-        if loan is None:
-            _Loan(level, arrays, touched, flush_lines)
-        else:
-            loan.touched |= touched
-        level._tick = int(rec[tick])
+        if level._loan is None:
+            _Loan(level, _way_arrays(slots, prefix), flush_lines)
         level._changed = set()
-        stats = level.stats
-        stats.hits, stats.misses, stats.writebacks = (
-            int(v) for v in rec[stat:stat + 3])
+    s1, s2 = l1.stats, l2.stats
+    (l1._tick, l2._tick, s1.hits, s1.misses, s1.writebacks, s2.hits,
+     s2.misses, s2.writebacks) = slots.st[_CACHE_SCALARS].tolist()
     slots.lender = weakref.ref(hier)
 
 
@@ -298,19 +308,14 @@ class _Feed:
         rec = self.rec = slots.st
         stats = proc.stats
         self.latencies = stats.request_latencies
-        rec[Core.CORE_ID] = proc.core_id
-        # The consumed id becomes the first kernel-issued rid; the counter
-        # is re-anchored from NEXT_RID after the run, so numbering is
-        # seamless.
-        rec[Core.NEXT_RID] = next(proc._rid)
-        rec[Core.CYCLES] = proc.cycles
-        rec[Core.ACCESSES] = stats.accesses
-        rec[Core.LOADS] = stats.loads
-        rec[Core.STORES] = stats.stores
-        rec[Core.COMPUTE] = stats.compute_cycles
-        rec[Core.STALLS] = stats.stall_cycles
-        rec[Core.LLC_MISS] = stats.llc_miss_requests
-        rec[Core.WB_REQ] = stats.writeback_requests
+        # The consumed id becomes the first kernel-issued rid (NEXT_RID);
+        # the counter is re-anchored from it after the run, so numbering
+        # is seamless.
+        rec[Core.CORE_ID:Core.WB_REQ + 1] = (
+            proc.core_id, 0, next(proc._rid), proc.cycles, stats.accesses,
+            stats.loads, stats.stores, stats.compute_cycles,
+            stats.stall_cycles, stats.llc_miss_requests,
+            stats.writeback_requests)
         mlp = int(ks.cfg[Cfg.MLP])
         self.mlp = mlp
         if slots.out_tag.shape[0] < mlp + 2:
@@ -324,7 +329,6 @@ class _Feed:
         # prime — the kernel decodes directly).  A subclassed or
         # differently shaped hierarchy keeps the Python filter per block
         # (see hand_over for strict maps).
-        from repro.cpu.cache import CacheHierarchy
         hier = proc.hierarchy
         self.has_cache = (type(hier) is CacheHierarchy
                           and _cache_geometry(hier) == cache_geometry)
@@ -361,18 +365,15 @@ class _Feed:
             if slots.blk_wbidx.shape[0] < 2 * n + 2:
                 set_array(index, CorePtr.BLK_WBIDX, _arr(2 * n + 2))
                 set_array(index, CorePtr.BLK_WBADDR, _arr(2 * n + 2))
-            rec[Core.FRESH] = 1
+            nwb, fresh = 0, 1    # the kernel's filter counts them
         else:
             set_array(index, CorePtr.BLK_LAT, _ints(traffic.latency))
             set_array(index, CorePtr.BLK_FILL, _ints(traffic.fill_addr))
             set_array(index, CorePtr.BLK_WBIDX, _ints(traffic.wb_index))
             set_array(index, CorePtr.BLK_WBADDR, _ints(traffic.wb_addr))
-            rec[Core.BLK_NWB] = len(traffic.wb_index)
-            rec[Core.FRESH] = 0
-        rec[Core.BLK_N] = n
-        rec[Core.POS] = 0
-        rec[Core.WB_PTR] = 0
-        rec[Core.HAS_BLOCK] = 1
+            nwb, fresh = len(traffic.wb_index), 0
+        # BLK_N, BLK_NWB, POS, WB_PTR, HAS_BLOCK, EXHAUSTED, FRESH
+        rec[Core.BLK_N:Core.FRESH + 1] = (n, nwb, 0, 0, 1, 0, fresh)
         self._lat_room(n)
 
     def hand_over(self) -> None:
@@ -413,23 +414,19 @@ class _Feed:
 
     def store(self) -> None:
         """Write the core's processor and cache state back."""
-        proc, rec = self.proc, self.rec
+        proc = self.proc
         stats = proc.stats
-        proc.cycles = int(rec[Core.CYCLES])
-        stats.accesses = int(rec[Core.ACCESSES])
-        stats.loads = int(rec[Core.LOADS])
-        stats.stores = int(rec[Core.STORES])
-        stats.compute_cycles = int(rec[Core.COMPUTE])
-        stats.stall_cycles = int(rec[Core.STALLS])
-        stats.llc_miss_requests = int(rec[Core.LLC_MISS])
-        stats.writeback_requests = int(rec[Core.WB_REQ])
-        proc._rid = itertools.count(int(rec[Core.NEXT_RID]))
+        v = self.rec.tolist()
+        (proc.cycles, stats.accesses, stats.loads, stats.stores,
+         stats.compute_cycles, stats.stall_cycles, stats.llc_miss_requests,
+         stats.writeback_requests) = v[Core.CYCLES:Core.WB_REQ + 1]
+        proc._rid = itertools.count(v[Core.NEXT_RID])
         proc._cur = None
-        proc._pos = int(rec[Core.POS])
-        proc._wb_ptr = int(rec[Core.WB_PTR])
+        proc._pos = v[Core.POS]
+        proc._wb_ptr = v[Core.WB_PTR]
         proc._blocks = self.blocks
         proc.outstanding.clear()
-        proc._done = bool(rec[Core.DONE])
+        proc._done = bool(v[Core.DONE])
         if self.has_cache:
             _lend_cache(self.slots, proc.hierarchy,
                         self.ks.smc._kernel_backend.flush_lines)
@@ -494,25 +491,23 @@ def _replay(engine, procs, smc) -> bool:
         ks.refresh_materialized()
     ks.load(max(proc.core_id for proc in procs))
 
-    for slot in (St.PEND_COUNT, St.SWEEP, St.SWEEP_N, St.SWEEP_POS,
-                 St.SWEEP_FINISHED, St.E_GATES, St.E_RELEASES,
-                 St.E_BATCHED):
-        st[slot] = 0
-    st[St.ACTIVE_N] = n
+    st[St.PEND_COUNT] = 0
+    # ACTIVE_N, SWEEP, SWEEP_N, SWEEP_POS, SWEEP_FINISHED
+    st[St.ACTIVE_N:St.SWEEP_FINISHED + 1] = (n, 0, 0, 0, 0)
+    st[St.E_GATES:St.E_BATCHED + 1] = 0
 
     ks.bind_cores(n)
-    ks.active[:n] = np.arange(n)
+    ks.active[:n] = range(n)
     mapper = smc._mapper
-    from repro.cpu.cache import CacheHierarchy
     geometry = next((_cache_geometry(proc.hierarchy) for proc in procs
                      if type(proc.hierarchy) is CacheHierarchy), None)
     if geometry is not None:
-        cfg = ks.cfg
-        (cfg[Cfg.C1_SETS], cfg[Cfg.C1_ASSOC], cfg[Cfg.C1_HIT],
-         cfg[Cfg.C2_SETS], cfg[Cfg.C2_ASSOC], l2_hit, fill,
-         cfg[Cfg.C_LINE_BYTES]) = geometry
-        cfg[Cfg.C2_HIT12] = geometry[2] + l2_hit
-        cfg[Cfg.C_MISS_LAT] = geometry[2] + fill
+        sets1, assoc1, hit1, sets2, assoc2, hit2, fill, line = geometry
+        # C1_SETS, C1_ASSOC, C1_HIT, C2_SETS, C2_ASSOC, C2_HIT12,
+        # C_MISS_LAT, C_LINE_BYTES
+        ks.cfg[Cfg.C1_SETS:Cfg.C_LINE_BYTES + 1] = (
+            sets1, assoc1, hit1, sets2, assoc2, hit1 + hit2, hit1 + fill,
+            line)
     feeds = [_Feed(ks, i, proc, mapper, geometry)
              for i, proc in enumerate(procs)]
 
@@ -520,19 +515,21 @@ def _replay(engine, procs, smc) -> bool:
     err = KERN_OK
     try:
         _make_room(ks)
+        # The first sweep starts at core 0, whose first act is to ask for
+        # its first block: hand it over before the first call.
+        feeds[0].hand_over()
         while True:
-            err = int(run_cores(ks.pointer_table(),
-                                ks.core_pointer_table()))
+            err = run_cores(ks.pointer_table(), ks.core_pointer_table())
             for feed in feeds:
                 feed.flush_latencies()
-            if int(st[St.VIOL_COUNT]):
+            if st[St.VIOL_COUNT]:
                 ks.scatter_violations()
-            if int(st[St.RLOG_COUNT]):
+            if st[St.RLOG_COUNT]:
                 ks.check_reduced_reads()
-            if int(st[St.WRHIT_COUNT]):
+            if st[St.WRHIT_COUNT]:
                 ks.apply_wr_hits()
             if err == KERN_NEED_BLOCK:
-                feeds[int(st[St.NEED_CORE])].hand_over()
+                feeds[st[St.NEED_CORE]].hand_over()
             elif err == KERN_NEED_ROOM:
                 _make_room(ks)
             else:
@@ -542,10 +539,11 @@ def _replay(engine, procs, smc) -> bool:
         ks.store()
         for feed in feeds:
             feed.store()
+        gates, releases, batched = st[St.E_GATES:St.E_BATCHED + 1].tolist()
         estats = engine.stats
-        estats.gates += int(st[St.E_GATES])
-        estats.releases += int(st[St.E_RELEASES])
-        estats.batched_episodes += int(st[St.E_BATCHED])
+        estats.gates += gates
+        estats.releases += releases
+        estats.batched_episodes += batched
 
     if err == KERR_DEADLOCK:
         from repro.core.engine import DEADLOCK_MESSAGE, EmulationDeadlock

@@ -46,15 +46,14 @@ class CKernel:
     def __init__(self, lib: ctypes.CDLL, info: dict) -> None:
         self.lib = lib
         self.info = info
-        p64 = ctypes.POINTER(ctypes.c_int64)
-        table_t = ctypes.POINTER(p64)
-        lib.repro_serve_batch.argtypes = [table_t]
-        lib.repro_run_cores.argtypes = [table_t, table_t]
+        # Pointers are passed as plain addresses (``ndarray.ctypes.data``);
+        # the slot tables are int64 arrays of buffer addresses.
+        lib.repro_serve_batch.argtypes = [ctypes.c_void_p]
+        lib.repro_run_cores.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
         for fn in (lib.repro_serve_batch, lib.repro_run_cores):
             fn.restype = ctypes.c_int64
         self.serve_batch = lib.repro_serve_batch
         self.run_cores = lib.repro_run_cores
-        # Pointers are passed as plain addresses (``ndarray.ctypes.data``).
         lib.repro_flush_lines.argtypes = (
             [ctypes.c_void_p] * 6 + [ctypes.c_int64] * 4 + [ctypes.c_void_p])
         lib.repro_flush_lines.restype = ctypes.c_int64

@@ -34,12 +34,14 @@ only moves values.
 
 from __future__ import annotations
 
-import ctypes
 import itertools
 
 import numpy as np
 
 from repro.dram.bank import NEVER
+from repro.dram.commands import Command, CommandKind
+from repro.dram.flat_timing import KIND_NAMES
+from repro.dram.timing_checker import ViolationRecord
 
 #: Run-constant scalar slots (``cfg[]``).
 CFG_FIELDS = (
@@ -421,15 +423,12 @@ class KernelState:
         self.geometry = geo
 
         self.st = _arr(len(ST_FIELDS))
-        # Per-bank arrays.
-        self.last_act = _arr(n)
-        self.last_pre = _arr(n)
-        self.last_read = _arr(n)
-        self.last_write = _arr(n)
-        self.last_write_end = _arr(n)
-        self.open_row = _arr(n)
-        self.prev_open_row = _arr(n)
-        self.act_count = _arr(n)
+        # Per-bank arrays: the rows of one table, so store reads all
+        # eight back in one conversion.
+        self.bank_state = _arr(8 * n).reshape(8, n)
+        (self.last_act, self.last_pre, self.last_read, self.last_write,
+         self.last_write_end, self.open_row, self.prev_open_row,
+         self.act_count) = self.bank_state
         self.group_of = np.asarray(flat.group_of, dtype=np.int64)
         self.gmax_act = _arr(flat.num_groups)
         self.gmax_cas = _arr(flat.num_groups)
@@ -519,8 +518,15 @@ class KernelState:
         self.cores: list[CoreSlots] = []
         self._ncores = 0
         self._core_table = None
-        #: Memoized ctypes slot table; any buffer swap clears it.
+        #: Memoized slot table (buffer addresses); any buffer swap clears
+        #: it.
         self._ptr_table = None
+
+    def __getstate__(self) -> dict:
+        # The address tables point into this instance's buffers: a copy
+        # builds its own.
+        return {**self.__dict__, "_ptr_table": None, "_core_table": None,
+                "_keepalive": None}
 
     # -- buffer management --------------------------------------------------
 
@@ -535,6 +541,14 @@ class KernelState:
         self.tbl = _arr(TBL_STRIDE * cap)
         self._req_cap = cap
         self._ptr_table = None
+
+    def ensure_batch(self, n: int) -> None:
+        """Room for an ``n``-request ``serve_batch`` call: the request
+        arrays and the logs an episode over them can fill."""
+        self.ensure_requests(n)
+        self.ensure_viol(3 * n + 64)
+        self.ensure_wrhit(n + 16)
+        self.ensure_rlog(n + 16)
 
     def ensure_table(self, entries: int) -> None:
         if self.tbl.shape[0] < TBL_STRIDE * entries:
@@ -557,7 +571,8 @@ class KernelState:
             self._ptr_table = None
 
     def refresh_materialized(self) -> None:
-        """Snapshot the device's materialized rows as sorted search keys.
+        """Bring the sorted search keys of the device's materialized rows
+        up to date.
 
         A conventional WR to a materialized row resets that line to its
         deterministic filler pattern (see ``DramDevice.issue_plan``).
@@ -565,14 +580,22 @@ class KernelState:
         driver applies the actual writes afterwards (idempotent —
         ordering within a run cannot matter because nothing reads row
         data between kernel commands).
+
+        ``DramDevice._rows`` only grows, in insertion order, so the rows
+        added since the last sync are the dict's tail: only they are
+        keyed, and appended to the sorted table, whose stable sort (a
+        timsort) then merges the two runs in one linear pass.
         """
         rows = self.smc._device._rows
-        if rows:
-            keys = sorted((b << 32) | r for (b, r) in rows.keys())
-            self.mat_keys = np.asarray(keys, dtype=np.int64)
-        else:
-            self.mat_keys = _arr(0)
-        self.st[St.NMAT] = self.mat_keys.shape[0]
+        added = len(rows) - self.mat_keys.shape[0]
+        new = np.fromiter(
+            ((b << 32) | r
+             for b, r in itertools.islice(reversed(rows), added)),
+            np.int64, added)
+        keys = np.concatenate((self.mat_keys, new))
+        keys.sort(kind="stable")
+        self.mat_keys = keys
+        self.st[St.NMAT] = keys.shape[0]
         # Techniques materialize rows between short replays: patch the
         # one slot instead of rebuilding the table.
         if self._ptr_table is not None:
@@ -674,19 +697,18 @@ class KernelState:
 
         ``max_core`` is the largest core id among the requests the call
         serves (stateful schedulers size their per-core table by it).
+        Each object's scalars fill one contiguous run of ``st`` slots.
         """
         smc = self.smc
         st = self.st
         flat = smc._flat
-        n = self.nbanks
-        self.last_act[:n] = flat.last_act
-        self.last_pre[:n] = flat.last_pre
-        self.last_read[:n] = flat.last_read
-        self.last_write[:n] = flat.last_write
-        self.last_write_end[:n] = flat.last_write_end
-        self.open_row[:n] = flat.open_row
-        self.prev_open_row[:n] = flat.prev_open_row
-        self.act_count[:n] = [bank.act_count for bank in smc._device.banks]
+        device = smc._device
+        for row, values in zip(self.bank_state, (
+                flat.last_act, flat.last_pre, flat.last_read,
+                flat.last_write, flat.last_write_end, flat.open_row,
+                flat.prev_open_row,
+                [bank.act_count for bank in device.banks])):
+            row[:] = values
         self.gmax_act[:] = flat.group_max_act
         self.gmax_cas[:] = flat.group_max_cas
         acts = list(flat.recent_acts)
@@ -704,55 +726,36 @@ class KernelState:
             self._load_scheduler(max_core)
         if self.technique is not None:
             self._load_technique()
-        st[St.SCHED_CURSOR] = smc.sched_cursor
-        st[St.DRAM_CURSOR] = smc.dram_cursor
-        st[St.EXEC_ANCHOR] = smc._exec_anchor_ps
-        st[St.NEXT_REFRESH] = smc._next_refresh_ps
-        st[St.REFRESH_INDEX] = smc._refresh_index
-        st[St.ARRIVAL_COUNTER] = smc._arrival_counter
-        st[St.CHARGED] = smc.api.charged_cycles
-        st[St.CRITICAL] = int(smc.api.critical)
-        st[St.MAX_ACT_ALL] = flat.max_act_all
-        st[St.MAX_CAS_ALL] = flat.max_cas_all
-        st[St.MAX_WRITE_END] = flat.max_write_end
-        st[St.MAX_PRE] = flat.max_pre
-        st[St.LAST_REF] = flat.last_ref
-        st[St.OPEN_COUNT] = flat.open_count
-        st[St.LAST_ISSUE] = smc._device._last_issue_ps
+        st[St.SCHED_CURSOR:St.CRITICAL + 1] = (
+            smc.sched_cursor, smc.dram_cursor, smc._exec_anchor_ps,
+            smc._next_refresh_ps, smc._refresh_index, smc._arrival_counter,
+            smc.api.charged_cycles, smc.api.critical)
+        st[St.MAX_ACT_ALL:St.LAST_ISSUE + 1] = (
+            flat.max_act_all, flat.max_cas_all, flat.max_write_end,
+            flat.max_pre, flat.last_ref, flat.open_count,
+            device._last_issue_ps)
         counters = smc.counters
-        st[St.CNT_PROC] = counters.processor
-        st[St.CNT_MC] = counters.memory_controller
-        st[St.CNT_CRIT_ENTRIES] = counters.critical_entries
-        st[St.CNT_CATCHUP] = counters.catch_up_cycles
-        st[St.CNT_LOCKED_AT] = counters._locked_processor_at
-        st[St.CNT_CRITICAL] = int(counters.critical_mode)
+        st[St.CNT_PROC:St.CNT_CRITICAL + 1] = (
+            counters.processor, counters.memory_controller,
+            counters.critical_entries, counters.catch_up_cycles,
+            counters._locked_processor_at, counters.critical_mode)
         stats = smc.stats
-        st[St.S_READS] = stats.serviced_reads
-        st[St.S_WRITES] = stats.serviced_writes
-        st[St.S_PREFETCHES] = stats.serviced_prefetches
-        st[St.S_REFRESHES] = stats.refreshes
-        st[St.S_STORM] = stats.storm_refreshes
-        st[St.S_SCHED_CYCLES] = stats.total_sched_cycles
-        st[St.S_BATCHES] = stats.batches_executed
+        st[St.S_READS:St.S_BATCHES + 1] = (
+            stats.serviced_reads, stats.serviced_writes,
+            stats.serviced_prefetches, stats.refreshes,
+            stats.storm_refreshes, stats.total_sched_cycles,
+            stats.batches_executed)
         tstats = smc._tile_stats
-        st[St.T_REQUESTS] = tstats.requests_received
-        st[St.T_RESPONSES] = tstats.responses_sent
-        st[St.T_REFRESHES] = tstats.refreshes_issued
-        st[St.T_SCHED_PS] = tstats.scheduling_ps
-        st[St.T_DRAM_BUSY] = tstats.dram_busy_ps
-        st[St.T_HITS] = tstats.row_hits
-        st[St.T_MISSES] = tstats.row_misses
-        st[St.T_CONFLICTS] = tstats.row_conflicts
+        st[St.T_REQUESTS:St.T_CONFLICTS + 1] = (
+            tstats.requests_received, tstats.responses_sent,
+            tstats.refreshes_issued, tstats.scheduling_ps,
+            tstats.dram_busy_ps, tstats.row_hits, tstats.row_misses,
+            tstats.row_conflicts)
         bender = smc._bender
         st[St.B_PROGRAMS] = bender.programs_run
         st[St.B_CYCLES] = bender.total_interface_cycles
-        commands = smc._device.stats.commands
-        st[St.CMD_ACT] = commands.get("ACT", 0)
-        st[St.CMD_PRE] = commands.get("PRE", 0)
-        st[St.CMD_PREA] = commands.get("PREA", 0)
-        st[St.CMD_RD] = commands.get("RD", 0)
-        st[St.CMD_WR] = commands.get("WR", 0)
-        st[St.CMD_REF] = commands.get("REF", 0)
+        get = device.stats.commands.get
+        st[St.CMD_ACT:St.CMD_REF + 1] = [get(name, 0) for name in KIND_NAMES]
         st[St.VIOL_COUNT] = 0
         st[St.VIOL_CAP] = self.viol.shape[0] // VIOL_STRIDE
         st[St.WRHIT_COUNT] = 0
@@ -766,39 +769,21 @@ class KernelState:
     def store(self) -> None:
         """Write the kernel's state back into the live objects."""
         smc = self.smc
-        st = self.st
+        v = self.st.tolist()
         flat = smc._flat
         device = smc._device
-        last_act = self.last_act.tolist()
-        last_pre = self.last_pre.tolist()
-        last_read = self.last_read.tolist()
-        last_write = self.last_write.tolist()
-        last_write_end = self.last_write_end.tolist()
-        open_row = self.open_row.tolist()
-        prev_open_row = self.prev_open_row.tolist()
-        act_count = self.act_count.tolist()
-        flat.last_act[:] = last_act
-        flat.last_pre[:] = last_pre
-        flat.last_read[:] = last_read
-        flat.last_write[:] = last_write
-        flat.last_write_end[:] = last_write_end
-        flat.open_row[:] = open_row
-        flat.prev_open_row[:] = prev_open_row
-        for i, bank in enumerate(device.banks):
-            bank.last_act = last_act[i]
-            bank.last_pre = last_pre[i]
-            bank.last_read = last_read[i]
-            bank.last_write = last_write[i]
-            bank.last_write_data_end = last_write_end[i]
-            row = open_row[i]
+        rows = self.bank_state.tolist()
+        (flat.last_act[:], flat.last_pre[:], flat.last_read[:],
+         flat.last_write[:], flat.last_write_end[:], flat.open_row[:],
+         flat.prev_open_row[:]) = rows[:7]
+        for bank, *state in zip(device.banks, *rows):
+            (bank.last_act, bank.last_pre, bank.last_read, bank.last_write,
+             bank.last_write_data_end, row, prev, bank.act_count) = state
             bank.open_row = row if row >= 0 else None
-            prev = prev_open_row[i]
             bank.previously_open_row = prev if prev >= 0 else None
-            bank.act_count = act_count[i]
         flat.group_max_act[:] = self.gmax_act.tolist()
         flat.group_max_cas[:] = self.gmax_cas.tolist()
-        acts = _ring_list(self.faw_ring, 0, int(st[St.FAW_HEAD]),
-                          int(st[St.FAW_LEN]))
+        acts = _ring_list(self.faw_ring, 0, v[St.FAW_HEAD], v[St.FAW_LEN])
         flat.recent_acts.clear()
         flat.recent_acts.extend(acts)
         if self.multi_rank:
@@ -817,77 +802,58 @@ class KernelState:
             self._store_scheduler()
         if self.technique is not None:
             stats = self.technique.stats
-            stats.reduced_acts = int(st[St.TR_REDUCED])
-            stats.nominal_acts = int(st[St.TR_NOMINAL])
-            stats.row_hits = int(st[St.TR_HITS])
-        last_ref = int(st[St.LAST_REF])
+            (stats.reduced_acts, stats.nominal_acts,
+             stats.row_hits) = v[St.TR_REDUCED:St.TR_HITS + 1]
+        last_ref = v[St.LAST_REF]
         if last_ref != flat.last_ref:
             # REF issued during the call: _apply_ref semantics.
             for rank_state in device.ranks:
                 rank_state.last_ref = last_ref
                 rank_state.refresh_epoch_ps = last_ref
-        flat.max_act_all = int(st[St.MAX_ACT_ALL])
-        flat.max_cas_all = int(st[St.MAX_CAS_ALL])
-        flat.max_write_end = int(st[St.MAX_WRITE_END])
-        flat.max_pre = int(st[St.MAX_PRE])
-        flat.last_ref = last_ref
-        flat.open_count = int(st[St.OPEN_COUNT])
-        device._last_issue_ps = int(st[St.LAST_ISSUE])
-        smc.sched_cursor = int(st[St.SCHED_CURSOR])
-        smc.dram_cursor = int(st[St.DRAM_CURSOR])
-        smc._exec_anchor_ps = int(st[St.EXEC_ANCHOR])
-        smc._next_refresh_ps = int(st[St.NEXT_REFRESH])
-        smc._refresh_index = int(st[St.REFRESH_INDEX])
-        smc._arrival_counter = int(st[St.ARRIVAL_COUNTER])
-        smc.api.charged_cycles = int(st[St.CHARGED])
-        smc.api.critical = bool(st[St.CRITICAL])
+        (flat.max_act_all, flat.max_cas_all, flat.max_write_end,
+         flat.max_pre, flat.last_ref, flat.open_count,
+         device._last_issue_ps) = v[St.MAX_ACT_ALL:St.LAST_ISSUE + 1]
+        api = smc.api
+        (smc.sched_cursor, smc.dram_cursor, smc._exec_anchor_ps,
+         smc._next_refresh_ps, smc._refresh_index, smc._arrival_counter,
+         api.charged_cycles, critical) = v[St.SCHED_CURSOR:St.CRITICAL + 1]
+        api.critical = bool(critical)
         counters = smc.counters
-        counters.processor = int(st[St.CNT_PROC])
-        counters.memory_controller = int(st[St.CNT_MC])
-        counters.critical_entries = int(st[St.CNT_CRIT_ENTRIES])
-        counters.catch_up_cycles = int(st[St.CNT_CATCHUP])
-        counters._locked_processor_at = int(st[St.CNT_LOCKED_AT])
-        counters.critical_mode = bool(st[St.CNT_CRITICAL])
+        (counters.processor, counters.memory_controller,
+         counters.critical_entries, counters.catch_up_cycles,
+         counters._locked_processor_at,
+         critical) = v[St.CNT_PROC:St.CNT_CRITICAL + 1]
+        counters.critical_mode = bool(critical)
         stats = smc.stats
-        stats.serviced_reads = int(st[St.S_READS])
-        stats.serviced_writes = int(st[St.S_WRITES])
-        stats.serviced_prefetches = int(st[St.S_PREFETCHES])
-        stats.refreshes = int(st[St.S_REFRESHES])
-        stats.storm_refreshes = int(st[St.S_STORM])
-        stats.total_sched_cycles = int(st[St.S_SCHED_CYCLES])
-        stats.batches_executed = int(st[St.S_BATCHES])
+        (stats.serviced_reads, stats.serviced_writes,
+         stats.serviced_prefetches, stats.refreshes, stats.storm_refreshes,
+         stats.total_sched_cycles,
+         stats.batches_executed) = v[St.S_READS:St.S_BATCHES + 1]
         tstats = smc._tile_stats
-        tstats.requests_received = int(st[St.T_REQUESTS])
-        tstats.responses_sent = int(st[St.T_RESPONSES])
-        tstats.refreshes_issued = int(st[St.T_REFRESHES])
-        tstats.scheduling_ps = int(st[St.T_SCHED_PS])
-        tstats.dram_busy_ps = int(st[St.T_DRAM_BUSY])
-        tstats.row_hits = int(st[St.T_HITS])
-        tstats.row_misses = int(st[St.T_MISSES])
-        tstats.row_conflicts = int(st[St.T_CONFLICTS])
+        (tstats.requests_received, tstats.responses_sent,
+         tstats.refreshes_issued, tstats.scheduling_ps, tstats.dram_busy_ps,
+         tstats.row_hits, tstats.row_misses,
+         tstats.row_conflicts) = v[St.T_REQUESTS:St.T_CONFLICTS + 1]
         bender = smc._bender
-        bender.programs_run = int(st[St.B_PROGRAMS])
-        bender.total_interface_cycles = int(st[St.B_CYCLES])
+        bender.programs_run = v[St.B_PROGRAMS]
+        bender.total_interface_cycles = v[St.B_CYCLES]
         commands = device.stats.commands
-        for name, slot in (("ACT", St.CMD_ACT), ("PRE", St.CMD_PRE),
-                           ("PREA", St.CMD_PREA), ("RD", St.CMD_RD),
-                           ("WR", St.CMD_WR), ("REF", St.CMD_REF)):
-            count = int(st[slot])
+        for name, count in zip(KIND_NAMES, v[St.CMD_ACT:St.CMD_REF + 1]):
             if count or name in commands:
                 if count != commands.get(name, 0):
                     commands[name] = count
         tracker = smc._core_tracker
         if tracker is not None and self.cfg[Cfg.HAS_TRACKER]:
             ncores = int(self.cfg[Cfg.NCORES])
-            out = self.tracker_out
+            out = self.tracker_out.tolist()
             for c in range(ncores):
                 base = 6 * c
-                tracker.reads[c] += int(out[base])
-                tracker.writes[c] += int(out[base + 1])
-                tracker.prefetches[c] += int(out[base + 2])
-                tracker.row_hits[c] += int(out[base + 3])
-                tracker.row_misses[c] += int(out[base + 4])
-                tracker.row_conflicts[c] += int(out[base + 5])
+                tracker.reads[c] += out[base]
+                tracker.writes[c] += out[base + 1]
+                tracker.prefetches[c] += out[base + 2]
+                tracker.row_hits[c] += out[base + 3]
+                tracker.row_misses[c] += out[base + 4]
+                tracker.row_conflicts[c] += out[base + 5]
 
     # -- log scatter ---------------------------------------------------------
 
@@ -896,19 +862,12 @@ class KernelState:
         count = int(self.st[St.VIOL_COUNT])
         if not count:
             return
-        from repro.dram.commands import Command, CommandKind
-        from repro.dram.flat_timing import KIND_NAMES
-        from repro.dram.timing_checker import ViolationRecord
-        violations = self.smc._device.checker.violations
-        viol = self.viol
-        for i in range(count):
-            base = VIOL_STRIDE * i
-            kind = int(viol[base])
-            violations.append(ViolationRecord(
-                Command(CommandKind(KIND_NAMES[kind]), bank=int(viol[base + 1]),
-                        row=int(viol[base + 2]), col=int(viol[base + 3])),
-                int(viol[base + 4]), int(viol[base + 5]),
-                CONSTRAINT_NAMES[int(viol[base + 6])]))
+        log = self.viol[:VIOL_STRIDE * count].tolist()
+        self.smc._device.checker.violations.extend(
+            ViolationRecord(Command(_KINDS[kind], bank=bank, row=row, col=col),
+                            time_ps, earliest_ps, CONSTRAINT_NAMES[code])
+            for kind, bank, row, col, time_ps, earliest_ps, code
+            in zip(*[iter(log)] * VIOL_STRIDE))
         self.st[St.VIOL_COUNT] = 0
 
     def check_reduced_reads(self) -> None:
@@ -937,20 +896,17 @@ class KernelState:
         if not count:
             return
         device = self.smc._device
-        wrhit = self.wrhit
-        for i in range(count):
-            base = WRHIT_STRIDE * i
-            bank = int(wrhit[base])
-            row = int(wrhit[base + 1])
-            col = int(wrhit[base + 2])
+        log = self.wrhit[:WRHIT_STRIDE * count].tolist()
+        for bank, row, col in zip(*[iter(log)] * WRHIT_STRIDE):
             device._write_line(bank, row, col,
                                device.default_line(bank, row, col))
         self.st[St.WRHIT_COUNT] = 0
 
-    def pointer_table(self):
-        """The ``int64*[]`` slot table, rebuilt when a buffer is swapped."""
+    def pointer_table(self) -> int:
+        """Address of the ``int64*[]`` slot table (an int64 array of
+        buffer addresses), rebuilt when a buffer is swapped."""
         if self._ptr_table is not None:
-            return self._ptr_table
+            return self._ptr_address
         arrays = (
             self.cfg, self.st,
             self.last_act, self.last_pre, self.last_read, self.last_write,
@@ -970,12 +926,11 @@ class KernelState:
             self.pend_order, self.pend_scratch,
         )
         assert len(arrays) == len(PTR_FIELDS)
-        table = (_P64 * len(arrays))()
-        for i, arr in enumerate(arrays):
-            table[i] = _pointer(arr)
         self._keepalive = arrays
-        self._ptr_table = table
-        return table
+        self._ptr_table = np.array([_pointer(arr) for arr in arrays],
+                                   dtype=np.int64)
+        self._ptr_address = self._ptr_table.ctypes.data
+        return self._ptr_address
 
     # -- resident replay: per-core slot tables -------------------------------
 
@@ -1001,17 +956,17 @@ class KernelState:
             self._core_table = None
         return cores
 
-    def core_pointer_table(self):
-        """The per-core ``int64*[]`` table (``CORE_PTR_FIELDS`` per core)."""
+    def core_pointer_table(self) -> int:
+        """Address of the per-core ``int64*[]`` table (``CORE_PTR_FIELDS``
+        addresses per core)."""
         if self._core_table is not None:
-            return self._core_table
-        count = len(CORE_PTR_FIELDS)
-        table = (_P64 * (self._ncores * count))()
-        for i, core in enumerate(self.cores[:self._ncores]):
-            for f, name in enumerate(_CORE_ATTRS):
-                table[i * count + f] = _pointer(getattr(core, name))
-        self._core_table = table
-        return table
+            return self._core_address
+        self._core_table = np.array(
+            [_pointer(getattr(core, name))
+             for core in self.cores[:self._ncores] for name in _CORE_ATTRS],
+            dtype=np.int64)
+        self._core_address = self._core_table.ctypes.data
+        return self._core_address
 
     def set_core_array(self, index: int, field: int, arr: np.ndarray) -> None:
         """Swap one per-core buffer, patching the live table in place."""
@@ -1045,9 +1000,10 @@ _SLOT_TOKENS = itertools.count(1)
 
 _CORE_ATTRS = tuple(name.lower() for name in CORE_PTR_FIELDS)
 
-_P64 = ctypes.POINTER(ctypes.c_int64)
-_NULL = ctypes.cast(None, _P64)
+#: ``CommandKind`` by flat kind code (the violation log's first field).
+_KINDS = tuple(CommandKind(name) for name in KIND_NAMES)
 
 
-def _pointer(arr: np.ndarray):
-    return arr.ctypes.data_as(_P64) if arr.size else _NULL
+def _pointer(arr: np.ndarray) -> int:
+    """``arr``'s buffer address (0, a null pointer, when empty)."""
+    return arr.ctypes.data if arr.size else 0

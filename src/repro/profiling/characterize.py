@@ -204,7 +204,8 @@ class LayerTimes:
         """JSON-ready breakdown; ``smc_s`` excludes nested device/kernel time.
 
         ``kernel_s`` is the compiled serve kernel's inclusive time across
-        both entries (per-gate batches and whole-trace block replay);
+        its entries (per-gate batches, CLFLUSH writeback batches and
+        whole-trace block replay);
         ``kernel_fallbacks`` counts the serves it declined, by reason, so
         a disengaged kernel is visible rather than just absent.
         """
@@ -292,7 +293,8 @@ def measure_layers():
         patch(DramDevice, name, "device", "_device_depth")
 
     def timed_kernel(fn, smc_index):
-        """Kernel entry wrapper: time plus declined-serve reason counts."""
+        """Kernel entry wrapper: time plus declined-serve reason counts
+        (an entry declines by returning ``False`` or ``None``)."""
         def wrapper(*args, **kwargs):
             start = perf()
             engaged = fn(*args, **kwargs)
@@ -300,7 +302,7 @@ def measure_layers():
             acc.kernel += span
             if acc._smc_depth:
                 acc._kernel_smc += span
-            if not engaged:
+            if engaged is False or engaged is None:
                 reason = (getattr(args[smc_index],
                                   "kernel_fallback_reason", None)
                           or "kernel state not resolved")
@@ -309,10 +311,10 @@ def measure_layers():
             return engaged
         return wrapper
 
-    patches.append((SoftwareMemoryController, "service_pending_kernel",
-                    SoftwareMemoryController.service_pending_kernel))
-    SoftwareMemoryController.service_pending_kernel = timed_kernel(
-        SoftwareMemoryController.service_pending_kernel, 0)
+    for name in ("service_pending_kernel", "service_writebacks_kernel"):
+        original = getattr(SoftwareMemoryController, name)
+        patches.append((SoftwareMemoryController, name, original))
+        setattr(SoftwareMemoryController, name, timed_kernel(original, 0))
     for name in ("run_gated_kernel", "run_cores_kernel"):
         original = getattr(blockrun, name)
         patches.append((blockrun, name, original))

@@ -233,3 +233,115 @@ class TestEngagement:
         # come back.
         assert loads == [True, True]
         assert write_backs == []
+
+    @pytest.mark.parametrize("op", ("copy", "init"))
+    def test_clflush_writebacks_skip_the_object_path(self, op, monkeypatch):
+        """CLFLUSH writebacks reach the kernel as arrays: no writeback
+        request is built and ``service_pending`` never runs."""
+        import dataclasses
+
+        from repro.core import smc as smc_module
+        from repro.core import system as system_module
+        from repro.cpu import processor as processor_module
+        from repro.dram.kernel import cbackend
+        from repro.workloads import microbench
+
+        if cbackend.load()[0] is None:
+            pytest.skip("no C compiler for the kernel")
+        monkeypatch.setenv("REPRO_KERNEL", "c")
+        built, pending, served = [], [], []
+
+        def spy(module):
+            cls = module.MemoryRequest
+
+            def make(*args, **kwargs):
+                request = cls(*args, **kwargs)
+                if request.is_writeback:
+                    built.append(request)
+                return request
+            monkeypatch.setattr(module, "MemoryRequest", make)
+
+        spy(system_module)
+        spy(processor_module)
+        controller = smc_module.SoftwareMemoryController
+        service_pending = controller.service_pending
+        entry = controller.service_writebacks_kernel
+        monkeypatch.setattr(
+            controller, "service_pending",
+            lambda smc, requests: (pending.append(len(requests)),
+                                   service_pending(smc, requests)))
+
+        def writebacks(smc, tags, addrs):
+            last = entry(smc, tags, addrs)
+            served.append((len(tags), last is not None))
+            return last
+        monkeypatch.setattr(controller, "service_writebacks_kernel",
+                            writebacks)
+        system = EasyDRAMSystem(jetson_nano_time_scaling())
+        session = system.session("engagement")
+        tech = RowCloneTechnique(session)
+        size = 24 * tech.geometry.row_bytes
+        if op == "copy":
+            plan = tech.plan_copy(size)
+            plan.pairs = [dataclasses.replace(pair, reliable=i % 3 != 0)
+                          for i, pair in enumerate(plan.pairs)]
+            session.run_trace(microbench.touch_blocks(0, size, write=True))
+            tech.execute_copy(plan, clflush=True)
+        else:
+            plan = tech.plan_init(size, base_addr=1 << 22)
+            session.run_trace(microbench.touch_blocks(1 << 22, size,
+                                                      write=True))
+            tech.execute_init(plan, clflush=True)
+        session.finish()
+        assert tech.stats.fallback_rows > 0 and tech.stats.flushed_lines > 0
+        assert served and all(engaged for _, engaged in served)
+        assert sum(n for n, _ in served) >= tech.stats.flushed_lines
+        assert built == [] and pending == []
+
+    def test_materialized_keys_merge_matches_a_rebuild(self, monkeypatch):
+        """The kernel's sorted materialized-row keys, merged as rows
+        appear, equal a full sorted rebuild after RowClone ops, fallback
+        rows, row preloads and CLFLUSH writebacks in any order."""
+        import random
+
+        from repro.core.easyapi import RowCloneOp
+        from repro.dram.kernel import cbackend
+        from repro.dram.kernel.state import St
+        from repro.workloads import microbench
+
+        if cbackend.load()[0] is None:
+            pytest.skip("no C compiler for the kernel")
+        monkeypatch.setenv("REPRO_KERNEL", "c")
+        rng = random.Random(5)
+        system = EasyDRAMSystem(jetson_nano_time_scaling())
+        session = system.session("materialized")
+        device = system.device
+        g = system.config.geometry
+        row_bytes = g.row_bytes
+        checks = 0
+        for _ in range(120):
+            action = rng.choice(("clone", "clone", "preload", "fallback",
+                                 "flush"))
+            bank = rng.randrange(g.total_banks)
+            if action == "clone":
+                session.technique_op(RowCloneOp(
+                    bank, rng.randrange(64), rng.randrange(64)))
+                continue
+            if action == "preload":
+                device.preload_row(bank, rng.randrange(80),
+                                   bytes([rng.randrange(256)]) * row_bytes)
+                continue
+            base = rng.randrange(256) * row_bytes
+            if action == "fallback":
+                session.run_trace(microbench.cpu_copy_blocks(
+                    base, base + 256 * row_bytes, row_bytes))
+            else:
+                session.run_trace(microbench.touch_blocks(base, row_bytes,
+                                                          write=True))
+                assert session.clflush_range(base, row_bytes) > 0
+            ks = system.smc._kernel_state
+            keys = sorted((b << 32) | r for b, r in device._rows)
+            assert ks.mat_keys.tolist() == keys
+            assert int(ks.st[St.NMAT]) == len(keys)
+            checks += 1
+        assert checks > 20 and len(device._rows) > 50

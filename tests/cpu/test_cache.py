@@ -1,5 +1,6 @@
 """Tests for the cache hierarchy."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -159,19 +160,21 @@ def _cache_lists(hierarchy) -> list:
 
 
 def _flush_lines(hierarchy, first_line: int, n: int) -> list:
-    """The per-line oracle: ``n`` flush_line calls in address order."""
+    """The per-line oracle: ``n`` flush_line calls in address order; the
+    offsets ``i`` of the lines ``first_line + i`` written back."""
     lb = hierarchy.line_bytes
     out = []
     for i in range(n):
         wb = hierarchy.flush_line((first_line + i) * lb)
         if wb is not None:
-            out.append((i, wb))
+            assert wb == (first_line + i) * lb
+            out.append(i)
     return out
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_flush_range_matches_per_line_flush(seed):
-    """flush_range == the flush_line loop: same writebacks (line order),
+    """flush_range == the flush_line loop: same dirty lines (line order),
     evictions, MRU resets, per-level flush counts and recorded sets, on
     power-of-two and odd set counts alike."""
     import copy
@@ -189,5 +192,7 @@ def test_flush_range_matches_per_line_flush(seed):
         level._changed = set() if rng.random() < 0.7 else None
     oracle = copy.deepcopy(hierarchy)
     first, n = rng.randrange(span), rng.randrange(0, 3 * sets2)
-    assert hierarchy.flush_range(first, n) == _flush_lines(oracle, first, n)
+    dirty = hierarchy.flush_range(first, n)
+    assert dirty.dtype == np.int64
+    assert dirty.tolist() == _flush_lines(oracle, first, n)
     assert _cache_lists(hierarchy) == _cache_lists(oracle)

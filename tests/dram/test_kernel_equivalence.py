@@ -19,9 +19,9 @@ per-core slices), per-request latencies, ``SmcStats``, and device stats
 storms, multi-rank channels, and multi-core contention under the
 stateful scheduler zoo get dedicated cases on top of the randomized
 cross, and engagement guards make sure the kernel leg really ran the
-kernel.  Two later sections pin the resident cache copy across short
-replays and the registry tRCD technique served as kernel data against
-its serve hook.
+kernel.  Later sections pin the resident cache copy across short
+replays, the registry tRCD technique served as kernel data against its
+serve hook, and CLFLUSH writebacks served as arrays.
 """
 
 from __future__ import annotations
@@ -815,11 +815,82 @@ def test_lent_hierarchy_copies_independently():
     synced.l1.resident_lines(), synced.l2.resident_lines()  # write back
     assert synced.l2._loan is None and lent.l2._loan is not None
     first = 64 * KiB // LINE - 300
-    assert lent.flush_range(first, 256) == synced.flush_range(first, 256)
+    assert (lent.flush_range(first, 256).tolist()
+            == synced.flush_range(first, 256).tolist())
     assert _cache_state(lent) == _cache_state(synced)
     flushed = lent.l2.stats.flushes - hierarchy.l2.stats.flushes
     assert flushed > 0
     assert hierarchy.l2.resident_lines() - lent.l2.resident_lines() == flushed
+
+
+#: The L2 set (of the 32 in ``_resident_config``) whose only way touched
+#: under the loan is flushed again before the lists are read.  (Its L1
+#: set's dirty victim folds into another L2 set, and no later replay or
+#: fold reaches it.)
+_FLUSHED_SET = 21
+
+
+def _one_loan_session(probe) -> list:
+    """Four replays under one loan, CLFLUSHes on the copy in between;
+    ``probe(hierarchy)`` runs just before the lists are read."""
+    from repro.workloads import microbench
+
+    def stores(*addrs):
+        return BlockTrace(iter([AccessBlock(list(addrs), [FLAG_WRITE]
+                                            * len(addrs), [3] * len(addrs))]))
+
+    session = EasyDRAMSystem(_resident_config("fr-fcfs", "ddr4-1ch")) \
+        .session("one-loan")
+    hierarchy = session.hierarchy
+    # Fill every L2 way, then read the lists: every stamp predates the
+    # next loan.
+    session.run_trace(microbench.touch_blocks(0, 16 * KiB, write=True))
+    hierarchy.l1.resident_lines(), hierarchy.l2.resident_lines()
+    line = (256 + _FLUSHED_SET) * LINE       # new, in L2 set _FLUSHED_SET
+    session.run_trace(stores(line))                            # replay 1
+    session.clflush_range(line, LINE)        # the set's only recent way
+    session.run_trace(stores(70 * LINE, 71 * LINE, 90 * LINE))  # replay 2
+    session.clflush_range(70 * LINE, LINE)
+    session.run_trace(microbench.touch_blocks(20 * KiB, 1 * KiB))  # 3
+    session.clflush_range(20 * KiB + 4 * LINE, 8 * LINE)
+    session.run_trace(stores(200 * LINE, 12 * LINE))           # replay 4
+    probe(hierarchy)
+    return _cache_state(hierarchy)
+
+
+@needs_kernel
+def test_loan_works_out_touched_sets_once(monkeypatch):
+    """The loan finds the sets to rebuild only when the lists are read:
+    every set a replay stamped since the loan began, plus the sets a
+    flush on the copy changed -- including one whose only recent way
+    the flush removed, so no stamp of it is recent any more."""
+    with serve_mode("event", "0"):
+        expected = _one_loan_session(lambda hierarchy: None)
+    write_backs = []
+    original = blockrun._Loan.write_back
+    monkeypatch.setattr(
+        blockrun._Loan, "write_back",
+        lambda loan, level: (write_backs.append(level.name),
+                             original(loan, level)))
+
+    def probe(hierarchy):
+        loan = hierarchy.l2.__dict__["_loan"]
+        tags, dirty, stamps, count, mru = loan.arrays
+        assoc = loan.assoc
+        ways = stamps[_FLUSHED_SET * assoc:(_FLUSHED_SET + 1) * assoc]
+        assert int(ways.max()) < loan.since
+        assert loan.flushed[_FLUSHED_SET] == 1
+        # Only the deliberate read after the first replay so far.
+        assert write_backs == ["L1D", "L2"]
+
+    with serve_mode("event", "c"):
+        got = _one_loan_session(probe)
+    assert write_backs == ["L1D", "L2"] * 2
+    for level, (want, have) in enumerate(zip(expected, got)):
+        for s, (want_set, have_set) in enumerate(zip(
+                zip(*want[:3]), zip(*have[:3]))):
+            assert have_set == want_set, f"level {level} set {s}"
+    assert got == expected
 
 
 # -- the registry tRCD technique as kernel data ------------------------------
@@ -967,3 +1038,136 @@ def test_trcd_wrong_map_identical(topology):
     hook = assert_kernel_matches_hook(config, _wrong_map(config), 7)
     assert sum(d["unreliable_reads"] for d in hook["device"]) > 0
     assert any(v[-1] == "tRCD" for log in hook["violations"] for v in log)
+
+
+# -- CLFLUSH writebacks as arrays --------------------------------------------
+#
+# ``Session.clflush_range`` hands a range's dirty lines to the batch kernel
+# as ``int64`` tag and address arrays
+# (``SoftwareMemoryController.service_writebacks_kernel``) and builds
+# writeback requests for the object path only when the kernel cannot serve
+# them: kernel disengaged, a serve hook other than the registry tRCD
+# technique, staged tile state, or a multi-channel system.  Sessions that
+# flush 0, 1, 3, 4 or more dirty lines per range, and whole rows, must
+# leave every observable identical in all three modes.
+
+#: Dirty lines per flushed range ("row": every line of the row).
+CLFLUSH_COUNTS = (0, 1, 3, 4, 9, "row", 1, 0, 3, 40, "row", 4)
+
+
+def _stage_conventional(api, entry) -> None:
+    """A serve hook that is not the tRCD technique: the object path."""
+    api.stage_conventional(entry.dram, entry.request.is_writeback)
+
+
+def _clflush_session(topology: str, hook: str | None, cores: int,
+                     seed: int) -> dict:
+    """Stores to random lines of fresh rows, each row then flushed (as a
+    whole or from an unaligned start); every observable, as a dict."""
+    rng = random.Random(seed)
+    config = jetson_nano_time_scaling().with_topology(topology)
+    system = EasyDRAMSystem(config)
+    technique = None
+    if hook == "trcd":
+        technique = TrcdReductionTechnique(system, _random_map(seed, config))
+        technique.install()
+    elif hook == "lambda":
+        system.smc.serve_hook = _stage_conventional
+    session = system.session("clflush")
+    for _ in range(cores - 1):
+        session.add_core()
+    row = config.geometry.row_bytes
+    per_row = row // LINE
+    flushed = []
+    for step, count in enumerate(CLFLUSH_COUNTS):
+        base = (3 * step + rng.randrange(3)) * row
+        dirty = set(range(per_row) if count == "row"
+                    else rng.sample(range(per_row), count))
+        addrs, flags, gaps = [], [], []
+        for i in range(per_row):
+            if i in dirty or rng.random() < 0.3:
+                addrs.append(base + i * LINE)
+                flags.append(FLAG_WRITE if i in dirty else 0)
+                gaps.append(rng.randrange(0, 40))
+        session.run_trace(BlockTrace(iter([AccessBlock(addrs, flags,
+                                                       gaps)])))
+        start = base + rng.choice((0, 0, 5, LINE - 1))
+        flushed.append(session.clflush_range(start, base + row - start))
+        assert flushed[-1] == len(dirty)
+    artifact = dataclasses.asdict(session.finish())
+    artifact.pop("wall_seconds")
+    artifact["flushed"] = flushed
+    artifact["smc"] = [dataclasses.asdict(smc.stats) for smc in system.smcs]
+    artifact["device"] = [dataclasses.asdict(c.tile.device.stats)
+                          for c in system.channels]
+    artifact["violations"] = _violations(system)
+    tracker = session._core_tracker
+    artifact["tracker"] = (None if tracker is None else
+                           {name: list(getattr(tracker, name))
+                            for name in tracker.__slots__})
+    artifact["counters"] = vars(system.counters)
+    if technique is not None:
+        artifact["trcd"] = dataclasses.asdict(technique.stats)
+    return artifact
+
+
+#: (topology, serve hook, cores, whether the kernel leg serves the
+#: writebacks as arrays).
+CLFLUSH_CASES = [
+    ("ddr4-1ch", None, 1, True),
+    ("ddr4-1ch", None, 2, True),
+    ("ddr4-1ch-2rk", None, 1, True),
+    ("ddr4-1ch", "trcd", 1, True),
+    ("ddr4-1ch", "lambda", 1, False),
+    ("ddr4-2ch", None, 1, False),
+    ("ddr4-2ch", None, 2, False),
+]
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("topology, hook, cores, engages", CLFLUSH_CASES)
+def test_array_writebacks_match_the_oracles(topology, hook, cores, engages,
+                                            seed, monkeypatch):
+    served = []
+    controller = smc_module.SoftwareMemoryController
+    entry = controller.service_writebacks_kernel
+
+    def recording(smc, tags, addrs):
+        last = entry(smc, tags, addrs)
+        served.append(last is not None)
+        return last
+
+    monkeypatch.setattr(controller, "service_writebacks_kernel", recording)
+    artifacts = {}
+    for name, engine, kernel in MODES:
+        served.clear()
+        with serve_mode(engine, kernel):
+            artifacts[name] = _clflush_session(topology, hook, cores, seed)
+        if name == "kernel":
+            # Every range with a dirty line (10 of the 12), or none.
+            assert served == [True] * 10 if engages else not any(served)
+    reference = artifacts["object"]
+    for name, artifact in artifacts.items():
+        diff = [key for key in reference if artifact[key] != reference[key]]
+        assert not diff, f"{name} != object oracle in {diff}"
+
+
+def test_out_of_range_writeback_raises_the_same_error():
+    """A strict map: a store beyond the topology is cached (its fill
+    decode then raises); flushing it raises the mapper's own error on
+    every path."""
+    errors = {}
+    for name, engine, kernel in MODES:
+        with serve_mode(engine, kernel):
+            system = EasyDRAMSystem(jetson_nano_time_scaling())
+            session = system.session("out-of-range")
+            assert system.mapper.strict
+            beyond = system.config.geometry.total_bytes + 3 * LINE
+            with pytest.raises(ValueError) as fill:
+                session.run_trace(BlockTrace(iter([AccessBlock(
+                    [0, LINE, beyond], [FLAG_WRITE] * 3, [1, 1, 1])])))
+            with pytest.raises(ValueError) as flush:
+                session.clflush_range(beyond - LINE, 3 * LINE)
+        errors[name] = (str(fill.value), str(flush.value))
+    assert len(set(errors.values())) == 1, errors
+    assert hex(beyond) in errors["object"][1]

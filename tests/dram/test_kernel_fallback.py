@@ -215,6 +215,27 @@ def test_single_core_multi_channel_reason_reaches_profiler():
 
 
 @needs_kernel
+def test_clflush_writebacks_reach_the_profiler(kernel_on):
+    """``repro profile`` times the CLFLUSH writeback entry as kernel time
+    and counts its declines by reason."""
+    from repro.profiling.characterize import measure_layers
+    from repro.workloads import microbench
+
+    with measure_layers() as acc:
+        system = EasyDRAMSystem(jetson_nano_time_scaling())
+        session = system.session("flush")
+        session.run_trace(microbench.touch_blocks(0, 16 * 1024, write=True))
+        replayed = acc.kernel
+        assert session.clflush_range(0, 8 * 1024) == 128
+        assert acc.kernel > replayed
+        system.smc.serve_hook = lambda api, entry: api.stage_conventional(
+            entry.dram, entry.request.is_writeback)
+        assert session.clflush_range(8 * 1024, 8 * 1024) == 128
+    # The writeback entry declines, then service_pending's own kernel try.
+    assert acc.kernel_fallbacks == {"technique episode (serve hook)": 2}
+
+
+@needs_kernel
 def test_resident_prefetcher(kernel_on):
     from repro.cpu.prefetch import PrefetchConfig
 
