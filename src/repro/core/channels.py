@@ -133,7 +133,6 @@ class ChannelSet:
             s = smc.stats
             total.serviced_reads += s.serviced_reads
             total.serviced_writes += s.serviced_writes
-            total.serviced_prefetches += s.serviced_prefetches
             total.refreshes += s.refreshes
             total.storm_refreshes += s.storm_refreshes
             total.technique_ops += s.technique_ops

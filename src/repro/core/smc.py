@@ -46,7 +46,7 @@ from repro.core.timescale import TimeScalingCounters
 from repro.cpu.processor import MemoryRequest
 from repro.dram.flat_timing import K_ACT, K_PRE, K_PREA, K_RD, K_REF, K_WR
 from repro.dram.kernel.state import (
-    FLAG_PREFETCH, FLAG_WRITEBACK, KERN_OK, KERR_DECODE_RANGE, KernelState,
+    FLAG_WRITEBACK, KERN_OK, KERR_DECODE_RANGE, KernelState,
     St,
 )
 from repro.dram.timing import period_ps
@@ -58,9 +58,6 @@ class SmcStats:
 
     serviced_reads: int = 0
     serviced_writes: int = 0
-    #: Prefetch-tagged fills, counted apart from demand reads so
-    #: prefetching never inflates demand-attribution counts.
-    serviced_prefetches: int = 0
     refreshes: int = 0
     #: Refreshes beyond the nominal tREFI cadence, issued because an
     #: ``InterferenceConfig.refresh_storm_factor`` > 1 multiplied the
@@ -80,8 +77,8 @@ class SmcStats:
 _ROW_CASE = {"hit": 0, "miss": 1, "conflict": 2}
 
 #: Smallest batch the per-gate kernel entry is worth engaging for: the
-#: FFI load/store pair is a fixed cost, and below this size the
-#: select-free flat closures win (singletons are ~2x faster there).
+#: FFI load/store pair is a fixed cost, and below this size the flat
+#: closure wins (a singleton skips selection there).
 #: Block traces never see this — their whole trace replays resident in
 #: the kernel (:mod:`repro.dram.kernel.blockrun`) regardless of gate
 #: size.  Every serve path stays bit-identical, so the cutover is pure
@@ -160,12 +157,10 @@ class SoftwareMemoryController(ProgramExecutor):
     @scheduler.setter
     def scheduler(self, value: Scheduler) -> None:
         self._scheduler = value
-        # The flat episode functions close over the scheduler (its
-        # select and decision-cost hooks); swapping it rebuilds them.
+        # The flat episode closes over the scheduler (its select and
+        # decision-cost hooks); swapping it rebuilds the closures.
         if hasattr(self, "_plans"):
-            self._decision_cost_1 = value.decision_cost(1)
-            self._service_single = self._make_service_single()
-            self._service_fast = self._make_service_fast()
+            self._build_serve()
         # The kernel bakes the scheduler's policy and decision costs into
         # its config table: force re-resolution on the next batch.
         self._kernel_state = None
@@ -200,9 +195,7 @@ class SoftwareMemoryController(ProgramExecutor):
         them — exactly like swapping the scheduler does.
         """
         self._core_tracker = tracker
-        self._serve_flat_core = self._make_serve_flat()
-        self._service_single = self._make_service_single()
-        self._service_fast = self._make_service_fast()
+        self._build_serve()
         self._kernel_state = None
         self._kernel_resolved = False
 
@@ -232,7 +225,6 @@ class SoftwareMemoryController(ProgramExecutor):
         self._transfer_charge = (costs.receive_request + costs.address_map
                                  + costs.table_insert)
         self._critical_toggle = costs.critical_toggle
-        self._decision_cost_1 = self.scheduler.decision_cost(1)
         self._refresh_enabled = self.config.controller.refresh_enabled
         self._decode_cache = self._mapper._decode_cache
         self._tck = tck
@@ -261,8 +253,12 @@ class SoftwareMemoryController(ProgramExecutor):
             type(self).execute_staged is SoftwareMemoryController.execute_staged
             and type(self.api) is EasyAPI
             and type(self.tile.engine) is BenderEngine)
+        self._build_serve()
+
+    def _build_serve(self) -> None:
+        """(Re)build the flat serve closures over the current plans,
+        scheduler and core tracker."""
         self._serve_flat_core = self._make_serve_flat()
-        self._service_single = self._make_service_single()
         self._service_fast = self._make_service_fast()
 
     def _plan(self, case: int, is_write: bool, trcd_ps: int,
@@ -405,11 +401,8 @@ class SoftwareMemoryController(ProgramExecutor):
         # returns to DRAM later as a writeback.  Only writebacks issue WR.
         is_dram_write = request.is_writeback
         if self._core_tracker is not None:
-            if request.is_prefetch:
-                self._core_tracker.note_prefetch(request.core)
-            else:
-                self._core_tracker.note(request.core, _ROW_CASE[outcome],
-                                        is_dram_write)
+            self._core_tracker.note(request.core, _ROW_CASE[outcome],
+                                    is_dram_write)
         if self._serve_hook is not None:
             self._serve_hook(self.api, entry)
         else:
@@ -429,10 +422,7 @@ class SoftwareMemoryController(ProgramExecutor):
         if is_dram_write:
             self.stats.serviced_writes += 1
         else:
-            if request.is_prefetch:
-                self.stats.serviced_prefetches += 1
-            else:
-                self.stats.serviced_reads += 1
+            self.stats.serviced_reads += 1
             # Drain the readback data the fill consumed.
             for _ in range(result.reads):
                 self.api.rdback_cacheline()
@@ -453,8 +443,9 @@ class SoftwareMemoryController(ProgramExecutor):
         Semantically identical to :meth:`service_pending` — same emulated
         timeline, same statistics, same violation records.  Batches of
         :data:`_KERNEL_MIN_BATCH` or more try the compiled kernel first;
-        everything else runs the flat closures, where the host work per
-        request collapses to integer arithmetic: the conventional
+        every batch it declines runs the one flat episode closure
+        (:meth:`_make_service_fast`, singletons included), where the host
+        work per request collapses to integer arithmetic: the conventional
         open-page command sequences are *planned* (command kinds plus
         interface-cycle offsets) instead of staged through
         :class:`BenderProgram` objects and walked by the Bender engine,
@@ -475,14 +466,7 @@ class SoftwareMemoryController(ProgramExecutor):
                 or len(self.api.program)):
             self.service_pending(requests)
             return False
-        # Stateful schedulers must run selection once per serve, so the
-        # select-free singleton episode is reserved for the stateless
-        # policies.
-        if (len(requests) == 1 and not self.table
-                and not self._scheduler.stateful):
-            self._service_single(requests[0])
-        else:
-            self._service_fast(requests)
+        self._service_fast(requests)
         return True
 
     # -- compiled batch kernel (REPRO_KERNEL) --------------------------------------
@@ -587,10 +571,8 @@ class SoftwareMemoryController(ProgramExecutor):
         # Whole-slice assignments: one list -> int64 conversion per array.
         ks.req_tag[:n] = [request.tag for request in requests]
         ks.req_addr[:n] = [request.addr for request in requests]
-        ks.req_flags[:n] = [
-            (FLAG_WRITEBACK if request.is_writeback else 0)
-            | (FLAG_PREFETCH if request.is_prefetch else 0)
-            for request in requests]
+        ks.req_flags[:n] = [FLAG_WRITEBACK if request.is_writeback else 0
+                            for request in requests]
         cores = [request.core for request in requests]
         ks.req_core[:n] = cores
         self._kernel_episode(ks, n, max(cores))
@@ -607,7 +589,7 @@ class SoftwareMemoryController(ProgramExecutor):
         ``tags`` and ``addrs`` are ``int64`` arrays in tag order: each
         dirty line's flush-completion cycle and byte address.  The
         episode is the one :meth:`service_pending` runs on the writeback
-        requests built from them (core 0, no prefetch), without building
+        requests built from them (all on core 0), without building
         them.  Returns the last writeback's release cycle, or ``None``
         with all state untouched when the kernel cannot serve (see
         :meth:`service_pending_kernel`).
@@ -668,7 +650,10 @@ class SoftwareMemoryController(ProgramExecutor):
         by tag, so the transferable set is always a prefix — the
         reference's repeated full rescans cannot admit anything more),
         the scheduler runs its flat-array select, and requests are
-        served by the flat serve function.
+        served by the flat serve function.  A one-entry table under a
+        stateless policy skips the select call (it could only return
+        that entry), which makes singleton batches — the dependent-load
+        episode shape — cheap without a separate closure.
         """
         from operator import attrgetter
 
@@ -762,58 +747,6 @@ class SoftwareMemoryController(ProgramExecutor):
 
         return service_fast
 
-    def _make_service_single(self):
-        """Build the one-request episode function (constants closed over).
-
-        The dominant episode shape of dependent-load streams (every
-        pointer-chase miss gates the core, so batches are singletons).
-        Exactly the generic loop specialized for ``len(requests) == 1``
-        with an empty table: same charges, cursor updates, and arrival
-        bookkeeping, without the table/scheduler machinery.
-        """
-        api = self.api
-        counters = self.counters
-        tile_stats = self._tile_stats
-        decode = self._decode_cache
-        to_dram = self._mapper.to_dram
-        proc_period = self._proc_period
-        bus = self._req_bus_ps
-        toggle = self._critical_toggle
-        transfer_charge = self._transfer_charge
-        decision_1 = self._decision_cost_1
-        no_refresh_charge = toggle + transfer_charge + decision_1
-        refresh_enabled = self._refresh_enabled
-        serve = self._serve_flat_core
-        refresh = self._maybe_refresh_flat
-
-        def service_single(request: MemoryRequest) -> None:
-            counters.enter_critical()
-            api.critical = True
-            now = request.tag * proc_period + bus
-            if self.sched_cursor > now:
-                now = self.sched_cursor
-            self.sched_cursor = now
-            # Transfer (always immediate: the table is empty).
-            tile_stats.requests_received += 1
-            addr = request.addr
-            dram = decode.get(addr)
-            if dram is None:
-                dram = to_dram(addr)
-            self._arrival_counter += 1
-            if refresh_enabled and self._next_refresh_ps <= now:
-                api.charged_cycles += toggle + transfer_charge
-                refresh()
-                api.charged_cycles += decision_1
-            else:
-                api.charged_cycles += no_refresh_charge
-            serve(request, dram)
-            api.charged_cycles += toggle
-            api.critical = False
-            self._sync_mc_counter()
-            counters.exit_critical()
-
-        return service_single
-
     # -- flat critical-mode servicing ---------------------------------------------
 
     def _make_serve_flat(self):
@@ -862,8 +795,6 @@ class SoftwareMemoryController(ProgramExecutor):
         group_of = flat.group_of
         tracker = self._core_tracker
         track = tracker.note if tracker is not None else None
-        track_prefetch = (tracker.note_prefetch if tracker is not None
-                          else None)
 
         def serve(request: MemoryRequest, dram) -> None:
             bank = dram.bank
@@ -882,10 +813,7 @@ class SoftwareMemoryController(ProgramExecutor):
                 case = 2
             is_dram_write = request.is_writeback
             if track is not None:
-                if request.is_prefetch:
-                    track_prefetch(request.core)
-                else:
-                    track(request.core, case, is_dram_write)
+                track(request.core, case, is_dram_write)
             (kinds, offsets, total_cycles, stage_charge, measured,
              post_flush_ps) = plan_list[case + case + is_dram_write]
             sched_cycles = api.charged_cycles + stage_charge
@@ -964,8 +892,6 @@ class SoftwareMemoryController(ProgramExecutor):
             request.service_ps = dram_end - sched_start
             if is_dram_write:
                 stats.serviced_writes += 1
-            elif request.is_prefetch:
-                stats.serviced_prefetches += 1
             else:
                 stats.serviced_reads += 1
             # Mirror the reference path's discarded rdback/enqueue charges.

@@ -56,10 +56,6 @@ class CoreResult:
     #: core): serviced requests and row-buffer outcomes.
     serviced_reads: int = 0
     serviced_writes: int = 0
-    #: Prefetch fills serviced for this core — counted apart from
-    #: ``serviced_reads`` (and from the row-outcome counters) so demand
-    #: attribution is prefetch-blind.
-    serviced_prefetches: int = 0
     row_hits: int = 0
     row_misses: int = 0
     row_conflicts: int = 0
@@ -81,13 +77,12 @@ class CoreServiceTracker:
     install a tracker — pay nothing on the hot path.
     """
 
-    __slots__ = ("reads", "writes", "prefetches", "row_hits", "row_misses",
+    __slots__ = ("reads", "writes", "row_hits", "row_misses",
                  "row_conflicts")
 
     def __init__(self, cores: int) -> None:
         self.reads = [0] * cores
         self.writes = [0] * cores
-        self.prefetches = [0] * cores
         self.row_hits = [0] * cores
         self.row_misses = [0] * cores
         self.row_conflicts = [0] * cores
@@ -111,10 +106,6 @@ class CoreServiceTracker:
             self.row_misses[core] += 1
         else:
             self.row_conflicts[core] += 1
-
-    def note_prefetch(self, core: int) -> None:
-        """Record one serviced prefetch (excluded from demand counters)."""
-        self.prefetches[core] += 1
 
 
 def fairness_of(slowdowns: list[float]) -> float:

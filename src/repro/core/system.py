@@ -40,7 +40,6 @@ from repro.core.tile import EasyTile
 from repro.core.timescale import TimeScalingCounters
 from repro.cpu.cache import Cache, CacheHierarchy, CacheStats
 from repro.cpu.memtrace import Trace
-from repro.cpu.prefetch import PrefetchConfig, StreamPrefetcher, prefetch_from_env
 from repro.cpu.processor import MemoryRequest, Processor
 from repro.dram.address import AddressMapper
 from repro.dram.timing import PS_PER_S, period_ps
@@ -183,8 +182,7 @@ class Session:
         self._wall_start = time.perf_counter()
         self._proc_period = period_ps(config.processor.emulated_freq_hz)
 
-    def _make_core(self, workload_name: str,
-                   prefetch: PrefetchConfig | None = None) -> SessionCore:
+    def _make_core(self, workload_name: str) -> SessionCore:
         config = self.system.config
         l1 = Cache("L1D", config.l1.size_bytes, config.l1.assoc,
                    config.l1.line_bytes, config.l1.hit_latency)
@@ -203,14 +201,6 @@ class Session:
         core = SessionCore(len(self.cores), workload_name, processor,
                            hierarchy)
         self.cores.append(core)
-        # Per-core stream prefetcher: an explicit config wins; otherwise
-        # the REPRO_PREFETCH knob (read here, at core construction, like
-        # every other knob) applies to every core.  Default: no
-        # prefetcher and no hook on the issue path.
-        if prefetch is None:
-            prefetch = prefetch_from_env()
-        if prefetch is not None:
-            self.set_prefetcher(core.index, prefetch)
         return core
 
     # -- core loop (Fig 5/6) -----------------------------------------------------
@@ -225,8 +215,7 @@ class Session:
     def num_cores(self) -> int:
         return len(self.cores)
 
-    def add_core(self, workload_name: str | None = None,
-                 prefetch: PrefetchConfig | None = None) -> SessionCore:
+    def add_core(self, workload_name: str | None = None) -> SessionCore:
         """Add one emulated core (private caches, shared memory system).
 
         The first call flips the session into multi-core mode: a shared
@@ -234,41 +223,16 @@ class Session:
         every channel's controller so serviced requests and row-buffer
         outcomes are attributed per core.  Single-core sessions never
         install one, keeping the paper's hot paths untouched.
-        ``prefetch`` gives this core a stream prefetcher with its own
-        degree/distance (see :meth:`set_prefetcher`).
         """
         if workload_name is None:
             workload_name = f"core{len(self.cores)}"
-        core = self._make_core(workload_name, prefetch=prefetch)
+        core = self._make_core(workload_name)
         if self._core_tracker is None:
             self._core_tracker = CoreServiceTracker(len(self.cores))
             self.system.smc.set_core_tracker(self._core_tracker)
         else:
             self._core_tracker.grow(len(self.cores))
         return core
-
-    def set_prefetcher(self, core_index: int,
-                       config: PrefetchConfig | None) -> None:
-        """Install (or remove, with ``None``) one core's stream prefetcher.
-
-        The prefetcher observes the core's demand LLC-miss fills and
-        issues prefetch-tagged requests bounded to the mapper's
-        decodable address range; see :mod:`repro.cpu.prefetch`.
-        """
-        core = self.cores[core_index]
-        if config is None:
-            core.processor.prefetcher = None
-            return
-        system = self.system
-        core.processor.prefetcher = StreamPrefetcher(
-            config, line_bytes=system.config.l2.line_bytes,
-            limit=system.config.geometry.total_bytes)
-
-    def prefetch_stats(self) -> dict[int, "object"]:
-        """Per-core prefetcher stats (cores without a prefetcher omitted)."""
-        return {core.index: core.processor.prefetcher.stats
-                for core in self.cores
-                if core.processor.prefetcher is not None}
 
     def run_cores(self, traces: Sequence[Trace]) -> None:
         """Run one trace per core to completion under shared contention.
@@ -489,8 +453,6 @@ class Session:
                 avg_request_latency_cycles=stats.avg_request_latency,
                 serviced_reads=tracker.reads[index] if tracker else 0,
                 serviced_writes=tracker.writes[index] if tracker else 0,
-                serviced_prefetches=(tracker.prefetches[index]
-                                     if tracker else 0),
                 row_hits=tracker.row_hits[index] if tracker else 0,
                 row_misses=tracker.row_misses[index] if tracker else 0,
                 row_conflicts=tracker.row_conflicts[index] if tracker else 0,

@@ -57,14 +57,9 @@ class MemoryRequest:
     #: memory controller can attribute service and row-buffer outcomes
     #: per core without back-pointers.
     core: int = 0
-    #: Issued by the stream prefetcher, not by demand execution.  The
-    #: core never waits on prefetches (they bypass the MLP window) and
-    #: the controller counts them apart from demand traffic.
-    is_prefetch: bool = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        kind = ("PF" if self.is_prefetch else
-                "WB" if self.is_writeback else
+        kind = ("WB" if self.is_writeback else
                 "ST" if self.is_write else "LD")
         return f"<{kind}#{self.rid} {self.addr:#x} tag={self.tag} rel={self.release}>"
 
@@ -107,8 +102,6 @@ class ProcessorStats:
     stall_cycles: int = 0
     llc_miss_requests: int = 0
     writeback_requests: int = 0
-    #: Requests issued by this core's stream prefetcher (0 without one).
-    prefetch_requests: int = 0
     request_latencies: list[int] = field(default_factory=list)
 
     @property
@@ -144,11 +137,6 @@ class Processor:
         #: channel at issue time, before it enters the MLP gating window,
         #: so the controller side routes without re-decoding.
         self.channel_hook = None
-        #: Optional :class:`~repro.cpu.prefetch.StreamPrefetcher` (wired
-        #: by the session).  Observes every demand fill at issue; its
-        #: prefetch requests join ``new_requests`` but never the MLP
-        #: window, so the core is never gated on a prefetch.
-        self.prefetcher = None
         # Block-mode state: the block stream, the current block's flags
         # and gaps (as lists) with its precomputed cache traffic, and
         # replay cursors into it.
@@ -227,7 +215,6 @@ class Processor:
         rid = self._rid
         channel_of = self.channel_hook
         core = self.core_id
-        prefetcher = self.prefetcher
         # Hot counters hoisted into locals for the replay loop; every
         # exit path below writes them back through _sync_block_counters.
         cycles = self.cycles
@@ -347,15 +334,6 @@ class Processor:
                         core=core)
                     out.append(request)
                     new_requests.append(request)
-                    if prefetcher is not None:
-                        for pf_addr in prefetcher.observe(fill):
-                            stats.prefetch_requests += 1
-                            new_requests.append(MemoryRequest(
-                                rid=next(rid), addr=pf_addr, is_write=False,
-                                tag=cycles, issue_index=accesses,
-                                channel=0 if channel_of is None
-                                else channel_of(pf_addr),
-                                core=core, is_prefetch=True))
                 i += 1
             self._cur = None
 
@@ -478,13 +456,3 @@ class Processor:
                 core=self.core_id)
             self.outstanding.append(request)
             new_requests.append(request)
-            prefetcher = self.prefetcher
-            if prefetcher is not None:
-                for pf_addr in prefetcher.observe(traffic.fill_line):
-                    stats.prefetch_requests += 1
-                    new_requests.append(MemoryRequest(
-                        rid=next(self._rid), addr=pf_addr, is_write=False,
-                        tag=self.cycles, issue_index=stats.accesses,
-                        channel=0 if channel_of is None
-                        else channel_of(pf_addr),
-                        core=self.core_id, is_prefetch=True))

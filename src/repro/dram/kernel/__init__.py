@@ -6,8 +6,8 @@ struct-of-arrays int64 tables (:mod:`~repro.dram.kernel.state`) and
 executes an entire drained request batch — plan offsets, earliest-time
 resolution (rank-aware on multi-rank channels), scheduler selection for
 every registry policy (FCFS, FR-FCFS, ATLAS, BLISS, PAR-BS batch),
-issue, row-state transitions, refresh interleave, per-core/prefetch
-stat attribution and the registry reduced-tRCD technique — in one
+issue, row-state transitions, refresh interleave, per-core stat
+attribution and the registry reduced-tRCD technique — in one
 compiled call
 (:mod:`~repro.dram.kernel.cbackend`), or replays whole block traces
 resident (:mod:`~repro.dram.kernel.blockrun`) when the event engine runs

@@ -25,11 +25,10 @@ One loop serves both engine entry points: :func:`run_gated_kernel` is
 :func:`run_cores_kernel` is ``EventEngine.run_cores``' multi-core one.
 
 Eligibility is the batch kernel's structural gate plus the replay
-extras (compiled backend, one channel, no prefetcher, no serve hook
-other than the registry tRCD technique's, no staged tile state, clean
-MLP windows); any miss records
-``smc.kernel_fallback_reason`` and the caller falls back to its Python
-loop — bit-identical either way.
+extras (compiled backend, one channel, no serve hook other than the
+registry tRCD technique's, no staged tile state, clean MLP windows);
+any miss records ``smc.kernel_fallback_reason`` and the caller falls
+back to its Python loop — bit-identical either way.
 """
 
 from __future__ import annotations
@@ -444,8 +443,6 @@ def _eligible(procs, smc) -> str | None:
     if smc.tile.has_requests or len(smc.api.program):
         return "staged tile state pending"
     for proc in procs:
-        if proc.prefetcher is not None:
-            return "stream prefetcher installed"
         if proc.channel_hook is not None:
             return "multi-channel request routing"
         if proc.outstanding:

@@ -19,6 +19,7 @@ import hashlib
 import os
 import random
 import subprocess
+import tempfile
 import time
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from repro.dram.kernel import state
 #: Bumped when the entry-point contract changes; checked against the
 #: compiled object's ``repro_abi_version`` so a stale cached build from
 #: an older checkout can never be called with the wrong layout.
-ABI_VERSION = 8
+ABI_VERSION = 9
 
 _HERE = Path(__file__).resolve().parent
 _SOURCE = _HERE / "kernel.c"
@@ -135,20 +136,10 @@ def _load_uncached() -> tuple[CKernel | None, str]:
     if not so_path.exists():
         if cmd is None:
             return None, "no C compiler available (cc/gcc/clang)"
-        c_path = _CACHE_DIR / f"kernel-{key}.c"
         begin = time.perf_counter()
-        try:
-            _CACHE_DIR.mkdir(parents=True, exist_ok=True)
-            c_path.write_text(source)
-            proc = subprocess.run(
-                cmd + ["-O2", "-shared", "-fPIC", "-o", str(so_path),
-                       str(c_path)],
-                capture_output=True, text=True, timeout=300)
-        except (OSError, subprocess.SubprocessError) as exc:
-            return None, f"kernel compile failed: {exc}"
-        if proc.returncode != 0:
-            tail = (proc.stderr or "").strip().splitlines()[-3:]
-            return None, "kernel compile failed: " + " | ".join(tail)
+        error = _build(cmd, source, so_path)
+        if error is not None:
+            return None, error
         build_seconds = time.perf_counter() - begin
         built = True
     try:
@@ -169,6 +160,42 @@ def _load_uncached() -> tuple[CKernel | None, str]:
         "cache_path": str(so_path),
     }
     return CKernel(lib, info), "ok"
+
+
+def _build(cmd: list[str], source: str, so_path: Path) -> str | None:
+    """Compile ``source`` into ``so_path``; an error reason or ``None``.
+
+    Concurrent builders (sweep workers, serve threads) share the cache
+    directory, so the source and the object are written under names of
+    their own and renamed into place: a reader sees either no object or
+    a complete one, never a half-written file.
+    """
+    try:
+        _CACHE_DIR.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=f"{so_path.stem}-", suffix=".c",
+                                   dir=_CACHE_DIR)
+    except OSError as exc:
+        return f"kernel compile failed: {exc}"
+    tmp_c = Path(tmp)
+    tmp_so = tmp_c.with_suffix(".so")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(source)
+        proc = subprocess.run(
+            cmd + ["-O2", "-shared", "-fPIC", "-o", str(tmp_so),
+                   str(tmp_c)],
+            capture_output=True, text=True, timeout=300)
+        if proc.returncode != 0:
+            tail = (proc.stderr or "").strip().splitlines()[-3:]
+            return "kernel compile failed: " + " | ".join(tail)
+        os.replace(tmp_so, so_path)
+        os.replace(tmp_c, so_path.with_suffix(".c"))
+    except (OSError, subprocess.SubprocessError) as exc:
+        return f"kernel compile failed: {exc}"
+    finally:
+        for leftover in (tmp_c, tmp_so):
+            leftover.unlink(missing_ok=True)
+    return None
 
 
 def reset_for_tests() -> None:

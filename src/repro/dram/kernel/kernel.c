@@ -7,12 +7,12 @@
  * Two entry points, each taking the int64_t*[] slot table:
  *
  *   repro_serve_batch  -- one critical-mode episode over a sorted
- *                         request batch (mirrors _make_service_fast /
- *                         _make_service_single byte for byte on the
- *                         emulated timeline), under any registry
- *                         scheduler and on single- or multi-rank
- *                         channels, with the stock open-page plans or
- *                         the reduced-tRCD technique's (trcd.py
+ *                         request batch (mirrors _make_service_fast
+ *                         byte for byte on the emulated timeline),
+ *                         under any registry scheduler and on
+ *                         single- or multi-rank channels, with the
+ *                         stock open-page plans or the reduced-tRCD
+ *                         technique's (trcd.py
  *                         TrcdReductionTechnique._serve).
  *   repro_run_cores    -- the resident replay: N fed block traces driven
  *                         to completion under round-robin arbitration
@@ -66,7 +66,6 @@
 #define AF_WRITE 1
 #define AF_DEPENDENT 2
 #define RF_WRITEBACK 1
-#define RF_PREFETCH 2
 
 typedef struct {
     const int64_t *cfg;
@@ -769,7 +768,7 @@ static int64_t refresh_episode(K *k)
 /* -- serve one request (smc._make_serve_flat) ----------------------------- */
 
 static int64_t serve_one(K *k, int64_t bank, int64_t row, int64_t col,
-                         int64_t is_wb, int64_t is_pref, int64_t core,
+                         int64_t is_wb, int64_t core,
                          int64_t *release_out, int64_t *service_out)
 {
     int64_t sched_start = S(SCHED_CURSOR);
@@ -786,16 +785,12 @@ static int64_t serve_one(K *k, int64_t bank, int64_t row, int64_t col,
         cse = 2;
     }
     if (C(HAS_TRACKER)) {
-        int64_t *tr = k->tracker + 6 * core;
-        if (is_pref) {
-            tr[2] += 1;        /* prefetches */
-        } else {
-            if (is_wb)
-                tr[1] += 1;    /* writes */
-            else
-                tr[0] += 1;    /* reads */
-            tr[3 + cse] += 1;  /* row_hits / row_misses / row_conflicts */
-        }
+        int64_t *tr = k->tracker + 5 * core;
+        if (is_wb)
+            tr[1] += 1;        /* writes */
+        else
+            tr[0] += 1;        /* reads */
+        tr[2 + cse] += 1;      /* row_hits / row_misses / row_conflicts */
     }
     int64_t p = 2 * cse + is_wb;
     if (C(TRCD_TECH)) {
@@ -874,8 +869,6 @@ static int64_t serve_one(K *k, int64_t bank, int64_t row, int64_t col,
         *service_out = dram_end - sched_start;
     if (is_wb)
         S(S_WRITES) += 1;
-    else if (is_pref)
-        S(S_PREFETCHES) += 1;
     else
         S(S_READS) += 1;
     S(CHARGED) = 0;            /* discarded rdback/enqueue charges */
@@ -1088,10 +1081,8 @@ static int64_t episode(K *k, int64_t n, const int64_t *tag,
         }
         int64_t *ent = tbl + TBL_STRIDE * pick;
         int64_t idx = ent[1];
-        int64_t fl = flags[idx];
         int64_t rel, svc;
         int64_t err = serve_one(k, ent[2], ent[3], ent[4], ent[5],
-                                (fl & RF_PREFETCH) ? 1 : 0,
                                 core ? core[idx] : 0, &rel, &svc);
         if (err)
             return err;
@@ -1592,7 +1583,7 @@ static int64_t close_sweep(K *k, int64_t **cp)
 
 int64_t repro_abi_version(void)
 {
-    return 8;
+    return 9;
 }
 
 /* CLFLUSH of n consecutive lines from first_line on one cache level's

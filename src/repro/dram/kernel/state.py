@@ -110,7 +110,7 @@ ST_FIELDS = (
     "CNT_PROC", "CNT_MC", "CNT_CRIT_ENTRIES", "CNT_CATCHUP",
     "CNT_LOCKED_AT", "CNT_CRITICAL",
     # SmcStats
-    "S_READS", "S_WRITES", "S_PREFETCHES", "S_REFRESHES", "S_STORM",
+    "S_READS", "S_WRITES", "S_REFRESHES", "S_STORM",
     "S_SCHED_CYCLES", "S_BATCHES",
     # TileStats
     "T_REQUESTS", "T_RESPONSES", "T_REFRESHES", "T_SCHED_PS",
@@ -233,7 +233,6 @@ SCHED_ATLAS, SCHED_BLISS, SCHED_BATCH = 2, 3, 4
 
 #: Request flag bits in REQ_FLAGS / PEND_FLAGS.
 FLAG_WRITEBACK = 1
-FLAG_PREFETCH = 2
 
 #: Kernel return codes.
 KERN_OK = 0
@@ -491,7 +490,7 @@ class KernelState:
         self.wrhit = _arr(WRHIT_STRIDE * 256)
         self.rlog = _arr(RLOG_STRIDE * 256)
         self.mat_keys = _arr(0)
-        self.tracker_out = _arr(6 * max(1, int(cfg[Cfg.NCORES])))
+        self.tracker_out = _arr(5 * max(1, int(cfg[Cfg.NCORES])))
         # Batch request arrays (grown on demand).
         self._req_cap = 0
         self.req_tag = _arr(0)
@@ -741,8 +740,7 @@ class KernelState:
             counters._locked_processor_at, counters.critical_mode)
         stats = smc.stats
         st[St.S_READS:St.S_BATCHES + 1] = (
-            stats.serviced_reads, stats.serviced_writes,
-            stats.serviced_prefetches, stats.refreshes,
+            stats.serviced_reads, stats.serviced_writes, stats.refreshes,
             stats.storm_refreshes, stats.total_sched_cycles,
             stats.batches_executed)
         tstats = smc._tile_stats
@@ -826,7 +824,7 @@ class KernelState:
         counters.critical_mode = bool(critical)
         stats = smc.stats
         (stats.serviced_reads, stats.serviced_writes,
-         stats.serviced_prefetches, stats.refreshes, stats.storm_refreshes,
+         stats.refreshes, stats.storm_refreshes,
          stats.total_sched_cycles,
          stats.batches_executed) = v[St.S_READS:St.S_BATCHES + 1]
         tstats = smc._tile_stats
@@ -847,13 +845,12 @@ class KernelState:
             ncores = int(self.cfg[Cfg.NCORES])
             out = self.tracker_out.tolist()
             for c in range(ncores):
-                base = 6 * c
+                base = 5 * c
                 tracker.reads[c] += out[base]
                 tracker.writes[c] += out[base + 1]
-                tracker.prefetches[c] += out[base + 2]
-                tracker.row_hits[c] += out[base + 3]
-                tracker.row_misses[c] += out[base + 4]
-                tracker.row_conflicts[c] += out[base + 5]
+                tracker.row_hits[c] += out[base + 2]
+                tracker.row_misses[c] += out[base + 3]
+                tracker.row_conflicts[c] += out[base + 4]
 
     # -- log scatter ---------------------------------------------------------
 

@@ -29,6 +29,7 @@ import tempfile
 import threading
 import time
 import traceback
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
@@ -40,6 +41,12 @@ from repro.serve.store import ResultStore
 #: Request fields that participate in the fingerprint (everything
 #: semantic; transport fields like ``wait`` never reach the hash).
 _FINGERPRINT_FIELDS = ("kind", "artifact", "overrides", "points", "spec")
+
+#: Finished jobs the queue keeps for ``/status`` and ``/jobs``; older
+#: finished jobs are forgotten, oldest first (their ids then read as
+#: unknown, and their payloads stay in the store under the fingerprint).
+#: In-flight jobs are always kept.
+FINISHED_JOBS_KEPT = 1024
 
 
 def default_workers() -> int:
@@ -217,6 +224,7 @@ class JobQueue:
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
         self._inflight: dict[str, Job] = {}
+        self._finished: deque[str] = deque()
         self._ids = itertools.count(1)
         #: Monotonic counters for /health and the dedupe tests.
         self.stats = {"submitted": 0, "coalesced": 0, "cached": 0,
@@ -251,6 +259,7 @@ class JobQueue:
                 job.finished_at = time.time()
                 job.done.set()
                 self.stats["cached"] += 1
+                self._retire(job)
                 return job
             self._inflight[fingerprint] = job
         self._pool.submit(self._run, job)
@@ -278,7 +287,16 @@ class JobQueue:
             job.finished_at = time.time()
             with self._lock:
                 self._inflight.pop(job.fingerprint, None)
+                self._retire(job)
             job.done.set()
+
+    def _retire(self, job: Job) -> None:
+        """Record ``job`` as finished (lock held), forgetting the oldest
+        finished jobs beyond :data:`FINISHED_JOBS_KEPT`."""
+        finished = self._finished
+        finished.append(job.job_id)
+        while len(finished) > FINISHED_JOBS_KEPT:
+            del self._jobs[finished.popleft()]
 
     # -- inspection ---------------------------------------------------
 
@@ -302,7 +320,11 @@ class JobQueue:
     def result(self, job_id: str):
         """A finished job's payload from the store (None if unfinished
         or failed)."""
-        job = self.get(job_id)
+        return self.payload(self.get(job_id))
+
+    def payload(self, job: Job):
+        """:meth:`result` for a job already in hand, which answers even
+        after the queue has forgotten the job."""
         if job.state != "done":
             return None
         return self.store.get_job_payload(job.fingerprint)

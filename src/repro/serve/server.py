@@ -165,13 +165,13 @@ class _Handler(BaseHTTPRequestHandler):
         except KeyError as exc:
             return self._error(404, exc.args[0])
         if wait is not None:
-            self.server.queue.wait(job_id, timeout=wait)
+            job.done.wait(wait)
         if job.state == "failed":
             return self._send(500, job.describe())
         if job.state != "done":
             return self._send(202, job.describe())
         self._send(200, job.describe()
-                   | {"result": self.server.queue.result(job_id)})
+                   | {"result": self.server.queue.payload(job)})
 
     # -- POST ---------------------------------------------------------
 
@@ -198,10 +198,12 @@ class _Handler(BaseHTTPRequestHandler):
         except (ValueError, KeyError) as exc:
             return self._error(400, str(exc.args[0] if exc.args else exc))
         if wait:
-            self.server.queue.wait(job.job_id, timeout=float(wait))
+            # Wait on the job in hand: the queue may forget a finished
+            # job (a store-answered one at once) under a submit burst.
+            job.done.wait(float(wait))
         response = job.describe()
         if job.state == "done":
-            response["result"] = self.server.queue.result(job.job_id)
+            response["result"] = self.server.queue.payload(job)
         status = 500 if job.state == "failed" else 200
         self._send(status, response)
 

@@ -281,30 +281,23 @@ class TestResultEdgeCases:
         assert idle.accesses == 0
         assert idle.serviced_reads == 0
         assert idle.serviced_writes == 0
-        assert idle.serviced_prefetches == 0
         assert idle.row_hit_rate == 0.0             # 0/0 guards to 0.0
         # No solo references were set, so fairness is unknown, not inf.
         assert idle.slowdown == 0.0
         assert result.unfairness == 0.0
 
-    def test_prefetches_excluded_from_demand_attribution(self):
-        from repro.cpu.prefetch import PrefetchConfig
-
+    def test_demand_attribution_matches_row_outcomes(self):
         system = EasyDRAMSystem(small_config())
-        session = system.session("plain")
-        session.add_core("prefetching", prefetch=PrefetchConfig())
+        session = system.session("first")
+        session.add_core("second")
         region = CORE_REGION_BYTES
         session.run_cores([
             microbench.cpu_copy_blocks(0, 1 << 21, 64 * 1024),
             microbench.cpu_copy_blocks(region, region + (1 << 21),
                                        64 * 1024)])
         result = session.finish()
-        plain, prefetching = result.per_core
-        assert prefetching.serviced_prefetches > 0
-        assert plain.serviced_prefetches == 0
-        # Demand attribution stays prefetch-blind: every demand service
-        # has exactly one row-outcome note, prefetches have none, and
-        # the channel totals only count demand traffic.
+        # Every serviced request has exactly one row-outcome note on its
+        # core, and the per-core sums are the channel totals.
         for core in result.per_core:
             assert core.serviced_reads + core.serviced_writes == \
                 core.row_hits + core.row_misses + core.row_conflicts

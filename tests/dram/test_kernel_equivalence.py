@@ -15,13 +15,13 @@ configurations:
 
 and asserts the complete observable artifact — ``RunResult`` (including
 per-core slices), per-request latencies, ``SmcStats``, and device stats
-— is identical across all three.  Prefetch-tagged batches, refresh
-storms, multi-rank channels, and multi-core contention under the
-stateful scheduler zoo get dedicated cases on top of the randomized
-cross, and engagement guards make sure the kernel leg really ran the
-kernel.  Later sections pin the resident cache copy across short
-replays, the registry tRCD technique served as kernel data against its
-serve hook, and CLFLUSH writebacks served as arrays.
+— is identical across all three.  Refresh storms, multi-rank channels,
+and multi-core contention under the stateful scheduler zoo get
+dedicated cases on top of the randomized cross, and engagement guards
+make sure the kernel leg really ran the kernel.  Later sections pin the
+resident cache copy across short replays, the registry tRCD technique
+served as kernel data against its serve hook, and CLFLUSH writebacks
+served as arrays.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from repro.core.system import EasyDRAMSystem
 from repro.core.techniques.trcd import TrcdReductionTechnique
 from repro.cpu.blocks import AccessBlock, BlockTrace, MaterializedBlocks
 from repro.cpu.memtrace import FLAG_DEPENDENT, FLAG_WRITE
-from repro.cpu.prefetch import PrefetchConfig
 from repro.dram.kernel import blockrun, cbackend
 from repro.dram.timing import ns
 from repro.profiling.characterize import CharacterizationResult, RowProfile
@@ -89,13 +88,10 @@ def _trace(stream: list[tuple[int, int, int]], split: int) -> BlockTrace:
         for chunk in chunks if chunk)
 
 
-def _run_artifact(config, stream: list, split: int,
-                  prefetch: PrefetchConfig | None = None) -> dict:
+def _run_artifact(config, stream: list, split: int) -> dict:
     """One full session over the stream; every observable, as a dict."""
     system = EasyDRAMSystem(config)
     session = system.session("kernel-diff")
-    if prefetch is not None:
-        session.set_prefetcher(0, prefetch)
     session.run_trace(_trace(stream, split))
     result = session.finish()
     artifact = dataclasses.asdict(result)
@@ -103,6 +99,7 @@ def _run_artifact(config, stream: list, split: int,
     artifact["latencies"] = list(session.processor.stats.request_latencies)
     artifact["smc"] = [dataclasses.asdict(smc.stats)
                        for smc in system.smcs]
+    artifact["arrivals"] = [smc._arrival_counter for smc in system.smcs]
     artifact["device"] = [dataclasses.asdict(c.tile.device.stats)
                           for c in system.channels]
     artifact["violations"] = _violations(system)
@@ -125,13 +122,11 @@ def _violations(system) -> list:
             for c in system.channels]
 
 
-def assert_modes_identical(make_config, stream: list, split: int,
-                           prefetch: PrefetchConfig | None = None) -> None:
+def assert_modes_identical(make_config, stream: list, split: int) -> None:
     artifacts = {}
     for name, engine, kernel in MODES:
         with serve_mode(engine, kernel):
-            artifacts[name] = _run_artifact(make_config(), stream, split,
-                                            prefetch)
+            artifacts[name] = _run_artifact(make_config(), stream, split)
     assert_artifacts_identical(artifacts)
 
 
@@ -189,13 +184,6 @@ def _dense_mixed_stream(n: int = 200) -> list[tuple[int, int, int]]:
             flags |= FLAG_DEPENDENT
         stream.append((line * LINE, flags, i % 7))
     return stream
-
-
-def test_prefetch_tagged_batches_identical():
-    """A stream prefetcher adds prefetch-tagged fills to every gate."""
-    assert_modes_identical(
-        jetson_nano_time_scaling, _dense_mixed_stream(), 120,
-        prefetch=PrefetchConfig(degree=2, distance=4, streams=8))
 
 
 def test_refresh_storm_batches_identical():
@@ -273,6 +261,7 @@ def _run_zoo(config) -> dict:
     artifact = dataclasses.asdict(session.finish())
     artifact.pop("wall_seconds")
     artifact["smc"] = [dataclasses.asdict(smc.stats) for smc in system.smcs]
+    artifact["arrivals"] = [smc._arrival_counter for smc in system.smcs]
     artifact["device"] = [dataclasses.asdict(c.tile.device.stats)
                           for c in system.channels]
     artifact["violations"] = _violations(system)
@@ -287,10 +276,15 @@ def _run_zoo(config) -> dict:
         ("atlas", "ddr4-1ch-2rk"), ("batch", "ddr4-1ch")) else
         pytest.mark.slow)
     for s in ("atlas", "bliss", "batch")
-    for t in ("ddr4-1ch", "ddr4-1ch-2rk")])
+    for t in ("ddr4-1ch", "ddr4-1ch-2rk")] + [
+    # Two channels split the gates into per-channel batches, mostly
+    # singletons (some with a refresh due) on the flat episode closure:
+    # its select-free branch under FCFS, the select under ATLAS.
+    ("fcfs", "ddr4-2ch"), ("atlas", "ddr4-2ch")])
 def test_stateful_zoo_four_cores_identical(scheduler, topology):
-    """ATLAS/BLISS/batch on four cores: results, stats, violation logs
-    (tWTR, and tCS across ranks) and the scheduler's final state."""
+    """ATLAS/BLISS/batch on four cores (and FCFS on two channels):
+    results, stats, violation logs (tWTR, and tCS across ranks) and the
+    scheduler's final state."""
     artifacts = {}
     for name, engine, kernel in MODES:
         with serve_mode(engine, kernel):
@@ -693,12 +687,14 @@ def _interleaved_session() -> dict:
                                                  4 * KiB))
     session.clflush_range(128 * KiB, 4 * KiB)
     session.run_trace(microbench.touch_blocks(0, 8 * KiB, write=True))
-    # The resident replay declines a prefetcher-equipped core: this trace
-    # filters through the Python access_block (same kernel state), so
-    # the next replay must flatten again.
-    session.set_prefetcher(0, PrefetchConfig())
-    session.run_trace(microbench.touch_blocks(16 * KiB, 8 * KiB, write=True))
-    session.set_prefetcher(0, None)
+    # The resident replay declines this one trace: it filters through
+    # the Python access_block (same kernel state), so the next replay
+    # must flatten again.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(blockrun, "_eligible",
+                      lambda procs, smc: "declined for this trace")
+        session.run_trace(microbench.touch_blocks(16 * KiB, 8 * KiB,
+                                                  write=True))
     session.run_trace(microbench.touch_blocks(0, 24 * KiB, block=_BLOCK))
     artifact = dataclasses.asdict(session.finish())
     artifact.pop("wall_seconds")
@@ -732,14 +728,14 @@ def test_resident_cache_copy_identical(monkeypatch):
     with serve_mode("event", "c"):
         assert _interleaved_session() == expected
     # Whole flattens: both levels at the first replay, after each direct
-    # access (an L1 and L2 miss) and after the prefetched trace.  The
+    # access (an L1 and L2 miss) and after the declined trace.  The
     # CLFLUSHes on the copy reload nothing; the one flush on L1's
     # written-back lists before the second direct access is absorbed by
     # that access's whole flatten.
     assert loads.count(True) == 8 and loads.count(False) == 0
     # Lists come back only for Python reads: the first direct access,
     # contains() (L1 only), the second direct access (L2), the
-    # prefetched trace, and the final inspection.
+    # declined trace, and the final inspection.
     assert write_backs == ["L1D", "L2", "L1D", "L2", "L1D", "L2",
                            "L1D", "L2"]
 

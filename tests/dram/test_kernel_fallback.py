@@ -236,15 +236,6 @@ def test_clflush_writebacks_reach_the_profiler(kernel_on):
 
 
 @needs_kernel
-def test_resident_prefetcher(kernel_on):
-    from repro.cpu.prefetch import PrefetchConfig
-
-    system, session = _fed_mix()
-    session.set_prefetcher(1, PrefetchConfig())
-    assert _declined(system, session) == "stream prefetcher installed"
-
-
-@needs_kernel
 def test_resident_channel_hook(kernel_on):
     system, session = _fed_mix()
     session.cores[0].processor.channel_hook = lambda addr: 0
@@ -370,6 +361,38 @@ def test_kernel_source_compiles_warning_free(tmp_path):
                                "-fsyntax-only", str(source)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+_LOAD_INTO = """\
+import sys
+from pathlib import Path
+from repro.dram.kernel import cbackend
+cbackend._CACHE_DIR = Path(sys.argv[1])
+print(cbackend.load()[1])
+"""
+
+
+@needs_kernel
+def test_concurrent_cold_builds_all_load(tmp_path):
+    """Processes building into one empty cache each load a whole object
+    (the build renames complete files into place)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parent.parent))
+    procs = [subprocess.Popen([sys.executable, "-c", _LOAD_INTO,
+                               str(tmp_path)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, env=env)
+             for _ in range(3)]
+    outcomes = [proc.communicate(timeout=300) for proc in procs]
+    assert [out.strip() for out, _ in outcomes] == ["ok"] * 3, outcomes
+    assert sorted(path.suffix for path in tmp_path.iterdir()) == [".c", ".so"]
 
 
 # -- the registry tRCD technique is kernel data -------------------------------

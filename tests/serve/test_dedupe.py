@@ -152,3 +152,43 @@ class TestQueueDirect:
             queue.submit({"artifact": "fig99"})
         assert queue.stats["failed"] == 0  # rejected, not a failed job
         queue.shutdown()
+
+    def test_finished_jobs_bounded_in_flight_kept(self, store, tiny_artifact,
+                                                  monkeypatch):
+        """Store-answered submits beyond the cap forget the oldest
+        finished jobs; a job still running is never forgotten."""
+        import pytest
+
+        from repro.serve import jobs as jobs_module
+        from repro.serve.jobs import execute_request
+
+        monkeypatch.setattr(jobs_module, "FINISHED_JOBS_KEPT", 4)
+        release = threading.Event()
+
+        def runner(request, store, jobs=1):
+            if request["points"] == ["p1"]:
+                release.wait(60)
+            return execute_request(request, store, jobs=jobs)
+
+        queue = JobQueue(store, workers=2, runner=runner)
+        running = queue.submit({"artifact": "svc-tiny", "points": ["p1"]})
+        try:
+            first = queue.submit({"artifact": "svc-tiny", "points": ["p2"]})
+            queue.wait(first.job_id, timeout=60)
+            answered = [queue.submit({"artifact": "svc-tiny",
+                                      "points": ["p2"]})
+                        for _ in range(10)]
+            assert all(job.cached for job in answered)
+            listed = {job.job_id for job in queue.jobs()}
+            assert listed == {running.job_id} | {
+                job.job_id for job in answered[-4:]}
+            assert queue.get(running.job_id).state == "running"
+            with pytest.raises(KeyError, match="unknown job id"):
+                queue.get(first.job_id)
+            assert queue.payload(first) == queue.result(answered[-1].job_id)
+        finally:
+            release.set()
+            queue.wait(running.job_id, timeout=60)
+            queue.shutdown()
+        assert running.state == "done"
+        assert len(queue.jobs()) == 4

@@ -68,11 +68,6 @@ ENV_DOCS: dict[str, tuple[str, str]] = {
         "  Without the kernel the Python engine loops and the flat"
         " closures serve every batch; artifacts are"
         " bit-identical in every mode."),
-    "REPRO_PREFETCH": (
-        "off",
-        "Stream prefetcher at every core boundary: `1` enables the"
-        " defaults, `degree:distance` (e.g. `4:8`) tunes the window;"
-        " prefetches are tagged and excluded from demand attribution."),
     "REPRO_RESULTS_DIR": (
         "`results/`",
         "Default `--out` directory for `repro run --format json|csv`."),
