@@ -40,7 +40,7 @@ from repro.core.tile import EasyTile
 from repro.core.timescale import TimeScalingCounters
 from repro.cpu.cache import Cache, CacheHierarchy, CacheStats
 from repro.cpu.memtrace import Trace
-from repro.cpu.processor import MemoryRequest, Processor
+from repro.cpu.processor import MemoryRequest, Processor, latency_sum
 from repro.dram.address import AddressMapper
 from repro.dram.timing import PS_PER_S, period_ps
 
@@ -360,8 +360,8 @@ class Session:
             llc_misses = sum(p.stats.llc_miss_requests for p in procs)
             writebacks = sum(p.stats.writeback_requests for p in procs)
             n_lat = sum(len(p.stats.request_latencies) for p in procs)
-            avg_latency = (sum(sum(p.stats.request_latencies) for p in procs)
-                           / n_lat if n_lat else 0.0)
+            avg_latency = (sum(latency_sum(p.stats.request_latencies)
+                               for p in procs) / n_lat if n_lat else 0.0)
             l1 = CacheStats()
             l2 = CacheStats()
             for core in self.cores:

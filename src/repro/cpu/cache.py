@@ -19,7 +19,10 @@ probe is a C-speed ``list`` scan and eviction is an ``argmin`` over the
 stamps.  The two layouts are behaviorally identical (stamp order *is*
 recency order); the test suite keeps the original list-based
 implementation verbatim as the oracle its randomized differential tests
-compare against.
+compare against.  A level starts empty without any per-set list: the
+way lists (``_tags``/``_dirty``/``_stamps``/``_mru``) are built on the
+first Python read of any of them (:meth:`Cache.__getattr__`), so a level
+that only the resident copy below ever touches never builds them.
 
 Resident copies: the compiled kernel keeps a flat copy of a hierarchy's
 way arrays between replays (:mod:`repro.dram.kernel.blockrun`).  Each
@@ -29,15 +32,16 @@ level tracks what Python changed since that copy was last synced in
 other mutator ran and the copy must be rebuilt whole.  Mutators mark a
 level stale with one assignment per call, never per access.
 
-After a replay the copy is authoritative: the level's way lists
-(``_tags``/``_dirty``/``_stamps``/``_mru``) are *lent* to it
-(``Cache._loan``) and leave the instance.  The first Python read of any
-of them writes the copy's changed sets back (:meth:`Cache.__getattr__`),
-so every Python-side path sees synced lists, while replays, statistics
-and :meth:`CacheHierarchy.flush_range` (applied to the copy itself) never
-rebuild them.  The loan works out the changed sets once, at that
-write-back: every set with a way stamped at or past the tick at which
-the loan began, plus every set a CLFLUSH on the copy changed.
+After a replay the copy is authoritative: the level's way lists are
+*lent* to it (``Cache._loan``) and leave the instance -- or, for a level
+that never built them, the copy starts from empty sets and holds none.
+The first Python read of any of them writes the copy's changed sets back
+(:meth:`Cache.__getattr__`; a level that had none builds empty lists
+first), so every Python-side path sees synced lists, while replays,
+statistics and :meth:`CacheHierarchy.flush_range` (applied to the copy
+itself) never rebuild them.  The loan works out the changed sets once,
+at that write-back: every set with a way stamped at or past the tick at
+which the loan began, plus every set a CLFLUSH on the copy changed.
 """
 
 from __future__ import annotations
@@ -53,6 +57,17 @@ _TOKENS = itertools.count(1)
 
 #: A level's way lists, which a resident copy may hold (see above).
 _WAY_LISTS = ("_tags", "_dirty", "_stamps", "_mru")
+
+
+def empty_way_lists(num_sets: int) -> tuple:
+    """An empty level's way lists, in ``_WAY_LISTS`` order.
+
+    Per set: parallel ``tags``/``dirty``/``stamps`` lists (grown up to
+    ``assoc`` entries), and the most-recently-touched slot (-1 =
+    unknown), so repeated touches to the hottest line skip the way scan.
+    """
+    return ([[] for _ in range(num_sets)], [[] for _ in range(num_sets)],
+            [[] for _ in range(num_sets)], [-1] * num_sets)
 
 
 @dataclass
@@ -89,13 +104,8 @@ class Cache:
         self.line_bytes = line_bytes
         self.hit_latency = hit_latency
         self.num_sets = size_bytes // (assoc * line_bytes)
-        # Per-set parallel arrays (grow up to ``assoc`` entries).
-        self._tags: list[list[int]] = [[] for _ in range(self.num_sets)]
-        self._dirty: list[list[bool]] = [[] for _ in range(self.num_sets)]
-        self._stamps: list[list[int]] = [[] for _ in range(self.num_sets)]
-        # Most-recently-touched slot per set (-1 = unknown): repeated
-        # touches to the hottest line skip the way scan entirely.
-        self._mru: list[int] = [-1] * self.num_sets
+        # The way lists (``_WAY_LISTS``) are built on first use; see the
+        # module docstring.
         self._tick = 0
         self.stats = CacheStats()
         #: Sets changed since the resident copy was synced (``None``:
@@ -106,12 +116,16 @@ class Cache:
 
     def __getattr__(self, name: str):
         # Only reached when normal lookup fails: the way lists are lent
-        # to a resident copy, which writes its changes back on first use.
+        # to a resident copy, which writes its changes back on first use,
+        # or were never built (the level is still empty).
         if name in _WAY_LISTS:
-            loan = self.__dict__.get("_loan")
+            state = self.__dict__
+            loan = state.get("_loan")
             if loan is not None:
                 loan.write_back(self)
-                return self.__dict__[name]
+            else:
+                state.update(zip(_WAY_LISTS, empty_way_lists(self.num_sets)))
+            return state[name]
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}")
 
@@ -265,6 +279,13 @@ class CacheHierarchy:
         #: Extra core cycles charged on an LLC miss for the fill path
         #: (bus/queue traversal); DRAM latency itself comes from the SMC.
         self.memory_fill_latency = memory_fill_latency
+
+    def __setstate__(self, state: dict) -> None:
+        # A deep copy or unpickled copy is a hierarchy of its own: no
+        # resident copy may take it for the original it was copied from.
+        self.__dict__.update(state)
+        self.token = next(_TOKENS)
+        self.resident = 0
 
     def access(self, addr: int, is_write: bool) -> MemoryTraffic:
         """Access a byte address; return latency and memory traffic."""

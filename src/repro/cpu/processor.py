@@ -22,8 +22,11 @@ Dependent accesses (pointer chases) serialize on all earlier misses.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterator
+
+import numpy as np
 
 from repro.cpu.blocks import AccessBlock, BlockTrace
 from repro.cpu.cache import BlockTraffic, CacheHierarchy
@@ -93,7 +96,15 @@ class ProcessorConfig:
 
 @dataclass
 class ProcessorStats:
-    """Execution counters in emulated processor cycles."""
+    """Execution counters in emulated processor cycles.
+
+    ``request_latencies`` logs every consumed request's latency, in
+    order, as an ``int64`` array: the Python loops append one value per
+    request and the resident replay appends its kernel buffer with one
+    memory copy.  Averages divide its exact integer sum
+    (:func:`latency_sum`), so they are the same Python floats as over a
+    list of ints.
+    """
 
     accesses: int = 0
     loads: int = 0
@@ -102,12 +113,17 @@ class ProcessorStats:
     stall_cycles: int = 0
     llc_miss_requests: int = 0
     writeback_requests: int = 0
-    request_latencies: list[int] = field(default_factory=list)
+    request_latencies: array = field(default_factory=lambda: array("q"))
 
     @property
     def avg_request_latency(self) -> float:
         lat = self.request_latencies
-        return sum(lat) / len(lat) if lat else 0.0
+        return latency_sum(lat) / len(lat) if lat else 0.0
+
+
+def latency_sum(latencies: array) -> int:
+    """The sum of an ``int64`` latency log, as a Python int."""
+    return int(np.frombuffer(latencies, np.int64).sum())
 
 
 class Processor:

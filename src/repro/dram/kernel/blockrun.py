@@ -33,13 +33,14 @@ back to its Python loop — bit-identical either way.
 
 from __future__ import annotations
 
-import copy
+import functools
 import itertools
 import weakref
 
 import numpy as np
 
-from repro.cpu.cache import _WAY_LISTS, CacheHierarchy
+from repro.cpu.cache import _WAY_LISTS, CacheHierarchy, empty_way_lists
+from repro.dram.kernel import cbackend
 from repro.dram.kernel.state import (
     KERN_NEED_BLOCK, KERN_NEED_ROOM, KERN_OK, KERR_DEADLOCK,
     KERR_DECODE_RANGE, RLOG_STRIDE, Cfg, Core, CorePtr, St, TBL_STRIDE,
@@ -97,7 +98,9 @@ _WAY_ARRAYS = ("tags", "dirty", "stamps", "count", "mru")
 
 
 def _load_sets(level, arrays, sets: list[int] | None) -> None:
-    """Copy ``sets`` (``None``: every set) of one level into its way arrays.
+    """Copy ``sets`` (``None``: every set) of one level's way lists into
+    its way arrays (reading the lists: a level that never built them
+    builds them, a lent one is written back).
 
     Padded ``[set * assoc]`` layout with a live-way count per set; slots
     past the count are never read by the kernel, so they stay stale.
@@ -138,9 +141,11 @@ def _load_cache(ks, index: int, hier) -> None:
     the sets Python changed since (``Cache._changed``: CLFLUSH
     evictions; a level still lent to this copy changed nothing);
     otherwise, or after any other Python-side mutation, the level is
-    flattened whole.  A hierarchy still lent to the slot is written back
-    before the slot is overwritten.  Ticks and stats are scalars, read
-    every call.
+    flattened whole -- except a level that never built its way lists
+    (nor lent them): it is empty, so only its live-way counts (0) and
+    MRU slots (-1) are set, with no per-set work.  A hierarchy still
+    lent to the slot is written back before the slot is overwritten.
+    Ticks and stats are scalars, read every call.
     """
     slots = ks.cores[index]
     current = (slots.cache_owner == hier.token
@@ -163,7 +168,12 @@ def _load_cache(ks, index: int, hier) -> None:
                     arrays[i] = _arr(sets * assoc if i < 3 else sets)
                     field = getattr(CorePtr, f"{prefix}_{name}".upper())
                     ks.set_core_array(index, field, arrays[i])
-            _load_sets(level, arrays, None)
+            if level._loan is None and "_tags" not in level.__dict__:
+                _, _, _, count, mru = arrays
+                count.fill(0)
+                mru.fill(-1)
+            else:
+                _load_sets(level, arrays, None)
         level._changed = set()
     l1, l2 = hier.l1, hier.l2
     s1, s2 = l1.stats, l2.stats
@@ -183,44 +193,47 @@ class _Loan:
     """One cache level's way lists, lent to a core slot's resident copy.
 
     The copy's way arrays are authoritative while the level holds a loan
-    (``Cache._loan``).  ``since`` is the level's tick when the loan
-    began: the kernel stamps every way it probes or fills with the
-    level's running tick (and only moves a set's MRU slot when it stamps
-    it), so the sets any replay changed under the loan are those with a
-    stamp at or past ``since``; CLFLUSH on the copy marks the sets it
-    changes in ``flushed`` (a flush can remove a set's only recent way).
+    (``Cache._loan``).  ``lists`` is the level's way lists, or ``None``
+    for a level that never built them (the copy then started from empty
+    sets).  ``since`` is the level's tick when the loan began: the kernel
+    stamps every way it probes or fills with the level's running tick
+    (and only moves a set's MRU slot when it stamps it), so the sets any
+    replay changed under the loan are those with a stamp at or past
+    ``since``; CLFLUSH on the copy marks the sets it changes in
+    ``flushed`` (a flush can remove a set's only recent way).
     :meth:`write_back` works the touched sets out once, rebuilds just
-    those and returns the lists to the level -- on the first Python read
-    of them, or before the slot is overwritten.  :meth:`flush_range` is
-    ``CacheHierarchy.flush_range`` applied to the arrays.
+    those (into empty lists built there, if the level had none) and
+    returns the lists to the level -- on the first Python read of them,
+    or before the slot is overwritten.  :meth:`flush_range` is
+    ``CacheHierarchy.flush_range`` applied to the arrays.  A copy (deep
+    copy or pickle) owns copies of the arrays.
     """
 
-    __slots__ = ("sets", "assoc", "arrays", "lists", "since", "flushed",
-                 "_flush", "_args")
+    #: What a copy takes: not the bound C entry, which holds raw
+    #: addresses of these very arrays (a copy binds its own on first use).
+    _STATE = ("sets", "assoc", "arrays", "lists", "since", "flushed")
+    __slots__ = (*_STATE, "_flush")
 
-    def __init__(self, level, arrays: list, flush_lines) -> None:
+    def __init__(self, level, arrays: list) -> None:
         # No reference back to the level: a cycle would leave freeing the
         # level and the arrays to the cyclic garbage collector.
         self.sets, self.assoc = level.num_sets, level.assoc
         self.arrays = arrays
         state = level.__dict__
-        self.lists = tuple(state.pop(name) for name in _WAY_LISTS)
+        self.lists = (tuple(state.pop(name) for name in _WAY_LISTS)
+                      if "_tags" in state else None)
         self.since = level._tick
         self.flushed = _arr(self.sets)
-        self._flush = flush_lines
-        self._args = None
+        self._flush = None
         level._loan = self
 
-    def __deepcopy__(self, memo) -> "_Loan":
-        # A copy owns copies of the arrays, so it takes their addresses
-        # afresh; the C entry itself is shared.
-        clone = _Loan.__new__(_Loan)
-        memo[id(self)] = clone
-        for name in ("sets", "assoc", "arrays", "lists", "since", "flushed"):
-            setattr(clone, name, copy.deepcopy(getattr(self, name), memo))
-        clone._flush = self._flush
-        clone._args = None
-        return clone
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self._STATE}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._flush = None
 
     def write_back(self, level) -> None:
         """Rebuild the touched sets' lists and return them to ``level``.
@@ -232,6 +245,8 @@ class _Loan:
         """
         sets, assoc = self.sets, self.assoc
         tags, dirty, stamps, count, mru = self.arrays
+        if self.lists is None:
+            self.lists = empty_way_lists(sets)
         set_tags, set_dirty, set_stamps, set_mru = self.lists
         size = sets * assoc
         touched = np.flatnonzero(
@@ -261,15 +276,16 @@ class _Loan:
         """CLFLUSH lines ``first_line ..+ n`` in the arrays: sets
         ``dirty[i]`` for each dirty line ``first_line + i`` and returns
         the number of lines flushed."""
-        if self._args is None:
-            # The C entry takes raw addresses, taken once per loan.
-            self._args = ([a.ctypes.data for a in self.arrays]
-                          + [self.flushed.ctypes.data, self.sets,
-                             self.assoc])
-        return self._flush(*self._args, first_line, n, dirty.ctypes.data)
+        if self._flush is None:
+            # The C entry takes raw addresses, bound once per loan.
+            self._flush = functools.partial(
+                cbackend.load()[0].flush_lines,
+                *(a.ctypes.data for a in self.arrays),
+                self.flushed.ctypes.data, self.sets, self.assoc)
+        return self._flush(first_line, n, dirty.ctypes.data)
 
 
-def _lend_cache(slots, hier, flush_lines) -> None:
+def _lend_cache(slots, hier) -> None:
     """After a replay: the way arrays become ``hier``'s authoritative copy.
 
     Each level's lists are lent to the slot, or stay lent: the loan
@@ -280,7 +296,7 @@ def _lend_cache(slots, hier, flush_lines) -> None:
     for attr, prefix in _LEVELS:
         level = getattr(hier, attr)
         if level._loan is None:
-            _Loan(level, _way_arrays(slots, prefix), flush_lines)
+            _Loan(level, _way_arrays(slots, prefix))
         level._changed = set()
     s1, s2 = l1.stats, l2.stats
     (l1._tick, l2._tick, s1.hits, s1.misses, s1.writebacks, s2.hits,
@@ -392,8 +408,7 @@ class _Feed:
             # from the synced cache state.  In-range blocks cannot
             # differ — a strict cache never holds an out-of-range line
             # (its fill would have raised at install time).
-            _lend_cache(self.slots, proc.hierarchy,
-                        self.ks.smc._kernel_backend.flush_lines)
+            _lend_cache(self.slots, proc.hierarchy)
             self.has_cache = False
         if self.has_cache:
             self._load_block(block, None)
@@ -406,9 +421,12 @@ class _Feed:
         self._load_block(block, traffic)
 
     def flush_latencies(self) -> None:
+        """Append the kernel's request-latency buffer to the processor's
+        ``int64`` log: one memory copy, no Python int per request."""
         count = int(self.rec[Core.LAT_COUNT])
         if count:
-            self.latencies.extend(self.slots.latencies[:count].tolist())
+            self.latencies.frombytes(
+                self.slots.latencies[:count].data.cast("B"))
             self.rec[Core.LAT_COUNT] = 0
 
     def store(self) -> None:
@@ -427,8 +445,7 @@ class _Feed:
         proc.outstanding.clear()
         proc._done = bool(v[Core.DONE])
         if self.has_cache:
-            _lend_cache(self.slots, proc.hierarchy,
-                        self.ks.smc._kernel_backend.flush_lines)
+            _lend_cache(self.slots, proc.hierarchy)
 
 
 def _eligible(procs, smc) -> str | None:

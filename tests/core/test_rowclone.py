@@ -228,11 +228,14 @@ class TestEngagement:
             tech.execute_init(plan, clflush=True)
         session.finish()
         assert tech.stats.fallback_rows > 0 and tech.stats.flushed_lines > 0
-        # The first replay flattens both levels; every later replay and
-        # CLFLUSH range works on the resident copy, and the lists never
-        # come back.
-        assert loads == [True, True]
+        # The fresh hierarchy is never flattened: the first replay starts
+        # its copy from empty sets, every later replay and CLFLUSH range
+        # works on that copy, and no way list is ever built.
+        assert loads == []
         assert write_backs == []
+        for level in (session.hierarchy.l1, session.hierarchy.l2):
+            assert "_tags" not in level.__dict__
+            assert level.__dict__["_loan"].lists is None
 
     @pytest.mark.parametrize("op", ("copy", "init"))
     def test_clflush_writebacks_skip_the_object_path(self, op, monkeypatch):

@@ -157,7 +157,8 @@ class TestFeedAndStats:
         burst = proc.execute_burst()
         burst.new_requests[0].release = burst.new_requests[0].tag + 77
         proc.execute_burst()
-        assert proc.stats.request_latencies == [77]
+        assert proc.stats.request_latencies.typecode == "q"
+        assert list(proc.stats.request_latencies) == [77]
 
     def test_loads_and_stores_counted(self):
         trace = [load(0), store(64), load(128)]

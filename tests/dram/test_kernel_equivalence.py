@@ -517,7 +517,9 @@ def _numpy_scalars(value, path: str) -> list[str]:
 
 def test_results_hold_python_ints_only():
     """Blocks hold int64 arrays, but no NumPy scalar may reach a
-    ``RunResult``, ``SmcStats``, device or processor stats, on any path."""
+    ``RunResult``, ``SmcStats``, device or processor stats, on any path.
+    Request latencies are an ``int64`` log whose averages are exact
+    Python floats."""
     from repro.workloads import polybench
 
     gemm = [AccessBlock(b.addr + (2 << 20), b.flags, b.gap)
@@ -530,8 +532,9 @@ def test_results_hold_python_ints_only():
             artifact = _run_resident(config, traces, engine)
             system = EasyDRAMSystem(jetson_nano_time_scaling(),
                                     engine=engine)
-            single = dataclasses.asdict(
-                system.run(BlockTrace(iter(gemm)), "gemm"))
+            session = system.session("gemm")
+            session.run_trace(BlockTrace(iter(gemm)))
+            single = dataclasses.asdict(session.finish())
             single["smc"] = dataclasses.asdict(system.smc.stats)
             single["device"] = dataclasses.asdict(
                 system.tile.device.stats)
@@ -540,6 +543,18 @@ def test_results_hold_python_ints_only():
                 == [True, True]
         assert _numpy_scalars(artifact, name) == []
         assert _numpy_scalars(single, name) == []
+        log = session.processor.stats.request_latencies
+        assert log.typecode == "q", name
+        per_core = [core[0] for core in artifact["cores"]]
+        for result, logs in ((single, [list(log)]), (artifact, per_core)):
+            average = result["avg_request_latency_cycles"]
+            assert type(average) is float, name
+            assert average == (sum(map(sum, logs))
+                               / sum(map(len, logs))), name
+        for core, lat in zip(artifact["per_core"], per_core):
+            average = core["avg_request_latency_cycles"]
+            assert type(average) is float, name
+            assert lat and average == sum(lat) / len(lat), name
 
 
 @needs_kernel
@@ -727,12 +742,13 @@ def test_resident_cache_copy_identical(monkeypatch):
     monkeypatch.setattr(blockrun._Loan, "write_back", recording_write_back)
     with serve_mode("event", "c"):
         assert _interleaved_session() == expected
-    # Whole flattens: both levels at the first replay, after each direct
-    # access (an L1 and L2 miss) and after the declined trace.  The
+    # Whole flattens: both levels after each direct access (an L1 and L2
+    # miss) and after the declined trace; the fresh hierarchy's first
+    # replay flattens nothing (its copy starts from empty sets).  The
     # CLFLUSHes on the copy reload nothing; the one flush on L1's
     # written-back lists before the second direct access is absorbed by
     # that access's whole flatten.
-    assert loads.count(True) == 8 and loads.count(False) == 0
+    assert loads.count(True) == 6 and loads.count(False) == 0
     # Lists come back only for Python reads: the first direct access,
     # contains() (L1 only), the second direct access (L2), the
     # declined trace, and the final inspection.
