@@ -31,7 +31,6 @@ them), so object-path and fast-path runs stay bit-identical.
 from __future__ import annotations
 
 import difflib
-import os
 from dataclasses import dataclass
 
 from repro.cpu.processor import MemoryRequest
@@ -415,16 +414,6 @@ SCHEDULERS: dict[str, type[Scheduler]] = {
 def scheduler_names() -> tuple[str, ...]:
     """The registered scheduler names, sorted for stable messages."""
     return tuple(sorted(SCHEDULERS))
-
-
-def scheduler_override() -> str | None:
-    """The ``REPRO_SCHEDULER`` environment override, if set.
-
-    Read at controller construction time (like every ``REPRO_*`` knob)
-    so tests can monkeypatch it per system.
-    """
-    value = os.environ.get("REPRO_SCHEDULER", "").strip()
-    return value or None
 
 
 def make_scheduler(name: str, age_cap: int | None = None) -> Scheduler:

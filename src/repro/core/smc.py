@@ -39,7 +39,6 @@ from repro.core.schedulers import (
     Scheduler,
     TableEntry,
     make_scheduler,
-    scheduler_override,
 )
 from repro.core.tile import EasyTile
 from repro.core.timescale import TimeScalingCounters
@@ -98,8 +97,7 @@ class SoftwareMemoryController(ProgramExecutor):
         self.api.executor = self
         self.counters = counters
         self.scheduler = scheduler or make_scheduler(
-            scheduler_override() or config.controller.scheduler,
-            config.controller.scheduler_age_cap)
+            config.controller.scheduler, config.controller.scheduler_age_cap)
         self.stats = SmcStats()
         self.table: list[TableEntry] = []
         self._arrival_counter = 0

@@ -408,8 +408,7 @@ def _parse_shard_arg(text: str) -> tuple[int, int] | None:
 
 
 def _run_spec_command(args: argparse.Namespace) -> int:
-    from repro.specs import applied_env, run_fingerprint, shard_selection, \
-        spec_hash
+    from repro.specs import run_fingerprint, shard_selection, spec_hash
 
     compiled = _load_compiled(args.spec)
     if compiled is None:
@@ -431,25 +430,24 @@ def _run_spec_command(args: argparse.Namespace) -> int:
     selection = shard_selection(compiled, *shard) if shard else None
 
     outcomes: list[SweepOutcome] = []
-    with applied_env(spec_doc.env):
-        for entry in compiled.entries:
-            sweep = entry.sweep
-            if selection is not None:
-                only = selection[sweep.artifact]
-                do_combine = False
-            else:
-                only = tuple(p.point_id for p in entry.selected) \
-                    if entry.filtered else None
-                do_combine = True
-            print("=" * 72)
-            print(f"{sweep.title} ({sweep.module})"
-                  + (f" [shard {args.shard}]" if shard else ""))
-            print("=" * 72)
-            outcome = run_sweep(sweep, jobs=args.jobs, cache=cache,
-                                overrides=entry.overrides, only=only,
-                                do_combine=do_combine)
-            outcomes.append(outcome)
-            _print_outcome(args, out_dir, sweep, outcome)
+    for entry in compiled.entries:
+        sweep = entry.sweep
+        if selection is not None:
+            only = selection[sweep.artifact]
+            do_combine = False
+        else:
+            only = tuple(p.point_id for p in entry.selected) \
+                if entry.filtered else None
+            do_combine = True
+        print("=" * 72)
+        print(f"{sweep.title} ({sweep.module})"
+              + (f" [shard {args.shard}]" if shard else ""))
+        print("=" * 72)
+        outcome = run_sweep(sweep, jobs=args.jobs, cache=cache,
+                            overrides=entry.overrides, only=only,
+                            do_combine=do_combine)
+        outcomes.append(outcome)
+        _print_outcome(args, out_dir, sweep, outcome)
     manifest = {
         "spec": spec_doc.name,
         "spec_path": spec_doc.path,

@@ -177,7 +177,7 @@ def execute_request(request: Mapping[str, Any], store: ResultStore,
 def _execute_spec(request: Mapping[str, Any], store: ResultStore,
                   jobs: int) -> dict[str, Any]:
     """Run a submitted spec document (all entries, combined)."""
-    from repro.specs import applied_env, load_and_compile, spec_hash
+    from repro.specs import load_and_compile, spec_hash
 
     # The loader is path-based (line-anchored errors); give the posted
     # text a real file for the duration of the run.
@@ -189,16 +189,15 @@ def _execute_spec(request: Mapping[str, Any], store: ResultStore,
     try:
         compiled = load_and_compile(path)
         results: dict[str, Any] = {}
-        with applied_env(compiled.spec.env):
-            for entry in compiled.entries:
-                sweep = entry.sweep
-                only = tuple(p.point_id for p in entry.selected) \
-                    if entry.filtered else None
-                outcome = run_sweep(sweep, jobs=jobs, cache=store,
-                                    overrides=entry.overrides, only=only)
-                if not outcome.ok:
-                    raise RuntimeError(outcome.error)
-                results[sweep.artifact] = outcome.result
+        for entry in compiled.entries:
+            sweep = entry.sweep
+            only = tuple(p.point_id for p in entry.selected) \
+                if entry.filtered else None
+            outcome = run_sweep(sweep, jobs=jobs, cache=store,
+                                overrides=entry.overrides, only=only)
+            if not outcome.ok:
+                raise RuntimeError(outcome.error)
+            results[sweep.artifact] = outcome.result
         return {
             "kind": "spec",
             "spec": compiled.spec.name,

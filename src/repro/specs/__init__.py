@@ -1,11 +1,11 @@
 """Declarative YAML experiment specs over the sweep runner.
 
-The user surface for sweeps: a spec file names artifacts, knob
-settings, grid overrides, and point filters; ``repro
-validate/plan/diff/hash`` inspect it without running anything, and
-``repro run --spec`` (optionally ``--shard k/N``) executes it through
-the cached scheduler.  See ``specs/*.yaml`` for the checked-in suite
-and ``docs/EXPERIMENTS.md`` for the format.
+The user surface for sweeps: a spec file names artifacts, grid
+overrides, and point filters; ``repro validate/plan/diff/hash`` inspect
+it without running anything, and ``repro run --spec`` (optionally
+``--shard k/N``) executes it through the cached scheduler.  See
+``specs/*.yaml`` for the checked-in suite and ``docs/EXPERIMENTS.md``
+for the format.
 """
 
 from repro.specs.diff import diff_specs
@@ -21,9 +21,7 @@ from repro.specs.model import (
     ExperimentSpec,
     SpecLoadError,
     SpecValidationError,
-    applied_env,
     compile_spec,
-    knob_inventory,
     load_and_compile,
     load_spec,
 )
@@ -36,11 +34,9 @@ __all__ = [
     "ExperimentSpec",
     "SpecLoadError",
     "SpecValidationError",
-    "applied_env",
     "check_hash",
     "compile_spec",
     "diff_specs",
-    "knob_inventory",
     "load_and_compile",
     "load_spec",
     "parse_runtime",

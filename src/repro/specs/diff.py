@@ -1,10 +1,10 @@
 """``repro diff``: the semantic delta between two experiment specs.
 
 A text diff of two YAML files answers "which lines changed"; this
-answers "which *runs* changed": artifacts added or removed, env knobs
-and overrides that differ, point filters that now select a different
-slice — and, when both specs compile, the concrete point ids gained and
-lost per artifact.  Cosmetic edits (key order, comments, reflowed
+answers "which *runs* changed": artifacts added or removed, overrides
+that differ, point filters that now select a different slice — and,
+when both specs compile, the concrete point ids gained and lost per
+artifact.  Cosmetic edits (key order, comments, reflowed
 strings) produce an empty delta, mirroring what :mod:`~repro.specs.
 hashing` guarantees about the spec hash.
 """
@@ -45,16 +45,6 @@ def diff_specs(a: ExperimentSpec, b: ExperimentSpec) -> list[str]:
         old, new = getattr(a, field), getattr(b, field)
         if old != new:
             changes.append(f"{field}: {old!r} -> {new!r}")
-    for knob in sorted(set(a.env) | set(b.env)):
-        old, new = a.env.get(knob), b.env.get(knob)
-        if old == new:
-            continue
-        if old is None:
-            changes.append(f"env +{knob}={new}")
-        elif new is None:
-            changes.append(f"env -{knob}={old}")
-        else:
-            changes.append(f"env {knob}: {old} -> {new}")
     entries_a, entries_b = _entry_map(a), _entry_map(b)
     for selector in [s for s in entries_a if s not in entries_b]:
         changes.append(f"artifact -{selector}")

@@ -16,8 +16,9 @@ Two digests, two lifetimes:
 
 Both are computed from the schema-level model (not the YAML text), so
 reordering keys, reflowing strings, or adding comments never changes a
-hash while any change to env knobs, overrides, filters, or artifact
-selection always does.
+hash while any change to overrides, filters, or artifact selection
+always does.  Specs no longer carry an ``env:`` section; the hash input
+keeps its empty ``"env"`` slot so every recorded digest stays valid.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ def canonical_form(spec: ExperimentSpec) -> dict:
         "version": 1,
         "name": spec.name,
         "description": spec.description,
-        "env": dict(spec.env),
+        # Always empty since specs lost ``env:``; kept so spec_hash
+        # stays stable and HASHES.json / stored spec_hash values hold.
+        "env": {},
         "artifacts": [{
             "artifact": entry.selector,
             "overrides": dict(entry.overrides),

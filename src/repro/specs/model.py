@@ -6,8 +6,6 @@ how their sweeps are parameterized::
     version: 1
     name: fig16-grid
     description: Core-count x scheduler contention grid.
-    env:                       # optional REPRO_* knob settings
-      REPRO_FULL: "0"
     artifacts:
       - artifact: fig16        # exact id or glob ("fig1*")
         overrides:             # keyword arguments to the sweep's
@@ -17,35 +15,33 @@ how their sweeps are parameterized::
           include: ["*"]
           exclude: ["4core-fcfs"]
 
+A spec carries no environment settings: everything that shapes a
+result is stated in the points it builds, which is what the point cache
+and the serve store key on.  Paper-scale sweeps come from ``repro run
+--spec X --full`` (``REPRO_FULL`` is read when points are built) or from
+per-artifact ``overrides``.
+
 Validation happens in two layers, both surfaced by ``repro validate``:
 
 * :func:`load_spec` checks the *document*: required keys, types, no
-  unknown keys, env knobs named like knobs.  Every problem is anchored
-  ``file:line`` via :class:`~repro.specs.yamlload.YamlDoc`.
+  unknown keys.  Every problem is anchored ``file:line`` via
+  :class:`~repro.specs.yamlload.YamlDoc`.
 * :func:`compile_spec` checks the spec *against the code*: artifact ids
   resolve in the registry (with did-you-mean suggestions), override
-  names exist in the sweep's ``build_points`` signature, env knobs are
-  in the generated knob inventory (the same one behind
-  ``tools/gen_knob_docs.py`` / ``docs/KNOBS.md``), and point filters
-  actually select something.
+  names exist in the sweep's ``build_points`` signature, and point
+  filters actually select something.
 
-Compilation applies ``env`` while building points (``REPRO_FULL`` and
-friends are read at build time) and returns the fully enumerated,
-filtered point set per artifact — the single source of truth that
-``plan``, ``hash``, sharding, and ``run --spec`` all share.
+Compilation returns the fully enumerated, filtered point set per
+artifact — the single source of truth that ``plan``, ``hash``,
+sharding, and ``run --spec`` all share.
 """
 
 from __future__ import annotations
 
 import fnmatch
 import inspect
-import os
-import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
-from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.runner import registry
 from repro.runner.spec import SweepPoint, SweepSpec
@@ -54,11 +50,9 @@ from repro.specs.yamlload import SpecLoadError, YamlDoc, load_yaml
 #: The only schema revision this tree understands.
 SCHEMA_VERSION = 1
 
-_TOP_KEYS = {"version", "name", "description", "env", "artifacts"}
+_TOP_KEYS = {"version", "name", "description", "artifacts"}
 _ENTRY_KEYS = {"artifact", "overrides", "points"}
 _POINTS_KEYS = {"include", "exclude"}
-_KNOB_NAME = re.compile(r"^REPRO_[A-Z0-9_]+$")
-_ENV_READ = re.compile(r"environ[^\n]*?[\"'](REPRO_[A-Z0-9_]+)[\"']")
 
 
 class SpecValidationError(Exception):
@@ -86,7 +80,6 @@ class ExperimentSpec:
     path: str
     name: str
     description: str
-    env: Mapping[str, str]
     entries: tuple[ArtifactEntry, ...]
 
 
@@ -106,51 +99,13 @@ class CompiledEntry:
 
 @dataclass(frozen=True)
 class CompiledSpec:
-    """A spec resolved against the live registry and knob inventory."""
+    """A spec resolved against the live registry."""
 
     spec: ExperimentSpec
     entries: tuple[CompiledEntry, ...]
 
     def total_points(self) -> int:
         return sum(len(e.selected) for e in self.entries)
-
-
-@lru_cache(maxsize=1)
-def knob_inventory() -> frozenset[str]:
-    """Every ``REPRO_*`` environment knob the source tree reads.
-
-    This is the same scan ``tools/gen_knob_docs.py`` builds
-    ``docs/KNOBS.md`` from, run over the installed package, so a spec's
-    ``env:`` section is cross-checked against the canonical knob
-    inventory rather than a hand-kept list.
-    """
-    import repro
-
-    names: set[str] = set()
-    root = Path(repro.__file__).resolve().parent
-    for path in sorted(root.rglob("*.py")):
-        for match in _ENV_READ.finditer(path.read_text(encoding="utf-8")):
-            names.add(match.group(1))
-    return frozenset(names)
-
-
-@contextmanager
-def applied_env(env: Mapping[str, str]) -> Iterator[None]:
-    """Temporarily apply a spec's ``env`` knobs to ``os.environ``."""
-    saved = {name: os.environ.get(name) for name in env}
-    os.environ.update({k: str(v) for k, v in env.items()})
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
-def _scalar(value: Any) -> bool:
-    return isinstance(value, (str, int, float, bool))
 
 
 def _check_glob_list(doc: YamlDoc, value: Any, path: tuple,
@@ -240,27 +195,6 @@ def load_spec(path: str) -> ExperimentSpec:
         problems.append(f"{doc.anchor('description')}: 'description' must"
                         " be a string")
         description = ""
-    env_raw = data.get("env", {})
-    env: dict[str, str] = {}
-    if not isinstance(env_raw, dict):
-        problems.append(f"{doc.anchor('env')}: 'env' must be a mapping of"
-                        " REPRO_* knobs to values")
-    else:
-        for key, value in env_raw.items():
-            if not isinstance(key, str) or not _KNOB_NAME.match(key):
-                problems.append(
-                    f"{doc.anchor('env', key)}: env knob {key!r} must match"
-                    " REPRO_[A-Z0-9_]+")
-            elif not _scalar(value):
-                problems.append(
-                    f"{doc.anchor('env', key)}: env knob {key} needs a"
-                    " scalar value")
-            else:
-                # YAML booleans render as Python's True/False; knobs are
-                # parsed as "0"/"1" strings throughout the tree.
-                if isinstance(value, bool):
-                    value = int(value)
-                env[key] = str(value)
     entries: list[ArtifactEntry] = []
     artifacts = data.get("artifacts")
     if not isinstance(artifacts, list) or not artifacts:
@@ -274,7 +208,7 @@ def load_spec(path: str) -> ExperimentSpec:
     if problems:
         raise SpecValidationError(problems)
     return ExperimentSpec(path=path, name=name, description=description,
-                          env=env, entries=tuple(entries))
+                          entries=tuple(entries))
 
 
 def _build_kwargs_problems(sweep: SweepSpec, overrides: Mapping[str, Any],
@@ -334,55 +268,44 @@ def compile_spec(spec: ExperimentSpec) -> CompiledSpec:
     """
     doc = load_yaml(spec.path)
     problems: list[str] = []
-    inventory = knob_inventory()
-    for key in spec.env:
-        if key not in inventory:
-            close = registry.closest(key, sorted(inventory))
-            hint = f" (did you mean {close}?)" if close else ""
-            problems.append(
-                f"{doc.anchor('env', key)}: unknown knob {key}{hint};"
-                " the inventory is generated from the source tree, see"
-                " docs/KNOBS.md")
     compiled: list[CompiledEntry] = []
     seen: dict[str, str] = {}
-    with applied_env(spec.env):
-        for index, entry in enumerate(spec.entries):
-            anchor = doc.anchor("artifacts", index)
-            try:
-                names = registry.resolve(entry.selector)
-            except KeyError as exc:
-                problems.append(f"{anchor}: {exc.args[0]}")
+    for index, entry in enumerate(spec.entries):
+        anchor = doc.anchor("artifacts", index)
+        try:
+            names = registry.resolve(entry.selector)
+        except KeyError as exc:
+            problems.append(f"{anchor}: {exc.args[0]}")
+            continue
+        for name in names:
+            if name in seen:
+                problems.append(
+                    f"{anchor}: artifact {name!r} already selected by"
+                    f" entry {seen[name]!r}; each artifact may appear"
+                    " once per spec")
                 continue
-            for name in names:
-                if name in seen:
-                    problems.append(
-                        f"{anchor}: artifact {name!r} already selected by"
-                        f" entry {seen[name]!r}; each artifact may appear"
-                        " once per spec")
-                    continue
-                seen[name] = entry.selector
-                sweep = registry.get(name)
-                bad = _build_kwargs_problems(
-                    sweep, entry.overrides,
-                    doc.anchor("artifacts", index, "overrides"))
-                if bad:
-                    problems.extend(bad)
-                    continue
-                try:
-                    points = tuple(
-                        sweep.build_points(**dict(entry.overrides)))
-                except Exception as exc:
-                    problems.append(
-                        f"{doc.anchor('artifacts', index, 'overrides')}:"
-                        f" building {name!r} points failed:"
-                        f" {type(exc).__name__}: {exc}")
-                    continue
-                selected = _filter_points(
-                    points, entry, doc.anchor("artifacts", index, "points"),
-                    problems)
-                compiled.append(CompiledEntry(
-                    sweep=sweep, overrides=dict(entry.overrides),
-                    points=points, selected=selected))
+            seen[name] = entry.selector
+            sweep = registry.get(name)
+            bad = _build_kwargs_problems(
+                sweep, entry.overrides,
+                doc.anchor("artifacts", index, "overrides"))
+            if bad:
+                problems.extend(bad)
+                continue
+            try:
+                points = tuple(sweep.build_points(**dict(entry.overrides)))
+            except Exception as exc:
+                problems.append(
+                    f"{doc.anchor('artifacts', index, 'overrides')}:"
+                    f" building {name!r} points failed:"
+                    f" {type(exc).__name__}: {exc}")
+                continue
+            selected = _filter_points(
+                points, entry, doc.anchor("artifacts", index, "points"),
+                problems)
+            compiled.append(CompiledEntry(
+                sweep=sweep, overrides=dict(entry.overrides),
+                points=points, selected=selected))
     if problems:
         raise SpecValidationError(problems)
     return CompiledSpec(spec=spec, entries=tuple(compiled))
@@ -400,9 +323,7 @@ __all__ = [
     "ExperimentSpec",
     "SpecLoadError",
     "SpecValidationError",
-    "applied_env",
     "compile_spec",
-    "knob_inventory",
     "load_and_compile",
     "load_spec",
 ]

@@ -206,21 +206,27 @@ class TestFactory:
         assert "known: " + ", ".join(scheduler_names()) in message
 
 
-class TestEnvOverride:
-    """REPRO_SCHEDULER overrides the config at controller construction."""
+class TestNoAmbientScheduler:
+    """A point's result depends only on its stated scheduler.
 
-    def test_env_override_selects_scheduler(self, monkeypatch):
-        from repro.core.config import jetson_nano_time_scaling
-        from repro.core.system import EasyDRAMSystem
+    ``REPRO_SCHEDULER`` used to replace every controller's configured
+    policy without entering the point cache key, so an ``fcfs`` run
+    stored its results under the ``fr-fcfs`` point ids.  The variable is
+    no longer read anywhere.
+    """
 
-        monkeypatch.setenv("REPRO_SCHEDULER", "atlas")
-        system = EasyDRAMSystem(jetson_nano_time_scaling())
-        assert system.smc.scheduler.name == "atlas"
-
-    def test_env_unset_uses_config_default(self, monkeypatch):
-        from repro.core.config import jetson_nano_time_scaling
-        from repro.core.system import EasyDRAMSystem
+    def test_fig16_point_ignores_the_environment(self, monkeypatch):
+        from repro.experiments import fig16_core_contention as fig16
 
         monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+        stated = fig16.sweep_point(cores=2, scheduler="fr-fcfs")
+        monkeypatch.setenv("REPRO_SCHEDULER", "fcfs")
+        assert fig16.sweep_point(cores=2, scheduler="fr-fcfs") == stated
+
+    def test_fresh_system_runs_its_configured_scheduler(self, monkeypatch):
+        from repro.core.config import jetson_nano_time_scaling
+        from repro.core.system import EasyDRAMSystem
+
+        monkeypatch.setenv("REPRO_SCHEDULER", "fcfs")
         system = EasyDRAMSystem(jetson_nano_time_scaling())
         assert system.smc.scheduler.name == "fr-fcfs"

@@ -144,6 +144,27 @@ class TestQueueDirect:
         assert queue.result(job.job_id) is None
         queue.shutdown()
 
+    def test_spec_env_section_fails_and_leaves_environ(self, store,
+                                                       tiny_artifact):
+        """A spec may not set environment knobs: the job fails naming
+        the key, and no pool thread writes the process environment."""
+        import os
+
+        before = dict(os.environ)
+        queue = JobQueue(store, workers=1)
+        job = queue.submit({"spec": (
+            "version: 1\n"
+            "name: env-spec\n"
+            "env:\n"
+            "  REPRO_SCHEDULER: fcfs\n"
+            "artifacts:\n"
+            "  - artifact: svc-tiny\n")})
+        queue.wait(job.job_id, timeout=60)
+        queue.shutdown()
+        assert job.state == "failed"
+        assert "unknown key 'env'" in job.error
+        assert dict(os.environ) == before
+
     def test_unknown_artifact_rejected_at_submit(self, store):
         import pytest
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import glob
+import json
 import os
 
 from repro.specs import (
@@ -48,8 +49,6 @@ class TestSpecHash:
             version: 1
             name: x
             description: d
-            env:
-              REPRO_FULL: "0"
             artifacts:
               - artifact: fig02
                 overrides:
@@ -60,7 +59,6 @@ class TestSpecHash:
         edits = [
             ("name: x", "name: y"),
             ("description: d", "description: e"),
-            ('REPRO_FULL: "0"', 'REPRO_FULL: "1"'),
             ("artifact: fig02", "artifact: fig16"),
             ("accesses: 100", "accesses: 200"),
             ('include: ["model-*"]', 'include: ["model-0"]'),
@@ -70,6 +68,18 @@ class TestSpecHash:
             edited = spec_file(base.replace(old, new),
                                name=f"edit{index}.yaml")
             assert spec_hash(load_spec(edited)) != reference, (old, new)
+
+    def test_default_spec_keeps_its_checked_in_digest(self):
+        # spec_hash promises stability across code changes: the hash
+        # input keeps the empty "env" slot that specs had before the
+        # section was removed, so recorded digests (HASHES.json, stored
+        # job rows) stay valid.  The literal also catches a lockfile
+        # regenerated to follow a changed hash input.
+        with open(os.path.join(REPO, "specs", "HASHES.json"),
+                  encoding="utf-8") as handle:
+            recorded = json.load(handle)["default.yaml"]
+        spec = load_spec(os.path.join(REPO, "specs", "default.yaml"))
+        assert spec_hash(spec) == recorded == "cec63aae18b5de01"
 
     def test_run_fingerprint_tracks_the_code(self, spec_file, monkeypatch):
         from repro.specs import hashing

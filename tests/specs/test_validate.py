@@ -8,7 +8,6 @@ from repro.specs import (
     SpecLoadError,
     SpecValidationError,
     compile_spec,
-    knob_inventory,
     load_and_compile,
     load_spec,
 )
@@ -66,30 +65,21 @@ class TestDocumentSchema:
         assert any("'artifacts' must be a non-empty list" in p
                    for p in problems_of(path))
 
-    def test_env_knob_name_and_value_checked(self, spec_file):
+    def test_env_section_is_an_unknown_key(self, spec_file):
+        # Specs no longer set environment knobs: a point's result must
+        # depend only on what the point states (its params).
         path = spec_file("""\
             version: 1
             name: x
             env:
-              NOT_A_KNOB: 1
-              REPRO_FULL: [1]
+              REPRO_FULL: "1"
             artifacts:
               - artifact: fig02
             """)
-        problems = problems_of(path)
-        assert any("'NOT_A_KNOB' must match REPRO_" in p for p in problems)
-        assert any("REPRO_FULL needs a scalar" in p for p in problems)
-
-    def test_yaml_bool_env_values_become_knob_strings(self, spec_file):
-        path = spec_file("""\
-            version: 1
-            name: x
-            env:
-              REPRO_FULL: true
-            artifacts:
-              - artifact: fig02
-            """)
-        assert load_spec(path).env == {"REPRO_FULL": "1"}
+        with pytest.raises(SpecValidationError) as err:
+            load_spec(path)
+        assert any(p.startswith(f"{path}:3:") and "unknown key 'env'" in p
+                   for p in err.value.problems)
 
     def test_entry_unknown_key_anchored(self, spec_file):
         path = spec_file("""\
@@ -137,19 +127,6 @@ class TestCompileCrossChecks:
         problems = problems_of(path)
         assert any("unknown artifact 'fig9'" in p and "did you mean" in p
                    for p in problems)
-
-    def test_unknown_env_knob_gets_suggestion(self, spec_file):
-        path = spec_file("""\
-            version: 1
-            name: x
-            env:
-              REPRO_FULLL: 1
-            artifacts:
-              - artifact: fig02
-            """)
-        problems = problems_of(path)
-        assert any("unknown knob REPRO_FULLL" in p
-                   and "REPRO_FULL" in p for p in problems)
 
     def test_unknown_override_names_the_accepted_ones(self, spec_file):
         path = spec_file("""\
@@ -225,7 +202,3 @@ class TestCompileCrossChecks:
         assert entry.filtered
         assert [p.point_id for p in entry.selected] == ["1core-fr-fcfs"]
 
-    def test_knob_inventory_sees_the_documented_knobs(self):
-        inventory = knob_inventory()
-        for knob in ("REPRO_FULL", "REPRO_JOBS", "REPRO_CACHE_DIR"):
-            assert knob in inventory

@@ -71,11 +71,6 @@ ENV_DOCS: dict[str, tuple[str, str]] = {
     "REPRO_RESULTS_DIR": (
         "`results/`",
         "Default `--out` directory for `repro run --format json|csv`."),
-    "REPRO_SCHEDULER": (
-        "config (`fr-fcfs`)",
-        "Overrides the controller's scheduling policy at construction:"
-        " `atlas`, `batch`, `bliss`, `fcfs`, or `fr-fcfs` (see"
-        " `repro.core.schedulers.SCHEDULERS`)."),
     "REPRO_SERVE_BACKEND": (
         "`auto`",
         "SQL backend for the `repro serve` result store: `auto` uses"
