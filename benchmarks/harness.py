@@ -85,9 +85,10 @@ def _fig08(session, fast: bool) -> None:
         session.run_trace(lmbench.pointer_chase_blocks(
             FIG08_WORKING_SET, FIG08_CHASE_ACCESSES, base_addr=0))
     else:
-        session.run_trace(microbench.touch_trace(0, FIG08_WORKING_SET))
-        session.run_trace(lmbench.pointer_chase(
-            FIG08_WORKING_SET, FIG08_CHASE_ACCESSES, base_addr=0))
+        session.run_trace(
+            microbench.touch_blocks(0, FIG08_WORKING_SET).accesses())
+        session.run_trace(lmbench.pointer_chase_blocks(
+            FIG08_WORKING_SET, FIG08_CHASE_ACCESSES, base_addr=0).accesses())
 
 
 def _fig10_copy(session, fast: bool) -> None:
@@ -95,8 +96,8 @@ def _fig10_copy(session, fast: bool) -> None:
         session.run_trace(microbench.cpu_copy_blocks(
             COPY_SRC, COPY_DST, COPY_BYTES))
     else:
-        session.run_trace(microbench.cpu_copy_trace(
-            COPY_SRC, COPY_DST, COPY_BYTES))
+        session.run_trace(microbench.cpu_copy_blocks(
+            COPY_SRC, COPY_DST, COPY_BYTES).accesses())
 
 
 #: workload name -> driver(session, fast)

@@ -36,9 +36,9 @@ ROUNDS = 3
 
 
 def _fig08_workload(session) -> None:
-    session.run_trace(microbench.touch_trace(0, WORKING_SET_BYTES))
-    session.run_trace(lmbench.pointer_chase(
-        WORKING_SET_BYTES, CHASE_ACCESSES, base_addr=0))
+    session.run_trace(microbench.touch_blocks(0, WORKING_SET_BYTES).accesses())
+    session.run_trace(lmbench.pointer_chase_blocks(
+        WORKING_SET_BYTES, CHASE_ACCESSES, base_addr=0).accesses())
 
 
 def _run(engine: str) -> tuple[dict, float, object]:

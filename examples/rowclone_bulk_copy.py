@@ -19,7 +19,7 @@ import sys
 
 from repro import EasyDRAMSystem, jetson_nano_time_scaling
 from repro.core.techniques import RowCloneTechnique
-from repro.workloads.microbench import cpu_copy_trace, touch_trace
+from repro.workloads.microbench import cpu_copy_blocks, touch_blocks
 
 SRC, DST = 0, 1 << 26
 
@@ -30,7 +30,7 @@ def main() -> None:
 
     # --- CPU baseline -----------------------------------------------------
     cpu_system = EasyDRAMSystem(jetson_nano_time_scaling())
-    cpu = cpu_system.run(cpu_copy_trace(SRC, DST, size), "cpu-copy")
+    cpu = cpu_system.run(cpu_copy_blocks(SRC, DST, size), "cpu-copy")
     print(f"CPU copy of {size_kib} KiB: {cpu.emulated_seconds * 1e6:.2f} us"
           f" ({cpu.accesses} ld/st accesses,"
           f" {cpu.llc_miss_requests} DRAM fills)")
@@ -55,7 +55,7 @@ def main() -> None:
     fl_session = fl_system.session("rowclone-clflush")
     fl_technique = RowCloneTechnique(fl_session)
     fl_plan = fl_technique.plan_copy(size, base_addr=SRC)
-    fl_session.run_trace(touch_trace(SRC, size, write=True))  # dirty the src
+    fl_session.run_trace(touch_blocks(SRC, size, write=True))  # dirty the src
     start = fl_session.processor.cycles
     fl_technique.execute_copy(fl_plan, clflush=True)
     flush_result = fl_session.finish()

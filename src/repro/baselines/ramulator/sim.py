@@ -5,18 +5,23 @@ CPU/memory clock ratio, exactly the structure of a conventional
 cycle-level DRAM simulator.  The per-cycle stepping is what makes the
 baseline slower than EasyDRAM's event-driven emulation — the property
 Figure 14 measures.
+
+Workloads arrive as :class:`~repro.cpu.blocks.BlockTrace` streams, the
+same access blocks the emulator replays; ``max_accesses`` cuts the
+stream (:func:`~repro.cpu.blocks.cut`) before the core reads it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.baselines.ramulator.controller import FrFcfsController, MemRequest
 from repro.baselines.ramulator.dram_model import DramTimingModel
 from repro.baselines.ramulator.frontend import CoreFrontend
+from repro.cpu.blocks import AccessBlock, cut
 from repro.cpu.cache import Cache, CacheHierarchy
-from repro.cpu.memtrace import Trace, take
 from repro.dram.address import AddressMapper, Geometry
 from repro.dram.timing import TimingParams, ddr4_1333
 
@@ -116,10 +121,13 @@ class RamulatorSim:
 
     # -- main loop ----------------------------------------------------------------
 
-    def run(self, trace: Trace, workload_name: str = "workload") -> BaselineResult:
+    def run(self, trace: Iterable[AccessBlock],
+            workload_name: str = "workload") -> BaselineResult:
+        """Simulate a block trace (a :class:`~repro.cpu.blocks.BlockTrace`
+        or any iterable of blocks) to completion."""
         cfg = self.config
         if cfg.max_accesses is not None:
-            trace = take(trace, cfg.max_accesses)
+            trace = cut(trace, cfg.max_accesses)
         core = CoreFrontend(self.hierarchy, trace, self._issue_miss, mlp=cfg.mlp)
         ratio = cfg.cpu_freq_hz / cfg.mem_freq_hz
         wall_start = time.perf_counter()

@@ -5,11 +5,8 @@ from repro.cpu.memtrace import (
     FLAG_DEPENDENT,
     FLAG_WRITE,
     Access,
-    TraceStats,
     load,
     store,
-    summarize,
-    take,
 )
 from repro.cpu.processor import (
     BurstResult,
@@ -32,9 +29,6 @@ __all__ = [
     "Processor",
     "ProcessorConfig",
     "ProcessorStats",
-    "TraceStats",
     "load",
     "store",
-    "summarize",
-    "take",
 ]

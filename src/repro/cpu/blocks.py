@@ -8,21 +8,24 @@ replay) where the object pipeline paid per-access generator resumption
 and allocation.
 
 A :class:`BlockTrace` is a single-use stream of blocks, exactly like an
-``Iterator[Access]`` is a single-use stream of accesses.  It carries a
-compatibility view (:meth:`BlockTrace.accesses`) that re-yields the
-identical per-access stream, which is what every workload's per-access
-trace function returns — block builders are the source of truth, the
-iterators are thin views.
+``Iterator[Access]`` is a single-use stream of accesses.  Blocks are
+the one trace format of production: every built-in workload builds
+them, and both the emulator and the cycle-level baseline
+(:mod:`repro.baselines.ramulator`) read them.  Hand-written traces
+(``load``/``store`` lists) enter through :func:`blockify`, and
+:func:`cut` keeps a stream's first ``n`` accesses.  The per-access
+view (:meth:`BlockTrace.accesses`) re-yields the identical access
+stream for the processor's per-access reference replay and for tests.
 
 Blocks hold C-contiguous ``int64`` NumPy arrays, one representation
 from builder to consumer.  The production consumer is the resident
 replay (:mod:`repro.dram.kernel.blockrun`), which hands the arrays to
 the compiled kernel as they are; builders compute them with bulk NumPy
 and never round-trip through Python lists.  The Python consumers —
-the burst loop, the Python cache filter, the per-access view —
-convert a block to lists once, when they take it (``ndarray.tolist()``
-is a bulk operation, and CPython list indexing beats NumPy scalar
-access by an order of magnitude).  Blocks are never mutated after
+the burst loop, the Python cache filter, the baseline's core
+frontend, the per-access view — convert a block to lists once, when
+they take it (``ndarray.tolist()`` is a bulk operation, and CPython
+list indexing beats NumPy scalar access by an order of magnitude).  Blocks are never mutated after
 construction, so :class:`MaterializedBlocks` can share them between
 runs.
 """
@@ -30,7 +33,7 @@ runs.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -119,11 +122,6 @@ class MaterializedBlocks:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    @property
-    def accesses(self) -> int:
-        """Total accesses across every block."""
-        return sum(len(block) for block in self.blocks)
-
     def trace(self) -> BlockTrace:
         """A fresh single-use :class:`BlockTrace` view over the blocks."""
         return BlockTrace(iter(self.blocks))
@@ -156,7 +154,28 @@ def blockify(trace: Iterable[Access], block: int | None = None) -> BlockTrace:
     return BlockTrace(chunks())
 
 
-def from_builder(builder: Callable[[int], Iterator[AccessBlock]],
-                 block: int | None = None) -> BlockTrace:
-    """Wrap a block-size-parameterized builder into a :class:`BlockTrace`."""
-    return BlockTrace(builder(block or BLOCK_ACCESSES))
+def cut(trace: Iterable[AccessBlock], n: int) -> BlockTrace:
+    """The first ``n`` accesses of a block stream (partial-workload
+    simulation).
+
+    Blocks pass through whole up to the cap; the block that reaches it
+    is sliced (views, no copy), and no block after it is pulled.
+    """
+
+    def chunks() -> Iterator[AccessBlock]:
+        left = n
+        if left <= 0:
+            return
+        for block in trace:
+            size = len(block)
+            if size < left:
+                left -= size
+                yield block
+                continue
+            if size > left:
+                block = AccessBlock(block.addr[:left], block.flags[:left],
+                                    block.gap[:left])
+            yield block
+            return
+
+    return BlockTrace(chunks())

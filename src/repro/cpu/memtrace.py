@@ -1,7 +1,11 @@
-"""Memory-access trace records.
+"""Memory-access records: the vocabulary of every trace.
 
-Workloads are lazy generators of :class:`Access` tuples so multi-million
-access kernels never materialize in memory.  Each access carries:
+Workloads store accesses as the parallel arrays of
+:class:`~repro.cpu.blocks.AccessBlock` chunks.  This module defines the
+flag bits those arrays use and the one-access :class:`Access` tuple,
+built with :func:`load`/:func:`store` for hand-written traces (which
+:func:`~repro.cpu.blocks.blockify` turns into blocks).  Each access
+carries:
 
 ``addr``
     physical byte address;
@@ -15,8 +19,7 @@ access kernels never materialize in memory.  Each access carries:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 FLAG_WRITE = 1
 FLAG_DEPENDENT = 2
@@ -49,44 +52,3 @@ def store(addr: int, gap: int = 0) -> Access:
 
 
 Trace = Iterable[Access]
-
-
-@dataclass
-class TraceStats:
-    """Summary statistics of a trace (used to sanity-check workloads)."""
-
-    accesses: int = 0
-    reads: int = 0
-    writes: int = 0
-    compute_cycles: int = 0
-    unique_lines: set = field(default_factory=set)
-    line_bytes: int = 64
-
-    def observe(self, access: Access) -> None:
-        self.accesses += 1
-        if access.flags & FLAG_WRITE:
-            self.writes += 1
-        else:
-            self.reads += 1
-        self.compute_cycles += access.gap
-        self.unique_lines.add(access.addr // self.line_bytes)
-
-    @property
-    def footprint_bytes(self) -> int:
-        return len(self.unique_lines) * self.line_bytes
-
-
-def summarize(trace: Trace, line_bytes: int = 64) -> TraceStats:
-    """Consume a trace and return its statistics."""
-    stats = TraceStats(line_bytes=line_bytes)
-    for access in trace:
-        stats.observe(access)
-    return stats
-
-
-def take(trace: Trace, n: int) -> Iterator[Access]:
-    """First ``n`` accesses of a trace (partial-workload simulation)."""
-    for i, access in enumerate(trace):
-        if i >= n:
-            return
-        yield access

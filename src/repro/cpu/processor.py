@@ -171,9 +171,12 @@ class Processor:
         """Queue another trace segment (sessions mix traces and techniques).
 
         A :class:`~repro.cpu.blocks.BlockTrace` takes the array-native
-        replay path (cache traffic precomputed one block at a time); any
-        other trace replays access by access.  Both paths produce the
-        same requests, cycles, and statistics.
+        replay path (cache traffic precomputed one block at a time), the
+        one every production workload uses.  Any other iterable of
+        :class:`~repro.cpu.memtrace.Access` replays access by access:
+        that is the per-access reference path (the object oracle's
+        baseline in ``benchmarks/harness.py``), never the kernel.  Both
+        paths produce the same requests, cycles, and statistics.
         """
         self._pending = None
         self._done = False

@@ -17,29 +17,32 @@ individual mechanisms (DESIGN.md section 6):
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.analysis import format_table
 from repro.core.config import jetson_nano_time_scaling, validation_reference
 from repro.core.schedulers import make_scheduler
 from repro.core.system import EasyDRAMSystem
 from repro.core.techniques.trcd import TrcdReductionTechnique
 from repro.core.timescale import ClockDomain
-from repro.cpu.memtrace import load
+from repro.cpu.blocks import AccessBlock, BlockTrace
 from repro.cpu.processor import ProcessorConfig
 from repro.profiling.characterize import oracle_characterize
 from repro.runner import SweepPoint, SweepSpec, register
 from repro.workloads.microbench import cpu_copy_blocks
 
 
-def _locality_trace(system, rows: int = 8, lines_per_row: int = 48):
+def _locality_trace(system, rows: int = 8,
+                    lines_per_row: int = 48) -> BlockTrace:
     """Interleave accesses across a few rows of two banks: FR-FCFS can
     batch row hits that FCFS serves in arrival (thrashing) order."""
     mapper = system.mapper
-    trace = []
-    for i in range(rows * lines_per_row):
-        row = i % rows
-        base = mapper.row_base_physical(row % 2, 10 + row)
-        trace.append(load(base + (i // rows % lines_per_row) * 64, gap=1))
-    return trace
+    bases = np.array([mapper.row_base_physical(row % 2, 10 + row)
+                      for row in range(rows)], dtype=np.int64)
+    i = np.arange(rows * lines_per_row, dtype=np.int64)
+    addr = bases[i % rows] + (i // rows % lines_per_row) * 64
+    return BlockTrace([AccessBlock(addr, np.zeros_like(addr),
+                                   np.ones_like(addr))])
 
 
 def scheduler_ablation() -> dict:
@@ -106,8 +109,10 @@ def quantization_sweep(
     The coarser the clock that measures DRAM durations, the larger the
     time-scaling residual — the mechanism behind Section 6's <0.1 %.
     """
-    def trace():
-        return [load(i * 64, gap=2) for i in range(accesses)]
+    def trace() -> BlockTrace:
+        addr = np.arange(accesses, dtype=np.int64) * 64
+        return BlockTrace([AccessBlock(addr, np.zeros_like(addr),
+                                       np.full_like(addr, 2))])
 
     ref = EasyDRAMSystem(validation_reference(
         bender_domain=ClockDomain("bender", 1e9, 1e9))).run(trace(), "ref")

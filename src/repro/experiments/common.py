@@ -11,11 +11,6 @@ from __future__ import annotations
 
 import os
 
-from repro.core.config import SystemConfig
-from repro.core.system import EasyDRAMSystem
-from repro.core.stats import RunResult
-from repro.cpu.memtrace import Trace
-
 
 def full_runs_enabled() -> bool:
     """Whether to run paper-scale sweeps (slow) instead of CI-scale."""
@@ -38,11 +33,6 @@ def default_jobs() -> int:
 
 def polybench_size() -> str:
     return "small" if full_runs_enabled() else "mini"
-
-
-def run_easydram(config: SystemConfig, trace: Trace, name: str) -> RunResult:
-    """One fresh EasyDRAM run of a trace."""
-    return EasyDRAMSystem(config).run(trace, workload_name=name)
 
 
 def scaled_cache_overrides() -> dict:

@@ -64,12 +64,12 @@ def sweep_point(kernel: str, size: str) -> dict:
     easy = base.emulated_ps / fast.emulated_ps
 
     ram_base = RamulatorSim(RamulatorConfig(max_accesses=RAMULATOR_CAP)).run(
-        polybench.trace(kernel, size), kernel)
+        polybench.trace_blocks(kernel, size), kernel)
     sim_fast = RamulatorSim(RamulatorConfig(max_accesses=RAMULATOR_CAP))
     sim_fast.controller.trcd_cycles_for = (
         lambda bank, row: reduced_c
         if characterization.min_trcd(bank, row) <= ns(9.0) else nominal_c)
-    ram_fast = sim_fast.run(polybench.trace(kernel, size), kernel)
+    ram_fast = sim_fast.run(polybench.trace_blocks(kernel, size), kernel)
     ram = ram_base.cpu_cycles / max(1, ram_fast.cpu_cycles)
     return {
         "easydram": easy,

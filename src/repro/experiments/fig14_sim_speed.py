@@ -29,8 +29,7 @@ from repro.analysis import bar_chart, format_table, geomean
 from repro.baselines.ramulator import RamulatorConfig, RamulatorSim
 from repro.core.config import jetson_nano_time_scaling
 from repro.core.system import EasyDRAMSystem
-from repro.cpu.blocks import BlockTrace
-from repro.cpu.memtrace import take
+from repro.cpu.blocks import BlockTrace, cut
 from repro.experiments.common import polybench_size, scaled_cache_overrides
 from repro.runner import SweepPoint, SweepSpec, register
 from repro.workloads import polybench
@@ -82,9 +81,10 @@ def sweep_point(kernel: str, size: str) -> dict:
     """
     config = jetson_nano_time_scaling(**scaled_cache_overrides())
     # Each platform times simulation only: the kernel's trace is built
-    # once, up front, and every timed run replays the same accesses.
+    # (and cut to the baseline's cap) once, up front, and every timed run
+    # replays the same blocks.
     blocks = list(polybench.trace_blocks(kernel, size))
-    accesses = list(take(BlockTrace(blocks).accesses(), RAMULATOR_CAP))
+    capped = list(cut(blocks, RAMULATOR_CAP))
     # The serve kernel (REPRO_KERNEL) collapses memory-service host time
     # so far that it would swamp the engine-comparison axis this figure
     # isolates — the memory-bound kernels would suddenly "gain" the most,
@@ -100,7 +100,7 @@ def sweep_point(kernel: str, size: str) -> dict:
             lambda: EasyDRAMSystem(config, engine="cycle").run(
                 BlockTrace(blocks), kernel),
             lambda: RamulatorSim(RamulatorConfig(
-                max_accesses=RAMULATOR_CAP)).run(iter(accesses), kernel))
+                max_accesses=RAMULATOR_CAP)).run(BlockTrace(capped), kernel))
     finally:
         if prior is None:
             os.environ.pop("REPRO_KERNEL", None)

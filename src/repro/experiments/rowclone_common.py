@@ -31,9 +31,7 @@ from repro.core.techniques.rowclone import RowCloneTechnique
 from repro.experiments.common import full_runs_enabled
 from repro.workloads.microbench import (
     cpu_copy_blocks,
-    cpu_copy_trace,
     cpu_init_blocks,
-    cpu_init_trace,
     touch_blocks,
 )
 
@@ -121,10 +119,10 @@ def measure_ramulator(workload: str, size: int, clflush: bool) -> Point:
     cap = RAMULATOR_ACCESS_CAP
     sim = RamulatorSim(RamulatorConfig(max_accesses=cap))
     if workload == "copy":
-        trace = cpu_copy_trace(SRC_BASE, DST_BASE, size)
+        trace = cpu_copy_blocks(SRC_BASE, DST_BASE, size)
         total_accesses = 2 * lines
     else:
-        trace = cpu_init_trace(DST_BASE, size)
+        trace = cpu_init_blocks(DST_BASE, size)
         total_accesses = lines
     result = sim.run(trace, f"{workload}-{size}")
     # Extrapolate the capped simulation to the full size (the baseline's

@@ -23,7 +23,7 @@ def sweep_point(kernel: str, size: str) -> dict:
     easy = EasyDRAMSystem(jetson_nano_time_scaling()).run(
         polybench.trace_blocks(kernel, size), kernel)
     ram = RamulatorSim(RamulatorConfig()).run(
-        polybench.trace(kernel, size), kernel)
+        polybench.trace_blocks(kernel, size), kernel)
     # Cycles the modeled FPGA platform would evaluate per second of FPGA
     # wall time (the paper's Table 1 metric for hardware platforms).
     easy_fpga_rate = easy.cycles / max(easy.estimated_fpga_seconds, 1e-12)

@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.cpu.blocks import BLOCK_ACCESSES, AccessBlock, BlockTrace
-from repro.cpu.memtrace import FLAG_DEPENDENT, Access
+from repro.cpu.memtrace import FLAG_DEPENDENT
 
 #: Working-set sizes of Figure 8 (1 KiB .. 16 MiB).
 FIG8_SIZES_KIB = (
@@ -86,14 +86,6 @@ def pointer_chase_blocks(size_bytes: int, accesses: int, line_bytes: int = 64,
             yield AccessBlock(addr, flags[:count], gaps[:count])
 
     return BlockTrace(chunks())
-
-
-def pointer_chase(size_bytes: int, accesses: int, line_bytes: int = 64,
-                  base_addr: int = 1 << 22, seed: int = 7,
-                  gap: int = 1) -> Iterator[Access]:
-    """Dependent-load chase (per-access shim over the block builder)."""
-    yield from pointer_chase_blocks(
-        size_bytes, accesses, line_bytes, base_addr, seed, gap).accesses()
 
 
 def accesses_for(size_bytes: int, min_accesses: int = 4096,

@@ -9,10 +9,9 @@ Accesses are modeled at cache-line granularity: one load/store per 64 B
 line with a ``gap`` accounting for the other seven register-width
 load/store pairs the core executes per line.
 
-The primary generators emit :class:`~repro.cpu.blocks.AccessBlock`
-chunks (address arithmetic is bulk NumPy/array math, not one namedtuple
-per access); the ``*_trace`` iterators are thin compatibility shims over
-the block builders and yield the exact same access stream.
+The generators emit :class:`~repro.cpu.blocks.AccessBlock` chunks
+(address arithmetic is bulk NumPy/array math, not one namedtuple per
+access).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.cpu.blocks import BLOCK_ACCESSES, AccessBlock, BlockTrace
-from repro.cpu.memtrace import Access
 
 #: Array sizes of Figures 10/11 (8 KiB .. 16 MiB).
 FIG10_SIZES = tuple(8 * 1024 * (1 << i) for i in range(12))
@@ -55,13 +53,6 @@ def cpu_copy_blocks(src_base: int, dst_base: int, size_bytes: int,
     return BlockTrace(chunks())
 
 
-def cpu_copy_trace(src_base: int, dst_base: int, size_bytes: int,
-                   line_bytes: int = 64) -> Iterator[Access]:
-    """CPU-copy as a per-access iterator (shim over the block builder)."""
-    yield from cpu_copy_blocks(src_base, dst_base, size_bytes,
-                               line_bytes).accesses()
-
-
 def cpu_init_blocks(dst_base: int, size_bytes: int, line_bytes: int = 64,
                     block: int | None = None) -> BlockTrace:
     """CPU-init: streaming stores of a fill pattern (block-native)."""
@@ -78,12 +69,6 @@ def cpu_init_blocks(dst_base: int, size_bytes: int, line_bytes: int = 64,
                               np.full(count, 2 * _LINE_GAP, np.int64))
 
     return BlockTrace(chunks())
-
-
-def cpu_init_trace(dst_base: int, size_bytes: int,
-                   line_bytes: int = 64) -> Iterator[Access]:
-    """CPU-init as a per-access iterator (shim over the block builder)."""
-    yield from cpu_init_blocks(dst_base, size_bytes, line_bytes).accesses()
 
 
 def touch_blocks(base: int, size_bytes: int, line_bytes: int = 64,
@@ -103,12 +88,6 @@ def touch_blocks(base: int, size_bytes: int, line_bytes: int = 64,
                               np.ones(count, np.int64))
 
     return BlockTrace(chunks())
-
-
-def touch_trace(base: int, size_bytes: int, line_bytes: int = 64,
-                write: bool = False) -> Iterator[Access]:
-    """Touch every line once (per-access shim over the block builder)."""
-    yield from touch_blocks(base, size_bytes, line_bytes, write).accesses()
 
 
 def channel_stream_blocks(mapper, lines_per_channel: int,

@@ -26,7 +26,7 @@ provided (``mini`` < ``small`` < ``large``); experiments default to
 ``small`` and unit tests to ``mini``.
 
 Every kernel is registered in :data:`KERNELS`; use :func:`trace_blocks`
-to instantiate one (:func:`trace` is its per-access view).
+to instantiate one.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from repro.cpu.blocks import BLOCK_ACCESSES, AccessBlock, BlockTrace
-from repro.cpu.memtrace import FLAG_WRITE, Access
+from repro.cpu.memtrace import FLAG_WRITE
 
 ELEM = 8  # sizeof(double)
 
@@ -316,16 +316,6 @@ def trace_blocks(name: str, size: str = "small",
     except KeyError:
         raise KeyError(f"unknown size class {size!r}; known: {sorted(sizes)}") from None
     return BlockTrace(_cut(fn(dims), block or BLOCK_ACCESSES))
-
-
-def trace(name: str, size: str = "small") -> Iterator[Access]:
-    """A kernel's memory trace, one :class:`Access` at a time.
-
-    The per-access view of :func:`trace_blocks`, for consumers that take
-    plain access iterators (the Ramulator baseline); the emulator's
-    replay takes the blocks directly.
-    """
-    return trace_blocks(name, size).accesses()
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ import pytest
 
 from repro.baselines.ramulator import RamulatorConfig, RamulatorSim
 from repro.baselines.ramulator.dram_model import DramTimingModel
+from repro.cpu.blocks import blockify
 from repro.cpu.memtrace import load, store
 from repro.dram.address import Geometry
 from repro.dram.timing import ddr4_1333
 
 
 def stream(n, stride=64, gap=1):
-    return [load(i * stride, gap=gap) for i in range(n)]
+    return blockify([load(i * stride, gap=gap) for i in range(n)])
 
 
 class TestTimingModel:
@@ -80,13 +81,14 @@ class TestSimulation:
         assert a.cpu_cycles == b.cpu_cycles
 
     def test_cache_filters_repeats(self):
-        trace = stream(20) + [load(0, gap=1) for _ in range(500)]
-        result = RamulatorSim().run(trace, "hits")
+        trace = ([load(i * 64, gap=1) for i in range(20)]
+                 + [load(0, gap=1) for _ in range(500)])
+        result = RamulatorSim().run(blockify(trace), "hits")
         assert result.llc_misses <= 21
 
     def test_read_latency_in_plausible_band(self):
-        result = RamulatorSim().run(
-            [load(i * 64, gap=40, dependent=True) for i in range(300)],
+        result = RamulatorSim().run(blockify(
+            [load(i * 64, gap=40, dependent=True) for i in range(300)]),
             "chase")
         # A full row-miss access is ~tRCD+tCL+tBL ~= 21 mem cycles; with
         # queueing it stays well under 100.
@@ -99,14 +101,14 @@ class TestSimulation:
 
     def test_refresh_issued_on_long_runs(self):
         trace = [load(i * 64, gap=300) for i in range(2000)]
-        result = RamulatorSim().run(trace, "long")
+        result = RamulatorSim().run(blockify(trace), "long")
         assert result.refreshes > 0
 
     def test_writebacks_reach_dram(self):
         config = RamulatorConfig(l2_size=8 * 1024, l1_size=1024,
                                  l1_assoc=2)
         trace = [store(i * 64, gap=1) for i in range(1000)]
-        result = RamulatorSim(config).run(trace, "wb")
+        result = RamulatorSim(config).run(blockify(trace), "wb")
         assert result.writes > 0
 
     def test_rowclone_cycles_scale_with_rows(self):
@@ -114,10 +116,10 @@ class TestSimulation:
         assert sim.rowclone_rows_cycles(10) == 10 * sim.rowclone_rows_cycles(1)
 
     def test_dependent_trace_serializes(self):
-        dep = RamulatorSim().run(
-            [load(i * 64, gap=1, dependent=True) for i in range(200)], "dep")
-        indep = RamulatorSim().run(
-            [load(i * 64, gap=1) for i in range(200)], "indep")
+        dep = RamulatorSim().run(blockify(
+            [load(i * 64, gap=1, dependent=True) for i in range(200)]), "dep")
+        indep = RamulatorSim().run(blockify(
+            [load(i * 64, gap=1) for i in range(200)]), "indep")
         assert dep.cpu_cycles > indep.cpu_cycles
 
 
@@ -132,5 +134,5 @@ class TestRelativePerformance:
             return [load((i % 64) * 64, gap=60) for i in range(4000)]
 
         easy = EasyDRAMSystem(jetson_nano_time_scaling()).run(trace(), "w")
-        ram = RamulatorSim().run(trace(), "w")
+        ram = RamulatorSim().run(blockify(trace()), "w")
         assert easy.sim_speed_hz > ram.sim_speed_hz

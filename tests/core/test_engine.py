@@ -84,19 +84,25 @@ def assert_equivalent(config_factory, driver):
 
 
 # -- workload drivers ---------------------------------------------------------
+#
+# The drivers feed per-access views (``.accesses()``): these suites compare
+# the two engines' serve paths batch by batch, and a block trace would take
+# the event engine into the resident kernel replay instead.
 
 
 def chase_driver(session):
-    session.run_trace(microbench.touch_trace(0, 96 * 1024))
-    session.run_trace(lmbench.pointer_chase(96 * 1024, 3000, base_addr=0))
+    session.run_trace(microbench.touch_blocks(0, 96 * 1024).accesses())
+    session.run_trace(lmbench.pointer_chase_blocks(
+        96 * 1024, 3000, base_addr=0).accesses())
 
 
 def writeback_driver(session):
     # A store stream larger than the L2 forces dirty evictions, so the
     # batch mixes fills and posted writebacks (WR commands).
     size = session.hierarchy.l2.size_bytes * 2
-    session.run_trace(microbench.cpu_init_trace(0, size))
-    session.run_trace(microbench.cpu_copy_trace(0, size, size // 2))
+    session.run_trace(microbench.cpu_init_blocks(0, size).accesses())
+    session.run_trace(
+        microbench.cpu_copy_blocks(0, size, size // 2).accesses())
 
 
 def gap_driver(session):
@@ -108,12 +114,14 @@ def gap_driver(session):
 
 
 def technique_driver(session):
-    session.run_trace(microbench.touch_trace(0, 32 * 1024, write=True))
+    session.run_trace(
+        microbench.touch_blocks(0, 32 * 1024, write=True).accesses())
     session.technique_op(lambda api: api.rowclone(0, 1, 2))
     session.clflush_range(0, 64 * 64)
-    session.run_trace(lmbench.pointer_chase(64 * 1024, 800, base_addr=0))
+    session.run_trace(lmbench.pointer_chase_blocks(
+        64 * 1024, 800, base_addr=0).accesses())
     session.technique_op(lambda api: api.rowclone(1, 3, 4))
-    session.run_trace(microbench.cpu_init_trace(0, 32 * 1024))
+    session.run_trace(microbench.cpu_init_blocks(0, 32 * 1024).accesses())
 
 
 class TestEngineEquivalence:
@@ -156,7 +164,7 @@ class TestEngineEquivalence:
                 api.read_sequence(entry.dram)
 
         system.smc.serve_hook = hook
-        session.run_trace(microbench.touch_trace(0, 64 * 1024))
+        session.run_trace(microbench.touch_blocks(0, 64 * 1024).accesses())
         session.finish()
         assert calls, "hook never saw a request"
         assert session.engine.stats.fallback_episodes > 0

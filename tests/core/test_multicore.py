@@ -199,7 +199,8 @@ class TestWorkloadMix:
         for core in range(mix.cores):
             base = mix.region_base(core)
             rebased = (Access(a.addr + base, a.flags, a.gap)
-                       for a in polybench.trace("gemm", "mini"))
+                       for a in polybench.trace_blocks(
+                           "gemm", "mini").accesses())
             def columns(blocks):
                 return [(b.addr.tolist(), b.flags.tolist(), b.gap.tolist())
                         for b in blocks]

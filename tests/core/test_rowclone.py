@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import jetson_nano_time_scaling
 from repro.core.system import EasyDRAMSystem
 from repro.core.techniques.rowclone import RowCloneTechnique
-from repro.workloads.microbench import cpu_copy_trace
+from repro.workloads.microbench import cpu_copy_blocks
 
 
 @pytest.fixture
@@ -143,7 +143,7 @@ class TestSpeedupShape:
         """The core claim: in-DRAM copy is much faster than ld/st copy."""
         size = 8 * 8192
         cpu = EasyDRAMSystem(jetson_nano_time_scaling()).run(
-            cpu_copy_trace(0, 1 << 24, size), "cpu")
+            cpu_copy_blocks(0, 1 << 24, size), "cpu")
         session = EasyDRAMSystem(jetson_nano_time_scaling()).session("rc")
         technique = RowCloneTechnique(session)
         plan = technique.plan_copy(size)

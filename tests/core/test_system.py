@@ -10,7 +10,7 @@ from repro.core.config import (
 )
 from repro.core.system import EasyDRAMSystem
 from repro.cpu.memtrace import load, store
-from repro.workloads.lmbench import pointer_chase
+from repro.workloads.lmbench import pointer_chase_blocks
 
 
 def stream(n, stride=64, gap=1, base=0):
@@ -149,14 +149,16 @@ class TestTimeScalingBehaviour:
         """The Jetson config's main-memory load latency must fall in the
         150-190 cycle band the paper's Figure 8 shows for the A57."""
         system = EasyDRAMSystem(jetson_nano_time_scaling())
-        result = system.run(pointer_chase(4 * 1024 * 1024, 4000), "chase")
+        result = system.run(pointer_chase_blocks(4 * 1024 * 1024, 4000),
+                            "chase")
         assert 120 < result.cycles_per_access < 220
 
     def test_no_ts_memory_latency_is_deflated(self):
         """Without time scaling few processor cycles pass per access —
         the evaluation-skew pathology of Sections 3 and 6."""
         system = EasyDRAMSystem(pidram_no_time_scaling())
-        result = system.run(pointer_chase(4 * 1024 * 1024, 4000), "chase")
+        result = system.run(pointer_chase_blocks(4 * 1024 * 1024, 4000),
+                            "chase")
         assert result.cycles_per_access < 60
 
     def test_validation_error_small_even_on_dense_stream(self):

@@ -1,4 +1,5 @@
-"""Block-trace frontend: builders, shims, and processor equivalence."""
+"""Block-trace frontend: builders, the per-access view, and processor
+equivalence."""
 
 from __future__ import annotations
 
@@ -43,47 +44,49 @@ class TestAccessBlock:
 
 
 class TestWorkloadBuilders:
-    """Block builders and their iterator shims emit identical streams."""
+    """Builders emit the same access stream at every block size."""
 
     def test_cpu_copy(self):
-        shim = as_list(microbench.cpu_copy_trace(0, 1 << 20, 5 * 64))
+        stream = as_list(microbench.cpu_copy_blocks(
+            0, 1 << 20, 5 * 64).accesses())
         blocks = microbench.cpu_copy_blocks(0, 1 << 20, 5 * 64, block=4)
-        assert [a for b in blocks for a in b.accesses()] == shim
-        assert shim[0] == Access(0, 0, 7)          # load src
-        assert shim[1] == Access(1 << 20, 1, 7)    # store dst
+        assert [a for b in blocks for a in b.accesses()] == stream
+        assert stream[0] == Access(0, 0, 7)          # load src
+        assert stream[1] == Access(1 << 20, 1, 7)    # store dst
 
     def test_cpu_init(self):
-        shim = as_list(microbench.cpu_init_trace(1 << 16, 9 * 64))
+        stream = as_list(microbench.cpu_init_blocks(1 << 16, 9 * 64).accesses())
         blocks = microbench.cpu_init_blocks(1 << 16, 9 * 64, block=4)
-        assert [a for b in blocks for a in b.accesses()] == shim
-        assert all(a.is_write for a in shim)
+        assert [a for b in blocks for a in b.accesses()] == stream
+        assert all(a.is_write for a in stream)
 
     def test_touch(self):
         for write in (False, True):
-            shim = as_list(microbench.touch_trace(128, 6 * 64, write=write))
+            stream = as_list(microbench.touch_blocks(
+                128, 6 * 64, write=write).accesses())
             blocks = microbench.touch_blocks(128, 6 * 64, write=write, block=5)
-            assert [a for b in blocks for a in b.accesses()] == shim
+            assert [a for b in blocks for a in b.accesses()] == stream
+            assert all(a.is_write == write for a in stream)
 
     def test_pointer_chase(self):
-        shim = as_list(lmbench.pointer_chase(4096, 150, seed=11))
+        stream = as_list(lmbench.pointer_chase_blocks(
+            4096, 150, seed=11).accesses())
         blocks = lmbench.pointer_chase_blocks(4096, 150, seed=11, block=16)
-        assert [a for b in blocks for a in b.accesses()] == shim
-        assert all(a.is_dependent for a in shim)
+        assert [a for b in blocks for a in b.accesses()] == stream
+        assert all(a.is_dependent for a in stream)
 
-    def test_pointer_chase_too_small_raises_lazily(self):
-        with pytest.raises(ValueError):
-            list(lmbench.pointer_chase(32, 10))
+    def test_pointer_chase_too_small_raises(self):
         with pytest.raises(ValueError):
             lmbench.pointer_chase_blocks(32, 10)
 
     def test_polybench_blocks(self):
-        shim = as_list(polybench.trace("gemm", "mini"))
+        stream = as_list(polybench.trace_blocks("gemm", "mini").accesses())
         for block in (64, 37):
             blocks = list(polybench.trace_blocks("gemm", "mini", block=block))
-            assert [a for b in blocks for a in b.accesses()] == shim
+            assert [a for b in blocks for a in b.accesses()] == stream
             # The boundaries blockify gives the per-access stream.
             assert [len(b) for b in blocks] == [
-                len(b) for b in blockify(iter(shim), block)]
+                len(b) for b in blockify(iter(stream), block)]
 
 
 class TestProcessorBlockMode:
@@ -109,7 +112,7 @@ class TestProcessorBlockMode:
             return microbench.cpu_copy_blocks(0, 1 << 26, 96 * 1024, block=37)
 
         def accesses():
-            return microbench.cpu_copy_trace(0, 1 << 26, 96 * 1024)
+            return microbench.cpu_copy_blocks(0, 1 << 26, 96 * 1024).accesses()
 
         fast_blocks = self._run(blocks, False, monkeypatch)
         fast_access = self._run(accesses, False, monkeypatch)
@@ -121,7 +124,7 @@ class TestProcessorBlockMode:
             return lmbench.pointer_chase_blocks(32 * 1024, 2000, block=11)
 
         def accesses():
-            return lmbench.pointer_chase(32 * 1024, 2000)
+            return lmbench.pointer_chase_blocks(32 * 1024, 2000).accesses()
 
         assert (self._run(blocks, False, monkeypatch)
                 == self._run(accesses, True, monkeypatch))

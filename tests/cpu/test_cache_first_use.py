@@ -29,7 +29,7 @@ from reference_cache import ReferenceCache, ReferenceCacheHierarchy
 from repro.baselines.ramulator.sim import RamulatorConfig, RamulatorSim
 from repro.core.config import jetson_nano_time_scaling
 from repro.core.system import EasyDRAMSystem
-from repro.cpu.blocks import AccessBlock, BlockTrace
+from repro.cpu.blocks import AccessBlock, BlockTrace, blockify
 from repro.cpu.cache import _WAY_LISTS
 from repro.cpu.memtrace import FLAG_DEPENDENT, FLAG_WRITE, Access
 from repro.dram.kernel import blockrun, cbackend
@@ -359,7 +359,7 @@ def test_baseline_simulator_hierarchy_starts_empty():
     sim = RamulatorSim(RamulatorConfig(l1_size=2 * KiB, l2_size=16 * KiB))
     for level in (sim.hierarchy.l1, sim.hierarchy.l2):
         assert not any(name in level.__dict__ for name in _WAY_LISTS)
-    result = sim.run(iter(trace), "first-use")
+    result = sim.run(blockify(trace), "first-use")
     config = sim.config
     reference = ReferenceCacheHierarchy(
         ReferenceCache("L1D", config.l1_size, config.l1_assoc, LINE, 2),

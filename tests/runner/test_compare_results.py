@@ -133,3 +133,26 @@ def test_cli_emulated_mode(tmp_path, capsys):
     changed["gbps"][0] += 1.0
     _write(tmp_path / "b", "fig15", changed)
     assert tool.main(["--emulated", *dirs]) == 1
+
+
+@pytest.mark.parametrize("case", ["missing", "empty", "one-side-empty"])
+def test_no_artifacts_is_a_failure(case, tmp_path, capsys):
+    """Two failed runs must not compare as bit-identical."""
+    tool = load_compare_tool()
+    a, b = tmp_path / "a", tmp_path / "b"
+    if case != "missing":
+        a.mkdir()
+        b.mkdir()
+        # Manifests and shard files are not artifacts.
+        (a / "manifest.json").write_text("{}")
+        (b / "manifest.json").write_text("{}")
+    if case == "one-side-empty":
+        _write(a, "fig15", json.loads(json.dumps(_fig15())))
+    problems = tool.compare(a, b)
+    assert problems
+    assert all(("not a directory" if case == "missing"
+                else "no artifact JSON") in problem for problem in problems)
+    assert len(problems) == (1 if case == "one-side-empty" else 2)
+    for flags in ([], ["--emulated"]):
+        assert tool.main([*flags, str(a), str(b)]) == 1
+    assert "bit-identical" not in capsys.readouterr().out

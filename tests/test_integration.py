@@ -9,7 +9,7 @@ from repro.core.techniques import RowCloneTechnique, TrcdReductionTechnique
 from repro.cpu.memtrace import load, store
 from repro.profiling.characterize import oracle_characterize
 from repro.workloads import polybench
-from repro.workloads.microbench import cpu_copy_trace
+from repro.workloads.microbench import cpu_copy_blocks
 
 
 class TestDataIntegrityEndToEnd:
@@ -66,7 +66,8 @@ class TestDeterminismAcrossLayers:
         results = []
         for _ in range(2):
             system = EasyDRAMSystem(jetson_nano_time_scaling())
-            results.append(system.run(polybench.trace("mvt", "mini"), "mvt"))
+            results.append(system.run(polybench.trace_blocks("mvt", "mini"),
+                                      "mvt"))
         a, b = results
         assert a.cycles == b.cycles
         assert a.row_hits == b.row_hits
@@ -74,7 +75,8 @@ class TestDeterminismAcrossLayers:
 
     def test_result_fields_consistent(self):
         system = EasyDRAMSystem(jetson_nano_time_scaling())
-        result = system.run(polybench.trace("trisolv", "mini"), "trisolv")
+        result = system.run(polybench.trace_blocks("trisolv", "mini"),
+                            "trisolv")
         assert isinstance(result, RunResult)
         assert result.loads + result.stores == result.accesses
         assert result.l2.misses == result.llc_miss_requests
@@ -145,7 +147,7 @@ class TestNoTimeScalingVsTimeScalingConsistency:
 
         def speedup(config):
             cpu = EasyDRAMSystem(config).run(
-                cpu_copy_trace(0, 1 << 24, size), "cpu")
+                cpu_copy_blocks(0, 1 << 24, size), "cpu")
             session = EasyDRAMSystem(config).session("rc")
             technique = RowCloneTechnique(session)
             plan = technique.plan_copy(size)

@@ -72,5 +72,5 @@ def test_block_sizes_match_reference(block):
 
 
 def test_per_access_view_matches_reference():
-    assert (list(polybench.trace("lu", "mini"))
+    assert (list(polybench.trace_blocks("lu", "mini").accesses())
             == list(reference.trace("lu", "mini")))

@@ -19,7 +19,9 @@ Usage::
 ``SweepSpec.host_timed``: the fig14 rates, fig15's ``host_mhz``, tab01's
 measured Ramulator rate), which differ between any two cold runs; every
 emulated value must still be bit-identical.  Without it the comparison
-is strict, as the CI merge check needs.
+is strict, as the CI merge check needs.  A directory that is missing or
+holds no artifact JSON fails the comparison: two failed runs must not
+pass as identical.
 
 ``--assert-all-cached`` instead checks a single run's ``manifest.json``:
 every artifact must have combined (not partial) with every point served
@@ -102,8 +104,16 @@ def mask(result, path: str) -> None:
 
 
 def compare(dir_a: Path, dir_b: Path, emulated: bool = False) -> list[str]:
+    problems = [f"{directory}: not a directory"
+                for directory in (dir_a, dir_b) if not directory.is_dir()]
+    if problems:
+        return problems
     files_a, files_b = artifact_files(dir_a), artifact_files(dir_b)
-    problems = []
+    problems = [f"{directory}: no artifact JSON to compare"
+                for directory, files in ((dir_a, files_a), (dir_b, files_b))
+                if not files]
+    if problems:
+        return problems
     for name in sorted(set(files_a) ^ set(files_b)):
         where = dir_a if name in files_a else dir_b
         problems.append(f"{name}: only present under {where}")
