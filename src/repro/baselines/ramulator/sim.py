@@ -68,10 +68,6 @@ class BaselineResult:
     wall_seconds: float
 
     @property
-    def emulated_seconds(self) -> float:
-        return self.mem_cycles / (1.43e9 / 2.15)  # informational only
-
-    @property
     def sim_speed_hz(self) -> float:
         """Simulated CPU cycles per wall second (Figure 14's metric)."""
         if self.wall_seconds <= 0:

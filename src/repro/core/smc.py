@@ -42,11 +42,11 @@ from repro.core.schedulers import (
 )
 from repro.core.tile import EasyTile
 from repro.core.timescale import TimeScalingCounters
+from repro.cpu.cache import CacheHierarchy
 from repro.cpu.processor import MemoryRequest
 from repro.dram.flat_timing import K_ACT, K_PRE, K_PREA, K_RD, K_REF, K_WR
 from repro.dram.kernel.state import (
-    FLAG_WRITEBACK, KERN_OK, KERR_DECODE_RANGE, KernelState,
-    St,
+    FLAG_WRITEBACK, KERN_OK, KERR_DECODE_RANGE, KernelState, St,
 )
 from repro.dram.timing import period_ps
 
@@ -85,12 +85,18 @@ _ROW_CASE = {"hit": 0, "miss": 1, "conflict": 2}
 _KERNEL_MIN_BATCH = 4
 
 
+#: Processor cycles to issue one technique operation (the MMIO writes
+#: of :meth:`Session.technique_op <repro.core.system.Session.technique_op>`).
+TECHNIQUE_ISSUE_CYCLES = 4
+
+
 class SoftwareMemoryController(ProgramExecutor):
     """Conventional open-page controller; techniques subclass or hook it."""
 
     def __init__(self, config: SystemConfig, tile: EasyTile, api: EasyAPI,
                  counters: TimeScalingCounters,
-                 scheduler: Scheduler | None = None) -> None:
+                 scheduler: Scheduler | None = None,
+                 kernel: bool = True) -> None:
         self.config = config
         self.tile = tile
         self.api = api
@@ -140,6 +146,9 @@ class SoftwareMemoryController(ProgramExecutor):
         self._build_plans()
         # Compiled batch kernel (REPRO_KERNEL): resolved lazily on the
         # first eligible batch; see :meth:`service_pending_kernel`.
+        # ``kernel=False`` keeps this controller off it whatever the
+        # environment says (results are bit-identical either way).
+        self._kernel_enabled = kernel
         self._kernel_state = None
         self._kernel_backend = None
         self._kernel_resolved = False
@@ -508,7 +517,8 @@ class SoftwareMemoryController(ProgramExecutor):
         from repro.dram.kernel import resolve_backend
         self._kernel_resolved = True
         self._kernel_state = None
-        reason = self._kernel_structural_reason()
+        reason = (self._kernel_structural_reason() if self._kernel_enabled
+                  else "disabled for this system (kernel=False)")
         if reason is None:
             backend, reason = resolve_backend()
             if backend is not None:
@@ -603,6 +613,63 @@ class SoftwareMemoryController(ProgramExecutor):
         ks.req_core[:n] = 0
         self._kernel_episode(ks, n, 0)
         return int(ks.req_release[:n].max())
+
+    def rowclone_rows_kernel(self, rows, proc, finished: list) -> bool:
+        """Run a run of reliable RowClone plan rows in one kernel call.
+
+        ``rows`` is a sequence of ``(bank, src_row, dst_row, ranges)``
+        plan rows, ``ranges`` up to two ``(start, size)`` CLFLUSH ranges.
+        Each row is exactly :meth:`Session.clflush_range
+        <repro.core.system.Session.clflush_range>` of its ranges, then
+        ``Session.technique_op`` of its
+        :class:`~repro.core.easyapi.RowCloneOp` (``respect_timing=False``)
+        on core 0's processor ``proc`` -- the writeback episodes, the FPM
+        episode (:meth:`technique_episode` / :meth:`_execute_fpm`) with
+        the refreshes falling due, and the device's in-DRAM copies.  Each
+        finished row appends the tuple of its ranges' dirty-line counts
+        to ``finished``, also when an error stops the run (then raised).
+        Returns ``False``, with all state untouched and the reason
+        recorded, when the kernel cannot serve the rows: the caller then
+        takes the per-row path.
+        """
+        ks = self._kernel_ready()
+        if ks is None:
+            return False
+        reason = self._rowclone_rows_reason(rows, proc)
+        if reason is not None:
+            self.kernel_fallback_reason = reason
+            return False
+        from repro.dram.kernel.blockrun import run_rowclone_rows
+        run_rowclone_rows(self, proc, rows, finished)
+        return True
+
+    def _rowclone_rows_reason(self, rows, proc) -> str | None:
+        """Why :meth:`rowclone_rows_kernel` cannot take ``rows`` now."""
+        device = self._device
+        if device.checker.strict:
+            # (Switched on after the kernel resolved: every FPM sequence
+            # violates tRAS, which a strict checker raises on.)
+            return "strict timing mode"
+        if device.row_activations is not None:
+            return "row-activation tracking enabled"
+        if not self._fpm_plan:
+            return "non-stock FPM plan"
+        if self.api._lent is not None:
+            return "staged tile state pending"
+        geometry = self.config.geometry
+        banks, rows_per_bank = geometry.total_banks, geometry.rows_per_bank
+        flushing = False
+        for bank, src_row, dst_row, ranges in rows:
+            if not (0 <= bank < banks and 0 <= src_row < rows_per_bank
+                    and 0 <= dst_row < rows_per_bank):
+                return "RowClone coordinates out of range"
+            if len(ranges) > 2 or any(start < 0 or size < 0
+                                      for start, size in ranges):
+                return "unsupported CLFLUSH ranges"
+            flushing = flushing or bool(ranges)
+        if flushing and type(proc.hierarchy) is not CacheHierarchy:
+            return "non-standard cache hierarchy"
+        return None
 
     def _kernel_ready(self):
         """The kernel state if the kernel may serve a batch now, else
@@ -983,7 +1050,10 @@ class SoftwareMemoryController(ProgramExecutor):
         A :class:`~repro.core.easyapi.RowCloneOp` stage is issued as the
         memoized FPM plan (:meth:`_execute_fpm`, one fused device pass)
         instead of a staged Bender program; every other stage runs
-        staged through EasyAPI and the Bender engine.
+        staged through EasyAPI and the Bender engine.  The RowClone
+        technique's reliable rows run this episode inside the kernel
+        instead (:meth:`rowclone_rows_kernel`); this method is their
+        per-row path, taken whenever that entry declines.
         """
         self.counters.enter_critical()
         # A strict TimingViolation must not leave critical mode set.
@@ -1060,9 +1130,13 @@ class SoftwareMemoryController(ProgramExecutor):
         self.dram_cursor = start + measured
         self.tile.stats.dram_busy_ps += measured
         self.stats.batches_executed += 1
-        result = ExecResult(cycles * self._tck, cycles, 0, 4)
-        api.last_exec = result
+        result = api.last_exec = self._fpm_result()
         return result
+
+    def _fpm_result(self) -> ExecResult:
+        """The Bender result of one FPM RowClone program walk."""
+        cycles = self._fpm_cycles
+        return ExecResult(cycles * self._tck, cycles, 0, 4)
 
     # -- counters ---------------------------------------------------------------
 

@@ -34,7 +34,7 @@ from repro.core.channels import Channel, ChannelSet
 from repro.core.config import SystemConfig
 from repro.core.easyapi import CostModel, EasyAPI
 from repro.core.engine import EmulationDeadlock, make_engine, resolve_engine_name
-from repro.core.smc import SoftwareMemoryController
+from repro.core.smc import TECHNIQUE_ISSUE_CYCLES, SoftwareMemoryController
 from repro.core.stats import Breakdown, CoreResult, CoreServiceTracker, RunResult
 from repro.core.tile import EasyTile
 from repro.core.timescale import TimeScalingCounters
@@ -58,6 +58,9 @@ class EasyDRAMSystem:
     ``"cycle"`` (the object reference) — and may also be set globally
     through the ``REPRO_ENGINE`` environment variable.  Both engines
     produce bit-identical results; see :mod:`repro.core.engine`.
+    ``kernel=False`` keeps every controller of this system off the
+    compiled kernel (:mod:`repro.dram.kernel`), whatever ``REPRO_KERNEL``
+    says: its serve paths then run in Python, with the same results.
 
     Topology follows ``config.geometry``: one tile + software memory
     controller pair per channel, all sharing one topology-wide address
@@ -69,7 +72,8 @@ class EasyDRAMSystem:
 
     def __init__(self, config: SystemConfig,
                  costs: CostModel | None = None,
-                 engine: str | None = None) -> None:
+                 engine: str | None = None,
+                 kernel: bool = True) -> None:
         self.config = config
         self.engine_name = resolve_engine_name(engine)
         self.counters = TimeScalingCounters()
@@ -78,7 +82,8 @@ class EasyDRAMSystem:
         for index in range(config.geometry.channels):
             tile = EasyTile(config, mapper=mapper, channel=index)
             api = EasyAPI(tile, costs=costs)
-            smc = SoftwareMemoryController(config, tile, api, self.counters)
+            smc = SoftwareMemoryController(config, tile, api, self.counters,
+                                           kernel=kernel)
             self.channels.append(Channel(index, tile, api, smc))
         first = self.channels[0]
         self.tile = first.tile
@@ -252,7 +257,8 @@ class Session:
     # -- technique support --------------------------------------------------------
 
     def technique_op(self, stage, respect_timing: bool = False,
-                     issue_cost_cycles: int = 4, channel: int = 0) -> ExecResult:
+                     issue_cost_cycles: int = TECHNIQUE_ISSUE_CYCLES,
+                     channel: int = 0) -> ExecResult:
         """Execute a technique operation synchronously (MMIO semantics).
 
         ``stage`` is a callable receiving the :class:`EasyAPI`; it stages
@@ -270,6 +276,29 @@ class Session:
             proc.cycles = release
         self.system.counters.advance_processor(proc.cycles)
         return result
+
+    def rowclone_rows(self, rows, finished: list) -> bool:
+        """Run a run of RowClone plan rows in one kernel call.
+
+        ``rows`` is a sequence of ``(bank, src_row, dst_row, ranges)``:
+        each row is :meth:`clflush_range` of its ``ranges`` (up to two
+        ``(start, size)`` pairs) followed by :meth:`technique_op` of
+        ``RowCloneOp(bank, src_row, dst_row)`` on channel 0.  Each
+        finished row appends the tuple of its ranges' dirty-line counts
+        to ``finished``, also when an error stops the run partway (the
+        error is then raised).  Returns ``False`` with nothing done when
+        the kernel declines (the reason is on the controller); the
+        caller then runs the rows one call at a time.  See
+        :meth:`SoftwareMemoryController.rowclone_rows_kernel
+        <repro.core.smc.SoftwareMemoryController.rowclone_rows_kernel>`.
+        """
+        system = self.system
+        if system.num_channels != 1:
+            for smc in system.smcs:
+                smc.kernel_fallback_reason = "multi-channel topology"
+            return False
+        return system.smc.rowclone_rows_kernel(rows, self.processor,
+                                               finished)
 
     def clflush_range(self, start_addr: int, size_bytes: int) -> int:
         """Flush a range through the CLFLUSH register (Section 7.1).

@@ -12,11 +12,18 @@ PiDRAM does).  This module implements the full end-to-end flow:
 * ``execute_copy`` / ``execute_init`` drivers used by the Figure 10/11
   experiments, with CPU fallback for unclonable pairs and optional
   CLFLUSH-based coherence.
+
+The drivers hand each run of consecutive reliable rows, CLFLUSHes
+included, to the compiled kernel in one call
+(:meth:`Session.rowclone_rows <repro.core.system.Session.rowclone_rows>`);
+fallback rows, and every row when the kernel declines, run one call at
+a time through ``clflush_range``, ``technique_op`` and ``run_trace``.
+Both paths give the same results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.easyapi import RowCloneOp
 from repro.core.system import Session
@@ -230,26 +237,83 @@ class RowCloneTechnique:
                                   respect_timing=False, channel=channel)
         self.stats.rowclone_ops += 1
 
-    def execute_copy(self, plan: CopyPlan, clflush: bool = False) -> None:
-        """Perform the planned bulk copy (Figure 10/11's RowClone variant)."""
-        g = self.geometry
-        for i, pair in enumerate(plan.pairs):
-            src_phys = plan.src_addr + i * g.row_bytes
-            dst_phys = self.mapper.row_base_physical(
-                pair.bank, pair.dst_row, channel=pair.channel)
-            if clflush:
-                # Coherence problem: write back dirty source lines and
-                # invalidate stale destination lines before the in-DRAM op.
-                self.stats.flushed_lines += self.session.clflush_range(
-                    src_phys, g.row_bytes)
-                self.session.clflush_range(dst_phys, g.row_bytes)
+    def _execute_rows(self, rows: list, clflush: bool, fallback,
+                      count_flushed: bool) -> None:
+        """Run plan rows in order.
+
+        Each row is ``(pair, addresses)``: with ``clflush`` the row-sized
+        ranges at ``addresses`` are flushed first, then the in-DRAM op (a
+        reliable pair) or the CPU trace ``fallback(*addresses)`` runs.
+        ``count_flushed`` adds each row's first range's dirty lines to
+        ``flushed_lines``.
+        """
+        run: list = []
+        for pair, addrs in rows:
             if pair.reliable:
-                self._rowclone_op(pair.bank, pair.src_row, pair.dst_row,
-                                  channel=pair.channel)
-            else:
-                self.stats.fallback_rows += 1
-                self.session.run_trace(
-                    cpu_copy_blocks(src_phys, dst_phys, g.row_bytes))
+                run.append((pair, addrs))
+                continue
+            self._execute_reliable(run, clflush, count_flushed)
+            run = []
+            if clflush:
+                self._count_flushed(self._flush(addrs), count_flushed)
+            self.stats.fallback_rows += 1
+            self.session.run_trace(fallback(*addrs))
+        self._execute_reliable(run, clflush, count_flushed)
+
+    def _execute_reliable(self, run: list, clflush: bool,
+                          count_flushed: bool) -> None:
+        """A run of reliable rows: one kernel call, else one op per row.
+
+        On both paths a row counts in :attr:`stats` once it finishes, so
+        an error that stops the run leaves the same counts either way.
+        """
+        if not run:
+            return
+        size = self.geometry.row_bytes
+        rows = [(pair.bank, pair.src_row, pair.dst_row,
+                 tuple((addr, size) for addr in addrs) if clflush else ())
+                for pair, addrs in run]
+        finished: list = []
+        try:
+            if self.session.rowclone_rows(rows, finished):
+                return
+        finally:
+            self.stats.rowclone_ops += len(finished)
+            for dirty in finished:
+                self._count_flushed(dirty, count_flushed)
+        for pair, addrs in run:
+            dirty = self._flush(addrs) if clflush else ()
+            self._rowclone_op(pair.bank, pair.src_row, pair.dst_row,
+                              channel=pair.channel)
+            self._count_flushed(dirty, count_flushed)
+
+    def _flush(self, addrs: tuple) -> tuple:
+        """CLFLUSH each row-sized range, in order; their dirty-line
+        counts."""
+        return tuple(self.session.clflush_range(addr, self.geometry.row_bytes)
+                     for addr in addrs)
+
+    def _count_flushed(self, dirty: tuple, count_flushed: bool) -> None:
+        """Count a row's first range's dirty lines in ``flushed_lines``."""
+        if count_flushed and dirty:
+            self.stats.flushed_lines += dirty[0]
+
+    def execute_copy(self, plan: CopyPlan, clflush: bool = False) -> None:
+        """Perform the planned bulk copy (Figure 10/11's RowClone variant).
+
+        With ``clflush``, each row first flushes its source range (dirty
+        lines written back) and its destination range (stale lines
+        invalidated): the coherence problem of Section 7.1.
+        """
+        g = self.geometry
+        rows = [(pair, (plan.src_addr + i * g.row_bytes,
+                        self.mapper.row_base_physical(
+                            pair.bank, pair.dst_row, channel=pair.channel)))
+                for i, pair in enumerate(plan.pairs)]
+        self._execute_rows(
+            rows, clflush,
+            lambda src, dst: cpu_copy_blocks(src, dst, g.row_bytes),
+            count_flushed=True)
 
     def execute_init(self, plan: InitPlan, clflush: bool = False,
                      include_source_setup: bool = True) -> None:
@@ -264,17 +328,12 @@ class RowCloneTechnique:
                 self.session.run_trace(cpu_init_blocks(src_phys, g.row_bytes))
                 self.stats.flushed_lines += self.session.clflush_range(
                     src_phys, g.row_bytes)
-        for pair in plan.targets:
-            dst_phys = self.mapper.row_base_physical(
-                pair.bank, pair.dst_row, channel=pair.channel)
-            if clflush:
-                self.session.clflush_range(dst_phys, g.row_bytes)
-            if pair.reliable:
-                self._rowclone_op(pair.bank, pair.src_row, pair.dst_row,
-                                  channel=pair.channel)
-            else:
-                self.stats.fallback_rows += 1
-                self.session.run_trace(cpu_init_blocks(dst_phys, g.row_bytes))
+        rows = [(pair, (self.mapper.row_base_physical(
+                    pair.bank, pair.dst_row, channel=pair.channel),))
+                for pair in plan.targets]
+        self._execute_rows(rows, clflush,
+                           lambda dst: cpu_init_blocks(dst, g.row_bytes),
+                           count_flushed=False)
 
     # -- verification (tests use this) ------------------------------------------------
 

@@ -697,19 +697,31 @@ class DramDevice:
         gap = t - bank.last_pre
         if gap >= int(self.timing.tRP * self.ROWCLONE_PRE_TO_ACT_FRACTION):
             return
+        self.rowclone_copy(bank.index, src_row, dst_row)
+
+    def rowclone_copy(self, bank: int, src_row: int, dst_row: int) -> None:
+        """The data side of one detected FPM RowClone attempt.
+
+        Counts the attempt, materializes the source row, and writes the
+        destination row with the source's bytes or, when the cell model
+        fails this attempt, a corrupted copy.  :meth:`_maybe_rowclone`
+        calls it on every detecting ACT; the compiled RowClone-rows entry
+        logs its detections and the driver applies them here afterwards
+        (``KernelState.apply_rowclone_log``).
+        """
         self.stats.rowclone_attempts += 1
         self._rowclone_attempt_counter += 1
-        src_data = self._row(bank.index, src_row)
+        src_data = self._row(bank, src_row)
         ok = self.cells.rowclone_copy_succeeds(
-            bank.index, src_row, dst_row, self._rowclone_attempt_counter)
+            bank, src_row, dst_row, self._rowclone_attempt_counter)
         if ok:
-            self._rows[(bank.index, dst_row)] = bytearray(src_data)
+            self._rows[(bank, dst_row)] = bytearray(src_data)
             self.stats.rowclone_successes += 1
         else:
             corrupted = self.cells.corrupt(
-                bytes(src_data), bank.index, dst_row,
+                bytes(src_data), bank, dst_row,
                 salt=self._rowclone_attempt_counter)
-            self._rows[(bank.index, dst_row)] = bytearray(corrupted)
+            self._rows[(bank, dst_row)] = bytearray(corrupted)
 
     # -- data storage ---------------------------------------------------------
 

@@ -9,14 +9,17 @@ every registry policy (FCFS, FR-FCFS, ATLAS, BLISS, PAR-BS batch),
 issue, row-state transitions, refresh interleave, per-core stat
 attribution and the registry reduced-tRCD technique — in one
 compiled call
-(:mod:`~repro.dram.kernel.cbackend`), or replays whole block traces
+(:mod:`~repro.dram.kernel.cbackend`), replays whole block traces
 resident (:mod:`~repro.dram.kernel.blockrun`) when the event engine runs
-an eligible single-core trace or multi-core mix.
+an eligible single-core trace or multi-core mix, and runs the RowClone
+technique's runs of reliable rows (CLFLUSHes and FPM episodes) in one
+call each.
 
 ``REPRO_KERNEL``
     ``0``/``false``/``off`` disables the kernel entirely (the flat
-    closures serve every batch and the Python burst loop replays every
-    trace).  ``c`` requires the compiled backend
+    closures serve every batch, the Python burst loop replays every
+    trace and RowClone rows run one op at a time).  A single system can
+    be kept off it with ``EasyDRAMSystem(..., kernel=False)``.  ``c`` requires the compiled backend
     and disengages with a recorded reason when it cannot load.  Default
     (``auto``): use the compiled backend when a C compiler is available,
     otherwise disengage — results are bit-identical either way, which

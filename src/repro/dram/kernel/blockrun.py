@@ -24,6 +24,12 @@ One loop serves both engine entry points: :func:`run_gated_kernel` is
 ``EventEngine.run_trace``'s single-core replay (the N = 1 case) and
 :func:`run_cores_kernel` is ``EventEngine.run_cores``' multi-core one.
 
+:func:`run_rowclone_rows` drives the third resident entry,
+``repro_rowclone_rows``: a run of reliable RowClone plan rows whose
+CLFLUSHes flush the same lent cache copy (the hierarchy is lent to core
+slot 0 before the call), with the data side applied from the kernel's
+logs afterwards.
+
 Eligibility is the batch kernel's structural gate plus the replay
 extras (compiled backend, one channel, no serve hook other than the
 registry tRCD technique's, no staged tile state, clean MLP windows);
@@ -43,7 +49,9 @@ from repro.cpu.cache import _WAY_LISTS, CacheHierarchy, empty_way_lists
 from repro.dram.kernel import cbackend
 from repro.dram.kernel.state import (
     KERN_NEED_BLOCK, KERN_NEED_ROOM, KERN_OK, KERR_DEADLOCK,
-    KERR_DECODE_RANGE, RLOG_STRIDE, Cfg, Core, CorePtr, St, TBL_STRIDE,
+    KERR_DECODE_RANGE, RC_BANK, RC_DIRTY0, RC_DIRTY1, RC_DST, RC_F0_SIZE,
+    RC_F0_START, RC_F1_SIZE, RC_F1_START, RC_LOG_STRIDE, RC_ROW_STRIDE,
+    RC_SRC, RLOG_STRIDE, Cfg, Core, CorePtr, St, TBL_STRIDE,
     VIOL_STRIDE, WRHIT_STRIDE,
 )
 
@@ -516,12 +524,7 @@ def _replay(engine, procs, smc) -> bool:
     geometry = next((_cache_geometry(proc.hierarchy) for proc in procs
                      if type(proc.hierarchy) is CacheHierarchy), None)
     if geometry is not None:
-        sets1, assoc1, hit1, sets2, assoc2, hit2, fill, line = geometry
-        # C1_SETS, C1_ASSOC, C1_HIT, C2_SETS, C2_ASSOC, C2_HIT12,
-        # C_MISS_LAT, C_LINE_BYTES
-        ks.cfg[Cfg.C1_SETS:Cfg.C_LINE_BYTES + 1] = (
-            sets1, assoc1, hit1, sets2, assoc2, hit1 + hit2, hit1 + fill,
-            line)
+        _set_cache_geometry(ks, geometry)
     feeds = [_Feed(ks, i, proc, mapper, geometry)
              for i, proc in enumerate(procs)]
 
@@ -568,6 +571,124 @@ def _replay(engine, procs, smc) -> bool:
     if err != KERN_OK:
         raise RuntimeError(f"resident replay kernel failed with error {err}")
     return True
+
+
+def _set_cache_geometry(ks, geometry: tuple) -> None:
+    """The resident cache filter's geometry and latencies in ``cfg``."""
+    sets1, assoc1, hit1, sets2, assoc2, hit2, fill, line = geometry
+    # C1_SETS, C1_ASSOC, C1_HIT, C2_SETS, C2_ASSOC, C2_HIT12,
+    # C_MISS_LAT, C_LINE_BYTES
+    ks.cfg[Cfg.C1_SETS:Cfg.C_LINE_BYTES + 1] = (
+        sets1, assoc1, hit1, sets2, assoc2, hit1 + hit2, hit1 + fill, line)
+
+
+def rowclone_table(rows) -> np.ndarray:
+    """The ``int64`` row table (``RC_ROW_STRIDE`` records, see
+    :mod:`~repro.dram.kernel.state`) of ``(bank, src_row, dst_row,
+    ranges)`` plan rows, ``ranges`` up to two ``(start, size)`` CLFLUSH
+    ranges."""
+    records = []
+    for bank, src_row, dst_row, ranges in rows:
+        record = [0] * RC_ROW_STRIDE
+        record[RC_F0_SIZE] = record[RC_F1_SIZE] = -1   # no flush
+        record[RC_BANK], record[RC_SRC], record[RC_DST] = (
+            bank, src_row, dst_row)
+        for (start, size), (at_start, at_size) in zip(
+                ranges, ((RC_F0_START, RC_F0_SIZE),
+                         (RC_F1_START, RC_F1_SIZE))):
+            record[at_start], record[at_size] = start, size
+        records.append(record)
+    return np.array(records, dtype=np.int64).reshape(-1, RC_ROW_STRIDE)
+
+
+def run_rowclone_rows(smc, proc, rows, finished: list) -> None:
+    """Run reliable RowClone plan rows in one kernel call (entered again
+    only when a log runs short, see ``repro_rowclone_rows``).
+
+    ``SoftwareMemoryController.rowclone_rows_kernel``'s marshalling:
+    ``rows`` are ``(bank, src_row, dst_row, ranges)`` plan rows
+    (:func:`rowclone_table`) and ``proc`` core 0's processor.  When a row
+    flushes, ``proc``'s hierarchy is lent to core slot 0 before the call
+    (the state a replay leaves), so ``repro_rowclone_rows`` flushes the
+    resident copy as ``_Loan.flush_range`` does.  After the call
+    everything is written back once: the controller state, the
+    processor's cycles and stall, the levels' flush counts, the
+    violations, and the data side (WR hits and RowClone copies in issue
+    order).  Each finished row appends its ranges' dirty-line counts to
+    ``finished``, also when an error stops the run (then raised).
+    """
+    table = rowclone_table(rows)
+    ks = smc._kernel_state
+    st = ks.st
+    n = table.shape[0]
+    hier = proc.hierarchy
+    line = hier.line_bytes
+    sizes = table[:, (RC_F0_SIZE, RC_F1_SIZE)]
+    flushing = sizes >= 0
+    core_table = most = 0
+    if flushing.any():
+        starts = table[:, (RC_F0_START, RC_F1_START)]
+        lines = np.where(flushing, -(-(starts % line + sizes) // line), 0)
+        most = int(lines.sum(axis=1).max())
+        _set_cache_geometry(ks, _cache_geometry(hier))
+        if not ks._ncores:
+            ks.bind_cores(1)
+        slots = ks.cores[0]
+        _load_cache(ks, 0, hier)
+        _lend_cache(slots, hier)
+        ks.set_array("rc_flushed1", hier.l1._loan.flushed)
+        ks.set_array("rc_flushed2", hier.l2._loan.flushed)
+        if ks.rc_dirty.shape[0] < most:
+            ks.set_array("rc_dirty", _arr(max(64, most)))
+        ks.ensure_requests(most)
+        core_table = ks.core_pointer_table()
+    ks.set_array("rc_rows", table)
+    # The logs hold at least one row's worst case (see kernel.c); the
+    # kernel asks for room at a row boundary when the rest runs short.
+    ks.ensure_viol(3 * most + 68)
+    ks.ensure_wrhit(most + 16)
+    if ks.rc_log.shape[0] < RC_LOG_STRIDE * 2 * n:
+        ks.set_array("rc_log", _arr(RC_LOG_STRIDE * max(64, 2 * n)))
+    if len(smc._device._rows) != int(st[St.NMAT]):
+        ks.refresh_materialized()
+    ks.reserve_materialized(4 * n)
+    ks.load(0)
+    stats = proc.stats
+    st[St.RC_N:St.RC_FLUSHES2 + 1] = (
+        n, 0, 0, ks.rc_log.shape[0] // RC_LOG_STRIDE, ks.mat_buf.shape[0],
+        proc.cycles, stats.stall_cycles, proc.config.flush_latency, line,
+        0, 0)
+    entry = smc._kernel_backend.rowclone_rows
+    try:
+        while True:
+            err = entry(ks.pointer_table(), core_table)
+            ks.scatter_violations()
+            ks.check_reduced_reads()
+            ks.apply_rowclone_log()
+            if err != KERN_NEED_ROOM:
+                break
+    finally:
+        # Write everything back (best effort on an error, too).
+        ks.store()
+        (done, cycles, stall, flushes1,
+         flushes2) = st[[St.RC_DONE, St.RC_CYCLES, St.RC_STALLS,
+                         St.RC_FLUSHES1, St.RC_FLUSHES2]].tolist()
+        proc.cycles = cycles
+        stats.stall_cycles = stall
+        hier.l1.stats.flushes += flushes1
+        hier.l2.stats.flushes += flushes2
+        smc.stats.technique_ops += done
+        smc._tile_stats.technique_ops += done
+        if done:
+            smc.api.last_exec = smc._fpm_result()
+        finished.extend(
+            (record[RC_DIRTY0], record[RC_DIRTY1])[:len(ranges)]
+            for record, (*_, ranges) in zip(table[:done].tolist(), rows))
+    if err == KERR_DECODE_RANGE:
+        smc._mapper._check_range(int(st[St.ERR_ADDR]))
+        raise AssertionError("decode error did not reproduce")
+    if err != KERN_OK:
+        raise RuntimeError(f"RowClone rows kernel failed with error {err}")
 
 
 def _make_room(ks) -> None:

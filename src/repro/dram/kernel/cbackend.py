@@ -30,7 +30,7 @@ from repro.dram.kernel import state
 #: Bumped when the entry-point contract changes; checked against the
 #: compiled object's ``repro_abi_version`` so a stale cached build from
 #: an older checkout can never be called with the wrong layout.
-ABI_VERSION = 9
+ABI_VERSION = 10
 
 _HERE = Path(__file__).resolve().parent
 _SOURCE = _HERE / "kernel.c"
@@ -51,10 +51,13 @@ class CKernel:
         # the slot tables are int64 arrays of buffer addresses.
         lib.repro_serve_batch.argtypes = [ctypes.c_void_p]
         lib.repro_run_cores.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
-        for fn in (lib.repro_serve_batch, lib.repro_run_cores):
+        lib.repro_rowclone_rows.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
+        for fn in (lib.repro_serve_batch, lib.repro_run_cores,
+                   lib.repro_rowclone_rows):
             fn.restype = ctypes.c_int64
         self.serve_batch = lib.repro_serve_batch
         self.run_cores = lib.repro_run_cores
+        self.rowclone_rows = lib.repro_rowclone_rows
         lib.repro_flush_lines.argtypes = (
             [ctypes.c_void_p] * 6 + [ctypes.c_int64] * 4 + [ctypes.c_void_p])
         lib.repro_flush_lines.restype = ctypes.c_int64

@@ -23,6 +23,15 @@
  *                         Python (blockrun.py) only to take a core's next
  *                         block.
  *
+ *   repro_rowclone_rows -- a run of reliable RowClone plan rows
+ *                         (rowclone.py execute_copy / execute_init): per
+ *                         row, the CLFLUSH ranges on core 0's resident
+ *                         cache copy with their writeback episodes, then
+ *                         the FPM RowClone technique episode
+ *                         (Session.technique_op / smc.technique_episode).
+ *                         The data side (row copies) is logged for the
+ *                         driver.
+ *
  * Two more entries take plain arrays: repro_flush_lines (CLFLUSH on a
  * resident cache copy) and repro_shuffle (random.Random.shuffle, the
  * lmbench pointer-chase permutation).
@@ -53,6 +62,9 @@
 #define CODE_TWTR 10
 #define CODE_BANKS_OPEN 11
 #define CODE_TCS 12
+#define CODE_TRAS 13
+#define CODE_TRTP 14
+#define CODE_TWR 15
 
 /* Flat command-kind codes (flat_timing.py). */
 #define K_ACT 0
@@ -78,7 +90,7 @@ typedef struct {
     const int64_t *plan_n, *plan_kinds, *plan_offsets, *plan_cycles;
     const int64_t *plan_charge, *plan_measured, *plan_postflush;
     int64_t *viol;
-    const int64_t *mat_keys;
+    int64_t *mat_keys;
     int64_t *wrhit, *rlog;
     const int64_t *bloom;
     int64_t *req_tag, *req_addr, *req_flags, *req_core;
@@ -87,6 +99,7 @@ typedef struct {
     int64_t *core_st, *active, *sweep_order;
     int64_t *pend_tag, *pend_addr, *pend_flags, *pend_rid, *pend_release;
     int64_t *pend_core, *pend_pos, *pend_order, *pend_scratch;
+    int64_t *rc_rows, *rc_log, *rc_dirty, *rc_flushed1, *rc_flushed2;
 } K;
 
 static void bind(K *k, int64_t **p)
@@ -140,6 +153,11 @@ static void bind(K *k, int64_t **p)
     k->pend_pos = p[P_PEND_POS];
     k->pend_order = p[P_PEND_ORDER];
     k->pend_scratch = p[P_PEND_SCRATCH];
+    k->rc_rows = p[P_RC_ROWS];
+    k->rc_log = p[P_RC_LOG];
+    k->rc_dirty = p[P_RC_DIRTY];
+    k->rc_flushed1 = p[P_RC_FLUSHED1];
+    k->rc_flushed2 = p[P_RC_FLUSHED2];
 }
 
 /* One core's resident-replay view: its CORE_STRIDE scalar record and its
@@ -353,6 +371,18 @@ static void enum_cas(K *k, int64_t bank, int is_write, int64_t *e_out,
         if (C(NRANKS) > 1)
             CAND(other_we + C(TCS), CODE_TCS);
     }
+    *e_out = best;
+    *code_out = code;
+}
+
+/* FlatTimingState.binding(K_PRE): the first maximal of tRAS, tRTP, tWR
+ * over the power-on floor. */
+static void enum_pre(K *k, int64_t bank, int64_t *e_out, int64_t *code_out)
+{
+    int64_t best = 0, code = CODE_POWER_ON;
+    CAND(k->last_act[bank] + C(TRAS), CODE_TRAS);
+    CAND(k->last_read[bank] + C(TRTP), CODE_TRTP);
+    CAND(k->last_write_end[bank] + C(TWR), CODE_TWR);
     *e_out = best;
     *code_out = code;
 }
@@ -700,13 +730,8 @@ static int64_t refresh_episode(K *k)
         /* flat.earliest(K_PREA): worst bank's precharge bound, >= 0. */
         int64_t e = 0, nb = C(NBANKS);
         for (int64_t b = 0; b < nb; b++) {
-            int64_t v = k->last_act[b] + C(TRAS);
-            int64_t w = k->last_read[b] + C(TRTP);
-            if (w > v)
-                v = w;
-            w = k->last_write_end[b] + C(TWR);
-            if (w > v)
-                v = w;
+            int64_t v, code;
+            enum_pre(k, b, &v, &code);
             if (v > e)
                 e = v;
         }
@@ -1583,7 +1608,7 @@ static int64_t close_sweep(K *k, int64_t **cp)
 
 int64_t repro_abi_version(void)
 {
-    return 9;
+    return 10;
 }
 
 /* CLFLUSH of n consecutive lines from first_line on one cache level's
@@ -1746,4 +1771,272 @@ int64_t repro_run_cores(int64_t **p, int64_t **cp)
         }
         S(SWEEP_POS) += 1;
     }
+}
+
+/* -- RowClone rows (core/techniques/rowclone.py) -------------------------- */
+
+/* Keep the sorted materialized-row keys current as a row materializes
+ * inside the call (DramDevice._row / _maybe_rowclone), so a later
+ * writeback WR to it in the same call is logged by note_wr_hit. */
+static int64_t mat_insert(K *k, int64_t bank, int64_t row)
+{
+    int64_t n = S(NMAT), key = (bank << 32) | row;
+    int64_t lo = 0, hi = n;
+    while (lo < hi) {
+        int64_t mid = (lo + hi) / 2;
+        if (k->mat_keys[mid] < key)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    if (lo < n && k->mat_keys[lo] == key)
+        return KERN_OK;
+    if (n >= S(RC_MAT_CAP))
+        return KERR_VIOL_OVERFLOW;
+    memmove(k->mat_keys + lo + 1, k->mat_keys + lo,
+            (size_t)(n - lo) * sizeof(int64_t));
+    k->mat_keys[lo] = key;
+    S(NMAT) = n + 1;
+    return KERN_OK;
+}
+
+/* One ACT of the FPM sequence (device.issue_rowclone): _maybe_rowclone's
+ * detection -- an ACT to another row within ROWCLONE_GAP of the PRE that
+ * closed the previous one copies that row -- is logged with the WR-hit
+ * log's fill for the driver's data side; then the ACT itself. */
+static int64_t fpm_act(K *k, int64_t bank, int64_t row, int64_t t)
+{
+    int64_t prev = k->prev_open_row[bank];
+    if (prev >= 0 && prev != row
+            && t - k->last_pre[bank] < C(ROWCLONE_GAP)) {
+        int64_t count = S(RC_LOG_COUNT);
+        if (count >= S(RC_LOG_CAP))
+            return KERR_VIOL_OVERFLOW;
+        int64_t *rec = k->rc_log + RC_LOG_STRIDE * count;
+        rec[0] = bank;
+        rec[1] = prev;
+        rec[2] = row;
+        rec[3] = S(WRHIT_COUNT);
+        S(RC_LOG_COUNT) = count + 1;
+        int64_t err = mat_insert(k, bank, prev);
+        if (!err)
+            err = mat_insert(k, bank, row);
+        if (err)
+            return err;
+    }
+    return apply_act(k, bank, row, t);
+}
+
+/* device.issue_rowclone: ACT(src), PRE, ACT(dst), PRE at t0 + the plan
+ * offsets, each checked against the flat earliest time and logged with
+ * FlatTimingState.binding's constraint when early (PRE rows log as 0). */
+static int64_t issue_fpm(K *k, int64_t bank, int64_t src, int64_t dst,
+                         int64_t t0)
+{
+    const int64_t kinds[4] = {K_ACT, K_PRE, K_ACT, K_PRE};
+    const int64_t rows[4] = {src, 0, dst, 0};
+    const int64_t times[4] = {t0, t0 + C(FPM_OFF1), t0 + C(FPM_OFF2),
+                              t0 + C(FPM_OFF3)};
+    for (int i = 0; i < 4; i++) {
+        int64_t kind = kinds[i], t = times[i], e, code, err = KERN_OK;
+        S(LAST_ISSUE) = t;
+        if (kind == K_ACT) {
+            if (t < flat_earliest(k, K_ACT, bank)) {
+                enum_act(k, bank, &e, &code);
+                err = viol_push(k, K_ACT, bank, rows[i], 0, t, e, code);
+            }
+            if (!err)
+                err = fpm_act(k, bank, rows[i], t);
+        } else {
+            enum_pre(k, bank, &e, &code);
+            if (t < e)
+                err = viol_push(k, K_PRE, bank, 0, 0, t, e, code);
+            apply_pre(k, bank, t);
+        }
+        if (err)
+            return err;
+    }
+    return KERN_OK;
+}
+
+/* Session.technique_op of one RowCloneOp (respect_timing=False): the
+ * issue cost, SoftwareMemoryController.technique_episode around
+ * _execute_fpm (critical mode, the refreshes that fell due, the setup
+ * and flush charges, the sequence, Bender and controller accounting,
+ * the release) and the processor's stall until the release. */
+static int64_t fpm_episode(K *k, int64_t bank, int64_t src, int64_t dst,
+                           int64_t *cycles, int64_t *stalls)
+{
+    int64_t pp = C(PROC_PERIOD);
+    *cycles += C(FPM_ISSUE);
+    if (!S(CNT_CRITICAL)) {    /* counters.enter_critical() */
+        S(CNT_CRITICAL) = 1;
+        S(CNT_CRIT_ENTRIES) += 1;
+        S(CNT_LOCKED_AT) = S(CNT_PROC);
+    }
+    int64_t start = *cycles * pp + C(REQ_BUS);
+    if (S(SCHED_CURSOR) > start)
+        start = S(SCHED_CURSOR);
+    S(SCHED_CURSOR) = start;
+    if (C(REFRESH_ENABLED) && S(NEXT_REFRESH) <= S(SCHED_CURSOR)) {
+        int64_t err = refresh_episode(k);
+        if (err)
+            return err;
+    }
+    start = S(SCHED_CURSOR);
+    int64_t sched_cycles = S(CHARGED) + C(FPM_SETUP);
+    S(CHARGED) = 0;
+    S(S_SCHED_CYCLES) += sched_cycles;
+    int64_t sched_ps = sched_cycles * C(MC_PERIOD);
+    S(T_SCHED_PS) += sched_ps;
+    S(EXEC_ANCHOR) = start + sched_ps;
+    int64_t t0 = S(EXEC_ANCHOR) > S(DRAM_CURSOR) ? S(EXEC_ANCHOR)
+        : S(DRAM_CURSOR);
+    int64_t err = issue_fpm(k, bank, src, dst, t0);
+    if (err)
+        return err;
+    S(B_PROGRAMS) += 1;
+    S(B_CYCLES) += C(FPM_CYCLES);
+    S(DRAM_CURSOR) = t0 + C(FPM_MEASURED);
+    S(T_DRAM_BUSY) += C(FPM_MEASURED);
+    S(S_BATCHES) += 1;
+    S(CHARGED) = 0;            /* the flush charge, discarded */
+    int64_t release = (S(DRAM_CURSOR) + C(RESP_BUS) + pp - 1) / pp;
+    if (C(PIPELINED)) {
+        int64_t occupied = start + C(OCCUPANCY);
+        if (occupied > S(SCHED_CURSOR))
+            S(SCHED_CURSOR) = occupied;
+    } else {
+        int64_t cursor = start + sched_ps;
+        S(SCHED_CURSOR) = S(DRAM_CURSOR) > cursor ? S(DRAM_CURSOR) : cursor;
+    }
+    int64_t point = S(SCHED_CURSOR) > S(DRAM_CURSOR)
+        ? S(SCHED_CURSOR) : S(DRAM_CURSOR);
+    if (point / pp > S(CNT_MC))  /* _sync_mc_counter */
+        S(CNT_MC) = point / pp;
+    S(CNT_CRITICAL) = 0;       /* counters.exit_critical() */
+    if (S(CNT_MC) > S(CNT_PROC)) {
+        S(CNT_CATCHUP) += S(CNT_MC) - S(CNT_PROC);
+        S(CNT_PROC) = S(CNT_MC);
+    }
+    if (release > *cycles) {
+        *stalls += release - *cycles;
+        *cycles = release;
+    }
+    if (*cycles > S(CNT_PROC))  /* counters.advance_processor */
+        S(CNT_PROC) = *cycles;
+    return KERN_OK;
+}
+
+/* Session.clflush_range(start, size) on core 0's resident cache copy: the
+ * lines flush from L1 then L2 (repro_flush_lines, marking the loans'
+ * flushed sets), each costs RC_FLUSH_LAT cycles, and the dirty ones are
+ * served as one writeback episode (service_writebacks_kernel) whose last
+ * release the processor waits for.  *ndirty gets the dirty-line count. */
+static int64_t range_lines(K *k, int64_t start, int64_t size)
+{
+    int64_t line = S(RC_LINE);
+    return (start % line + size + line - 1) / line;
+}
+
+static int64_t clflush_range(K *k, Core *q, int64_t start, int64_t size,
+                             int64_t *cycles, int64_t *stalls,
+                             int64_t *ndirty)
+{
+    int64_t line = S(RC_LINE), lat = S(RC_FLUSH_LAT);
+    int64_t first = start - start % line;
+    int64_t lines = range_lines(k, start, size);
+    int64_t issued = *cycles;
+    int64_t *dirty = k->rc_dirty;
+    memset(dirty, 0, (size_t)lines * sizeof(int64_t));
+    S(RC_FLUSHES1) += repro_flush_lines(
+        q->c1_tags, q->c1_dirty, q->c1_stamps, q->c1_count, q->c1_mru,
+        k->rc_flushed1, C(C1_SETS), C(C1_ASSOC), first / line, lines, dirty);
+    S(RC_FLUSHES2) += repro_flush_lines(
+        q->c2_tags, q->c2_dirty, q->c2_stamps, q->c2_count, q->c2_mru,
+        k->rc_flushed2, C(C2_SETS), C(C2_ASSOC), first / line, lines, dirty);
+    *cycles = issued + lines * lat;
+    int64_t n = 0;
+    for (int64_t i = 0; i < lines; i++) {
+        if (!dirty[i])
+            continue;
+        k->req_tag[n] = issued + (i + 1) * lat;
+        k->req_addr[n] = first + i * line;
+        k->req_flags[n] = RF_WRITEBACK;
+        n++;
+    }
+    *ndirty = n;
+    if (n) {
+        int64_t err = episode(k, n, k->req_tag, k->req_addr, k->req_flags,
+                              (const int64_t *)0, k->req_release,
+                              (int64_t *)0);
+        if (err)
+            return err;
+        int64_t last = k->req_release[0];
+        for (int64_t i = 1; i < n; i++)
+            if (k->req_release[i] > last)
+                last = k->req_release[i];
+        if (last > *cycles) {
+            *stalls += last - *cycles;
+            *cycles = last;
+        }
+    }
+    if (*cycles > S(CNT_PROC))  /* counters.advance_processor */
+        S(CNT_PROC) = *cycles;
+    return KERN_OK;
+}
+
+/* Run rows RC_DONE..RC_N of the row table: each row's CLFLUSH ranges (a
+ * range with size < 0 is skipped), then its FPM RowClone episode.  The
+ * processor's cycles and stall cycles travel in RC_CYCLES / RC_STALLS;
+ * RC_DONE counts the rows finished, also when an error stops the run.
+ * Before each row the logs must hold its worst case (three violations
+ * per flushed line and one WR hit, four FPM violations, two attempts
+ * and four materialized rows, plus the refresh margin episode() keeps);
+ * otherwise the call returns KERN_NEED_ROOM at that row boundary, and
+ * rowclone_rows in blockrun.py applies the logs and re-enters.
+ * cp is the resident replay's per-core table (slot 0 holds the lent
+ * cache copy); it may be null when no row flushes. */
+int64_t repro_rowclone_rows(int64_t **p, int64_t **cp)
+{
+    K kk;
+    K *k = &kk;
+    bind(k, p);
+    Core qq;
+    Core *q = &qq;
+    memset(q, 0, sizeof qq);
+    if (cp)
+        bind_core(k, cp, 0, q);
+    int64_t cycles = S(RC_CYCLES), stalls = S(RC_STALLS);
+    int64_t err = KERN_OK;
+    for (int64_t i = S(RC_DONE); i < S(RC_N) && !err; i++) {
+        int64_t *row = k->rc_rows + RC_ROW_STRIDE * i;
+        const int64_t starts[2] = {row[RC_F0_START], row[RC_F1_START]};
+        const int64_t sizes[2] = {row[RC_F0_SIZE], row[RC_F1_SIZE]};
+        int64_t *dirty[2] = {row + RC_DIRTY0, row + RC_DIRTY1};
+        int64_t lines = 0;
+        for (int r = 0; r < 2; r++)
+            if (sizes[r] >= 0)
+                lines += range_lines(k, starts[r], sizes[r]);
+        if (S(VIOL_CAP) - S(VIOL_COUNT) < 3 * lines + 68
+                || S(WRHIT_CAP) - S(WRHIT_COUNT) < lines + 16
+                || S(RC_LOG_CAP) - S(RC_LOG_COUNT) < 2
+                || S(RC_MAT_CAP) - S(NMAT) < 4) {
+            err = KERN_NEED_ROOM;
+            break;
+        }
+        for (int r = 0; r < 2 && !err; r++) {
+            if (sizes[r] >= 0)
+                err = clflush_range(k, q, starts[r], sizes[r], &cycles,
+                                    &stalls, dirty[r]);
+        }
+        if (!err)
+            err = fpm_episode(k, row[RC_BANK], row[RC_SRC], row[RC_DST],
+                              &cycles, &stalls);
+        if (!err)
+            S(RC_DONE) = i + 1;
+    }
+    S(RC_CYCLES) = cycles;
+    S(RC_STALLS) = stalls;
+    return err;
 }

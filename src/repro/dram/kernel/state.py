@@ -26,6 +26,12 @@ that layout:
   counters, cache-filter ticks and stats) and a second ``int64*[]``
   table with each core's block buffers, MLP window, latency log and
   L1/L2 way arrays.
+* the RowClone-rows entry's table and logs (``RC_*``): one record per
+  plan row (CLFLUSH ranges and the FPM op, :data:`RC_ROW_STRIDE`), the
+  attempt log whose records carry the WR-hit log's fill so the driver
+  can apply both in issue order (:meth:`KernelState.apply_rowclone_log`),
+  and the materialized-row keys kept with spare capacity
+  (``mat_buf``) so the kernel can insert the rows a call materializes.
 
 :class:`KernelState` owns the arrays and the load/store marshalling; it
 is deliberately dumb — every formula lives in ``kernel.c``, this file
@@ -81,6 +87,13 @@ CFG_FIELDS = (
     # channel index (part of the filter key)
     "TRCD_TECH", "TRCD_REDUCED", "BLOOM_NBITS", "BLOOM_HASHES",
     "BLOOM_SEED1", "BLOOM_SEED2", "CHANNEL",
+    # FPM RowClone episode (SoftwareMemoryController._build_plans): the
+    # three later commands' offsets from the first (ps), the Bender walk's
+    # interface cycles and measured time, the setup charge, the device's
+    # ACT-after-PRE window that performs the in-DRAM copy, and the
+    # processor cycles each op's issue costs
+    "FPM_OFF1", "FPM_OFF2", "FPM_OFF3", "FPM_CYCLES", "FPM_MEASURED",
+    "FPM_SETUP", "ROWCLONE_GAP", "FPM_ISSUE",
 )
 
 #: Channel-interleave codes for ``CFG.CH_MODE`` (see AddressMapper).
@@ -125,6 +138,13 @@ ST_FIELDS = (
     "E_GATES", "E_RELEASES", "E_BATCHED",
     # error reporting
     "ERR_ADDR",
+    # RowClone rows (rowclone_rows): rows in the table and rows done, the
+    # attempt-log fill and capacity, the materialized-key capacity, the
+    # processor's cycles and stall cycles (in and out), CLFLUSH latency
+    # and line size, and the lines each cache level flushed
+    "RC_N", "RC_DONE", "RC_LOG_COUNT", "RC_LOG_CAP", "RC_MAT_CAP",
+    "RC_CYCLES", "RC_STALLS", "RC_FLUSH_LAT", "RC_LINE",
+    "RC_FLUSHES1", "RC_FLUSHES2",
 )
 
 #: Per-core scalar slots of the resident replay: one ``CORE_STRIDE``
@@ -193,6 +213,10 @@ PTR_FIELDS = (
     # id, run position), plus the stable tag-sort's index scratch
     "PEND_TAG", "PEND_ADDR", "PEND_FLAGS", "PEND_RID", "PEND_RELEASE",
     "PEND_CORE", "PEND_POS", "PEND_ORDER", "PEND_SCRATCH",
+    # RowClone rows: the row table (stride RC_ROW_STRIDE), the attempt log
+    # (stride RC_LOG_STRIDE), the CLFLUSH dirty-line scratch, and the two
+    # cache levels' flushed-set marks (the loans' ``flushed`` arrays)
+    "RC_ROWS", "RC_LOG", "RC_DIRTY", "RC_FLUSHED1", "RC_FLUSHED2",
 )
 
 #: Violation log record: kind, bank, row, col, time_ps, earliest_ps, code.
@@ -209,6 +233,19 @@ WRHIT_STRIDE = 3
 #: less than nominal tRCD after its row's ACT.
 RLOG_STRIDE = 3
 
+#: RowClone row record (built by ``blockrun.rowclone_table``): two
+#: CLFLUSH ranges as (start address, size; size < 0 = no flush), the FPM
+#: op's bank, source and destination rows, then the dirty lines each
+#: range wrote back (written by the kernel).
+RC_ROW_STRIDE = 9
+RC_F0_START, RC_F0_SIZE, RC_F1_START, RC_F1_SIZE = 0, 1, 2, 3
+RC_BANK, RC_SRC, RC_DST, RC_DIRTY0, RC_DIRTY1 = 4, 5, 6, 7, 8
+
+#: RowClone attempt record: bank, source row, destination row, and the
+#: WR-hit log fill when the copying ACT issued (the two logs' common
+#: sequence: WR hits before that position happened first).
+RC_LOG_STRIDE = 4
+
 #: Plan table size.  Entry ``2 * case + is_write`` (case 0 = row hit,
 #: 1 = closed bank, 2 = conflict) is the stock plan -- or, with the tRCD
 #: technique engaged, its nominal-tRCD plan for cases 1 and 2; entries
@@ -223,6 +260,7 @@ PLAN_STRIDE = 3
 CONSTRAINT_NAMES = (
     "power-on", "tRC", "tRP", "tRRD_L", "tRRD_S", "tFAW", "tRFC",
     "tRCD", "tCCD_L", "tCCD_S", "tWTR", "banks-open", "tCS",
+    "tRAS", "tRTP", "tWR",
 )
 
 #: Registry scheduler name -> ``CFG.SCHED_KIND`` code.  Only the exact
@@ -279,6 +317,11 @@ def render_defines() -> str:
         f"#define WRHIT_STRIDE {WRHIT_STRIDE}",
         f"#define RLOG_STRIDE {RLOG_STRIDE}",
         f"#define PLAN_STRIDE {PLAN_STRIDE}",
+        f"#define RC_ROW_STRIDE {RC_ROW_STRIDE}",
+        *(f"#define {name} {globals()[name]}" for name in (
+            "RC_F0_START", "RC_F0_SIZE", "RC_F1_START", "RC_F1_SIZE",
+            "RC_BANK", "RC_SRC", "RC_DST", "RC_DIRTY0", "RC_DIRTY1")),
+        f"#define RC_LOG_STRIDE {RC_LOG_STRIDE}",
         f"#define CORE_STRIDE {len(CORE_FIELDS)}",
         f"#define CP_COUNT {len(CORE_PTR_FIELDS)}",
         f"#define KERN_OK {KERN_OK}",
@@ -331,6 +374,7 @@ class KernelState:
     """
 
     def __init__(self, smc) -> None:
+        from repro.core.smc import TECHNIQUE_ISSUE_CYCLES
         self.smc = smc
         config = smc.config
         t = config.timing
@@ -418,6 +462,12 @@ class KernelState:
         cfg[Cfg.CH_POW2] = int(mapper._ch_pow2)
         cfg[Cfg.MLP] = config.processor.mlp
         cfg[Cfg.WINDOW] = config.processor.miss_window
+        cfg[Cfg.FPM_OFF1:Cfg.FPM_OFF3 + 1] = smc._fpm_offsets[1:]
+        cfg[Cfg.FPM_CYCLES] = smc._fpm_cycles
+        cfg[Cfg.FPM_MEASURED] = smc._fpm_measured
+        cfg[Cfg.FPM_SETUP] = smc.api.costs.rowclone_setup
+        cfg[Cfg.ROWCLONE_GAP] = smc._device._rowclone_gap_ps
+        cfg[Cfg.FPM_ISSUE] = TECHNIQUE_ISSUE_CYCLES
         self.cfg = cfg
         self.geometry = geo
 
@@ -489,7 +539,9 @@ class KernelState:
         self.viol = _arr(VIOL_STRIDE * 4096)
         self.wrhit = _arr(WRHIT_STRIDE * 256)
         self.rlog = _arr(RLOG_STRIDE * 256)
-        self.mat_keys = _arr(0)
+        #: Sorted materialized-row keys in ``mat_buf[:NMAT]``; the spare
+        #: capacity takes the rows a RowClone-rows call materializes.
+        self.mat_buf = _arr(0)
         self.tracker_out = _arr(5 * max(1, int(cfg[Cfg.NCORES])))
         # Batch request arrays (grown on demand).
         self._req_cap = 0
@@ -513,6 +565,12 @@ class KernelState:
         self.pend_pos = _arr(0)
         self.pend_order = _arr(0)
         self.pend_scratch = _arr(0)
+        # RowClone-rows buffers (set per call by blockrun).
+        self.rc_rows = _arr(0)
+        self.rc_log = _arr(0)
+        self.rc_dirty = _arr(0)
+        self.rc_flushed1 = _arr(0)
+        self.rc_flushed2 = _arr(0)
         #: Per-core slot sets of the resident replay (see bind_cores).
         self.cores: list[CoreSlots] = []
         self._ncores = 0
@@ -569,6 +627,25 @@ class KernelState:
             self.rlog = _arr(RLOG_STRIDE * max(256, 2 * entries))
             self._ptr_table = None
 
+    @property
+    def mat_keys(self) -> np.ndarray:
+        """The sorted ``(bank << 32) | row`` keys of the device's
+        materialized rows, as the kernel last saw them."""
+        return self.mat_buf[:int(self.st[St.NMAT])]
+
+    def reserve_materialized(self, room: int) -> None:
+        """Spare key capacity for ``room`` rows materialized in-call."""
+        nmat = int(self.st[St.NMAT])
+        if self.mat_buf.shape[0] >= nmat + room:
+            return
+        buf = _arr(max(64, 2 * (nmat + room)))
+        buf[:nmat] = self.mat_buf[:nmat]
+        self.mat_buf = buf
+        # Techniques materialize rows between short replays: patch the
+        # one slot instead of rebuilding the table.
+        if self._ptr_table is not None:
+            self._ptr_table[Ptr.MAT_KEYS] = _pointer(buf)
+
     def refresh_materialized(self) -> None:
         """Bring the sorted search keys of the device's materialized rows
         up to date.
@@ -576,9 +653,9 @@ class KernelState:
         A conventional WR to a materialized row resets that line to its
         deterministic filler pattern (see ``DramDevice.issue_plan``).
         The kernel binary-searches this table and logs the hits; the
-        driver applies the actual writes afterwards (idempotent —
-        ordering within a run cannot matter because nothing reads row
-        data between kernel commands).
+        driver applies the actual writes afterwards, in order with the
+        RowClone copies of the same call (see
+        :meth:`apply_rowclone_log`).
 
         ``DramDevice._rows`` only grows, in insertion order, so the rows
         added since the last sync are the dict's tail: only they are
@@ -586,19 +663,17 @@ class KernelState:
         timsort) then merges the two runs in one linear pass.
         """
         rows = self.smc._device._rows
-        added = len(rows) - self.mat_keys.shape[0]
+        keys = self.mat_keys
+        added = len(rows) - keys.shape[0]
         new = np.fromiter(
             ((b << 32) | r
              for b, r in itertools.islice(reversed(rows), added)),
             np.int64, added)
-        keys = np.concatenate((self.mat_keys, new))
+        keys = np.concatenate((keys, new))
         keys.sort(kind="stable")
-        self.mat_keys = keys
+        self.reserve_materialized(added)
+        self.mat_buf[:keys.shape[0]] = keys
         self.st[St.NMAT] = keys.shape[0]
-        # Techniques materialize rows between short replays: patch the
-        # one slot instead of rebuilding the table.
-        if self._ptr_table is not None:
-            self._ptr_table[Ptr.MAT_KEYS] = _pointer(self.mat_keys)
 
     # -- marshalling --------------------------------------------------------
 
@@ -899,6 +974,33 @@ class KernelState:
                                device.default_line(bank, row, col))
         self.st[St.WRHIT_COUNT] = 0
 
+    def apply_rowclone_log(self) -> None:
+        """Apply a RowClone-rows call's data side: its WR hits and its
+        RowClone copies, interleaved in issue order.
+
+        Each attempt record names the WR-hit log fill at its ACT, so the
+        WR hits before that position are written first: a copy reads its
+        source row as the writebacks before it left it
+        (:meth:`DramDevice.rowclone_copy
+        <repro.dram.device.DramDevice.rowclone_copy>` then performs the
+        copy or the corruption).
+        """
+        device = self.smc._device
+        hits = self.wrhit[:WRHIT_STRIDE * int(self.st[St.WRHIT_COUNT])]
+        hits = list(zip(*[iter(hits.tolist())] * WRHIT_STRIDE))
+        log = self.rc_log[:RC_LOG_STRIDE * int(self.st[St.RC_LOG_COUNT])]
+        done = 0
+        for bank, src_row, dst_row, position in zip(
+                *[iter(log.tolist())] * RC_LOG_STRIDE):
+            for hit in hits[done:position]:
+                device._write_line(*hit, device.default_line(*hit))
+            done = position
+            device.rowclone_copy(bank, src_row, dst_row)
+        for hit in hits[done:]:
+            device._write_line(*hit, device.default_line(*hit))
+        self.st[St.WRHIT_COUNT] = 0
+        self.st[St.RC_LOG_COUNT] = 0
+
     def pointer_table(self) -> int:
         """Address of the ``int64*[]`` slot table (an int64 array of
         buffer addresses), rebuilt when a buffer is swapped."""
@@ -913,7 +1015,7 @@ class KernelState:
             self.plan_n, self.plan_kinds, self.plan_offsets,
             self.plan_cycles, self.plan_charge, self.plan_measured,
             self.plan_postflush,
-            self.viol, self.mat_keys, self.wrhit, self.rlog, self.bloom,
+            self.viol, self.mat_buf, self.wrhit, self.rlog, self.bloom,
             self.req_tag, self.req_addr, self.req_flags, self.req_core,
             self.req_release, self.req_service, self.tracker_out,
             self.tbl,
@@ -921,6 +1023,8 @@ class KernelState:
             self.pend_tag, self.pend_addr, self.pend_flags, self.pend_rid,
             self.pend_release, self.pend_core, self.pend_pos,
             self.pend_order, self.pend_scratch,
+            self.rc_rows, self.rc_log, self.rc_dirty, self.rc_flushed1,
+            self.rc_flushed2,
         )
         assert len(arrays) == len(PTR_FIELDS)
         self._keepalive = arrays
@@ -964,6 +1068,13 @@ class KernelState:
             dtype=np.int64)
         self._core_address = self._core_table.ctypes.data
         return self._core_address
+
+    def set_array(self, name: str, arr: np.ndarray) -> None:
+        """Swap one slot-table buffer (lower-cased ``PTR_FIELDS`` name),
+        patching the live table in place."""
+        setattr(self, name, arr)
+        if self._ptr_table is not None:
+            self._ptr_table[getattr(Ptr, name.upper())] = _pointer(arr)
 
     def set_core_array(self, index: int, field: int, arr: np.ndarray) -> None:
         """Swap one per-core buffer, patching the live table in place."""

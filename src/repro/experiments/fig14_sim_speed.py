@@ -23,8 +23,6 @@ level down.
 
 from __future__ import annotations
 
-import os
-
 from repro.analysis import bar_chart, format_table, geomean
 from repro.baselines.ramulator import RamulatorConfig, RamulatorSim
 from repro.core.config import jetson_nano_time_scaling
@@ -89,23 +87,17 @@ def sweep_point(kernel: str, size: str) -> dict:
     # so far that it would swamp the engine-comparison axis this figure
     # isolates — the memory-bound kernels would suddenly "gain" the most,
     # inverting the intensity correlation that is the reproduced shape.
-    # Both platforms measure with it pinned off; every *artifact*-bearing
-    # experiment runs it as usual (results are bit-identical regardless).
-    prior = os.environ.get("REPRO_KERNEL")
-    os.environ["REPRO_KERNEL"] = "0"
-    try:
-        (easy_hz, easy), (cycle_hz, _), (ram_hz, _) = _best_rates(
-            lambda: EasyDRAMSystem(config, engine="event").run(
-                BlockTrace(blocks), kernel),
-            lambda: EasyDRAMSystem(config, engine="cycle").run(
-                BlockTrace(blocks), kernel),
-            lambda: RamulatorSim(RamulatorConfig(
-                max_accesses=RAMULATOR_CAP)).run(BlockTrace(capped), kernel))
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_KERNEL", None)
-        else:
-            os.environ["REPRO_KERNEL"] = prior
+    # Both EasyDRAM platforms are built with the kernel off (per system,
+    # so concurrent jobs in this process keep theirs); every
+    # *artifact*-bearing experiment runs it as usual (results are
+    # bit-identical regardless).
+    (easy_hz, easy), (cycle_hz, _), (ram_hz, _) = _best_rates(
+        lambda: EasyDRAMSystem(config, engine="event", kernel=False).run(
+            BlockTrace(blocks), kernel),
+        lambda: EasyDRAMSystem(config, engine="cycle", kernel=False).run(
+            BlockTrace(blocks), kernel),
+        lambda: RamulatorSim(RamulatorConfig(
+            max_accesses=RAMULATOR_CAP)).run(BlockTrace(capped), kernel))
     return {
         "easydram_mhz": easy_hz / 1e6,
         "easydram_cycle_mhz": cycle_hz / 1e6,

@@ -311,7 +311,8 @@ def measure_layers():
             return engaged
         return wrapper
 
-    for name in ("service_pending_kernel", "service_writebacks_kernel"):
+    for name in ("service_pending_kernel", "service_writebacks_kernel",
+                 "rowclone_rows_kernel"):
         original = getattr(SoftwareMemoryController, name)
         patches.append((SoftwareMemoryController, name, original))
         setattr(SoftwareMemoryController, name, timed_kernel(original, 0))

@@ -184,10 +184,15 @@ class TestEngagement:
             tech.execute_init(tech.plan_init(size, base_addr=1 << 22),
                               include_source_setup=False)
         assert tech.stats.rowclone_ops > 0
-        # Only the refreshes falling due inside RowClone episodes walk a
-        # program; the RowClones themselves issue the memoized plan.
-        assert walks and set(walks) == {("PREA", "REF")}
-        assert len(walks) <= system.smc.stats.refreshes
+        if system.smc._kernel_state is not None:
+            # The rows ran in the kernel, their refreshes included.
+            assert walks == []
+            assert system.smc.stats.refreshes > 0
+        else:
+            # Only the refreshes falling due inside RowClone episodes walk
+            # a program; the RowClones themselves issue the memoized plan.
+            assert walks and set(walks) == {("PREA", "REF")}
+            assert len(walks) <= system.smc.stats.refreshes
         assert system.smc.stats.technique_ops == tech.stats.rowclone_ops
 
     @pytest.mark.parametrize("op", ("copy", "init"))
@@ -280,6 +285,16 @@ class TestEngagement:
             return last
         monkeypatch.setattr(controller, "service_writebacks_kernel",
                             writebacks)
+        rows_entry = controller.rowclone_rows_kernel
+
+        def rows_kernel(smc, rows, proc, finished):
+            # The reliable rows' writebacks are served inside this entry.
+            engaged = rows_entry(smc, rows, proc, finished)
+            dirty = sum(map(sum, finished))
+            if dirty:
+                served.append((dirty, engaged))
+            return engaged
+        monkeypatch.setattr(controller, "rowclone_rows_kernel", rows_kernel)
         system = EasyDRAMSystem(jetson_nano_time_scaling())
         session = system.session("engagement")
         tech = RowCloneTechnique(session)
@@ -348,3 +363,117 @@ class TestEngagement:
             assert int(ks.st[St.NMAT]) == len(keys)
             checks += 1
         assert checks > 20 and len(device._rows) > 50
+
+    @pytest.mark.parametrize("op", ("copy", "init"))
+    @pytest.mark.parametrize("clflush", (False, True))
+    def test_reliable_rows_run_in_the_rows_entry(self, op, clflush,
+                                                 monkeypatch):
+        """On the benchmark's RowClone op shapes, every reliable row runs
+        inside ``rowclone_rows_kernel``: no technique episode, and the
+        only writeback entry calls are the fallback rows' CLFLUSHes."""
+        from repro.core import smc as smc_module
+        from repro.dram.kernel import cbackend
+        from repro.workloads import microbench
+
+        if cbackend.load()[0] is None:
+            pytest.skip("no C compiler for the kernel")
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        controller = smc_module.SoftwareMemoryController
+        counts = {"episodes": 0, "writebacks": 0}
+        runs = []
+        episode = controller.technique_episode
+        writebacks = controller.service_writebacks_kernel
+        rows_entry = controller.rowclone_rows_kernel
+
+        def count(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def rows_kernel(smc, rows, proc, finished):
+            engaged = rows_entry(smc, rows, proc, finished)
+            runs.append((len(rows), engaged, smc.kernel_fallback_reason))
+            return engaged
+
+        monkeypatch.setattr(controller, "technique_episode",
+                            count("episodes", episode))
+        monkeypatch.setattr(controller, "service_writebacks_kernel",
+                            count("writebacks", writebacks))
+        monkeypatch.setattr(controller, "rowclone_rows_kernel", rows_kernel)
+        system = EasyDRAMSystem(jetson_nano_time_scaling())
+        session = system.session("engagement")
+        tech = RowCloneTechnique(session)
+        size = 384 * 1024
+        if op == "copy":
+            plan = tech.plan_copy(size, base_addr=0)
+            if clflush:
+                session.run_trace(microbench.touch_blocks(0, size,
+                                                          write=True))
+            tech.execute_copy(plan, clflush=clflush)
+        else:
+            plan = tech.plan_init(size, base_addr=1 << 24)
+            if clflush:
+                session.run_trace(microbench.touch_blocks(1 << 24, size,
+                                                          write=True))
+            tech.execute_init(plan, clflush=clflush,
+                              include_source_setup=False)
+        session.finish()
+        stats = tech.stats
+        assert stats.rowclone_ops > 0
+        assert runs and all(engaged and reason is None
+                            for _, engaged, reason in runs)
+        assert sum(n for n, _, _ in runs) == stats.rowclone_ops
+        assert counts["episodes"] == 0
+        per_row = 2 if op == "copy" else 1
+        assert counts["writebacks"] <= (per_row * stats.fallback_rows
+                                        if clflush else 0)
+        if op == "init":
+            assert stats.fallback_rows > 0
+
+    @pytest.mark.parametrize("case, reason", (
+        ("strict", "strict timing mode"),
+        ("activations", "row-activation tracking enabled"),
+        ("2ch", "multi-channel topology"),
+        ("kernel-off", "disabled for this system (kernel=False)"),
+    ))
+    def test_rows_entry_declines_with_a_reason(self, case, reason,
+                                               monkeypatch):
+        """Each decline records its reason, leaves everything untouched,
+        and the drivers fall back to the per-row path."""
+        import dataclasses
+
+        from repro.core.config import InterferenceConfig
+        from repro.dram.kernel import cbackend
+
+        if cbackend.load()[0] is None:
+            pytest.skip("no C compiler for the kernel")
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        config = jetson_nano_time_scaling()
+        if case == "activations":
+            config = jetson_nano_time_scaling(
+                interference=InterferenceConfig(track_row_activations=True))
+        elif case == "2ch":
+            config = config.with_topology("ddr4-2ch")
+        system = EasyDRAMSystem(config, kernel=case != "kernel-off")
+        session = system.session("decline")
+        if case == "strict":
+            # Switched on after the kernel resolved for a first request.
+            session.run_trace([])
+            system.device.checker.strict = True
+        before = (session.processor.cycles, system.smc.stats.technique_ops)
+        finished = []
+        assert session.rowclone_rows([(1, 2, 3, ())], finished) is False
+        assert finished == []
+        assert [smc.kernel_fallback_reason for smc in system.smcs] == \
+            [reason] * system.num_channels
+        assert (session.processor.cycles,
+                system.smc.stats.technique_ops) == before
+        if case in ("strict", "2ch"):
+            return
+        tech = RowCloneTechnique(session)
+        plan = tech.plan_copy(4 * tech.geometry.row_bytes)
+        plan.pairs = [dataclasses.replace(pair, reliable=True)
+                      for pair in plan.pairs]
+        tech.execute_copy(plan, clflush=True)
+        assert system.smc.stats.technique_ops == tech.stats.rowclone_ops == 4

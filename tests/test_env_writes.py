@@ -20,9 +20,6 @@ ALLOWED = {
         "`repro run --full` sets REPRO_FULL once in the single-threaded"
         " CLI front end, before any point is built; points resolve it"
         " into their params, so the cache key covers it",
-    ("experiments/fig14_sim_speed.py", "sweep_point"):
-        "pins REPRO_KERNEL=0 around host-time measurements; the kernel"
-        " is bit-identical, so only host time is affected",
 }
 
 _MUTATORS = {"update", "pop", "popitem", "setdefault", "clear",
