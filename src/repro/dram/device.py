@@ -170,82 +170,21 @@ class DramDevice:
         self.stats.count(cmd.kind)
         return self._handlers[cmd.kind](cmd, time_ps)
 
-    def issue_discard(self, cmd: Command, time_ps: int,
-                      precleared: bool = False) -> None:
-        """Execute one command whose read data (if any) would be discarded.
-
-        The event engine's conventional read/write service path
-        never consumes the captured cache line — the cycle engine pops it
-        from the readback buffer and throws it away — so this variant
-        skips materializing row contents while keeping every observable
-        side effect of :meth:`issue` identical: the monotonicity check,
-        the (batched) timing validation with its violation records, bank
-        and rank state updates, command counts, RowClone detection, and
-        the reliability/retention statistics.
-
-        ``precleared=True`` skips the timing check: the caller already
-        computed this command's earliest legal time against the *current*
-        device state and chose ``time_ps`` at or after it, so the check
-        could neither raise nor record anything.
-        """
-        if time_ps < self._last_issue_ps:
-            raise ValueError(
-                f"command stream went backwards: {time_ps} < {self._last_issue_ps}")
-        self._last_issue_ps = time_ps
-        if not precleared:
-            self.checker.check_fast(cmd, time_ps, self.banks,
-                                    self.checker_rank)
-        self.stats.count(cmd.kind)
-        kind = cmd.kind
-        if kind is CommandKind.RD:
-            bank = self.banks[cmd.bank]
-            if bank.open_row is None:
-                raise RuntimeError(
-                    f"RD to bank {cmd.bank} with no open row at {time_ps} ps")
-            row = bank.open_row
-            bank.read(time_ps)
-            self.flat.read(cmd.bank, time_ps)
-            trcd_used = time_ps - bank.last_act
-            if not self.cells.read_is_reliable(cmd.bank, row, trcd_used):
-                self.stats.unreliable_reads += 1
-            elif self.retention_modeling and self._retention_lapsed(time_ps):
-                if self._row_is_leaky(cmd.bank, row):
-                    self.stats.retention_failures += 1
-            return None
-        if kind is CommandKind.WR:
-            bank = self.banks[cmd.bank]
-            if bank.open_row is None:
-                raise RuntimeError(
-                    f"WR to bank {cmd.bank} with no open row at {time_ps} ps")
-            row = bank.open_row
-            data = cmd.data
-            if data is not None:
-                self._write_line(cmd.bank, row, cmd.col, data)
-            elif (cmd.bank, row) in self._rows:
-                # A conventional writeback stores the power-on filler
-                # pattern (the caches are tag-only); that only changes
-                # anything if a technique already materialized this row.
-                self._write_line(cmd.bank, row, cmd.col,
-                                 self.default_line(cmd.bank, row, cmd.col))
-            data_end = time_ps + self.timing.tCWL + self.timing.tBL
-            bank.write(time_ps, data_end)
-            self.flat.write(cmd.bank, time_ps, data_end)
-            return None
-        self._handlers[kind](cmd, time_ps)
-        return None
-
     def issue_fast(self, kind: int, bank_index: int, row: int, col: int,
                    time_ps: int, precleared: bool) -> None:
-        """:meth:`issue_discard` for a flat-coded command (no objects).
+        """:meth:`issue` for a flat-coded command whose read data is
+        discarded (no objects, no captured cache line).
 
         ``kind`` is a :mod:`repro.dram.flat_timing` code; timing
         legality is answered by :meth:`FlatTimingState.earliest` (which
         computes exactly what the object checker computes), and the rare
         violating command falls back to the object checker so the
         violation record / strict-mode exception is bit-identical.
-        Every observable side effect matches :meth:`issue_discard`:
+        Every timing-visible side effect matches :meth:`issue`:
         monotonicity, statistics, bank+rank state (object and flat views
         both), RowClone detection, reliability and retention modeling.
+        A conventional WR only rewrites a row a technique already
+        materialized.
         """
         if time_ps < self._last_issue_ps:
             raise ValueError(

@@ -201,13 +201,13 @@ class FlatTimingState:
     def ref(self, t: int) -> None:
         self.last_ref = t
 
-    # -- queries (bit-identical to TimingChecker.earliest_ps) ---------------
+    # -- queries (bit-identical to TimingChecker.earliest_issue) ------------
 
     def earliest(self, kind: int, bank: int) -> int:
         """Earliest legal issue time of a ``kind`` command on ``bank``.
 
         Computes the exact value of
-        :meth:`repro.dram.timing_checker.TimingChecker.earliest_ps`
+        :meth:`repro.dram.timing_checker.TimingChecker.earliest_issue`
         for the corresponding command, using the flat arrays.
         """
         t = self.timing

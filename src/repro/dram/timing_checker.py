@@ -174,128 +174,6 @@ class TimingChecker:
             time_ps, earliest, constraint))
         return earliest - time_ps
 
-    # -- batched per-bank queries (event-engine fast path) -----------------
-
-    def earliest_ps(self, cmd: Command, banks: list[BankState],
-                    rank: RankState) -> int:
-        """Earliest legal issue time for ``cmd``, without the constraint name.
-
-        Computes exactly the same value as :meth:`earliest_issue` but in
-        one fused pass over the bank states — a single *batched* query
-        per bank instead of one candidate object per (bank, constraint)
-        pair.  The software memory controller's bank-parallel service
-        path calls this once per command, so the per-bank constraint
-        scans are the only O(banks) work left on the hot path.
-        """
-        t = self.timing
-        kind = cmd.kind
-        rank_states = self._rank_states(rank)
-        multi_rank = self._multi_rank
-        rank_of = self._rank_of
-        e = 0  # the "power-on" floor
-        if kind is CommandKind.ACT:
-            bank = banks[cmd.bank]
-            e = bank.last_act + t.tRC
-            v = bank.last_pre + t.tRP
-            if v > e:
-                e = v
-            group_of = self._group_of
-            grp = group_of[cmd.bank]
-            own_rank = rank_of[cmd.bank]
-            rrd_l, rrd_s = t.tRRD_L, t.tRRD_S
-            self_index = cmd.bank
-            for other in banks:
-                if other.index == self_index:
-                    continue
-                if multi_rank and rank_of[other.index] != own_rank:
-                    continue
-                gap = rrd_l if group_of[other.index] == grp else rrd_s
-                v = other.last_act + gap
-                if v > e:
-                    e = v
-            acts = rank_states[min(own_rank, len(rank_states) - 1)].recent_acts
-            if len(acts) >= 4:
-                v = sorted(acts)[-4] + t.tFAW
-                if v > e:
-                    e = v
-            v = self._last_ref(rank_states) + t.tRFC
-            if v > e:
-                e = v
-        elif kind in (CommandKind.PRE, CommandKind.PREA):
-            targets = banks if kind is CommandKind.PREA else (banks[cmd.bank],)
-            tras, trtp, twr = t.tRAS, t.tRTP, t.tWR
-            for bank in targets:
-                v = bank.last_act + tras
-                if v > e:
-                    e = v
-                v = bank.last_read + trtp
-                if v > e:
-                    e = v
-                v = bank.last_write_data_end + twr
-                if v > e:
-                    e = v
-        elif kind is CommandKind.RD or kind is CommandKind.WR:
-            bank = banks[cmd.bank]
-            e = bank.last_act + t.tRCD
-            group_of = self._group_of
-            grp = group_of[cmd.bank]
-            own_rank = rank_of[cmd.bank]
-            ccd_l, ccd_s, tcs = t.tCCD_L, t.tCCD_S, t.tCS
-            write_end = NEVER
-            other_write_end = NEVER
-            for other in banks:
-                last_cas = other.last_read
-                if other.last_write > last_cas:
-                    last_cas = other.last_write
-                if multi_rank and rank_of[other.index] != own_rank:
-                    v = last_cas + tcs
-                    if v > e:
-                        e = v
-                    if other.last_write_data_end > other_write_end:
-                        other_write_end = other.last_write_data_end
-                    continue
-                gap = ccd_l if group_of[other.index] == grp else ccd_s
-                v = last_cas + gap
-                if v > e:
-                    e = v
-                if other.last_write_data_end > write_end:
-                    write_end = other.last_write_data_end
-            if kind is CommandKind.RD:
-                v = write_end + t.tWTR
-                if v > e:
-                    e = v
-                if multi_rank:
-                    v = other_write_end + tcs
-                    if v > e:
-                        e = v
-        elif kind is CommandKind.REF:
-            trp = t.tRP
-            for bank in banks:
-                v = bank.last_pre + trp
-                if v > e:
-                    e = v
-                if bank.open_row is not None:
-                    e = 1 << 62  # all banks must be precharged first
-            v = self._last_ref(rank_states) + t.tRFC
-            if v > e:
-                e = v
-        return e if e > 0 else 0
-
-    def check_fast(self, cmd: Command, time_ps: int, banks: list[BankState],
-                   rank: RankState) -> int:
-        """Validate ``cmd`` using the batched query; identical to :meth:`check`.
-
-        The legal case (the overwhelmingly common one on the conventional
-        controller path) costs one :meth:`earliest_ps` pass.  A violation
-        falls back to the full candidate enumeration so the binding
-        constraint name — and therefore the strict-mode exception and the
-        permissive-mode :class:`ViolationRecord` — is bit-identical to
-        what :meth:`check` produces.
-        """
-        if time_ps >= self.earliest_ps(cmd, banks, rank):
-            return 0
-        return self.check(cmd, time_ps, banks, rank)
-
     # -- helpers ----------------------------------------------------------
 
     def _act_to_act(self, cmd: Command, banks: list[BankState]) -> list[_Constraint]:

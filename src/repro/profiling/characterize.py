@@ -288,7 +288,7 @@ def measure_layers():
     patch(SoftwareMemoryController, "service_pending_batched", "smc",
           "_smc_depth")
     patch(SoftwareMemoryController, "technique_episode", "smc", "_smc_depth")
-    for name in ("issue", "issue_discard", "issue_fast", "issue_col",
+    for name in ("issue", "issue_fast", "issue_col",
                  "issue_plan", "issue_rowclone"):
         patch(DramDevice, name, "device", "_device_depth")
 

@@ -68,7 +68,7 @@ def point_key(point: SweepPoint, code: str | None = None) -> str:
     Hashes everything that determines the point's result — the function
     reference, its parameters, the artifact/point ids, and the source
     ``code`` fingerprint (current tree when omitted) — so the same
-    scheme keys both the on-disk JSON cache and the service's DuckDB
+    scheme keys both the on-disk JSON cache and the service's SQLite
     result store (``repro.serve.store``): a code edit moves every key,
     which is what makes stale results unservable by construction.
     """

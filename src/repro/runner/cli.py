@@ -173,7 +173,7 @@ def _parser() -> argparse.ArgumentParser:
     srv = sub.add_parser(
         "serve",
         help="run the persistent simulation service (HTTP job queue"
-             " over a DuckDB/sqlite result store)")
+             " over an SQLite result store)")
     srv.add_argument(
         "--host", default="127.0.0.1",
         help="interface to bind (default: loopback only)")
@@ -189,10 +189,6 @@ def _parser() -> argparse.ArgumentParser:
         "--store", default=None, metavar="FILE",
         help="result-store database file (default: $REPRO_SERVE_STORE"
              " or .repro-serve/results.db)")
-    srv.add_argument(
-        "--backend", choices=("auto", "duckdb", "sqlite"), default=None,
-        help="SQL backend (default: $REPRO_SERVE_BACKEND or auto ="
-             " duckdb when installed, else stdlib sqlite)")
     srv.add_argument(
         "--verbose", action="store_true",
         help="log every HTTP request to stderr")
@@ -592,18 +588,18 @@ def _hash_command(args: argparse.Namespace) -> int:
 
 
 def _serve_command(args: argparse.Namespace) -> int:
-    from repro.serve import ResultStore, StoreError, refresh_staleness
+    from repro.serve import ResultStore, StoreError
     from repro.serve.server import make_server
 
     try:
-        store = ResultStore(args.store, backend=args.backend)
+        store = ResultStore(args.store)
     except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = refresh_staleness(store)
-    if report.flagged:
-        print(f"note: flagged {report.points_flagged} point row(s) and"
-              f" {report.jobs_flagged} job row(s) stale (computed by"
+    report = store.refresh_staleness()
+    if report["points_flagged"] or report["jobs_flagged"]:
+        print(f"note: flagged {report['points_flagged']} point row(s) and"
+              f" {report['jobs_flagged']} job row(s) stale (computed by"
               " other source trees; still queryable)")
     server = make_server(args.host, args.port, store=store,
                          workers=args.workers, verbose=args.verbose)

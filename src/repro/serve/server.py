@@ -32,7 +32,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from repro.serve.jobs import JobQueue
-from repro.serve.staleness import refresh_staleness
 from repro.serve.store import ResultStore, StoreError
 
 #: Largest request body /submit or /query accepts (a spec document or
@@ -135,7 +134,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(500, f"{type(exc).__name__}: {exc}")
 
     def _health(self) -> None:
-        report = refresh_staleness(self.server.store)
+        # Flag before counting, so "rows" sees this sweep's flags.
+        staleness = self.server.store.refresh_staleness()
         self._send(200, {
             "ok": True,
             "backend": self.server.store.backend,
@@ -144,7 +144,7 @@ class _Handler(BaseHTTPRequestHandler):
             "workers": self.server.queue.workers,
             "queue": dict(self.server.queue.stats),
             "rows": self.server.store.counts(),
-            "staleness": report.as_dict(),
+            "staleness": staleness,
         })
 
     def _status(self, job_id: str) -> None:

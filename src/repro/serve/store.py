@@ -19,18 +19,27 @@ payload (the exact representation :func:`repro.runner.spec.json_normalize`
 produces, non-finite floats included), never re-encoded through SQL
 types — that is what makes the write -> read round trip bit-identical.
 
-Backends: DuckDB when importable (``pip install duckdb``; persists to a
-single ``.duckdb`` file and exports Parquet via plain SQL ``COPY``),
-otherwise the stdlib ``sqlite3`` with identical semantics.  Select
-explicitly with ``REPRO_SERVE_BACKEND=duckdb|sqlite`` (default
-``auto``).  The store path defaults to ``REPRO_SERVE_STORE`` or
-``.repro-serve/results.db``.
+The backend is the stdlib ``sqlite3``, one file on disk.  The store is a
+cache: a file at the store path that is not an SQLite database is an
+error (delete it and re-run), never migrated.  The store path defaults
+to ``REPRO_SERVE_STORE`` or ``.repro-serve/results.db``.
+
+Staleness: keys embed the source fingerprint, so a code edit makes
+every previously stored row unreachable through the cache interface —
+correctness never depends on flagging.  What
+:meth:`ResultStore.refresh_staleness` adds is *visibility*: rows a
+fingerprint bump left behind get an explicit ``stale = 1`` instead of
+silently mixing results computed by different simulators.  The server
+runs it at startup and before reporting /health; flagged rows remain
+queryable forever (regression archaeology across code versions is a
+feature, not a leak).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sqlite3
 import threading
 import time
 from pathlib import Path
@@ -67,46 +76,20 @@ _SCHEMA = (
 )
 
 #: First keyword of the statements ``query`` accepts; everything else
-#: (INSERT, UPDATE, ATTACH, PRAGMA, COPY...) is rejected so the /query
-#: endpoint stays read-only, mirroring the read-only tool registry of
-#: the DuckDB-cache pattern this store follows.
-_READONLY_PREFIXES = ("select", "with", "describe", "show", "explain")
+#: (INSERT, UPDATE, ATTACH, PRAGMA...) is rejected up front.  A CTE can
+#: still front a write (``WITH x AS (...) DELETE ...``), so ``query``
+#: also runs under ``PRAGMA query_only``: SQLite itself refuses writes.
+_READONLY_PREFIXES = ("select", "with", "explain")
 
 
 class StoreError(Exception):
-    """A store operation failed (bad SQL, unavailable backend...)."""
+    """A store operation failed (bad SQL, unreadable store file...)."""
 
 
 def default_store_path() -> str:
     """Resolve the store file (``REPRO_SERVE_STORE`` or the default)."""
     return os.environ.get("REPRO_SERVE_STORE", "") \
         or os.path.join(".repro-serve", "results.db")
-
-
-def available_backends() -> tuple[str, ...]:
-    """Importable backends, preferred first."""
-    try:
-        import duckdb  # noqa: F401
-    except ImportError:
-        return ("sqlite",)
-    return ("duckdb", "sqlite")
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Pick the SQL backend: explicit argument > env knob > best available."""
-    choice = (backend or os.environ.get("REPRO_SERVE_BACKEND", "")
-              or "auto").strip().lower()
-    if choice == "auto":
-        return available_backends()[0]
-    if choice not in ("duckdb", "sqlite"):
-        raise StoreError(
-            f"unknown store backend {choice!r} (expected 'auto',"
-            " 'duckdb', or 'sqlite')")
-    if choice == "duckdb" and "duckdb" not in available_backends():
-        raise StoreError(
-            "REPRO_SERVE_BACKEND=duckdb but the duckdb module is not"
-            " installed; pip install duckdb or use the sqlite backend")
-    return choice
 
 
 class ResultStore(runner_cache.NullCache):
@@ -123,42 +106,35 @@ class ResultStore(runner_cache.NullCache):
     fingerprints to simulate code moving underneath stored results.
     """
 
+    #: The only SQL backend; /health reports it.
+    backend = "sqlite"
+
     def __init__(self, path: str | os.PathLike | None = None,
-                 backend: str | None = None, code: str | None = None):
+                 code: str | None = None):
         self.path = Path(path) if path else Path(default_store_path())
-        self.backend = resolve_backend(backend)
         self._code_override = code
         self._lock = threading.Lock()
         try:
             if self.path.parent and str(self.path.parent) not in (".", ""):
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._conn = self._connect()
-        except StoreError:
-            raise
+            # One shared connection guarded by self._lock: the HTTP
+            # server handles requests on many threads.
+            self._conn = sqlite3.connect(str(self.path),
+                                         check_same_thread=False)
         except Exception as exc:
             raise StoreError(
                 f"cannot open result store at {self.path}: {exc}") from exc
-        with self._lock:
-            for statement in _SCHEMA:
-                self._conn.execute(statement)
-            self._commit()
-
-    # -- connection plumbing ------------------------------------------
-
-    def _connect(self):
-        if self.backend == "duckdb":
-            import duckdb
-
-            return duckdb.connect(str(self.path))
-        import sqlite3
-
-        # One shared connection guarded by self._lock: the HTTP server
-        # handles requests on many threads.
-        return sqlite3.connect(str(self.path), check_same_thread=False)
-
-    def _commit(self) -> None:
-        if self.backend == "sqlite":
-            self._conn.commit()
+        try:
+            with self._lock:
+                for statement in _SCHEMA:
+                    self._conn.execute(statement)
+                self._conn.commit()
+        except sqlite3.DatabaseError as exc:
+            self._conn.close()
+            raise StoreError(
+                f"result store at {self.path} is not a usable SQLite"
+                f" database ({exc}); the store is a cache: delete it and"
+                " re-run") from exc
 
     def close(self) -> None:
         with self._lock:
@@ -211,7 +187,7 @@ class ResultStore(runner_cache.NullCache):
                 (key, point.artifact, point.point_id, point.fn,
                  json.dumps(dict(point.params), sort_keys=True),
                  json.dumps(value), code, 0, time.time()))
-            self._commit()
+            self._conn.commit()
 
     @staticmethod
     def is_hit(value) -> bool:
@@ -229,7 +205,7 @@ class ResultStore(runner_cache.NullCache):
                 (fingerprint, kind, name, spec_hash,
                  json.dumps(dict(request), sort_keys=True),
                  json.dumps(payload), self.code(), 0, time.time()))
-            self._commit()
+            self._conn.commit()
 
     def get_job_payload(self, fingerprint: str):
         """A completed job's payload, or None.
@@ -248,26 +224,29 @@ class ResultStore(runner_cache.NullCache):
 
     # -- staleness ----------------------------------------------------
 
-    def flag_stale(self) -> tuple[int, int]:
-        """Mark rows from other source fingerprints stale.
+    def refresh_staleness(self) -> dict[str, Any]:
+        """Mark rows from other source fingerprints stale; report.
 
-        Returns ``(points flagged, jobs flagged)``.  Flagged rows stay
-        in the store — historical results remain queryable with SQL
-        (``WHERE stale = 1``) — but no read path serves them as hits.
+        Flagged rows stay in the store — historical results remain
+        queryable with SQL (``WHERE stale = 1``) — but no read path
+        serves them as hits.  Returns the /health ``staleness`` dict:
+        the current fingerprint, the rows this call newly flagged, and
+        the stale totals after it.
         """
         code = self.code()
-        counts = []
+        report: dict[str, Any] = {"code_fingerprint": code}
         with self._lock:
             for table in ("points", "jobs"):
-                before = self._conn.execute(
-                    f"SELECT count(*) FROM {table} WHERE stale = 0"
-                    " AND code_fingerprint != ?", (code,)).fetchone()[0]
-                self._conn.execute(
-                    f"UPDATE {table} SET stale = 1 WHERE"
-                    " code_fingerprint != ?", (code,))
-                counts.append(int(before))
-            self._commit()
-        return counts[0], counts[1]
+                cursor = self._conn.execute(
+                    f"UPDATE {table} SET stale = 1 WHERE stale = 0"
+                    " AND code_fingerprint != ?", (code,))
+                report[f"{table}_flagged"] = cursor.rowcount
+            self._conn.commit()
+            for table in ("points", "jobs"):
+                report[f"{table}_stale"] = self._conn.execute(
+                    f"SELECT count(*) FROM {table} WHERE stale = 1"
+                ).fetchone()[0]
+        return report
 
     def counts(self) -> dict[str, int]:
         """Row counts for /health: total and stale, per table."""
@@ -289,8 +268,10 @@ class ResultStore(runner_cache.NullCache):
               params: Sequence[Any] = ()) -> dict[str, Any]:
         """Run one read-only SQL statement; ``{"columns", "rows"}``.
 
-        Rejects anything that is not a single SELECT-shaped statement:
-        the service's query surface is read-only by contract.
+        Rejects anything that is not a single SELECT-shaped statement,
+        and runs the statement under ``PRAGMA query_only`` so SQLite
+        refuses any write it hides (a CTE in front of a DELETE): the
+        service's query surface is read-only by contract.
         """
         statement = sql.strip().rstrip(";")
         if ";" in statement:
@@ -301,12 +282,13 @@ class ResultStore(runner_cache.NullCache):
                 f"query must be read-only (got {first or 'nothing'!r};"
                 f" expected one of: {', '.join(_READONLY_PREFIXES)})")
         with self._lock:
+            self._conn.execute("PRAGMA query_only = ON")
             try:
                 cursor = self._conn.execute(statement, tuple(params))
                 rows = cursor.fetchall()
                 columns = [d[0] for d in cursor.description or ()]
-            except StoreError:
-                raise
-            except Exception as exc:  # backend-specific SQL errors
+            except Exception as exc:  # SQL errors, refused writes
                 raise StoreError(f"query failed: {exc}") from None
+            finally:
+                self._conn.execute("PRAGMA query_only = OFF")
         return {"columns": columns, "rows": [list(row) for row in rows]}

@@ -12,7 +12,6 @@ edge cases the burst loop must get right.
 from __future__ import annotations
 
 import dataclasses
-import random
 
 import pytest
 
@@ -31,10 +30,6 @@ from repro.core.engine import (
 from repro.core.system import EasyDRAMSystem, EmulationDeadlock
 from repro.cpu.memtrace import load
 from repro.cpu.processor import MemoryRequest
-from repro.dram.bank import BankState, RankState
-from repro.dram.commands import Command, CommandKind
-from repro.dram.timing import ddr4_1333
-from repro.dram.timing_checker import TimingChecker
 from repro.workloads import lmbench, microbench
 
 CONFIGS = {
@@ -279,85 +274,3 @@ class TestEngineSelection:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown emulation engine"):
             EasyDRAMSystem(jetson_nano_time_scaling(), engine="warp")
-
-
-class TestBatchedTimingQueries:
-    """earliest_ps must compute exactly what earliest_issue computes."""
-
-    def _random_state(self, rng, geometry):
-        banks = []
-        for i in range(geometry.num_banks):
-            bank = BankState(i)
-            if rng.random() < 0.8:
-                bank.last_act = rng.randrange(0, 2_000_000)
-                bank.open_row = rng.randrange(0, geometry.rows_per_bank)
-            if rng.random() < 0.7:
-                bank.last_pre = rng.randrange(0, 2_000_000)
-                if rng.random() < 0.5:
-                    bank.open_row = None
-            if rng.random() < 0.6:
-                bank.last_read = rng.randrange(0, 2_000_000)
-            if rng.random() < 0.6:
-                bank.last_write = rng.randrange(0, 2_000_000)
-                bank.last_write_data_end = bank.last_write + rng.randrange(0, 20_000)
-            banks.append(bank)
-        rank = RankState()
-        for _ in range(rng.randrange(0, 6)):
-            rank.recent_acts.append(rng.randrange(0, 2_000_000))
-        if rng.random() < 0.5:
-            rank.last_ref = rng.randrange(0, 2_000_000)
-        return banks, rank
-
-    def test_matches_full_enumeration_on_random_states(self):
-        timing = ddr4_1333()
-        from repro.dram.address import Geometry
-
-        geometry = Geometry()
-        checker = TimingChecker(timing, geometry, strict=False)
-        rng = random.Random(0xEA5D)
-        kinds = [
-            lambda b, r: Command(CommandKind.ACT, bank=b, row=r),
-            lambda b, r: Command(CommandKind.PRE, bank=b),
-            lambda b, r: Command(CommandKind.PREA),
-            lambda b, r: Command(CommandKind.RD, bank=b, col=0),
-            lambda b, r: Command(CommandKind.WR, bank=b, col=0),
-            lambda b, r: Command(CommandKind.REF),
-        ]
-        for _ in range(300):
-            banks, rank = self._random_state(rng, geometry)
-            cmd = rng.choice(kinds)(
-                rng.randrange(geometry.num_banks),
-                rng.randrange(geometry.rows_per_bank))
-            full, _name = checker.earliest_issue(cmd, banks, rank)
-            assert checker.earliest_ps(cmd, banks, rank) == full
-
-    def test_check_fast_records_identical_violations(self):
-        timing = ddr4_1333()
-        from repro.dram.address import Geometry
-
-        geometry = Geometry()
-        slow = TimingChecker(timing, geometry, strict=False)
-        fast = TimingChecker(timing, geometry, strict=False)
-        banks = [BankState(i) for i in range(geometry.num_banks)]
-        rank = RankState()
-        banks[0].activate(100, 10_000)
-        early_pre = Command(CommandKind.PRE, bank=0)
-        # tRAS violation: PRE right after the ACT.
-        slow.check(early_pre, 12_000, banks, rank)
-        fast.check_fast(early_pre, 12_000, banks, rank)
-        assert len(slow.violations) == len(fast.violations) == 1
-        a, b = slow.violations[0], fast.violations[0]
-        assert (a.constraint, a.time_ps, a.earliest_ps) == \
-            (b.constraint, b.time_ps, b.earliest_ps)
-
-    def test_strict_mode_raises_from_fast_path(self):
-        from repro.dram.address import Geometry
-        from repro.dram.timing_checker import TimingViolation
-
-        checker = TimingChecker(ddr4_1333(), Geometry(), strict=True)
-        banks = [BankState(i) for i in range(Geometry().num_banks)]
-        rank = RankState()
-        banks[0].activate(100, 10_000)
-        with pytest.raises(TimingViolation):
-            checker.check_fast(Command(CommandKind.PRE, bank=0), 12_000,
-                               banks, rank)

@@ -161,8 +161,8 @@ class TestFlatMatchesOracle:
 
 
 class TestIssueFastPaths:
-    def test_issue_fast_matches_issue_discard(self, timing, geometry, cells):
-        """Same stream through issue_discard and issue_fast: same state."""
+    def test_issue_fast_matches_issue(self, timing, geometry, cells):
+        """Same stream through issue and issue_fast: same state."""
         from repro.dram.device import DramDevice
 
         a = DramDevice(timing, geometry, cells=cells)
@@ -184,7 +184,7 @@ class TestIssueFastPaths:
             else:
                 code, kind = K_WR, CommandKind.WR
                 row, col = 0, rng.randrange(geometry.columns_per_row)
-            a.issue_discard(Command(kind, bank=bank, row=row, col=col), t)
+            a.issue(Command(kind, bank=bank, row=row, col=col), t)
             b.issue_fast(code, bank, row, col, t, False)
             assert a.stats.commands == b.stats.commands
             for i in range(geometry.num_banks):

@@ -2,8 +2,8 @@
 
 The DRAM-layer interference knobs must be pure observability/scenario
 features: the activation counters and the rank-scoped retention epoch
-may not perturb command timing, and the object (``issue_discard``) and
-array (``issue_fast``) backends may not diverge on any knob setting —
+may not perturb command timing, and the object (``issue``) and array
+(``issue_fast``) backends may not diverge on any knob setting —
 otherwise the storm/hammer scenarios would silently break the repo's
 engine- and fastpath-equivalence contracts.
 """
@@ -52,7 +52,7 @@ def random_commands(geometry, rng, steps, open_rows):
 
 
 class TestBackendsAgreeUnderKnobs:
-    def test_issue_fast_matches_issue_discard_with_knobs(
+    def test_issue_fast_matches_issue_with_knobs(
             self, timing, geometry, cells):
         """Same stream, both backends, all knobs on: identical state."""
         kwargs = dict(cells=cells, track_row_activations=True, refresh_rank=0)
@@ -64,7 +64,7 @@ class TestBackendsAgreeUnderKnobs:
         t = 0
         for kind, bank, row, col in stream:
             t += rng.randrange(1000, 60_000)
-            a.issue_discard(Command(kind, bank=bank, row=row, col=col), t)
+            a.issue(Command(kind, bank=bank, row=row, col=col), t)
             b.issue_fast(KIND_CODES[kind], bank, row, col, t, False)
         assert a.row_activations == b.row_activations
         assert a.row_activations  # the stream did activate rows

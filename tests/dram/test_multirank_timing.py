@@ -82,19 +82,17 @@ def random_stream(device, rng, steps):
 @pytest.mark.parametrize("geometry", MULTI_RANK_GEOMETRIES,
                          ids=("2rk", "3rk-nonpow2"))
 def test_flat_matches_oracle_multi_rank(geometry):
-    """flat.earliest == checker.earliest_ps == earliest_issue, all kinds."""
+    """flat.earliest == checker.earliest_issue, all kinds."""
     device = make_device(geometry)
     rng = random.Random(1234)
     for _ in random_stream(device, rng, 250):
         for code, kind in KIND_PAIRS:
             bank = rng.randrange(geometry.total_banks)
             cmd = Command(kind, bank=bank, row=0, col=0)
-            fused = device.checker.earliest_ps(
-                cmd, device.banks, device.checker_rank)
             enumerated, _name = device.checker.earliest_issue(
                 cmd, device.banks, device.checker_rank)
-            assert fused == enumerated, (kind, bank)
-            assert device.flat.earliest(code, bank) == fused, (kind, bank)
+            assert device.flat.earliest(code, bank) == enumerated, \
+                (kind, bank)
 
 
 def test_cross_rank_cas_sees_tcs_not_tccd():
@@ -149,6 +147,8 @@ def test_single_rank_checker_accepts_legacy_rank_argument():
     device = make_device(geometry)
     device.issue(Command(CommandKind.ACT, bank=0, row=3), 0)
     cmd = Command(CommandKind.ACT, bank=1, row=5)
-    via_state = device.checker.earliest_ps(cmd, device.banks, device.rank)
-    via_list = device.checker.earliest_ps(cmd, device.banks, device.ranks)
+    via_state, _ = device.checker.earliest_issue(cmd, device.banks,
+                                                 device.rank)
+    via_list, _ = device.checker.earliest_issue(cmd, device.banks,
+                                                device.ranks)
     assert via_state == via_list == device.flat.earliest(K_ACT, 1)

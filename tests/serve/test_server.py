@@ -50,7 +50,7 @@ class TestEndpoints:
         _, url = service
         health = ServiceClient(url).health()
         assert health["ok"] is True
-        assert health["backend"] in ("duckdb", "sqlite")
+        assert health["backend"] == "sqlite"
         assert set(health["queue"]) == {"submitted", "coalesced",
                                         "cached", "executed", "failed"}
 
@@ -111,10 +111,27 @@ class TestEndpoints:
 
     def test_query_rejects_writes_with_400(self, service):
         _, url = service
+        client = ServiceClient(url)
+        client.submit(artifact="svc-tiny", wait=60)
+        count = "SELECT count(*) FROM points"
+        assert client.query(count)["rows"] == [[3]]
         with pytest.raises(ServiceError) as err:
-            ServiceClient(url).query("DELETE FROM points")
+            client.query("DELETE FROM points")
         assert err.value.status == 400
         assert "read-only" in str(err.value)
+        # A CTE passes the first-keyword check; SQLite still refuses
+        # the write it fronts.
+        for sql in ("WITH x AS (SELECT 1) DELETE FROM points",
+                    "WITH x AS (SELECT 1) INSERT INTO points"
+                    " SELECT * FROM points"):
+            with pytest.raises(ServiceError) as err:
+                client.query(sql)
+            assert err.value.status == 400
+        # Nothing was deleted, and the next write commits no hidden
+        # delete either.
+        assert client.query(count)["rows"] == [[3]]
+        client.submit(artifact="svc-tiny", points=["p1"], wait=60)
+        assert client.query(count)["rows"] == [[3]]
 
     def test_failed_job_reports_500_with_error(self, service):
         _, url = service

@@ -123,12 +123,15 @@ class TestServeVerb:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_explicit_backend_must_be_available(self, tmp_path, capsys):
-        from repro.serve import store as store_module
-
-        if "duckdb" in store_module.available_backends():
-            pytest.skip("duckdb installed; forced backend succeeds")
-        rc = main(["serve", "--store", str(tmp_path / "r.db"),
-                   "--backend", "duckdb"])
+    def test_non_sqlite_store_file_is_a_startup_error(self, tmp_path,
+                                                       capsys):
+        """A store file that is not SQLite (a stale store from another
+        backend, anything else) is an error naming the path, not a
+        traceback; the store is a cache, so the fix is to delete it."""
+        path = tmp_path / "results.db"
+        path.write_bytes(b"not an sqlite database\n" * 64)
+        rc = main(["serve", "--store", str(path)])
         assert rc == 2
-        assert "duckdb" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert str(path) in err and "delete it" in err

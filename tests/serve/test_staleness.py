@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from repro.runner import SweepPoint
 from repro.serve.jobs import JobQueue
-from repro.serve.staleness import refresh_staleness
 from repro.serve.store import ResultStore
 
 
@@ -31,11 +30,11 @@ class TestFingerprintBump:
         assert not new.has(_point(1))
         assert new.get_job_payload("fp-old") is None
         # ...and explicitly flagged after the staleness sweep.
-        report = refresh_staleness(new)
-        assert report.code_fingerprint == "F2"
-        assert report.points_flagged == 1
-        assert report.jobs_flagged == 1
-        assert report.points_stale == 1
+        report = new.refresh_staleness()
+        assert report["code_fingerprint"] == "F2"
+        assert report["points_flagged"] == 1
+        assert report["jobs_flagged"] == 1
+        assert report["points_stale"] == 1
         table = new.query(
             "SELECT point_id, stale, code_fingerprint FROM points")
         assert table["rows"] == [["p1", 1, "F1"]]
@@ -47,10 +46,10 @@ class TestFingerprintBump:
         old.put(_point(1), {"era": "F1"})
         old.close()
         new = ResultStore(path, code="F2")
-        assert refresh_staleness(new).points_flagged == 1
-        again = refresh_staleness(new)
-        assert again.points_flagged == 0      # nothing newly flagged
-        assert again.points_stale == 1        # still visibly stale
+        assert new.refresh_staleness()["points_flagged"] == 1
+        again = new.refresh_staleness()
+        assert again["points_flagged"] == 0   # nothing newly flagged
+        assert again["points_stale"] == 1     # still visibly stale
         new.close()
 
     def test_resubmission_repopulates_fresh_rows(self, tmp_path,
@@ -69,7 +68,7 @@ class TestFingerprintBump:
 
         # Era F2: the same submission is NOT a cache hit — it re-runs.
         store2 = ResultStore(path, code="F2")
-        refresh_staleness(store2)
+        store2.refresh_staleness()
         queue2 = JobQueue(store2, workers=1)
         job2 = queue2.submit({"artifact": "svc-tiny"})
         queue2.wait(job2.job_id, timeout=60)
@@ -95,7 +94,7 @@ class TestFingerprintBump:
         path = tmp_path / "results.db"
         for era in ("F1", "F2", "F3"):
             store = ResultStore(path, code=era)
-            refresh_staleness(store)
+            store.refresh_staleness()
             store.put(_point(1), {"era": era})
             store.close()
         final = ResultStore(path, code="F3")

@@ -1,5 +1,5 @@
 """Unit tests for the service result store (cache interface, SQL
-surface, backend selection, job payloads)."""
+surface, job payloads)."""
 
 from __future__ import annotations
 
@@ -9,12 +9,7 @@ import pytest
 
 from repro.runner import SweepPoint, run_sweep
 from repro.runner.cache import ResultCache, point_key
-from repro.serve.store import (
-    ResultStore,
-    StoreError,
-    available_backends,
-    resolve_backend,
-)
+from repro.serve.store import ResultStore, StoreError
 
 
 def _point(value=7, artifact="t") -> SweepPoint:
@@ -62,34 +57,6 @@ class TestCacheInterface:
         point = _point()
         assert point_key(point, one.code()) != point_key(point, two.code())
         one.close(), two.close()
-
-
-class TestBackends:
-    def test_sqlite_always_available(self):
-        assert "sqlite" in available_backends()
-
-    def test_auto_resolves_to_an_available_backend(self):
-        assert resolve_backend("auto") in available_backends()
-        assert resolve_backend(None) in available_backends()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(StoreError, match="unknown store backend"):
-            resolve_backend("postgres")
-
-    def test_explicit_sqlite(self, tmp_path):
-        store = ResultStore(tmp_path / "s.db", backend="sqlite")
-        assert store.backend == "sqlite"
-        store.close()
-
-    @pytest.mark.skipif("duckdb" not in available_backends(),
-                        reason="duckdb not installed")
-    def test_duckdb_round_trip(self, tmp_path):
-        store = ResultStore(tmp_path / "s.duckdb", backend="duckdb")
-        point = _point()
-        store.put(point, {"v": [1.5, None, "x"]})
-        assert store.get(point) == {"v": [1.5, None, "x"]}
-        assert store.query("SELECT count(*) FROM points")["rows"] == [[1]]
-        store.close()
 
 
 class TestJobPayloads:

@@ -71,12 +71,6 @@ ENV_DOCS: dict[str, tuple[str, str]] = {
     "REPRO_RESULTS_DIR": (
         "`results/`",
         "Default `--out` directory for `repro run --format json|csv`."),
-    "REPRO_SERVE_BACKEND": (
-        "`auto`",
-        "SQL backend for the `repro serve` result store: `auto` uses"
-        " duckdb when installed and falls back to stdlib sqlite,"
-        " `duckdb`/`sqlite` force one (forcing an unavailable backend"
-        " is a startup error)."),
     "REPRO_SERVE_PORT": (
         "8642",
         "TCP port `repro serve` listens on and clients default to"
