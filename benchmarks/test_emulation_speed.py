@@ -1,122 +1,86 @@
-"""Benchmark: the event engine vs the cycle engine's object reference.
+"""Benchmark: the fast paths vs the cycle engine's object reference.
 
-Guards the tentpole property of the event engine's serve ladder on the
-Figure 8 trace workload (working-set touch + lmbench-style pointer
-chase):
+Guards two stated speed claims (see :mod:`benchmarks.speed`), each on
+the same access blocks fed to every mode:
 
 * **equivalence** — the artifact dict and every emulated statistic are
-  bit-identical between engines (the serve path changes host work,
+  bit-identical between the modes (the serve path changes host work,
   never simulated time);
-* **speed** — the event engine finishes the same emulation at least 2x
-  faster in host wall time.
+* **speed** — the event engine's array-native fast path (kernel off) is
+  at least 3x faster than the object reference on the Figure 8 trace
+  and the Figure 10 CPU-copy stream, and the event engine's batched
+  serve ladder is at least 2x faster than the cycle engine on the
+  Figure 8 trace.
 
-Run with ``-s`` to see the measured speedup and the event-engine
-counters (gates, releases, batched and fallback episodes).
+Run with ``-s`` to see the measured walls and the event-engine counters
+(gates, releases, batched and fallback episodes).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import time
+from benchmarks import speed
 
-from repro.core.config import jetson_nano_time_scaling
-from repro.core.system import EasyDRAMSystem
-from repro.workloads import lmbench, microbench
+#: Required host-time advantage of the fast path over the oracle.
+MIN_FASTPATH_SPEEDUP = 3.0
 
-#: Fig 8's main-memory regime: a working set far beyond the 512 KiB L2.
-WORKING_SET_BYTES = 2 * 1024 * 1024
-CHASE_ACCESSES = 12_000
-
-#: Required host-time advantage of the event engine.
+#: Required host-time advantage of the event engine's serve ladder.
 MIN_SPEEDUP = 2.0
 
-#: Timing rounds per engine; the fastest round is compared so transient
-#: host load cannot fail the gate spuriously.
+#: Timing rounds for the engine comparison.
 ROUNDS = 3
 
 
-def _fig08_workload(session) -> None:
-    session.run_trace(microbench.touch_blocks(0, WORKING_SET_BYTES).accesses())
-    session.run_trace(lmbench.pointer_chase_blocks(
-        WORKING_SET_BYTES, CHASE_ACCESSES, base_addr=0).accesses())
-
-
-def _run(engine: str) -> tuple[dict, float, object]:
-    system = EasyDRAMSystem(jetson_nano_time_scaling(), engine=engine)
-    session = system.session("fig08-speed", engine=engine)
-    start = time.perf_counter()
-    _fig08_workload(session)
-    wall = time.perf_counter() - start
-    result = session.finish()
-    artifact = dataclasses.asdict(result)
-    artifact.pop("wall_seconds")  # host time is the quantity under test
-    artifact["smc"] = dataclasses.asdict(system.smc.stats)
-    artifact["device"] = dataclasses.asdict(system.device.stats)
-    artifact["violations"] = [
-        (v.constraint, v.time_ps, v.earliest_ps)
-        for v in system.device.checker.violations]
-    return artifact, wall, session.engine
-
-
 def test_fastpath_bit_identical_and_3x_faster(once):
-    """The array-native fast path: >= 3x over the object reference.
+    """The array-native fast path: >= 3x over the object reference."""
+    modes = {"oracle": speed.ORACLE, "fastpath": speed.FASTPATH}
 
-    Runs the harness's tagged workloads (the fig08 trace and the fig10
-    CPU-copy stream) on the event engine's fast path (kernel off) and on
-    the reference oracle (cycle engine, per-access traces, kernel off),
-    asserting bit-identical artifacts (the harness itself raises
-    otherwise) and a >= 3x host speedup on both.
-    """
-    from benchmarks import harness
-
-    # More rounds than the harness default: best-of-N on both sides
-    # converges to true speed (noise only ever slows a run), so the
-    # ratio estimate tightens with N and the 3x gate doesn't flake.
-    report = once(harness.run_benchmarks, rounds=5)
-    print()
-    for row in report["results"]:
-        print(f"  {row['workload']:16s} base {row['baseline_wall_s']:.3f}s"
-              f"  fast {row['fastpath_wall_s']:.3f}s"
-              f"  ({row['speedup']:.2f}x)")
-    for row in report["results"]:
-        assert row["speedup"] >= 3.0, (
-            f"{row['workload']}: fast path only {row['speedup']:.2f}x over"
-            " the reference baseline (need 3x)")
-
-
-def test_event_engine_bit_identical_and_2x_faster(once):
     def measure():
-        cycle_artifact = event_artifact = engine_stats = None
-        cycle_wall = event_wall = float("inf")
-        for _ in range(ROUNDS):
-            artifact, wall, _engine = _run("cycle")
-            cycle_artifact = artifact
-            cycle_wall = min(cycle_wall, wall)
-            artifact, wall, engine = _run("event")
-            event_artifact = artifact
-            event_wall = min(event_wall, wall)
-            engine_stats = engine.stats
-        return (cycle_artifact, event_artifact, cycle_wall, event_wall,
-                engine_stats)
+        return {name: speed.best_of(driver, modes)
+                for name, driver in speed.WORKLOADS.items()}
 
-    cycle_artifact, event_artifact, cycle_wall, event_wall, stats = \
-        once(measure)
-    speedup = cycle_wall / event_wall
+    results = once(measure)
     print()
-    print(f"fig08 trace workload ({WORKING_SET_BYTES // 1024} KiB,"
-          f" {CHASE_ACCESSES} chased loads)")
-    print(f"  cycle engine: {cycle_wall:.3f} s")
-    print(f"  event engine: {event_wall:.3f} s  ({speedup:.2f}x)")
+    for name, best in results.items():
+        oracle, fast = best["oracle"], best["fastpath"]
+        print(f"  {name:16s} oracle {oracle.wall:.3f}s"
+              f"  fast {fast.wall:.3f}s  ({oracle.wall / fast.wall:.2f}x)")
+    for name, best in results.items():
+        oracle, fast = best["oracle"], best["fastpath"]
+        assert fast.artifact == oracle.artifact, (
+            f"{name}: fast path changed the emulated artifact")
+        ratio = oracle.wall / fast.wall
+        assert ratio >= MIN_FASTPATH_SPEEDUP, (
+            f"{name}: fast path only {ratio:.2f}x over the reference"
+            f" oracle (need {MIN_FASTPATH_SPEEDUP}x)")
+
+
+def test_event_engine_bit_identical_and_2x_faster(once, monkeypatch):
+    # The claim is about the serve ladder: decline the resident replay
+    # so the event engine serves gate by gate in the burst loop.
+    from repro.dram.kernel import blockrun
+
+    monkeypatch.setattr(blockrun, "run_gated_kernel",
+                        lambda engine, session, proc, smc: False)
+    modes = {"cycle": ("cycle", True), "event": ("event", True)}
+    best = once(speed.best_of, speed.fig08, modes, ROUNDS)
+    cycle, event = best["cycle"], best["event"]
+    ratio = cycle.wall / event.wall
+    stats = event.engine.stats
+    print()
+    print(f"fig08 trace workload ({speed.FIG08_WORKING_SET // 1024} KiB,"
+          f" {speed.FIG08_CHASE_ACCESSES} chased loads)")
+    print(f"  cycle engine: {cycle.wall:.3f} s")
+    print(f"  event engine: {event.wall:.3f} s  ({ratio:.2f}x)")
     print(f"  event stats:  {stats.as_dict()}")
 
     # Bit-identical artifacts: the serve path changes host work, not
     # simulated time.
-    assert event_artifact == cycle_artifact
+    assert event.artifact == cycle.artifact
 
     # The engine really took the batched serve ladder...
     assert stats.batched_episodes > 0
     assert stats.fallback_episodes == 0
     # ...and it pays off.
-    assert speedup >= MIN_SPEEDUP, (
-        f"event engine only {speedup:.2f}x faster (need {MIN_SPEEDUP}x);"
-        f" cycle={cycle_wall:.3f}s event={event_wall:.3f}s")
+    assert ratio >= MIN_SPEEDUP, (
+        f"event engine only {ratio:.2f}x faster (need {MIN_SPEEDUP}x);"
+        f" cycle={cycle.wall:.3f}s event={event.wall:.3f}s")

@@ -19,7 +19,7 @@ system does.  They differ only in how a gate's batch is served:
     against.
 
 :class:`EventEngine`
-    The production path.  Block traces replay resident in the compiled
+    The production path.  Traces replay resident in the compiled
     kernel when it is eligible (the whole burst loop runs in C, see
     :mod:`repro.dram.kernel.blockrun`); otherwise each gate's batch is
     served by :meth:`SoftwareMemoryController.service_pending_batched`
@@ -126,8 +126,8 @@ class BurstEngine:
 
         Every runnable core bursts to its gate round-robin, rotating the
         start core each sweep so no core is permanently first at the SMC
-        boundary (block traces replay on the array-native block path
-        inside ``execute_burst``); new requests join the pending batch
+        boundary (each core replays its blocks inside
+        ``execute_burst``); new requests join the pending batch
         in sweep order, and Python's stable sort in the controller then
         breaks equal-tag ties by that order.  The merged batch is served
         in one critical-mode episode, and the sweep repeats until every
@@ -184,32 +184,32 @@ class EventEngine(BurstEngine):
     def run_trace(self, session: "Session", trace: Trace) -> None:
         """Execute one trace segment to completion.
 
-        The one-core case of :meth:`run_cores`: feed, then (for a block
-        trace) the resident kernel replay, falling back to the burst
-        loop over ``[processor]``.
+        The one-core case of :meth:`run_cores`: feed, then the resident
+        kernel replay, falling back to the burst loop over
+        ``[processor]``.
         """
+        from repro.dram.kernel import blockrun
+
         proc = session.processor
         proc.feed(trace)
-        if proc.in_block_mode:
-            from repro.dram.kernel import blockrun
-            if blockrun.run_gated_kernel(self, session, proc,
-                                         session.system.smc):
-                return
+        if blockrun.run_gated_kernel(self, session, proc,
+                                     session.system.smc):
+            return
         self._burst_loop(session, [proc])
 
     def run_cores(self, session: "Session", procs: list) -> None:
         """Drive N already-fed cores to completion (multi-core contention).
 
-        Eligible block mixes replay resident in the compiled kernel
+        Eligible mixes replay resident in the compiled kernel
         (REPRO_KERNEL), with one load/store per call; the burst loop is
         the fallback.
         """
+        from repro.dram.kernel import blockrun
+
         active = [proc for proc in procs if not proc.done]
-        if active and all(proc.in_block_mode for proc in active):
-            from repro.dram.kernel import blockrun
-            if blockrun.run_cores_kernel(self, session, active,
-                                         session.system.smc):
-                return
+        if active and blockrun.run_cores_kernel(self, session, active,
+                                                session.system.smc):
+            return
         self._burst_loop(session, active)
 
     def _serve(self, smc, pending: list) -> None:

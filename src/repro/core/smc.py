@@ -229,8 +229,10 @@ class SoftwareMemoryController(ProgramExecutor):
         # Indexable view: plan of (case, is_write) at [2*case + is_write].
         self._plan_list = tuple(plans[(case, w)] for case in (0, 1, 2)
                                 for w in (False, True))
-        self._transfer_charge = (costs.receive_request + costs.address_map
-                                 + costs.table_insert)
+        # A request's transfer into the table: receive and decode
+        # (charged before the decode, which may raise), then the insert.
+        self._receive_charge = costs.receive_request + costs.address_map
+        self._insert_charge = costs.table_insert
         self._critical_toggle = costs.critical_toggle
         self._refresh_enabled = self.config.controller.refresh_enabled
         self._decode_cache = self._mapper._decode_cache
@@ -734,7 +736,8 @@ class SoftwareMemoryController(ProgramExecutor):
         open_row = self._flat.open_row
         banks = self._device.banks
         tile_stats = self._tile_stats
-        transfer_charge = self._transfer_charge
+        receive_charge = self._receive_charge
+        insert_charge = self._insert_charge
         decode = self._decode_cache
         to_dram = self._mapper.to_dram
         refresh_enabled = self._refresh_enabled
@@ -766,11 +769,12 @@ class SoftwareMemoryController(ProgramExecutor):
                     arrival_ps = request.tag * pp + bus
                     if arrival_ps <= cursor or not table:
                         tile_stats.requests_received += 1
-                        api.charged_cycles += transfer_charge
+                        api.charged_cycles += receive_charge
                         addr = request.addr
                         dram = decode.get(addr)
                         if dram is None:
                             dram = to_dram(addr)
+                        api.charged_cycles += insert_charge
                         table.append(make_entry(request, dram,
                                                 arrival_counter))
                         arrival_counter += 1

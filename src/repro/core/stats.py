@@ -21,15 +21,6 @@ class Breakdown:
     def total_ps(self) -> int:
         return self.processing_ps + self.stall_ps
 
-    def as_fractions(self) -> dict[str, float]:
-        total = max(1, self.total_ps)
-        return {
-            "processing": self.processing_ps / total,
-            "scheduling": min(self.scheduling_ps, self.stall_ps) / total,
-            "main_memory": min(self.main_memory_ps, self.stall_ps) / total,
-            "stall": self.stall_ps / total,
-        }
-
 
 @dataclass
 class CoreResult:
@@ -187,12 +178,6 @@ class RunResult:
         if self.accesses == 0:
             return 0.0
         return self.cycles / self.accesses
-
-    def speedup_over(self, baseline: "RunResult") -> float:
-        """Execution-time speedup of this run relative to ``baseline``."""
-        if self.emulated_ps == 0:
-            return 0.0
-        return baseline.emulated_ps / self.emulated_ps
 
     def summary(self) -> str:
         return (

@@ -109,10 +109,6 @@ class EasyDRAMSystem:
         """The software memory controller driving one channel."""
         return self.channels[channel].smc
 
-    def api_for(self, channel: int) -> EasyAPI:
-        """One channel's EasyAPI instance."""
-        return self.channels[channel].api
-
     def device_for(self, channel: int):
         """One channel's DRAM device."""
         return self.channels[channel].tile.device
@@ -215,10 +211,6 @@ class Session:
         self.engine.run_trace(self, trace)
 
     # -- multi-core scenarios ------------------------------------------------------
-
-    @property
-    def num_cores(self) -> int:
-        return len(self.cores)
 
     def add_core(self, workload_name: str | None = None) -> SessionCore:
         """Add one emulated core (private caches, shared memory system).

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.dram.timing import PS_PER_S, period_ps
+from repro.dram.timing import period_ps
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,6 @@ class ClockDomain:
         if duration_ps <= 0:
             return 0
         return -(-duration_ps // self.emulated_period_ps)
-
-    def emulated_cycles_for_rate(self, duration_ps: int) -> float:
-        """Exact (fractional) emulated cycles covered by ``duration_ps``."""
-        return duration_ps * self.emulated_freq_hz / PS_PER_S
 
 
 @dataclass

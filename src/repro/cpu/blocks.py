@@ -12,10 +12,12 @@ A :class:`BlockTrace` is a single-use stream of blocks, exactly like an
 the one trace format of production: every built-in workload builds
 them, and both the emulator and the cycle-level baseline
 (:mod:`repro.baselines.ramulator`) read them.  Hand-written traces
-(``load``/``store`` lists) enter through :func:`blockify`, and
-:func:`cut` keeps a stream's first ``n`` accesses.  The per-access
-view (:meth:`BlockTrace.accesses`) re-yields the identical access
-stream for the processor's per-access reference replay and for tests.
+(``load``/``store`` lists) enter through :func:`blockify`, which
+:meth:`Processor.feed <repro.cpu.processor.Processor.feed>` applies to
+any trace that is not a :class:`BlockTrace`, and :func:`cut` keeps a
+stream's first ``n`` accesses.  The per-access view
+(:meth:`BlockTrace.accesses`) re-yields the identical access stream
+for the tests and their per-access reference replays.
 
 Blocks hold C-contiguous ``int64`` NumPy arrays, one representation
 from builder to consumer.  The production consumer is the resident
@@ -133,8 +135,9 @@ def blockify(trace: Iterable[Access], block: int | None = None) -> BlockTrace:
     Every block holds exactly ``block`` accesses except the last.  The
     built-in workloads build their blocks directly (and cut them at
     these same boundaries); this adapter serves hand-written traces,
-    e.g. a test's list of accesses, and is how the tests cut the
-    reference PolyBench generators.
+    e.g. a test's list of accesses (``Processor.feed`` applies it to
+    any non-block trace), and is how the tests cut the reference
+    PolyBench generators.
     """
     size = block or BLOCK_ACCESSES
 

@@ -28,9 +28,9 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.cpu.blocks import AccessBlock, BlockTrace
+from repro.cpu.blocks import AccessBlock, BlockTrace, blockify
 from repro.cpu.cache import BlockTraffic, CacheHierarchy
-from repro.cpu.memtrace import FLAG_DEPENDENT, FLAG_WRITE, Access, Trace
+from repro.cpu.memtrace import FLAG_DEPENDENT, FLAG_WRITE, Trace
 
 
 @dataclass(slots=True, eq=False)
@@ -130,10 +130,9 @@ class Processor:
     """One emulated core executing a memory trace."""
 
     def __init__(self, config: ProcessorConfig, hierarchy: CacheHierarchy,
-                 trace: Trace, core_id: int = 0) -> None:
+                 trace: Trace | BlockTrace, core_id: int = 0) -> None:
         self.config = config
         self.hierarchy = hierarchy
-        self._trace: Iterator[Access] = iter(trace)
         self.cycles = 0                      # processor cycle counter
         #: This core's index in a multi-core session (0 when solo);
         #: stamped into every request the core issues.
@@ -141,8 +140,6 @@ class Processor:
         self.outstanding: list[MemoryRequest] = []
         self.stats = ProcessorStats()
         self._rid = itertools.count()
-        self._pending: Access | None = None
-        self._done = False
         #: Optional bulk address-decode hook (wired by the session to
         #: the tile's :meth:`AddressMapper.prime`): called with each
         #: block's DRAM-bound addresses right after the cache filter.
@@ -153,13 +150,7 @@ class Processor:
         #: channel at issue time, before it enters the MLP gating window,
         #: so the controller side routes without re-decoding.
         self.channel_hook = None
-        # Block-mode state: the block stream, the current block's flags
-        # and gaps (as lists) with its precomputed cache traffic, and
-        # replay cursors into it.
-        self._blocks: Iterator[AccessBlock] | None = None
-        self._cur: tuple[list[int], list[int], BlockTraffic] | None = None
-        self._pos = 0
-        self._wb_ptr = 0
+        self.feed(trace)
 
     # -- engine-facing API ------------------------------------------------------
 
@@ -170,60 +161,32 @@ class Processor:
     def feed(self, trace: Trace | BlockTrace) -> None:
         """Queue another trace segment (sessions mix traces and techniques).
 
-        A :class:`~repro.cpu.blocks.BlockTrace` takes the array-native
-        replay path (cache traffic precomputed one block at a time), the
-        one every production workload uses.  Any other iterable of
-        :class:`~repro.cpu.memtrace.Access` replays access by access:
-        that is the per-access reference path (the object oracle's
-        baseline in ``benchmarks/harness.py``), never the kernel.  Both
-        paths produce the same requests, cycles, and statistics.
+        A :class:`~repro.cpu.blocks.BlockTrace` replays as it is; any
+        other iterable of :class:`~repro.cpu.memtrace.Access` (a
+        hand-written ``load``/``store`` list) is chunked into blocks by
+        :func:`~repro.cpu.blocks.blockify` first, so every trace takes
+        the same array-native replay (and, on the event engine, the
+        resident kernel replay when it is eligible).
         """
-        self._pending = None
-        self._done = False
-        self._blocks = None
-        self._cur = None
+        if not isinstance(trace, BlockTrace):
+            trace = blockify(trace)
+        # The block stream, the current block's flags and gaps (as
+        # lists) with its precomputed cache traffic, and replay cursors
+        # into it.
+        self._blocks: Iterator[AccessBlock] = iter(trace)
+        self._cur: tuple[list[int], list[int], BlockTraffic] | None = None
         self._pos = 0
         self._wb_ptr = 0
-        if isinstance(trace, BlockTrace):
-            self._trace = iter(())
-            self._blocks = iter(trace)
-        else:
-            self._trace = iter(trace)
+        self._done = False
 
     def execute_burst(self) -> BurstResult:
-        """Run until blocked on an unserviced miss or the trace ends."""
-        if self._blocks is not None:
-            return self._execute_burst_blocks()
-        new_requests: list[MemoryRequest] = []
-        while True:
-            if self._pending is None:
-                self._pending = next(self._trace, None)
-            access = self._pending
-            if access is None:
-                if self._drain():
-                    self._done = True
-                    return BurstResult(new_requests, blocked=False, done=True)
-                return BurstResult(new_requests, blocked=True, done=False)
-            if not self._can_issue(access):
-                if not self._consume_ready(access):
-                    return BurstResult(new_requests, blocked=True, done=False)
-                continue
-            self._pending = None
-            self._execute(access, new_requests)
-
-    @property
-    def in_block_mode(self) -> bool:
-        """Whether the current trace segment replays as access blocks."""
-        return self._blocks is not None
-
-    def _execute_burst_blocks(self) -> BurstResult:
-        """:meth:`execute_burst` over precomputed access blocks.
+        """Run until blocked on an unserviced miss or the trace ends.
 
         The cache outcomes of a whole block are computed up front
         (:meth:`CacheHierarchy.access_block` — legal because cache state
         depends only on the access stream, never on request servicing)
-        and replayed here under the same MLP/window/dependence gating as
-        the per-access path, with the hot state in locals.
+        and replayed here under the MLP/window/dependence gating, with
+        the hot state in locals.
         """
         new_requests: list[MemoryRequest] = []
         out = self.outstanding
@@ -278,10 +241,12 @@ class Processor:
             while i < n:
                 flag = flags[i]
                 if out:
-                    # _can_issue, inlined.
+                    # The access may not issue while a dependent load
+                    # waits on earlier misses, the MLP bound is full, or
+                    # the oldest miss is a window behind: consume the
+                    # gating responses first (clock-gate if unserviced).
                     if (flag & FLAG_DEPENDENT or len(out) >= mlp
                             or accesses - out[0].issue_index >= window):
-                        # _consume_ready / _consume, inlined.
                         if flag & FLAG_DEPENDENT:
                             blocked = False
                             for request in out:
@@ -322,7 +287,8 @@ class Processor:
                             latencies.append(delta if delta > 0 else 0)
                             out.pop(0)
                         continue
-                # _execute, inlined.
+                # Execute the access: gap, cache latency, posted
+                # writebacks, and the LLC-miss fill it may issue.
                 accesses += 1
                 if flag & FLAG_WRITE:
                     stores += 1
@@ -396,82 +362,15 @@ class Processor:
 
     # -- internals ------------------------------------------------------------
 
-    def _can_issue(self, access: Access) -> bool:
-        if not self.outstanding:
-            return True
-        if access.flags & FLAG_DEPENDENT:
-            return False
-        if len(self.outstanding) >= self.config.mlp:
-            return False
-        oldest = self.outstanding[0]
-        return self.stats.accesses - oldest.issue_index < self.config.miss_window
-
-    def _consume_ready(self, access: Access) -> bool:
-        """Consume resolved responses that gate ``access``.
-
-        Returns False when the gating response has not been serviced yet —
-        i.e. the processor is clock-gated.
-        """
-        if access.flags & FLAG_DEPENDENT:
-            if any(r.release is None for r in self.outstanding):
-                return False
-            for request in self.outstanding:
-                self._consume(request)
-            self.outstanding.clear()
-            return True
-        oldest = self.outstanding[0]
-        if oldest.release is None:
-            return False
-        self._consume(oldest)
-        self.outstanding.pop(0)
-        return True
-
-    def _consume(self, request: MemoryRequest) -> None:
-        assert request.release is not None
-        if request.release > self.cycles:
-            self.stats.stall_cycles += request.release - self.cycles
-            self.cycles = request.release
-        self.stats.request_latencies.append(max(0, request.release - request.tag))
-
     def _drain(self) -> bool:
         """At end of trace: consume every outstanding fill if possible."""
         if any(r.release is None for r in self.outstanding):
             return False
+        stats = self.stats
         for request in self.outstanding:
-            self._consume(request)
+            if request.release > self.cycles:
+                stats.stall_cycles += request.release - self.cycles
+                self.cycles = request.release
+            stats.request_latencies.append(max(0, request.release - request.tag))
         self.outstanding.clear()
         return True
-
-    def _execute(self, access: Access, new_requests: list[MemoryRequest]) -> None:
-        stats = self.stats
-        stats.accesses += 1
-        is_write = bool(access.flags & FLAG_WRITE)
-        if is_write:
-            stats.stores += 1
-        else:
-            stats.loads += 1
-        if access.gap:
-            self.cycles += access.gap
-            stats.compute_cycles += access.gap
-        traffic = self.hierarchy.access(access.addr, is_write)
-        self.cycles += traffic.latency
-        channel_of = self.channel_hook
-        for wb_addr in traffic.writebacks:
-            stats.writeback_requests += 1
-            new_requests.append(MemoryRequest(
-                rid=next(self._rid), addr=wb_addr, is_write=True,
-                tag=self.cycles, is_writeback=True,
-                issue_index=stats.accesses,
-                channel=0 if channel_of is None else channel_of(wb_addr),
-                core=self.core_id))
-        if traffic.fill_line is not None:
-            stats.llc_miss_requests += 1
-            request = MemoryRequest(
-                rid=next(self._rid), addr=traffic.fill_line,
-                is_write=is_write, tag=self.cycles,
-                issue_index=stats.accesses,
-                channel=0 if channel_of is None
-                else channel_of(traffic.fill_line),
-                core=self.core_id)
-            self.outstanding.append(request)
-            new_requests.append(request)

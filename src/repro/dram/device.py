@@ -587,9 +587,14 @@ class DramDevice:
                 f"WR to bank {cmd.bank} with no open row at {t} ps")
         row = bank.open_row
         data = cmd.data
-        if data is None:
-            data = self.default_line(cmd.bank, row, cmd.col)
-        self._write_line(cmd.bank, row, cmd.col, data)
+        if data is not None:
+            self._write_line(cmd.bank, row, cmd.col, data)
+        elif (cmd.bank, row) in self._rows:
+            # A payload-less WR stores the default line: an untouched
+            # row already reads it, so only a materialized row changes
+            # (as on the fast paths and in the kernel).
+            self._write_line(cmd.bank, row, cmd.col,
+                             self.default_line(cmd.bank, row, cmd.col))
         data_end = t + self.timing.tCWL + self.timing.tBL
         bank.write(t, data_end)
         self.flat.write(cmd.bank, t, data_end)

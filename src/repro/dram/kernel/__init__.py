@@ -64,7 +64,7 @@ def resolve_backend() -> tuple[object | None, str]:
 
 
 def backend_info() -> dict:
-    """Provenance for the bench harness (compiler, warm-up seconds)."""
+    """Provenance for benchmark reports (compiler, warm-up seconds)."""
     backend, reason = resolve_backend()
     if backend is None:
         return {"backend": "none", "reason": reason}

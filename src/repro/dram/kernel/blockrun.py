@@ -4,7 +4,7 @@ The batch entry point (:meth:`~repro.core.smc.SMC.service_pending_kernel`)
 still marshals the controller state across the FFI boundary once per
 gate; on dependent-load streams the gates are singleton batches and the
 marshalling dominates.  This module removes it: for eligible block
-traces the *entire* burst loop — the cores' ``_execute_burst_blocks``
+traces the *entire* burst loop — the cores' ``execute_burst``
 replays, the round-robin sweeps and gates, the critical-mode episodes
 and refresh interleave — runs resident in C (``repro_run_cores``).
 Python is re-entered once per :class:`~repro.cpu.blocks.AccessBlock`

@@ -30,7 +30,7 @@ from repro.dram.kernel import state
 #: Bumped when the entry-point contract changes; checked against the
 #: compiled object's ``repro_abi_version`` so a stale cached build from
 #: an older checkout can never be called with the wrong layout.
-ABI_VERSION = 10
+ABI_VERSION = 11
 
 _HERE = Path(__file__).resolve().parent
 _SOURCE = _HERE / "kernel.c"
@@ -199,9 +199,3 @@ def _build(cmd: list[str], source: str, so_path: Path) -> str | None:
         for leftover in (tmp_c, tmp_so):
             leftover.unlink(missing_ok=True)
     return None
-
-
-def reset_for_tests() -> None:
-    """Drop the memoized load result (tests poke REPRO_CC)."""
-    global _loaded
-    _loaded = None

@@ -17,7 +17,7 @@
  *   repro_run_cores    -- the resident replay: N fed block traces driven
  *                         to completion under round-robin arbitration
  *                         (mirrors the engines' burst loop around
- *                         Processor._execute_burst_blocks), with each
+ *                         Processor.execute_burst), with each
  *                         core's cache filter, MLP window and counters in
  *                         a second, per-core slot table.  Returns to
  *                         Python (blockrun.py) only to take a core's next
@@ -1040,11 +1040,14 @@ static int64_t episode(K *k, int64_t n, const int64_t *tag,
             int64_t arrival = tag[pos] * pp + bus;
             if (arrival <= cursor || !tcount) {
                 S(T_REQUESTS) += 1;
-                S(CHARGED) += C(TRANSFER_CHARGE);
+                /* get_request + get_addr_mapping; a strict-map decode
+                 * error raises before the table insert is charged. */
+                S(CHARGED) += C(RECEIVE_CHARGE);
                 int64_t bank, row, col;
                 int64_t err = decode_addr(k, addr[pos], &bank, &row, &col);
                 if (err)
                     return err;
+                S(CHARGED) += C(INSERT_CHARGE);
                 int64_t *ent = tbl + TBL_STRIDE * tcount;
                 ent[0] = S(ARRIVAL_COUNTER);
                 S(ARRIVAL_COUNTER) += 1;
@@ -1338,7 +1341,7 @@ static void filter_block(K *k, Core *q)
     CS(BLK_NWB) = nwb;
 }
 
-/* -- one core's burst (Processor._execute_burst_blocks) ------------------ */
+/* -- one core's burst (Processor.execute_burst) ------------------ */
 
 /* Replay the core's current block from its cursor until the block ends
  * (KERN_OK) or the core clock-gates on an unreleased fill (R_BLOCKED);
@@ -1608,7 +1611,7 @@ static int64_t close_sweep(K *k, int64_t **cp)
 
 int64_t repro_abi_version(void)
 {
-    return 10;
+    return 11;
 }
 
 /* CLFLUSH of n consecutive lines from first_line on one cache level's

@@ -59,7 +59,8 @@ CFG_FIELDS = (
     "PROC_PERIOD", "MC_PERIOD", "REQ_BUS", "RESP_BUS",
     "OCCUPANCY", "PIPELINED",
     # cost model (controller cycles)
-    "TRANSFER_CHARGE", "TOGGLE", "DECISION_BASE", "DECISION_PER",
+    "RECEIVE_CHARGE", "INSERT_CHARGE", "TOGGLE", "DECISION_BASE",
+    "DECISION_PER",
     # scheduler: SCHED_KIND is a SCHED_CODES value; AGE_CAP < 0 =
     # uncapped; QUANTUM (ATLAS), BL_THRESHOLD/BL_CLEAR (BLISS) and
     # BATCH_CAP (batch) are the stateful policies' parameters
@@ -410,7 +411,8 @@ class KernelState:
         cfg[Cfg.RESP_BUS] = smc._resp_bus_ps
         cfg[Cfg.OCCUPANCY] = smc._occupancy_ps
         cfg[Cfg.PIPELINED] = int(smc._pipelined)
-        cfg[Cfg.TRANSFER_CHARGE] = smc._transfer_charge
+        cfg[Cfg.RECEIVE_CHARGE] = smc._receive_charge
+        cfg[Cfg.INSERT_CHARGE] = smc._insert_charge
         cfg[Cfg.TOGGLE] = smc._critical_toggle
         # Every registry policy's decision cost is base + per * n.
         kind = SCHED_CODES[scheduler.name]

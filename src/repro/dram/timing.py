@@ -101,11 +101,6 @@ class TimingParams:
         return self.tRCD + self.tCL + self.tBL
 
     @property
-    def row_cycle(self) -> int:
-        """Back-to-back activation period of one bank."""
-        return self.tRC
-
-    @property
     def peak_bandwidth_bytes_per_s(self) -> float:
         """Peak data-bus bandwidth assuming a 64-bit channel."""
         return self.data_rate_mts * 1_000_000 * 8

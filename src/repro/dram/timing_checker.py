@@ -101,9 +101,6 @@ class TimingChecker:
             return (rank,)
         return tuple(rank)
 
-    def _same_rank(self, bank_a: int, bank_b: int) -> bool:
-        return self._rank_of[bank_a] == self._rank_of[bank_b]
-
     def earliest_issue(self, cmd: Command, banks: list[BankState],
                        rank: RankState) -> tuple[int, str]:
         """Earliest legal issue time for ``cmd`` and the binding constraint."""

@@ -257,7 +257,7 @@ def measure_layers():
     """Instrument the emulation layers for the dynamic extent of a run.
 
     Patches the layer entry points at class level — trace generation
-    (the iterator/block stream consumed by ``Session.run_trace``), the
+    (the block stream consumed by ``Session.run_trace``), the
     cache filter, the software memory controller's critical-mode
     episodes, and the DRAM device's issue paths — and yields the
     :class:`LayerTimes` accumulator.  Systems must be *constructed
@@ -268,7 +268,7 @@ def measure_layers():
 
     from repro.core.smc import SoftwareMemoryController
     from repro.core.system import Session
-    from repro.cpu.blocks import BlockTrace
+    from repro.cpu.blocks import BlockTrace, blockify
     from repro.cpu.cache import CacheHierarchy
     from repro.dram.device import DramDevice
     from repro.dram.kernel import blockrun
@@ -325,31 +325,19 @@ def measure_layers():
     patches.append((Session, "run_trace", original_run_trace))
 
     def timed_run_trace(self, trace):
-        if isinstance(trace, BlockTrace):
-            inner = iter(trace)
+        inner = iter(trace if isinstance(trace, BlockTrace)
+                     else blockify(trace))
 
-            def blocks():
-                while True:
-                    start = perf()
-                    block = next(inner, None)
-                    acc.trace_gen += perf() - start
-                    if block is None:
-                        return
-                    yield block
-
-            return original_run_trace(self, BlockTrace(blocks()))
-        inner = iter(trace)
-
-        def accesses():
+        def blocks():
             while True:
                 start = perf()
-                access = next(inner, None)
+                block = next(inner, None)
                 acc.trace_gen += perf() - start
-                if access is None:
+                if block is None:
                     return
-                yield access
+                yield block
 
-        return original_run_trace(self, accesses())
+        return original_run_trace(self, BlockTrace(blocks()))
 
     Session.run_trace = timed_run_trace
 

@@ -101,12 +101,6 @@ def _parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true",
         help="suppress the ASCII reports (progress lines only)")
     run.add_argument(
-        "--bench", action="store_true",
-        help="run the emulation-speed benchmark harness instead of"
-             " artifact sweeps; writes BENCH_emulation.json under --out"
-             " and fails on >20%% speedup regression vs the checked-in"
-             " baseline")
-    run.add_argument(
         "--list", action="store_true", dest="list_artifacts",
         help="list the registered artifacts (with descriptions and"
              " default runtimes) instead of running anything")
@@ -243,44 +237,6 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_bench_harness():
-    """Import ``benchmarks/harness.py`` from the repository checkout.
-
-    The benchmark harness intentionally lives next to the benchmark
-    suite (not inside the installed package); resolve it relative to the
-    working directory or the source tree.
-    """
-    import importlib.util
-
-    here = os.path.dirname(os.path.abspath(__file__))
-    candidates = [
-        os.path.join(os.getcwd(), "benchmarks", "harness.py"),
-        os.path.normpath(os.path.join(
-            here, "..", "..", "..", "benchmarks", "harness.py")),
-    ]
-    for path in candidates:
-        if os.path.exists(path):
-            spec = importlib.util.spec_from_file_location(
-                "repro_bench_harness", path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module
-    raise FileNotFoundError(
-        "benchmarks/harness.py not found; run from a repository checkout")
-
-
-def _bench_command(args: argparse.Namespace) -> int:
-    try:
-        harness = _load_bench_harness()
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = args.out or results_dir()
-    os.makedirs(out_dir, exist_ok=True)
-    out_path = os.path.join(out_dir, "BENCH_emulation.json")
-    return harness.main(["--out", out_path, "--check"])
-
-
 def _profile_command(args: argparse.Namespace) -> int:
     from repro.profiling.characterize import layer_breakdown_for_artifact
 
@@ -344,8 +300,6 @@ def _print_outcome(args: argparse.Namespace, out_dir: str, spec,
 def _run_command(args: argparse.Namespace) -> int:
     if args.list_artifacts:
         return _list_command(argparse.Namespace(verbose=False))
-    if args.bench:
-        return _bench_command(args)
     if args.full:
         os.environ["REPRO_FULL"] = "1"
     if args.spec is not None:

@@ -88,8 +88,8 @@ def load_yaml(path: str) -> YamlDoc:
     try:
         # One parse: compose keeps the source marks, and the loader can
         # construct the data from the composed nodes directly (text
-        # parsing dominates spec-compilation cost, which the benchmark
-        # harness gates against a fig08 run).
+        # parsing dominates spec-compilation cost, which
+        # benchmarks/test_spec_overhead.py gates against a fig08 run).
         loader = yaml.SafeLoader(text)
         try:
             node = loader.get_single_node()

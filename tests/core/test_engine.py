@@ -30,6 +30,7 @@ from repro.core.engine import (
 from repro.core.system import EasyDRAMSystem, EmulationDeadlock
 from repro.cpu.memtrace import load
 from repro.cpu.processor import MemoryRequest
+from repro.dram.kernel import blockrun
 from repro.workloads import lmbench, microbench
 
 CONFIGS = {
@@ -62,14 +63,37 @@ def snapshot(system: EasyDRAMSystem, result) -> dict:
     }
 
 
+@pytest.fixture(autouse=True)
+def declined(monkeypatch):
+    """Decline the event engine's resident replay, recording each try.
+
+    These suites compare the two engines' serve paths batch by batch,
+    so the event engine must serve gate by gate in the burst loop
+    instead of running the whole trace resident in the kernel.
+    """
+    tries = []
+
+    def decline(engine, session, procs, smc):
+        tries.append(engine.name)
+        return False
+
+    monkeypatch.setattr(blockrun, "run_gated_kernel", decline)
+    monkeypatch.setattr(blockrun, "run_cores_kernel", decline)
+    return tries
+
+
 def run_both(config_factory, driver):
-    """Run ``driver(session)`` under both engines; return both snapshots."""
+    """Run ``driver(session)`` under both engines; return both snapshots.
+
+    The event engine's burst loop must have served the run's requests.
+    """
     outcomes = []
     for engine in ("cycle", "event"):
         system = EasyDRAMSystem(config_factory(), engine=engine)
         session = system.session("equivalence", engine=engine)
         driver(session)
         outcomes.append(snapshot(system, session.finish()))
+        assert session.engine.stats.releases > 0
     return outcomes
 
 
@@ -80,24 +104,23 @@ def assert_equivalent(config_factory, driver):
 
 # -- workload drivers ---------------------------------------------------------
 #
-# The drivers feed per-access views (``.accesses()``): these suites compare
-# the two engines' serve paths batch by batch, and a block trace would take
-# the event engine into the resident kernel replay instead.
+# Every run below goes through the burst loop: the ``declined`` fixture
+# turns the event engine's resident replay down.
 
 
 def chase_driver(session):
-    session.run_trace(microbench.touch_blocks(0, 96 * 1024).accesses())
+    session.run_trace(microbench.touch_blocks(0, 96 * 1024))
     session.run_trace(lmbench.pointer_chase_blocks(
-        96 * 1024, 3000, base_addr=0).accesses())
+        96 * 1024, 3000, base_addr=0))
 
 
 def writeback_driver(session):
     # A store stream larger than the L2 forces dirty evictions, so the
     # batch mixes fills and posted writebacks (WR commands).
     size = session.hierarchy.l2.size_bytes * 2
-    session.run_trace(microbench.cpu_init_blocks(0, size).accesses())
+    session.run_trace(microbench.cpu_init_blocks(0, size))
     session.run_trace(
-        microbench.cpu_copy_blocks(0, size, size // 2).accesses())
+        microbench.cpu_copy_blocks(0, size, size // 2))
 
 
 def gap_driver(session):
@@ -110,13 +133,13 @@ def gap_driver(session):
 
 def technique_driver(session):
     session.run_trace(
-        microbench.touch_blocks(0, 32 * 1024, write=True).accesses())
+        microbench.touch_blocks(0, 32 * 1024, write=True))
     session.technique_op(lambda api: api.rowclone(0, 1, 2))
     session.clflush_range(0, 64 * 64)
     session.run_trace(lmbench.pointer_chase_blocks(
-        64 * 1024, 800, base_addr=0).accesses())
+        64 * 1024, 800, base_addr=0))
     session.technique_op(lambda api: api.rowclone(1, 3, 4))
-    session.run_trace(microbench.cpu_init_blocks(0, 32 * 1024).accesses())
+    session.run_trace(microbench.cpu_init_blocks(0, 32 * 1024))
 
 
 class TestEngineEquivalence:
@@ -137,11 +160,14 @@ class TestEngineEquivalence:
         episodes; mixing the fast and reference paths must not skew."""
         assert_equivalent(jetson_nano_time_scaling, technique_driver)
 
-    def test_event_engine_used_batched_path(self):
+    def test_event_engine_used_batched_path(self, declined):
         system = EasyDRAMSystem(jetson_nano_time_scaling(), engine="event")
         session = system.session("batched")
         chase_driver(session)
         session.finish()
+        # Both trace segments were offered to the resident replay, which
+        # declined, so the burst loop served them gate by gate.
+        assert declined == ["event", "event"]
         assert session.engine.stats.batched_episodes > 0
         assert session.engine.stats.fallback_episodes == 0
         assert session.engine.stats.gates > 0
@@ -159,7 +185,7 @@ class TestEngineEquivalence:
                 api.read_sequence(entry.dram)
 
         system.smc.serve_hook = hook
-        session.run_trace(microbench.touch_blocks(0, 64 * 1024).accesses())
+        session.run_trace(microbench.touch_blocks(0, 64 * 1024))
         session.finish()
         assert calls, "hook never saw a request"
         assert session.engine.stats.fallback_episodes > 0
@@ -175,7 +201,7 @@ class TestEventSchedulerEdgeCases:
         session.processor.outstanding.append(
             MemoryRequest(rid=0, addr=0, is_write=False, tag=0))
         with pytest.raises(EmulationDeadlock):
-            session.run_trace([load(1 << 30, gap=1, dependent=True)])
+            session.run_trace([load(1 << 20, gap=1, dependent=True)])
 
     @staticmethod
     def _coarse_clock_config():

@@ -1,12 +1,14 @@
 """Hand-written traces replay the same as blocks and as plain lists.
 
-A plain iterable of accesses fed to ``Processor.feed`` is the
-per-access reference path; ``blockify`` turns the same list into access
-blocks, which replay resident in the kernel (or, with the kernel off,
-in the Python block loop).  Random ``load``/``store`` traces, with
-dependent loads, writes and gaps of 0 and more, must give the same
-result, controller and device statistics and per-request latencies
-either way, under every serve mode.
+``Processor.feed`` chunks a plain list of accesses with ``blockify``
+(default block size); ``blockify`` with an explicit size gives other
+block boundaries.  Either way the blocks replay resident in the kernel
+(or, with the kernel off, in the Python block loop).  The oracle is the
+per-access replay of ``reference_processor.py`` on the cycle engine
+with the kernel off.  Random ``load``/``store`` traces, with dependent
+loads, writes and gaps of 0 and more, must give the oracle's result,
+controller and device statistics and per-request latencies under every
+serve mode.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import functools
 import random
 
 import pytest
+from reference_processor import install
 
 from repro.core.config import jetson_nano_time_scaling
 from repro.core.system import EasyDRAMSystem
@@ -50,10 +53,12 @@ def random_trace(seed: int, n: int = 1200) -> list:
     return trace
 
 
-def observe(trace, engine: str) -> dict:
+def observe(trace, engine: str, reference: bool = False) -> dict:
     system = EasyDRAMSystem(
         jetson_nano_time_scaling(**scaled_cache_overrides()), engine=engine)
     session = system.session("blockify")
+    if reference:
+        install(session)
     session.run_trace(trace)
     run = dataclasses.asdict(session.finish())
     run.pop("wall_seconds")
@@ -67,11 +72,11 @@ def observe(trace, engine: str) -> dict:
 
 @functools.cache
 def oracle(seed: int) -> dict:
-    """The object reference: the plain list on the cycle engine with the
-    kernel off."""
+    """The object reference: the plain list replayed access by access on
+    the cycle engine with the kernel off."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("REPRO_KERNEL", "0")
-        return observe(random_trace(seed), "cycle")
+        return observe(random_trace(seed), "cycle", reference=True)
 
 
 @pytest.fixture
@@ -103,8 +108,8 @@ def test_blockified_matches_per_access(mode, seed, block, kernel_calls,
     assert expected["run"]["writeback_requests"] and expected["latencies"]
     assert blocks == expected
     assert per_access == expected
-    # Only the block run tries the resident replay (the event engine's
-    # entry), and only the resident mode engages it.
+    # Both runs try the resident replay (the event engine's entry), and
+    # only the resident mode engages it.
     engaged = [ok for ok, _ in kernel_calls]
-    assert engaged == ([True] if name == "resident"
-                       else [False] if engine == "event" else [])
+    assert engaged == ([True, True] if name == "resident"
+                       else [False, False] if engine == "event" else [])

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from reference_processor import install
 
 from repro.core.config import jetson_nano_time_scaling
 from repro.core.system import EasyDRAMSystem
@@ -94,7 +95,8 @@ class TestProcessorBlockMode:
 
     def _run(self, trace_factory, reference, monkeypatch):
         """Event engine at the kernel default, or the object reference
-        (cycle engine, ``REPRO_KERNEL=0``)."""
+        (the per-access replay of ``reference_processor.py`` on the cycle
+        engine, ``REPRO_KERNEL=0``)."""
         if reference:
             monkeypatch.setenv("REPRO_KERNEL", "0")
         else:
@@ -102,6 +104,8 @@ class TestProcessorBlockMode:
         engine = "cycle" if reference else "event"
         system = EasyDRAMSystem(jetson_nano_time_scaling(), engine=engine)
         session = system.session("blocks")
+        if reference:
+            install(session)
         session.run_trace(trace_factory())
         result = dataclasses.asdict(session.finish())
         result.pop("wall_seconds")

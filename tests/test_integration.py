@@ -110,7 +110,7 @@ class TestFailureInjection:
     def test_deadlock_detection(self):
         """A blocked processor with nothing pending is a hard error,
         not a hang."""
-        from repro.core.system import EmulationDeadlock, Session
+        from repro.core.system import EmulationDeadlock
 
         system = EasyDRAMSystem(jetson_nano_time_scaling())
         session = system.session("deadlock")
@@ -121,7 +121,7 @@ class TestFailureInjection:
         session.processor.outstanding.append(
             MemoryRequest(rid=0, addr=0, is_write=False, tag=0))
         with pytest.raises(EmulationDeadlock):
-            session.run_trace([load(1 << 30, gap=1, dependent=True)])
+            session.run_trace([load(1 << 20, gap=1, dependent=True)])
 
 
 class TestNoTimeScalingVsTimeScalingConsistency:
