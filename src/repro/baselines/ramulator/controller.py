@@ -10,7 +10,7 @@ paper's comparison exercises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.baselines.ramulator.dram_model import DramTimingModel

@@ -29,7 +29,7 @@ from repro.core.timescale import ClockDomain
 from repro.cpu.processor import ProcessorConfig
 from repro.dram.address import Geometry
 from repro.dram.cells import CellModelConfig
-from repro.dram.timing import TimingParams, ddr4_1333, ns
+from repro.dram.timing import TimingParams, ddr4_1333
 
 #: Memory-system topology presets (channels x ranks x bank layout).
 #: ``ddr4-*`` keep the paper's DDR4 bank layout (4 groups x 4 banks) and

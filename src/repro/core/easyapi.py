@@ -21,7 +21,7 @@ from repro.bender.program import BenderProgram
 from repro.core.tile import EasyTile
 from repro.cpu.processor import MemoryRequest
 from repro.dram.address import DramAddress
-from repro.dram.commands import Command, CommandKind
+from repro.dram.commands import Command
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,9 @@ class RowCloneOp:
     """One FPM RowClone as a technique-episode ``stage`` callable.
 
     Calling it stages :meth:`EasyAPI.rowclone`, like any other stage.
-    :meth:`~repro.core.smc.SoftwareMemoryController.technique_episode`
-    recognizes it and issues the sequence as a memoized plan instead of
-    staging and walking a Bender program; the outcome is identical.
+    :meth:`~repro.core.smc.SoftwareMemoryController.rowclone_rows_kernel`
+    runs whole runs of them in the kernel instead; the outcome is
+    identical.
     """
 
     bank: int

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from repro.bender.engine import BenderEngine, ExecResult
 from repro.bender.program import BenderProgram
 from repro.core.config import SystemConfig
-from repro.core.easyapi import EasyAPI, ProgramExecutor, RowCloneOp
+from repro.core.easyapi import EasyAPI, ProgramExecutor
 from repro.core.schedulers import (
     Scheduler,
     TableEntry,
@@ -244,19 +244,17 @@ class SoftwareMemoryController(ProgramExecutor):
         self._ref_cycles = 2 + -(-t.tRP // tck) + -(-t.tRFC // tck)
         self._ref_offset_ps = (1 + -(-t.tRP // tck)) * tck
         self._ref_measured = bender_domain.measure_ps(self._ref_cycles * tck)
-        # FPM RowClone episode constants: the Bender walk of
-        # EasyAPI.rowclone's program, ACT(src) | WAIT 2 | PRE | ACT(dst) |
-        # WAIT(tRAS) | PRE | WAIT(tRP), one interface cycle per command.
-        # Its four commands issue ``_fpm_offsets`` ps after the start.
+        # FPM RowClone episode constants for the kernel's RowClone rows:
+        # the Bender walk of EasyAPI.rowclone's program, ACT(src) | WAIT 2
+        # | PRE | ACT(dst) | WAIT(tRAS) | PRE | WAIT(tRP), one interface
+        # cycle per command.  Its four commands issue ``_fpm_offsets`` ps
+        # after the start.
         ras = -(-t.tRAS // tck) if t.tRAS > 0 else 0
         rp = -(-t.tRP // tck) if t.tRP > 0 else 0
         self._fpm_offsets = (0, 3 * tck, 4 * tck, (5 + ras) * tck)
         self._fpm_cycles = 6 + ras + rp
         self._fpm_measured = bender_domain.measure_ps(self._fpm_cycles * tck)
-        self._fpm_flush_charge = (
-            costs.flush + costs.per_instruction_transfer
-            * (5 + (ras > 0) + (rp > 0)))
-        # The plan stands in for the stock API, executor and sequencer
+        # The kernel stands in for the stock API, executor and sequencer
         # only; a controller, API or engine that overrides them stages.
         self._fpm_plan = (
             type(self).execute_staged is SoftwareMemoryController.execute_staged
@@ -626,7 +624,7 @@ class SoftwareMemoryController(ProgramExecutor):
         ``Session.technique_op`` of its
         :class:`~repro.core.easyapi.RowCloneOp` (``respect_timing=False``)
         on core 0's processor ``proc`` -- the writeback episodes, the FPM
-        episode (:meth:`technique_episode` / :meth:`_execute_fpm`) with
+        episode (:meth:`technique_episode` of the staged program) with
         the refreshes falling due, and the device's in-DRAM copies.  Each
         finished row appends the tuple of its ranges' dirty-line counts
         to ``finished``, also when an error stops the run (then raised).
@@ -1051,13 +1049,11 @@ class SoftwareMemoryController(ProgramExecutor):
         issued the technique request (memory-mapped register write).
         Returns (release processor cycle, Bender result).
 
-        A :class:`~repro.core.easyapi.RowCloneOp` stage is issued as the
-        memoized FPM plan (:meth:`_execute_fpm`, one fused device pass)
-        instead of a staged Bender program; every other stage runs
-        staged through EasyAPI and the Bender engine.  The RowClone
-        technique's reliable rows run this episode inside the kernel
-        instead (:meth:`rowclone_rows_kernel`); this method is their
-        per-row path, taken whenever that entry declines.
+        The stage's commands are staged through EasyAPI and walked by
+        the Bender engine.  The RowClone technique's reliable rows run
+        this episode inside the kernel instead
+        (:meth:`rowclone_rows_kernel`); this method is their per-row
+        path, taken whenever that entry declines.
         """
         self.counters.enter_critical()
         # A strict TimingViolation must not leave critical mode set.
@@ -1068,20 +1064,13 @@ class SoftwareMemoryController(ProgramExecutor):
             self._maybe_refresh()
             start = self.sched_cursor
             api = self.api
-            plan = type(stage) is RowCloneOp and self._fpm_ready(stage)
-            if plan:
-                api.charge(api.costs.rowclone_setup)
-            else:
-                stage(api)
+            stage(api)
             sched_cycles = api.take_charges()
             self.stats.total_sched_cycles += sched_cycles
             sched_ps = sched_cycles * self._mc_period
             self.tile.stats.scheduling_ps += sched_ps
             self._exec_anchor_ps = start + sched_ps
-            if plan:
-                result = self._execute_fpm(stage, respect_timing)
-            else:
-                result = api.flush_commands(respect_timing=respect_timing)
+            result = api.flush_commands(respect_timing=respect_timing)
             api.take_charges()
             release_ps = self.dram_cursor + self._resp_bus_ps
             release = -(-release_ps // self._proc_period)
@@ -1096,46 +1085,6 @@ class SoftwareMemoryController(ProgramExecutor):
         finally:
             self.counters.exit_critical()
         return release, result
-
-    def _fpm_ready(self, op: RowCloneOp) -> bool:
-        """Whether ``op`` can take the memoized FPM plan: the stock
-        controller path, nothing else staged, and coordinates the device
-        accepts (the staged path reports anything else)."""
-        geometry = self.config.geometry
-        rows = geometry.rows_per_bank
-        return (self._fpm_plan and not self.api.program.instructions
-                and self.api._lent is None
-                and 0 <= op.bank < geometry.total_banks
-                and 0 <= op.src_row < rows and 0 <= op.dst_row < rows)
-
-    def _execute_fpm(self, op: RowCloneOp,
-                     respect_timing: bool) -> ExecResult:
-        """``flush_commands`` of EasyAPI.rowclone's program, as a plan.
-
-        Same start time, device commands, violation records, flush
-        charge, Bender and controller accounting as staging the program
-        and walking it in :meth:`execute_staged`.
-        """
-        api = self.api
-        api.charge(self._fpm_flush_charge)
-        start = max(self._exec_anchor_ps, self.dram_cursor)
-        if respect_timing:
-            start = max(start, self._flat_earliest(K_ACT, op.bank))
-        offsets = self._fpm_offsets
-        self._device.issue_rowclone(
-            op.bank, op.src_row, op.dst_row,
-            (start, start + offsets[1], start + offsets[2],
-             start + offsets[3]))
-        cycles = self._fpm_cycles
-        bender = self._bender
-        bender.programs_run += 1
-        bender.total_interface_cycles += cycles
-        measured = self._fpm_measured
-        self.dram_cursor = start + measured
-        self.tile.stats.dram_busy_ps += measured
-        self.stats.batches_executed += 1
-        result = api.last_exec = self._fpm_result()
-        return result
 
     def _fpm_result(self) -> ExecResult:
         """The Bender result of one FPM RowClone program walk."""

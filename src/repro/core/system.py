@@ -300,8 +300,9 @@ class Session:
         writeback request tagged with the cycle its own flush
         completed.  The writebacks are serviced by the controller: as
         arrays in one kernel episode when it can serve them, else as
-        writeback requests on the object path.  Returns the number of
-        dirty lines written back.
+        writeback requests on the batch ladder
+        (:meth:`~repro.core.smc.SoftwareMemoryController.service_pending_batched`).
+        Returns the number of dirty lines written back.
         """
         proc = self.processor
         line = proc.hierarchy.line_bytes
@@ -338,7 +339,7 @@ class Session:
             channel=0 if channel_of is None else channel_of(addr))
             for k, (tag, addr) in enumerate(zip(tags.tolist(),
                                                 addrs.tolist()))]
-        system.smc.service_pending(writebacks)
+        system.smc.service_pending_batched(writebacks)
         return max(r.release or 0 for r in writebacks)
 
     # -- results ---------------------------------------------------------------
@@ -347,19 +348,19 @@ class Session:
         """Close the session and compute the run's results.
 
         Memory-side counters are summed over every channel's tile,
-        controller, and device; on the paper's single-channel system the
-        sums are the lone channel's counters verbatim.  Multi-core
+        controller, and device, and processor-side counters and both
+        cache levels' statistics over every core; on the paper's
+        single-core, single-channel system the sums are the lone core's
+        and channel's counters verbatim.  The headline ``cycles`` is the
+        *last* core's completion (a mix's makespan).  Multi-core
         sessions additionally report per-core slices (``per_core``):
         processor-side counters come from each core's own processor,
         controller-side attribution from the shared
         :class:`~repro.core.stats.CoreServiceTracker`, and — when
         :attr:`solo_cycles` was set — each core's slowdown vs its solo
-        run.  The run's headline ``cycles`` is then the *last* core's
-        completion (the mix's makespan) while access counters sum over
-        cores.
+        run.
         """
         wall = time.perf_counter() - self._wall_start
-        proc = self.processor
         system = self.system
         config = system.config
         tiles = system.tiles
@@ -371,45 +372,32 @@ class Session:
         total_sched_cycles = sum(s.stats.total_sched_cycles
                                  for s in system.smcs)
         multicore = len(self.cores) > 1
-        if multicore:
-            procs = [c.processor for c in self.cores]
-            cycles = max(p.cycles for p in procs)
-            stall_cycles = sum(p.stats.stall_cycles for p in procs)
-            accesses = sum(p.stats.accesses for p in procs)
-            loads = sum(p.stats.loads for p in procs)
-            stores = sum(p.stats.stores for p in procs)
-            llc_misses = sum(p.stats.llc_miss_requests for p in procs)
-            writebacks = sum(p.stats.writeback_requests for p in procs)
-            n_lat = sum(len(p.stats.request_latencies) for p in procs)
-            avg_latency = (sum(latency_sum(p.stats.request_latencies)
-                               for p in procs) / n_lat if n_lat else 0.0)
-            l1 = CacheStats()
-            l2 = CacheStats()
-            for core in self.cores:
-                for total, level in ((l1, core.hierarchy.l1.stats),
-                                     (l2, core.hierarchy.l2.stats)):
-                    total.hits += level.hits
-                    total.misses += level.misses
-                    total.writebacks += level.writebacks
-                    total.flushes += level.flushes
-            # Total useful processing across cores; stall is summed too,
-            # so Breakdown.total_ps reads as core-cycles (core-seconds).
-            processing_ps = sum(p.cycles - p.stats.stall_cycles
-                                for p in procs) * self._proc_period
-            fpga_proc_cycles = sum(p.cycles for p in procs)
-        else:
-            cycles = proc.cycles
-            stall_cycles = proc.stats.stall_cycles
-            accesses = proc.stats.accesses
-            loads = proc.stats.loads
-            stores = proc.stats.stores
-            llc_misses = proc.stats.llc_miss_requests
-            writebacks = proc.stats.writeback_requests
-            avg_latency = proc.stats.avg_request_latency
-            l1 = self.hierarchy.l1.stats
-            l2 = self.hierarchy.l2.stats
-            processing_ps = (cycles - stall_cycles) * self._proc_period
-            fpga_proc_cycles = cycles
+        procs = [c.processor for c in self.cores]
+        cycles = max(p.cycles for p in procs)
+        stall_cycles = sum(p.stats.stall_cycles for p in procs)
+        accesses = sum(p.stats.accesses for p in procs)
+        loads = sum(p.stats.loads for p in procs)
+        stores = sum(p.stats.stores for p in procs)
+        llc_misses = sum(p.stats.llc_miss_requests for p in procs)
+        writebacks = sum(p.stats.writeback_requests for p in procs)
+        n_lat = sum(len(p.stats.request_latencies) for p in procs)
+        avg_latency = (sum(latency_sum(p.stats.request_latencies)
+                           for p in procs) / n_lat if n_lat else 0.0)
+        l1 = CacheStats()
+        l2 = CacheStats()
+        for core in self.cores:
+            for total, level in ((l1, core.hierarchy.l1.stats),
+                                 (l2, core.hierarchy.l2.stats)):
+                total.hits += level.hits
+                total.misses += level.misses
+                total.writebacks += level.writebacks
+                total.flushes += level.flushes
+        # Total useful processing across cores; stall is summed too, so
+        # on multi-core runs Breakdown.total_ps reads as core-cycles
+        # (core-seconds).
+        processing_ps = sum(p.cycles - p.stats.stall_cycles
+                            for p in procs) * self._proc_period
+        fpga_proc_cycles = sum(p.cycles for p in procs)
         emulated_ps = cycles * self._proc_period
         stall_ps = stall_cycles * self._proc_period
         breakdown = Breakdown(

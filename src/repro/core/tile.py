@@ -11,7 +11,7 @@ memory controller reaches all of them through :class:`EasyAPI`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bender.buffers import CommandBuffer, ReadbackBuffer
 from repro.bender.engine import BenderEngine

@@ -39,11 +39,7 @@ from repro.dram.flat_timing import (
     FlatTimingState,
 )
 from repro.dram.timing import TimingParams
-from repro.dram.timing_checker import (
-    TimingChecker,
-    TimingViolation,
-    ViolationRecord,
-)
+from repro.dram.timing_checker import TimingChecker
 
 #: Flat kind code -> CommandKind (for the rare fallback that needs a
 #: real Command object, e.g. recording a timing violation).
@@ -478,56 +474,6 @@ class DramDevice:
                 if data_end > flat.max_write_end:
                     flat.max_write_end = data_end
         self._last_issue_ps = t
-
-    def issue_rowclone(self, bank_index: int, src_row: int, dst_row: int,
-                       times: tuple[int, int, int, int]) -> None:
-        """Issue the FPM sequence ACT(src), PRE, ACT(dst), PRE in one pass.
-
-        Equivalent to :meth:`issue` of the four commands at ``times`` (the
-        Bender walk of :meth:`~repro.core.easyapi.EasyAPI.rowclone`'s
-        program), with each command's legality answered by the flat
-        timing state: a command issued before its earliest legal time is
-        recorded (or, in strict mode, raises) with the binding constraint
-        :meth:`FlatTimingState.binding` names -- the record the object
-        checker makes on the staged path.  The second ACT performs the
-        in-DRAM copy.  The caller range-checks the bank and rows.
-        """
-        if times[0] < self._last_issue_ps:
-            raise ValueError(
-                f"command stream went backwards: {times[0]} <"
-                f" {self._last_issue_ps}")
-        flat = self.flat
-        bank = self.banks[bank_index]
-        rank = self.ranks[self._rank_of[bank_index]]
-        commands = self.stats.commands
-        tfaw = self.timing.tFAW
-        acts_map = self.row_activations
-        for kind, row, t in ((K_ACT, src_row, times[0]), (K_PRE, 0, times[1]),
-                             (K_ACT, dst_row, times[2]),
-                             (K_PRE, 0, times[3])):
-            self._last_issue_ps = t
-            if t < flat.earliest(kind, bank_index):
-                earliest, constraint = flat.binding(kind, bank_index)
-                command = Command(_KIND_OF_CODE[kind], bank=bank_index,
-                                  row=row)
-                checker = self.checker
-                if checker.strict:
-                    raise TimingViolation(command, t, earliest, constraint)
-                checker.violations.append(
-                    ViolationRecord(command, t, earliest, constraint))
-            name = KIND_NAMES[kind]
-            commands[name] = commands.get(name, 0) + 1
-            if kind == K_ACT:
-                self._maybe_rowclone(bank, row, t)
-                bank.activate(row, t)
-                rank.record_act(t, tfaw)
-                flat.act(bank_index, row, t)
-                if acts_map is not None:
-                    key = (bank_index, row)
-                    acts_map[key] = acts_map.get(key, 0) + 1
-            else:
-                bank.precharge(t)
-                flat.pre(bank_index, t)
 
     def _do_act(self, cmd: Command, t: int) -> None:
         """ACT: open a row (detecting the RowClone ACT-PRE-ACT pattern)."""

@@ -303,58 +303,6 @@ class FlatTimingState:
                 e = _FAR_FUTURE
         return e if e > 0 else 0
 
-    def binding(self, kind: int, bank: int) -> tuple[int, str]:
-        """``(earliest, constraint)`` of an ACT or PRE on ``bank``.
-
-        Exactly what :meth:`TimingChecker.earliest_issue
-        <repro.dram.timing_checker.TimingChecker.earliest_issue>` reports:
-        the first maximal candidate in the checker's order, the power-on
-        floor first.  Violating commands of a fused plan use it to name
-        the binding constraint without building candidate objects.
-        """
-        t = self.timing
-        best, name = 0, "power-on"
-        if kind == K_PRE:
-            for v, c in ((self.last_act[bank] + t.tRAS, "tRAS"),
-                         (self.last_read[bank] + t.tRTP, "tRTP"),
-                         (self.last_write_end[bank] + t.tWR, "tWR")):
-                if v > best:
-                    best, name = v, c
-            return best, name
-        if kind != K_ACT:
-            raise ValueError(f"binding() covers ACT and PRE, not {kind}")
-        v = self.last_act[bank] + t.tRC
-        if v > best:
-            best, name = v, "tRC"
-        v = self.last_pre[bank] + t.tRP
-        if v > best:
-            best, name = v, "tRP"
-        # tRRD against the other banks of the rank, in bank order.
-        rk = self.rank_of[bank]
-        lo = rk * self._banks_per_rank
-        grp = self.group_of[bank]
-        last_act, group_of = self.last_act, self.group_of
-        for other in range(lo, lo + self._banks_per_rank):
-            if other == bank:
-                continue
-            if group_of[other] == grp:
-                v = last_act[other] + t.tRRD_L
-                if v > best:
-                    best, name = v, "tRRD_L"
-            else:
-                v = last_act[other] + t.tRRD_S
-                if v > best:
-                    best, name = v, "tRRD_S"
-        acts = self.rank_recent_acts[rk] if self.multi_rank else self.recent_acts
-        if len(acts) >= 4:
-            v = acts[len(acts) - 4] + t.tFAW
-            if v > best:
-                best, name = v, "tFAW"
-        v = self.last_ref + t.tRFC
-        if v > best:
-            best, name = v, "tRFC"
-        return best, name
-
     def _earliest_multi_rank(self, kind: int, bank: int) -> int:
         """Rank-aware earliest-time query (topologies with ranks > 1).
 

@@ -13,12 +13,16 @@ compiled call
 resident (:mod:`~repro.dram.kernel.blockrun`) when the event engine runs
 an eligible single-core trace or multi-core mix, and runs the RowClone
 technique's runs of reliable rows (CLFLUSHes and FPM episodes) in one
-call each.
+call each.  A RowClone the kernel declines stages its FPM program
+through EasyAPI like every other technique episode, and CLFLUSH
+writebacks it declines take the batch ladder (flat closure, then object
+path).
 
 ``REPRO_KERNEL``
     ``0``/``false``/``off`` disables the kernel entirely (the flat
-    closures serve every batch, the Python burst loop replays every
-    trace and RowClone rows run one op at a time).  A single system can
+    closures serve every batch and every CLFLUSH's writebacks, the
+    Python burst loop replays every trace and RowClone rows run one
+    staged FPM episode at a time).  A single system can
     be kept off it with ``EasyDRAMSystem(..., kernel=False)``.  ``c`` requires the compiled backend
     and disengages with a recorded reason when it cannot load.  Default
     (``auto``): use the compiled backend when a C compiler is available,

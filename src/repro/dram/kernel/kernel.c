@@ -375,8 +375,8 @@ static void enum_cas(K *k, int64_t bank, int is_write, int64_t *e_out,
     *code_out = code;
 }
 
-/* FlatTimingState.binding(K_PRE): the first maximal of tRAS, tRTP, tWR
- * over the power-on floor. */
+/* TimingChecker.earliest_issue of a PRE: the first maximal of tRAS, tRTP,
+ * tWR over the power-on floor. */
 static void enum_pre(K *k, int64_t bank, int64_t *e_out, int64_t *code_out)
 {
     int64_t best = 0, code = CODE_POWER_ON;
@@ -1803,7 +1803,7 @@ static int64_t mat_insert(K *k, int64_t bank, int64_t row)
     return KERN_OK;
 }
 
-/* One ACT of the FPM sequence (device.issue_rowclone): _maybe_rowclone's
+/* One ACT of the FPM sequence (DramDevice.issue): _maybe_rowclone's
  * detection -- an ACT to another row within ROWCLONE_GAP of the PRE that
  * closed the previous one copies that row -- is logged with the WR-hit
  * log's fill for the driver's data side; then the ACT itself. */
@@ -1830,9 +1830,10 @@ static int64_t fpm_act(K *k, int64_t bank, int64_t row, int64_t t)
     return apply_act(k, bank, row, t);
 }
 
-/* device.issue_rowclone: ACT(src), PRE, ACT(dst), PRE at t0 + the plan
- * offsets, each checked against the flat earliest time and logged with
- * FlatTimingState.binding's constraint when early (PRE rows log as 0). */
+/* The Bender walk of EasyAPI.rowclone's program on the device: ACT(src),
+ * PRE, ACT(dst), PRE at t0 + the walk's offsets, each checked against the
+ * flat earliest time and logged with the constraint the object checker
+ * names when early (PRE rows log as 0). */
 static int64_t issue_fpm(K *k, int64_t bank, int64_t src, int64_t dst,
                          int64_t t0)
 {
@@ -1863,10 +1864,10 @@ static int64_t issue_fpm(K *k, int64_t bank, int64_t src, int64_t dst,
 }
 
 /* Session.technique_op of one RowCloneOp (respect_timing=False): the
- * issue cost, SoftwareMemoryController.technique_episode around
- * _execute_fpm (critical mode, the refreshes that fell due, the setup
- * and flush charges, the sequence, Bender and controller accounting,
- * the release) and the processor's stall until the release. */
+ * issue cost, SoftwareMemoryController.technique_episode of the staged
+ * program (critical mode, the refreshes that fell due, the setup and
+ * flush charges, the sequence, Bender and controller accounting, the
+ * release) and the processor's stall until the release. */
 static int64_t fpm_episode(K *k, int64_t bank, int64_t src, int64_t dst,
                            int64_t *cycles, int64_t *stalls)
 {

@@ -2,45 +2,16 @@
 
 ``python -m repro.experiments.run_all`` is kept as a thin compatibility
 wrapper around the unified CLI (``python -m repro run``): it prints
-Table 1, Figure 2, the Section 6 validation, Figures 8-14, and the
-ablations back to back through the parallel sweep runner (CI-scale; set
-``REPRO_FULL=1`` for the paper-scale sweeps, ``REPRO_JOBS=N`` to shard
-points across worker processes).  A failing artifact no longer aborts
-the stream: the failure is reported per artifact and the exit status is
-nonzero.
+every artifact of :data:`repro.runner.registry.ARTIFACT_ORDER` back to
+back through the parallel sweep runner (CI-scale; set ``REPRO_FULL=1``
+for the paper-scale sweeps, ``REPRO_JOBS=N`` to shard points across
+worker processes).  A failing artifact no longer aborts the stream: the
+failure is reported per artifact and the exit status is nonzero.
 """
 
 from __future__ import annotations
 
-from repro.experiments import (
-    ablations,
-    fig02_breakdown,
-    fig08_latency_profile,
-    fig10_rowclone_noflush,
-    fig11_rowclone_clflush,
-    fig12_trcd_heatmap,
-    fig13_trcd_speedup,
-    fig14_sim_speed,
-    fig15_channel_scaling,
-    sec6_validation,
-    tab01_platforms,
-)
 from repro.runner.cli import main as cli_main
-
-#: Kept for importers of the historical module-level table.
-ARTIFACTS = (
-    ("Table 1", tab01_platforms),
-    ("Figure 2", fig02_breakdown),
-    ("Section 6 validation", sec6_validation),
-    ("Figure 8", fig08_latency_profile),
-    ("Figure 10", fig10_rowclone_noflush),
-    ("Figure 11", fig11_rowclone_clflush),
-    ("Figure 12", fig12_trcd_heatmap),
-    ("Figure 13", fig13_trcd_speedup),
-    ("Figure 14", fig14_sim_speed),
-    ("Figure 15", fig15_channel_scaling),
-    ("Ablations", ablations),
-)
 
 
 def main() -> int:  # pragma: no cover - CLI entry

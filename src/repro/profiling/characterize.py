@@ -289,7 +289,7 @@ def measure_layers():
           "_smc_depth")
     patch(SoftwareMemoryController, "technique_episode", "smc", "_smc_depth")
     for name in ("issue", "issue_fast", "issue_col",
-                 "issue_plan", "issue_rowclone"):
+                 "issue_plan"):
         patch(DramDevice, name, "device", "_device_depth")
 
     def timed_kernel(fn, smc_index):

@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import jetson_nano_time_scaling, pidram_no_time_scaling
 from repro.core.easyapi import EasyAPI, RowCloneOp
 from repro.core.system import EasyDRAMSystem
-from repro.cpu.memtrace import load, store
+from repro.cpu.memtrace import load
 from repro.cpu.processor import MemoryRequest
 from repro.dram.address import DramAddress
 from repro.dram.commands import CommandKind

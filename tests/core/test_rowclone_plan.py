@@ -1,16 +1,17 @@
-"""The memoized FPM RowClone plan against the staged EasyAPI -> Bender path.
+"""The staged FPM RowClone episode, and the helpers its kernel form's
+tests share.
 
-``technique_episode`` issues a :class:`~repro.core.easyapi.RowCloneOp`
-stage as a plan: one fused device pass with precomputed command offsets
-and charges.  Any other stage stages a Bender program; a lambda calling
-``api.rowclone`` is that staged path and serves as the oracle here.
-Each cell builds two identical systems, drives both through the same
-random prior bank state (open rows, refreshes falling due) and the same
-RowClone episodes (reliable, unreliable and cross-subarray pairs), and
-compares every observable: releases, Bender results, controller, tile,
-device and Bender counters, row contents, bank state and violation
-records.  A checker switched to strict mode part-way must raise the same
-``TimingViolation``.
+``technique_episode`` stages a :class:`~repro.core.easyapi.RowCloneOp`
+through EasyAPI and walks its Bender program, like every other
+technique episode; ``test_rowclone_rows`` checks the kernel's RowClone
+rows against that walk with :func:`_observe`'s observables (releases,
+Bender results, controller, tile, device and Bender counters, row
+contents, bank state and violation records).  Here each cell drives one
+system through random prior bank state (open rows, refreshes falling
+due) and random RowClone episodes (reliable, unreliable and
+cross-subarray pairs): every episode walks one Bender program beyond
+its refreshes, and a checker switched to strict mode part-way raises
+on the next FPM sequence.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def _script(system, seed):
     return steps
 
 
-def _drive(topology, strict, seed, plan):
+def _drive(topology, strict, seed):
     config = jetson_nano_time_scaling().with_topology(topology)
     system = EasyDRAMSystem(config)
     counting = _Counting(system)
@@ -134,8 +135,7 @@ def _drive(topology, strict, seed, plan):
             cycle = max(cycle, request.release)
         cycle += gap
         smc = system.smc_for(ch)
-        stage = (RowCloneOp(bank, src, dst) if plan
-                 else (lambda api, b=bank, s=src, d=dst: api.rowclone(b, s, d)))
+        stage = RowCloneOp(bank, src, dst)
         calls, refreshes = counting.calls[ch], smc.stats.refreshes
         try:
             release, result = smc.technique_episode(stage, issue_cycle=cycle,
@@ -181,43 +181,24 @@ def _observe(system) -> dict:
 
 
 @pytest.mark.parametrize("topology,strict,seed", list(_cells()))
-def test_plan_matches_staged_episode(topology, strict, seed):
-    plan_system, plan_bender, plan_out = _drive(topology, strict, seed, True)
-    staged_system, staged_bender, staged_out = _drive(topology, strict, seed,
-                                                      False)
-    assert plan_out == staged_out
-    assert _observe(plan_system) == _observe(staged_system)
-    # The plan walks no Bender program (an episode's refreshes still do);
-    # the staged path walks one per episode.
-    assert not any(plan_bender.extra)
-    assert staged_bender.extra == [1] * len(plan_bender.extra)
+def test_staged_fpm_episodes(topology, strict, seed):
+    system, counting, outcomes = _drive(topology, strict, seed)
+    # Each episode walks its own Bender program beyond its refreshes'.
+    assert counting.extra == [1] * len(counting.extra)
+    state = _observe(system)
+    violations = [v for channel in system.channels
+                  for v in state[channel.index]["violations"]]
     if strict:
         # Every FPM sequence violates tRAS, so the first strict episode
-        # raises.
-        assert len(plan_out) == 4 + 5 * seed
-        assert plan_out[-1][0] == "violation"
+        # raises, naming the constraint.
+        assert len(outcomes) == 4 + 5 * seed
+        assert outcomes[-1][0] == "violation"
+        assert outcomes[-1][-1] == "tRAS"
     else:
-        assert len(plan_bender.extra) == len(plan_out) == 24
-        assert sum(smc.stats.refreshes for smc in plan_system.smcs) > 0
-        device_stats = [c.tile.device.stats for c in plan_system.channels]
+        assert len(counting.extra) == len(outcomes) == 24
+        assert sum(smc.stats.refreshes for smc in system.smcs) > 0
+        device_stats = [c.tile.device.stats for c in system.channels]
         attempts = sum(d.rowclone_attempts for d in device_stats)
         successes = sum(d.rowclone_successes for d in device_stats)
         assert 0 < successes < attempts
-
-
-def test_other_stages_run_staged():
-    """Only a bare RowCloneOp on an empty staging buffer takes the plan:
-    any other stage callable, or a RowCloneOp after staged commands,
-    walks a Bender program."""
-    system = EasyDRAMSystem(jetson_nano_time_scaling())
-    counting = _Counting(system)
-    smc = system.smc
-    smc.technique_episode(lambda api: RowCloneOp(0, 1, 2)(api), issue_cycle=0)
-    assert counting.calls == [1]
-    smc.technique_episode(RowCloneOp(0, 3, 4), issue_cycle=0)
-    assert counting.calls == [1]
-    smc.api.ddr_activate(1, 7)
-    smc.technique_episode(RowCloneOp(0, 5, 6), issue_cycle=0)
-    assert counting.calls == [2]
-    assert not smc.api.program.instructions
-    assert smc.stats.technique_ops == 3
+    assert "tRAS" in {v[-1] for v in violations}

@@ -8,18 +8,17 @@ runs the same plan three ways and compares every observable:
 * ``kernel`` -- the new entry (asserted engaged on every run, with no
   ``technique_episode`` call);
 * ``staged`` -- the entry declined and every RowClone staged through
-  EasyAPI and the Bender engine (``technique_op`` with a staging lambda,
-  the oracle of ``test_rowclone_plan``), CLFLUSH writebacks on the
-  kernel's array entry;
-* ``off`` -- ``REPRO_KERNEL=0``: everything in Python, writebacks on the
-  object path.
+  EasyAPI and the Bender engine (``technique_op`` with a staging lambda),
+  CLFLUSH writebacks on the kernel's array entry;
+* ``off`` -- ``REPRO_KERNEL=0``: everything in Python, every RowClone
+  staged (``RowCloneOp``) and CLFLUSH writebacks on the flat closure.
 
 The observables are ``test_rowclone_plan``'s (controller, tile, device
-and Bender counters, cursors, bank and rank state, violation records,
-row contents) plus the ``RunResult``, the processor, the technique's
-``RowCloneStats`` and both cache levels' way lists.  Every path
-materializes the same rows with the same bytes; ``staged`` must match
-their insertion order too.
+and Bender counters, cursors, bank and rank state, violation records
+with their constraint names, row contents) plus the ``RunResult``, the
+processor, the technique's ``RowCloneStats``, both cache levels' way
+lists and ``api.last_exec``.  Every path materializes the same rows with
+the same bytes; ``staged`` must match their insertion order too.
 """
 
 from __future__ import annotations
@@ -125,13 +124,16 @@ def _tighten_logs(system) -> None:
     ks._ptr_table = None
 
 
-def _scenario(op, clflush, topology, seed, tight=False):
+def _scenario(op, clflush, topology, seed, tight=False,
+              last_fallback=False):
     """One plan run end to end: many fallback rows, dirty and clean
     CLFLUSH ranges, and a few reliable-flagged pairs whose copies the
     cells fail (corrupting their destinations), with refreshes due when
     the first (reliable) row starts.  ``tight``: a copy with
     no fallback row (a fallback replay would regrow the logs) on logs
-    shrunk to one row's worst case."""
+    shrunk to one row's worst case.  ``last_fallback``: the plan ends
+    on a CPU-fallback row whose range holds dirty lines, so its CLFLUSH
+    writebacks are the last controller work of the run."""
     rng = random.Random(seed)
     system = EasyDRAMSystem(jetson_nano_time_scaling().with_topology(topology))
     session = system.session("rows")
@@ -164,9 +166,12 @@ def _scenario(op, clflush, topology, seed, tight=False):
             if pair.reliable and rng.random() < 0.2 else pair
             for pair in plan.targets]
         ranges = [plan.dst_addr + i * row_bytes for i in range(n)]
+    if last_fallback:
+        pairs = plan.pairs if op == "copy" else plan.targets
+        pairs[-1] = dataclasses.replace(pairs[-1], reliable=False)
     if clflush:
         for base in ranges:
-            if rng.random() < 0.5:
+            if rng.random() < 0.5 or (last_fallback and base == ranges[-1]):
                 session.run_trace(microbench.touch_blocks(
                     base + rng.randrange(4) * 64,
                     rng.choice((64, 1024, row_bytes // 2)), write=True))
@@ -229,7 +234,7 @@ def _compare(monkeypatch, build):
     assert staged_rec.episodes == kernel["technique"]["rowclone_ops"] > 0
     assert kernel == staged
     for key in kernel:
-        if key not in ("row_order", "last_exec"):
+        if key != "row_order":
             assert kernel[key] == off[key], key
     # The kernel's materialized-row keys, kept up to date in the call,
     # name exactly the rows the device holds.
@@ -252,6 +257,19 @@ def test_rows_match_the_per_row_paths(op, clflush, topology, monkeypatch):
     assert any(refreshed for *_, refreshed in rec.calls)
     if clflush:
         assert kernel["result"]["l1"]["flushes"] > 0
+
+
+@needs_kernel
+def test_trailing_fallback_flush_keeps_last_exec(monkeypatch):
+    """An init plan that ends on a CPU-fallback row: its CLFLUSH
+    writebacks run after the last RowClone, on the kernel's array entry
+    or (kernel off) the flat closure, and neither replaces the RowClone's
+    Bender result in ``api.last_exec``."""
+    kernel, _ = _compare(monkeypatch, lambda: _scenario(
+        "init", True, "ddr4-1ch", seed=11, last_fallback=True))
+    assert kernel["technique"]["fallback_rows"] > 0
+    # The FPM program's four commands, not a writeback's.
+    assert kernel["last_exec"].commands_issued == 4
 
 
 @needs_kernel
@@ -418,7 +436,7 @@ def test_out_of_range_flush_raises_the_same_error(monkeypatch):
     assert kernel == outcomes["staged"][1]
     off = outcomes["off"][1]
     for key in kernel:
-        if key not in ("row_order", "last_exec"):
+        if key != "row_order":
             assert kernel[key] == off[key], key
     stats = kernel["technique"]
     assert stats["rowclone_ops"] == 2

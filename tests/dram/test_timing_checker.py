@@ -4,7 +4,6 @@ import pytest
 
 from repro.dram.bank import BankState, RankState
 from repro.dram.commands import Command, CommandKind
-from repro.dram.timing import ddr4_1333
 from repro.dram.timing_checker import TimingChecker, TimingViolation
 
 

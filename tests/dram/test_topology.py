@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import TOPOLOGIES, topology
-from repro.dram.address import AddressMapper, DramAddress, Geometry
+from repro.dram.address import AddressMapper, Geometry
 
 # Mixed power-of-two and non-power-of-two shapes; channels include the
 # awkward count 3 and ranks the paper never models.
