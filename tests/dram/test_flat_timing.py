@@ -94,11 +94,11 @@ class TestFlatMatchesOracle:
                     assert got == want, (kind, bank)
 
     @pytest.mark.parametrize("ranks", (1, 2))
-    def test_act_pre_earliest_matches_checker_under_bursts(self, timing,
-                                                           ranks):
-        """The flat earliest time of an ACT or PRE on every bank is the
-        object checker's, on one and two ranks, through streams that
-        make every ACT/PRE constraint bind somewhere."""
+    def test_binding_matches_checker_on_random_streams(self, timing, ranks):
+        """The flat earliest time of an ACT or PRE on every bank is the one
+        the object checker's binding constraint sets, on one and two
+        ranks, through streams that make every ACT/PRE constraint bind
+        somewhere."""
         geometry = Geometry(bank_groups=4, banks_per_group=4,
                             rows_per_bank=256, columns_per_row=32,
                             subarray_rows=64, ranks=ranks)
