@@ -4,7 +4,7 @@ Each benchmark regenerates one of the paper's tables or figures and
 prints the rows/series the paper reports (captured with ``-s`` or in the
 benchmark logs).  Experiments are deterministic, so every benchmark runs
 a single round — the interesting number is the artifact, not the
-harness's wall time.  Set ``REPRO_FULL=1`` for paper-scale sweeps.
+harness's wall time.  Pass ``--full`` for paper-scale sweeps.
 """
 
 from __future__ import annotations
@@ -14,6 +14,18 @@ import os
 import pytest
 
 _BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--full", action="store_true",
+        help="benchmarks: paper-scale sweeps instead of CI-scale")
+
+
+@pytest.fixture
+def full(request) -> bool:
+    """Whether the run asked for paper-scale sweeps (``--full``)."""
+    return request.config.getoption("--full")
 
 
 def pytest_collection_modifyitems(items):

@@ -1,12 +1,11 @@
 """Benchmark: regenerate Figure 8 (lmbench latency profile)."""
 
 from repro.experiments import fig08_latency_profile
-from repro.experiments.common import full_runs_enabled
 from repro.workloads import lmbench
 
 
-def test_fig08_latency_profile(once):
-    if full_runs_enabled():
+def test_fig08_latency_profile(once, full):
+    if full:
         sizes = lmbench.FIG8_SIZES_KIB
         max_accesses = 12_000
     else:

@@ -3,8 +3,9 @@
 from repro.experiments import fig10_rowclone_noflush
 
 
-def test_fig10_rowclone_noflush(once):
-    result = once(fig10_rowclone_noflush.run)
+def test_fig10_rowclone_noflush(once, full):
+    result = once(fig10_rowclone_noflush.run,
+                  **fig10_rowclone_noflush.SWEEP.run_overrides(full=full))
     print()
     print(fig10_rowclone_noflush.report(result))
     copy = result["copy_geomean"]

@@ -3,8 +3,9 @@
 from repro.experiments import fig11_rowclone_clflush
 
 
-def test_fig11_rowclone_clflush(once):
-    result = once(fig11_rowclone_clflush.run)
+def test_fig11_rowclone_clflush(once, full):
+    result = once(fig11_rowclone_clflush.run,
+                  **fig11_rowclone_clflush.SWEEP.run_overrides(full=full))
     print()
     print(fig11_rowclone_clflush.report(result))
     ts = "EasyDRAM - Time Scaling"

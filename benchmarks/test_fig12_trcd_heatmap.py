@@ -1,12 +1,12 @@
 """Benchmark: regenerate Figure 12 (minimum reliable tRCD heatmap)."""
 
 from repro.experiments import fig12_trcd_heatmap
-from repro.experiments.common import full_runs_enabled
 
 
-def test_fig12_trcd_heatmap(once):
-    rows = 4096 if full_runs_enabled() else 1024
-    result = once(fig12_trcd_heatmap.run, banks=2, rows=rows)
+def test_fig12_trcd_heatmap(once, full):
+    result = once(fig12_trcd_heatmap.run,
+                  **fig12_trcd_heatmap.SWEEP.run_overrides(
+                      {"banks": 2}, full=full))
     print()
     print(fig12_trcd_heatmap.report(result))
     # Paper findings: most rows strong (84.5%), the rest weak, and the

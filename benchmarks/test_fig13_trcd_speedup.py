@@ -1,12 +1,11 @@
 """Benchmark: regenerate Figure 13 (tRCD-reduction speedup)."""
 
 from repro.experiments import fig13_trcd_speedup
-from repro.experiments.common import full_runs_enabled
 from repro.workloads import polybench
 
 
-def test_fig13_trcd_speedup(once):
-    kernels = (polybench.FIG13_KERNELS if full_runs_enabled()
+def test_fig13_trcd_speedup(once, full):
+    kernels = (polybench.FIG13_KERNELS if full
                else polybench.FIG13_KERNELS[:6])
     result = once(fig13_trcd_speedup.run, kernels=kernels, size="mini")
     print()

@@ -1,12 +1,11 @@
 """Benchmark: regenerate Figure 14 (simulation speed comparison)."""
 
 from repro.experiments import fig14_sim_speed
-from repro.experiments.common import full_runs_enabled
 from repro.workloads import polybench
 
 
-def test_fig14_simulation_speed(once):
-    kernels = (polybench.FIG13_KERNELS if full_runs_enabled()
+def test_fig14_simulation_speed(once, full):
+    kernels = (polybench.FIG13_KERNELS if full
                else polybench.FIG13_KERNELS[:6] + ("durbin",))
     kernels = tuple(dict.fromkeys(kernels))  # dedupe, keep order
     result = once(fig14_sim_speed.run, kernels=kernels, size="mini")

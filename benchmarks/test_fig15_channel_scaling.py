@@ -3,8 +3,9 @@
 from repro.experiments import fig15_channel_scaling
 
 
-def test_fig15_channel_scaling(once):
-    result = once(fig15_channel_scaling.run)
+def test_fig15_channel_scaling(once, full):
+    result = once(fig15_channel_scaling.run,
+                  **fig15_channel_scaling.SWEEP.run_overrides(full=full))
     print()
     print(fig15_channel_scaling.report(result))
     # The whole point of channel-level parallelism: emulated stream

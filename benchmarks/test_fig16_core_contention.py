@@ -3,8 +3,9 @@
 from repro.experiments import fig16_core_contention
 
 
-def test_fig16_core_contention(once):
-    result = once(fig16_core_contention.run)
+def test_fig16_core_contention(once, full):
+    result = once(fig16_core_contention.run,
+                  **fig16_core_contention.SWEEP.run_overrides(full=full))
     print()
     print(fig16_core_contention.report(result))
     # Contention must grow with core count under both schedulers...

@@ -29,8 +29,7 @@ system does.  They differ only in how a gate's batch is served:
     so DRAM techniques observe the exact machinery they manipulate.
 
 Engines are selected per system via ``EasyDRAMSystem(config,
-engine=...)`` or the ``REPRO_ENGINE`` environment variable (default:
-``event``).
+engine=...)`` (default: ``event``).
 
 On multi-channel topologies both engines drive the same controller
 surface through the :class:`~repro.core.channels.ChannelSet` façade
@@ -42,7 +41,6 @@ engines themselves are topology-agnostic.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
@@ -60,16 +58,16 @@ class EmulationDeadlock(Exception):
 #: can make progress.
 DEADLOCK_MESSAGE = "all cores blocked with no pending memory requests"
 
-#: Engine names accepted by :func:`make_engine` and ``REPRO_ENGINE``.
+#: Engine names accepted by :func:`make_engine` and ``EasyDRAMSystem``.
 ENGINE_NAMES = ("event", "cycle")
 
 DEFAULT_ENGINE = "event"
 
 
 def resolve_engine_name(name: str | None) -> str:
-    """Pick the engine: explicit argument, then ``REPRO_ENGINE``, then default."""
+    """Pick the engine: the explicit argument, else :data:`DEFAULT_ENGINE`."""
     if name is None:
-        name = os.environ.get("REPRO_ENGINE", "") or DEFAULT_ENGINE
+        name = DEFAULT_ENGINE
     if name not in ENGINE_NAMES:
         known = ", ".join(ENGINE_NAMES)
         raise ValueError(f"unknown emulation engine {name!r}; known: {known}")
@@ -201,8 +199,8 @@ class EventEngine(BurstEngine):
         """Drive N already-fed cores to completion (multi-core contention).
 
         Eligible mixes replay resident in the compiled kernel
-        (REPRO_KERNEL), with one load/store per call; the burst loop is
-        the fallback.
+        (:mod:`repro.dram.kernel`), with one load/store per call; the
+        burst loop is the fallback.
         """
         from repro.dram.kernel import blockrun
 

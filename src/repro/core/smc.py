@@ -144,10 +144,10 @@ class SoftwareMemoryController(ProgramExecutor):
         # Memoized conventional command plans and the flat serve
         # closures built over them (see service_pending_batched).
         self._build_plans()
-        # Compiled batch kernel (REPRO_KERNEL): resolved lazily on the
-        # first eligible batch; see :meth:`service_pending_kernel`.
-        # ``kernel=False`` keeps this controller off it whatever the
-        # environment says (results are bit-identical either way).
+        # Compiled batch kernel (repro.dram.kernel): resolved lazily on
+        # the first eligible batch; see :meth:`service_pending_kernel`.
+        # ``kernel=False`` keeps this controller off it (results are
+        # bit-identical either way).
         self._kernel_enabled = kernel
         self._kernel_state = None
         self._kernel_backend = None
@@ -352,6 +352,11 @@ class SoftwareMemoryController(ProgramExecutor):
         if (len(requests) >= _KERNEL_MIN_BATCH
                 and self.service_pending_kernel(requests)):
             return
+        self._service_object(requests)
+
+    def _service_object(self, requests: list[MemoryRequest]) -> None:
+        """The object path: stage, walk and check every command of a
+        non-empty batch (the kernel has declined or was not asked)."""
         self.counters.enter_critical()
         self.api.set_scheduling_state(True)
         arrivals = sorted(requests, key=lambda r: r.tag)
@@ -459,10 +464,12 @@ class SoftwareMemoryController(ProgramExecutor):
         and every timing-legality question is answered on the device's
         flat timing state.
 
-        Falls back to the reference path — and returns ``False`` — when a
-        technique hook is installed or the tile holds state the planner
-        cannot see (a non-empty request FIFO or a partially staged
-        program).
+        Falls back to the reference path's object loop — and returns
+        ``False`` — when a technique hook is installed or the tile holds
+        state the planner cannot see (a non-empty request FIFO or a
+        partially staged program).  That loop skips
+        :meth:`service_pending`'s own kernel try: the kernel has already
+        declined this batch, leaving all state untouched.
         """
         if not requests:
             return True
@@ -471,12 +478,12 @@ class SoftwareMemoryController(ProgramExecutor):
             return True
         if (self._serve_hook is not None or self.tile.has_requests
                 or len(self.api.program)):
-            self.service_pending(requests)
+            self._service_object(requests)
             return False
         self._service_fast(requests)
         return True
 
-    # -- compiled batch kernel (REPRO_KERNEL) --------------------------------------
+    # -- compiled batch kernel (repro.dram.kernel) ---------------------------------
 
     def _kernel_structural_reason(self) -> str | None:
         """Why the kernel cannot serve this controller at all, or ``None``.

@@ -18,9 +18,8 @@ requests) as critical-mode episodes.
 
 How the host walks that flow is delegated to an emulation engine
 (:mod:`repro.core.engine`): the event engine's production serve path by
-default, or the object reference via ``engine="cycle"`` /
-``REPRO_ENGINE=cycle``.  Engine choice never changes results — only how
-fast the host produces them.
+default, or the object reference via ``engine="cycle"``.  Engine choice
+never changes results — only how fast the host produces them.
 """
 
 from __future__ import annotations
@@ -55,12 +54,12 @@ class EasyDRAMSystem:
 
     ``engine`` selects how the host executes the emulation — ``"event"``
     (resident replay and the batched serve ladder, default) or
-    ``"cycle"`` (the object reference) — and may also be set globally
-    through the ``REPRO_ENGINE`` environment variable.  Both engines
-    produce bit-identical results; see :mod:`repro.core.engine`.
+    ``"cycle"`` (the object reference).  Both engines produce
+    bit-identical results; see :mod:`repro.core.engine`.
     ``kernel=False`` keeps every controller of this system off the
-    compiled kernel (:mod:`repro.dram.kernel`), whatever ``REPRO_KERNEL``
-    says: its serve paths then run in Python, with the same results.
+    compiled kernel (:mod:`repro.dram.kernel`): its serve paths then run
+    in Python, with the same results.  ``engine="cycle", kernel=False``
+    is the object reference oracle.
 
     Topology follows ``config.geometry``: one tile + software memory
     controller pair per channel, all sharing one topology-wide address

@@ -18,16 +18,13 @@ through EasyAPI like every other technique episode, and CLFLUSH
 writebacks it declines take the batch ladder (flat closure, then object
 path).
 
-``REPRO_KERNEL``
-    ``0``/``false``/``off`` disables the kernel entirely (the flat
-    closures serve every batch and every CLFLUSH's writebacks, the
-    Python burst loop replays every trace and RowClone rows run one
-    staged FPM episode at a time).  A single system can
-    be kept off it with ``EasyDRAMSystem(..., kernel=False)``.  ``c`` requires the compiled backend
-    and disengages with a recorded reason when it cannot load.  Default
-    (``auto``): use the compiled backend when a C compiler is available,
-    otherwise disengage — results are bit-identical either way, which
-    the equivalence suites enforce.
+The compiled backend is used whenever a C compiler can build it;
+otherwise the kernel disengages with a recorded reason.  A system is
+kept off it with ``EasyDRAMSystem(..., kernel=False)``: the flat
+closures then serve every batch and every CLFLUSH's writebacks, the
+Python burst loop replays every trace and RowClone rows run one staged
+FPM episode at a time.  Results are bit-identical either way, which the
+equivalence suites enforce.
 
 Resolution happens per *call site* via :func:`resolve_backend`; the
 serve path records why the kernel disengaged (custom scheduler,
@@ -37,29 +34,13 @@ report it.
 
 from __future__ import annotations
 
-import os
-
-_FALSE = ("0", "false", "no", "off")
-
-
-def kernel_mode() -> str:
-    """The requested kernel mode: ``off``, ``c``, or ``auto``."""
-    raw = os.environ.get("REPRO_KERNEL", "").strip().lower()
-    if raw in _FALSE:
-        return "off"
-    if raw == "c":
-        return "c"
-    return "auto"
-
 
 def resolve_backend() -> tuple[object | None, str]:
-    """The active kernel backend and a reason string.
+    """The compiled kernel backend and a reason string.
 
-    Returns ``(backend, "ok")`` when engaged; ``(None, reason)`` when
+    Returns ``(backend, "ok")`` when it loads; ``(None, reason)`` when
     the kernel should disengage and let the flat closures serve.
     """
-    if kernel_mode() == "off":
-        return None, "disabled (REPRO_KERNEL=0)"
     from repro.dram.kernel import cbackend
     kernel, reason = cbackend.load()
     if kernel is None:

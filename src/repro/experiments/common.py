@@ -3,18 +3,13 @@
 Every experiment module exposes ``run(...) -> dict`` returning the rows
 it printed, so benchmarks and tests can assert on shapes.  Problem sizes
 default to values that keep the full benchmark suite in minutes of host
-time; the ``REPRO_FULL`` environment variable switches to the paper-scale
-sweeps.
+time; each sweep's ``paper_overrides`` (``repro run --full``) names the
+paper-scale values.
 """
 
 from __future__ import annotations
 
 import os
-
-
-def full_runs_enabled() -> bool:
-    """Whether to run paper-scale sweeps (slow) instead of CI-scale."""
-    return os.environ.get("REPRO_FULL", "") not in ("", "0", "false")
 
 
 def default_jobs() -> int:
@@ -29,10 +24,6 @@ def default_jobs() -> int:
         return max(1, int(os.environ.get("REPRO_JOBS", "1")))
     except ValueError:
         return 1
-
-
-def polybench_size() -> str:
-    return "small" if full_runs_enabled() else "mini"
 
 
 def scaled_cache_overrides() -> dict:

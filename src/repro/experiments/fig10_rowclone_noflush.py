@@ -17,7 +17,8 @@ from __future__ import annotations
 from repro.analysis import bar_chart, format_table, geomean
 from repro.core.config import jetson_nano_time_scaling, pidram_no_time_scaling
 from repro.experiments.rowclone_common import (
-    default_sizes,
+    CI_SIZES,
+    PAPER_SIZES,
     measure_easydram,
     measure_ramulator,
 )
@@ -50,10 +51,9 @@ def sweep_point(workload: str, size: int, series: str, clflush: bool) -> dict:
             "total_rows": point.total_rows}
 
 
-def _build_points(sizes: tuple[int, ...] | None = None,
+def _build_points(sizes: tuple[int, ...] = CI_SIZES,
                   clflush: bool = False,
                   artifact: str = "fig10") -> tuple[SweepPoint, ...]:
-    sizes = tuple(sizes or default_sizes())
     return tuple(
         SweepPoint(
             artifact=artifact,
@@ -89,7 +89,7 @@ def _combine(results: dict, clflush: bool = False) -> dict:
     return out
 
 
-def run(sizes: tuple[int, ...] | None = None, clflush: bool = False) -> dict:
+def run(sizes: tuple[int, ...] = CI_SIZES, clflush: bool = False) -> dict:
     """Measure Copy and Init speedups for every size and methodology."""
     points = _build_points(sizes=sizes, clflush=clflush)
     return _combine(
@@ -99,6 +99,7 @@ def run(sizes: tuple[int, ...] | None = None, clflush: bool = False) -> dict:
 SWEEP = register(SweepSpec(
     artifact="fig10", title="Figure 10", module=__name__,
     build_points=_build_points, combine=_combine,
+    paper_overrides={"sizes": PAPER_SIZES},
     description="RowClone speedup over CPU copy/init, No-Flush setting,"
                 " three methodologies",
     runtime="~12 s"))

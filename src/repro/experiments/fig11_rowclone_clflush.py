@@ -13,10 +13,11 @@ above; benefits grow with array size as flush work amortizes.
 from __future__ import annotations
 
 from repro.experiments import fig10_rowclone_noflush as fig10
+from repro.experiments.rowclone_common import CI_SIZES, PAPER_SIZES
 from repro.runner import SweepPoint, SweepSpec, register
 
 
-def run(sizes: tuple[int, ...] | None = None) -> dict:
+def run(sizes: tuple[int, ...] = CI_SIZES) -> dict:
     return fig10.run(sizes=sizes, clflush=True)
 
 
@@ -24,7 +25,7 @@ def report(result: dict) -> str:
     return fig10.report(result, figure="Figure 11", setting="CLFLUSH")
 
 
-def _build_points(sizes: tuple[int, ...] | None = None
+def _build_points(sizes: tuple[int, ...] = CI_SIZES
                   ) -> tuple[SweepPoint, ...]:
     return fig10._build_points(sizes=sizes, clflush=True, artifact="fig11")
 
@@ -36,6 +37,7 @@ def _combine(results: dict) -> dict:
 SWEEP = register(SweepSpec(
     artifact="fig11", title="Figure 11", module=__name__,
     build_points=_build_points, combine=_combine,
+    paper_overrides={"sizes": PAPER_SIZES},
     description="RowClone speedup in the CLFLUSH (dirty-cache) setting",
     runtime="~12 s"))
 

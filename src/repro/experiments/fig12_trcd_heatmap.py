@@ -17,7 +17,6 @@ from repro.analysis import format_table, heatmap
 from repro.core.config import jetson_nano_time_scaling
 from repro.core.system import EasyDRAMSystem
 from repro.dram.timing import ns
-from repro.experiments.common import full_runs_enabled
 from repro.profiling.characterize import (
     characterize,
     oracle_characterize,
@@ -25,10 +24,10 @@ from repro.profiling.characterize import (
 from repro.runner import SweepPoint, SweepSpec, register
 
 
-def default_rows() -> int:
-    geometry = jetson_nano_time_scaling().geometry
-    return (geometry.rows_per_bank if full_runs_enabled()
-            else min(1024, geometry.rows_per_bank))
+#: Rows profiled per bank: a 1,024-row sample at CI scale, every row of
+#: the Jetson geometry at paper scale.
+CI_ROWS = 1024
+PAPER_ROWS = jetson_nano_time_scaling().geometry.rows_per_bank
 
 
 def _profile(banks: int, rows: int, emulated_sample_rows: int):
@@ -68,22 +67,19 @@ def sweep_point(banks: int, rows: int, emulated_sample_rows: int) -> dict:
     return _profile(banks, rows, emulated_sample_rows)[0]
 
 
-def run(banks: int = 2, rows: int | None = None,
+def run(banks: int = 2, rows: int = CI_ROWS,
         emulated_sample_rows: int = 8) -> dict:
     """Profile ``banks`` x ``rows`` and build Figure 12's heatmap."""
-    result, oracle = _profile(
-        banks, rows if rows is not None else default_rows(),
-        emulated_sample_rows)
+    result, oracle = _profile(banks, rows, emulated_sample_rows)
     return result | {"characterization": oracle}
 
 
-def _build_points(banks: int = 2, rows: int | None = None,
+def _build_points(banks: int = 2, rows: int = CI_ROWS,
                   emulated_sample_rows: int = 8) -> tuple[SweepPoint, ...]:
     return (SweepPoint(
         artifact="fig12", point_id="heatmap",
         fn=f"{__name__}:sweep_point",
-        params={"banks": banks,
-                "rows": rows if rows is not None else default_rows(),
+        params={"banks": banks, "rows": rows,
                 "emulated_sample_rows": emulated_sample_rows}),)
 
 
@@ -94,6 +90,7 @@ def _combine(results: dict) -> dict:
 SWEEP = register(SweepSpec(
     artifact="fig12", title="Figure 12", module=__name__,
     build_points=_build_points, combine=_combine,
+    paper_overrides={"rows": PAPER_ROWS},
     csv_headers=("bank", "min tRCD ns", "mean", "max"),
     description="per-row minimum reliable tRCD heatmap (~84.5% strong rows)",
     runtime="~1 s"))

@@ -22,7 +22,7 @@ from repro.core.config import jetson_nano_time_scaling
 from repro.core.system import EasyDRAMSystem
 from repro.core.techniques.trcd import TrcdReductionTechnique
 from repro.dram.timing import ns
-from repro.experiments.common import polybench_size, scaled_cache_overrides
+from repro.experiments.common import scaled_cache_overrides
 from repro.profiling.characterize import oracle_characterize
 from repro.runner import SweepPoint, SweepSpec, register
 from repro.workloads import polybench
@@ -81,8 +81,7 @@ def sweep_point(kernel: str, size: str) -> dict:
 
 
 def _build_points(kernels: tuple[str, ...] = KERNELS,
-                  size: str | None = None) -> tuple[SweepPoint, ...]:
-    size = size or polybench_size()
+                  size: str = "mini") -> tuple[SweepPoint, ...]:
     return tuple(
         SweepPoint(artifact="fig13", point_id=kernel,
                    fn=f"{__name__}:sweep_point",
@@ -113,7 +112,7 @@ def _combine(results: dict) -> dict:
     }
 
 
-def run(kernels: tuple[str, ...] = KERNELS, size: str | None = None) -> dict:
+def run(kernels: tuple[str, ...] = KERNELS, size: str = "mini") -> dict:
     points = _build_points(kernels=tuple(kernels), size=size)
     return _combine({p.point_id: sweep_point(**p.params) for p in points})
 
@@ -121,6 +120,7 @@ def run(kernels: tuple[str, ...] = KERNELS, size: str | None = None) -> dict:
 SWEEP = register(SweepSpec(
     artifact="fig13", title="Figure 13", module=__name__,
     build_points=_build_points, combine=_combine,
+    paper_overrides={"size": "small"},
     csv_headers=("workload", "EasyDRAM speedup", "Ramulator speedup",
                  "LLC-miss/kacc", "reduced ACTs", "nominal ACTs"),
     description="execution-time speedup with reduced-tRCD scheduling on"

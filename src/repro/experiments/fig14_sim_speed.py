@@ -28,7 +28,7 @@ from repro.baselines.ramulator import RamulatorConfig, RamulatorSim
 from repro.core.config import jetson_nano_time_scaling
 from repro.core.system import EasyDRAMSystem
 from repro.cpu.blocks import BlockTrace, cut
-from repro.experiments.common import polybench_size, scaled_cache_overrides
+from repro.experiments.common import scaled_cache_overrides
 from repro.runner import SweepPoint, SweepSpec, register
 from repro.workloads import polybench
 
@@ -83,7 +83,7 @@ def sweep_point(kernel: str, size: str) -> dict:
     # replays the same blocks.
     blocks = list(polybench.trace_blocks(kernel, size))
     capped = list(cut(blocks, RAMULATOR_CAP))
-    # The serve kernel (REPRO_KERNEL) collapses memory-service host time
+    # The serve kernel (repro.dram.kernel) collapses memory-service host time
     # so far that it would swamp the engine-comparison axis this figure
     # isolates — the memory-bound kernels would suddenly "gain" the most,
     # inverting the intensity correlation that is the reproduced shape.
@@ -107,8 +107,7 @@ def sweep_point(kernel: str, size: str) -> dict:
 
 
 def _build_points(kernels: tuple[str, ...] = KERNELS,
-                  size: str | None = None) -> tuple[SweepPoint, ...]:
-    size = size or polybench_size()
+                  size: str = "mini") -> tuple[SweepPoint, ...]:
     return tuple(
         SweepPoint(artifact="fig14", point_id=kernel,
                    fn=f"{__name__}:sweep_point",
@@ -157,7 +156,7 @@ def _combine(results: dict) -> dict:
     }
 
 
-def run(kernels: tuple[str, ...] = KERNELS, size: str | None = None) -> dict:
+def run(kernels: tuple[str, ...] = KERNELS, size: str = "mini") -> dict:
     points = _build_points(kernels=tuple(kernels), size=size)
     return _combine({p.point_id: sweep_point(**p.params) for p in points})
 
@@ -165,6 +164,7 @@ def run(kernels: tuple[str, ...] = KERNELS, size: str | None = None) -> dict:
 SWEEP = register(SweepSpec(
     artifact="fig14", title="Figure 14", module=__name__,
     build_points=_build_points, combine=_combine,
+    paper_overrides={"size": "small"},
     csv_headers=("workload", "EasyDRAM (event) MHz", "EasyDRAM (cycle) MHz",
                  "Ramulator MHz", "ratio", "engine speedup",
                  "LLC-miss/kacc"),

@@ -25,7 +25,7 @@ from __future__ import annotations
 from repro.analysis import bar_chart, format_table
 from repro.core.config import jetson_nano_time_scaling
 from repro.core.system import EasyDRAMSystem
-from repro.experiments.common import full_runs_enabled, scaled_cache_overrides
+from repro.experiments.common import scaled_cache_overrides
 from repro.runner import SweepPoint, SweepSpec, register
 from repro.workloads import microbench
 
@@ -70,9 +70,7 @@ def sweep_point(channels: int, total_lines: int) -> dict:
 
 
 def _build_points(channel_counts: tuple[int, ...] = CHANNEL_COUNTS,
-                  total_lines: int | None = None) -> tuple[SweepPoint, ...]:
-    if total_lines is None:
-        total_lines = FULL_LINES if full_runs_enabled() else CI_LINES
+                  total_lines: int = CI_LINES) -> tuple[SweepPoint, ...]:
     return tuple(
         SweepPoint(artifact="fig15", point_id=f"{channels}ch",
                    fn=f"{__name__}:sweep_point",
@@ -105,7 +103,7 @@ def _combine(results: dict) -> dict:
 
 
 def run(channel_counts: tuple[int, ...] = CHANNEL_COUNTS,
-        total_lines: int | None = None) -> dict:
+        total_lines: int = CI_LINES) -> dict:
     points = _build_points(channel_counts=tuple(channel_counts),
                            total_lines=total_lines)
     return _combine({p.point_id: sweep_point(**p.params) for p in points})
@@ -114,6 +112,7 @@ def run(channel_counts: tuple[int, ...] = CHANNEL_COUNTS,
 SWEEP = register(SweepSpec(
     artifact="fig15", title="Figure 15 (channel scaling)", module=__name__,
     build_points=_build_points, combine=_combine,
+    paper_overrides={"total_lines": FULL_LINES},
     csv_headers=("channels", "emulated ms", "GB/s", "speedup vs 1ch",
                  "host MHz", "requests/channel"),
     description="beyond-paper channel scaling: stream throughput and host"

@@ -31,7 +31,7 @@ from __future__ import annotations
 from repro.analysis import bar_chart, format_table
 from repro.core.config import ControllerConfig, jetson_nano_time_scaling
 from repro.core.workload_mix import WorkloadMix, run_mix
-from repro.experiments.common import full_runs_enabled, scaled_cache_overrides
+from repro.experiments.common import scaled_cache_overrides
 from repro.runner import SweepPoint, SweepSpec, register
 
 #: Core counts swept at fixed (single-channel DDR4) topology.
@@ -82,9 +82,7 @@ def sweep_point(cores: int, scheduler: str, scale: int = 1) -> dict:
 
 def _build_points(core_counts: tuple[int, ...] = CORE_COUNTS,
                   schedulers: tuple[str, ...] = SCHEDULERS,
-                  scale: int | None = None) -> tuple[SweepPoint, ...]:
-    if scale is None:
-        scale = 2 if full_runs_enabled() else 1
+                  scale: int = 1) -> tuple[SweepPoint, ...]:
     return tuple(
         SweepPoint(artifact="fig16", point_id=f"{cores}core-{scheduler}",
                    fn=f"{__name__}:sweep_point",
@@ -133,7 +131,7 @@ def _combine(results: dict) -> dict:
 
 def run(core_counts: tuple[int, ...] = CORE_COUNTS,
         schedulers: tuple[str, ...] = SCHEDULERS,
-        scale: int | None = None) -> dict:
+        scale: int = 1) -> dict:
     points = _build_points(core_counts=tuple(core_counts),
                            schedulers=tuple(schedulers), scale=scale)
     return _combine({p.point_id: sweep_point(**p.params) for p in points})
@@ -142,6 +140,7 @@ def run(core_counts: tuple[int, ...] = CORE_COUNTS,
 SWEEP = register(SweepSpec(
     artifact="fig16", title="Figure 16 (core contention)", module=__name__,
     build_points=_build_points, combine=_combine,
+    paper_overrides={"scale": 2},
     csv_headers=("scheduler", "cores", "avg slowdown", "max slowdown",
                  "unfairness", "row-hit rate", "emulated ms"),
     description="multi-core contention: slowdown, max/min fairness, and"

@@ -31,7 +31,7 @@ from repro.analysis import format_table
 from repro.core.config import ControllerConfig, jetson_nano_time_scaling
 from repro.core.schedulers import scheduler_names
 from repro.core.workload_mix import WorkloadMix, run_mix
-from repro.experiments.common import full_runs_enabled, scaled_cache_overrides
+from repro.experiments.common import scaled_cache_overrides
 from repro.runner import SweepPoint, SweepSpec, register
 
 #: Every scheduler in the registry, in sorted-name order.
@@ -111,9 +111,7 @@ def pareto_frontier(points: list[tuple[float, float]],
 def _build_points(schedulers: tuple[str, ...] = SCHEDULERS,
                   mixes: tuple[str, ...] = tuple(MIXES),
                   topologies: tuple[str, ...] = TOPOLOGIES,
-                  scale: int | None = None) -> tuple[SweepPoint, ...]:
-    if scale is None:
-        scale = 2 if full_runs_enabled() else 1
+                  scale: int = 1) -> tuple[SweepPoint, ...]:
     return tuple(
         SweepPoint(artifact="fig17",
                    point_id=f"{topology}-{mix_label}-{scheduler}",
@@ -170,7 +168,7 @@ def _combine(results: dict) -> dict:
 def run(schedulers: tuple[str, ...] = SCHEDULERS,
         mixes: tuple[str, ...] = tuple(MIXES),
         topologies: tuple[str, ...] = TOPOLOGIES,
-        scale: int | None = None) -> dict:
+        scale: int = 1) -> dict:
     points = _build_points(schedulers=tuple(schedulers), mixes=tuple(mixes),
                            topologies=tuple(topologies), scale=scale)
     return _combine({p.point_id: sweep_point(**p.params) for p in points})
@@ -180,6 +178,7 @@ SWEEP = register(SweepSpec(
     artifact="fig17", title="Figure 17 (scheduler frontier)",
     module=__name__,
     build_points=_build_points, combine=_combine,
+    paper_overrides={"scale": 2},
     csv_headers=("topology", "mix", "scheduler", "weighted speedup",
                  "max slowdown", "unfairness", "frontier"),
     description="scheduler x mix x topology sweep: weighted-speedup vs"

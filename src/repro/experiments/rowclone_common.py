@@ -28,7 +28,6 @@ from repro.baselines.ramulator import RamulatorConfig, RamulatorSim
 from repro.core.config import SystemConfig
 from repro.core.system import EasyDRAMSystem
 from repro.core.techniques.rowclone import RowCloneTechnique
-from repro.experiments.common import full_runs_enabled
 from repro.workloads.microbench import (
     cpu_copy_blocks,
     cpu_init_blocks,
@@ -44,9 +43,10 @@ DST_BASE = 1 << 26
 RAMULATOR_ACCESS_CAP = 60_000
 
 
-def default_sizes() -> tuple[int, ...]:
-    top = 12 if full_runs_enabled() else 9   # 16 MiB or 2 MiB
-    return tuple(8 * 1024 * (1 << i) for i in range(top))
+#: Array sizes swept by Figures 10 and 11: 8 KiB to 2 MiB at CI scale,
+#: to 16 MiB at paper scale.
+CI_SIZES = tuple(8 * 1024 * (1 << i) for i in range(9))
+PAPER_SIZES = tuple(8 * 1024 * (1 << i) for i in range(12))
 
 
 @dataclass

@@ -3,9 +3,9 @@
 ``python -m repro.experiments.run_all`` is kept as a thin compatibility
 wrapper around the unified CLI (``python -m repro run``): it prints
 every artifact of :data:`repro.runner.registry.ARTIFACT_ORDER` back to
-back through the parallel sweep runner (CI-scale; set ``REPRO_FULL=1``
-for the paper-scale sweeps, ``REPRO_JOBS=N`` to shard points across
-worker processes).  A failing artifact no longer aborts the stream: the
+back through the parallel sweep runner (CI-scale; ``python -m repro
+run --full`` runs the paper-scale sweeps; ``REPRO_JOBS=N`` shards points
+across worker processes).  A failing artifact no longer aborts the stream: the
 failure is reported per artifact and the exit status is nonzero.
 """
 

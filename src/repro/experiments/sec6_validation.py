@@ -15,7 +15,6 @@ from __future__ import annotations
 from repro.analysis import arith_mean, format_table
 from repro.core.config import validation_reference, validation_time_scaled
 from repro.core.system import EasyDRAMSystem
-from repro.experiments.common import polybench_size
 from repro.runner import SweepPoint, SweepSpec, register
 from repro.workloads import lmbench, polybench
 
@@ -41,8 +40,7 @@ def sweep_point(workload: str, size: str) -> dict:
 
 
 def _build_points(kernels: list[str] | None = None,
-                  size: str | None = None) -> tuple[SweepPoint, ...]:
-    size = size or polybench_size()
+                  size: str = "mini") -> tuple[SweepPoint, ...]:
     names = list(kernels if kernels is not None else polybench.names())
     names.append("lmbench-lat")
     return tuple(
@@ -70,7 +68,7 @@ def _combine(results: dict) -> dict:
     }
 
 
-def run(kernels: list[str] | None = None, size: str | None = None) -> dict:
+def run(kernels: list[str] | None = None, size: str = "mini") -> dict:
     """Run the validation sweep; returns per-workload error rows."""
     points = _build_points(kernels=kernels, size=size)
     return _combine({p.point_id: sweep_point(**p.params) for p in points})
@@ -79,6 +77,7 @@ def run(kernels: list[str] | None = None, size: str | None = None) -> dict:
 SWEEP = register(SweepSpec(
     artifact="sec6", title="Section 6 validation", module=__name__,
     build_points=_build_points, combine=_combine,
+    paper_overrides={"size": "small"},
     csv_headers=("workload", "ref cycles", "time-scaled cycles",
                  "exec err %", "mem-lat err %"),
     description="time-scaling validation: scaled 100 MHz system vs 1 GHz"

@@ -13,7 +13,6 @@ from repro.analysis import format_table
 from repro.baselines.ramulator import RamulatorConfig, RamulatorSim
 from repro.core.config import jetson_nano_time_scaling
 from repro.core.system import EasyDRAMSystem
-from repro.experiments.common import polybench_size
 from repro.runner import SweepPoint, SweepSpec, register
 from repro.workloads import polybench
 
@@ -44,16 +43,16 @@ def sweep_point(kernel: str, size: str) -> dict:
     }
 
 
-def run(kernel: str = "gemm", size: str | None = None) -> dict:
-    return sweep_point(kernel, size or polybench_size())
+def run(kernel: str = "gemm", size: str = "mini") -> dict:
+    return sweep_point(kernel, size)
 
 
 def _build_points(kernel: str = "gemm",
-                  size: str | None = None) -> tuple[SweepPoint, ...]:
+                  size: str = "mini") -> tuple[SweepPoint, ...]:
     return (SweepPoint(
         artifact="tab01", point_id="table",
         fn=f"{__name__}:sweep_point",
-        params={"kernel": kernel, "size": size or polybench_size()}),)
+        params={"kernel": kernel, "size": size}),)
 
 
 def _combine(results: dict) -> dict:
@@ -63,6 +62,7 @@ def _combine(results: dict) -> dict:
 SWEEP = register(SweepSpec(
     artifact="tab01", title="Table 1", module=__name__,
     build_points=_build_points, combine=_combine,
+    paper_overrides={"size": "small"},
     csv_headers=("platform", "real DRAM", "flexible MC", "CPU cycles/s",
                  "accurate perf", "configurable"),
     description="evaluation-platform comparison (measured cycles/second"

@@ -357,19 +357,19 @@ def layer_breakdown(run_fn, *args, **kwargs) -> dict:
     return acc.as_dict()
 
 
-def layer_breakdown_for_artifact(artifact: str) -> dict:
+def layer_breakdown_for_artifact(artifact: str, full: bool = False) -> dict:
     """Per-layer host-time breakdown of one experiment artifact's point.
 
     Profiles the artifact's *last* registered sweep point (for the
     figure sweeps that is the largest configuration — the one that
-    dominates the sweep's wall time) serially in-process.  Used by
-    ``repro profile`` to attribute emulation wall time to the block
-    pipeline's stages.
+    dominates the sweep's wall time) serially in-process, from the
+    paper-scale point set with ``full``.  Used by ``repro profile`` to
+    attribute emulation wall time to the block pipeline's stages.
     """
     from repro.runner import registry
 
     spec = registry.get(artifact)
-    points = spec.build_points()
+    points = spec.build_points(**spec.run_overrides(full=full))
     if not points:
         raise KeyError(f"artifact {artifact!r} has no sweep points")
     point = points[-1]

@@ -96,7 +96,8 @@ def _parser() -> argparse.ArgumentParser:
         help="recompute every point; do not read or write the cache")
     run.add_argument(
         "--full", action="store_true",
-        help="paper-scale sweeps (sets REPRO_FULL=1)")
+        help="paper-scale sweeps (each sweep's paper_overrides under"
+             " the run's own overrides)")
     run.add_argument(
         "--quiet", action="store_true",
         help="suppress the ASCII reports (progress lines only)")
@@ -117,6 +118,9 @@ def _parser() -> argparse.ArgumentParser:
     prof.add_argument(
         "--artifact", default="fig08",
         help="experiment artifact to profile (default: fig08)")
+    prof.add_argument(
+        "--full", action="store_true",
+        help="profile the artifact's paper-scale point set")
     prof.add_argument(
         "--json", action="store_true", help="emit the breakdown as JSON")
 
@@ -139,6 +143,9 @@ def _parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, metavar="DIR",
         help="cache to probe for hits (default: $REPRO_CACHE_DIR or"
              " .repro-cache/)")
+    plan.add_argument(
+        "--full", action="store_true",
+        help="plan the paper-scale sweeps (as `repro run --full`)")
     plan.add_argument(
         "--json", action="store_true", help="emit the plan as JSON")
 
@@ -241,7 +248,8 @@ def _profile_command(args: argparse.Namespace) -> int:
     from repro.profiling.characterize import layer_breakdown_for_artifact
 
     try:
-        breakdown = layer_breakdown_for_artifact(args.artifact)
+        breakdown = layer_breakdown_for_artifact(args.artifact,
+                                                 full=args.full)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -298,10 +306,10 @@ def _print_outcome(args: argparse.Namespace, out_dir: str, spec,
 
 
 def _run_command(args: argparse.Namespace) -> int:
+    from repro.specs import run_scale
+
     if args.list_artifacts:
         return _list_command(argparse.Namespace(verbose=False))
-    if args.full:
-        os.environ["REPRO_FULL"] = "1"
     if args.spec is not None:
         return _run_spec_command(args)
     if args.shard is not None:
@@ -323,22 +331,24 @@ def _run_command(args: argparse.Namespace) -> int:
         print("=" * 72)
         print(f"{spec.title} ({spec.module})")
         print("=" * 72)
-        outcome = run_sweep(spec, jobs=args.jobs, cache=cache)
+        outcome = run_sweep(spec, jobs=args.jobs, cache=cache,
+                            overrides=spec.run_overrides(full=args.full))
         outcomes.append(outcome)
         _print_outcome(args, out_dir, spec, outcome)
     if args.format != "ascii":
         write_json(os.path.join(out_dir, "manifest.json"),
-                   {"artifacts": [_manifest_entry(o) for o in outcomes]})
+                   {"scale": run_scale(args.full),
+                    "artifacts": [_manifest_entry(o) for o in outcomes]})
     return _summarize(outcomes)
 
 
-def _load_compiled(path: str):
+def _load_compiled(path: str, full: bool = False):
     """Load + compile a spec, printing every problem; None on failure."""
     from repro.specs import SpecLoadError, SpecValidationError, \
         load_and_compile
 
     try:
-        return load_and_compile(path)
+        return load_and_compile(path, full)
     except SpecLoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
     except SpecValidationError as exc:
@@ -358,9 +368,10 @@ def _parse_shard_arg(text: str) -> tuple[int, int] | None:
 
 
 def _run_spec_command(args: argparse.Namespace) -> int:
-    from repro.specs import run_fingerprint, shard_selection, spec_hash
+    from repro.specs import run_fingerprint, run_scale, shard_selection, \
+        spec_hash
 
-    compiled = _load_compiled(args.spec)
+    compiled = _load_compiled(args.spec, args.full)
     if compiled is None:
         return 2
     shard = None
@@ -402,7 +413,8 @@ def _run_spec_command(args: argparse.Namespace) -> int:
         "spec": spec_doc.name,
         "spec_path": spec_doc.path,
         "spec_hash": spec_hash(spec_doc),
-        "run_fingerprint": run_fingerprint(spec_doc),
+        "run_fingerprint": run_fingerprint(spec_doc, args.full),
+        "scale": run_scale(args.full),
         "shard": args.shard,
         "artifacts": [_manifest_entry(o) for o in outcomes],
     }
@@ -438,7 +450,7 @@ def _validate_command(args: argparse.Namespace) -> int:
 def _plan_command(args: argparse.Namespace) -> int:
     from repro.specs import plan_spec, shard_selection
 
-    compiled = _load_compiled(args.spec)
+    compiled = _load_compiled(args.spec, args.full)
     if compiled is None:
         return 2
     selection = None
@@ -452,7 +464,8 @@ def _plan_command(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(report, indent=2))
         return 0
-    label = f"plan — {report['spec']} ({report['path']})"
+    label = (f"plan — {report['spec']} ({report['path']}),"
+             f" {report['scale']} scale")
     if args.shard:
         label += f", shard {args.shard}"
     print(label)

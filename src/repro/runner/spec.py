@@ -73,7 +73,7 @@ class SweepSpec:
     ``build_points`` accepts keyword overrides (shrunk sizes, kernel
     subsets...) so tests and the CLI can scale a sweep without editing
     the experiment module; with no arguments it must build the artifact's
-    default (CI-scale, or paper-scale under ``REPRO_FULL``) point set.
+    CI-scale point set, and with ``paper_overrides`` its paper-scale one.
     ``combine`` receives ``{point_id: normalized result}`` for every
     point, in build order, and returns the artifact's result dict.
     """
@@ -83,6 +83,10 @@ class SweepSpec:
     module: str
     build_points: Callable[..., tuple[SweepPoint, ...]]
     combine: Callable[[dict[str, Any]], dict]
+    #: ``build_points`` keyword arguments that give the paper-scale
+    #: point set (``--full``); empty when the CI-scale set already is
+    #: the paper's.
+    paper_overrides: Mapping[str, Any] = field(default_factory=dict)
     csv_headers: tuple[str, ...] | None = None
     #: One-line human description shown by ``repro list`` so users can
     #: pick artifacts without grepping ``experiments/``.
@@ -102,6 +106,17 @@ class SweepSpec:
     #: item, an integer one item).  ``tools/compare_results.py
     #: --emulated`` masks exactly these.
     host_timed: tuple[str, ...] = ()
+
+    def run_overrides(self, overrides: Mapping[str, Any] | None = None,
+                      full: bool = False) -> dict[str, Any]:
+        """The ``build_points`` keyword arguments of one run.
+
+        With ``full`` the sweep's ``paper_overrides`` lie underneath the
+        run's own ``overrides``, which win on any shared key.
+        """
+        merged = dict(self.paper_overrides) if full else {}
+        merged.update(overrides or {})
+        return merged
 
     def report(self, result: dict) -> str:
         """Render the artifact's ASCII report via its experiment module."""

@@ -3,8 +3,10 @@
 A submission names an artifact (optionally with overrides and a point
 filter) or carries a whole spec document.  Its identity is its
 :func:`job_fingerprint` — the normalized request hashed together with
-the source :func:`~repro.runner.cache.code_fingerprint` (for specs, PR
-6's ``run_fingerprint`` = spec_hash + code).  The queue guarantees:
+the source :func:`~repro.runner.cache.code_fingerprint` (its overrides
+state the scale; ``repro run`` uses
+:func:`~repro.specs.hashing.run_fingerprint` the same way).  The queue
+guarantees:
 
 * **Coalescing.**  While a fingerprint is in flight, every further
   submission of it attaches to the running job — N concurrent

@@ -12,6 +12,7 @@ from repro.specs.diff import diff_specs
 from repro.specs.hashing import (
     check_hash,
     run_fingerprint,
+    run_scale,
     spec_hash,
     update_hashes,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "parse_shard",
     "plan_spec",
     "run_fingerprint",
+    "run_scale",
     "shard_selection",
     "spec_hash",
     "update_hashes",

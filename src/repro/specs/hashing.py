@@ -9,10 +9,11 @@ Two digests, two lifetimes:
   so a semantic edit to a checked-in spec cannot land without its hash
   (and therefore the reviewer's attention) following along.
 * :func:`run_fingerprint` — ``spec_hash`` combined with the runner's
-  source :func:`~repro.runner.cache.code_fingerprint`.  This is the
-  address of a concrete *run*: two invocations with equal fingerprints
-  produce bit-identical artifacts, which is what makes sharded and
-  resumed runs mergeable with confidence.
+  source :func:`~repro.runner.cache.code_fingerprint` and the run's
+  scale (CI or paper, ``--full``).  This is the address of a concrete
+  *run*: two invocations with equal fingerprints produce bit-identical
+  artifacts, which is what makes sharded and resumed runs mergeable
+  with confidence.
 
 Both are computed from the schema-level model (not the YAML text), so
 reordering keys, reflowing strings, or adding comments never changes a
@@ -62,11 +63,18 @@ def spec_hash(spec: ExperimentSpec) -> str:
     return _digest(canonical_form(spec))
 
 
-def run_fingerprint(spec: ExperimentSpec) -> str:
-    """Content address of spec + simulator source (what a run produces)."""
+def run_scale(full: bool) -> str:
+    """The scale a run records: ``"paper"`` under ``--full``, else ``"ci"``."""
+    return "paper" if full else "ci"
+
+
+def run_fingerprint(spec: ExperimentSpec, full: bool = False) -> str:
+    """Content address of spec + simulator source + scale (what a run
+    produces)."""
     from repro.runner.cache import code_fingerprint
 
-    return _digest({"spec": spec_hash(spec), "code": code_fingerprint()})
+    return _digest({"spec": spec_hash(spec), "code": code_fingerprint(),
+                    "scale": run_scale(full)})
 
 
 def hashes_path(spec_path: str) -> Path:

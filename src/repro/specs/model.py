@@ -18,8 +18,9 @@ how their sweeps are parameterized::
 A spec carries no environment settings: everything that shapes a
 result is stated in the points it builds, which is what the point cache
 and the serve store key on.  Paper-scale sweeps come from ``repro run
---spec X --full`` (``REPRO_FULL`` is read when points are built) or from
-per-artifact ``overrides``.
+--spec X --full`` (each sweep's ``paper_overrides`` under the entry's own
+``overrides``, merged by :func:`compile_spec`) or from per-artifact
+``overrides``.
 
 Validation happens in two layers, both surfaced by ``repro validate``:
 
@@ -103,6 +104,8 @@ class CompiledSpec:
 
     spec: ExperimentSpec
     entries: tuple[CompiledEntry, ...]
+    #: Compiled at paper scale (``--full``).
+    full: bool = False
 
     def total_points(self) -> int:
         return sum(len(e.selected) for e in self.entries)
@@ -259,8 +262,13 @@ def _filter_points(points: tuple[SweepPoint, ...], entry: ArtifactEntry,
     return tuple(p for p in points if p.point_id in keep)
 
 
-def compile_spec(spec: ExperimentSpec) -> CompiledSpec:
+def compile_spec(spec: ExperimentSpec, full: bool = False) -> CompiledSpec:
     """Resolve a schema-valid spec against the registry and build points.
+
+    With ``full`` every entry's overrides are its sweep's
+    ``paper_overrides`` under the spec's own (see
+    :meth:`~repro.runner.spec.SweepSpec.run_overrides`), so the runner,
+    the shard slicer and ``plan`` all see one overrides dict.
 
     Raises :class:`SpecValidationError` listing every cross-check
     failure; on success returns the enumerated point sets that ``plan``,
@@ -292,8 +300,9 @@ def compile_spec(spec: ExperimentSpec) -> CompiledSpec:
             if bad:
                 problems.extend(bad)
                 continue
+            overrides = sweep.run_overrides(entry.overrides, full)
             try:
-                points = tuple(sweep.build_points(**dict(entry.overrides)))
+                points = tuple(sweep.build_points(**overrides))
             except Exception as exc:
                 problems.append(
                     f"{doc.anchor('artifacts', index, 'overrides')}:"
@@ -304,16 +313,16 @@ def compile_spec(spec: ExperimentSpec) -> CompiledSpec:
                 points, entry, doc.anchor("artifacts", index, "points"),
                 problems)
             compiled.append(CompiledEntry(
-                sweep=sweep, overrides=dict(entry.overrides),
+                sweep=sweep, overrides=overrides,
                 points=points, selected=selected))
     if problems:
         raise SpecValidationError(problems)
-    return CompiledSpec(spec=spec, entries=tuple(compiled))
+    return CompiledSpec(spec=spec, entries=tuple(compiled), full=full)
 
 
-def load_and_compile(path: str) -> CompiledSpec:
-    """Convenience: ``compile_spec(load_spec(path))``."""
-    return compile_spec(load_spec(path))
+def load_and_compile(path: str, full: bool = False) -> CompiledSpec:
+    """Convenience: ``compile_spec(load_spec(path), full)``."""
+    return compile_spec(load_spec(path), full)
 
 
 __all__ = [

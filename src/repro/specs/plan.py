@@ -16,7 +16,7 @@ import re
 from typing import Mapping
 
 from repro.runner.cache import NullCache
-from repro.specs.hashing import run_fingerprint, spec_hash
+from repro.specs.hashing import run_fingerprint, run_scale, spec_hash
 from repro.specs.model import CompiledSpec
 
 _RUNTIME = re.compile(r"~?\s*([0-9.]+)\s*(s|sec|min|m)\b")
@@ -66,7 +66,8 @@ def plan_spec(compiled: CompiledSpec, cache: NullCache,
         "spec": compiled.spec.name,
         "path": compiled.spec.path,
         "spec_hash": spec_hash(compiled.spec),
-        "run_fingerprint": run_fingerprint(compiled.spec),
+        "run_fingerprint": run_fingerprint(compiled.spec, compiled.full),
+        "scale": run_scale(compiled.full),
         "artifacts": rows,
         "total_selected": sum(r["selected"] for r in rows),
         "total_cached": sum(r["cached"] for r in rows),

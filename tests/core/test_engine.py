@@ -281,18 +281,17 @@ class TestEventSchedulerEdgeCases:
 
 
 class TestEngineSelection:
-    def test_default_is_event(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    def test_default_is_event(self):
         assert resolve_engine_name(None) == "event"
         assert isinstance(make_engine(None), EventEngine)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "cycle")
+    def test_default_engine_is_read_per_call(self, cycle_engine):
         assert resolve_engine_name(None) == "cycle"
         assert isinstance(make_engine(None), CycleEngine)
+        assert EasyDRAMSystem(jetson_nano_time_scaling()).engine_name == \
+            "cycle"
 
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "cycle")
+    def test_explicit_beats_default(self, cycle_engine):
         system = EasyDRAMSystem(jetson_nano_time_scaling(), engine="event")
         assert system.engine_name == "event"
         assert isinstance(system.session("s").engine, EventEngine)

@@ -77,11 +77,11 @@ class TestEquivalence:
         config = jetson_nano_time_scaling().with_topology("ddr4-4ch")
         assert run_config(config, "cycle") == run_config(config, "event")
 
-    def test_fastpath_bit_identical_two_channels(self, monkeypatch):
+    def test_fastpath_bit_identical_two_channels(self, request):
         """Production serve ladder == the object reference."""
         config = two_channel_config()
         fast = run_config(config, "event")
-        monkeypatch.setenv("REPRO_KERNEL", "0")
+        request.getfixturevalue("kernel_off")
         assert run_config(config, "cycle") == fast
 
     def test_multi_rank_engines_bit_identical(self):

@@ -63,11 +63,11 @@ class TestEquivalence:
         assert run_snapshot(config, "cycle", MIX4) == \
             run_snapshot(config, "event", MIX4)
 
-    def test_fastpath_bit_identical(self, monkeypatch):
+    def test_fastpath_bit_identical(self, request):
         """Production serve ladder == the object reference."""
         config = small_config()
         fast = run_snapshot(config, "event", MIX2)
-        monkeypatch.setenv("REPRO_KERNEL", "0")
+        request.getfixturevalue("kernel_off")
         assert run_snapshot(config, "cycle", MIX2) == fast
 
     def test_deterministic_repeat(self):

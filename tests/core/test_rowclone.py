@@ -199,7 +199,8 @@ class TestEngagement:
         assert system.smc.stats.technique_ops == tech.stats.rowclone_ops
 
     @pytest.mark.parametrize("op", ("copy", "init"))
-    def test_clflush_ops_keep_the_resident_cache_copy(self, op, monkeypatch):
+    def test_clflush_ops_keep_the_resident_cache_copy(self, op, monkeypatch,
+                                                      kernel_on):
         import dataclasses
 
         from repro.dram.kernel import blockrun, cbackend
@@ -207,7 +208,6 @@ class TestEngagement:
 
         if cbackend.load()[0] is None:
             pytest.skip("no C compiler for the kernel")
-        monkeypatch.setenv("REPRO_KERNEL", "c")
         loads, write_backs = [], []
         load_sets, write_back = blockrun._load_sets, blockrun._Loan.write_back
         monkeypatch.setattr(
@@ -246,7 +246,8 @@ class TestEngagement:
             assert level.__dict__["_loan"].lists is None
 
     @pytest.mark.parametrize("op", ("copy", "init"))
-    def test_clflush_writebacks_skip_the_object_path(self, op, monkeypatch):
+    def test_clflush_writebacks_skip_the_object_path(self, op, monkeypatch,
+                                                     kernel_on):
         """CLFLUSH writebacks reach the kernel as arrays: no writeback
         request is built and ``service_pending`` never runs."""
         import dataclasses
@@ -259,7 +260,6 @@ class TestEngagement:
 
         if cbackend.load()[0] is None:
             pytest.skip("no C compiler for the kernel")
-        monkeypatch.setenv("REPRO_KERNEL", "c")
         built, pending, served = [], [], []
 
         def spy(module):
@@ -319,7 +319,7 @@ class TestEngagement:
         assert sum(n for n, _ in served) >= tech.stats.flushed_lines
         assert built == [] and pending == []
 
-    def test_materialized_keys_merge_matches_a_rebuild(self, monkeypatch):
+    def test_materialized_keys_merge_matches_a_rebuild(self, kernel_on):
         """The kernel's sorted materialized-row keys, merged as rows
         appear, equal a full sorted rebuild after RowClone ops, fallback
         rows, row preloads and CLFLUSH writebacks in any order."""
@@ -332,7 +332,6 @@ class TestEngagement:
 
         if cbackend.load()[0] is None:
             pytest.skip("no C compiler for the kernel")
-        monkeypatch.setenv("REPRO_KERNEL", "c")
         rng = random.Random(5)
         system = EasyDRAMSystem(jetson_nano_time_scaling())
         session = system.session("materialized")
@@ -370,7 +369,7 @@ class TestEngagement:
     @pytest.mark.parametrize("op", ("copy", "init"))
     @pytest.mark.parametrize("clflush", (False, True))
     def test_reliable_rows_run_in_the_rows_entry(self, op, clflush,
-                                                 monkeypatch):
+                                                 monkeypatch, kernel_on):
         """On the benchmark's RowClone op shapes, every reliable row runs
         inside ``rowclone_rows_kernel``: no technique episode, and the
         only writeback entry calls are the fallback rows' CLFLUSHes."""
@@ -380,7 +379,6 @@ class TestEngagement:
 
         if cbackend.load()[0] is None:
             pytest.skip("no C compiler for the kernel")
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         controller = smc_module.SoftwareMemoryController
         counts = {"episodes": 0, "writebacks": 0}
         runs = []
@@ -441,7 +439,7 @@ class TestEngagement:
         ("kernel-off", "disabled for this system (kernel=False)"),
     ))
     def test_rows_entry_declines_with_a_reason(self, case, reason,
-                                               monkeypatch):
+                                               kernel_on):
         """Each decline records its reason, leaves everything untouched,
         and the drivers fall back to the per-row path."""
         import dataclasses
@@ -451,7 +449,6 @@ class TestEngagement:
 
         if cbackend.load()[0] is None:
             pytest.skip("no C compiler for the kernel")
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         config = jetson_nano_time_scaling()
         if case == "activations":
             config = jetson_nano_time_scaling(

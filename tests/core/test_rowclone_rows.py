@@ -10,8 +10,9 @@ runs the same plan three ways and compares every observable:
 * ``staged`` -- the entry declined and every RowClone staged through
   EasyAPI and the Bender engine (``technique_op`` with a staging lambda),
   CLFLUSH writebacks on the kernel's array entry;
-* ``off`` -- ``REPRO_KERNEL=0``: everything in Python, every RowClone
-  staged (``RowCloneOp``) and CLFLUSH writebacks on the flat closure.
+* ``off`` -- the kernel backend unavailable: everything in Python,
+  every RowClone staged (``RowCloneOp``) and CLFLUSH writebacks on the
+  flat closure.
 
 The observables are ``test_rowclone_plan``'s (controller, tile, device
 and Bender counters, cursors, bank and rank state, violation records
@@ -28,6 +29,7 @@ import random
 
 import pytest
 
+from kernel_paths import no_kernel
 from repro.core.config import jetson_nano_time_scaling
 from repro.core.easyapi import CostModel, RowCloneOp
 from repro.core.smc import SoftwareMemoryController
@@ -43,6 +45,10 @@ from test_rowclone_plan import _observe as _controller_state
 
 needs_kernel = pytest.mark.skipif(cbackend.load()[0] is None,
                                   reason="no C compiler for the kernel")
+
+#: ``kernel`` and ``staged`` run on the compiled kernel, also under
+#: ``--kernel=off``; ``off`` switches it away inside one test.
+pytestmark = pytest.mark.usefixtures("kernel_on")
 
 TOPOLOGIES = ("ddr4-1ch", "ddr4-1ch-2rk")
 
@@ -102,9 +108,7 @@ class _Recorder:
 
 def _enter(mode, mp) -> None:
     if mode == "off":
-        mp.setenv("REPRO_KERNEL", "0")
-    else:
-        mp.delenv("REPRO_KERNEL", raising=False)
+        no_kernel(mp)
     if mode == "staged":
         mp.setattr(Session, "rowclone_rows",
                    lambda self, rows, finished: False)

@@ -29,11 +29,11 @@ from repro.experiments.common import scaled_cache_overrides
 
 HAVE_KERNEL = cbackend.load()[0] is not None
 
-#: (name, engine, REPRO_KERNEL)
+#: (name, engine, kernel)
 MODES = (
-    *((("resident", "event", "c"),) if HAVE_KERNEL else ()),
-    ("kernel-off", "event", "0"),
-    ("cycle", "cycle", "0"),
+    *((("resident", "event", True),) if HAVE_KERNEL else ()),
+    ("kernel-off", "event", False),
+    ("cycle", "cycle", False),
 )
 
 
@@ -53,9 +53,11 @@ def random_trace(seed: int, n: int = 1200) -> list:
     return trace
 
 
-def observe(trace, engine: str, reference: bool = False) -> dict:
+def observe(trace, engine: str, kernel: bool,
+            reference: bool = False) -> dict:
     system = EasyDRAMSystem(
-        jetson_nano_time_scaling(**scaled_cache_overrides()), engine=engine)
+        jetson_nano_time_scaling(**scaled_cache_overrides()), engine=engine,
+        kernel=kernel)
     session = system.session("blockify")
     if reference:
         install(session)
@@ -74,9 +76,7 @@ def observe(trace, engine: str, reference: bool = False) -> dict:
 def oracle(seed: int) -> dict:
     """The object reference: the plain list replayed access by access on
     the cycle engine with the kernel off."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_KERNEL", "0")
-        return observe(random_trace(seed), "cycle", reference=True)
+    return observe(random_trace(seed), "cycle", False, reference=True)
 
 
 @pytest.fixture
@@ -98,13 +98,12 @@ def kernel_calls(monkeypatch):
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("mode", MODES, ids=[m[0] for m in MODES])
 def test_blockified_matches_per_access(mode, seed, block, kernel_calls,
-                                       monkeypatch):
+                                       kernel_on):
     name, engine, kernel = mode
     expected = oracle(seed)
     trace = random_trace(seed)
-    monkeypatch.setenv("REPRO_KERNEL", kernel)
-    per_access = observe(trace, engine)
-    blocks = observe(blockify(trace, block), engine)
+    per_access = observe(trace, engine, kernel)
+    blocks = observe(blockify(trace, block), engine, kernel)
     assert expected["run"]["writeback_requests"] and expected["latencies"]
     assert blocks == expected
     assert per_access == expected

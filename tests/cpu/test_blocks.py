@@ -93,16 +93,13 @@ class TestWorkloadBuilders:
 class TestProcessorBlockMode:
     """Block replay == per-access execution == the object reference."""
 
-    def _run(self, trace_factory, reference, monkeypatch):
-        """Event engine at the kernel default, or the object reference
-        (the per-access replay of ``reference_processor.py`` on the cycle
-        engine, ``REPRO_KERNEL=0``)."""
-        if reference:
-            monkeypatch.setenv("REPRO_KERNEL", "0")
-        else:
-            monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def _run(self, trace_factory, reference):
+        """Event engine on the kernel, or the object reference (the
+        per-access replay of ``reference_processor.py`` on the cycle
+        engine, ``kernel=False``)."""
         engine = "cycle" if reference else "event"
-        system = EasyDRAMSystem(jetson_nano_time_scaling(), engine=engine)
+        system = EasyDRAMSystem(jetson_nano_time_scaling(), engine=engine,
+                                kernel=not reference)
         session = system.session("blocks")
         if reference:
             install(session)
@@ -111,24 +108,24 @@ class TestProcessorBlockMode:
         result.pop("wall_seconds")
         return result
 
-    def test_block_trace_matches_access_trace(self, monkeypatch):
+    def test_block_trace_matches_access_trace(self, kernel_on):
         def blocks():
             return microbench.cpu_copy_blocks(0, 1 << 26, 96 * 1024, block=37)
 
         def accesses():
             return microbench.cpu_copy_blocks(0, 1 << 26, 96 * 1024).accesses()
 
-        fast_blocks = self._run(blocks, False, monkeypatch)
-        fast_access = self._run(accesses, False, monkeypatch)
-        ref_blocks = self._run(blocks, True, monkeypatch)
+        fast_blocks = self._run(blocks, False)
+        fast_access = self._run(accesses, False)
+        ref_blocks = self._run(blocks, True)
         assert fast_blocks == fast_access == ref_blocks
 
-    def test_dependent_stream_matches(self, monkeypatch):
+    def test_dependent_stream_matches(self, kernel_on):
         def blocks():
             return lmbench.pointer_chase_blocks(32 * 1024, 2000, block=11)
 
         def accesses():
             return lmbench.pointer_chase_blocks(32 * 1024, 2000).accesses()
 
-        assert (self._run(blocks, False, monkeypatch)
-                == self._run(accesses, True, monkeypatch))
+        assert (self._run(blocks, False)
+                == self._run(accesses, True))

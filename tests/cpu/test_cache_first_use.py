@@ -7,21 +7,18 @@ kind of first use of a fresh hierarchy -- a resident replay followed by
 Python reads, a Python-path access, a CLFLUSH, a deep copy or pickle,
 a second session whose core slot still holds another hierarchy's stale
 ways -- and continue with random replays, CLFLUSHes, direct accesses and
-copies of lent hierarchies.  Each scenario runs on the compiled kernel
-(``REPRO_KERNEL=c``), on the Python path (``REPRO_KERNEL=0``) and on
-the list-based seed oracle (:mod:`reference_cache`) fed the same
-accesses and flushes; every observation and the final cache state must
-agree.  The baseline simulator's hierarchy gets the same check.
+copies of lent hierarchies.  Each scenario runs on the compiled kernel,
+on the Python path (``kernel=False``) and on the list-based seed oracle
+(:mod:`reference_cache`) fed the same accesses and flushes; every
+observation and the final cache state must agree.  The baseline simulator's hierarchy gets the same check.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
-import os
 import pickle
 import random
-from contextlib import contextmanager
 
 import pytest
 from reference_cache import ReferenceCache, ReferenceCacheHierarchy
@@ -43,7 +40,8 @@ _LINES = 1024
 
 HAVE_KERNEL = cbackend.load()[0] is not None
 
-MODES = ("c", "0") if HAVE_KERNEL else ("0",)
+#: Whether each run's system may use the compiled kernel.
+MODES = (True, False) if HAVE_KERNEL else (False,)
 
 FIRST_USES = ("replay", "access", "clflush", "copy", "second-session")
 
@@ -53,21 +51,6 @@ def _config():
     return dataclasses.replace(
         base, l1=dataclasses.replace(base.l1, size_bytes=2 * KiB),
         l2=dataclasses.replace(base.l2, size_bytes=16 * KiB))
-
-
-@contextmanager
-def _kernel_mode(mode: str):
-    saved = {k: os.environ.get(k) for k in ("REPRO_ENGINE", "REPRO_KERNEL")}
-    os.environ["REPRO_ENGINE"] = "event"
-    os.environ["REPRO_KERNEL"] = mode
-    try:
-        yield
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
 
 
 # -- scenario plans (plain data, so every path runs the same one) ------------
@@ -181,8 +164,8 @@ def _copies(hierarchy, ops) -> list:
                           pickle.loads(pickle.dumps(hierarchy)))]
 
 
-def _run_system(plan: list, mode: str) -> dict:
-    """The plan on an emulated system under ``REPRO_KERNEL=mode``."""
+def _run_system(plan: list, kernel: bool) -> dict:
+    """The plan on an event-engine system, on or off the kernel."""
     replays = []
     flattened_fresh = []
     original_replay = blockrun._replay
@@ -197,10 +180,10 @@ def _run_system(plan: list, mode: str) -> dict:
         original_load(level, arrays, sets)
 
     observed = []
-    with _kernel_mode(mode), pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(blockrun, "_replay", spy_replay)
         patch.setattr(blockrun, "_load_sets", spy_load)
-        system = EasyDRAMSystem(_config())
+        system = EasyDRAMSystem(_config(), engine="event", kernel=kernel)
         sessions = [system.session("first")]
         for step in plan:
             kind = step[0]
@@ -213,7 +196,7 @@ def _run_system(plan: list, mode: str) -> dict:
                 fresh = [_fresh(level)
                          for level in (hierarchy.l1, hierarchy.l2)]
                 session.run_trace(_trace(step[2]))
-                if mode == "c" and replays[-1]:
+                if kernel and replays[-1]:
                     # A replay builds no list for a level that had none.
                     for level, was_fresh in zip(
                             (hierarchy.l1, hierarchy.l2), fresh):
@@ -234,7 +217,7 @@ def _run_system(plan: list, mode: str) -> dict:
             result.pop("wall_seconds")
             results.append(result)
         states = [_cache_state(session.hierarchy) for session in sessions]
-    if mode == "c":
+    if kernel:
         assert any(replays), "the kernel never replayed"
         assert not any(flattened_fresh), "a fresh level was flattened"
     return {"observed": observed, "states": states, "results": results}
@@ -316,19 +299,20 @@ def _view_of_state(state: list) -> list:
 
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("first_use", FIRST_USES)
-def test_first_use_of_a_fresh_level_identical(first_use, seed):
+def test_first_use_of_a_fresh_level_identical(first_use, seed, kernel_on):
     plan = _plan(first_use, seed)
-    runs = {mode: _run_system(plan, mode) for mode in MODES}
-    python = runs["0"]
-    if "c" in runs:
-        assert runs["c"] == python
+    runs = {kernel: _run_system(plan, kernel) for kernel in MODES}
+    python = runs[False]
+    if True in runs:
+        assert runs[True] == python
     assert _as_reference(python) == _run_reference(plan)
 
 
-def _replayed_copy() -> list:
+def _replayed_copy(kernel: bool) -> list:
     """A copy of a lent hierarchy, installed on the processor after the
     original replayed on: the core slot holds the original's newer ways."""
-    session = EasyDRAMSystem(_config()).session("copied")
+    session = EasyDRAMSystem(_config(), engine="event",
+                             kernel=kernel).session("copied")
     session.run_trace(_trace([([line * LINE for line in range(128)],
                                [FLAG_WRITE] * 128, [1] * 128)]))
     clone = copy.deepcopy(session.hierarchy)
@@ -341,12 +325,9 @@ def _replayed_copy() -> list:
     return _cache_state(clone)
 
 
-def test_copied_hierarchy_replays_its_own_ways():
-    runs = {}
-    for mode in MODES:
-        with _kernel_mode(mode):
-            runs[mode] = _replayed_copy()
-    assert runs.get("c", runs["0"]) == runs["0"]
+def test_copied_hierarchy_replays_its_own_ways(kernel_on):
+    runs = {kernel: _replayed_copy(kernel) for kernel in MODES}
+    assert runs.get(True, runs[False]) == runs[False]
 
 
 def test_baseline_simulator_hierarchy_starts_empty():

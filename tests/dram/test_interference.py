@@ -186,7 +186,7 @@ class TestRefreshStorm:
         assert system.smc.stats.storm_refreshes == 0
 
     def test_storm_bit_identical_across_engines_and_fastpath(
-            self, monkeypatch):
+            self, request):
         config = _storm_config(3, track_row_activations=True)
         mix = WorkloadMix.parse("stream+pointer_chase")
 
@@ -198,7 +198,7 @@ class TestRefreshStorm:
 
         fast = snapshot("event")
         assert snapshot("cycle") == fast
-        monkeypatch.setenv("REPRO_KERNEL", "0")
+        request.getfixturevalue("kernel_off")
         assert snapshot("cycle") == fast  # the object reference
 
     def test_interference_config_validation(self):

@@ -1,14 +1,13 @@
 """Kernel differential suite: kernel == flat == object, bit for bit.
 
-``REPRO_KERNEL`` adds a serve path (and a whole-trace block replay)
+The compiled kernel adds a serve path (and a whole-trace block replay)
 that must be a pure host-time optimization.  This suite drives *random*
 request streams — hypothesis-generated access blocks across topologies,
 schedulers, and interference knobs — through three serve
 configurations:
 
-* **kernel** — event engine, ``REPRO_KERNEL`` forced to the compiled
-  backend (skipped when no C compiler exists: the flat closures are
-  then the only fast path);
+* **kernel** — event engine on the compiled backend (skipped when no C
+  compiler exists: the flat closures are then the only fast path);
 * **flat**   — event engine, kernel disabled (the flat closures);
 * **object** — cycle engine, kernel disabled (the staged-program
   reference oracle);
@@ -27,7 +26,6 @@ served as arrays.
 from __future__ import annotations
 
 import dataclasses
-import os
 import random
 from contextlib import contextmanager
 
@@ -36,6 +34,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kernel_paths import no_kernel
+from repro.core import engine as engine_module
 from repro.core import smc as smc_module
 from repro.core.config import (ControllerConfig, InterferenceConfig,
                                jetson_nano_time_scaling)
@@ -55,28 +55,28 @@ LINE = 64
 HAVE_KERNEL = cbackend.load()[0] is not None
 
 MODES = (
-    *((("kernel", "event", "c"),) if HAVE_KERNEL else ()),
-    ("flat", "event", "0"),
-    ("object", "cycle", "0"),
+    *((("kernel", "event", True),) if HAVE_KERNEL else ()),
+    ("flat", "event", False),
+    ("object", "cycle", False),
 )
 
 needs_kernel = pytest.mark.skipif(not HAVE_KERNEL,
                                   reason="no C compiler for the kernel")
 
 
+#: The kernel leg runs on the compiled kernel, also under --kernel=off.
+pytestmark = pytest.mark.usefixtures("kernel_on")
+
+
 @contextmanager
-def serve_mode(engine: str, kernel: str):
-    saved = {k: os.environ.get(k) for k in ("REPRO_ENGINE", "REPRO_KERNEL")}
-    os.environ["REPRO_ENGINE"] = engine
-    os.environ["REPRO_KERNEL"] = kernel
-    try:
+def serve_mode(engine: str, kernel: bool):
+    """Systems built inside default to ``engine`` and, with ``kernel``
+    false, find no kernel backend."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "DEFAULT_ENGINE", engine)
+        if not kernel:
+            no_kernel(patch)
         yield
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
 
 
 def _trace(stream: list[tuple[int, int, int]], split: int) -> BlockTrace:
@@ -321,7 +321,7 @@ def test_batch_kernel_engages(scheduler, topology, monkeypatch):
 
     monkeypatch.setattr(smc_module.SoftwareMemoryController,
                         "service_pending_kernel", recording)
-    with serve_mode("event", "c"):
+    with serve_mode("event", True):
         _run_zoo(_zoo_config(scheduler, topology))
     big = [c for c in calls if c[0] >= smc_module._KERNEL_MIN_BATCH]
     assert big, "no batch reached the kernel's minimum size"
@@ -348,7 +348,7 @@ def test_kernel_actually_engages():
 
     blockrun.run_gated_kernel = counting
     try:
-        with serve_mode("event", "c"):
+        with serve_mode("event", True):
             _run_artifact(jetson_nano_time_scaling(),
                           _dense_mixed_stream(), 120)
     finally:
@@ -361,7 +361,7 @@ def test_kernel_actually_engages():
 #
 # ``EventEngine.run_cores`` replays eligible block mixes resident in the
 # kernel (``blockrun.run_cores_kernel``).  One shared system runs three
-# ways — resident, the Python burst loop (``REPRO_KERNEL=0``) and the
+# ways — resident, the Python burst loop (kernel off) and the
 # ``CycleEngine`` reference — and every observable must agree, down to
 # the engines' gate and release counts (``EngineStats``, plus the event
 # engine's episode counts), per-core request latencies and request-id
@@ -369,9 +369,9 @@ def test_kernel_actually_engages():
 # state.
 
 RESIDENT_MODES = (
-    *((("resident", "event", "c"),) if HAVE_KERNEL else ()),
-    ("burst", "event", "0"),
-    ("cycle", "cycle", "0"),
+    *((("resident", "event", True),) if HAVE_KERNEL else ()),
+    ("burst", "event", False),
+    ("cycle", "cycle", False),
 )
 
 #: Accesses per block: small, so every core crosses several block
@@ -569,7 +569,7 @@ def test_materialized_blocks_replay_twice_identical():
     before = [(b.addr.copy(), b.flags.copy(), b.gap.copy())
               for b in blocks.blocks]
     runs = []
-    with serve_mode("event", "c"), kernel_engagements() as served:
+    with serve_mode("event", True), kernel_engagements() as served:
         for _ in range(2):
             system = EasyDRAMSystem(jetson_nano_time_scaling(),
                                     engine="event")
@@ -660,7 +660,7 @@ def test_resident_replay_engages(scheduler, topology, monkeypatch):
         return engaged
 
     monkeypatch.setattr(blockrun, "run_cores_kernel", recording)
-    with serve_mode("event", "c"):
+    with serve_mode("event", True):
         _run_zoo(_zoo_config(scheduler, topology))
     assert calls == [(4, True, None)]
 
@@ -736,11 +736,11 @@ def test_resident_cache_copy_identical(monkeypatch):
         write_backs.append(level.name)
         original_write_back(loan, level)
 
-    with serve_mode("event", "0"):
+    with serve_mode("event", False):
         expected = _interleaved_session()
     monkeypatch.setattr(blockrun, "_load_sets", recording)
     monkeypatch.setattr(blockrun._Loan, "write_back", recording_write_back)
-    with serve_mode("event", "c"):
+    with serve_mode("event", True):
         assert _interleaved_session() == expected
     # Whole flattens: both levels after each direct access (an L1 and L2
     # miss) and after the declined trace; the fresh hierarchy's first
@@ -778,9 +778,9 @@ def _sparse_lent_session() -> list:
 def test_resident_copy_writes_back_every_changed_set():
     """The written-back lists carry every set any replay or CLFLUSH on
     the copy changed, not just the last replay's."""
-    with serve_mode("event", "0"):
+    with serve_mode("event", False):
         expected = _sparse_lent_session()
-    with serve_mode("event", "c"):
+    with serve_mode("event", True):
         assert _sparse_lent_session() == expected
 
 
@@ -801,9 +801,9 @@ def _two_sessions_one_slot() -> list:
 
 @needs_kernel
 def test_slot_reuse_writes_back_the_lender():
-    with serve_mode("event", "0"):
+    with serve_mode("event", False):
         expected = _two_sessions_one_slot()
-    with serve_mode("event", "c"):
+    with serve_mode("event", True):
         assert _two_sessions_one_slot() == expected
 
 
@@ -816,7 +816,7 @@ def test_lent_hierarchy_copies_independently():
 
     from repro.workloads import microbench
 
-    with serve_mode("event", "c"):
+    with serve_mode("event", True):
         session = EasyDRAMSystem(_resident_config("fr-fcfs", "ddr4-1ch")) \
             .session("lent")
         session.run_trace(microbench.touch_blocks(0, 64 * KiB, write=True))
@@ -876,7 +876,7 @@ def test_loan_works_out_touched_sets_once(monkeypatch):
     every set a replay stamped since the loan began, plus the sets a
     flush on the copy changed -- including one whose only recent way
     the flush removed, so no stamp of it is recent any more."""
-    with serve_mode("event", "0"):
+    with serve_mode("event", False):
         expected = _one_loan_session(lambda hierarchy: None)
     write_backs = []
     original = blockrun._Loan.write_back
@@ -895,7 +895,7 @@ def test_loan_works_out_touched_sets_once(monkeypatch):
         # Only the deliberate read after the first replay so far.
         assert write_backs == ["L1D", "L2"]
 
-    with serve_mode("event", "c"):
+    with serve_mode("event", True):
         got = _one_loan_session(probe)
     assert write_backs == ["L1D", "L2"] * 2
     for level, (want, have) in enumerate(zip(expected, got)):
@@ -1011,9 +1011,9 @@ def _run_trcd(config, characterization, blocks, engine: str) -> dict:
 
 def assert_kernel_matches_hook(config, characterization, seed: int) -> dict:
     blocks = _trcd_stream(seed)
-    with serve_mode("cycle", "0"):
+    with serve_mode("cycle", False):
         hook = _run_trcd(config, characterization, blocks, "cycle")
-    with serve_mode("event", "c"), kernel_engagements() as served:
+    with serve_mode("event", True), kernel_engagements() as served:
         kernel = _run_trcd(config, characterization, blocks, "event")
     assert any(ok for _, ok, _ in served), "the kernel never served"
     assert all(reason is None for _, ok, reason in served if ok)

@@ -20,15 +20,11 @@ from repro.core.schedulers import (FRFCFS, Scheduler, _RankedScheduler,
 from repro.core.system import EasyDRAMSystem
 from repro.cpu.processor import MemoryRequest
 from repro.dram.kernel import cbackend
+from repro.runner import SweepPoint
+from repro.runner.scheduler import _evaluate
 
 needs_kernel = pytest.mark.skipif(cbackend.load()[0] is None,
                                   reason="no C compiler for the kernel")
-
-
-@pytest.fixture
-def kernel_on(monkeypatch):
-    """Force the compiled kernel on (CI also runs with REPRO_KERNEL=0)."""
-    monkeypatch.setenv("REPRO_KERNEL", "c")
 
 
 def _smc(config=None):
@@ -126,11 +122,40 @@ def test_cell_margins_exceed_trcd():
     assert _reason(smc) == "cell tRCD margins exceed tRCD"
 
 
-def test_kernel_disabled(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "0")
+def test_kernel_disabled(kernel_off):
     smc = _smc()
     assert not smc.service_pending_kernel(_requests())
-    assert smc.kernel_fallback_reason == "disabled (REPRO_KERNEL=0)"
+    assert smc.kernel_fallback_reason == "disabled (kernel_off fixture)"
+
+
+def test_kernel_option_reaches_a_fresh_system(request):
+    """Under ``--kernel=off`` a fresh system really serves on the flat
+    closures: its controller names the option as the reason."""
+    smc = _smc()
+    smc.service_pending_kernel(_requests())
+    backend, reason = cbackend.load()
+    if request.config.getoption("--kernel") == "off":
+        assert smc.kernel_fallback_reason == "disabled (--kernel=off)"
+    else:
+        assert smc.kernel_fallback_reason == (
+            None if backend is not None else reason)
+
+
+def test_kernel_option_reaches_sweep_workers(request):
+    """A ``jobs=2`` sweep's worker processes resolve the backend the way
+    the pytest process does: under ``--kernel=off`` they serve without
+    the kernel too (the option's patch reaches them only by fork)."""
+    points = [SweepPoint(artifact="probe", point_id=str(i),
+                         fn="repro.dram.kernel:backend_info")
+              for i in range(2)]
+    infos = [info for _, info in _evaluate(points, jobs=2)]
+    if request.config.getoption("--kernel") == "off":
+        assert infos == [{"backend": "none",
+                          "reason": "disabled (--kernel=off)"}] * 2
+    else:
+        backend, reason = cbackend.load()
+        assert [info["reason"] for info in infos] == (
+            ["ok" if backend is not None else reason] * 2)
 
 
 def _requests(n: int = 4) -> list[MemoryRequest]:
@@ -164,12 +189,13 @@ def test_engaged_batch_clears_the_reason(kernel_on):
 # -- the resident multi-core replay (blockrun.run_cores_kernel) --------------
 
 
-def _fed_mix(config=None, cores: int = 2):
+def _fed_mix(config=None, cores: int = 2, kernel: bool = True):
     """A system whose session has ``cores`` cores, each fed a short
     block trace in its own region."""
     from repro.workloads import microbench
 
-    system = EasyDRAMSystem(config or jetson_nano_time_scaling())
+    system = EasyDRAMSystem(config or jetson_nano_time_scaling(),
+                            kernel=kernel)
     session = system.session("fallback")
     for _ in range(cores - 1):
         session.add_core()
@@ -232,8 +258,8 @@ def test_clflush_writebacks_reach_the_profiler(kernel_on):
             entry.dram, entry.request.is_writeback)
         assert session.clflush_range(8 * 1024, 8 * 1024) == 128
     # The writeback entry declines, then the batch ladder's kernel try
-    # (service_pending_batched), then service_pending's own.
-    assert acc.kernel_fallbacks == {"technique episode (serve hook)": 3}
+    # (service_pending_batched), whose object path asks no more.
+    assert acc.kernel_fallbacks == {"technique episode (serve hook)": 2}
 
 
 @needs_kernel
@@ -266,16 +292,14 @@ def test_resident_undrained_mlp_window(kernel_on):
         "MLP window not drained at trace start"
 
 
-def test_resident_kernel_disabled(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "0")
+def test_resident_kernel_disabled(kernel_off):
     system, session = _fed_mix()
-    assert _declined(system, session) == "disabled (REPRO_KERNEL=0)"
+    assert _declined(system, session) == "disabled (kernel_off fixture)"
 
 
-def _outcome(kernel: str, monkeypatch, setup) -> tuple[type, str]:
-    """The exception a 2-core ``run_cores`` raises under ``kernel``."""
-    monkeypatch.setenv("REPRO_KERNEL", kernel)
-    system, session = _fed_mix()
+def _outcome(kernel: bool, setup) -> tuple[type, str]:
+    """The exception a 2-core ``run_cores`` raises on or off the kernel."""
+    system, session = _fed_mix(kernel=kernel)
     traces = setup(session)
     with pytest.raises(Exception) as info:
         session.run_cores(traces)
@@ -283,7 +307,7 @@ def _outcome(kernel: str, monkeypatch, setup) -> tuple[type, str]:
 
 
 @needs_kernel
-def test_resident_deadlock_matches_burst_loop(monkeypatch):
+def test_resident_deadlock_matches_burst_loop(kernel_on):
     """An unreleased fill nobody will serve: the same EmulationDeadlock."""
     from repro.core.system import EmulationDeadlock
     from repro.workloads import lmbench
@@ -294,14 +318,14 @@ def test_resident_deadlock_matches_burst_loop(monkeypatch):
         return [lmbench.pointer_chase_blocks(4096, 64, base_addr=core << 20)
                 for core in range(2)]
 
-    resident = _outcome("c", monkeypatch, setup)
-    burst = _outcome("0", monkeypatch, setup)
+    resident = _outcome(True, setup)
+    burst = _outcome(False, setup)
     assert resident == burst
     assert resident[0] is EmulationDeadlock
 
 
 @needs_kernel
-def test_resident_out_of_range_matches_burst_loop(monkeypatch):
+def test_resident_out_of_range_matches_burst_loop(kernel_on):
     """A strict address map names the same offender either way."""
     from repro.cpu.blocks import AccessBlock, BlockTrace
     from repro.workloads import microbench
@@ -313,14 +337,14 @@ def test_resident_out_of_range_matches_burst_loop(monkeypatch):
             [0] * 10, [1] * 10)]))
         return [microbench.touch_blocks(1 << 20, 8 * 1024), bad]
 
-    resident = _outcome("c", monkeypatch, setup)
-    burst = _outcome("0", monkeypatch, setup)
+    resident = _outcome(True, setup)
+    burst = _outcome(False, setup)
     assert resident == burst
     assert resident[0] is ValueError
 
 
 @needs_kernel
-def test_resident_out_of_range_after_in_range_blocks(monkeypatch):
+def test_resident_out_of_range_after_in_range_blocks(kernel_on):
     """An out-of-range block after in-range ones: the resident filter
     hands the rest of the trace to the Python filter mid-run, with the
     same error and the same cache contents as the burst loop.  (Where the
@@ -332,8 +356,7 @@ def test_resident_out_of_range_after_in_range_blocks(monkeypatch):
     from repro.workloads import microbench
 
     def run(kernel):
-        monkeypatch.setenv("REPRO_KERNEL", kernel)
-        system, session = _fed_mix(cores=1)
+        system, session = _fed_mix(cores=1, kernel=kernel)
         total = system.config.geometry.total_bytes
         good = list(microbench.touch_blocks(1 << 20, 32 * 1024, write=True,
                                             block=128))
@@ -347,7 +370,7 @@ def test_resident_out_of_range_after_in_range_blocks(monkeypatch):
                   level._tick, dataclasses.asdict(level.stats))
                  for level in (hierarchy.l1, hierarchy.l2)])
 
-    assert run("c") == run("0")
+    assert run(True) == run(False)
 
 
 @needs_kernel

@@ -25,9 +25,7 @@ needs_kernel = pytest.mark.skipif(cbackend.load()[0] is None,
     ("quantization", 1 + len(inspect.signature(      # reference + clocks
         ablations.quantization_sweep).parameters["freqs_hz"].default)),
 ])
-def test_ablation_replays_resident(study, runs, monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+def test_ablation_replays_resident(study, runs, monkeypatch, kernel_on):
     calls = []
     original = blockrun.run_gated_kernel
 

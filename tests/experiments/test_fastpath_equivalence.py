@@ -1,8 +1,9 @@
 """Every experiment artifact is bit-identical on every serve path.
 
-The reference oracle is ``REPRO_ENGINE=cycle REPRO_KERNEL=0``: the
-cycle engine serving every batch through staged programs and
-object-based timing checks.  The event engine's flat closures and the
+The reference oracle is the cycle engine with no kernel backend
+(``EasyDRAMSystem(..., engine="cycle", kernel=False)`` for one system):
+every batch served through staged programs and object-based timing
+checks.  The event engine's flat closures and the
 compiled kernel are pure host-time optimizations, so each artifact's
 result dict must not change by a single bit.  Sweeps run at the smallest
 meaningful scale — the shared machinery is identical at any size.
@@ -18,6 +19,8 @@ import dataclasses
 
 import pytest
 
+from kernel_paths import no_kernel
+from repro.core import engine as engine_module
 from repro.core.config import jetson_nano_time_scaling
 from repro.core.system import EasyDRAMSystem
 from repro.experiments import (
@@ -34,8 +37,9 @@ from repro.experiments import (
 from repro.workloads import polybench
 
 # The full artifact-by-artifact sweep is the single heaviest suite in
-# the tree (~35 s); it runs on CI's dedicated `slow` leg.
-pytestmark = pytest.mark.slow
+# the tree (~35 s); it runs on CI's dedicated `slow` leg.  Its kernel
+# leg runs on the compiled kernel, also under --kernel=off.
+pytestmark = [pytest.mark.slow, pytest.mark.usefixtures("kernel_on")]
 
 
 def _strip_fig02_wall(result):
@@ -59,20 +63,19 @@ def _strip_tab01_rates(result):
     return stripped
 
 
-def run_both(monkeypatch, fn, *args, **kwargs):
+def run_both(fn, *args, **kwargs):
     """The artifact under all three serve paths.
 
     Returns (slow, fast, kernel): the object reference, the flat
-    closures with the batch kernel disabled, and the batch kernel at
-    its knob default.  Callers normalize all three the same way before
-    asserting equality.
+    closures with the batch kernel disabled, and the batch kernel.
+    Callers normalize all three the same way before asserting equality.
     """
-    monkeypatch.setenv("REPRO_ENGINE", "cycle")
-    monkeypatch.setenv("REPRO_KERNEL", "0")
-    slow = fn(*args, **kwargs)
-    monkeypatch.delenv("REPRO_ENGINE")
-    fast = fn(*args, **kwargs)
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    with pytest.MonkeyPatch.context() as patch:
+        no_kernel(patch)
+        patch.setattr(engine_module, "DEFAULT_ENGINE", "cycle")
+        slow = fn(*args, **kwargs)
+        patch.setattr(engine_module, "DEFAULT_ENGINE", "event")
+        fast = fn(*args, **kwargs)
     kernel = fn(*args, **kwargs)
     return slow, fast, kernel
 
@@ -94,8 +97,8 @@ def run_both(monkeypatch, fn, *args, **kwargs):
      None),
     ("ablations", lambda: ablations.run(), None),
 ])
-def test_artifact_bit_identical(monkeypatch, name, call, normalize):
-    slow, fast, kernel = run_both(monkeypatch, call)
+def test_artifact_bit_identical(name, call, normalize):
+    slow, fast, kernel = run_both(call)
     if normalize is not None:
         slow, fast, kernel = normalize(slow), normalize(fast), \
             normalize(kernel)
@@ -103,7 +106,7 @@ def test_artifact_bit_identical(monkeypatch, name, call, normalize):
     assert fast == kernel, f"{name}: batch kernel changed the artifact"
 
 
-def test_fig15_emulated_quantities_bit_identical(monkeypatch):
+def test_fig15_emulated_quantities_bit_identical():
     """fig15's emulated columns (not its host-MHz axis) match.
 
     Multi-channel topologies must honor the same contract as the paper's
@@ -121,7 +124,7 @@ def test_fig15_emulated_quantities_bit_identical(monkeypatch):
             "monotonic": result["monotonic"],
         }
 
-    slow, fast, kernel = run_both(monkeypatch, emulated)
+    slow, fast, kernel = run_both(emulated)
     assert slow == fast == kernel
 
 
@@ -140,15 +143,15 @@ def test_fig17_bit_identical_across_fastpath_and_engines(monkeypatch):
             schedulers=("fr-fcfs", "atlas"), mixes=("copy-chase",),
             topologies=("ddr4-1ch",))
 
-    slow, fast, kernel = run_both(monkeypatch, reduced)
+    slow, fast, kernel = run_both(reduced)
     assert slow == fast == kernel
-    monkeypatch.setenv("REPRO_ENGINE", "cycle")
+    monkeypatch.setattr(engine_module, "DEFAULT_ENGINE", "cycle")
     assert reduced() == fast
-    monkeypatch.setenv("REPRO_ENGINE", "event")
+    monkeypatch.setattr(engine_module, "DEFAULT_ENGINE", "event")
     assert reduced() == fast
 
 
-def test_fig14_emulated_run_bit_identical(monkeypatch):
+def test_fig14_emulated_run_bit_identical():
     """fig14's emulated quantities (not its wall-clock rates) match."""
     def emulated(kernel="durbin"):
         results = []
@@ -162,5 +165,5 @@ def test_fig14_emulated_run_bit_identical(monkeypatch):
         assert results[0] == results[1]  # engines agree at this setting too
         return results[0]
 
-    slow, fast, kernel = run_both(monkeypatch, emulated)
+    slow, fast, kernel = run_both(emulated)
     assert slow == fast == kernel

@@ -23,9 +23,8 @@ needs_kernel = pytest.mark.skipif(cbackend.load()[0] is None,
 
 
 @needs_kernel
-def test_fig14_point_leaves_a_concurrent_kernel_engaged(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+def test_fig14_point_leaves_a_concurrent_kernel_engaged(monkeypatch,
+                                                        kernel_on):
     calls = []
     original = blockrun.run_gated_kernel
 

@@ -34,6 +34,7 @@ class TestRunJson:
         assert len(payload["result"]["rows"]) == 6
         manifest = json.loads((out / "manifest.json").read_text())
         assert [a["artifact"] for a in manifest["artifacts"]] == ["tab01"]
+        assert manifest["scale"] == "ci"
         assert (cache / "tab01").is_dir()
 
     def test_second_run_reports_cache_hits(self, isolated_dirs, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -45,6 +46,43 @@ class TestRegistry:
         from repro.runner import registry
         with pytest.raises(KeyError, match="fig10"):
             registry.get("fig99")
+
+
+class TestPaperScale:
+    def test_run_overrides_win_over_paper_overrides(self):
+        spec = all_specs()["fig16"]
+        assert spec.run_overrides() == {}
+        assert spec.run_overrides({"core_counts": [1]}) == {
+            "core_counts": [1]}
+        assert spec.run_overrides({"scale": 3}, full=True) == {"scale": 3}
+        assert spec.run_overrides({"core_counts": [1]}, full=True) == {
+            "scale": 2, "core_counts": [1]}
+
+    def test_concurrent_builds_at_both_scales_keep_their_points(self):
+        """Scale is an argument, not process state: two threads building
+        one sweep at once, one at paper scale, each get their own
+        points."""
+        spec = all_specs()["fig10"]
+        expected = {full: spec.build_points(**spec.run_overrides(full=full))
+                    for full in (False, True)}
+        assert (len(expected[False]), len(expected[True])) == (54, 72)
+        start = threading.Barrier(2, timeout=60)
+        built: dict[bool, list] = {}
+
+        def build(full):
+            start.wait()
+            built[full] = [spec.build_points(**spec.run_overrides(full=full))
+                           for _ in range(50)]
+
+        threads = [threading.Thread(target=build, args=(full,))
+                   for full in (False, True)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        for full in (False, True):
+            assert all(points == expected[full] for points in built[full])
 
 
 class TestScheduler:

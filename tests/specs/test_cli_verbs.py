@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.runner.cli import main as cli_main
+
+DEFAULT_SPEC = str(Path(__file__).resolve().parents[2] / "specs"
+                   / "default.yaml")
 
 
 class TestValidate:
@@ -60,6 +64,26 @@ class TestPlan:
                        "--cache-dir", str(tmp_path / "cache")])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["total_selected"] == 3
+
+    def test_full_plans_the_paper_scale_points(self, tmp_path, capsys):
+        """``--full`` plans each sweep's paper_overrides and records the
+        scale; fig10 and fig11 grow from 54 to 72 points."""
+        plans = {}
+        for full in (False, True):
+            rc = cli_main(["plan", DEFAULT_SPEC, "--json", "--cache-dir",
+                           str(tmp_path)] + (["--full"] if full else []))
+            assert rc == 0
+            plans[full] = json.loads(capsys.readouterr().out)
+        for full, points in ((False, 54), (True, 72)):
+            selected = {row["artifact"]: row["selected"]
+                        for row in plans[full]["artifacts"]}
+            assert selected["fig10"] == selected["fig11"] == points
+            assert selected["fig02"] == 4
+        assert (plans[False]["scale"], plans[True]["scale"]) == (
+            "ci", "paper")
+        assert plans[False]["spec_hash"] == plans[True]["spec_hash"]
+        assert plans[False]["run_fingerprint"] != \
+            plans[True]["run_fingerprint"]
 
     def test_bad_shard_exits_2(self, tiny_spec, tmp_path, capsys):
         assert cli_main(["plan", tiny_spec, "--shard", "9/2",
@@ -133,6 +157,21 @@ class TestRunSpec:
         bad = spec_file("version: 1\n", name="bad.yaml")
         assert cli_main(["run", "--spec", bad]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_manifest_records_the_scale(self, tiny_spec, tmp_path, capsys):
+        manifests = {}
+        for full in (False, True):
+            out = tmp_path / str(full)
+            rc = cli_main(["run", "--spec", tiny_spec, "--no-cache",
+                           "--quiet", "--format", "json", "--out", str(out)]
+                          + (["--full"] if full else []))
+            assert rc == 0
+            manifests[full] = json.loads((out / "manifest.json").read_text())
+        assert (manifests[False]["scale"], manifests[True]["scale"]) == (
+            "ci", "paper")
+        assert manifests[False]["spec_hash"] == manifests[True]["spec_hash"]
+        assert manifests[False]["run_fingerprint"] != \
+            manifests[True]["run_fingerprint"]
 
 
 class TestArtifactSelection:

@@ -91,3 +91,19 @@ class TestPlan:
         plan = plan_spec(compiled, ResultCache(tmp_path / "cache"))
         assert plan["spec_hash"] == spec_hash(compiled.spec)
         assert plan["run_fingerprint"] == run_fingerprint(compiled.spec)
+        assert plan["scale"] == "ci"
+
+    def test_full_compiles_paper_overrides_under_the_spec_own(self,
+                                                              tiny_spec):
+        """One overrides dict per entry: fig16's paper ``scale`` lies
+        under the spec's own ``core_counts``/``schedulers``."""
+        compiled = load_and_compile(tiny_spec, full=True)
+        fig16 = compiled.entries[1]
+        assert dict(fig16.overrides) == {
+            "scale": 2, "core_counts": [1], "schedulers": ["fcfs", "fr-fcfs"]}
+        assert {p.params["scale"] for p in fig16.points} == {2}
+        assert compiled.full
+        ci = load_and_compile(tiny_spec)
+        assert [dict(e.overrides) for e in ci.entries] == [
+            {"accesses": 200, "working_set": 65536},
+            {"core_counts": [1], "schedulers": ["fcfs", "fr-fcfs"]}]

@@ -3,8 +3,8 @@
 A sweep point's result may depend only on its function, its params and
 the code, which is exactly what the point cache and the serve store key
 on.  An ``os.environ`` write is ambient state that those keys cannot
-see (and that the service's pool threads would share), so every write
-site under ``src/repro`` must be listed here with its reason.
+see (and that the service's pool threads would share), so a write site
+under ``src/repro`` must be listed here with its reason (none is).
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: (file relative to src/repro, enclosing function) -> why it may write.
-ALLOWED = {
-    ("runner/cli.py", "_run_command"):
-        "`repro run --full` sets REPRO_FULL once in the single-threaded"
-        " CLI front end, before any point is built; points resolve it"
-        " into their params, so the cache key covers it",
-}
+ALLOWED: dict[tuple[str, str], str] = {}
 
 _MUTATORS = {"update", "pop", "popitem", "setdefault", "clear",
              "__setitem__", "__delitem__"}

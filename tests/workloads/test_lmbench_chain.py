@@ -14,7 +14,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.dram.kernel import cbackend, kernel_mode
+from repro.dram import kernel as kernel_pkg
+from repro.dram.kernel import cbackend
 from repro.workloads import lmbench
 
 KERNEL = cbackend.load()[0]
@@ -76,7 +77,7 @@ def test_c_shuffle_rejects_unsafe_arrays():
 
 def test_chain_order_path(monkeypatch):
     """The C path whenever a backend resolves; ``random.shuffle`` on the
-    ``REPRO_KERNEL=0`` (or no-compiler) path — same order either way."""
+    ``--kernel=off`` (or no-compiler) path — same order either way."""
     calls = []
     shuffle = random.Random.shuffle
 
@@ -86,26 +87,27 @@ def test_chain_order_path(monkeypatch):
 
     monkeypatch.setattr(random.Random, "shuffle", counting)
     order = lmbench.chain_order(5000, 7)
-    python_path = kernel_mode() == "off" or KERNEL is None
+    python_path = kernel_pkg.resolve_backend()[0] is None
     assert calls == ([5000] if python_path else [])
     monkeypatch.setattr(random.Random, "shuffle", shuffle)
     assert order.dtype == np.int64
     assert order.tolist() == reference(5000, 7)
 
 
-def _chase_columns(monkeypatch, kernel: str, size: int, accesses: int):
-    monkeypatch.setenv("REPRO_KERNEL", kernel)
+def _chase_columns(size: int, accesses: int):
     return [(b.addr.tolist(), b.flags.tolist(), b.gap.tolist())
             for b in lmbench.pointer_chase_blocks(size, accesses)]
 
 
 @pytest.mark.parametrize("size_kib", [
     1, 64, 8 * 1024, pytest.param(16 * 1024, marks=pytest.mark.slow)])
-def test_pointer_chase_blocks_independent_of_backend(monkeypatch, size_kib):
+def test_pointer_chase_blocks_independent_of_backend(request, size_kib,
+                                                      kernel_on):
     size = size_kib * 1024
     accesses = lmbench.accesses_for(size)
-    auto = _chase_columns(monkeypatch, "auto", size, accesses)
-    off = _chase_columns(monkeypatch, "0", size, accesses)
+    auto = _chase_columns(size, accesses)
+    request.getfixturevalue("kernel_off")
+    off = _chase_columns(size, accesses)
     assert auto == off
     assert sum(len(addr) for addr, _, _ in auto) == accesses
 

@@ -43,31 +43,10 @@ ENV_DOCS: dict[str, tuple[str, str]] = {
         "C compiler used to build the batch serve kernel; unset probes"
         " `cc`, `gcc`, `clang` in order.  No compiler means the kernel"
         " disengages (bit-identical fallback)."),
-    "REPRO_ENGINE": (
-        "`event`",
-        "Emulation engine: both run one burst loop and differ only in"
-        " how a gate's batch is served.  `event` replays block traces"
-        " resident in the kernel, else serves each batch on the batched"
-        " ladder (>=2x faster); `cycle` serves it on the object reference"
-        " (staged Bender programs).  Results are bit-identical either way."
-        "  The object reference oracle is `cycle` with `REPRO_KERNEL=0`."),
-    "REPRO_FULL": (
-        "off",
-        "`1` switches every sweep to paper-scale problem sizes (slow);"
-        " same as `repro run --full`."),
     "REPRO_JOBS": (
         "1",
         "Default worker-process count for `repro run` sweeps (same as"
         " `--jobs`)."),
-    "REPRO_KERNEL": (
-        "`auto`",
-        "Serve kernel: `auto` compiles the C inner loop (whole"
-        " critical-mode batches in one call; eligible single-core block"
-        " traces and multi-core mixes replay resident) when a C compiler"
-        " exists, `0` disables it, `c` requires the compiled backend."
-        "  Without the kernel the Python engine loops and the flat"
-        " closures serve every batch; artifacts are"
-        " bit-identical in every mode."),
     "REPRO_RESULTS_DIR": (
         "`results/`",
         "Default `--out` directory for `repro run --format json|csv`."),
