@@ -621,36 +621,51 @@ class SoftwareMemoryController(ProgramExecutor):
         self._kernel_episode(ks, n, 0)
         return int(ks.req_release[:n].max())
 
-    def rowclone_rows_kernel(self, rows, proc, finished: list) -> bool:
-        """Run a run of reliable RowClone plan rows in one kernel call.
+    def rowclone_rows_kernel(self, rows, proc, finished: list,
+                             engine) -> bool:
+        """Run a whole RowClone plan in one kernel call.
 
-        ``rows`` is a sequence of ``(bank, src_row, dst_row, ranges)``
-        plan rows, ``ranges`` up to two ``(start, size)`` CLFLUSH ranges.
-        Each row is exactly :meth:`Session.clflush_range
+        ``rows`` is a sequence of ``(bank, src_row, dst_row, ranges,
+        blocks)`` plan rows, ``ranges`` up to two ``(start, size)``
+        CLFLUSH ranges.  Each row is exactly :meth:`Session.clflush_range
         <repro.core.system.Session.clflush_range>` of its ranges, then
-        ``Session.technique_op`` of its
-        :class:`~repro.core.easyapi.RowCloneOp` (``respect_timing=False``)
-        on core 0's processor ``proc`` -- the writeback episodes, the FPM
-        episode (:meth:`technique_episode` of the staged program) with
-        the refreshes falling due, and the device's in-DRAM copies.  Each
-        finished row appends the tuple of its ranges' dirty-line counts
-        to ``finished``, also when an error stops the run (then raised).
-        Returns ``False``, with all state untouched and the reason
-        recorded, when the kernel cannot serve the rows: the caller then
-        takes the per-row path.
+        either ``Session.technique_op`` of its
+        :class:`~repro.core.easyapi.RowCloneOp` (``respect_timing=False``;
+        ``blocks`` is ``None``) or, for a CPU-fallback row,
+        ``Session.run_trace`` of its ``blocks`` (an iterable of
+        :class:`~repro.cpu.blocks.AccessBlock`), on core 0's processor
+        ``proc`` under its session's ``engine``: the writeback episodes,
+        the FPM episode (:meth:`technique_episode` of the staged program)
+        with the refreshes falling due, the device's in-DRAM copies, and
+        the resident replay of :func:`~repro.dram.kernel.blockrun.
+        run_gated_kernel` with its engine counts.  Each row that counts
+        appends the tuple of its ranges' dirty-line counts to
+        ``finished`` -- a RowClone row once its episode finished, a
+        fallback row once its replay began -- also when an error stops
+        the plan (then raised).  Returns ``False``, with all state
+        untouched and the reason recorded, when the kernel cannot serve
+        the whole plan: the caller then takes the per-row path.
         """
         ks = self._kernel_ready()
         if ks is None:
             return False
-        reason = self._rowclone_rows_reason(rows, proc)
+        from repro.dram.kernel import blockrun
+        reason = self._rowclone_rows_reason(rows, proc, engine)
+        if reason is None:
+            table, blocks = blockrun.rowclone_table(rows)
+            if blocks is not None and self._mapper.strict:
+                addr = blocks[2]
+                if not (0 <= int(addr.min())
+                        and int(addr.max()) < self._mapper._total_bytes):
+                    reason = "fallback trace beyond the address map"
         if reason is not None:
             self.kernel_fallback_reason = reason
             return False
-        from repro.dram.kernel.blockrun import run_rowclone_rows
-        run_rowclone_rows(self, proc, rows, finished)
+        blockrun.run_rowclone_rows(engine, self, proc, table, blocks,
+                                   finished)
         return True
 
-    def _rowclone_rows_reason(self, rows, proc) -> str | None:
+    def _rowclone_rows_reason(self, rows, proc, engine) -> str | None:
         """Why :meth:`rowclone_rows_kernel` cannot take ``rows`` now."""
         device = self._device
         if device.checker.strict:
@@ -665,17 +680,28 @@ class SoftwareMemoryController(ProgramExecutor):
             return "staged tile state pending"
         geometry = self.config.geometry
         banks, rows_per_bank = geometry.total_banks, geometry.rows_per_bank
-        flushing = False
-        for bank, src_row, dst_row, ranges in rows:
-            if not (0 <= bank < banks and 0 <= src_row < rows_per_bank
-                    and 0 <= dst_row < rows_per_bank):
+        flushing = replaying = False
+        for bank, src_row, dst_row, ranges, blocks in rows:
+            if blocks is not None:
+                replaying = True
+            elif not (0 <= bank < banks and 0 <= src_row < rows_per_bank
+                      and 0 <= dst_row < rows_per_bank):
                 return "RowClone coordinates out of range"
             if len(ranges) > 2 or any(start < 0 or size < 0
                                       for start, size in ranges):
                 return "unsupported CLFLUSH ranges"
             flushing = flushing or bool(ranges)
-        if flushing and type(proc.hierarchy) is not CacheHierarchy:
+        if ((flushing or replaying)
+                and type(proc.hierarchy) is not CacheHierarchy):
             return "non-standard cache hierarchy"
+        if replaying:
+            # A fallback row replays resident exactly when run_trace
+            # itself would take the kernel.
+            from repro.core.engine import EventEngine
+            from repro.dram.kernel.blockrun import _eligible
+            if type(engine).run_trace is not EventEngine.run_trace:
+                return "fallback rows off the event engine"
+            return _eligible([proc], self)
         return None
 
     def _kernel_ready(self):

@@ -269,18 +269,22 @@ class Session:
         return result
 
     def rowclone_rows(self, rows, finished: list) -> bool:
-        """Run a run of RowClone plan rows in one kernel call.
+        """Run a whole RowClone plan in one kernel call.
 
-        ``rows`` is a sequence of ``(bank, src_row, dst_row, ranges)``:
-        each row is :meth:`clflush_range` of its ``ranges`` (up to two
-        ``(start, size)`` pairs) followed by :meth:`technique_op` of
-        ``RowCloneOp(bank, src_row, dst_row)`` on channel 0.  Each
-        finished row appends the tuple of its ranges' dirty-line counts
-        to ``finished``, also when an error stops the run partway (the
-        error is then raised).  Returns ``False`` with nothing done when
-        the kernel declines (the reason is on the controller); the
-        caller then runs the rows one call at a time.  See
-        :meth:`SoftwareMemoryController.rowclone_rows_kernel
+        ``rows`` is a sequence of ``(bank, src_row, dst_row, ranges,
+        blocks)``: each row is :meth:`clflush_range` of its ``ranges``
+        (up to two ``(start, size)`` pairs) followed by
+        :meth:`technique_op` of ``RowCloneOp(bank, src_row, dst_row)`` on
+        channel 0 when ``blocks`` is ``None``, else (a CPU-fallback row)
+        by :meth:`run_trace` of ``blocks``, an iterable of
+        :class:`~repro.cpu.blocks.AccessBlock` (a block trace).  Each row that counts
+        appends the tuple of its ranges' dirty-line counts to
+        ``finished`` -- a RowClone row once its op finished, a fallback
+        row once its trace began -- also when an error stops the plan
+        partway (the error is then raised).  Returns ``False`` with
+        nothing done when the kernel declines (the reason is on the
+        controller); the caller then runs the rows one call at a time.
+        See :meth:`SoftwareMemoryController.rowclone_rows_kernel
         <repro.core.smc.SoftwareMemoryController.rowclone_rows_kernel>`.
         """
         system = self.system
@@ -289,7 +293,7 @@ class Session:
                 smc.kernel_fallback_reason = "multi-channel topology"
             return False
         return system.smc.rowclone_rows_kernel(rows, self.processor,
-                                               finished)
+                                               finished, self.engine)
 
     def clflush_range(self, start_addr: int, size_bytes: int) -> int:
         """Flush a range through the CLFLUSH register (Section 7.1).

@@ -13,12 +13,13 @@ PiDRAM does).  This module implements the full end-to-end flow:
   experiments, with CPU fallback for unclonable pairs and optional
   CLFLUSH-based coherence.
 
-The drivers hand each run of consecutive reliable rows, CLFLUSHes
-included, to the compiled kernel in one call
+``execute_copy`` and ``execute_init`` hand the whole plan -- reliable
+rows and CPU-fallback rows, CLFLUSHes included -- to the compiled
+kernel in one call
 (:meth:`Session.rowclone_rows <repro.core.system.Session.rowclone_rows>`);
-fallback rows, and every row when the kernel declines, run one call at
-a time through ``clflush_range``, ``technique_op`` and ``run_trace``.
-Both paths give the same results.
+when the kernel declines, every row runs one call at a time through
+``clflush_range``, ``technique_op`` and ``run_trace``.  Both paths give
+the same results.
 """
 
 from __future__ import annotations
@@ -239,53 +240,43 @@ class RowCloneTechnique:
 
     def _execute_rows(self, rows: list, clflush: bool, fallback,
                       count_flushed: bool) -> None:
-        """Run plan rows in order.
+        """Run plan rows in order: the whole plan in one kernel call,
+        else one row at a time.
 
         Each row is ``(pair, addresses)``: with ``clflush`` the row-sized
         ranges at ``addresses`` are flushed first, then the in-DRAM op (a
         reliable pair) or the CPU trace ``fallback(*addresses)`` runs.
         ``count_flushed`` adds each row's first range's dirty lines to
-        ``flushed_lines``.
+        ``flushed_lines``.  On both paths a row counts in :attr:`stats`
+        as it counts on the per-row path (a RowClone once it finished, a
+        fallback row once its trace began), so an error that stops the
+        plan leaves the same counts either way.
         """
-        run: list = []
-        for pair, addrs in rows:
-            if pair.reliable:
-                run.append((pair, addrs))
-                continue
-            self._execute_reliable(run, clflush, count_flushed)
-            run = []
-            if clflush:
-                self._count_flushed(self._flush(addrs), count_flushed)
-            self.stats.fallback_rows += 1
-            self.session.run_trace(fallback(*addrs))
-        self._execute_reliable(run, clflush, count_flushed)
-
-    def _execute_reliable(self, run: list, clflush: bool,
-                          count_flushed: bool) -> None:
-        """A run of reliable rows: one kernel call, else one op per row.
-
-        On both paths a row counts in :attr:`stats` once it finishes, so
-        an error that stops the run leaves the same counts either way.
-        """
-        if not run:
-            return
         size = self.geometry.row_bytes
-        rows = [(pair.bank, pair.src_row, pair.dst_row,
-                 tuple((addr, size) for addr in addrs) if clflush else ())
-                for pair, addrs in run]
+        plan = [(pair.bank, pair.src_row, pair.dst_row,
+                 tuple((addr, size) for addr in addrs) if clflush else (),
+                 None if pair.reliable else fallback(*addrs))
+                for pair, addrs in rows]
         finished: list = []
         try:
-            if self.session.rowclone_rows(rows, finished):
+            if self.session.rowclone_rows(plan, finished):
                 return
         finally:
-            self.stats.rowclone_ops += len(finished)
-            for dirty in finished:
+            for (pair, _), dirty in zip(rows, finished):
                 self._count_flushed(dirty, count_flushed)
-        for pair, addrs in run:
+                if pair.reliable:
+                    self.stats.rowclone_ops += 1
+                else:
+                    self.stats.fallback_rows += 1
+        for pair, addrs in rows:
             dirty = self._flush(addrs) if clflush else ()
-            self._rowclone_op(pair.bank, pair.src_row, pair.dst_row,
-                              channel=pair.channel)
+            if pair.reliable:
+                self._rowclone_op(pair.bank, pair.src_row, pair.dst_row,
+                                  channel=pair.channel)
             self._count_flushed(dirty, count_flushed)
+            if not pair.reliable:
+                self.stats.fallback_rows += 1
+                self.session.run_trace(fallback(*addrs))
 
     def _flush(self, addrs: tuple) -> tuple:
         """CLFLUSH each row-sized range, in order; their dirty-line

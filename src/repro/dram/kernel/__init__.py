@@ -11,12 +11,13 @@ attribution and the registry reduced-tRCD technique — in one
 compiled call
 (:mod:`~repro.dram.kernel.cbackend`), replays whole block traces
 resident (:mod:`~repro.dram.kernel.blockrun`) when the event engine runs
-an eligible single-core trace or multi-core mix, and runs the RowClone
-technique's runs of reliable rows (CLFLUSHes and FPM episodes) in one
-call each.  A RowClone the kernel declines stages its FPM program
-through EasyAPI like every other technique episode, and CLFLUSH
-writebacks it declines take the batch ladder (flat closure, then object
-path).
+an eligible single-core trace or multi-core mix, and runs each RowClone
+plan (CLFLUSHes, FPM episodes and the CPU-fallback rows' trace replays)
+in one call.  A plan the kernel declines runs row by row: each RowClone
+stages its FPM program through EasyAPI like every other technique
+episode, each fallback row replays through ``run_trace``, and CLFLUSH
+writebacks the kernel declines take the batch ladder (flat closure,
+then object path).
 
 The compiled backend is used whenever a C compiler can build it;
 otherwise the kernel disengages with a recorded reason.  A system is

@@ -13,8 +13,9 @@ filter only for a non-standard hierarchy) and to flush logs; the
 controller, scheduler and cache state is loaded and stored exactly once
 per run.
 
-Techniques replay many short traces (a RowClone fallback row is one
-block), so a run's fixed Python cost is kept small: the slot tables are
+Techniques replay many short traces (PolyBench segments, a RowClone
+plan's source-row set-up), so a run's fixed Python cost is kept small:
+the slot tables are
 ``int64`` arrays of buffer addresses, patched in place when a block
 arrives; scalar records move as contiguous slices; core 0's first block
 is handed over before the first call; and a cache copy that stays lent
@@ -25,10 +26,12 @@ One loop serves both engine entry points: :func:`run_gated_kernel` is
 :func:`run_cores_kernel` is ``EventEngine.run_cores``' multi-core one.
 
 :func:`run_rowclone_rows` drives the third resident entry,
-``repro_rowclone_rows``: a run of reliable RowClone plan rows whose
-CLFLUSHes flush the same lent cache copy (the hierarchy is lent to core
-slot 0 before the call), with the data side applied from the kernel's
-logs afterwards.
+``repro_rowclone_rows``: a whole RowClone plan whose CLFLUSHes flush
+the same lent cache copy (the hierarchy is lent to core slot 0 before
+the call) and whose CPU-fallback rows replay on that slot in the same
+loop, each block bound by the kernel from the plan's flat block arrays
+(no Python re-entry per block), with the data side applied from the
+kernel's logs afterwards.
 
 Eligibility is the batch kernel's structural gate plus the replay
 extras (compiled backend, one channel, no serve hook other than the
@@ -49,10 +52,10 @@ from repro.cpu.cache import _WAY_LISTS, CacheHierarchy, empty_way_lists
 from repro.dram.kernel import cbackend
 from repro.dram.kernel.state import (
     KERN_NEED_BLOCK, KERN_NEED_ROOM, KERN_OK, KERR_DEADLOCK,
-    KERR_DECODE_RANGE, RC_BANK, RC_DIRTY0, RC_DIRTY1, RC_DST, RC_F0_SIZE,
-    RC_F0_START, RC_F1_SIZE, RC_F1_START, RC_LOG_STRIDE, RC_ROW_STRIDE,
-    RC_SRC, RLOG_STRIDE, Cfg, Core, CorePtr, St, TBL_STRIDE,
-    VIOL_STRIDE, WRHIT_STRIDE,
+    KERR_DECODE_RANGE, RC_BANK, RC_BLK0, RC_BLK1, RC_DIRTY0, RC_DIRTY1,
+    RC_DST, RC_F0_SIZE, RC_F0_START, RC_F1_SIZE, RC_F1_START,
+    RC_LOG_STRIDE, RC_ROW_STRIDE, RC_SRC, RLOG_STRIDE, Cfg, Core, CorePtr,
+    St, TBL_STRIDE, VIOL_STRIDE, WRHIT_STRIDE,
 )
 
 #: Free pend-buffer entries kept ahead of the open sweep's requests.
@@ -334,9 +337,9 @@ class _Feed:
         # The consumed id becomes the first kernel-issued rid (NEXT_RID);
         # the counter is re-anchored from it after the run, so numbering
         # is seamless.
-        rec[Core.CORE_ID:Core.WB_REQ + 1] = (
-            proc.core_id, 0, next(proc._rid), proc.cycles, stats.accesses,
-            stats.loads, stats.stores, stats.compute_cycles,
+        rec[Core.DONE:Core.WB_REQ + 1] = (
+            proc._done, proc.core_id, 0, next(proc._rid), proc.cycles,
+            stats.accesses, stats.loads, stats.stores, stats.compute_cycles,
             stats.stall_cycles, stats.llc_miss_requests,
             stats.writeback_requests)
         mlp = int(ks.cfg[Cfg.MLP])
@@ -367,12 +370,45 @@ class _Feed:
                                    _arr(max(64, 2 * need)))
         self.rec[Core.LAT_CAP] = self.slots.latencies.shape[0]
 
+    def _filter_room(self, n: int) -> None:
+        """The resident filter's per-access scratch for ``n``-access
+        blocks."""
+        slots, index = self.slots, self.index
+        set_array = self.ks.set_core_array
+        if slots.blk_lat.shape[0] < n:
+            set_array(index, CorePtr.BLK_LAT, _arr(n))
+            set_array(index, CorePtr.BLK_FILL, _arr(n))
+        # Worst case two writebacks per access (demand L2 eviction plus
+        # the dirty-L1-victim fold's own eviction).
+        if slots.blk_wbidx.shape[0] < 2 * n + 2:
+            set_array(index, CorePtr.BLK_WBIDX, _arr(2 * n + 2))
+            set_array(index, CorePtr.BLK_WBADDR, _arr(2 * n + 2))
+
+    def bind_blocks(self, blocks) -> None:
+        """Bind a RowClone plan's flat fallback block arrays
+        (:func:`rowclone_table`) to the slot.
+
+        ``repro_rowclone_rows`` binds each block as an offset into them
+        (``BLK_BASE``) where :meth:`hand_over` would load it; the filter
+        scratch and the latency log hold the longest block (the kernel
+        asks for room before binding a block the log cannot take).
+        """
+        flags, gap, addr, starts = blocks
+        set_array = self.ks.set_core_array
+        set_array(self.index, CorePtr.BLK_FLAGS, flags)
+        set_array(self.index, CorePtr.BLK_GAP, gap)
+        set_array(self.index, CorePtr.BLK_ADDR, addr)
+        longest = int(np.diff(starts).max())
+        self._filter_room(longest)
+        self._lat_room(longest)
+        self.ks.set_array("rc_blocks", starts)
+
     def _load_block(self, block, traffic) -> None:
         """Install ``block`` (with its Python-filtered ``traffic``, or
         ``None`` for the resident filter) as the core's current block,
         cursor at its start."""
-        ks, index, rec, slots = self.ks, self.index, self.rec, self.slots
-        set_array = ks.set_core_array
+        index, rec = self.index, self.rec
+        set_array = self.ks.set_core_array
         # The block's own int64 arrays, no copy: the kernel only reads
         # them (``const int64_t *``), so shared blocks stay unchanged.
         n = len(block)
@@ -380,14 +416,7 @@ class _Feed:
         set_array(index, CorePtr.BLK_GAP, block.gap)
         if traffic is None:
             set_array(index, CorePtr.BLK_ADDR, block.addr)
-            if slots.blk_lat.shape[0] < n:
-                set_array(index, CorePtr.BLK_LAT, _arr(n))
-                set_array(index, CorePtr.BLK_FILL, _arr(n))
-            # Worst case two writebacks per access (demand L2 eviction
-            # plus the dirty-L1-victim fold's own eviction).
-            if slots.blk_wbidx.shape[0] < 2 * n + 2:
-                set_array(index, CorePtr.BLK_WBIDX, _arr(2 * n + 2))
-                set_array(index, CorePtr.BLK_WBADDR, _arr(2 * n + 2))
+            self._filter_room(n)
             nwb, fresh = 0, 1    # the kernel's filter counts them
         else:
             set_array(index, CorePtr.BLK_LAT, _ints(traffic.latency))
@@ -395,8 +424,8 @@ class _Feed:
             set_array(index, CorePtr.BLK_WBIDX, _ints(traffic.wb_index))
             set_array(index, CorePtr.BLK_WBADDR, _ints(traffic.wb_addr))
             nwb, fresh = len(traffic.wb_index), 0
-        # BLK_N, BLK_NWB, POS, WB_PTR, HAS_BLOCK, EXHAUSTED, FRESH
-        rec[Core.BLK_N:Core.FRESH + 1] = (n, nwb, 0, 0, 1, 0, fresh)
+        # BLK_N, BLK_NWB, POS, WB_PTR, HAS_BLOCK, EXHAUSTED, FRESH, BLK_BASE
+        rec[Core.BLK_N:Core.BLK_BASE + 1] = (n, nwb, 0, 0, 1, 0, fresh, 0)
         self._lat_room(n)
 
     def hand_over(self) -> None:
@@ -582,13 +611,22 @@ def _set_cache_geometry(ks, geometry: tuple) -> None:
         sets1, assoc1, hit1, sets2, assoc2, hit1 + hit2, hit1 + fill, line)
 
 
-def rowclone_table(rows) -> np.ndarray:
+def rowclone_table(rows) -> tuple:
     """The ``int64`` row table (``RC_ROW_STRIDE`` records, see
     :mod:`~repro.dram.kernel.state`) of ``(bank, src_row, dst_row,
-    ranges)`` plan rows, ``ranges`` up to two ``(start, size)`` CLFLUSH
-    ranges."""
+    ranges, blocks)`` plan rows, ``ranges`` up to two ``(start, size)``
+    CLFLUSH ranges and ``blocks`` ``None`` (a RowClone row) or a CPU
+    fallback row's :class:`~repro.cpu.blocks.AccessBlock` iterable (read
+    once).
+
+    Returns ``(table, blocks)``: ``blocks`` is ``None`` when no row falls
+    back, else the fallback blocks as flat ``(flags, gap, addr, starts)``
+    arrays, block ``b`` at ``[starts[b], starts[b + 1])``, each row's
+    blocks named by its ``RC_BLK0 .. RC_BLK1``.
+    """
     records = []
-    for bank, src_row, dst_row, ranges in rows:
+    chunks: list = []
+    for bank, src_row, dst_row, ranges, blocks in rows:
         record = [0] * RC_ROW_STRIDE
         record[RC_F0_SIZE] = record[RC_F1_SIZE] = -1   # no flush
         record[RC_BANK], record[RC_SRC], record[RC_DST] = (
@@ -597,27 +635,48 @@ def rowclone_table(rows) -> np.ndarray:
                 ranges, ((RC_F0_START, RC_F0_SIZE),
                          (RC_F1_START, RC_F1_SIZE))):
             record[at_start], record[at_size] = start, size
+        if blocks is None:
+            record[RC_BLK0] = -1
+        else:
+            record[RC_BLK0] = len(chunks)
+            chunks.extend(blocks)
+            record[RC_BLK1] = len(chunks)
         records.append(record)
-    return np.array(records, dtype=np.int64).reshape(-1, RC_ROW_STRIDE)
+    table = np.array(records, dtype=np.int64).reshape(-1, RC_ROW_STRIDE)
+    if not chunks:
+        return table, None
+    starts = _arr(len(chunks) + 1)
+    np.cumsum([len(block) for block in chunks], out=starts[1:])
+    flat = (np.concatenate([block.flags for block in chunks]),
+            np.concatenate([block.gap for block in chunks]),
+            np.concatenate([block.addr for block in chunks]))
+    return table, (*flat, starts)
 
 
-def run_rowclone_rows(smc, proc, rows, finished: list) -> None:
-    """Run reliable RowClone plan rows in one kernel call (entered again
-    only when a log runs short, see ``repro_rowclone_rows``).
+def run_rowclone_rows(engine, smc, proc, table, blocks,
+                      finished: list) -> None:
+    """Run a whole RowClone plan in one kernel call (entered again only
+    when a log or buffer runs short, see ``repro_rowclone_rows``).
 
     ``SoftwareMemoryController.rowclone_rows_kernel``'s marshalling:
-    ``rows`` are ``(bank, src_row, dst_row, ranges)`` plan rows
-    (:func:`rowclone_table`) and ``proc`` core 0's processor.  When a row
-    flushes, ``proc``'s hierarchy is lent to core slot 0 before the call
-    (the state a replay leaves), so ``repro_rowclone_rows`` flushes the
-    resident copy as ``_Loan.flush_range`` does.  After the call
-    everything is written back once: the controller state, the
-    processor's cycles and stall, the levels' flush counts, the
-    violations, and the data side (WR hits and RowClone copies in issue
-    order).  Each finished row appends its ranges' dirty-line counts to
-    ``finished``, also when an error stops the run (then raised).
+    ``table`` and ``blocks`` are :func:`rowclone_table`'s, ``proc`` core
+    0's processor and ``engine`` its session's event engine.  When a row
+    flushes or falls back, ``proc``'s hierarchy is lent to core slot 0
+    before the call (the state a replay leaves), so
+    ``repro_rowclone_rows`` flushes the resident copy as
+    ``_Loan.flush_range`` does and replays each fallback row's blocks
+    through it as :func:`run_gated_kernel` does, with the processor's
+    record set up once for the plan (:class:`_Feed`) and the flat block
+    arrays bound to the slot.  Request latencies and the logs are
+    flushed on every return.  After the call everything is written back
+    once: the controller state, the processor, the cache's ticks, stats
+    and flush counts, the engine's gate counts, the violations, and the
+    data side (WR hits and RowClone copies in issue order).  Each row
+    that counted appends its ranges' dirty-line counts to ``finished``
+    -- a RowClone row once its episode finished, a fallback row once
+    its replay began (where ``RowCloneTechnique`` counts it) -- also
+    when an error stops the run (then raised).
     """
-    table = rowclone_table(rows)
     ks = smc._kernel_state
     st = ks.st
     n = table.shape[0]
@@ -625,17 +684,25 @@ def run_rowclone_rows(smc, proc, rows, finished: list) -> None:
     line = hier.line_bytes
     sizes = table[:, (RC_F0_SIZE, RC_F1_SIZE)]
     flushing = sizes >= 0
-    core_table = most = 0
+    most = 0
     if flushing.any():
         starts = table[:, (RC_F0_START, RC_F1_START)]
         lines = np.where(flushing, -(-(starts % line + sizes) // line), 0)
         most = int(lines.sum(axis=1).max())
-        _set_cache_geometry(ks, _cache_geometry(hier))
-        if not ks._ncores:
+    feed = None
+    core_table = 0
+    if flushing.any() or blocks is not None:
+        geometry = _cache_geometry(hier)
+        _set_cache_geometry(ks, geometry)
+        if blocks is not None:
             ks.bind_cores(1)
-        slots = ks.cores[0]
-        _load_cache(ks, 0, hier)
-        _lend_cache(slots, hier)
+            feed = _Feed(ks, 0, proc, smc._mapper, geometry)
+            feed.bind_blocks(blocks)
+        else:
+            if not ks._ncores:
+                ks.bind_cores(1)
+            _load_cache(ks, 0, hier)
+        _lend_cache(ks.cores[0], hier)
         ks.set_array("rc_flushed1", hier.l1._loan.flushed)
         ks.set_array("rc_flushed2", hier.l2._loan.flushed)
         if ks.rc_dirty.shape[0] < most:
@@ -652,38 +719,70 @@ def run_rowclone_rows(smc, proc, rows, finished: list) -> None:
     if len(smc._device._rows) != int(st[St.NMAT]):
         ks.refresh_materialized()
     ks.reserve_materialized(4 * n)
+    if feed is not None:
+        st[St.PEND_COUNT] = 0
+        _make_room(ks)
+        st[St.E_GATES:St.E_BATCHED + 1] = 0
     ks.load(0)
     stats = proc.stats
-    st[St.RC_N:St.RC_FLUSHES2 + 1] = (
+    st[St.RC_N:St.RC_BLOCK + 1] = (
         n, 0, 0, ks.rc_log.shape[0] // RC_LOG_STRIDE, ks.mat_buf.shape[0],
         proc.cycles, stats.stall_cycles, proc.config.flush_latency, line,
-        0, 0)
+        0, 0, 0, 0)
     entry = smc._kernel_backend.rowclone_rows
     try:
         while True:
             err = entry(ks.pointer_table(), core_table)
+            if feed is not None:
+                feed.flush_latencies()
             ks.scatter_violations()
             ks.check_reduced_reads()
             ks.apply_rowclone_log()
             if err != KERN_NEED_ROOM:
                 break
+            if feed is not None:
+                _make_room(ks)
     finally:
         # Write everything back (best effort on an error, too).
         ks.store()
-        (done, cycles, stall, flushes1,
-         flushes2) = st[[St.RC_DONE, St.RC_CYCLES, St.RC_STALLS,
-                         St.RC_FLUSHES1, St.RC_FLUSHES2]].tolist()
+        (done, replaying, cycles, stall, flushes1,
+         flushes2) = st[[St.RC_DONE, St.RC_REPLAYING, St.RC_CYCLES,
+                         St.RC_STALLS, St.RC_FLUSHES1,
+                         St.RC_FLUSHES2]].tolist()
+        counted = table[:done + replaying]
+        if feed is not None:
+            if (counted[:, RC_BLK0] >= 0).any():
+                # A replay ran: the processor's stream is the last
+                # fallback trace, drained.
+                feed.blocks = iter(())
+            feed.store()
+            # The flat block arrays are this plan's: the slot (which
+            # lives as long as the system) does not keep them.
+            for field in (CorePtr.BLK_FLAGS, CorePtr.BLK_GAP,
+                          CorePtr.BLK_ADDR):
+                ks.set_core_array(0, field, _arr(0))
+            gates, releases, batched = \
+                st[St.E_GATES:St.E_BATCHED + 1].tolist()
+            estats = engine.stats
+            estats.gates += gates
+            estats.releases += releases
+            estats.batched_episodes += batched
         proc.cycles = cycles
         stats.stall_cycles = stall
         hier.l1.stats.flushes += flushes1
         hier.l2.stats.flushes += flushes2
-        smc.stats.technique_ops += done
-        smc._tile_stats.technique_ops += done
-        if done:
+        clones = int(np.count_nonzero(table[:done, RC_BLK0] < 0))
+        smc.stats.technique_ops += clones
+        smc._tile_stats.technique_ops += clones
+        if clones:
             smc.api.last_exec = smc._fpm_result()
         finished.extend(
-            (record[RC_DIRTY0], record[RC_DIRTY1])[:len(ranges)]
-            for record, (*_, ranges) in zip(table[:done].tolist(), rows))
+            (d0, d1)[:(s0 >= 0) + (s1 >= 0)]
+            for s0, s1, d0, d1 in counted[
+                :, (RC_F0_SIZE, RC_F1_SIZE, RC_DIRTY0, RC_DIRTY1)].tolist())
+    if err == KERR_DEADLOCK:
+        from repro.core.engine import DEADLOCK_MESSAGE, EmulationDeadlock
+        raise EmulationDeadlock(DEADLOCK_MESSAGE)
     if err == KERR_DECODE_RANGE:
         smc._mapper._check_range(int(st[St.ERR_ADDR]))
         raise AssertionError("decode error did not reproduce")

@@ -23,13 +23,16 @@
  *                         Python (blockrun.py) only to take a core's next
  *                         block.
  *
- *   repro_rowclone_rows -- a run of reliable RowClone plan rows
- *                         (rowclone.py execute_copy / execute_init): per
- *                         row, the CLFLUSH ranges on core 0's resident
- *                         cache copy with their writeback episodes, then
- *                         the FPM RowClone technique episode
- *                         (Session.technique_op / smc.technique_episode).
- *                         The data side (row copies) is logged for the
+ *   repro_rowclone_rows -- a whole RowClone plan (rowclone.py
+ *                         execute_copy / execute_init): per row, the
+ *                         CLFLUSH ranges on core 0's resident cache copy
+ *                         with their writeback episodes, then the FPM
+ *                         RowClone technique episode
+ *                         (Session.technique_op / smc.technique_episode)
+ *                         or, for a CPU-fallback row, the resident replay
+ *                         of its blocks on core 0 (Session.run_trace, the
+ *                         repro_run_cores loop with one core).  The data
+ *                         side (row copies, WR hits) is logged for the
  *                         driver.
  *
  * Two more entries take plain arrays: repro_flush_lines (CLFLUSH on a
@@ -100,6 +103,7 @@ typedef struct {
     int64_t *pend_tag, *pend_addr, *pend_flags, *pend_rid, *pend_release;
     int64_t *pend_core, *pend_pos, *pend_order, *pend_scratch;
     int64_t *rc_rows, *rc_log, *rc_dirty, *rc_flushed1, *rc_flushed2;
+    const int64_t *rc_blocks;
 } K;
 
 static void bind(K *k, int64_t **p)
@@ -158,10 +162,13 @@ static void bind(K *k, int64_t **p)
     k->rc_dirty = p[P_RC_DIRTY];
     k->rc_flushed1 = p[P_RC_FLUSHED1];
     k->rc_flushed2 = p[P_RC_FLUSHED2];
+    k->rc_blocks = p[P_RC_BLOCKS];
 }
 
 /* One core's resident-replay view: its CORE_STRIDE scalar record and its
- * CP_COUNT arrays from the per-core slot table. */
+ * CP_COUNT arrays from the per-core slot table.  The current block starts
+ * BLK_BASE entries into the block arrays (0 for a block handed over by
+ * blockrun.py, which binds the block's own arrays). */
 typedef struct {
     int64_t *s;
     const int64_t *blk_flags, *blk_gap, *blk_addr;
@@ -178,9 +185,10 @@ static void bind_core(K *k, int64_t **cp, int64_t pos, Core *q)
 {
     int64_t **t = cp + pos * CP_COUNT;
     q->s = k->core_st + pos * CORE_STRIDE;
-    q->blk_flags = t[CP_BLK_FLAGS];
-    q->blk_gap = t[CP_BLK_GAP];
-    q->blk_addr = t[CP_BLK_ADDR];
+    int64_t base = q->s[CS_BLK_BASE];
+    q->blk_flags = t[CP_BLK_FLAGS] + base;
+    q->blk_gap = t[CP_BLK_GAP] + base;
+    q->blk_addr = t[CP_BLK_ADDR] + base;
     q->blk_lat = t[CP_BLK_LAT];
     q->blk_fill = t[CP_BLK_FILL];
     q->blk_wbidx = t[CP_BLK_WBIDX];
@@ -1611,7 +1619,7 @@ static int64_t close_sweep(K *k, int64_t **cp)
 
 int64_t repro_abi_version(void)
 {
-    return 11;
+    return 12;
 }
 
 /* CLFLUSH of n consecutive lines from first_line on one cache level's
@@ -1717,20 +1725,17 @@ int64_t repro_serve_batch(int64_t **p)
                    k->req_core, k->req_release, k->req_service);
 }
 
-/* Drive NRUN fed cores to completion (BurstEngine._burst_loop): round-robin
- * sweeps starting at active[SWEEP % ACTIVE_N], each core bursting to its
- * gate, the merged batch served in one episode after every sweep.  The
- * whole state lives in the slot tables, so the loop is resumable: it
- * returns KERN_NEED_BLOCK (core NEED_CORE) whenever a core needs its
- * next block and KERN_NEED_ROOM when a shared buffer runs short, and
- * blockrun.py re-enters after handing the block over or growing the
- * buffers.
- * A single-core trace (EventEngine.run_trace) is the NRUN == 1 case. */
-int64_t repro_run_cores(int64_t **p, int64_t **cp)
+/* Drive the ACTIVE_N fed cores to completion (BurstEngine._burst_loop):
+ * round-robin sweeps starting at active[SWEEP % ACTIVE_N], each core
+ * bursting to its gate, the merged batch served in one episode after
+ * every sweep.  The whole state lives in the slot tables, so the loop is
+ * resumable: it returns KERN_NEED_BLOCK (core NEED_CORE) whenever a core
+ * needs its next block and KERN_NEED_ROOM when a shared buffer runs
+ * short, and the caller re-enters after handing the block over or
+ * growing the buffers.
+ * A single-core trace (EventEngine.run_trace) is the ACTIVE_N == 1 case. */
+static int64_t run_loop(K *k, int64_t **cp)
 {
-    K kk;
-    K *k = &kk;
-    bind(k, p);
     for (;;) {
         if (S(SWEEP_POS) >= S(SWEEP_N)) {
             if (S(SWEEP_N)) {
@@ -1774,6 +1779,16 @@ int64_t repro_run_cores(int64_t **p, int64_t **cp)
         }
         S(SWEEP_POS) += 1;
     }
+}
+
+/* The resident replay of blockrun.py (run_gated_kernel / run_cores_kernel),
+ * which hands each block over on KERN_NEED_BLOCK. */
+int64_t repro_run_cores(int64_t **p, int64_t **cp)
+{
+    K kk;
+    K *k = &kk;
+    bind(k, p);
+    return run_loop(k, cp);
 }
 
 /* -- RowClone rows (core/techniques/rowclone.py) -------------------------- */
@@ -1990,17 +2005,85 @@ static int64_t clflush_range(K *k, Core *q, int64_t start, int64_t size,
     return KERN_OK;
 }
 
+/* A CPU-fallback row's replay on core slot 0: Session.run_trace of its
+ * blocks as EventEngine.run_trace takes it (blockrun.run_gated_kernel),
+ * the run_loop above with one core, except that each block is bound here
+ * from the plan's flat block arrays (what blockrun._Feed._load_block does
+ * on KERN_NEED_BLOCK) instead of handed over by blockrun.py.
+ *
+ * start_replay is _replay's and _Feed's set-up for one trace: an empty
+ * pend buffer, a fresh sweep over the one active core, and the core
+ * record's stream state reset, with the processor's cycles and stall
+ * cycles in; the counters, the request ids and the latency-log fill run
+ * on across the plan's rows as they do across run_trace calls. */
+static void start_replay(K *k, const int64_t *row, int64_t cycles,
+                         int64_t stalls)
+{
+    int64_t *s = k->core_st;
+    S(PEND_COUNT) = 0;
+    S(ACTIVE_N) = 1;
+    S(SWEEP) = 0;
+    S(SWEEP_N) = 0;
+    S(SWEEP_POS) = 0;
+    S(SWEEP_FINISHED) = 0;
+    k->active[0] = 0;
+    s[CS_HAS_BLOCK] = 0;
+    s[CS_EXHAUSTED] = 0;
+    s[CS_DONE] = 0;
+    s[CS_CYCLES] = cycles;
+    s[CS_STALLS] = stalls;
+    S(RC_BLOCK) = row[RC_BLK0];
+    S(RC_REPLAYING) = 1;
+}
+
+/* Run (or resume) the replay until the core is done (KERN_OK).  A block
+ * is bound only when the latency log holds its worst case (one latency
+ * per access, the MLP window's drain and a margin, as _Feed._lat_room
+ * sizes it); otherwise KERN_NEED_ROOM, and blockrun.py flushes the log
+ * and re-enters, which asks for the same block again. */
+static int64_t replay_row(K *k, int64_t **cp, const int64_t *row)
+{
+    int64_t *s = k->core_st;
+    for (;;) {
+        int64_t err = run_loop(k, cp);
+        if (err != KERN_NEED_BLOCK)
+            return err;
+        int64_t b = S(RC_BLOCK);
+        if (b >= row[RC_BLK1]) {
+            s[CS_EXHAUSTED] = 1;
+            continue;
+        }
+        int64_t start = k->rc_blocks[b], n = k->rc_blocks[b + 1] - start;
+        if (s[CS_LAT_CAP] - s[CS_LAT_COUNT] < n + C(MLP) + 8)
+            return KERN_NEED_ROOM;
+        s[CS_BLK_BASE] = start;
+        s[CS_BLK_N] = n;
+        s[CS_BLK_NWB] = 0;
+        s[CS_POS] = 0;
+        s[CS_WB_PTR] = 0;
+        s[CS_HAS_BLOCK] = 1;
+        s[CS_FRESH] = 1;
+        S(RC_BLOCK) = b + 1;
+    }
+}
+
 /* Run rows RC_DONE..RC_N of the row table: each row's CLFLUSH ranges (a
- * range with size < 0 is skipped), then its FPM RowClone episode.  The
- * processor's cycles and stall cycles travel in RC_CYCLES / RC_STALLS;
- * RC_DONE counts the rows finished, also when an error stops the run.
+ * range with size < 0 is skipped), then its FPM RowClone episode, or for
+ * a CPU-fallback row (RC_BLK0 >= 0) the replay of its blocks.  The
+ * processor's cycles and stall cycles travel in RC_CYCLES / RC_STALLS
+ * (core 0's record holds them while a replay runs); RC_DONE counts the
+ * rows finished, also when an error stops the run, and RC_REPLAYING
+ * marks a fallback row RC_DONE past its CLFLUSHes.
  * Before each row the logs must hold its worst case (three violations
  * per flushed line and one WR hit, four FPM violations, two attempts
  * and four materialized rows, plus the refresh margin episode() keeps);
- * otherwise the call returns KERN_NEED_ROOM at that row boundary, and
- * rowclone_rows in blockrun.py applies the logs and re-enters.
+ * otherwise the call returns KERN_NEED_ROOM at that row boundary.  A
+ * replay asks for room as repro_run_cores does, and resumes where it
+ * stopped.  Either way rowclone_rows in blockrun.py applies the logs,
+ * grows the buffers and re-enters.
  * cp is the resident replay's per-core table (slot 0 holds the lent
- * cache copy); it may be null when no row flushes. */
+ * cache copy and the fallback blocks); it may be null when no row
+ * flushes or replays. */
 int64_t repro_rowclone_rows(int64_t **p, int64_t **cp)
 {
     K kk;
@@ -2015,30 +2098,47 @@ int64_t repro_rowclone_rows(int64_t **p, int64_t **cp)
     int64_t err = KERN_OK;
     for (int64_t i = S(RC_DONE); i < S(RC_N) && !err; i++) {
         int64_t *row = k->rc_rows + RC_ROW_STRIDE * i;
-        const int64_t starts[2] = {row[RC_F0_START], row[RC_F1_START]};
-        const int64_t sizes[2] = {row[RC_F0_SIZE], row[RC_F1_SIZE]};
-        int64_t *dirty[2] = {row + RC_DIRTY0, row + RC_DIRTY1};
-        int64_t lines = 0;
-        for (int r = 0; r < 2; r++)
-            if (sizes[r] >= 0)
-                lines += range_lines(k, starts[r], sizes[r]);
-        if (S(VIOL_CAP) - S(VIOL_COUNT) < 3 * lines + 68
-                || S(WRHIT_CAP) - S(WRHIT_COUNT) < lines + 16
-                || S(RC_LOG_CAP) - S(RC_LOG_COUNT) < 2
-                || S(RC_MAT_CAP) - S(NMAT) < 4) {
-            err = KERN_NEED_ROOM;
-            break;
+        int fallback = row[RC_BLK0] >= 0;
+        if (!S(RC_REPLAYING)) {
+            const int64_t starts[2] = {row[RC_F0_START], row[RC_F1_START]};
+            const int64_t sizes[2] = {row[RC_F0_SIZE], row[RC_F1_SIZE]};
+            int64_t *dirty[2] = {row + RC_DIRTY0, row + RC_DIRTY1};
+            int64_t lines = 0;
+            for (int r = 0; r < 2; r++)
+                if (sizes[r] >= 0)
+                    lines += range_lines(k, starts[r], sizes[r]);
+            if (S(VIOL_CAP) - S(VIOL_COUNT) < 3 * lines + 68
+                    || S(WRHIT_CAP) - S(WRHIT_COUNT) < lines + 16
+                    || S(RC_LOG_CAP) - S(RC_LOG_COUNT) < 2
+                    || S(RC_MAT_CAP) - S(NMAT) < 4) {
+                err = KERN_NEED_ROOM;
+                break;
+            }
+            for (int r = 0; r < 2 && !err; r++) {
+                if (sizes[r] >= 0)
+                    err = clflush_range(k, q, starts[r], sizes[r], &cycles,
+                                        &stalls, dirty[r]);
+            }
+            if (!err && fallback)
+                start_replay(k, row, cycles, stalls);
         }
-        for (int r = 0; r < 2 && !err; r++) {
-            if (sizes[r] >= 0)
-                err = clflush_range(k, q, starts[r], sizes[r], &cycles,
-                                    &stalls, dirty[r]);
-        }
-        if (!err)
+        if (!err && fallback) {
+            err = replay_row(k, cp, row);
+            if (!err) {
+                cycles = q->s[CS_CYCLES];
+                stalls = q->s[CS_STALLS];
+                S(RC_REPLAYING) = 0;
+            }
+        } else if (!err) {
             err = fpm_episode(k, row[RC_BANK], row[RC_SRC], row[RC_DST],
                               &cycles, &stalls);
+        }
         if (!err)
             S(RC_DONE) = i + 1;
+    }
+    if (S(RC_REPLAYING)) {
+        cycles = q->s[CS_CYCLES];
+        stalls = q->s[CS_STALLS];
     }
     S(RC_CYCLES) = cycles;
     S(RC_STALLS) = stalls;

@@ -142,22 +142,25 @@ ST_FIELDS = (
     # RowClone rows (rowclone_rows): rows in the table and rows done, the
     # attempt-log fill and capacity, the materialized-key capacity, the
     # processor's cycles and stall cycles (in and out), CLFLUSH latency
-    # and line size, and the lines each cache level flushed
+    # and line size, the lines each cache level flushed, whether row
+    # RC_DONE is a CPU-fallback row past its CLFLUSHes (its replay under
+    # way), and that replay's next block
     "RC_N", "RC_DONE", "RC_LOG_COUNT", "RC_LOG_CAP", "RC_MAT_CAP",
     "RC_CYCLES", "RC_STALLS", "RC_FLUSH_LAT", "RC_LINE",
-    "RC_FLUSHES1", "RC_FLUSHES2",
+    "RC_FLUSHES1", "RC_FLUSHES2", "RC_REPLAYING", "RC_BLOCK",
 )
 
 #: Per-core scalar slots of the resident replay: one ``CORE_STRIDE``
 #: record per core in the ``CORE_ST`` array.  Block cursor (length,
 #: writeback count, replay position, writeback pointer), block-stream
 #: state (a current block is loaded / the stream is exhausted / the
-#: block still needs the resident cache filter), completion, MLP window
-#: fill, the next request id, processor counters, latency-log fill and
-#: capacity, and the resident cache filter's ticks and stats.
+#: block still needs the resident cache filter), the block's offset in
+#: its ``BLK_FLAGS``/``BLK_GAP``/``BLK_ADDR`` arrays, completion, MLP
+#: window fill, the next request id, processor counters, latency-log
+#: fill and capacity, and the resident cache filter's ticks and stats.
 CORE_FIELDS = (
     "BLK_N", "BLK_NWB", "POS", "WB_PTR",
-    "HAS_BLOCK", "EXHAUSTED", "FRESH", "DONE", "CORE_ID",
+    "HAS_BLOCK", "EXHAUSTED", "FRESH", "BLK_BASE", "DONE", "CORE_ID",
     "OUT_COUNT", "NEXT_RID",
     "CYCLES", "ACCESSES", "LOADS", "STORES", "COMPUTE", "STALLS",
     "LLC_MISS", "WB_REQ",
@@ -215,9 +218,12 @@ PTR_FIELDS = (
     "PEND_TAG", "PEND_ADDR", "PEND_FLAGS", "PEND_RID", "PEND_RELEASE",
     "PEND_CORE", "PEND_POS", "PEND_ORDER", "PEND_SCRATCH",
     # RowClone rows: the row table (stride RC_ROW_STRIDE), the attempt log
-    # (stride RC_LOG_STRIDE), the CLFLUSH dirty-line scratch, and the two
-    # cache levels' flushed-set marks (the loans' ``flushed`` arrays)
+    # (stride RC_LOG_STRIDE), the CLFLUSH dirty-line scratch, the two
+    # cache levels' flushed-set marks (the loans' ``flushed`` arrays),
+    # and the CPU-fallback blocks' offsets in core 0's block arrays
+    # (block b is [RC_BLOCKS[b], RC_BLOCKS[b + 1]))
     "RC_ROWS", "RC_LOG", "RC_DIRTY", "RC_FLUSHED1", "RC_FLUSHED2",
+    "RC_BLOCKS",
 )
 
 #: Violation log record: kind, bank, row, col, time_ps, earliest_ps, code.
@@ -236,11 +242,14 @@ RLOG_STRIDE = 3
 
 #: RowClone row record (built by ``blockrun.rowclone_table``): two
 #: CLFLUSH ranges as (start address, size; size < 0 = no flush), the FPM
-#: op's bank, source and destination rows, then the dirty lines each
-#: range wrote back (written by the kernel).
-RC_ROW_STRIDE = 9
+#: op's bank, source and destination rows, the dirty lines each range
+#: wrote back (written by the kernel), then the row's CPU-fallback
+#: blocks ``RC_BLK0 .. RC_BLK1`` of ``RC_BLOCKS`` -- ``RC_BLK0 < 0`` for a
+#: RowClone row, whose FPM op runs instead.
+RC_ROW_STRIDE = 11
 RC_F0_START, RC_F0_SIZE, RC_F1_START, RC_F1_SIZE = 0, 1, 2, 3
 RC_BANK, RC_SRC, RC_DST, RC_DIRTY0, RC_DIRTY1 = 4, 5, 6, 7, 8
+RC_BLK0, RC_BLK1 = 9, 10
 
 #: RowClone attempt record: bank, source row, destination row, and the
 #: WR-hit log fill when the copying ACT issued (the two logs' common
@@ -321,7 +330,8 @@ def render_defines() -> str:
         f"#define RC_ROW_STRIDE {RC_ROW_STRIDE}",
         *(f"#define {name} {globals()[name]}" for name in (
             "RC_F0_START", "RC_F0_SIZE", "RC_F1_START", "RC_F1_SIZE",
-            "RC_BANK", "RC_SRC", "RC_DST", "RC_DIRTY0", "RC_DIRTY1")),
+            "RC_BANK", "RC_SRC", "RC_DST", "RC_DIRTY0", "RC_DIRTY1",
+            "RC_BLK0", "RC_BLK1")),
         f"#define RC_LOG_STRIDE {RC_LOG_STRIDE}",
         f"#define CORE_STRIDE {len(CORE_FIELDS)}",
         f"#define CP_COUNT {len(CORE_PTR_FIELDS)}",
@@ -573,6 +583,7 @@ class KernelState:
         self.rc_dirty = _arr(0)
         self.rc_flushed1 = _arr(0)
         self.rc_flushed2 = _arr(0)
+        self.rc_blocks = _arr(0)
         #: Per-core slot sets of the resident replay (see bind_cores).
         self.cores: list[CoreSlots] = []
         self._ncores = 0
@@ -1026,7 +1037,7 @@ class KernelState:
             self.pend_release, self.pend_core, self.pend_pos,
             self.pend_order, self.pend_scratch,
             self.rc_rows, self.rc_log, self.rc_dirty, self.rc_flushed1,
-            self.rc_flushed2,
+            self.rc_flushed2, self.rc_blocks,
         )
         assert len(arrays) == len(PTR_FIELDS)
         self._keepalive = arrays

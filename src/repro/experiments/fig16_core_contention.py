@@ -100,7 +100,7 @@ def _combine(results: dict) -> dict:
              round(v["emulated_ms"], 4))
             for v in points]
     by_sched = {s: [v for v in points if v["scheduler"] == s]
-                for s in {v["scheduler"] for v in points}}
+                for s in sorted({v["scheduler"] for v in points})}
     monotonic = {
         s: all(b["avg_slowdown"] >= a["avg_slowdown"] - 1e-9
                for a, b in zip(vals, vals[1:]))

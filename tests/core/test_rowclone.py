@@ -290,9 +290,9 @@ class TestEngagement:
                             writebacks)
         rows_entry = controller.rowclone_rows_kernel
 
-        def rows_kernel(smc, rows, proc, finished):
-            # The reliable rows' writebacks are served inside this entry.
-            engaged = rows_entry(smc, rows, proc, finished)
+        def rows_kernel(smc, rows, proc, finished, engine):
+            # The plan's writebacks are served inside this entry.
+            engaged = rows_entry(smc, rows, proc, finished, engine)
             dirty = sum(map(sum, finished))
             if dirty:
                 served.append((dirty, engaged))
@@ -370,9 +370,9 @@ class TestEngagement:
     @pytest.mark.parametrize("clflush", (False, True))
     def test_reliable_rows_run_in_the_rows_entry(self, op, clflush,
                                                  monkeypatch, kernel_on):
-        """On the benchmark's RowClone op shapes, every reliable row runs
-        inside ``rowclone_rows_kernel``: no technique episode, and the
-        only writeback entry calls are the fallback rows' CLFLUSHes."""
+        """On the benchmark's RowClone op shapes, the whole plan runs in
+        one ``rowclone_rows_kernel`` call: no technique episode and no
+        writeback entry call, the fallback rows' CLFLUSHes included."""
         from repro.core import smc as smc_module
         from repro.dram.kernel import cbackend
         from repro.workloads import microbench
@@ -392,8 +392,8 @@ class TestEngagement:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def rows_kernel(smc, rows, proc, finished):
-            engaged = rows_entry(smc, rows, proc, finished)
+        def rows_kernel(smc, rows, proc, finished, engine):
+            engaged = rows_entry(smc, rows, proc, finished, engine)
             runs.append((len(rows), engaged, smc.kernel_fallback_reason))
             return engaged
 
@@ -422,13 +422,9 @@ class TestEngagement:
         session.finish()
         stats = tech.stats
         assert stats.rowclone_ops > 0
-        assert runs and all(engaged and reason is None
-                            for _, engaged, reason in runs)
-        assert sum(n for n, _, _ in runs) == stats.rowclone_ops
-        assert counts["episodes"] == 0
-        per_row = 2 if op == "copy" else 1
-        assert counts["writebacks"] <= (per_row * stats.fallback_rows
-                                        if clflush else 0)
+        assert runs == [(stats.rowclone_ops + stats.fallback_rows, True,
+                         None)]
+        assert counts["episodes"] == counts["writebacks"] == 0
         if op == "init":
             assert stats.fallback_rows > 0
 
@@ -463,7 +459,7 @@ class TestEngagement:
             system.device.checker.strict = True
         before = (session.processor.cycles, system.smc.stats.technique_ops)
         finished = []
-        assert session.rowclone_rows([(1, 2, 3, ())], finished) is False
+        assert session.rowclone_rows([(1, 2, 3, (), None)], finished) is False
         assert finished == []
         assert [smc.kernel_fallback_reason for smc in system.smcs] == \
             [reason] * system.num_channels

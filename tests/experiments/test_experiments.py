@@ -1,5 +1,7 @@
 """Shape tests for the experiment harnesses (paper claims, scaled down)."""
 
+import json
+
 import pytest
 
 from repro.experiments import (
@@ -222,6 +224,28 @@ class TestFig16:
         text = fig16_core_contention.report(result)
         assert "slowdown monotone" in text
         assert "FR-FCFS row-hit rate >= FCFS" in text
+
+    def test_combine_is_independent_of_point_order(self):
+        """The combined result is the same bytes whatever order its
+        points arrive in, with schedulers keyed in sorted order (so
+        neither the order nor the string-hash seed shows)."""
+        points = [{"scheduler": scheduler, "cores": cores,
+                   "avg_slowdown": 1.0 + 0.25 * cores + index,
+                   "max_slowdown": 1.5 * cores, "unfairness": 1.0 + index,
+                   "row_hit_rate": 0.1 * index, "emulated_ms": 0.5 * cores}
+                  for index, scheduler in enumerate(
+                      ("fr-fcfs", "bliss", "fcfs", "atlas"))
+                  for cores in (1, 2, 4)]
+        forward = fig16_core_contention._combine(
+            {f"{p['cores']}core-{p['scheduler']}": p for p in points})
+        backward = fig16_core_contention._combine(
+            {f"{p['cores']}core-{p['scheduler']}": p
+             for p in reversed(points)})
+        assert json.dumps(forward) == json.dumps(backward)
+        for key in ("avg_slowdowns", "row_hit_rates", "unfairness",
+                    "slowdown_monotonic"):
+            assert list(forward[key]) == ["atlas", "bliss", "fcfs",
+                                          "fr-fcfs"]
 
 
 @pytest.mark.slow  # the 20-point frontier sweep dominates this file (~28 s)
